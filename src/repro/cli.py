@@ -518,8 +518,8 @@ def _cmd_trace(args) -> int:
             ev.offload(region, tracer=tracer)
         _print("experiment: offload (MG Class C regions)")
     else:
+        from repro.mpi.compile import compiled_mpiexec
         from repro.mpi.fabrics import host_fabric, phi_fabric
-        from repro.mpi.runtime import mpiexec
 
         fabric = host_fabric() if args.fabric == "host" else phi_fabric(args.tpc)
         if args.experiment == "cg":
@@ -533,7 +533,7 @@ def _cmd_trace(args) -> int:
             main = lambda comm: cg_mpi(comm, "S", matrix=a)  # noqa: E731
         else:
             main = _trace_main(args.experiment, args.nbytes)
-        res = mpiexec(args.ranks, fabric, main, tracer=tracer)
+        res = compiled_mpiexec(args.ranks, fabric, main, tracer=tracer)
         _print(
             f"experiment: {args.experiment}  ranks={args.ranks}  "
             f"fabric={args.fabric}  elapsed={res.elapsed:.6e}s"

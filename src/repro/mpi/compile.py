@@ -52,10 +52,17 @@ guards the scalar replay: per-op costs put the stepped engine at
 ~``STEP_EVENTS_PER_OP × STEP_COST_S`` against the replay's
 ``REPLAY_OP_COST_S`` per op, so replay is preferred whenever its per-op
 cost is lower — both walls scale with the same op count, making the
-decision size-independent.  Jobs that carry a tracer, verifier or fault
-plan, run on a resolver or time-varying fabric, or were built with
+decision size-independent.  Jobs that carry a verifier or fault plan,
+run on a resolver or time-varying fabric, or were built with
 ``fast_collectives=False`` never enter the replay: they go straight to
 the stepped engine.
+
+A job with an active tracer skips the memo and the vector path, which
+keep no per-op clocks, and always runs the scalar replay through a
+traced communicator that records the stepped engine's ``mpi.rank``,
+``mpi.p2p``, ``mpi.coll`` and ``app.phase`` spans from the replay's
+per-rank clocks.  The spans are held back until the replay succeeds, so
+a job that falls back leaves the tracer to the stepped run alone.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from repro.mpi.fastpath import _RESULTS
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.mpi.phasec import LowerFallback, lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
-from repro.obs.tracer import NULL_CONTEXT
+from repro.obs.tracer import NULL_CONTEXT, Tracer, active
 from repro.perf.batch import HAVE_NUMPY
 from repro.simcore import Engine, Timeout
 
@@ -507,12 +514,217 @@ def _scan_queue(queue: Deque[_REnv], tag: Optional[int]) -> Optional[_REnv]:
     return None
 
 
-class _ReplayJob:
-    """The replay driver: per-rank clocks, queues and the trampoline."""
+#: A buffered span: (name, cat, tid, ts, end, args, depth).
+_SpanRec = Tuple[str, str, str, float, float, Optional[Dict[str, Any]], int]
 
-    def __init__(self, n_ranks: int, fabric: Any):
+
+class _ReplayTrace:
+    """The spans and messages of one traced replay, held until it succeeds.
+
+    A replay that falls back mid-job must leave the caller's tracer
+    untouched, because the stepped rerun records the whole trace; so
+    nothing reaches the tracer before :meth:`flush`.
+    """
+
+    __slots__ = ("tracer", "pid", "spans", "messages", "nb_sends")
+
+    def __init__(self, tracer: Tracer, pid: str, size: int):
+        self.tracer = tracer
+        self.pid = pid
+        self.spans: List[_SpanRec] = []
+        self.messages: List[Tuple[int, int, int]] = []
+        #: Per rank, in post order: (name, post time, request, args).
+        self.nb_sends: List[List[Tuple[str, float, _ReplayRequest, Any]]] = [
+            [] for _ in range(size)
+        ]
+
+    def _nb_spans(self) -> List[_SpanRec]:
+        """The isend spans of the ``rank<r>.nb`` lanes.
+
+        A rendezvous isend ends when its receiver completes, which the
+        replay may learn after the sender has moved on, so these spans
+        are built once the job is done.  A span's depth counts the
+        lane's earlier sends still open when it starts, as the stepped
+        tracer's open-span stack does.
+        """
+        out: List[_SpanRec] = []
+        for rank, sends in enumerate(self.nb_sends):
+            tid = f"rank{rank}.nb"
+            open_ends: List[float] = []
+            for name, ts, req, args in sends:
+                end = req._ready_at if req._ready_at is not None \
+                    else req._env.done_time
+                if end is None:
+                    # The stepped isend worker would block forever and
+                    # the engine reports the deadlock.
+                    raise ReplayFallback("isend never matched")
+                open_ends = [e for e in open_ends if e > ts]
+                out.append((name, "mpi.p2p", tid, ts, end, args,
+                            len(open_ends)))
+                open_ends.append(end)
+        return out
+
+    def flush(self, clocks: List[float]) -> None:
+        """Hand every recorded span and message to the tracer."""
+        nb = self._nb_spans()
+        tr, pid = self.tracer, self.pid
+        for rank, finish in enumerate(clocks):
+            tid = f"rank{rank}"
+            tr.complete(tid, cat="mpi.rank", pid=pid, tid=tid, ts=0.0,
+                        dur=finish)
+        for name, cat, tid, ts, end, args, depth in self.spans + nb:
+            tr.complete(name, cat=cat, pid=pid, tid=tid, ts=ts,
+                        dur=max(0.0, end - ts), args=args, depth=depth)
+        for src, dst, nbytes in self.messages:
+            tr.message(src, dst, nbytes)
+
+
+class _ReplayPhase:
+    """``comm.phase(...)`` inside a traced replay: an ``app.phase`` span."""
+
+    __slots__ = ("_comm", "_name", "_cat", "_ts", "_depth")
+
+    def __init__(self, comm: "_TracedReplayComm", name: str, cat: str):
+        self._comm = comm
+        self._name = name
+        self._cat = cat
+        self._ts = 0.0
+        self._depth = 0
+
+    def __enter__(self) -> None:
+        comm = self._comm
+        self._ts = comm.now
+        self._depth = comm._depth
+        comm._depth += 1
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        comm = self._comm
+        comm._depth -= 1
+        comm._trace.spans.append((self._name, self._cat, comm._tid, self._ts,
+                                  comm.now, None, self._depth))
+        return False
+
+
+class _TracedReplayComm(_ReplayComm):
+    """A replayed rank that records the stepped Communicator's spans.
+
+    Every span carries the name, category, lane, depth and args the
+    stepped :class:`~repro.mpi.api.Communicator` gives it, timed on the
+    replay's per-rank clock.  Collective spans run from arrival to the
+    replay's finish; the messages inside a collective are priced by its
+    schedule and leave no spans.
+    """
+
+    __slots__ = ("_trace", "_tid", "_depth")
+
+    def __init__(self, job: "_ReplayJob", rank: int):
+        super().__init__(job, rank)
+        assert job.trace is not None
+        self._trace = job.trace
+        self._tid = f"rank{rank}"
+        self._depth = 1  # the rank's lifetime span sits at depth 0
+
+    def _span(self, name: str, cat: str, ts: float,
+              args: Dict[str, Any]) -> None:
+        self._trace.spans.append(
+            (name, cat, self._tid, ts, self.now, args, self._depth)
+        )
+
+    def phase(self, name: str, cat: str = "app.phase") -> Any:
+        return _ReplayPhase(self, name, cat)
+
+    def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None,
+             pattern: str = "neighbor", _lane: Optional[str] = None,
+             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
+        ts = self.now
+        yield from super().send(dest, nbytes, tag, payload, pattern, _lane,
+                                timeout, max_retries)
+        self._trace.messages.append((self.rank, dest, nbytes))
+        self._span(f"send->{dest}", "mpi.p2p", ts,
+                   {"nbytes": nbytes, "tag": tag})
+
+    def recv(self, source: Optional[int] = ANY_SOURCE,
+             tag: Optional[int] = ANY_TAG, _lane: Optional[str] = None,
+             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
+        ts = self.now
+        env = yield from super().recv(source, tag, _lane, timeout, max_retries)
+        self._span("recv", "mpi.p2p", ts,
+                   {"source": env.source, "nbytes": env.nbytes, "tag": env.tag})
+        return env
+
+    def isend(self, dest: int, nbytes: int, tag: int = 0,
+              payload: Any = None) -> _ReplayRequest:
+        ts = self.now
+        req = super().isend(dest, nbytes, tag, payload)
+        self._trace.messages.append((self.rank, dest, nbytes))
+        self._trace.nb_sends[self.rank].append(
+            (f"send->{dest}", ts, req, {"nbytes": nbytes, "tag": tag})
+        )
+        return req
+
+    def _coll(self, kind: str, nbytes: int, gen: Generator) -> Generator:
+        ts = self.now
+        result = yield from gen
+        self._span(kind, "mpi.coll", ts, {"nbytes": nbytes})
+        return result
+
+    def barrier(self, deadline: Optional[float] = None) -> Generator:
+        gen = super().barrier(deadline)
+        if self.size == 1:  # the stepped barrier records nothing alone
+            return (yield from gen)
+        return (yield from self._coll("barrier", 0, gen))
+
+    def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
+              deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "bcast", nbytes, super().bcast(value, root, nbytes, deadline)))
+
+    def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
+               deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "reduce", nbytes, super().reduce(value, op, root, nbytes, deadline)))
+
+    def allreduce(self, value: Any, op=None, nbytes: int = 8,
+                  deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "allreduce", nbytes, super().allreduce(value, op, nbytes, deadline)))
+
+    def allgather(self, value: Any, nbytes: int = 8,
+                  deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "allgather", nbytes, super().allgather(value, nbytes, deadline)))
+
+    def alltoall(self, values, nbytes: int = 8,
+                 deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "alltoall", nbytes, super().alltoall(values, nbytes, deadline)))
+
+    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
+               deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "gather", nbytes, super().gather(value, root, nbytes, deadline)))
+
+    def scatter(self, values, root: int = 0, nbytes: int = 8,
+                deadline: Optional[float] = None) -> Generator:
+        return (yield from self._coll(
+            "scatter", nbytes, super().scatter(values, root, nbytes, deadline)))
+
+
+class _ReplayJob:
+    """The replay driver: per-rank clocks, queues and the trampoline.
+
+    With ``tracer`` (an active :class:`~repro.obs.tracer.Tracer`) the
+    ranks run on :class:`_TracedReplayComm` and the job's spans reach the
+    tracer, on process lane ``pid``, only once every rank has finished.
+    """
+
+    def __init__(self, n_ranks: int, fabric: Any,
+                 tracer: Optional[Tracer] = None, pid: str = "mpijob"):
         self.size = n_ranks
         self.fabric = fabric
+        self.trace = (
+            None if tracer is None else _ReplayTrace(tracer, pid, n_ranks)
+        )
         self.clocks = [0.0] * n_ranks
         #: (dest, source) -> FIFO of undelivered envelopes.
         self.queues: Dict[Tuple[int, int], Deque[_REnv]] = {}
@@ -554,7 +766,8 @@ class _ReplayJob:
     def run(self, main: RankMain) -> JobResult:
         """Drive every rank's generator to completion on scalar clocks."""
         p = self.size
-        gens = [main(_ReplayComm(self, r)) for r in range(p)]
+        comm = _ReplayComm if self.trace is None else _TracedReplayComm
+        gens = [main(comm(self, r)) for r in range(p)]
         for r, gen in enumerate(gens):
             if not hasattr(gen, "send"):
                 raise ReplayFallback("rank main is not a generator")
@@ -587,6 +800,8 @@ class _ReplayJob:
             # detection and its error report.
             raise ReplayFallback("replay stalled before every rank finished")
         elapsed = max(max(self.clocks), self.horizon)
+        if self.trace is not None:
+            self.trace.flush(self.clocks)
         return JobResult(elapsed=elapsed, returns=returns, mode="replay")
 
 
@@ -606,7 +821,6 @@ def _refusal(
     n_ranks: int,
     fabric: Any,
     engine: Optional[Engine],
-    tracer: Optional[Any],
     fast_collectives: Optional[bool],
     fault_plan: Optional[Any],
     verifier: Optional[Any],
@@ -614,8 +828,6 @@ def _refusal(
     """Why this job must step, or None when it is a replay candidate."""
     if engine is not None:
         return "caller-provided engine"
-    if tracer is not None:
-        return "tracer attached"
     if verifier is not None:
         return "dynamic verifier armed"
     if fault_plan is not None:
@@ -673,18 +885,30 @@ def _compile_or_none(
     main: RankMain,
     *,
     cache: Optional[Any],
-    key: Optional[Any],
     st: CompileStats,
     vector: Optional[bool],
+    tracer: Optional[Tracer],
+    pid: str,
 ) -> Optional[JobResult]:
-    """Vector pricing or scalar replay; ``None`` (with ``st.reason``
-    set) means the caller must run the job stepped."""
+    """Memo, vector pricing or scalar replay; ``None`` (with
+    ``st.reason`` set) means the caller must run the job stepped.
+
+    A job with an active tracer reads no memo and takes no vector path,
+    since neither keeps per-op clocks: it replays, emitting its spans.
+    """
+    tr = active(tracer)
+    key = None
+    if cache is not None and tr is None:
+        key = cache.key("mpijob", main, fabric, n_ranks)
+        hit = cache.get(key)
+        if hit is not None:
+            return _memo_hit(hit, n_ranks, fabric, main, st)
     profile = rank_program_profile(main)
     vetoes = profile.veto_reasons()
     if vetoes and not profile.unknown:
         st.reason = f"static profile: {vetoes[0]}"
         return None
-    want_vector = (
+    want_vector = tr is None and (
         vector if vector is not None
         else HAVE_NUMPY and n_ranks >= VECTOR_MIN_RANKS
     )
@@ -703,7 +927,7 @@ def _compile_or_none(
             st.path = "vector"
             st.phases = len(program.phases)
             st.replay_ops = program.op_estimate
-            if cache is not None and key is not None:
+            if key is not None:
                 cache.put(key, (elapsed, None))
             return JobResult(
                 elapsed=elapsed, returns=None, mode="vector",
@@ -713,7 +937,7 @@ def _compile_or_none(
     if _stepped_predicted_cheaper():
         st.reason = "crossover: stepped engine predicted cheaper"
         return None
-    job = _ReplayJob(n_ranks, fabric)
+    job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid)
     try:
         result = job.run(main)
     except ReplayFallback as exc:
@@ -733,7 +957,7 @@ def _compile_or_none(
         return None
     st.path = "replay"
     st.replay_ops = job.replay_ops
-    if cache is not None and key is not None:
+    if key is not None:
         cache.put(key, (result.elapsed, list(result._returns)))
     return result
 
@@ -763,6 +987,12 @@ def compiled_mpiexec(
     per-rank values; treat them as read-only (runs sharing a cache share
     the objects).
 
+    An active ``tracer`` sends the job straight to the max-plus replay,
+    at any rank count, which records the job's spans on the ``"mpijob"``
+    process lane; the trace leaves out the engine's scheduler instants
+    and the point-to-point traffic inside collectives (see
+    ``docs/OBSERVABILITY.md``).
+
     ``vector`` overrides the backend selection: ``True`` demands the
     vectorized phase backend (falling back to scalar paths only when the
     program doesn't lower), ``False`` forbids it, ``None`` (default)
@@ -773,17 +1003,12 @@ def compiled_mpiexec(
     """
     st = stats if stats is not None else CompileStats()
     reason = _refusal(
-        n_ranks, fabric, engine, tracer, fast_collectives, fault_plan, verifier
+        n_ranks, fabric, engine, fast_collectives, fault_plan, verifier
     )
-    key = None
     if reason is None:
-        if cache is not None:
-            key = cache.key("mpijob", main, fabric, n_ranks)
-            hit = cache.get(key)
-            if hit is not None:
-                return _memo_hit(hit, n_ranks, fabric, main, st)
         result = _compile_or_none(
-            n_ranks, fabric, main, cache=cache, key=key, st=st, vector=vector
+            n_ranks, fabric, main, cache=cache, st=st, vector=vector,
+            tracer=tracer, pid="mpijob",
         )
         if result is not None:
             return result
@@ -811,43 +1036,27 @@ def job_fastpath(
     """Price an already-launched :class:`~repro.mpi.runtime.MpiJob`
     without stepping it, or return ``None`` when it must step.
 
-    This is the engine behind ``MpiJob.run(compiled=True)``: the job's
-    construction already encodes the stepped-only vetoes (tracer,
-    verifier, fault plan, resolver fabric, ``fast_collectives=False``
-    all leave ``job.fast`` unset), so eligibility reduces to a uniform
-    fast-collectives job whose engine has not stepped yet.
+    This is the engine behind ``MpiJob.run(compiled=True)``.  The job
+    meets the same vetoes as :func:`compiled_mpiexec`; beyond them it
+    needs a uniform fast-collectives fabric (``job.fast``) and an engine
+    that has not stepped yet.  A traced job's spans land on the job's
+    own process lane (``job.name``).
     """
     st = stats if stats is not None else CompileStats()
-    main = job._main
+    main, fast = job._main, job.fast
     if main is None:
         st.reason = "job not launched"
         return None
-    if job.tracer is not None:
-        st.reason = "tracer attached"
+    st.reason = (
+        _refusal(job.n_ranks, None if fast is None else fast.fabric, None,
+                 None, job.fault_plan, job.verifier)
+        or ("no uniform fast-collectives fabric" if fast is None else "")
+        or ("engine already stepped"
+            if job.engine.now != 0 or job.engine.timeline() != 0 else "")
+    )
+    if st.reason or fast is None:
         return None
-    if job.verifier is not None:
-        st.reason = "dynamic verifier armed"
-        return None
-    if job.fault_plan is not None:
-        st.reason = "fault plan armed"
-        return None
-    if job.fast is None:
-        st.reason = "no uniform fast-collectives fabric"
-        return None
-    if job.engine.now != 0 or job.engine.timeline() != 0:
-        st.reason = "engine already stepped"
-        return None
-    fabric = job.fast.fabric
-    if getattr(fabric, "time_varying", False):
-        st.reason = "time-varying fabric"
-        return None
-    n_ranks = job.n_ranks
-    key = None
-    if cache is not None:
-        key = cache.key("mpijob", main, fabric, n_ranks)
-        hit = cache.get(key)
-        if hit is not None:
-            return _memo_hit(hit, n_ranks, fabric, main, st)
     return _compile_or_none(
-        n_ranks, fabric, main, cache=cache, key=key, st=st, vector=vector
+        job.n_ranks, fast.fabric, main, cache=cache, st=st, vector=vector,
+        tracer=job.tracer, pid=job.name,
     )

@@ -53,6 +53,17 @@ class TestCli:
             main([])
 
 
+class TestTrace:
+    def test_large_halo_traces_on_the_replay(self, capsys, tmp_path):
+        out_path = str(tmp_path / "halo.json")
+        rc, out = run_cli(capsys, "trace", "halo", "--ranks", "4096",
+                          "--out", out_path)
+        assert rc == 0
+        digest = [ln for ln in out.splitlines() if ln.startswith("digest: ")]
+        assert len(digest) == 1 and len(digest[0].split()[1]) == 64
+        assert "events: 28672" in out  # 7 spans a rank, no engine instants
+
+
 class TestCheck:
     def test_static_on_shipped_programs_clean(self, capsys):
         rc, out = run_cli(capsys, "check", "examples", "src/repro/npb")

@@ -8,9 +8,10 @@ Three contracts are gated here:
   per-rank return values, across eager and rendezvous regimes, both
   fabrics, and skewed arrivals.
 * **Transparent fallback** — every construct the replay cannot express
-  (wildcard receives, ``irecv``, timeouts, tracers, verifiers, fault
-  plans, resolver fabrics, caller-provided engines) silently re-runs on
-  the stepped engine with identical results and identical errors.
+  (wildcard receives, ``irecv``, timeouts, verifiers, fault plans,
+  resolver fabrics, caller-provided engines) silently re-runs on the
+  stepped engine with identical results and identical errors.  A traced
+  job replays, emitting its spans from the replay's clocks.
 * **Memoization** — a warm :class:`~repro.perf.cache.EvalCache` hit
   returns the stored :class:`~repro.mpi.runtime.JobResult` without
   stepping a single engine event, and the fingerprint key separates
@@ -339,15 +340,16 @@ def test_fallback_wildcard_recv_matches_stepped():
     assert res.returns == ref.returns
 
 
-def test_fallback_tracer():
+def test_traced_job_replays():
     from repro.obs import Tracer
 
     tracer = Tracer()
     st = CompileStats()
     main = partial(_halo_main, 256)
     res = compiled_mpiexec(8, host_fabric(), main, tracer=tracer, stats=st)
-    _assert_stepped(st, "tracer")
+    assert st.path == "replay" and st.engine_steps == 0, st.reason
     assert len(tracer) > 0  # spans were actually recorded
+    assert res.elapsed == compiled_mpiexec(8, host_fabric(), main).elapsed
     des = mpiexec(8, host_fabric(), main, fast_collectives=False)
     assert _rel(res.elapsed, des.elapsed) <= TOL
 
@@ -505,6 +507,7 @@ def test_memo_key_separates_jobs():
 
 
 def test_memo_not_consulted_for_fallback_jobs():
+    from repro.faults import FaultPlan, Straggler
     from repro.obs import Tracer
 
     cache = EvalCache()
@@ -512,6 +515,13 @@ def test_memo_not_consulted_for_fallback_jobs():
     compiled_mpiexec(8, host_fabric(), main, cache=cache)
     st = CompileStats()
     compiled_mpiexec(
-        8, host_fabric(), main, tracer=Tracer(), cache=cache, stats=st
+        8, host_fabric(), main, cache=cache, stats=st,
+        fault_plan=FaultPlan([Straggler(rank=1, slowdown=2.0)]),
     )
     assert st.path == "stepped" and not st.cache_hit
+    # A traced job skips the memo, whose hit would emit no spans.
+    st = CompileStats()
+    compiled_mpiexec(
+        8, host_fabric(), main, tracer=Tracer(), cache=cache, stats=st
+    )
+    assert st.path == "replay" and not st.cache_hit

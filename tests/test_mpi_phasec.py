@@ -10,8 +10,8 @@ Four contracts are gated here:
   (wildcard receives, rank-dependent branches, payload-dependent
   control flow, blocking sends, ``irecv``, rank-divergent streams)
   raises :class:`~repro.mpi.phasec.LowerFallback`; selection-level
-  vetoes (fault plans, time-varying fabrics, tracers) route the whole
-  job to the stepped engine.
+  vetoes (fault plans, time-varying fabrics) route the whole job to the
+  stepped engine, and a tracer routes it to the scalar replay.
 * **Backend equivalence** — the numpy and scalar pricing backends agree
   to 1e-9 relative (bit-exact in practice) with each other, with the
   scalar replay, and with the stepped engine, over seeded-random
@@ -225,20 +225,25 @@ def test_selection_vetoes_route_to_stepped():
     from repro.obs import Tracer
 
     main = partial(_halo_main, 256, 1)
-    for kw, needle in (
-        ({"fault_plan": FaultPlan([Straggler(rank=1, slowdown=2.0)])},
-         "fault plan"),
-        ({"tracer": Tracer()}, "tracer"),
-    ):
-        st = CompileStats()
-        compiled_mpiexec(8, host_fabric(), main, stats=st, vector=True, **kw)
-        assert st.path == "stepped", (kw, st.path)
-        assert needle in st.reason
+    st = CompileStats()
+    compiled_mpiexec(8, host_fabric(), main, stats=st, vector=True,
+                     fault_plan=FaultPlan([Straggler(rank=1, slowdown=2.0)]))
+    assert st.path == "stepped", st.path
+    assert "fault plan" in st.reason
     st = CompileStats()
     degraded = DegradedFabric(host_fabric(), [])
     compiled_mpiexec(8, degraded, main, stats=st, vector=True)
     assert st.path == "stepped"
     assert "time-varying" in st.reason
+    # Traced P=256 with vector=True prices via replay, not vector: the
+    # vector path keeps no per-op clocks to emit spans from.
+    tracer = Tracer()
+    st = CompileStats()
+    res = compiled_mpiexec(256, host_fabric(), main, stats=st, vector=True,
+                           tracer=tracer)
+    assert st.path == "replay", (st.path, st.reason)
+    assert len(tracer) > 0
+    assert res.elapsed == compiled_mpiexec(256, host_fabric(), main).elapsed
 
 
 # ------------------------------------------------------- backend equivalence
