@@ -17,6 +17,9 @@ sparse matvec's indirect addressing defeats the 512-bit vector unit —
 from __future__ import annotations
 
 import time
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import Dict, Tuple
 
 import numpy as np
@@ -79,8 +82,27 @@ def _vecset(values: list, indices: list, i: int, val: float) -> None:
 
 
 def make_matrix(problem: str = "S") -> sp.csr_matrix:
-    """NPB makea for one problem class (1-exact with the Fortran code)."""
-    problem = problem_class(problem)
+    """NPB makea for one problem class (1-exact with the Fortran code).
+
+    The matrix is deterministic, so it is built once per process and the
+    same object is returned to every later caller.  Its ``data``,
+    ``indices`` and ``indptr`` are read-only: writing to them raises
+    ``ValueError`` rather than corrupting every later CG run.  Only the
+    most recent class is kept, so a large class never stays pinned
+    beside another.
+    """
+    return _cached_matrix(problem_class(problem))
+
+
+@lru_cache(maxsize=1)
+def _cached_matrix(problem: str) -> sp.csr_matrix:
+    a = _build_matrix(problem)
+    for arr in (a.data, a.indices, a.indptr):
+        arr.flags.writeable = False
+    return a
+
+
+def _build_matrix(problem: str) -> sp.csr_matrix:
     n, nonzer, _niter, shift = CG_SIZES[problem]
     rng = _Lcg()
     rng.next()  # main consumes one value ("zeta = randlc(tran, amult)")
@@ -96,25 +118,27 @@ def make_matrix(problem: str = "S") -> sp.csr_matrix:
         rows_idx.append(indices)
 
     # sparse(): A = Σ_i size_i · x_i x_iᵀ with geometric decay, plus
-    # (rcond − shift)·I contributed at each (i, i).
+    # (rcond − shift)·I contributed at each (i, i).  Row i emits the
+    # triplets (x_i[k1], x_i[k2]) in k1-major order with value
+    # x_i[k2] · (size_i · x_i[k1]); the same order and association as
+    # the Fortran loop keeps tocsr()'s duplicate sums bit-identical.
+    lengths = np.array([len(v) for v in rows_vals])
+    vals = np.fromiter(chain.from_iterable(rows_vals), float, int(lengths.sum()))
+    idx = np.fromiter(chain.from_iterable(rows_idx), np.int64, vals.size) - 1
+    outer = np.repeat(np.arange(n), lengths)  # iouter − 1 of each entry
     ratio = RCOND ** (1.0 / n)
-    size = 1.0
-    coo_i, coo_j, coo_v = [], [], []
-    for iouter in range(1, n + 1):
-        values, indices = rows_vals[iouter - 1], rows_idx[iouter - 1]
-        for v1, j in zip(values, indices):
-            scale = size * v1
-            for v2, jcol in zip(values, indices):
-                va = v2 * scale
-                if jcol == j and j == iouter:
-                    va += RCOND - shift
-                coo_i.append(j - 1)
-                coo_j.append(jcol - 1)
-                coo_v.append(va)
-        size *= ratio
-    a = sp.coo_matrix(
-        (np.array(coo_v), (np.array(coo_i), np.array(coo_j))), shape=(n, n)
-    )
+    sizes = np.array(list(accumulate(repeat(ratio, n - 1), mul, initial=1.0)))
+    scale = sizes[outer] * vals
+
+    # Entry k1 pairs with every entry k2 of its own vector, k2 fastest.
+    reps = lengths[outer]
+    k1 = np.repeat(np.arange(vals.size), reps)
+    run_start = np.repeat(np.cumsum(reps) - reps, reps)
+    row_start = np.cumsum(lengths) - lengths
+    k2 = row_start[outer[k1]] + np.arange(k1.size) - run_start
+    coo_v = vals[k2] * scale[k1]
+    coo_v[(k1 == k2) & (idx[k1] == outer[k1])] += RCOND - shift
+    a = sp.coo_matrix((coo_v, (idx[k1], idx[k2])), shape=(n, n))
     return a.tocsr()
 
 

@@ -105,8 +105,9 @@ def cg_mpi(
     allreduces the local partials — the NPB CG communication pattern.
     The returned ζ verifies against the official reference on all ranks.
 
-    ``matrix`` may be passed in (e.g. built once and shared by the
-    launcher) to avoid each simulated rank regenerating it.
+    ``matrix`` may be passed in (the launcher passes it so the job's
+    fingerprint covers its contents); by default every rank shares the
+    process-wide :func:`repro.npb.cg.make_matrix` build.
     """
     problem = problem_class(problem)
     n, _nonzer, niter, shift = CG_SIZES[problem]
@@ -114,7 +115,9 @@ def cg_mpi(
     start, stop = _row_range(n, comm.rank, comm.size)
     a_rows = a[start:stop]
     local_n = stop - start
-    vec_bytes = 8 * max(1, local_n)
+    # MPI_Allgather takes one count on every rank, so the uneven blocks
+    # of _row_range (P not dividing n) travel padded to the largest.
+    vec_bytes = 8 * -(-n // comm.size)
 
     def matvec(p_local: np.ndarray) -> Generator:
         parts = yield from comm.allgather(p_local, nbytes=vec_bytes)

@@ -123,6 +123,41 @@ class TestOfficialVerification:
             v = rng.standard_normal(a.shape[0])
             assert v @ (shifted @ v) > 0
 
+    @pytest.mark.parametrize(
+        "problem, nnz, digest",
+        [
+            ("S", 78148,
+             "0cbacb9b4f6706dbcdee345889ef10a6dbd678921f02a02456aa0208cb581dcd"),
+            ("W", 508402,
+             "77d338930dd9932fa875655c3193454561089afbdb988478069d8e9023386c52"),
+        ],
+    )
+    def test_cg_matrix_bytes_pinned(self, problem, nnz, digest):
+        # Digests of the Python triple-loop assembly; the vectorized
+        # outer products must reproduce its CSR arrays byte for byte.
+        import hashlib
+
+        a = cg.make_matrix(problem)
+        assert a.nnz == nnz
+        assert (a.data.dtype, a.indices.dtype, a.indptr.dtype) == (
+            np.float64, np.int32, np.int32,
+        )
+        h = hashlib.sha256(
+            a.data.tobytes() + a.indices.tobytes() + a.indptr.tobytes()
+        )
+        assert h.hexdigest() == digest
+
+    def test_cg_matrix_built_once_per_class(self):
+        assert cg.make_matrix("S") is cg.make_matrix("s")
+        assert cg.make_matrix() is cg.make_matrix("S")
+
+    @pytest.mark.parametrize("field", ["data", "indices", "indptr"])
+    def test_cg_matrix_read_only(self, field):
+        arr = getattr(cg.make_matrix("S"), field)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+        assert cg.run("S").verified  # the shared matrix is untouched
+
     def test_mg_class_s(self):
         r = mg.run("S")
         assert r.verified

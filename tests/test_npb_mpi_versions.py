@@ -82,6 +82,61 @@ class TestCgMpi:
         t4 = run_cg_mpi(8, phi_fabric(4), "S").elapsed
         assert t4 > 5 * t1
 
+    @pytest.mark.parametrize("ranks", [16, 32])
+    def test_uneven_row_blocks(self, ranks, serial_zeta):
+        # 16 and 32 do not divide class S's 1400 rows: the allgather
+        # count is the padded block, equal on every rank.
+        fabric = host_fabric()
+        stepped = run_cg_mpi(ranks, fabric, "S")
+        compiled = run_cg_mpi(ranks, fabric, "S", compiled=True)
+        for res in (stepped, compiled):
+            for r in res.returns:
+                assert r["verified"]
+                assert r["zeta"] == pytest.approx(serial_zeta, abs=1e-9)
+        assert compiled.mode == "replay"
+        assert compiled.elapsed == pytest.approx(stepped.elapsed, rel=0.0)
+
+    def test_warm_memo_builds_no_matrix(self, monkeypatch):
+        from repro.mpi.compile import CompileStats
+        from repro.perf.cache import EvalCache
+
+        built = []
+        build = cg_serial._build_matrix
+
+        def counting(problem):
+            built.append(problem)
+            return build(problem)
+
+        monkeypatch.setattr(cg_serial, "_build_matrix", counting)
+        cg_serial._cached_matrix.cache_clear()
+        cache = EvalCache()
+        st1, st2 = CompileStats(), CompileStats()
+        r1 = run_cg_mpi(8, host_fabric(), "S", compiled=True, cache=cache,
+                        stats=st1)
+        r2 = run_cg_mpi(8, host_fabric(), "S", compiled=True, cache=cache,
+                        stats=st2)
+        assert built == ["S"]
+        assert (st1.path, st2.path) == ("replay", "memo")
+        assert r2.elapsed == r1.elapsed
+
+    def test_memo_key_covers_matrix_contents(self):
+        from functools import partial
+
+        from repro.npb.mpi_versions import cg_mpi
+        from repro.perf.cache import EvalCache
+
+        a = cg_serial.make_matrix("S")
+        same, perturbed = a.copy(), a.copy()
+        perturbed.data[0] = np.nextafter(perturbed.data[0], np.inf)
+        cache = EvalCache()
+
+        def key(matrix):
+            main = partial(cg_mpi, problem="S", matrix=matrix)
+            return cache.key("mpijob", main, host_fabric(), 8)
+
+        assert key(same) == key(a.copy())
+        assert key(perturbed) != key(same)
+
 
 class TestFtMpi:
     @pytest.mark.parametrize("ranks", [2, 4, 8])
