@@ -1,6 +1,6 @@
-"""MPI collective operations: executable algorithms + closed-form costs.
+"""MPI collective operations: algorithms, exact schedules, closed-form costs.
 
-Two coupled halves:
+Three coupled parts:
 
 1. **Algorithms** — generator functions over the simulated
    :class:`~repro.mpi.api.Communicator`, implementing the textbook
@@ -9,7 +9,17 @@ Two coupled halves:
    blocks, pairwise-exchange alltoall.  They move real payloads, so the
    test suite verifies collective *semantics* against NumPy references.
 
-2. **Cost models** — closed-form times for the same algorithms on a
+2. **Schedules** — the exact per-rank completion times of the same
+   algorithms as max-plus recurrences over a clock vector (a list, or a
+   numpy array), the analytic fast path behind
+   :mod:`repro.mpi.fastpath`, the compiled replay and phase pricing.
+   Every data-parallel round is one of two steps written once:
+   :func:`shift_step` (ring allgather, Bruck, the dissemination barrier,
+   non-power-of-two alltoall, phase-compiled halo shifts) and
+   :func:`exchange_step` (recursive doubling, power-of-two alltoall, the
+   allreduce rounds).
+
+3. **Cost models** — closed-form times for the same algorithms on a
    fabric's α–β parameters.  The figure sweeps (Figs 10–14) use these
    (running 236 simulated ranks per sample would be wasteful), and the
    test suite checks them against the simulated algorithms at small rank
@@ -26,10 +36,11 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.mpi.api import Communicator
+from repro.perf.batch import get_numpy
 from repro.units import GiB, KiB
 
 #: Block size at which allgather switches from recursive doubling to ring.
@@ -357,9 +368,9 @@ def scatter(
 # ==========================================================================
 #
 # Each ``*_schedule`` function replays one collective's communication
-# pattern as a max-plus recurrence over per-rank clock vectors instead of
-# stepping every rank through the event engine.  The recurrences encode
-# the engine's exact eager/rendezvous timing semantics:
+# pattern as a max-plus recurrence over a per-rank clock vector instead
+# of stepping every rank through the event engine.  The recurrences
+# encode the engine's exact eager/rendezvous timing semantics:
 #
 # * eager send:    sender detaches after ``sender_time``; the receiver
 #                  completes at ``max(recv_post, send_post + p2p_time)``.
@@ -370,9 +381,18 @@ def scatter(
 # Because they mirror the executable algorithms above *hop for hop*
 # (same tree shapes, same per-round message sizes, same algorithm
 # switches), the schedules agree with full DES runs to float precision —
-# a property the test suite gates at 1e-9 relative error.  ``arrivals``
-# lets callers model ranks entering the collective at different times;
-# all-zero arrivals give the canonical "everyone ready" time.
+# a property the test suite gates at 1e-9 relative error.
+#
+# Every schedule has the signature ``(fabric, p, nbytes, arrivals,
+# root=0)``: ``arrivals`` holds the ranks' entry times, unrooted kinds
+# ignore ``root`` and the barrier ignores ``nbytes``.  The clock vector
+# is a Python list or a float numpy array, and the output is the same
+# container.  The data-parallel recurrences are compositions of two
+# steps, :func:`shift_step` and :func:`exchange_step`, each written once
+# for both containers with the same float operations in the same order,
+# so the two backends agree bit for bit.  The binomial-tree walks
+# (small bcast, scatter, reduce, gather) are inherently sequential; they
+# run on a list and convert an array in and out.
 
 
 def _wire(fabric, nbytes: int):
@@ -384,12 +404,121 @@ def _wire(fabric, nbytes: int):
     )
 
 
-def _arrivals(p: int, arrivals: Optional[List[float]]) -> List[float]:
-    if arrivals is None:
-        return [0.0] * p
+def _arrivals(p: int, arrivals: Any) -> Any:
     if len(arrivals) != p:
         raise ConfigError(f"need {p} arrival times, got {len(arrivals)}")
-    return list(arrivals)
+    return arrivals.copy()
+
+
+# ------------------------------------------------- clock-vector containers
+
+
+def _roll(t: Any, o: int) -> Any:
+    """``t`` rotated by ``o``: ``out[i] == t[(i - o) % len(t)]``."""
+    if isinstance(t, list):
+        o %= len(t)
+        return t[-o:] + t[:-o]
+    return get_numpy().roll(t, o)
+
+
+def _add(t: Any, c: float) -> Any:
+    return [x + c for x in t] if isinstance(t, list) else t + c
+
+
+def _floor(t: Any, lo: float) -> Any:
+    """``max(x, lo)`` for every element ``x`` of ``t``."""
+    if isinstance(t, list):
+        return [max(x, lo) for x in t]
+    return get_numpy().maximum(t, lo)
+
+
+def _extrema(t: Any) -> Tuple[Any, Any]:
+    return (min(t), max(t)) if isinstance(t, list) else (t.min(), t.max())
+
+
+def _full(t: Any, value: float) -> Any:
+    """A vector shaped like ``t`` holding ``value`` everywhere."""
+    if isinstance(t, list):
+        return [value] * len(t)
+    return get_numpy().full(len(t), value)
+
+
+def _as_list(t: Any) -> List[float]:
+    return t if isinstance(t, list) else t.tolist()
+
+
+def _like(t: Any, values: List[float]) -> Any:
+    """``values`` in the container type of ``t``."""
+    if isinstance(t, list):
+        return values
+    return get_numpy().asarray(values, dtype=float)
+
+
+# ----------------------------------------------------------- the two steps
+
+
+def shift_step(t: Any, o: int, tp: float, ts: float, eager: bool) -> Any:
+    """One ring-shift round: rank ``i`` sends to ``i + o`` and receives
+    from ``i - o`` (mod P), then waits for its send.
+
+    Eager: ``t' = max(t + ts, roll(t, o) + tp)``.  Rendezvous: the rank
+    also waits for its receiver, ``t' = max(t, roll(t, o), roll(t, -o))
+    + tp``.
+    """
+    left = _roll(t, o)
+    if isinstance(t, list):
+        if eager:
+            return [max(a + ts, b + tp) for a, b in zip(t, left)]
+        return [
+            max(a, b, c) + tp for a, b, c in zip(t, left, _roll(t, -o))
+        ]
+    np = get_numpy()
+    if eager:
+        return np.maximum(t + ts, left + tp)
+    return np.maximum(np.maximum(t, left), np.roll(t, -o)) + tp
+
+
+def exchange_step(t: Any, mask: int, tp: float, ts: float,
+                  eager: bool) -> Any:
+    """One pairwise-exchange round between ranks ``i`` and ``i ^ mask``.
+
+    Eager: ``t' = max(t + ts, t[i ^ mask] + tp)``; rendezvous:
+    ``t' = max(t, t[i ^ mask]) + tp``.  On an array a power-of-two mask
+    is a contiguous block swap (reshape to ``(…, 2, mask)`` and flip the
+    pair axis), which beats fancy indexing on 100k-rank vectors.
+    """
+    if isinstance(t, list):
+        if eager:
+            return [max(t[i] + ts, t[i ^ mask] + tp) for i in range(len(t))]
+        return [max(t[i], t[i ^ mask]) + tp for i in range(len(t))]
+    np = get_numpy()
+    if mask & (mask - 1) == 0:
+        other = t.reshape(-1, 2, mask)[:, ::-1, :].reshape(-1)
+    else:
+        other = t[np.arange(len(t)) ^ mask]
+    if eager:
+        return np.maximum(t + ts, other + tp)
+    return np.maximum(t, other) + tp
+
+
+def _p2p(send: Any, recv: Any, tp: float, ts: float,
+         eager: bool) -> Tuple[Any, Any]:
+    """Sender and receiver completion of one message per element pair,
+    from their post times."""
+    if isinstance(send, list):
+        if eager:
+            return ([s + ts for s in send],
+                    [max(r, s + tp) for s, r in zip(send, recv)])
+        done = [max(s, r) + tp for s, r in zip(send, recv)]
+        return done, done
+    np = get_numpy()
+    if eager:
+        return send + ts, np.maximum(recv, send + tp)
+    done = np.maximum(send, recv) + tp
+    return done, done
+
+
+# ----------------------------------------------------- binomial-tree walks
 
 
 def _binomial_bcast_times(
@@ -459,199 +588,75 @@ def _scatter_times(
     return finish
 
 
-def _ring_times(fabric, p: int, nbytes: int, t: List[float]) -> List[float]:
-    """Ring allgather: p−1 rounds of send-right/recv-left at block size."""
+def _ring_times(fabric, p: int, nbytes: int, t: Any) -> Any:
+    """Ring allgather: p−1 shifts by one at block size."""
     tp, ts, eager = _wire(fabric, nbytes)
-    if p == 1:
-        return list(t)
-    lo, hi = min(t), max(t)
+    lo, hi = _extrema(t)
     if lo == hi:
         # Uniform arrivals: every round advances all ranks by the same
         # per-round cost, so the recurrence collapses to closed form.
         per_round = max(ts, tp) if eager else tp
-        return [lo + (p - 1) * per_round] * p
-    np = _numpy()
-    if np is not None and p >= 128:
-        v = np.asarray(t, dtype=float)
-        for _ in range(p - 1):
-            left = np.roll(v, 1)
-            if eager:
-                v = np.maximum(v + ts, left + tp)
-            else:
-                v = np.maximum(np.maximum(v, left), np.roll(v, -1)) + tp
-        return v.tolist()
-    cur = list(t)
+        return _full(t, lo + (p - 1) * per_round)
     for _ in range(p - 1):
-        if eager:
-            cur = [
-                max(cur[i] + ts, cur[i - 1] + tp) for i in range(p)
-            ]
-        else:
-            cur = [
-                max(cur[i], cur[i - 1], cur[(i + 1) % p]) + tp for i in range(p)
-            ]
-    return cur
+        t = shift_step(t, 1, tp, ts, eager)
+    return t
 
 
-def _numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised in no-numpy CI
-        return None
-    return numpy
+# ------------------------------------------------------------ the schedules
 
 
-def bcast_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    root: int = 0,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def bcast_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                   root: int = 0) -> Any:
     """Per-rank completion times of :func:`bcast` on a uniform fabric."""
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
     if nbytes <= LARGE_MESSAGE_SWITCH:
-        return _binomial_bcast_times(fabric, p, nbytes, root, t)
+        return _like(
+            t, _binomial_bcast_times(fabric, p, nbytes, root, _as_list(t))
+        )
     chunk = max(1, nbytes // p)
-    after_scatter = _scatter_times(fabric, p, chunk, root, t)
-    return _ring_times(fabric, p, chunk, after_scatter)
+    after_scatter = _scatter_times(fabric, p, chunk, root, _as_list(t))
+    return _ring_times(fabric, p, chunk, _like(t, after_scatter))
 
 
-def allreduce_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
-    """Per-rank completion times of :func:`allreduce` on a uniform fabric."""
+def allreduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                       root: int = 0) -> Any:
+    """Per-rank completion times of :func:`allreduce` on a uniform fabric.
+
+    With ``p = 2^m + r`` the first ``2r`` ranks fold pairwise (even into
+    odd), the ``2^m`` survivors run the doubling exchange, and the odd
+    ranks hand the result back to their even neighbours.
+    """
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
     tp, ts, eager = _wire(fabric, nbytes)
     tred = fabric.reduce_time(nbytes)
-    m = int(math.log2(p))
-    pow2 = 1 << m
+    pow2 = 1 << int(math.log2(p))
     r = p - pow2
-    np = _numpy()
-    if np is not None and p >= 128:
-        return _allreduce_times_numpy(np, p, t, tp, ts, eager, tred, pow2, r)
 
-    # Fold-in: even ranks below 2r send to their odd neighbour and wait.
-    even_ready = [0.0] * p  # when even rank 2k posts its hand-back recv
-    surv = [0.0] * pow2  # clock per surviving new_rank
-    for rank in range(p):
-        if rank < 2 * r:
-            if rank % 2:
-                a, b = t[rank - 1], t[rank]
-                if eager:
-                    recv_done = max(b, a + tp)
-                    even_ready[rank - 1] = a + ts
-                else:
-                    recv_done = max(a, b) + tp
-                    even_ready[rank - 1] = recv_done
-                surv[rank // 2] = recv_done + tred
-        else:
-            surv[rank - r] = t[rank]
-
-    # Recursive doubling among the 2^m survivors.
-    mask = 1
-    while mask < pow2:
-        surv = [
-            (max(surv[i] + ts, surv[i ^ mask] + tp) if eager
-             else max(surv[i], surv[i ^ mask]) + tp) + tred
-            for i in range(pow2)
-        ]
-        mask <<= 1
-
-    # Fan back out to the folded even ranks.
-    finish = [0.0] * p
-    for nr in range(pow2):
-        rank = nr * 2 + 1 if nr < r else nr + r
-        f = surv[nr]
-        if rank < 2 * r:
-            if eager:
-                finish[rank] = f + ts
-                finish[rank - 1] = max(even_ready[rank - 1], f + tp)
-            else:
-                done = max(even_ready[rank - 1], f) + tp
-                finish[rank] = done
-                finish[rank - 1] = done
-        else:
-            finish[rank] = f
-    return finish
-
-
-def _allreduce_times_numpy(
-    np, p: int, t: List[float], tp: float, ts: float, eager: bool,
-    tred: float, pow2: int, r: int
-) -> List[float]:
-    """List-API wrapper over :func:`_allreduce_kernel`."""
-    t_arr = np.asarray(t, dtype=float)
-    return _allreduce_kernel(
-        np, p, t_arr, tp, ts, eager, tred, pow2, r
-    ).tolist()
-
-
-def _allreduce_kernel(
-    np, p: int, t_arr, tp: float, ts: float, eager: bool,
-    tred: float, pow2: int, r: int
-):
-    """Array form of the allreduce recurrence above (array in/out).
-
-    Every elementwise operation mirrors the scalar comprehensions'
-    float order exactly, so the two paths are bit-identical.  The
-    ``i ^ mask`` partner lookup is a contiguous block swap — reshape to
-    ``(…, 2, mask)`` and flip the pair axis — which beats fancy indexing
-    on 100k-rank vectors.
-    """
-    surv = np.empty(pow2, dtype=float)
-    even_ready = None
-    if r:
-        a = t_arr[0:2 * r:2]  # even ranks (fold into their odd neighbour)
-        b = t_arr[1:2 * r:2]  # odd ranks (survivors 0..r-1)
-        if eager:
-            recv_done = np.maximum(b, a + tp)
-            even_ready = a + ts
-        else:
-            recv_done = np.maximum(a, b) + tp
-            even_ready = recv_done
-        surv[:r] = recv_done + tred
-    surv[r:] = t_arr[2 * r:]
+    even_ready, recv_done = _p2p(t[0:2 * r:2], t[1:2 * r:2], tp, ts, eager)
+    surv = t[r:].copy()  # surv[r:] is already t[2r:], the unfolded ranks
+    surv[:r] = _add(recv_done, tred)
 
     mask = 1
     while mask < pow2:
-        partner = surv.reshape(-1, 2, mask)[:, ::-1, :].reshape(-1)
-        if eager:
-            surv = np.maximum(surv + ts, partner + tp) + tred
-        else:
-            surv = np.maximum(surv, partner) + tp + tred
+        surv = _add(exchange_step(surv, mask, tp, ts, eager), tred)
         mask <<= 1
-
     if not r:
         return surv
-    finish = np.empty(p, dtype=float)
-    idx = np.arange(r)
-    odd = idx * 2 + 1  # actual ranks of survivors 0..r-1
-    f = surv[:r]
-    if eager:
-        finish[odd] = f + ts
-        finish[odd - 1] = np.maximum(even_ready, f + tp)
-    else:
-        done = np.maximum(even_ready, f) + tp
-        finish[odd] = done
-        finish[odd - 1] = done
-    finish[np.arange(r, pow2) + r] = surv[r:]
+
+    odd_done, even_done = _p2p(surv[:r], even_ready, tp, ts, eager)
+    finish = t.copy()
+    finish[0:2 * r:2] = even_done
+    finish[1:2 * r:2] = odd_done
+    finish[2 * r:] = surv[r:]
     return finish
 
 
-def allgather_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def allgather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                       root: int = 0) -> Any:
     """Per-rank completion times of :func:`allgather` on a uniform fabric."""
     t = _arrivals(p, arrivals)
     if p == 1:
@@ -659,71 +664,33 @@ def allgather_schedule(
     if nbytes > ALLGATHER_RING_SWITCH:
         return _ring_times(fabric, p, nbytes, t)
     if p & (p - 1) == 0:
-        # Recursive doubling; round k exchanges 2^k accumulated blocks.
+        # Recursive doubling; each round exchanges every block held.
         mask = 1
-        k = 0
         while mask < p:
-            tp, ts, eager = _wire(fabric, nbytes << k)
-            t = [
-                max(t[i] + ts, t[i ^ mask] + tp) if eager
-                else max(t[i], t[i ^ mask]) + tp
-                for i in range(p)
-            ]
+            t = exchange_step(t, mask, *_wire(fabric, nbytes * mask))
             mask <<= 1
-            k += 1
         return t
     # Bruck: doubling shifted transfers of min(k, p−k) blocks.
     k = 1
     while k < p:
-        sz = nbytes * min(k, p - k)
-        tp, ts, eager = _wire(fabric, sz)
-        if eager:
-            t = [max(t[i] + ts, t[(i + k) % p] + tp) for i in range(p)]
-        else:
-            t = [
-                max(t[i], t[(i + k) % p], t[(i - k) % p]) + tp
-                for i in range(p)
-            ]
+        t = shift_step(t, -k, *_wire(fabric, nbytes * min(k, p - k)))
         k <<= 1
     return t
 
 
-def alltoall_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def alltoall_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                      root: int = 0) -> Any:
     """Per-rank completion times of :func:`alltoall` on a uniform fabric."""
     t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    tp, ts, eager = _wire(fabric, nbytes)
-    pow2 = p & (p - 1) == 0
+    wire = _wire(fabric, nbytes)
+    step = exchange_step if p & (p - 1) == 0 else shift_step
     for rnd in range(1, p):
-        if pow2:
-            if eager:
-                t = [max(t[i] + ts, t[i ^ rnd] + tp) for i in range(p)]
-            else:
-                t = [max(t[i], t[i ^ rnd]) + tp for i in range(p)]
-        else:
-            if eager:
-                t = [max(t[i] + ts, t[(i - rnd) % p] + tp) for i in range(p)]
-            else:
-                t = [
-                    max(t[i], t[(i - rnd) % p], t[(i + rnd) % p]) + tp
-                    for i in range(p)
-                ]
+        t = step(t, rnd, *wire)
     return t
 
 
-def reduce_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    root: int = 0,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def reduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                    root: int = 0) -> Any:
     """Per-rank completion times of :func:`reduce` on a uniform fabric.
 
     The binomial tree is walked children-first (descending vrank), so a
@@ -733,13 +700,14 @@ def reduce_schedule(
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
+    clocks = _as_list(t)
     tp, ts, eager = _wire(fabric, nbytes)
     tred = fabric.reduce_time(nbytes)
     finish = [0.0] * p
     send_post = [0.0] * p  # by vrank: when a child posts its upward send
     for v in range(p - 1, -1, -1):  # children (higher vrank) before parents
         rank = (v + root) % p
-        clock = t[rank]
+        clock = clocks[rank]
         mask = 1
         while mask < p and not (v & mask):
             c = v + mask
@@ -758,16 +726,11 @@ def reduce_schedule(
                 finish[rank] = clock + ts
         else:
             finish[rank] = clock
-    return finish
+    return _like(t, finish)
 
 
-def gather_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    root: int = 0,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def gather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                    root: int = 0) -> Any:
     """Per-rank completion times of :func:`gather` on a uniform fabric.
 
     The binomial tree is walked children-first (descending vrank) like
@@ -778,11 +741,12 @@ def gather_schedule(
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
+    clocks = _as_list(t)
     finish = [0.0] * p
     send_post = [0.0] * p  # by vrank: when a child posts its upward send
     for v in range(p - 1, -1, -1):  # children (higher vrank) before parents
         rank = (v + root) % p
-        clock = t[rank]
+        clock = clocks[rank]
         mask = 1
         while mask < p and not (v & mask):
             c = v + mask
@@ -805,16 +769,11 @@ def gather_schedule(
                 finish[rank] = clock + ts
         else:
             finish[rank] = clock
-    return finish
+    return _like(t, finish)
 
 
-def scatter_schedule(
-    fabric,
-    p: int,
-    nbytes: int,
-    root: int = 0,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def scatter_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                     root: int = 0) -> Any:
     """Per-rank completion times of :func:`scatter` on a uniform fabric.
 
     Delegates to the binomial-subtree walk :func:`bcast_schedule`'s
@@ -824,27 +783,23 @@ def scatter_schedule(
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    return _scatter_times(fabric, p, nbytes, root, t)
+    return _like(t, _scatter_times(fabric, p, nbytes, root, _as_list(t)))
 
 
-def barrier_schedule(
-    fabric,
-    p: int,
-    nbytes: int = 0,
-    arrivals: Optional[List[float]] = None,
-) -> List[float]:
+def barrier_schedule(fabric, p: int, nbytes: int, arrivals: Any,
+                     root: int = 0) -> Any:
     """Per-rank completion times of the dissemination barrier.
 
-    ⌈log2 p⌉ rounds of zero-byte sendrecv (always eager):
-    ``t'[i] = max(t[i] + ts, t[(i - k) % p] + tp)`` per round ``k``.
-    ``nbytes`` is accepted for dispatch uniformity and ignored — barrier
-    traffic is zero-byte by construction.
+    ⌈log2 p⌉ rounds of zero-byte sendrecv (always eager), each a
+    :func:`shift_step` by ``k = 1, 2, 4, …``.  ``nbytes`` is accepted
+    for dispatch uniformity and ignored — barrier traffic is zero-byte
+    by construction.
     """
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
     tp, ts, _ = _wire(fabric, 0)
-    lo, hi = min(t), max(t)
+    lo, hi = _extrema(t)
     if lo == hi:
         # Uniform arrivals: every rank advances identically per round.
         # Iterate (not closed-form) to keep float rounding bit-identical.
@@ -853,54 +808,12 @@ def barrier_schedule(
         while k < p:
             cur = max(cur + ts, cur + tp)
             k <<= 1
-        return [cur] * p
-    np = _numpy()
-    if np is not None and p >= 128:
-        v = np.asarray(t, dtype=float)
-        return _barrier_kernel(np, p, v, tp, ts).tolist()
-    cur_t = list(t)
+        return _full(t, cur)
     k = 1
     while k < p:
-        cur_t = [max(cur_t[i] + ts, cur_t[(i - k) % p] + tp) for i in range(p)]
+        t = shift_step(t, k, tp, ts, True)
         k <<= 1
-    return cur_t
-
-
-def _barrier_kernel(np, p: int, v, tp: float, ts: float):
-    """Array form of the dissemination-barrier rounds (array in/out)."""
-    k = 1
-    while k < p:
-        v = np.maximum(v + ts, np.roll(v, k) + tp)
-        k <<= 1
-    return v
-
-
-def array_schedule(kind, fabric, p: int, nbytes: int, t_arr,
-                   root: int = 0, np=None):
-    """Whole-vector schedule for phase-compiled pricing, or ``None``.
-
-    Takes and returns the clock vector as an ndarray, skipping the
-    list-API round trip of :data:`SCHEDULES` — on a 100k-rank vector the
-    ``tolist``/``asarray`` conversions alone dominate the pricing wall.
-    Serves only the kinds with an array kernel (allreduce, barrier);
-    callers fall back to the list-API schedule for the rest.  Output is
-    bit-identical to the corresponding ``*_schedule``.
-    """
-    if np is None:
-        np = _numpy()
-    if np is None or p == 1:
-        return None
-    if kind == "barrier":
-        tp, ts, _ = _wire(fabric, 0)
-        return _barrier_kernel(np, p, t_arr, tp, ts)
-    if kind == "allreduce":
-        tp, ts, eager = _wire(fabric, nbytes)
-        tred = fabric.reduce_time(nbytes)
-        pow2 = 1 << int(math.log2(p))
-        return _allreduce_kernel(
-            np, p, t_arr, tp, ts, eager, tred, pow2, p - pow2
-        )
-    return None
+    return t
 
 
 #: Schedule functions by collective kind (the fast path's dispatch table).
@@ -914,9 +827,6 @@ SCHEDULES = {
     "gather": gather_schedule,
     "scatter": scatter_schedule,
 }
-
-#: Collectives whose schedule takes a ``root`` keyword argument.
-ROOTED_COLLECTIVES = frozenset({"bcast", "reduce", "gather", "scatter"})
 
 
 # ==========================================================================

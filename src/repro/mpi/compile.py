@@ -47,15 +47,9 @@ This module compiles them instead, in three stages:
    without replaying, let alone stepping, anything.  Vector-priced jobs
    memoize their elapsed time only (returns stay lazy).
 
-A measured crossover heuristic (:func:`_stepped_predicted_cheaper`)
-guards the scalar replay: per-op costs put the stepped engine at
-~``STEP_EVENTS_PER_OP × STEP_COST_S`` against the replay's
-``REPLAY_OP_COST_S`` per op, so replay is preferred whenever its per-op
-cost is lower — both walls scale with the same op count, making the
-decision size-independent.  Jobs that carry a verifier or fault plan,
-run on a resolver or time-varying fabric, or were built with
-``fast_collectives=False`` never enter the replay: they go straight to
-the stepped engine.
+Jobs that carry a verifier or fault plan, run on a resolver or
+time-varying fabric, or were built with ``fast_collectives=False`` never
+enter the replay: they go straight to the stepped engine.
 
 A job with an active tracer skips the memo and the vector path, which
 keep no per-op clocks, and always runs the scalar replay through a
@@ -73,9 +67,8 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
-from repro.mpi.collectives import ROOTED_COLLECTIVES, SCHEDULES
 from repro.mpi.fabrics import Fabric
-from repro.mpi.fastpath import _RESULTS
+from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.mpi.phasec import LowerFallback, lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
@@ -95,33 +88,6 @@ __all__ = [
 #: automatically: numpy dispatch overhead beats the scalar replay's
 #: trampoline on tiny clock vectors (pass ``vector=True`` to force it).
 VECTOR_MIN_RANKS = 128
-
-#: Measured per-step cost of the event engine (generator resumption +
-#: envelope match + heap ops), seconds.
-STEP_COST_S = 5.6e-6
-
-#: Measured per-op cost of the scalar replay trampoline, seconds.
-REPLAY_OP_COST_S = 2.4e-6
-
-#: Engine steps one replay op corresponds to (an eager p2p is ~a dozen
-#: engine events but a single replay delivery).
-STEP_EVENTS_PER_OP = 14.0
-
-
-def _stepped_predicted_cheaper() -> bool:
-    """Crossover heuristic: would the stepped engine out-price the
-    scalar replay on this job?
-
-    Both predicted walls are proportional to the same op count
-    (``ops × STEP_EVENTS_PER_OP × STEP_COST_S`` vs
-    ``ops × REPLAY_OP_COST_S``), so the op count cancels and the
-    decision reduces to comparing per-op costs.  With the measured
-    constants the replay always wins — the 0.73x-at-P=64 point in the
-    original baseline was one-time import cost, since hoisted — but the
-    guard stays live so re-measured constants (or tests) can flip it.
-    """
-    return STEP_EVENTS_PER_OP * STEP_COST_S < REPLAY_OP_COST_S
-
 
 class ReplayFallback(Exception):
     """The job uses a construct the max-plus replay cannot express.
@@ -221,28 +187,6 @@ class _ReplayRequest:
         return self._env.done_time is not None
 
     completed = complete
-
-
-class _CollInst:
-    """One collective occurrence in the replay (duck-typed for _RESULTS)."""
-
-    __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
-                 "pending", "parked", "resolved", "finishes", "results",
-                 "resolve_time")
-
-    def __init__(self, size: int, kind: str, nbytes: int, root: int, op):
-        self.kind = kind
-        self.nbytes = nbytes
-        self.root = root
-        self.op = op
-        self.arrivals: List[float] = [0.0] * size
-        self.values: List[Any] = [None] * size
-        self.pending = size
-        self.parked: List[int] = []
-        self.resolved = False
-        self.finishes: List[float] = []
-        self.results: List[Any] = []
-        self.resolve_time = 0.0
 
 
 class _ReplayComm:
@@ -388,39 +332,29 @@ class _ReplayComm:
         self._coll_seq += 1
         inst = job.coll_instances.get(seq)
         if inst is None:
-            inst = job.coll_instances[seq] = _CollInst(p, kind, nbytes, root, op)
-        elif (kind, nbytes, root) != (inst.kind, inst.nbytes, inst.root):
-            # The stepped fallback (whose fast path raises ConfigError on
-            # exactly this mismatch) reports the real error.
-            raise ReplayFallback(
-                f"mismatched collective calls: {inst.kind} vs {kind}"
-            )
-        inst.arrivals[self.rank] = job.clocks[self.rank]
-        inst.values[self.rank] = value
-        inst.pending -= 1
-        if inst.pending > 0:
+            inst = job.coll_instances[seq] = _Instance(p, kind, nbytes, root, op)
+        else:
+            try:
+                inst.check(kind, nbytes, root)
+            except ConfigError as exc:
+                # The stepped fallback (whose fast path raises ConfigError
+                # on exactly this mismatch) reports the real error.
+                raise ReplayFallback(str(exc)) from None
+        if not inst.arrive(self.rank, job.clocks[self.rank], value):
             inst.parked.append(self.rank)
-            while not inst.resolved:
+            while inst.outcome is None:
                 yield _PARK
+            finishes, results = inst.outcome
         else:
             del job.coll_instances[seq]
-            inst.finishes = SCHEDULES[kind](
-                job.fabric, p, nbytes,
-                **({"root": root} if kind in ROOTED_COLLECTIVES else {}),
-                arrivals=inst.arrivals,
-            )
-            inst.results = _RESULTS[kind](inst)
-            inst.resolve_time = max(inst.arrivals)
-            inst.resolved = True
+            finishes, results = inst.resolve(job.fabric)
             job.replay_ops += 1
             for r in inst.parked:
                 job.wake(r)
         # Parked ranks resume at the resolution instant, so a finish that
         # precedes it is clamped — mirroring the fast path exactly.
-        job.clocks[self.rank] = max(
-            inst.finishes[self.rank], inst.resolve_time
-        )
-        return inst.results[self.rank]
+        job.clocks[self.rank] = max(finishes[self.rank], inst.resolve_time)
+        return results[self.rank]
 
     def barrier(self, deadline: Optional[float] = None) -> Generator:
         if deadline is not None:
@@ -730,7 +664,7 @@ class _ReplayJob:
         self.queues: Dict[Tuple[int, int], Deque[_REnv]] = {}
         #: (dest, source) -> rank parked waiting for a message on that edge.
         self.recv_wait: Dict[Tuple[int, int], int] = {}
-        self.coll_instances: Dict[int, _CollInst] = {}
+        self.coll_instances: Dict[int, _Instance] = {}
         #: Latest sender-side isend timer — the engine drains these even
         #: when unwaited, so they bound the job's elapsed time.
         self.horizon = 0.0
@@ -934,9 +868,6 @@ def _compile_or_none(
                 n_ranks=n_ranks,
                 returns_factory=_lazy_returns(n_ranks, fabric, main),
             )
-    if _stepped_predicted_cheaper():
-        st.reason = "crossover: stepped engine predicted cheaper"
-        return None
     job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid)
     try:
         result = job.run(main)

@@ -36,10 +36,10 @@ exact.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import ROOTED_COLLECTIVES, SCHEDULES
+from repro.mpi.collectives import SCHEDULES
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
 
@@ -47,10 +47,15 @@ __all__ = ["FastCollectives"]
 
 
 class _Instance:
-    """One collective occurrence: the rendezvous of all ranks' arrivals."""
+    """One collective occurrence: the rendezvous of all ranks' arrivals.
+
+    Shared by the fast path, whose parked ranks wait on ``events``, and
+    the max-plus replay (:mod:`repro.mpi.compile`), whose parked ranks
+    are listed in ``parked``.
+    """
 
     __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
-                 "pending", "events")
+                 "pending", "events", "parked", "outcome", "resolve_time")
 
     def __init__(self, size: int, kind: str, nbytes: int, root: int, op):
         self.kind = kind
@@ -61,6 +66,11 @@ class _Instance:
         self.values: List[Any] = [None] * size
         self.pending = size
         self.events: List[Optional[Event]] = [None] * size
+        self.parked: List[int] = []
+        #: ``(finishes, results)`` once the last rank has arrived, at
+        #: ``resolve_time`` (the latest arrival).
+        self.outcome: Optional[Tuple[List[float], List[Any]]] = None
+        self.resolve_time = 0.0
 
     def check(self, kind: str, nbytes: int, root: int) -> None:
         if (kind, nbytes, root) != (self.kind, self.nbytes, self.root):
@@ -68,6 +78,22 @@ class _Instance:
                 f"mismatched collective calls: {self.kind}(nbytes={self.nbytes},"
                 f" root={self.root}) vs {kind}(nbytes={nbytes}, root={root})"
             )
+
+    def arrive(self, rank: int, now: float, value: Any) -> bool:
+        """Deposit ``rank``'s entry; True when it was the last to arrive."""
+        self.arrivals[rank] = now
+        self.values[rank] = value
+        self.pending -= 1
+        return self.pending == 0
+
+    def resolve(self, fabric: Any) -> Tuple[List[float], List[Any]]:
+        """Every rank's analytic finish time and result."""
+        finishes = SCHEDULES[self.kind](
+            fabric, len(self.arrivals), self.nbytes, self.arrivals, self.root
+        )
+        self.outcome = (finishes, _RESULTS[self.kind](self))
+        self.resolve_time = max(self.arrivals)
+        return self.outcome
 
 
 class FastCollectives:
@@ -110,21 +136,13 @@ class FastCollectives:
             raise ConfigError(
                 f"alltoall needs {self.size} values, got {len(value)}"
             )
-        inst.arrivals[rank] = engine.now
-        inst.values[rank] = value
-        inst.pending -= 1
-        if inst.pending > 0:
+        if not inst.arrive(rank, engine.now, value):
             ev = Event(name=f"coll[{seq}].rank{rank}")
             inst.events[rank] = ev
             finish, result = yield WaitEvent(ev)
         else:
             del self._instances[seq]  # last arrival resolves the occurrence
-            finishes = SCHEDULES[kind](
-                self.fabric, self.size, nbytes,
-                **({"root": root} if kind in ROOTED_COLLECTIVES else {}),
-                arrivals=inst.arrivals,
-            )
-            results = _RESULTS[kind](inst)
+            finishes, results = inst.resolve(self.fabric)
             for r in range(self.size):
                 ev_r = inst.events[r]
                 if ev_r is not None:

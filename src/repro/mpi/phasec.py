@@ -21,24 +21,26 @@ recognized rank program into that form:
 2. **Pricing** (:func:`price`).  One vectorized update per phase over a
    single clock vector of shape ``(P,)``:
 
-   * eager shift       ``t' = max(t + ts, roll(t, o) + tp)``
-   * rendezvous shift  ``c = max(t, roll(t, o)) + tp;  t' = max(c, roll(c, -o))``
-   * collective        ``t' = max(schedule(fabric, P, nbytes, arrivals=t), max(t))``
-   * compute           ``t' = t + seconds``
+   * shift       ``t' = shift_step(t, offset)``: eager
+     ``max(t + ts, roll(t, o) + tp)``, rendezvous
+     ``max(t, roll(t, o), roll(t, -o)) + tp``
+   * collective  ``t' = max(schedule(fabric, P, nbytes, t, root), max(t))``
+   * compute     ``t' = t + seconds``
 
-   The recurrences are the scalar replay's own timing equations (which
-   are the stepped engine's), evaluated elementwise in the identical
-   floating-point order, so the vector and scalar backends agree
-   *bit-for-bit* — the equivalence suite gates 1e-9 but observes 0.
-   Collectives reuse the analytic fast-path schedules from
-   :mod:`repro.mpi.collectives` in closed form.
+   The shift is :func:`repro.mpi.collectives.shift_step`, the same step
+   the collective schedules are built from, and the collectives are the
+   analytic fast-path schedules themselves.  The recurrences are the
+   scalar replay's own timing equations (which are the stepped
+   engine's), so pricing agrees with the replay bit for bit — the
+   equivalence suite gates 1e-9 but observes 0.
 
-NumPy is optional (:mod:`repro.perf.batch` is the gate): without it the
-scalar backend produces identical numbers, just without the array
-speedup.  Payload movement stays on the replay path — a vector-priced
-:class:`~repro.mpi.runtime.JobResult` materializes ``returns`` lazily
-through the scalar replay, so values remain bit-identical to the stepped
-engine whenever they are actually read.
+The clock vector is a numpy array when numpy is available, else a Python
+list (:mod:`repro.perf.batch` is the gate); both containers run the same
+float operations in the same order, so the numbers are identical, just
+without the array speedup.  Payload movement stays on the replay path —
+a vector-priced :class:`~repro.mpi.runtime.JobResult` materializes
+``returns`` lazily through the scalar replay, so values remain
+bit-identical to the stepped engine whenever they are actually read.
 """
 
 from __future__ import annotations
@@ -51,10 +53,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.collectives import (
-    ROOTED_COLLECTIVES,
     SCHEDULES,
+    _add,
+    _extrema,
+    _floor,
     _wire,
-    array_schedule,
+    shift_step,
 )
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.obs.tracer import NULL_CONTEXT
@@ -576,83 +580,32 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
 # ==========================================================================
 
 
-def _shift_scalar(t: List[float], p: int, o: int, tp: float, ts: float,
-                  eager: bool) -> List[float]:
-    if eager:
-        return [max(t[r] + ts, t[(r - o) % p] + tp) for r in range(p)]
-    c = [max(t[r], t[(r - o) % p]) + tp for r in range(p)]
-    return [max(c[r], c[(r + o) % p]) for r in range(p)]
-
-
-def _price_scalar(program: PhaseProgram, fabric: Any) -> List[float]:
-    p = program.n_ranks
-    t = [0.0] * p
-    for ph in program.phases:
-        if ph.kind == "shift":
-            tp, ts, eager = _wire(fabric, ph.nbytes)
-            o = ph.offset % p
-            for _ in range(ph.count):
-                t = _shift_scalar(t, p, o, tp, ts, eager)
-        elif ph.kind == "compute":
-            for _ in range(ph.count):
-                t = [x + ph.seconds for x in t]
-        else:
-            kw = {"root": ph.root} if ph.coll in ROOTED_COLLECTIVES else {}
-            for _ in range(ph.count):
-                fin = SCHEDULES[ph.coll](
-                    fabric, p, ph.nbytes, **kw, arrivals=t
-                )
-                rt = max(t)
-                t = [max(f, rt) for f in fin]
-    return t
-
-
-def _price_numpy(program: PhaseProgram, fabric: Any, np: Any) -> List[float]:
-    p = program.n_ranks
-    t = np.zeros(p, dtype=float)
-    for ph in program.phases:
-        if ph.kind == "shift":
-            tp, ts, eager = _wire(fabric, ph.nbytes)
-            o = ph.offset % p
-            for _ in range(ph.count):
-                if eager:
-                    t = np.maximum(t + ts, np.roll(t, o) + tp)
-                else:
-                    c = np.maximum(t, np.roll(t, o)) + tp
-                    t = np.maximum(c, np.roll(c, -o))
-        elif ph.kind == "compute":
-            for _ in range(ph.count):
-                t = t + ph.seconds
-        else:
-            kw = {"root": ph.root} if ph.coll in ROOTED_COLLECTIVES else {}
-            for _ in range(ph.count):
-                rt = t.max()
-                fin = array_schedule(
-                    ph.coll, fabric, p, ph.nbytes, t, root=ph.root, np=np
-                )
-                if fin is None:  # no array kernel: list-API round trip
-                    fin = np.asarray(
-                        SCHEDULES[ph.coll](
-                            fabric, p, ph.nbytes, **kw, arrivals=t.tolist()
-                        ),
-                        dtype=float,
-                    )
-                t = np.maximum(fin, rt)
-    return t
-
-
 def _clocks_raw(program: PhaseProgram, fabric: Any,
                 use_numpy: Optional[bool]) -> Any:
-    """Clock vector as whichever container the backend produced."""
+    """Finish clocks as a list, or as an ndarray when ``use_numpy`` asks
+    for numpy and it is importable; the loop is the same for both."""
     if use_numpy is None:
         use_numpy = HAVE_NUMPY
-    if use_numpy:
-        np = get_numpy()
-        if np is None:
-            warn_scalar_fallback("phase-compiled job pricing")
+    np = get_numpy() if use_numpy else None
+    if use_numpy and np is None:
+        warn_scalar_fallback("phase-compiled job pricing")
+    p = program.n_ranks
+    t = [0.0] * p if np is None else np.zeros(p, dtype=float)
+    for ph in program.phases:
+        if ph.kind == "shift":
+            tp, ts, eager = _wire(fabric, ph.nbytes)
+            for _ in range(ph.count):
+                t = shift_step(t, ph.offset, tp, ts, eager)
+        elif ph.kind == "compute":
+            for _ in range(ph.count):
+                t = _add(t, ph.seconds)
         else:
-            return _price_numpy(program, fabric, np)
-    return _price_scalar(program, fabric)
+            schedule = SCHEDULES[ph.coll]
+            for _ in range(ph.count):
+                # Ranks resume no earlier than the last arrival.
+                last = _extrema(t)[1]
+                t = _floor(schedule(fabric, p, ph.nbytes, t, ph.root), last)
+    return t
 
 
 def clocks(program: PhaseProgram, fabric: Any,

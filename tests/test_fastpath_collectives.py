@@ -20,7 +20,7 @@ from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import MpiJob, mpiexec
 
 KINDS = ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier")
-SIZES = (4, 16, 64)
+SIZES = (3, 4, 7, 13, 16, 64)  # odd P covers the fold, Bruck and shift paths
 TOL = 1e-9
 
 
@@ -78,11 +78,11 @@ def test_fast_path_matches_des(kind, fabric_name, p):
 @pytest.mark.parametrize("kind", ("allreduce", "allgather", "alltoall", "barrier"))
 def test_fast_path_matches_des_with_skewed_arrivals(kind):
     """Ranks entering at staggered times still agree with the DES run."""
-    p = 16
-    fast = _run(kind, _fabric("host"), p, 4096, fast=True, skew=1e-6)
-    des = _run(kind, _fabric("host"), p, 4096, fast=False, skew=1e-6)
-    assert fast.returns == des.returns
-    assert abs(fast.elapsed - des.elapsed) / des.elapsed <= TOL
+    for p in (16, 13):
+        fast = _run(kind, _fabric("host"), p, 4096, fast=True, skew=1e-6)
+        des = _run(kind, _fabric("host"), p, 4096, fast=False, skew=1e-6)
+        assert fast.returns == des.returns
+        assert abs(fast.elapsed - des.elapsed) / des.elapsed <= TOL, p
 
 
 def test_allreduce_float_payloads_bit_identical():

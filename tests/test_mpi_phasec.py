@@ -19,8 +19,7 @@ Four contracts are gated here:
   once and produces identical numbers.
 * **Job routing** — ``compiled_mpiexec``/``MpiJob.run(compiled=True)``
   pick the vector path when asked, materialize per-rank returns lazily
-  through the replay, memoize elapsed-only entries, and honour the
-  crossover heuristic.
+  through the replay, and memoize elapsed-only entries.
 """
 
 from __future__ import annotations
@@ -390,18 +389,6 @@ def test_vector_memo_stores_elapsed_only():
     assert r2.elapsed == r1.elapsed
     # The memo entry holds no returns; the hit rebuilds them lazily.
     assert r2.returns == list(range(8))
-
-
-def test_crossover_heuristic_routes_to_stepped(monkeypatch):
-    monkeypatch.setattr(compile_mod, "REPLAY_OP_COST_S", 1.0)
-    assert compile_mod._stepped_predicted_cheaper()
-    main = partial(_halo_main, 256, 1)
-    st = CompileStats()
-    res = compiled_mpiexec(8, host_fabric(), main, stats=st, vector=False)
-    assert st.path == "stepped"
-    assert "crossover" in st.reason
-    assert st.engine_steps > 0
-    assert res.returns == mpiexec(8, host_fabric(), main).returns
 
 
 def test_lazy_jobresult_contract():
