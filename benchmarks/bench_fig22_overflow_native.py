@@ -3,16 +3,13 @@
 from benchmarks.conftest import emit
 from repro.apps import OverflowModel, dataset
 from repro.core.report import figure_header, render_table
-from repro.machine import Device
 from repro.paperdata import FIG22_OVERFLOW_NATIVE
-
-HOST_CONFIGS = [(16, 1), (8, 2), (4, 4), (2, 8), (1, 16)]
-PHI_CONFIGS = [(4, 14), (4, 28), (8, 14), (8, 28)]
 
 
 def _sweep(model):
-    host = {c: model.native_step(Device.HOST, *c).time for c in HOST_CONFIGS}
-    phi = {c: model.native_step(Device.PHI0, *c).time for c in PHI_CONFIGS}
+    fig = model.figure22()
+    host = {(i, j): m.time for (d, i, j), m in fig.items() if d == "host"}
+    phi = {(i, j): m.time for (d, i, j), m in fig.items() if d == "phi0"}
     return host, phi
 
 

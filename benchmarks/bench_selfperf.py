@@ -2,20 +2,24 @@
 
 Runs the :mod:`repro.perf.selfbench` campaigns (simulated allreduce at
 16/64/256 ranks, the NPB MG Class C sweep through the evaluation cache,
-the full Fig-22 decomposition campaign serial and batched, an engine
-spawn/join storm, and — with ``--scale`` — a P=4096 allreduce through
-the analytic collective fast path) and writes ``BENCH_selfperf.json``
-so the simulator's own performance trajectory is tracked across PRs.
+the ``fig22`` decomposition campaign exactly as ``repro campaign run
+fig22`` runs it, the batched Fig-22 lattice, an engine spawn/join
+storm, and — with ``--scale`` — a P=4096 allreduce through the analytic
+collective fast path) and writes ``BENCH_selfperf.json`` so the
+simulator's own performance trajectory is tracked across PRs.
 
-Run as a script (mirrors ``python -m repro bench``)::
+Run as a script; it is ``python -m repro bench`` with the same flags,
+report and exit status (non-zero iff
+:func:`repro.perf.selfbench.report_failures` names a failed check)::
 
     PYTHONPATH=src python benchmarks/bench_selfperf.py --quick
     PYTHONPATH=src python benchmarks/bench_selfperf.py --parallel 4
 
 With ``--parallel N > 1`` the Fig-22 campaign is timed serially *and*
-on the pool; the report records the wall-clock speedup and asserts the
-two result lists are identical.  (Speedup needs real cores: on a
-single-CPU host the pool degrades gracefully to ~1x.)
+on the pool; the report records the wall-clock speedup and whether the
+two result payloads are byte-identical.  (Speedup needs real cores and a
+campaign long enough to amortise pool start-up: the fig22 campaign is
+tens of milliseconds, so the recorded speedup may be below 1.)
 
 Under pytest (collected with the other ``bench_*`` figures) it runs the
 quick campaigns as a smoke test.
@@ -23,66 +27,30 @@ quick campaigns as a smoke test.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import List, Optional
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.perf.selfbench import render_report, run_selfperf
+    from repro.cli import main as cli_main
 
-    parser = argparse.ArgumentParser(
-        description="Benchmark the simulator's own performance."
-    )
-    parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="fan sweep campaigns over N pool workers (default: serial)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="small grids (CI smoke mode)"
-    )
-    parser.add_argument(
-        "--output", "--out", dest="output",
-        default="BENCH_selfperf.json", metavar="PATH",
-        help="JSON report path ('-' to skip writing)",
-    )
-    parser.add_argument(
-        "--scale", action="store_true",
-        help="add the large-P scaling campaign (P=4096 allreduce via the "
-        "analytic collective fast path)",
-    )
-    args = parser.parse_args(argv)
-
-    output = None if args.output == "-" else args.output
-    report = run_selfperf(
-        workers=args.parallel, quick=args.quick, output=output, scale=args.scale
-    )
-    print(render_report(report))
-    if output:
-        print(f"\nreport written to {output}")
-    c = report["campaigns"]
-    ok = c["fig22"].get("identical", True) and c["fig22_batch"]["identical"]
-    if args.scale:
-        ok = ok and c["scale"]["correct"]
-    return 0 if ok else 1
+    return cli_main(["bench", *(sys.argv[1:] if argv is None else argv)])
 
 
 def test_selfperf_quick(tmp_path):
     """Smoke: quick campaigns complete, report well-formed, sims correct."""
-    from repro.perf.selfbench import run_selfperf
+    from repro.perf.selfbench import report_failures, run_selfperf
 
     out = tmp_path / "BENCH_selfperf.json"
     report = run_selfperf(workers=2, quick=True, output=str(out), scale=True)
     assert out.exists()
+    assert report_failures(report) == []
     c = report["campaigns"]
-    assert all(p["correct"] for p in c["allreduce"]["points"])
     assert c["mg_sweep"]["identical"]
     assert c["fig22"]["identical"]
-    assert c["fig22"]["feasible"] == c["fig22"]["points"] == 9
-    assert c["fig22_batch"]["identical"]
-    assert c["fig22_batch"]["feasible"] > 0
+    assert c["fig22"]["points"] == 9
     assert c["engine_storm"]["engine_steps"] > 0
-    assert c["scale"]["correct"] and c["scale"]["ranks"] == 512
+    assert c["scale"]["ranks"] == 512
 
 
 if __name__ == "__main__":

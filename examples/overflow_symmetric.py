@@ -26,13 +26,10 @@ print(f"multi-zone ADI solver: MMS error {check['mms_error']:.2e} "
 # --- 1. native decomposition sweep (Figure 22) -------------------------------
 
 medium = OverflowModel(dataset("DLRF6-Medium"))
-rows = []
-for i, j in ((16, 1), (8, 2), (4, 4), (2, 8), (1, 16)):
-    m = medium.native_step(Device.HOST, i, j)
-    rows.append(("host", f"{i}x{j}", f"{m.time:.3f}"))
-for i, j in ((4, 14), (4, 28), (8, 14), (8, 28)):
-    m = medium.native_step(Device.PHI0, i, j)
-    rows.append(("phi0", f"{i}x{j}", f"{m.time:.3f}"))
+rows = [
+    (device, f"{i}x{j}", f"{m.time:.3f}")
+    for (device, i, j), m in medium.figure22().items()
+]
 print(render_table(
     ("device", "ranks x threads", "s/step"),
     rows,

@@ -38,6 +38,7 @@ from repro.machine.presets import maia_host_processor, maia_infiniband, xeon_phi
 from repro.machine.processor import Processor
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.obs.tracer import Tracer, active
+from repro.paperdata import FIG22_OVERFLOW_NATIVE
 from repro.units import KiB
 
 
@@ -241,6 +242,15 @@ class OverflowModel:
                 "comm": comm,
             },
         )
+
+    def figure22(self) -> Dict[Tuple[str, int, int], Measurement]:
+        """The paper's Fig-22 decompositions: ``(device, I, J) -> step``."""
+        return {
+            (device.value, i, j): self.native_step(device, i, j)
+            for device, key in ((Device.HOST, "host_configs"),
+                                (Device.PHI0, "phi_configs"))
+            for i, j in FIG22_OVERFLOW_NATIVE[key]
+        }
 
     def _native_comm_time(
         self, device: Device, ranks: int, total_threads: int

@@ -29,6 +29,7 @@ from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, MemoryPressure, RankCrash
+from repro.paperdata import FIG22_OVERFLOW_NATIVE
 from repro.units import GiB, KiB
 
 __all__ = ["EXPERIMENTS", "JOB_STATS", "build_spec", "demo_plan",
@@ -91,14 +92,16 @@ def _decomp_halo_main(nbytes: int, comm):
 
 
 def _exchange_probe(device_str: str, i: int, j: int,
-                    footprint: float) -> Optional[Tuple[float, str]]:
+                    footprint: float) -> Optional[float]:
     """Price the (i, j) decomposition's halo+allreduce exchange.
 
     Runs through :func:`~repro.mpi.compile.compiled_mpiexec` against the
     shared :func:`_job_cache`, so the campaign runner's repeated
     decompositions (resume passes, retry attempts, shared rank counts)
-    hit the memo in O(1) with zero engine steps.  Fault plans stay on
-    the native-step path: the probe always prices the healthy network.
+    hit the memo in O(1) with zero engine steps.  Which path priced the
+    probe goes to :data:`JOB_STATS`, never into the result: it depends on
+    what this process priced before.  Fault plans stay on the
+    native-step path: the probe always prices the healthy network.
     """
     ranks = i * j
     if ranks < 2:
@@ -115,14 +118,14 @@ def _exchange_probe(device_str: str, i: int, j: int,
         cache=_job_cache(), stats=st,
     )
     JOB_STATS[st.path] = JOB_STATS.get(st.path, 0) + 1
-    return res.elapsed, st.path
+    return res.elapsed
 
 
 def fig22_points(quick: bool = False) -> List[Tuple[str, int, int]]:
     """The (device, I, J) grid; ``quick`` keeps the paper's nine points."""
     if quick:
-        host = [(16, 1), (8, 2), (4, 4), (2, 8), (1, 16)]
-        phi = [(4, 14), (4, 28), (8, 14), (8, 28)]
+        host = FIG22_OVERFLOW_NATIVE["host_configs"]
+        phi = FIG22_OVERFLOW_NATIVE["phi_configs"]
     else:
         host = [
             (i, j)
@@ -171,14 +174,12 @@ def fig22_point(
             from repro.core.results import Measurement
 
             m = Measurement(m.name, m.time * factor, m.unit, m.gflops, m.config)
-    probe = _exchange_probe(device_str, i, j, model.grid.footprint)
-    if probe is not None:
+    elapsed = _exchange_probe(device_str, i, j, model.grid.footprint)
+    if elapsed is not None:
         from repro.core.results import Measurement
 
-        elapsed, path = probe
         cfg = dict(m.config)
         cfg["exchange_elapsed_s"] = elapsed
-        cfg["exchange_path"] = path
         m = Measurement(m.name, m.time, m.unit, m.gflops, cfg)
     return m
 

@@ -297,16 +297,12 @@ def _fig21() -> None:
 
 def _fig22() -> None:
     from repro.apps import OverflowModel, dataset
-    from repro.machine import Device
 
-    m = OverflowModel(dataset("DLRF6-Medium"))
-    rows = []
-    for i, j in ((16, 1), (8, 2), (4, 4), (2, 8), (1, 16)):
-        rows.append(
-            ("host", f"{i}x{j}", f"{m.native_step(Device.HOST, i, j).time:.3f}")
-        )
-    for i, j in ((4, 14), (4, 28), (8, 14), (8, 28)):
-        rows.append(("phi", f"{i}x{j}", f"{m.native_step(Device.PHI0, i, j).time:.3f}"))
+    fig = OverflowModel(dataset("DLRF6-Medium")).figure22()
+    rows = [
+        ("phi" if dev == "phi0" else dev, f"{i}x{j}", f"{m.time:.3f}")
+        for (dev, i, j), m in fig.items()
+    ]
     _print(figure_header("Figure 22", "OVERFLOW DLRF6-Medium (s/step)"))
     _print(render_table(("device", "IxJ", "time"), rows))
 
@@ -451,17 +447,16 @@ def _cmd_modes() -> int:
 def _cmd_bench(
     parallel: int, quick: bool, output: Optional[str], scale: bool = False
 ) -> int:
-    from repro.perf.selfbench import render_report, run_selfperf
+    from repro.perf.selfbench import render_report, report_failures, run_selfperf
 
     report = run_selfperf(workers=parallel, quick=quick, output=output, scale=scale)
     _print(render_report(report))
     if output:
         _print(f"\nreport written to {output}")
-    c = report["campaigns"]
-    ok = c["fig22"].get("identical", True) and c["fig22_batch"]["identical"]
-    if scale:
-        ok = ok and c["scale"]["correct"]
-    return 0 if ok else 1
+    failures = report_failures(report)
+    for failure in failures:
+        _print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 #: Experiments the ``trace`` command can record.

@@ -13,6 +13,8 @@ compute rates in flop/s.  Ranges the paper quotes ("a factor of 2 to
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from repro.units import GB, GFLOP, KiB, MB, MiB, NS, US
 
 # --------------------------------------------------------------------------
@@ -232,9 +234,12 @@ FIG21_CART3D = {
     "phi_threads": (59, 118, 177, 236),
 }
 
-FIG22_OVERFLOW_NATIVE = {
+FIG22_OVERFLOW_NATIVE: Dict[str, Any] = {
     "dataset": "DLRF6-Medium, 10.8M grid points",
-    "host_best": (16, 1),  # (MPI ranks I, OpenMP threads J)
+    # The decompositions the figure plots, as (MPI ranks I, OpenMP threads J).
+    "host_configs": ((16, 1), (8, 2), (4, 4), (2, 8), (1, 16)),
+    "phi_configs": ((4, 14), (4, 28), (8, 14), (8, 28)),
+    "host_best": (16, 1),
     "host_worst": (1, 16),
     "phi_best": (8, 28),
     "phi_worst": (4, 14),

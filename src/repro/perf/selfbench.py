@@ -10,10 +10,12 @@ the performance trajectory is tracked across PRs:
 * ``mg_sweep`` — the NPB OpenMP Class C evaluation grid (Figs 19/25)
   priced twice through a shared :class:`~repro.perf.cache.EvalCache`,
   reporting the hit rate and the cached-pass speedup.
-* ``fig22`` — the full OVERFLOW (I MPI ranks × J OpenMP threads)
-  decomposition campaign: every point prices the step *and* runs a
-  simcore ring halo-exchange validation at I ranks.  This is the
-  campaign used to demonstrate parallel-sweep speedup.
+* ``fig22`` — the OVERFLOW (I MPI ranks × J OpenMP threads)
+  decomposition campaign exactly as ``repro campaign run fig22`` runs
+  it: every point prices the step and its compiled halo+allreduce
+  exchange at I × J ranks, journaled through the campaign runner.
+  With ``workers > 1`` it runs serially and on the pool, and the two
+  result payloads must be byte-identical.
 * ``fig22_batch`` — the 64×64 decomposition lattice priced per-point
   vs through the vectorized batch path
   (:meth:`~repro.apps.overflow.OverflowModel.decomposition_sweep` with
@@ -27,14 +29,15 @@ the performance trajectory is tracked across PRs:
 
 All campaigns are deterministic: a parallel run must produce exactly
 the same points as a serial run, and :func:`run_selfperf` checks that
-whenever it measures a speedup.
+whenever it measures a speedup.  :func:`report_failures` is the one
+pass/fail rule over a report.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.perf.parallel import parallel_map
@@ -44,8 +47,8 @@ __all__ = [
     "engine_storm",
     "fig22_batch_campaign",
     "fig22_campaign",
-    "fig22_grid",
     "mg_cache_campaign",
+    "report_failures",
     "run_selfperf",
     "scale_campaign",
     "spawn_join_storm",
@@ -149,120 +152,29 @@ def mg_cache_campaign(quick: bool = False) -> Dict[str, Any]:
 # Campaign 3: the Fig-22 decomposition campaign (the parallel showcase)
 # ==========================================================================
 
-#: Simulated rank-messages each halo-exchange validation run is normalised
-#: to, so every grid point costs comparable wall time regardless of I (a
-#: ring round at I ranks with M messages per rank costs I × M messages).
-_HALO_POINT_MESSAGES = 2500
-_HALO_POINT_MESSAGES_QUICK = 200
 
+def fig22_campaign(quick: bool = False, workers: Optional[int] = None):
+    """Run the ``fig22`` campaign users run, from a cold job memo.
 
-def fig22_grid(quick: bool = False) -> List[Tuple[str, int, int]]:
-    """The (device, I, J) decomposition grid.
-
-    ``quick`` uses the paper's nine Fig-22 points; the full campaign
-    covers every feasible I × J lattice point on both devices.
+    This is :func:`~repro.campaign.experiments.build_spec`'s ``fig22``
+    spec — the one ``repro campaign run fig22`` executes — journaled
+    into a throwaway directory.  The fig22 job memo is dropped first, so
+    every pass, serial or on a fork-started pool, prices from the same
+    cold state.  Returns the :class:`~repro.campaign.runner.CampaignRun`.
     """
-    if quick:
-        host = [(16, 1), (8, 2), (4, 4), (2, 8), (1, 16)]
-        phi = [(4, 14), (4, 28), (8, 14), (8, 28)]
-    else:
-        host = [
-            (i, j)
-            for i in (1, 2, 4, 8, 16)
-            for j in (1, 2, 4, 8, 16)
-            if i * j <= 32
-        ]
-        phi = [
-            (i, j)
-            for i in (2, 4, 8, 16, 32, 59)
-            for j in (1, 2, 4, 7, 14, 28)
-            if i * j <= 236
-        ]
-    return [("host", i, j) for i, j in host] + [("phi0", i, j) for i, j in phi]
+    import os
+    import tempfile
 
+    from repro.campaign import run_campaign
+    from repro.campaign.experiments import build_spec, reset_job_stats
 
-@lru_cache(maxsize=4)
-def _overflow_model(grid_name: str):
-    from repro.apps import OverflowModel, dataset
-
-    return OverflowModel(dataset(grid_name))
-
-
-def _halo_ring_main(n_msgs: int, msg_bytes: int, rounds: int, comm):
-    env = None
-    for _ in range(rounds):
-        for _ in range(n_msgs):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            env = yield from comm.sendrecv(right, left, msg_bytes)
-    return env.nbytes if env is not None else 0
-
-
-def _fig22_point(
-    grid_name: str, point_messages: int, point: Tuple[str, int, int]
-) -> Dict[str, Any]:
-    """Price one decomposition and cross-check its halo-exchange model.
-
-    The analytic step price takes microseconds; the simcore validation
-    run (an I-rank ring exchange) is the substantive work, which is what
-    makes the campaign worth parallelising.
-    """
-    import math
-
-    from repro.apps.overflow import HALO_MESSAGE
-    from repro.core.sweep import INFEASIBLE_ERRORS
-    from repro.machine.node import Device
-    from repro.mpi.fabrics import host_fabric, phi_fabric
-    from repro.mpi.runtime import mpiexec
-    from repro.simcore import Engine
-
-    device_str, i, j = point
-    device = Device(device_str)
-    model = _overflow_model(grid_name)
-    try:
-        m = model.native_step(device, i, j)
-    except INFEASIBLE_ERRORS as e:
-        return {
-            "device": device_str, "ranks": i, "omp_threads": j,
-            "feasible": False, "reason": type(e).__name__,
-        }
-
-    out: Dict[str, Any] = {
-        "device": device_str, "ranks": i, "omp_threads": j,
-        "feasible": True, "step_s": m.time,
-        "compute_s": m.config["compute"], "comm_s": m.config["comm"],
-    }
-    if i > 1:
-        per_rank = model.grid.halo_bytes_per_step() / i
-        n_msgs = max(1, round(per_rank / HALO_MESSAGE))
-        msg = min(HALO_MESSAGE, int(per_rank))
-        if device is Device.HOST:
-            fabric = host_fabric()
-        else:
-            tpc = max(1, min(4, math.ceil(i * j / 59)))
-            fabric = phi_fabric(tpc)
-        rounds = max(1, point_messages // (i * n_msgs))
-        engine = Engine()
-        job = mpiexec(
-            i, fabric, partial(_halo_ring_main, n_msgs, msg, rounds), engine=engine
+    reset_job_stats()
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_campaign(
+            build_spec("fig22", quick=quick),
+            os.path.join(tmp, "fig22.jsonl"),
+            workers=workers,
         )
-        out["halo_sim_s"] = job.elapsed / rounds
-        out["halo_engine_steps"] = engine.timeline()
-    return out
-
-
-def fig22_campaign(
-    quick: bool = False,
-    workers: Optional[int] = None,
-    grid_name: str = "DLRF6-Medium",
-) -> List[Dict[str, Any]]:
-    """The full Fig-22 decomposition campaign (pricing + sim validation)."""
-    point_messages = _HALO_POINT_MESSAGES_QUICK if quick else _HALO_POINT_MESSAGES
-    return parallel_map(
-        partial(_fig22_point, grid_name, point_messages),
-        fig22_grid(quick),
-        workers=workers,
-    )
 
 
 # ==========================================================================
@@ -422,8 +334,8 @@ def run_selfperf(
     """Run all campaigns; optionally write the JSON report to ``output``.
 
     With ``workers > 1`` the Fig-22 campaign is run both serially and in
-    parallel: the report records the wall-clock speedup and asserts the
-    two result lists are identical.  ``scale`` adds the large-P scaling
+    parallel: the report records the wall-clock speedup and whether the
+    two result payloads are byte-identical.  ``scale`` adds the large-P scaling
     campaign (P = 4096 allreduce through the analytic fast path).
     """
     from repro.perf.parallel import default_workers
@@ -449,18 +361,19 @@ def run_selfperf(
 
     fig22: Dict[str, Any] = {}
     t0 = time.perf_counter()
-    serial_points = fig22_campaign(quick, workers=1)
+    serial = fig22_campaign(quick, workers=1)
     fig22["serial_wall_s"] = time.perf_counter() - t0
-    fig22["points"] = len(serial_points)
-    fig22["feasible"] = sum(1 for p in serial_points if p["feasible"])
+    payload = serial.results_payload()
+    fig22["points"] = len(serial.records)
+    fig22["feasible"] = sum(1 for r in serial.records if r.status == "ok")
     if workers > 1:
         t0 = time.perf_counter()
-        par_points = fig22_campaign(quick, workers=workers)
+        par = fig22_campaign(quick, workers=workers)
         fig22["parallel_wall_s"] = time.perf_counter() - t0
-        fig22["identical"] = par_points == serial_points
+        fig22["identical"] = json.dumps(par.results_payload()) == json.dumps(payload)
         if fig22["parallel_wall_s"] > 0:
             fig22["speedup"] = fig22["serial_wall_s"] / fig22["parallel_wall_s"]
-    fig22["results"] = serial_points
+    fig22["results"] = payload["points"]
     report["campaigns"]["fig22"] = fig22
 
     t0 = time.perf_counter()
@@ -476,6 +389,29 @@ def run_selfperf(
         with open(output, "w") as fh:
             json.dump(report, fh, indent=2)
     return report
+
+
+def report_failures(report: Dict[str, Any]) -> List[str]:
+    """Every check a self-perf report fails, as one message each.
+
+    ``repro bench`` (and so ``benchmarks/bench_selfperf.py``) exits
+    non-zero iff this list is non-empty.
+    """
+    c = report["campaigns"]
+    fig22, batch = c["fig22"], c["fig22_batch"]
+    checks = [
+        (all(p["correct"] for p in c["allreduce"]["points"]),
+         "simulated allreduce returned wrong sums"),
+        (fig22.get("identical", True),
+         "parallel Fig-22 payload differs from serial"),
+        (fig22["feasible"] == fig22["points"],
+         f"Fig-22 priced {fig22['feasible']}/{fig22['points']} points"),
+        (batch["identical"], "batched Fig-22 results differ from per-point"),
+        (batch["feasible"] > 0, "batched Fig-22 priced no feasible point"),
+        (c.get("scale", {}).get("correct", True),
+         "scaled allreduce returned wrong sums"),
+    ]
+    return [message for ok, message in checks if not ok]
 
 
 def render_report(report: Dict[str, Any]) -> str:

@@ -34,22 +34,18 @@ from repro.simcore.process import (
     WaitEvent,
 )
 from repro.simcore.resources import Event, Resource, Store
-from repro.simcore.trace import Counter, Monitor, TimeSeries
 
 __all__ = [
     "Acquire",
     "AllOf",
     "Command",
-    "Counter",
     "Engine",
     "Event",
     "Get",
-    "Monitor",
     "Process",
     "Put",
     "Resource",
     "Store",
-    "TimeSeries",
     "Timeout",
     "WaitEvent",
 ]

@@ -229,11 +229,9 @@ def _validate_apps(cs: ClaimSet) -> None:
     cs.approx("Fig 21", "Cart3D host over best Phi", 2.0,
               best_phi / fig21["host-16"].time, rel=0.1)
 
-    medium = OverflowModel(dataset("DLRF6-Medium"))
-    host_cfgs = [(16, 1), (8, 2), (4, 4), (2, 8), (1, 16)]
-    phi_cfgs = [(4, 14), (4, 28), (8, 14), (8, 28)]
-    h = {c: medium.native_step(Device.HOST, *c).time for c in host_cfgs}
-    p = {c: medium.native_step(Device.PHI0, *c).time for c in phi_cfgs}
+    fig22 = OverflowModel(dataset("DLRF6-Medium")).figure22()
+    h = {(i, j): m.time for (d, i, j), m in fig22.items() if d == "host"}
+    p = {(i, j): m.time for (d, i, j), m in fig22.items() if d == "phi0"}
     cs.check("Fig 22", "host best 16x1, Phi best 8x28", "(16,1), (8,28)",
              f"{min(h, key=h.get)}, {min(p, key=p.get)}",
              min(h, key=h.get) == (16, 1) and min(p, key=p.get) == (8, 28))

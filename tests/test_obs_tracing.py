@@ -8,7 +8,6 @@ timeline renderer, and the engine/MPI/offload instrumentation hooks.
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -27,7 +26,7 @@ from repro.obs import (
     trace_digest,
     trace_json,
 )
-from repro.simcore import Engine, Monitor, TimeSeries, Timeout
+from repro.simcore import Engine, Timeout
 from repro.units import MiB
 
 
@@ -253,52 +252,3 @@ class TestInstrumentation:
         spans = [e for e in tr.events if e.cat == "sweep.point"]
         assert len(spans) == 2
         assert spans[1].ts == pytest.approx(spans[0].dur)
-
-
-# ------------------------------------------------- legacy Monitor shim
-
-
-class TestMonitorShim:
-    def test_monitor_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            Monitor()
-
-    def test_monitor_forwards_into_tracer(self):
-        tr = Tracer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            mon = Monitor(tracer=tr)
-        mon.add("bytes", 4096)
-        mon.record("queue", 1.0, 3.0)
-        counters = [e for e in tr.events if e.ph == "C"]
-        assert {e.name for e in counters} == {"bytes", "queue"}
-
-    def test_timeseries_bounded_reservoir(self):
-        ts = TimeSeries(max_samples=16)
-        for i in range(10_000):
-            ts.record(float(i), float(i))
-        assert len(ts) < 16
-        assert ts.n_recorded == 10_000
-        times = ts.times
-        assert times == sorted(times)
-        # Even spread: first sample stays early, last stays late.
-        assert times[0] < 1_000 and times[-1] > 5_000
-
-    def test_timeseries_reservoir_deterministic(self):
-        def build():
-            ts = TimeSeries(max_samples=32)
-            for i in range(5_000):
-                ts.record(float(i), float(i * 2))
-            return ts.samples
-
-        assert build() == build()
-
-    def test_timeseries_unbounded_by_default(self):
-        ts = TimeSeries()
-        for i in range(100):
-            ts.record(float(i), 1.0)
-        assert len(ts) == 100
-
-    def test_timeseries_max_samples_validated(self):
-        with pytest.raises(ValueError):
-            TimeSeries(max_samples=4)

@@ -1,4 +1,4 @@
-"""Tests for the utility layers: units, report rendering, tracing, sweeps."""
+"""Tests for the utility layers: units, report rendering, sweeps."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.report import band_str, in_band, render_table
 from repro.core.sweep import message_size_sweep, phi_thread_counts
-from repro.simcore import Counter, Monitor, TimeSeries
 from repro.units import (
     GB,
     GiB,
@@ -87,49 +86,6 @@ class TestReport:
 
     def test_band_str(self):
         assert band_str(1.3, 3.5) == "1.3..3.5"
-
-
-class TestTrace:
-    def test_counter_totals_and_means(self):
-        c = Counter()
-        c.add("bytes", 100)
-        c.add("bytes", 50)
-        c.add("msgs")
-        assert c.total("bytes") == 150
-        assert c.count("bytes") == 2
-        assert c.mean("bytes") == 75
-        assert c.total("missing") == 0
-        assert c.keys() == ["bytes", "msgs"]
-
-    def test_timeseries_stats(self):
-        ts = TimeSeries()
-        for t, v in ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0)):
-            ts.record(t, v)
-        assert len(ts) == 3
-        assert ts.mean() == pytest.approx(2.0)
-        assert ts.max() == 3.0
-        assert ts.min() == 1.0
-
-    def test_time_weighted_mean(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(1.0, 0.0)
-        # 10 for one second, 0 for one second.
-        assert ts.time_weighted_mean(2.0) == pytest.approx(5.0)
-
-    def test_monitor_bundles(self):
-        with pytest.warns(DeprecationWarning):
-            m = Monitor()
-        m.add("events", 2)
-        m.record("util", 0.0, 0.5)
-        m.record("util", 1.0, 0.7)
-        assert m.counters.total("events") == 2
-        assert m.series("util").max() == 0.7
-
-    def test_empty_series_safe(self):
-        ts = TimeSeries()
-        assert ts.mean() == 0.0
-        assert ts.time_weighted_mean(10.0) == 0.0
 
 
 class TestSweep:
