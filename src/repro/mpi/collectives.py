@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.mpi.api import Communicator
@@ -390,9 +390,11 @@ def scatter(
 # container.  The data-parallel recurrences are compositions of two
 # steps, :func:`shift_step` and :func:`exchange_step`, each written once
 # for both containers with the same float operations in the same order,
-# so the two backends agree bit for bit.  The binomial-tree walks
-# (small bcast, scatter, reduce, gather) are inherently sequential; they
-# run on a list and convert an array in and out.
+# so the two backends agree bit for bit.  The binomial trees are one
+# walk per direction, :func:`_down_walk` (bcast, scatter) and
+# :func:`_up_walk` (reduce, gather), over a hop-wire table from
+# :func:`_hops`; they are inherently sequential, so they run on a list
+# and convert an array in and out.
 
 
 def _wire(fabric, nbytes: int):
@@ -521,27 +523,43 @@ def _p2p(send: Any, recv: Any, tp: float, ts: float,
 # ----------------------------------------------------- binomial-tree walks
 
 
-def _binomial_bcast_times(
-    fabric, p: int, nbytes: int, root: int, t: List[float]
-) -> List[float]:
-    """Small-message binomial broadcast: per-rank completion times."""
-    tp, ts, eager = _wire(fabric, nbytes)
-    finish = [0.0] * p
-    mask0 = 1
-    while mask0 < p:
-        mask0 <<= 1
+def _hops(fabric, p: int, nbytes: int, blocks: bool) -> List[Any]:
+    """Wire of the hop into each child vrank ``c`` of a binomial tree.
 
-    # visit(vrank, ready, mask): ``ready`` is when this rank holds the
-    # value; it then serves children at masks mask>>1 .. 1, its local
-    # clock advancing per send exactly as the generator's does.
-    stack = [(0, t[root], mask0)]
+    A hop carries ``nbytes``, or with ``blocks`` (scatter, gather) the
+    ``min(c & -c, p - c)`` blocks of ``c``'s subtree; both directions
+    move the same count.  ``_wire`` runs once per distinct size.
+    """
+    if not blocks:
+        return [_wire(fabric, nbytes)] * p
+    wires: Dict[int, Any] = {}
+    table: List[Any] = [None] * p  # the root (vrank 0) has no parent hop
+    for c in range(1, p):
+        k = min(c & -c, p - c)
+        w = wires.get(k)
+        if w is None:
+            w = wires[k] = _wire(fabric, nbytes * k)
+        table[c] = w
+    return table
+
+
+def _down_walk(p: int, root: int, t: List[float],
+               hops: List[Any]) -> List[float]:
+    """Top-down binomial tree (bcast, scatter): per-rank completion times.
+
+    A rank that holds the data at ``s`` serves its children at masks
+    ``mask>>1 .. 1``, ``s`` advancing per send exactly as the
+    generator's clock does.
+    """
+    finish = [0.0] * p
+    stack = [(0, t[root], 1 << (p - 1).bit_length())]
     while stack:
-        vrank, ready, mask = stack.pop()
-        s = ready
+        vrank, s, mask = stack.pop()
         mm = mask >> 1
         while mm > 0:
             cv = vrank + mm
             if cv < p:
+                tp, ts, eager = hops[cv]
                 child = (cv + root) % p
                 if eager:
                     recv_done = max(t[child], s + tp)
@@ -555,36 +573,39 @@ def _binomial_bcast_times(
     return finish
 
 
-def _scatter_times(
-    fabric, p: int, nbytes: int, root: int, t: List[float]
-) -> List[float]:
-    """Binomial scatter with per-hop sizes ``nbytes × |subtree blocks|``."""
+def _up_walk(p: int, root: int, t: List[float], hops: List[Any],
+             combine: float) -> List[float]:
+    """Bottom-up binomial tree (reduce, gather): per-rank completion times.
+
+    Walked children-first (descending vrank), so a parent's clock folds
+    in each child's send post time, plus ``combine`` per child, exactly
+    as the generator's sequential recv loop does.
+    """
     finish = [0.0] * p
-    mask0 = 1
-    while mask0 < p:
-        mask0 <<= 1
-    stack = [(0, t[root], mask0)]
-    while stack:
-        vrank, ready, mask = stack.pop()
-        hi = min(vrank + mask, p)  # blocks held: [vrank, hi)
-        s = ready
-        mm = mask >> 1
-        while mm > 0:
-            cv = vrank + mm
-            if cv < p:
-                sz = nbytes * max(1, hi - cv)
-                tp, ts, eager = _wire(fabric, sz)
-                child = (cv + root) % p
+    send_post = [0.0] * p  # by vrank: when a child posts its upward send
+    for v in range(p - 1, -1, -1):
+        rank = (v + root) % p
+        clock = t[rank]
+        mask = 1
+        while mask < p and not (v & mask):
+            c = v + mask
+            if c < p:
+                tp, _ts, eager = hops[c]
+                sp = send_post[c]
                 if eager:
-                    recv_done = max(t[child], s + tp)
-                    s += ts
+                    recv_done = max(clock, sp + tp)
                 else:
-                    recv_done = max(t[child], s) + tp
-                    s = recv_done
-                stack.append((cv, recv_done, mm))
-                hi = cv
-            mm >>= 1
-        finish[(vrank + root) % p] = s
+                    recv_done = max(clock, sp) + tp
+                    finish[(c + root) % p] = recv_done  # rendezvous sender
+                clock = recv_done + combine
+            mask <<= 1
+        if v:
+            send_post[v] = clock
+            _tp, ts, eager = hops[v]
+            if eager:
+                finish[rank] = clock + ts
+        else:
+            finish[rank] = clock
     return finish
 
 
@@ -612,11 +633,11 @@ def bcast_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     if p == 1:
         return t
     if nbytes <= LARGE_MESSAGE_SWITCH:
-        return _like(
-            t, _binomial_bcast_times(fabric, p, nbytes, root, _as_list(t))
-        )
+        hops = _hops(fabric, p, nbytes, False)
+        return _like(t, _down_walk(p, root, _as_list(t), hops))
     chunk = max(1, nbytes // p)
-    after_scatter = _scatter_times(fabric, p, chunk, root, _as_list(t))
+    hops = _hops(fabric, p, chunk, True)
+    after_scatter = _down_walk(p, root, _as_list(t), hops)
     return _ring_times(fabric, p, chunk, _like(t, after_scatter))
 
 
@@ -691,99 +712,39 @@ def alltoall_schedule(fabric, p: int, nbytes: int, arrivals: Any,
 
 def reduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
                     root: int = 0) -> Any:
-    """Per-rank completion times of :func:`reduce` on a uniform fabric.
-
-    The binomial tree is walked children-first (descending vrank), so a
-    parent's clock folds in each child's send post time exactly as the
-    generator's sequential recv/compute loop does.
-    """
+    """Per-rank completion times of :func:`reduce` on a uniform fabric:
+    the bottom-up walk with ``nbytes`` hops and the reduction arithmetic
+    after each receive."""
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    clocks = _as_list(t)
-    tp, ts, eager = _wire(fabric, nbytes)
+    hops = _hops(fabric, p, nbytes, False)
     tred = fabric.reduce_time(nbytes)
-    finish = [0.0] * p
-    send_post = [0.0] * p  # by vrank: when a child posts its upward send
-    for v in range(p - 1, -1, -1):  # children (higher vrank) before parents
-        rank = (v + root) % p
-        clock = clocks[rank]
-        mask = 1
-        while mask < p and not (v & mask):
-            c = v + mask
-            if c < p:
-                sp = send_post[c]
-                if eager:
-                    recv_done = max(clock, sp + tp)
-                else:
-                    recv_done = max(clock, sp) + tp
-                    finish[(c + root) % p] = recv_done  # rendezvous sender
-                clock = recv_done + tred
-            mask <<= 1
-        if v:
-            send_post[v] = clock
-            if eager:
-                finish[rank] = clock + ts
-        else:
-            finish[rank] = clock
-    return _like(t, finish)
+    return _like(t, _up_walk(p, root, _as_list(t), hops, tred))
 
 
 def gather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
                     root: int = 0) -> Any:
-    """Per-rank completion times of :func:`gather` on a uniform fabric.
-
-    The binomial tree is walked children-first (descending vrank) like
-    :func:`reduce_schedule`, but hop sizes grow with the accumulated
-    block count: a child at vrank ``v`` uploads ``min(lowbit(v), p - v)``
-    blocks, and there is no reduction arithmetic on the way up.
-    """
+    """Per-rank completion times of :func:`gather` on a uniform fabric:
+    the bottom-up walk with hops of the blocks gathered so far and no
+    arithmetic on the way up."""
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    clocks = _as_list(t)
-    finish = [0.0] * p
-    send_post = [0.0] * p  # by vrank: when a child posts its upward send
-    for v in range(p - 1, -1, -1):  # children (higher vrank) before parents
-        rank = (v + root) % p
-        clock = clocks[rank]
-        mask = 1
-        while mask < p and not (v & mask):
-            c = v + mask
-            if c < p:
-                sz = nbytes * min(mask, p - c)
-                tp, _ts, eager = _wire(fabric, sz)
-                sp = send_post[c]
-                if eager:
-                    recv_done = max(clock, sp + tp)
-                else:
-                    recv_done = max(clock, sp) + tp
-                    finish[(c + root) % p] = recv_done  # rendezvous sender
-                clock = recv_done
-            mask <<= 1
-        if v:
-            send_post[v] = clock
-            sz = nbytes * min(v & -v, p - v)
-            _tp, ts, eager = _wire(fabric, sz)
-            if eager:
-                finish[rank] = clock + ts
-        else:
-            finish[rank] = clock
-    return _like(t, finish)
+    hops = _hops(fabric, p, nbytes, True)
+    return _like(t, _up_walk(p, root, _as_list(t), hops, 0.0))
 
 
 def scatter_schedule(fabric, p: int, nbytes: int, arrivals: Any,
                      root: int = 0) -> Any:
-    """Per-rank completion times of :func:`scatter` on a uniform fabric.
-
-    Delegates to the binomial-subtree walk :func:`bcast_schedule`'s
-    large-message path already uses; hop sizes are ``nbytes`` times the
-    blocks handed down, mirroring the executable algorithm exactly.
-    """
+    """Per-rank completion times of :func:`scatter` on a uniform fabric:
+    the top-down walk of :func:`bcast_schedule`, with hops of the blocks
+    handed down."""
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    return _like(t, _scatter_times(fabric, p, nbytes, root, _as_list(t)))
+    hops = _hops(fabric, p, nbytes, True)
+    return _like(t, _down_walk(p, root, _as_list(t), hops))
 
 
 def barrier_schedule(fabric, p: int, nbytes: int, arrivals: Any,

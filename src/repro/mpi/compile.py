@@ -33,7 +33,8 @@ This module compiles them instead, in three stages:
    :class:`~repro.mpi.api.Communicator` that advances a per-rank scalar
    clock through the engine's *exact* timing recurrences (eager
    completion ``max(recv_post, send_post + tp)``, rendezvous
-   ``max(recv_post, send_post) + tp``, analytic collective schedules)
+   ``max(recv_post, send_post) + tp``, the analytic collective
+   schedules with :func:`~repro.mpi.fastpath.finishes`' resume rule)
    instead of stepping envelopes through the event queue.  Payloads are
    moved for real, so results are bit-identical; times agree with the
    stepped engine to float precision (the test suite gates 1e-9).
@@ -324,15 +325,28 @@ class _ReplayComm:
 
     # --------------------------------------------------------- collectives
 
-    def _collective(self, kind: str, value: Any, nbytes: int,
-                    root: int = 0, op: Optional[Callable] = None) -> Generator:
+    def _collective(self, kind: str, value: Any, nbytes: int, root: int = 0,
+                    op: Optional[Callable] = None,
+                    deadline: Optional[float] = None) -> Generator:
+        """The one entry of all eight collectives.
+
+        The rank joins its next collective occurrence and, once the last
+        rank arrives, resumes where :func:`~repro.mpi.fastpath.finishes`
+        puts it.  A size-1 occurrence resolves on arrival with the
+        stepped algorithms' answers and errors.  A deadline needs the
+        event queue, so it sends the job to the stepped engine.
+        """
+        if deadline is not None:
+            raise ReplayFallback("deadline-bounded collective")
+        self._check_peer(root)
         job = self._job
-        p = self.size
         seq = self._coll_seq
         self._coll_seq += 1
         inst = job.coll_instances.get(seq)
         if inst is None:
-            inst = job.coll_instances[seq] = _Instance(p, kind, nbytes, root, op)
+            inst = job.coll_instances[seq] = _Instance(
+                self.size, kind, nbytes, root, op
+            )
         else:
             try:
                 inst.check(kind, nbytes, root)
@@ -344,93 +358,46 @@ class _ReplayComm:
             inst.parked.append(self.rank)
             while inst.outcome is None:
                 yield _PARK
-            finishes, results = inst.outcome
+            ends, results = inst.outcome
         else:
             del job.coll_instances[seq]
-            finishes, results = inst.resolve(job.fabric)
+            ends, results = inst.resolve(job.fabric)
             job.replay_ops += 1
             for r in inst.parked:
                 job.wake(r)
-        # Parked ranks resume at the resolution instant, so a finish that
-        # precedes it is clamped — mirroring the fast path exactly.
-        job.clocks[self.rank] = max(finishes[self.rank], inst.resolve_time)
+        job.clocks[self.rank] = ends[self.rank]
         return results[self.rank]
 
     def barrier(self, deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if self.size == 1:
-            return
-        yield from self._collective("barrier", None, 0)
+        return self._collective("barrier", None, 0, deadline=deadline)
 
     def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
               deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            return value
-        return (yield from self._collective("bcast", value, nbytes, root=root))
+        return self._collective("bcast", value, nbytes, root, None, deadline)
 
     def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
                deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            return value
-        return (yield from self._collective("reduce", value, nbytes,
-                                            root=root, op=op))
+        return self._collective("reduce", value, nbytes, root, op, deadline)
 
     def allreduce(self, value: Any, op=None, nbytes: int = 8,
                   deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if self.size == 1:
-            return value
-        return (yield from self._collective("allreduce", value, nbytes, op=op))
+        return self._collective("allreduce", value, nbytes, 0, op, deadline)
 
     def allgather(self, value: Any, nbytes: int = 8,
                   deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if self.size == 1:
-            return [value]
-        return (yield from self._collective("allgather", value, nbytes))
+        return self._collective("allgather", value, nbytes, 0, None, deadline)
 
     def alltoall(self, values, nbytes: int = 8,
                  deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if values is not None and len(values) != self.size:
-            raise ConfigError(
-                f"alltoall needs {self.size} values, got {len(values)}"
-            )
-        if self.size == 1:
-            return [values[0] if values is not None else None]
-        return (yield from self._collective("alltoall", values, nbytes))
+        return self._collective("alltoall", values, nbytes, 0, None, deadline)
 
     def gather(self, value: Any, root: int = 0, nbytes: int = 8,
                deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            return [value]
-        return (yield from self._collective("gather", value, nbytes,
-                                            root=root))
+        return self._collective("gather", value, nbytes, root, None, deadline)
 
     def scatter(self, values, root: int = 0, nbytes: int = 8,
                 deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            if values is None or len(values) != 1:
-                raise ConfigError("scatter root needs 1 values")
-            return values[0]
-        return (yield from self._collective("scatter", values, nbytes,
-                                            root=root))
+        return self._collective("scatter", values, nbytes, root, None, deadline)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<_ReplayComm rank {self.rank}/{self.size}>"
@@ -596,52 +563,15 @@ class _TracedReplayComm(_ReplayComm):
         )
         return req
 
-    def _coll(self, kind: str, nbytes: int, gen: Generator) -> Generator:
+    def _collective(self, kind: str, value: Any, nbytes: int, root: int = 0,
+                    op: Optional[Callable] = None,
+                    deadline: Optional[float] = None) -> Generator:
         ts = self.now
-        result = yield from gen
-        self._span(kind, "mpi.coll", ts, {"nbytes": nbytes})
+        result = yield from super()._collective(kind, value, nbytes, root, op,
+                                                deadline)
+        if kind != "barrier" or self.size > 1:  # a lone barrier records nothing
+            self._span(kind, "mpi.coll", ts, {"nbytes": nbytes})
         return result
-
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        gen = super().barrier(deadline)
-        if self.size == 1:  # the stepped barrier records nothing alone
-            return (yield from gen)
-        return (yield from self._coll("barrier", 0, gen))
-
-    def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
-              deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "bcast", nbytes, super().bcast(value, root, nbytes, deadline)))
-
-    def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "reduce", nbytes, super().reduce(value, op, root, nbytes, deadline)))
-
-    def allreduce(self, value: Any, op=None, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "allreduce", nbytes, super().allreduce(value, op, nbytes, deadline)))
-
-    def allgather(self, value: Any, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "allgather", nbytes, super().allgather(value, nbytes, deadline)))
-
-    def alltoall(self, values, nbytes: int = 8,
-                 deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "alltoall", nbytes, super().alltoall(values, nbytes, deadline)))
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "gather", nbytes, super().gather(value, root, nbytes, deadline)))
-
-    def scatter(self, values, root: int = 0, nbytes: int = 8,
-                deadline: Optional[float] = None) -> Generator:
-        return (yield from self._coll(
-            "scatter", nbytes, super().scatter(values, root, nbytes, deadline)))
 
 
 class _ReplayJob:

@@ -9,16 +9,16 @@ timing is a deterministic function of the per-rank entry times, and
 :mod:`repro.mpi.collectives` knows the closed recurrence for it
 (``*_schedule``).
 
-This module short-circuits the six uniform-parameter collectives (bcast,
-reduce, allreduce, allgather, alltoall, barrier) on such *uniform* jobs:
-each rank
-deposits its value and arrival time into a shared per-job instance; the
-last rank to arrive evaluates the exact schedule, computes every rank's
-result (replaying the algorithm's combination order, so payloads are
-bit-identical to the stepped run), and wakes the others.  Each rank then
-sleeps until its own analytic finish time.  Fast-path and full-DES times
-agree to float precision — the test suite gates 1e-9 — because the
-schedules mirror the executable algorithms hop for hop.
+This module short-circuits the six :data:`FAST_KINDS` (bcast, reduce,
+allreduce, allgather, alltoall, barrier) on such *uniform* jobs; gather
+and scatter always step.  Each rank deposits its value and arrival time
+into a shared per-job instance; the last rank to arrive evaluates the
+exact schedule, computes every rank's result (replaying the algorithm's
+combination order, so payloads are bit-identical to the stepped run),
+and wakes the others.  Each rank then sleeps until its own analytic
+finish time.  Fast-path and full-DES times agree to float precision —
+the test suite gates 1e-9 — because the schedules mirror the executable
+algorithms hop for hop.
 
 The fast path is *off* when
 
@@ -30,7 +30,11 @@ One caveat: with skewed arrivals, a rank whose analytic finish precedes
 the last arrival (possible for bcast's early subtrees and reduce's leaf
 senders, which are causally independent of late ranks) resumes at the
 resolution instant instead; with simultaneous arrivals every finish is
-exact.
+exact.  :func:`finishes` is that rule, written once: it floors a
+:data:`FAST_KINDS` schedule to the last arrival and leaves gather and
+scatter, whose stepped ranks never wait for the resolution, as their
+schedules give them.  The compiled replay and phase pricing call it too,
+so every path resumes a rank where the stepped engine does.
 """
 
 from __future__ import annotations
@@ -39,11 +43,28 @@ import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import SCHEDULES
+from repro.mpi.collectives import SCHEDULES, _extrema, _floor
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
 
-__all__ = ["FastCollectives"]
+__all__ = ["FAST_KINDS", "FastCollectives", "finishes"]
+
+#: The collectives the stepped Communicator hands to :class:`FastCollectives`.
+FAST_KINDS = frozenset(
+    ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier")
+)
+
+
+def finishes(kind: str, fabric: Any, p: int, nbytes: int, arrivals: Any,
+             root: int = 0) -> Any:
+    """Where each rank resumes after collective ``kind``: its schedule,
+    floored to the last arrival for :data:`FAST_KINDS`, whose ranks the
+    stepped fast path parks until the last rank resolves the occurrence.
+    ``arrivals`` is a list or an array, and so is the result."""
+    t = SCHEDULES[kind](fabric, p, nbytes, arrivals, root)
+    if kind in FAST_KINDS:
+        t = _floor(t, _extrema(arrivals)[1])
+    return t
 
 
 class _Instance:
@@ -55,7 +76,7 @@ class _Instance:
     """
 
     __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
-                 "pending", "events", "parked", "outcome", "resolve_time")
+                 "pending", "events", "parked", "outcome")
 
     def __init__(self, size: int, kind: str, nbytes: int, root: int, op):
         self.kind = kind
@@ -67,10 +88,8 @@ class _Instance:
         self.pending = size
         self.events: List[Optional[Event]] = [None] * size
         self.parked: List[int] = []
-        #: ``(finishes, results)`` once the last rank has arrived, at
-        #: ``resolve_time`` (the latest arrival).
+        #: ``(finishes, results)`` once the last rank has arrived.
         self.outcome: Optional[Tuple[List[float], List[Any]]] = None
-        self.resolve_time = 0.0
 
     def check(self, kind: str, nbytes: int, root: int) -> None:
         if (kind, nbytes, root) != (self.kind, self.nbytes, self.root):
@@ -81,18 +100,21 @@ class _Instance:
 
     def arrive(self, rank: int, now: float, value: Any) -> bool:
         """Deposit ``rank``'s entry; True when it was the last to arrive."""
+        p = len(self.values)
+        if self.kind == "alltoall" and value is not None and len(value) != p:
+            raise ConfigError(f"alltoall needs {p} values, got {len(value)}")
         self.arrivals[rank] = now
         self.values[rank] = value
         self.pending -= 1
         return self.pending == 0
 
     def resolve(self, fabric: Any) -> Tuple[List[float], List[Any]]:
-        """Every rank's analytic finish time and result."""
-        finishes = SCHEDULES[self.kind](
-            fabric, len(self.arrivals), self.nbytes, self.arrivals, self.root
+        """Every rank's resume time (see :func:`finishes`) and result."""
+        self.outcome = (
+            finishes(self.kind, fabric, len(self.arrivals), self.nbytes,
+                     self.arrivals, self.root),
+            _RESULTS[self.kind](self),
         )
-        self.outcome = (finishes, _RESULTS[self.kind](self))
-        self.resolve_time = max(self.arrivals)
         return self.outcome
 
 
@@ -132,22 +154,18 @@ class FastCollectives:
                 raise
         rank = comm.rank
         engine = comm.engine
-        if kind == "alltoall" and value is not None and len(value) != self.size:
-            raise ConfigError(
-                f"alltoall needs {self.size} values, got {len(value)}"
-            )
         if not inst.arrive(rank, engine.now, value):
             ev = Event(name=f"coll[{seq}].rank{rank}")
             inst.events[rank] = ev
             finish, result = yield WaitEvent(ev)
         else:
             del self._instances[seq]  # last arrival resolves the occurrence
-            finishes, results = inst.resolve(self.fabric)
+            ends, results = inst.resolve(self.fabric)
             for r in range(self.size):
                 ev_r = inst.events[r]
                 if ev_r is not None:
-                    ev_r.succeed((finishes[r], results[r]))
-            finish, result = finishes[rank], results[rank]
+                    ev_r.succeed((ends[r], results[r]))
+            finish, result = ends[rank], results[rank]
         delay = finish - engine.now
         if delay > 0:
             yield Timeout(delay)

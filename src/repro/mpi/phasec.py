@@ -24,12 +24,14 @@ recognized rank program into that form:
    * shift       ``t' = shift_step(t, offset)``: eager
      ``max(t + ts, roll(t, o) + tp)``, rendezvous
      ``max(t, roll(t, o), roll(t, -o)) + tp``
-   * collective  ``t' = max(schedule(fabric, P, nbytes, t, root), max(t))``
+   * collective  ``t' = finishes(kind, fabric, P, nbytes, t, root)``: the
+     schedule, floored to ``max(t)`` for the fast-path kinds
    * compute     ``t' = t + seconds``
 
    The shift is :func:`repro.mpi.collectives.shift_step`, the same step
-   the collective schedules are built from, and the collectives are the
-   analytic fast-path schedules themselves.  The recurrences are the
+   the collective schedules are built from, and the collectives go
+   through :func:`repro.mpi.fastpath.finishes`, the rule the fast path
+   and the replay resume ranks by.  The recurrences are the
    scalar replay's own timing equations (which are the stepped
    engine's), so pricing agrees with the replay bit for bit — the
    equivalence suite gates 1e-9 but observes 0.
@@ -52,14 +54,8 @@ import textwrap
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.mpi.collectives import (
-    SCHEDULES,
-    _add,
-    _extrema,
-    _floor,
-    _wire,
-    shift_step,
-)
+from repro.mpi.collectives import _add, _wire, shift_step
+from repro.mpi.fastpath import finishes
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.obs.tracer import NULL_CONTEXT
 from repro.perf.batch import HAVE_NUMPY, get_numpy, warn_scalar_fallback
@@ -600,11 +596,8 @@ def _clocks_raw(program: PhaseProgram, fabric: Any,
             for _ in range(ph.count):
                 t = _add(t, ph.seconds)
         else:
-            schedule = SCHEDULES[ph.coll]
             for _ in range(ph.count):
-                # Ranks resume no earlier than the last arrival.
-                last = _extrema(t)[1]
-                t = _floor(schedule(fabric, p, ph.nbytes, t, ph.root), last)
+                t = finishes(ph.coll, fabric, p, ph.nbytes, t, ph.root)
     return t
 
 

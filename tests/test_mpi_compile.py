@@ -113,6 +113,30 @@ def _gather_scatter_main(nbytes, comm):
     return (gathered, total)
 
 
+def _ring_gather_main(nbytes, iters, comm):
+    """Ring sendrecv, compute, gather, repeated: skewed gather arrivals."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    got = 0
+    out = None
+    for _ in range(iters):
+        env = yield from comm.sendrecv(right, left, nbytes=nbytes,
+                                       payload=comm.rank)
+        got = got + env.payload
+        yield from comm.compute(2e-6)
+        out = yield from comm.gather(comm.rank, nbytes=nbytes)
+    return got, out
+
+
+def _late_scatter_main(comm):
+    """The last rank computes before the scatter, every other rank after."""
+    last = comm.size - 1
+    yield from comm.compute(1e-4 if comm.rank == last else 0.0)
+    mine = yield from comm.scatter(list(range(comm.size)), nbytes=64)
+    yield from comm.compute(0.0 if comm.rank == last else 2e-4)
+    return mine
+
+
 def _wildcard_main(comm):
     if comm.rank == 0:
         sources = []
@@ -219,6 +243,23 @@ def test_replay_matches_stepped_gather_scatter(fabric_name, p):
             f"gather/scatter P={p} {fabric_name} nbytes={nbytes}: "
             f"replay {rep.elapsed!r} vs DES {des.elapsed!r} (rel {rel:.2e})"
         )
+
+
+@pytest.mark.parametrize(("p", "main", "vector", "path"), (
+    (16, partial(_ring_gather_main, 8, 3), False, "replay"),
+    (128, partial(_ring_gather_main, 8, 3), True, "vector"),
+    (4, _late_scatter_main, False, "replay"),
+    (16, _late_scatter_main, False, "replay"),
+), ids=("gather-16-replay", "gather-128-vector", "scatter-4", "scatter-16"))
+def test_compiled_gather_scatter_equal_stepped(p, main, vector, path):
+    """gather and scatter always step, so a rank leaves them without
+    waiting for the last arrival; the compiled paths must not hold it."""
+    st = CompileStats()
+    res = compiled_mpiexec(p, host_fabric(), main, vector=vector, stats=st)
+    ref = mpiexec(p, host_fabric(), main)
+    assert st.path == path, st.reason
+    assert res.returns == ref.returns
+    assert res.elapsed == ref.elapsed
 
 
 def test_gather_scatter_single_rank():

@@ -9,11 +9,13 @@ the spans itself.  Three contracts are gated here:
   point-to-point traffic inside a collective is priced by its schedule
   and leaves no span), with equal names, lanes, depths and args.
 * **Timing** — span timestamps and durations agree with the stepped
-  trace to 1e-9 relative, except for bcast, reduce and gather, whose
-  stepped algorithms end some ranks earlier than the fast-path clamp the
-  replay (and untraced pricing) applies; there each rank's lifetime span
-  ends on the untraced replay's clock.  Traced elapsed is bit-equal to
-  untraced compiled elapsed everywhere.
+  trace to 1e-9 relative, except for bcast and reduce.  A traced stepped
+  job never takes the fast path, so its bcast and reduce algorithms end
+  some ranks earlier than the last-arrival floor the replay (and
+  untraced pricing) applies to the fast-path kinds; there each rank's
+  lifetime span ends on the untraced replay's clock.  gather and scatter
+  always step, are never floored, and agree.  Traced elapsed is
+  bit-equal to untraced compiled elapsed everywhere.
 * **Fallback hygiene** — a replay abandoned mid-job leaves no span or
   message-matrix entry behind: the stepped rerun's trace is the whole
   trace.
@@ -41,9 +43,9 @@ SIZES = (64, 1 << 20)
 
 FABRICS = {"host": host_fabric, "phi": lambda: phi_fabric(2)}
 
-#: Collectives whose stepped algorithm can end a rank before the
-#: fast-path clamp the compiled paths apply.
-CLAMPED = ("bcast", "reduce", "gather")
+#: Fast-path kinds whose traced stepped algorithm can end a rank before
+#: the last-arrival floor the compiled paths apply.
+CLAMPED = ("bcast", "reduce")
 
 
 # --------------------------------------------------------------- rank mains
@@ -185,8 +187,8 @@ def _run_pair(kind, p, nbytes, fabric_name):
 # -------------------------------------------------------------- equivalence
 
 
-EXACT = ("allreduce", "allgather", "alltoall", "scatter", "barrier", "halo",
-         "phase-ring", "isend-burst")
+EXACT = ("allreduce", "allgather", "alltoall", "gather", "scatter", "barrier",
+         "halo", "phase-ring", "isend-burst")
 
 
 @pytest.mark.parametrize("fabric_name", sorted(FABRICS))
