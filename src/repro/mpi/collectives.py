@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.mpi.api import Communicator
@@ -392,9 +392,10 @@ def scatter(
 # for both containers with the same float operations in the same order,
 # so the two backends agree bit for bit.  The binomial trees are one
 # walk per direction, :func:`_down_walk` (bcast, scatter) and
-# :func:`_up_walk` (reduce, gather), over a hop-wire table from
-# :func:`_hops`; they are inherently sequential, so they run on a list
-# and convert an array in and out.
+# :func:`_up_walk` (reduce, gather), level-synchronous over the
+# :func:`_tree` table: each of the ⌈log2 P⌉ levels is one :func:`_p2p`
+# between strided slices of parent and child vranks, in the same
+# per-rank float order as the generators' sequential sends and recvs.
 
 
 def _wire(fabric, nbytes: int):
@@ -443,17 +444,6 @@ def _full(t: Any, value: float) -> Any:
     if isinstance(t, list):
         return [value] * len(t)
     return get_numpy().full(len(t), value)
-
-
-def _as_list(t: Any) -> List[float]:
-    return t if isinstance(t, list) else t.tolist()
-
-
-def _like(t: Any, values: List[float]) -> Any:
-    """``values`` in the container type of ``t``."""
-    if isinstance(t, list):
-        return values
-    return get_numpy().asarray(values, dtype=float)
 
 
 # ----------------------------------------------------------- the two steps
@@ -523,90 +513,63 @@ def _p2p(send: Any, recv: Any, tp: float, ts: float,
 # ----------------------------------------------------- binomial-tree walks
 
 
-def _hops(fabric, p: int, nbytes: int, blocks: bool) -> List[Any]:
-    """Wire of the hop into each child vrank ``c`` of a binomial tree.
+def _tree(fabric, p: int, nbytes: int, blocks: bool) -> List[Any]:
+    """The hops of a binomial tree over vranks, by level, mask ascending.
 
-    A hop carries ``nbytes``, or with ``blocks`` (scatter, gather) the
-    ``min(c & -c, p - c)`` blocks of ``c``'s subtree; both directions
-    move the same count.  ``_wire`` runs once per distinct size.
+    Level ``mask`` links every parent vrank ``v ≡ 0 (mod 2·mask)`` to its
+    child ``v + mask < p``: parents ``[0:p-mask:2·mask]``, children
+    ``[mask:p:2·mask]``.  A hop carries ``nbytes``, or with ``blocks``
+    (scatter, gather) the ``min(mask, p - c)`` blocks of child ``c``'s
+    subtree: ``mask`` for all but possibly the level's last child, whose
+    short hop is split off with its own wire.  Each entry is ``(parents,
+    children, wire)``; both directions move the same counts.
     """
-    if not blocks:
-        return [_wire(fabric, nbytes)] * p
-    wires: Dict[int, Any] = {}
-    table: List[Any] = [None] * p  # the root (vrank 0) has no parent hop
-    for c in range(1, p):
-        k = min(c & -c, p - c)
-        w = wires.get(k)
-        if w is None:
-            w = wires[k] = _wire(fabric, nbytes * k)
-        table[c] = w
-    return table
+    hops: List[Any] = []
+    wire = _wire(fabric, nbytes)
+    mask = 1
+    while mask < p:
+        step = 2 * mask
+        last = p - 1 - (p - 1 - mask) % step  # the level's last child
+        cut = p
+        if blocks:
+            wire = _wire(fabric, nbytes * mask)
+            if p - last < mask:
+                cut = last
+        if cut > mask:
+            hops.append((slice(0, cut - mask, step), slice(mask, cut, step),
+                         wire))
+        if cut < p:
+            hops.append((slice(last - mask, last - mask + 1),
+                         slice(last, last + 1),
+                         _wire(fabric, nbytes * (p - last))))
+        mask <<= 1
+    return hops
 
 
-def _down_walk(p: int, root: int, t: List[float],
-               hops: List[Any]) -> List[float]:
+def _down_walk(t: Any, root: int, tree: List[Any]) -> Any:
     """Top-down binomial tree (bcast, scatter): per-rank completion times.
 
-    A rank that holds the data at ``s`` serves its children at masks
-    ``mask>>1 .. 1``, ``s`` advancing per send exactly as the
-    generator's clock does.
+    Levels run mask high to low, one :func:`_p2p` each: a parent's clock
+    already holds its earlier sends, and a child's is its arrival.
     """
-    finish = [0.0] * p
-    stack = [(0, t[root], 1 << (p - 1).bit_length())]
-    while stack:
-        vrank, s, mask = stack.pop()
-        mm = mask >> 1
-        while mm > 0:
-            cv = vrank + mm
-            if cv < p:
-                tp, ts, eager = hops[cv]
-                child = (cv + root) % p
-                if eager:
-                    recv_done = max(t[child], s + tp)
-                    s += ts
-                else:
-                    recv_done = max(t[child], s) + tp
-                    s = recv_done
-                stack.append((cv, recv_done, mm))
-            mm >>= 1
-        finish[(vrank + root) % p] = s
-    return finish
+    s = _roll(t, -root)  # by vrank
+    for par, kid, (tp, ts, eager) in reversed(tree):
+        s[par], s[kid] = _p2p(s[par], s[kid], tp, ts, eager)
+    return _roll(s, root)
 
 
-def _up_walk(p: int, root: int, t: List[float], hops: List[Any],
-             combine: float) -> List[float]:
+def _up_walk(t: Any, root: int, tree: List[Any], combine: float) -> Any:
     """Bottom-up binomial tree (reduce, gather): per-rank completion times.
 
-    Walked children-first (descending vrank), so a parent's clock folds
-    in each child's send post time, plus ``combine`` per child, exactly
-    as the generator's sequential recv loop does.
+    Levels run mask low to high, one :func:`_p2p` each: a child's clock
+    is final (its own receives came at lower masks), and a parent adds
+    ``combine`` after each receive, in the generator's recv order.
     """
-    finish = [0.0] * p
-    send_post = [0.0] * p  # by vrank: when a child posts its upward send
-    for v in range(p - 1, -1, -1):
-        rank = (v + root) % p
-        clock = t[rank]
-        mask = 1
-        while mask < p and not (v & mask):
-            c = v + mask
-            if c < p:
-                tp, _ts, eager = hops[c]
-                sp = send_post[c]
-                if eager:
-                    recv_done = max(clock, sp + tp)
-                else:
-                    recv_done = max(clock, sp) + tp
-                    finish[(c + root) % p] = recv_done  # rendezvous sender
-                clock = recv_done + combine
-            mask <<= 1
-        if v:
-            send_post[v] = clock
-            _tp, ts, eager = hops[v]
-            if eager:
-                finish[rank] = clock + ts
-        else:
-            finish[rank] = clock
-    return finish
+    s = _roll(t, -root)  # by vrank
+    for par, kid, (tp, ts, eager) in tree:
+        s[kid], done = _p2p(s[kid], s[par], tp, ts, eager)
+        s[par] = _add(done, combine)
+    return _roll(s, root)
 
 
 def _ring_times(fabric, p: int, nbytes: int, t: Any) -> Any:
@@ -633,12 +596,10 @@ def bcast_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     if p == 1:
         return t
     if nbytes <= LARGE_MESSAGE_SWITCH:
-        hops = _hops(fabric, p, nbytes, False)
-        return _like(t, _down_walk(p, root, _as_list(t), hops))
+        return _down_walk(t, root, _tree(fabric, p, nbytes, False))
     chunk = max(1, nbytes // p)
-    hops = _hops(fabric, p, chunk, True)
-    after_scatter = _down_walk(p, root, _as_list(t), hops)
-    return _ring_times(fabric, p, chunk, _like(t, after_scatter))
+    after_scatter = _down_walk(t, root, _tree(fabric, p, chunk, True))
+    return _ring_times(fabric, p, chunk, after_scatter)
 
 
 def allreduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
@@ -718,9 +679,8 @@ def reduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    hops = _hops(fabric, p, nbytes, False)
-    tred = fabric.reduce_time(nbytes)
-    return _like(t, _up_walk(p, root, _as_list(t), hops, tred))
+    tree = _tree(fabric, p, nbytes, False)
+    return _up_walk(t, root, tree, fabric.reduce_time(nbytes))
 
 
 def gather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
@@ -731,8 +691,7 @@ def gather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    hops = _hops(fabric, p, nbytes, True)
-    return _like(t, _up_walk(p, root, _as_list(t), hops, 0.0))
+    return _up_walk(t, root, _tree(fabric, p, nbytes, True), 0.0)
 
 
 def scatter_schedule(fabric, p: int, nbytes: int, arrivals: Any,
@@ -743,8 +702,7 @@ def scatter_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
-    hops = _hops(fabric, p, nbytes, True)
-    return _like(t, _down_walk(p, root, _as_list(t), hops))
+    return _down_walk(t, root, _tree(fabric, p, nbytes, True))
 
 
 def barrier_schedule(fabric, p: int, nbytes: int, arrivals: Any,

@@ -423,10 +423,13 @@ class _TraceComm:
 
 
 def _unwrap(main: Any) -> Any:
+    """The function whose source ``main`` runs: through partials, bound
+    methods and ``__wrapped__`` decorators, as ``inspect.getsource``
+    reads it."""
     fn = main
     while isinstance(fn, functools.partial):
         fn = fn.func
-    return getattr(fn, "__func__", fn)
+    return inspect.unwrap(getattr(fn, "__func__", fn))
 
 
 def _mentions_rank(node: ast.AST) -> bool:
@@ -447,10 +450,30 @@ def _static_veto(main: Any) -> Optional[str]:
     The scan covers the main's own source; divergence hidden in helper
     calls is still caught whenever a probe rank exercises it, and the
     scalar replay remains the authority for everything refused here.
+    The verdict depends only on the source, so it is memoized on the
+    unwrapped function's code object; a callable without one is
+    scanned every time.
     """
-    fn = _unwrap(main)
     try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        fn = _unwrap(main)
+    except ValueError:  # a __wrapped__ cycle
+        return "source unavailable"
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return _scan_source(fn)
+    return _code_veto(code, code.co_filename)
+
+
+@functools.lru_cache(maxsize=256)
+def _code_veto(code: Any, filename: str) -> Optional[str]:
+    """:func:`_scan_source` of ``code``; ``filename`` keys the memo too,
+    since code objects compare equal across files."""
+    return _scan_source(code)
+
+
+def _scan_source(obj: Any) -> Optional[str]:
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
     except (OSError, TypeError, ValueError, SyntaxError, IndentationError):
         return "source unavailable"
     for node in ast.walk(tree):

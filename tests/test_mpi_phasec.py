@@ -24,6 +24,7 @@ Four contracts are gated here:
 
 from __future__ import annotations
 
+import functools
 import random
 from functools import partial
 
@@ -216,6 +217,88 @@ def test_lower_refuses_sourceless_mains():
     exec(code, ns)
     with pytest.raises(LowerFallback, match="source unavailable"):
         lower(ns["_stdin_main"], 8, fabric=host_fabric())
+
+
+def test_static_veto_is_memoized_per_code_object():
+    phasec_mod._code_veto.cache_clear()
+    for _ in range(2):  # the memoized verdict still refuses
+        with pytest.raises(LowerFallback, match="rank-dependent"):
+            lower(_rank_branch_main, 8, fabric=host_fabric())
+    lower(partial(_halo_main, 64, 1), 8, fabric=host_fabric())
+    lower(partial(_halo_main, 4096, 2), 8, fabric=host_fabric())
+    info = phasec_mod._code_veto.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (2, 2, 2)
+
+
+def test_static_veto_memo_keys_the_source_file():
+    """Equal code objects from two files are two entries: one file's
+    source is readable, the other's is not."""
+    import linecache
+
+    src = "def _twin_main(comm):\n    yield from comm.barrier()\n"
+    mains = {}
+    for name in ("<twin-readable>", "<twin-missing>"):
+        ns = {}
+        exec(compile(src, name, "exec"), ns)
+        mains[name] = ns["_twin_main"]
+    assert mains["<twin-readable>"].__code__ == mains["<twin-missing>"].__code__
+    linecache.cache["<twin-readable>"] = (
+        len(src), None, src.splitlines(True), "<twin-readable>"
+    )
+    try:
+        lower(mains["<twin-readable>"], 8, fabric=host_fabric())
+        with pytest.raises(LowerFallback, match="source unavailable"):
+            lower(mains["<twin-missing>"], 8, fabric=host_fabric())
+    finally:
+        del linecache.cache["<twin-readable>"]
+
+
+def _passthrough(fn):
+    """A decorator: every main it wraps shares the wrapper's code."""
+    @functools.wraps(fn)
+    def wrapper(comm):
+        return (yield from fn(comm))
+    return wrapper
+
+
+@_passthrough
+def _wrapped_barrier_main(comm):
+    yield from comm.barrier()
+
+
+@_passthrough
+def _wrapped_rank_branch_main(comm):
+    if comm.rank == 0:
+        yield from comm.barrier()
+    else:
+        yield from comm.barrier()
+
+
+def test_static_veto_memo_sees_through_decorators():
+    assert (_wrapped_barrier_main.__code__
+            is _wrapped_rank_branch_main.__code__)
+    lower(_wrapped_barrier_main, 8, fabric=host_fabric())
+    with pytest.raises(LowerFallback, match="rank-dependent"):
+        lower(_wrapped_rank_branch_main, 8, fabric=host_fabric())
+
+
+class _CallableMain:
+    """A rank main with no ``__code__`` of its own: never memoized."""
+
+    def __call__(self, comm):
+        yield from comm.barrier()
+
+
+def test_static_veto_scans_callables_without_code_every_time():
+    phasec_mod._code_veto.cache_clear()
+    for _ in range(2):
+        with pytest.raises(LowerFallback, match="source unavailable"):
+            lower(_CallableMain(), 8, fabric=host_fabric())
+    assert phasec_mod._code_veto.cache_info().currsize == 0
+    stepped = mpiexec(8, host_fabric(), _CallableMain())
+    compiled = compiled_mpiexec(8, host_fabric(), _CallableMain(),
+                                vector=True)
+    assert compiled.elapsed == stepped.elapsed
 
 
 def test_selection_vetoes_route_to_stepped():

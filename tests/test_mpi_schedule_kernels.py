@@ -13,12 +13,16 @@ Python list or a numpy array.  Two contracts are gated here:
   digest.  This half runs without numpy.
 * **List vs array** — the ndarray backend returns an ndarray whose
   ``tolist()`` equals the list backend's output bit for bit.
+* **Walk oracle** — the level-synchronous binomial walks equal the
+  sequential rank-at-a-time walks they replaced, bit for bit, on lists
+  and arrays up to P=65537.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -27,6 +31,10 @@ from repro.mpi.collectives import (
     ALLGATHER_RING_SWITCH,
     LARGE_MESSAGE_SWITCH,
     SCHEDULES,
+    _down_walk,
+    _tree,
+    _up_walk,
+    _wire,
 )
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.perf.batch import HAVE_NUMPY, get_numpy
@@ -87,3 +95,126 @@ def test_array_schedules_equal_list_schedules():
         )
         assert isinstance(arrayed, np.ndarray), kind
         assert arrayed.tolist() == listed, (kind, fabric.name, p, nbytes, root)
+
+
+# ------------------------------------------------- large-P walk oracle
+#
+# The sequential binomial walks the level-synchronous ones replaced,
+# kept verbatim as the reference: one rank at a time, each parent's
+# sends and receives in the generator's order.
+
+
+def _ref_hops(fabric, p, nbytes, blocks):
+    if not blocks:
+        return [_wire(fabric, nbytes)] * p
+    wires = {}
+    table = [None] * p
+    for c in range(1, p):
+        k = min(c & -c, p - c)
+        w = wires.get(k)
+        if w is None:
+            w = wires[k] = _wire(fabric, nbytes * k)
+        table[c] = w
+    return table
+
+
+def _ref_down_walk(p, root, t, hops):
+    finish = [0.0] * p
+    stack = [(0, t[root], 1 << (p - 1).bit_length())]
+    while stack:
+        vrank, s, mask = stack.pop()
+        mm = mask >> 1
+        while mm > 0:
+            cv = vrank + mm
+            if cv < p:
+                tp, ts, eager = hops[cv]
+                child = (cv + root) % p
+                if eager:
+                    recv_done = max(t[child], s + tp)
+                    s += ts
+                else:
+                    recv_done = max(t[child], s) + tp
+                    s = recv_done
+                stack.append((cv, recv_done, mm))
+            mm >>= 1
+        finish[(vrank + root) % p] = s
+    return finish
+
+
+def _ref_up_walk(p, root, t, hops, combine):
+    finish = [0.0] * p
+    send_post = [0.0] * p
+    for v in range(p - 1, -1, -1):
+        rank = (v + root) % p
+        clock = t[rank]
+        mask = 1
+        while mask < p and not (v & mask):
+            c = v + mask
+            if c < p:
+                tp, _ts, eager = hops[c]
+                sp = send_post[c]
+                if eager:
+                    recv_done = max(clock, sp + tp)
+                else:
+                    recv_done = max(clock, sp) + tp
+                    finish[(c + root) % p] = recv_done
+                clock = recv_done + combine
+            mask <<= 1
+        if v:
+            send_post[v] = clock
+            _tp, ts, eager = hops[v]
+            if eager:
+                finish[rank] = clock + ts
+        else:
+            finish[rank] = clock
+    return finish
+
+
+def _walk_cases() -> Iterator[Tuple[object, int, int, bool, int]]:
+    """``(fabric, p, nbytes, blocks, root)``: large P with random roots,
+    eager and rendezvous-only sizes, and a blocks size whose short last
+    child is eager while the rest of its level is rendezvous."""
+    rnd = random.Random(17)
+    for fabric in (host_fabric(), phi_fabric(2)):
+        eager_max = fabric.eager_max
+        for p in (4097, 8191, 65537):
+            root = rnd.randrange(p)
+            yield fabric, p, 64, False, root
+            yield fabric, p, eager_max + 1, False, root
+            yield fabric, p, 64, True, root
+            yield fabric, p, eager_max + 1, True, root
+            # 3 blocks fit eager_max, 4 do not: on P=8191 the mask-4
+            # level's last child carries 3.
+            yield fabric, p, eager_max // 3, True, root
+
+
+def test_short_last_child_crosses_the_eager_limit():
+    fabric = host_fabric()
+    eager_by_mask = {}
+    for par, kid, (_tp, _ts, eager) in _tree(
+        fabric, 8191, fabric.eager_max // 3, True
+    ):
+        eager_by_mask.setdefault(kid.start - par.start, []).append(eager)
+    # The mask-4 level: 4-block hops rendezvous, the 3-block tail eager.
+    assert eager_by_mask[4] == [False, True]
+
+
+@pytest.mark.parametrize("direction", ("down", "up"))
+def test_level_walks_equal_sequential_walks(direction):
+    np = get_numpy()
+    for fabric, p, nbytes, blocks, root in _walk_cases():
+        rnd = random.Random(p + root)
+        t = [rnd.random() * 1e-5 for _ in range(p)]
+        hops = _ref_hops(fabric, p, nbytes, blocks)
+        tree = _tree(fabric, p, nbytes, blocks)
+        if direction == "down":
+            want = _ref_down_walk(p, root, t, hops)
+            walk = partial(_down_walk, root=root, tree=tree)
+        else:
+            combine = 0.0 if blocks else fabric.reduce_time(nbytes)
+            want = _ref_up_walk(p, root, t, hops, combine)
+            walk = partial(_up_walk, root=root, tree=tree, combine=combine)
+        case = (fabric.name, p, nbytes, blocks, root)
+        assert walk(list(t)) == want, case
+        if np is not None:
+            assert walk(np.asarray(t, dtype=float)).tolist() == want, case
