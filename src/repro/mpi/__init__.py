@@ -6,12 +6,15 @@ Layers, bottom up:
   Phi's on-die path at 1–4 ranks/core, PCIe CCL/SCIF DAPL providers) with
   calibrated α (latency), β (1/bandwidth) and congestion parameters;
 * :mod:`repro.mpi.messages` — envelopes and (source, tag) matching;
-* :mod:`repro.mpi.api` — :class:`~repro.mpi.api.Communicator` with
-  ``send``/``recv``/``isend``/``irecv``/``barrier`` generator methods;
+* :mod:`repro.mpi.api` — :class:`~repro.mpi.api.RankComm`, the rank-program
+  vocabulary (``sendrecv`` and the eight collectives) every communicator
+  shares, and :class:`~repro.mpi.api.Communicator`, its stepped
+  implementation with ``send``/``recv``/``isend``/``irecv``;
 * :mod:`repro.mpi.collectives` — collective *algorithms* (binomial bcast,
-  recursive doubling, ring, pairwise exchange) both as simulated programs
-  and as closed-form cost models (used for the Figs 10–14 sweeps, and
-  cross-checked against the simulation in the test suite);
+  recursive doubling, ring, pairwise exchange, dissemination barrier) as
+  simulated programs, as exact schedules and as closed-form cost models
+  (used for the Figs 10–14 sweeps, and cross-checked against the
+  simulation in the test suite);
 * :mod:`repro.mpi.runtime` — the ``mpiexec`` equivalent: builds a job of
   N rank processes on a fabric and runs it to completion.
 """

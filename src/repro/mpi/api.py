@@ -1,6 +1,8 @@
 """The simulated MPI communicator (mpi4py-flavoured API).
 
-Each rank is a discrete-event process holding a :class:`Communicator`.
+Each rank is a discrete-event process holding a :class:`Communicator`,
+the stepped implementation of :class:`RankComm`, the vocabulary every
+communicator shares (``sendrecv`` and the eight collectives).
 Methods are generators — rank code drives them with ``yield from``, the
 idiom the engine uses for zero-cost composition::
 
@@ -22,6 +24,8 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ConfigError, FaultError, TimeoutExpired
+from repro.mpi.collectives import ALGORITHMS
+from repro.mpi.fastpath import FAST_KINDS
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG, Envelope, match_filter
 from repro.obs.tracer import NULL_CONTEXT, Tracer, active
 from repro.simcore import Engine, Event, Get, Put, Timeout, WaitEvent
@@ -99,8 +103,126 @@ class Request:
         return f"<Request {label} [{state}]>"
 
 
-class Communicator:
-    """One rank's view of the simulated communicator.
+class RankComm:
+    """The rank-program vocabulary, written once for every communicator.
+
+    A rank program runs unchanged on three communicators: the stepped
+    :class:`Communicator`, the compiled replay's ``_ReplayComm``
+    (:mod:`repro.mpi.compile`) and phase lowering's ``_TraceComm``
+    (:mod:`repro.mpi.phasec`).  This base defines what they share:
+    ``sendrecv``, the eight collectives and the peer/root range check.
+    A subclass sets ``rank`` and ``size`` and supplies the
+    point-to-point primitives (``send``, ``recv``, ``isend``, ``irecv``)
+    and :meth:`_collective`, the one entry every collective forwards to.
+    """
+
+    __slots__ = ()
+
+    rank: int
+    size: int
+    isend: Callable[..., Any]
+    recv: Callable[..., Generator]
+
+    def _check_peer(self, peer: int) -> None:
+        if not (0 <= peer < self.size):
+            raise ConfigError(f"peer rank {peer} out of range (size {self.size})")
+
+    def _check_send(self, dest: int, nbytes: int) -> None:
+        self._check_peer(dest)
+        if nbytes < 0:
+            raise ConfigError("nbytes must be non-negative")
+
+    def sendrecv(
+        self,
+        dest: int,
+        source: int,
+        nbytes: int,
+        tag: int = 0,
+        payload: Any = None,
+    ) -> Generator:
+        """Concurrent send+recv (the Fig 10 ring-exchange primitive)."""
+        req = self.isend(dest, nbytes, tag, payload)
+        env = yield from self.recv(source, tag)
+        yield from req.wait()
+        return env
+
+    # --------------------------------------------------------- collectives
+
+    def _collective(self, kind: str, value: Any, nbytes: int,
+                    root: Optional[int], op: Optional[Callable],
+                    deadline: Optional[float]) -> Generator:
+        """Run collective ``kind`` on this communicator's path.
+
+        ``root`` is an in-range rank for the rooted kinds and ``None``
+        for the unrooted ones; ``deadline`` bounds the collective in
+        simulated seconds.
+        """
+        raise NotImplementedError
+
+    def barrier(self, deadline: Optional[float] = None) -> Generator:
+        """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte exchanges."""
+        return self._collective("barrier", None, 0, None, None, deadline)
+
+    def bcast(
+        self, value: Any, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        """Every rank returns the root's ``value``."""
+        self._check_peer(root)
+        return self._collective("bcast", value, nbytes, root, None, deadline)
+
+    def reduce(
+        self, value: Any, op=None, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        """The root returns every rank's ``value`` combined by ``op``
+        (default ``+``); the other ranks return ``None``."""
+        self._check_peer(root)
+        return self._collective("reduce", value, nbytes, root, op, deadline)
+
+    def allreduce(
+        self, value: Any, op=None, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        """Every rank returns every rank's ``value`` combined by ``op``."""
+        return self._collective("allreduce", value, nbytes, None, op, deadline)
+
+    def allgather(
+        self, value: Any, nbytes: int = 8, deadline: Optional[float] = None
+    ) -> Generator:
+        """Every rank returns the list of every rank's ``value``."""
+        return self._collective("allgather", value, nbytes, None, None,
+                                deadline)
+
+    def alltoall(
+        self, values, nbytes: int = 8, deadline: Optional[float] = None
+    ) -> Generator:
+        """``values[i]`` goes to rank ``i``; every rank returns what it
+        received, in source-rank order."""
+        return self._collective("alltoall", values, nbytes, None, None,
+                                deadline)
+
+    def gather(
+        self, value: Any, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        """The root returns the list of every rank's ``value``; the other
+        ranks return ``None``."""
+        self._check_peer(root)
+        return self._collective("gather", value, nbytes, root, None, deadline)
+
+    def scatter(
+        self, values, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        """Rank ``i`` returns the root's ``values[i]``."""
+        self._check_peer(root)
+        return self._collective("scatter", values, nbytes, root, None, deadline)
+
+
+class Communicator(RankComm):
+    """One rank's view of the simulated communicator, stepped on the
+    event engine.
 
     Parameters
     ----------
@@ -118,8 +240,8 @@ class Communicator:
     fast:
         Optional :class:`~repro.mpi.fastpath.FastCollectives` shared by
         the job's ranks.  When set (uniform fabric) and no tracer is
-        active, the symmetric collectives short-circuit to their exact
-        analytic schedules instead of stepping every rank.
+        active, the :data:`~repro.mpi.fastpath.FAST_KINDS` short-circuit
+        to their exact analytic schedules instead of stepping every rank.
     faults:
         Optional :class:`~repro.faults.FaultPlan`.  Stragglers scale this
         rank's :meth:`compute` time; memory pressure tightens the
@@ -162,10 +284,6 @@ class Communicator:
 
     # ------------------------------------------------------------ plumbing
 
-    def _check_peer(self, peer: int) -> None:
-        if not (0 <= peer < self.size):
-            raise ConfigError(f"peer rank {peer} out of range (size {self.size})")
-
     def fabric(self, peer: int) -> Any:
         return self._fabric_for(self.rank, peer)
 
@@ -195,9 +313,7 @@ class Communicator:
         :class:`~repro.errors.TimeoutExpired` propagates.  Eager sends
         never wait on the peer and ignore the bound.
         """
-        self._check_peer(dest)
-        if nbytes < 0:
-            raise ConfigError("nbytes must be non-negative")
+        self._check_send(dest, nbytes)
         tr = active(self.tracer)
         sp = None
         if tr is not None:
@@ -334,12 +450,11 @@ class Communicator:
         order a spawned worker would produce) and the request completes
         via a process-less timer (eager) or the envelope's own done
         event (rendezvous).  Traced sends keep the worker so its span
-        lands on the ``.nb`` lane.
+        lands on the ``.nb`` lane; either way a bad ``dest`` or ``nbytes``
+        raises here, at the call.
         """
+        self._check_send(dest, nbytes)
         if active(self.tracer) is None:
-            self._check_peer(dest)
-            if nbytes < 0:
-                raise ConfigError("nbytes must be non-negative")
             engine = self.engine
             fabric = self.fabric(dest)
             env = Envelope(
@@ -373,6 +488,8 @@ class Communicator:
         self, source: Optional[int] = ANY_SOURCE, tag: Optional[int] = ANY_TAG
     ) -> Request:
         """Non-blocking receive; ``wait()`` returns the :class:`Envelope`."""
+        if source is not None:
+            self._check_peer(source)
         proc = self.engine.spawn(
             self.recv(source, tag, _lane=self._nb_lane),
             name=f"irecv[{self.rank}<-{source}]",
@@ -399,20 +516,6 @@ class Communicator:
         """
         return f"{self._trace_tid}.nb"
 
-    def sendrecv(
-        self,
-        dest: int,
-        source: int,
-        nbytes: int,
-        tag: int = 0,
-        payload: Any = None,
-    ) -> Generator:
-        """Concurrent send+recv (the Fig 10 ring-exchange primitive)."""
-        req = self.isend(dest, nbytes, tag, payload)
-        env = yield from self.recv(source, tag)
-        yield from req.wait()
-        return env
-
     # ----------------------------------------------------------- utilities
 
     def compute(self, seconds: float) -> Generator:
@@ -426,27 +529,6 @@ class Communicator:
         if self._faults is not None:
             seconds *= self._faults.compute_factor(self.rank, self.engine.now)
         yield Timeout(seconds)
-
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte exchanges."""
-        if self.size == 1:
-            return
-        if deadline is None and self._use_fast():
-            yield from self._fast_collective("barrier", None, 0)
-            return
-        yield from self._run_coll("barrier", self._barrier_body(), 0, deadline)
-
-    def _barrier_body(self) -> Generator:
-        p = self.size
-        k = 1
-        round_no = 0
-        while k < p:
-            dest = (self.rank + k) % p
-            src = (self.rank - k) % p
-            tag = -1000 - round_no  # keep barrier traffic off user tags
-            yield from self.sendrecv(dest, src, nbytes=0, tag=tag)
-            k *= 2
-            round_no += 1
 
     # ----------------------------------------------------------- tracing
 
@@ -462,37 +544,12 @@ class Communicator:
             return NULL_CONTEXT
         return tr.span(name, cat=cat, pid=self._trace_pid, tid=self._trace_tid)
 
-    def _coll_span(self, name: str, nbytes: int) -> Any:
-        tr = active(self.tracer)
-        if tr is None:
-            return None
-        return tr.begin(
-            name,
-            cat="mpi.coll",
-            pid=self._trace_pid,
-            tid=self._trace_tid,
-            args={"nbytes": nbytes},
-        )
-
-    def _coll_end(self, span: Any) -> None:
-        if span is not None and self.tracer is not None:
-            self.tracer.end(span)
-
     # --------------------------------------------------------- collectives
-    # Implemented in repro.mpi.collectives as algorithms over this p2p
-    # layer; bound here for ergonomic access (imported lazily to avoid a
-    # cycle at import time).  On uniform jobs without an active tracer the
-    # symmetric collectives short-circuit to the analytic fast path
-    # (repro.mpi.fastpath), which reproduces DES timing to float precision.
-
-    def _fast_collective(self, kind: str, value: Any, nbytes: int,
-                         root: int = 0, op=None) -> Generator:
-        seq = self._fast_seq
-        self._fast_seq += 1
-        result = yield from self._fast.run(
-            self, seq, kind, value, nbytes, root=root, op=op
-        )
-        return result
+    # The eight public collectives are RankComm's; each lands here.  The
+    # algorithms are repro.mpi.collectives.ALGORITHMS, generators over this
+    # rank's point-to-point layer.  On uniform jobs without an active
+    # tracer the FAST_KINDS resolve on their exact analytic schedules
+    # (repro.mpi.fastpath) instead of stepping every message.
 
     def _use_fast(self) -> bool:
         return (
@@ -501,29 +558,43 @@ class Communicator:
             and active(self.tracer) is None
         )
 
-    def _run_coll(
-        self,
-        kind: str,
-        gen: Generator,
-        nbytes: int,
-        deadline: Optional[float],
-        root: Optional[int] = None,
-    ) -> Generator:
-        """Drive a stepped collective: verifier note, span, deadline.
+    def _collective(self, kind: str, value: Any, nbytes: int,
+                    root: Optional[int], op: Optional[Callable],
+                    deadline: Optional[float]) -> Generator:
+        """Run collective ``kind`` on the fast path or stepped.
 
-        The span is closed in a ``finally`` so a collective that dies on
-        a fault or deadline still leaves a well-formed trace.
+        A stepped collective reports to the verifier, records a span and
+        honours ``deadline``; the span is closed in a ``finally`` so a
+        collective that dies on a fault or deadline still leaves a
+        well-formed trace.
         """
+        if kind == "alltoall" and self._faults is not None:
+            # Memory pressure makes the Fig 14-style alltoall OOM fire at
+            # smaller messages than the healthy card's 8 GiB would allow.
+            self._faults.check_alltoall(self.size, nbytes)
+        if kind == "barrier" and self.size == 1:
+            return None
+        if kind in FAST_KINDS and deadline is None and self._use_fast():
+            seq = self._fast_seq
+            self._fast_seq += 1
+            return (yield from self._fast.run(self, seq, kind, value, nbytes,
+                                              root, op))
         if self._verifier is not None:
             self._verifier.note_collective(self.rank, kind, root, nbytes)
-        sp = self._coll_span(kind, nbytes)
+        gen = ALGORITHMS[kind](self, value, nbytes, root, op)
+        tr = active(self.tracer)
+        sp = None if tr is None else tr.begin(
+            kind, cat="mpi.coll", pid=self._trace_pid, tid=self._trace_tid,
+            args={"nbytes": nbytes},
+        )
         try:
             if deadline is None:
                 result = yield from gen
             else:
                 result = yield from self._bounded(kind, gen, deadline)
         finally:
-            self._coll_end(sp)
+            if tr is not None:
+                tr.end(sp)
         return result
 
     def _bounded(self, kind: str, gen: Generator, deadline: float) -> Generator:
@@ -557,107 +628,6 @@ class Communicator:
                 except _CollectiveCancelled:
                     pass
             raise
-        return result
-
-    def bcast(
-        self, value: Any, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            self._check_peer(root)
-            return (yield from self._fast_collective("bcast", value, nbytes,
-                                                     root=root))
-        result = yield from self._run_coll(
-            "bcast", collectives.bcast(self, value, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def reduce(
-        self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            self._check_peer(root)
-            return (yield from self._fast_collective("reduce", value, nbytes,
-                                                     root=root, op=op))
-        result = yield from self._run_coll(
-            "reduce", collectives.reduce(self, value, op, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def allreduce(
-        self, value: Any, op=None, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            return (yield from self._fast_collective("allreduce", value,
-                                                     nbytes, op=op))
-        result = yield from self._run_coll(
-            "allreduce", collectives.allreduce(self, value, op, nbytes),
-            nbytes, deadline,
-        )
-        return result
-
-    def allgather(
-        self, value: Any, nbytes: int = 8, deadline: Optional[float] = None
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            return (yield from self._fast_collective("allgather", value, nbytes))
-        result = yield from self._run_coll(
-            "allgather", collectives.allgather(self, value, nbytes),
-            nbytes, deadline,
-        )
-        return result
-
-    def alltoall(
-        self, values, nbytes: int = 8, deadline: Optional[float] = None
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if self._faults is not None:
-            # Memory pressure makes the Fig 14-style alltoall OOM fire at
-            # smaller messages than the healthy card's 8 GiB would allow.
-            self._faults.check_alltoall(self.size, nbytes)
-        if deadline is None and self._use_fast():
-            return (yield from self._fast_collective("alltoall", values, nbytes))
-        result = yield from self._run_coll(
-            "alltoall", collectives.alltoall(self, values, nbytes),
-            nbytes, deadline,
-        )
-        return result
-
-    def gather(
-        self, value: Any, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from self._run_coll(
-            "gather", collectives.gather(self, value, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def scatter(
-        self, values, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from self._run_coll(
-            "scatter", collectives.scatter(self, values, root, nbytes),
-            nbytes, deadline, root=root,
-        )
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -2,12 +2,16 @@
 
 Three coupled parts:
 
-1. **Algorithms** — generator functions over the simulated
-   :class:`~repro.mpi.api.Communicator`, implementing the textbook
-   algorithms Intel MPI uses at these scales: binomial broadcast/reduce,
+1. **Algorithms** — :data:`ALGORITHMS`, one generator per collective
+   kind over the stepped :class:`~repro.mpi.api.Communicator`'s
+   point-to-point layer, all with the signature ``(comm, value, nbytes,
+   root, op)``.  They are the textbook algorithms Intel MPI uses at
+   these scales: binomial broadcast/reduce/gather/scatter,
    recursive-doubling allreduce/allgather, ring allgather for large
-   blocks, pairwise-exchange alltoall.  They move real payloads, so the
-   test suite verifies collective *semantics* against NumPy references.
+   blocks, pairwise-exchange alltoall and the dissemination barrier.
+   Only the stepped communicator's one collective entry runs them.
+   They move real payloads, so the test suite verifies collective
+   *semantics* against NumPy references.
 
 2. **Schedules** — the exact per-rank completion times of the same
    algorithms as max-plus recurrences over a clock vector (a list, or a
@@ -36,12 +40,14 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError, OutOfMemoryError
-from repro.mpi.api import Communicator
 from repro.perf.batch import get_numpy
 from repro.units import GiB, KiB
+
+if TYPE_CHECKING:
+    from repro.mpi.api import Communicator
 
 #: Block size at which allgather switches from recursive doubling to ring.
 ALLGATHER_RING_SWITCH = 2 * KiB
@@ -73,7 +79,8 @@ def _log2_rounds(p: int) -> int:
 # ==========================================================================
 
 
-def bcast(comm: Communicator, value: Any, root: int = 0, nbytes: int = 8) -> Generator:
+def bcast(comm: Communicator, value: Any, nbytes: int, root: int,
+          op: Optional[Callable]) -> Generator:
     """Broadcast; every rank returns the root's value.
 
     Binomial tree for small messages; scatter + ring-allgather (van de
@@ -110,18 +117,13 @@ def _bcast_scatter_allgather(
     p = comm.size
     chunk = max(1, nbytes // p)
     chunks = [value] * p if comm.rank == root else None
-    part = yield from scatter(comm, chunks, root=root, nbytes=chunk)
+    part = yield from scatter(comm, chunks, chunk, root, None)
     parts = yield from _allgather_ring(comm, part, chunk)
     return parts[root]
 
 
-def reduce(
-    comm: Communicator,
-    value: Any,
-    op: Optional[Callable] = None,
-    root: int = 0,
-    nbytes: int = 8,
-) -> Generator:
+def reduce(comm: Communicator, value: Any, nbytes: int, root: int,
+           op: Optional[Callable]) -> Generator:
     """Binomial-tree reduction; ``root`` returns the combined value,
     everyone else ``None``."""
     op = _default_op(op)
@@ -145,12 +147,8 @@ def reduce(
     return result
 
 
-def allreduce(
-    comm: Communicator,
-    value: Any,
-    op: Optional[Callable] = None,
-    nbytes: int = 8,
-) -> Generator:
+def allreduce(comm: Communicator, value: Any, nbytes: int,
+              root: Optional[int], op: Optional[Callable]) -> Generator:
     """Recursive-doubling allreduce (MPICH-style non-power-of-two folding).
 
     With ``p = 2^m + r``: the first ``2r`` ranks fold pairwise so ``2^m``
@@ -195,7 +193,8 @@ def allreduce(
     return result
 
 
-def allgather(comm: Communicator, value: Any, nbytes: int = 8) -> Generator:
+def allgather(comm: Communicator, value: Any, nbytes: int,
+              root: Optional[int], op: Optional[Callable]) -> Generator:
     """Allgather; returns the list of every rank's value in rank order.
 
     Recursive doubling for small blocks on power-of-two rank counts; ring
@@ -270,7 +269,8 @@ def _allgather_ring(comm: Communicator, value: Any, nbytes: int) -> Generator:
     return [blocks[i] for i in range(p)]
 
 
-def alltoall(comm: Communicator, values: List[Any], nbytes: int = 8) -> Generator:
+def alltoall(comm: Communicator, values: Optional[List[Any]], nbytes: int,
+             root: Optional[int], op: Optional[Callable]) -> Generator:
     """Pairwise-exchange alltoall; ``values[i]`` goes to rank ``i``.
 
     Returns the list of received values in source-rank order.  Raises
@@ -302,9 +302,8 @@ def alltoall(comm: Communicator, values: List[Any], nbytes: int = 8) -> Generato
     return result
 
 
-def gather(
-    comm: Communicator, value: Any, root: int = 0, nbytes: int = 8
-) -> Generator:
+def gather(comm: Communicator, value: Any, nbytes: int, root: int,
+           op: Optional[Callable]) -> Generator:
     """Binomial-tree gather; ``root`` returns the rank-ordered list."""
     p = comm.size
     vrank = (comm.rank - root) % p
@@ -327,9 +326,8 @@ def gather(
     return [blocks[i] for i in range(p)]
 
 
-def scatter(
-    comm: Communicator, values: Optional[List[Any]], root: int = 0, nbytes: int = 8
-) -> Generator:
+def scatter(comm: Communicator, values: Optional[List[Any]], nbytes: int,
+            root: int, op: Optional[Callable]) -> Generator:
     """Binomial-tree scatter; every rank returns its own block."""
     p = comm.size
     vrank = (comm.rank - root) % p
@@ -361,6 +359,34 @@ def scatter(
             )
         mask >>= 1
     return blocks[vrank]
+
+
+def barrier(comm: Communicator, value: Any, nbytes: int,
+            root: Optional[int], op: Optional[Callable]) -> Generator:
+    """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte exchanges."""
+    p = comm.size
+    k = 1
+    round_no = 0
+    while k < p:
+        tag = -1000 - round_no  # keep barrier traffic off user tags
+        yield from comm.sendrecv((comm.rank + k) % p, (comm.rank - k) % p,
+                                 nbytes=0, tag=tag)
+        k *= 2
+        round_no += 1
+
+
+#: The stepped algorithm of each collective kind, all with the signature
+#: ``(comm, value, nbytes, root, op)``; unrooted kinds get ``root=None``.
+ALGORITHMS: Dict[str, Callable[..., Generator]] = {
+    "bcast": bcast,
+    "reduce": reduce,
+    "allreduce": allreduce,
+    "allgather": allgather,
+    "alltoall": alltoall,
+    "barrier": barrier,
+    "gather": gather,
+    "scatter": scatter,
+}
 
 
 # ==========================================================================

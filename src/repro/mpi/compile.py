@@ -68,6 +68,7 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
+from repro.mpi.api import RankComm
 from repro.mpi.fabrics import Fabric
 from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
@@ -190,14 +191,14 @@ class _ReplayRequest:
     completed = complete
 
 
-class _ReplayComm:
+class _ReplayComm(RankComm):
     """A rank's communicator view inside the max-plus replay.
 
-    Method-compatible with the stepped :class:`~repro.mpi.api.Communicator`
-    for everything a static job may call; operations outside the replayed
-    vocabulary (wildcard receives, ``irecv``, timeouts, deadlines) raise
-    :class:`ReplayFallback`, which sends the whole job back to the
-    stepped engine.
+    Supplies the replay's point-to-point primitives and collective entry
+    under the shared :class:`~repro.mpi.api.RankComm` vocabulary;
+    operations outside the replayed vocabulary (wildcard receives,
+    ``irecv``, timeouts, deadlines) raise :class:`ReplayFallback`, which
+    sends the whole job back to the stepped engine.
     """
 
     __slots__ = ("_job", "rank", "size", "_coll_seq")
@@ -209,10 +210,6 @@ class _ReplayComm:
         self._coll_seq = 0
 
     # ------------------------------------------------------------ plumbing
-
-    def _check_peer(self, peer: int) -> None:
-        if not (0 <= peer < self.size):
-            raise ConfigError(f"peer rank {peer} out of range (size {self.size})")
 
     def fabric(self, peer: int) -> Any:
         return self._job.fabric
@@ -231,9 +228,7 @@ class _ReplayComm:
              timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
         if timeout is not None:
             raise ReplayFallback("timeout-bounded send")
-        self._check_peer(dest)
-        if nbytes < 0:
-            raise ConfigError("nbytes must be non-negative")
+        self._check_send(dest, nbytes)
         job = self._job
         fabric = job.fabric
         clock = job.clocks[self.rank]
@@ -286,9 +281,7 @@ class _ReplayComm:
 
     def isend(self, dest: int, nbytes: int, tag: int = 0,
               payload: Any = None) -> _ReplayRequest:
-        self._check_peer(dest)
-        if nbytes < 0:
-            raise ConfigError("nbytes must be non-negative")
+        self._check_send(dest, nbytes)
         job = self._job
         fabric = job.fabric
         clock = job.clocks[self.rank]
@@ -309,13 +302,6 @@ class _ReplayComm:
         # operations has no single-clock equivalent.
         raise ReplayFallback("irecv")
 
-    def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
-                 payload: Any = None) -> Generator:
-        req = self.isend(dest, nbytes, tag, payload)
-        env = yield from self.recv(source, tag)
-        yield from req.wait()
-        return env
-
     # ----------------------------------------------------------- utilities
 
     def compute(self, seconds: float) -> Generator:
@@ -325,12 +311,10 @@ class _ReplayComm:
 
     # --------------------------------------------------------- collectives
 
-    def _collective(self, kind: str, value: Any, nbytes: int, root: int = 0,
-                    op: Optional[Callable] = None,
-                    deadline: Optional[float] = None) -> Generator:
-        """The one entry of all eight collectives.
-
-        The rank joins its next collective occurrence and, once the last
+    def _collective(self, kind: str, value: Any, nbytes: int,
+                    root: Optional[int], op: Optional[Callable],
+                    deadline: Optional[float]) -> Generator:
+        """The rank joins its next collective occurrence and, once the last
         rank arrives, resumes where :func:`~repro.mpi.fastpath.finishes`
         puts it.  A size-1 occurrence resolves on arrival with the
         stepped algorithms' answers and errors.  A deadline needs the
@@ -338,7 +322,6 @@ class _ReplayComm:
         """
         if deadline is not None:
             raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
         job = self._job
         seq = self._coll_seq
         self._coll_seq += 1
@@ -367,37 +350,6 @@ class _ReplayComm:
                 job.wake(r)
         job.clocks[self.rank] = ends[self.rank]
         return results[self.rank]
-
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        return self._collective("barrier", None, 0, deadline=deadline)
-
-    def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
-              deadline: Optional[float] = None) -> Generator:
-        return self._collective("bcast", value, nbytes, root, None, deadline)
-
-    def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        return self._collective("reduce", value, nbytes, root, op, deadline)
-
-    def allreduce(self, value: Any, op=None, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        return self._collective("allreduce", value, nbytes, 0, op, deadline)
-
-    def allgather(self, value: Any, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        return self._collective("allgather", value, nbytes, 0, None, deadline)
-
-    def alltoall(self, values, nbytes: int = 8,
-                 deadline: Optional[float] = None) -> Generator:
-        return self._collective("alltoall", values, nbytes, 0, None, deadline)
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        return self._collective("gather", value, nbytes, root, None, deadline)
-
-    def scatter(self, values, root: int = 0, nbytes: int = 8,
-                deadline: Optional[float] = None) -> Generator:
-        return self._collective("scatter", values, nbytes, root, None, deadline)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<_ReplayComm rank {self.rank}/{self.size}>"
@@ -563,9 +515,9 @@ class _TracedReplayComm(_ReplayComm):
         )
         return req
 
-    def _collective(self, kind: str, value: Any, nbytes: int, root: int = 0,
-                    op: Optional[Callable] = None,
-                    deadline: Optional[float] = None) -> Generator:
+    def _collective(self, kind: str, value: Any, nbytes: int,
+                    root: Optional[int], op: Optional[Callable],
+                    deadline: Optional[float]) -> Generator:
         ts = self.now
         result = yield from super()._collective(kind, value, nbytes, root, op,
                                                 deadline)

@@ -78,10 +78,12 @@ class _Instance:
     __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
                  "pending", "events", "parked", "outcome")
 
-    def __init__(self, size: int, kind: str, nbytes: int, root: int, op):
+    def __init__(self, size: int, kind: str, nbytes: int,
+                 root: Optional[int], op):
         self.kind = kind
         self.nbytes = nbytes
-        self.root = root
+        #: ``None`` for the unrooted kinds, whose schedules ignore it.
+        self.root: Any = root
         self.op = op
         self.arrivals: List[float] = [0.0] * size
         self.values: List[Any] = [None] * size
@@ -91,7 +93,7 @@ class _Instance:
         #: ``(finishes, results)`` once the last rank has arrived.
         self.outcome: Optional[Tuple[List[float], List[Any]]] = None
 
-    def check(self, kind: str, nbytes: int, root: int) -> None:
+    def check(self, kind: str, nbytes: int, root: Optional[int]) -> None:
         if (kind, nbytes, root) != (self.kind, self.nbytes, self.root):
             raise ConfigError(
                 f"mismatched collective calls: {self.kind}(nbytes={self.nbytes},"
@@ -137,7 +139,7 @@ class FastCollectives:
     # ------------------------------------------------------------- protocol
 
     def run(self, comm, seq: int, kind: str, value: Any,
-            nbytes: int, root: int = 0, op: Optional[Callable] = None):
+            nbytes: int, root: Optional[int], op: Optional[Callable]):
         """Generator driving one rank through collective occurrence ``seq``."""
         inst = self._instances.get(seq)
         if inst is None:

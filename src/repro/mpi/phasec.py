@@ -54,6 +54,7 @@ import textwrap
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.mpi.api import RankComm
 from repro.mpi.collectives import _add, _wire, shift_step
 from repro.mpi.fastpath import finishes
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
@@ -242,14 +243,15 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
-class _TraceComm:
+class _TraceComm(RankComm):
     """One probe rank's communicator view during lowering.
 
     Records a normalized op stream (peers as ring offsets) instead of
     moving data.  Anything the phase IR cannot express raises
     :class:`LowerFallback` — mirroring the vocabulary checks of
     :class:`repro.mpi.compile._ReplayComm`, minus everything that needs
-    a clock.
+    a clock.  An out-of-range peer or root raises the
+    :class:`~repro.errors.ConfigError` every path raises.
     """
 
     __slots__ = ("rank", "size", "stream", "_fabric", "_n_isend")
@@ -268,15 +270,8 @@ class _TraceComm:
 
     def _offset(self, peer: Any, what: str) -> int:
         peer = _as_int(peer, what)
-        if not (0 <= peer < self.size):
-            raise LowerFallback(f"{what} {peer} out of range")
+        self._check_peer(peer)
         return (peer - self.rank) % self.size
-
-    def _root(self, root: Any) -> int:
-        root = _as_int(root, "collective root")
-        if not (0 <= root < self.size):
-            raise LowerFallback(f"collective root {root} out of range")
-        return root
 
     def fabric(self, peer: int) -> Any:
         return self._fabric
@@ -324,13 +319,6 @@ class _TraceComm:
         self._record(("isend", off, nbytes, tag, idx))
         return _TraceRequest(self, idx)
 
-    def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
-                 payload: Any = None) -> Generator:
-        req = self.isend(dest, nbytes, tag, payload)
-        env = yield from self.recv(source, tag)
-        yield from req.wait()
-        return env
-
     # ----------------------------------------------------------- utilities
 
     def compute(self, seconds: float) -> Generator:
@@ -345,75 +333,38 @@ class _TraceComm:
 
     # --------------------------------------------------------- collectives
 
-    def _collective(self, kind: str, nbytes: Any, root: Any,
-                    deadline: Optional[float]) -> None:
+    def _collective(self, kind: str, value: Any, nbytes: Any, root: Any,
+                    op: Any, deadline: Optional[float]) -> Generator:
+        """Record the collective; return what lowering knows of its result.
+
+        The result keeps the stepped algorithm's per-rank shape: the
+        value at the root where one is handed back, ``None`` where the
+        algorithm returns nothing, opaque data elsewhere.  So an ``is
+        None`` branch diverges across probes and fails the uniformity
+        check instead of lowering wrongly.
+        """
         if deadline is not None:
             raise LowerFallback("deadline-bounded collective")
+        at_root = self.rank == root
+        if kind == "alltoall" or (kind == "scatter" and at_root):
+            if isinstance(value, _Opaque):
+                raise LowerFallback(f"opaque {kind} values")
+            if (value is None and kind == "scatter") or \
+                    (value is not None and len(value) != self.size):
+                raise LowerFallback(f"mis-sized {kind} values")
         nbytes = _as_int(nbytes, "collective size")
         if nbytes < 0:
             raise LowerFallback("negative collective size")
-        self._record(("coll", kind, nbytes, self._root(root)))
-
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        self._collective("barrier", 0, 0, deadline)
-        return None
-        yield  # pragma: no cover
-
-    def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
-              deadline: Optional[float] = None) -> Generator:
-        self._collective("bcast", nbytes, root, deadline)
-        return value if self.rank == root else _OPAQUE
-        yield  # pragma: no cover
-
-    def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        self._collective("reduce", nbytes, root, deadline)
-        # Mirror the real per-rank shape (root gets the value, everyone
-        # else None) so an `is None` branch diverges across probes and
-        # fails the uniformity check instead of lowering wrongly.
-        return _OPAQUE if self.rank == root else None
-        yield  # pragma: no cover
-
-    def allreduce(self, value: Any, op=None, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        self._collective("allreduce", nbytes, 0, deadline)
+        root = 0 if root is None else _as_int(root, "collective root")
+        self._record(("coll", kind, nbytes, root))
+        if kind == "barrier" or (kind in ("reduce", "gather") and not at_root):
+            return None
+        if kind in ("allgather", "alltoall", "gather"):
+            return [_OPAQUE] * self.size
+        if at_root and kind in ("bcast", "scatter"):
+            return value if kind == "bcast" else value[self.rank]
         return _OPAQUE
-        yield  # pragma: no cover
-
-    def allgather(self, value: Any, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        self._collective("allgather", nbytes, 0, deadline)
-        return [_OPAQUE] * self.size
-        yield  # pragma: no cover
-
-    def alltoall(self, values, nbytes: int = 8,
-                 deadline: Optional[float] = None) -> Generator:
-        if isinstance(values, _Opaque):
-            raise LowerFallback("opaque alltoall values")
-        if values is not None and len(values) != self.size:
-            raise LowerFallback("mis-sized alltoall values")
-        self._collective("alltoall", nbytes, 0, deadline)
-        return [_OPAQUE] * self.size
-        yield  # pragma: no cover
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        self._collective("gather", nbytes, root, deadline)
-        return [_OPAQUE] * self.size if self.rank == root else None
-        yield  # pragma: no cover
-
-    def scatter(self, values, root: int = 0, nbytes: int = 8,
-                deadline: Optional[float] = None) -> Generator:
-        if self.rank == root:
-            if isinstance(values, _Opaque):
-                raise LowerFallback("opaque scatter values")
-            if values is None or len(values) != self.size:
-                raise LowerFallback("mis-sized scatter values")
-        self._collective("scatter", nbytes, root, deadline)
-        if self.rank == root:
-            return values[self.rank]
-        return _OPAQUE
-        yield  # pragma: no cover
+        yield  # pragma: no cover - makes _collective() a generator
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<_TraceComm rank {self.rank}/{self.size}>"

@@ -1,12 +1,14 @@
 """Dynamic verifier: races, leaks, mismatches, deadlines, zero overhead."""
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.analyze import Verifier, verify_mpiexec
 from repro.analyze.verifier import _concurrent, _leq
 from repro.errors import FaultError
+from repro.mpi.collectives import ALGORITHMS
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import MpiJob, mpiexec
 
@@ -207,6 +209,16 @@ class TestOffByDefault:
         assert verified.returns == plain.returns
 
 
+def _one_collective(kind, deadline, comm):
+    """One ``kind`` collective; the rooted kinds at root 3."""
+    values = [10 * comm.rank + i for i in range(comm.size)]
+    args = () if kind == "barrier" else (
+        values if kind in ("alltoall", "scatter") else comm.rank,
+    )
+    kw = {"root": 3} if kind in ("bcast", "reduce", "gather", "scatter") else {}
+    return (yield from getattr(comm, kind)(*args, deadline=deadline, **kw))
+
+
 class TestCollectiveDeadline:
     def test_deadline_raises_fault_error(self):
         def skipper(comm):
@@ -236,18 +248,14 @@ class TestCollectiveDeadline:
         assert result.completed
         assert result.returns == ["degraded", "awol", "degraded", "degraded"]
 
-    def test_generous_deadline_is_invisible(self):
-        def plain_main(comm):
-            total = yield from comm.allreduce(comm.rank)
-            return total
-
-        def bounded_main(comm):
-            total = yield from comm.allreduce(comm.rank, deadline=10.0)
-            return total
-
-        plain = mpiexec(8, host_fabric(), plain_main, fast_collectives=False)
-        bounded = mpiexec(8, host_fabric(), bounded_main)
-        assert bounded.returns == [28] * 8
+    @pytest.mark.parametrize("kind", sorted(ALGORITHMS))
+    def test_generous_deadline_is_invisible(self, kind):
+        plain = mpiexec(8, host_fabric(), partial(_one_collective, kind, None),
+                        fast_collectives=False)
+        bounded = mpiexec(8, host_fabric(), partial(_one_collective, kind, 10.0))
+        if kind == "allreduce":
+            assert bounded.returns == [28] * 8
+        assert bounded.returns == plain.returns
         assert bounded.elapsed == pytest.approx(plain.elapsed)
 
     def test_nonpositive_deadline_rejected(self):

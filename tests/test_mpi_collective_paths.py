@@ -3,7 +3,7 @@
 A job with collectives prices on four paths: the stepped engine (the
 reference), the max-plus replay, vector phase pricing and a warm memo
 hit.  :func:`repro.mpi.fastpath.finishes` is the one rule for where a
-rank resumes after a collective.  Two contracts are gated here:
+rank resumes after a collective.  Three contracts are gated here:
 
 * **The clamped kinds** — :data:`~repro.mpi.fastpath.FAST_KINDS`, the
   kinds ``finishes`` floors to the last arrival, are exactly the kinds
@@ -19,20 +19,25 @@ rank resumes after a collective.  Two contracts are gated here:
   stepped engine, gather and scatter agree bit for bit and the fast
   kinds to 1e-12: a stepped fast-path rank resumes after a delay of
   ``finish - now``, which can round the finish by an ulp.
+* **One root check** — an out-of-range root raises the same
+  :class:`~repro.errors.ConfigError` on every path a job can take.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.mpi.collectives import LARGE_MESSAGE_SWITCH, SCHEDULES
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.fastpath import FAST_KINDS, FastCollectives
 from repro.mpi.runtime import mpiexec
+from repro.obs.tracer import Tracer
 from repro.perf.cache import EvalCache
 
 FABRICS = {"host": host_fabric, "phi": lambda: phi_fabric(2)}
@@ -114,6 +119,32 @@ def test_fast_kinds_are_the_stepped_fast_path(monkeypatch):
     res = mpiexec(4, host_fabric(), _all_eight)
     assert res.returns == [0, 1, 2, 3]
     assert seen == FAST_KINDS
+
+
+def _bad_root(kind, root, comm):
+    value = list(range(comm.size)) if kind == "scatter" else comm.rank
+    return (yield from getattr(comm, kind)(value, root=root))
+
+
+#: Every way a P=4 job can run, each by its public entry point.
+ROOT_PATHS = {
+    "stepped": lambda main: mpiexec(4, host_fabric(), main),
+    "stepped-nofast": lambda main: mpiexec(4, host_fabric(), main,
+                                           fast_collectives=False),
+    "resolver": lambda main: mpiexec(4, lambda src, dst: host_fabric(), main),
+    "traced": lambda main: mpiexec(4, host_fabric(), main, tracer=Tracer()),
+    "compiled": lambda main: compiled_mpiexec(4, host_fabric(), main),
+    "compiled-vector": lambda main: compiled_mpiexec(4, host_fabric(), main,
+                                                     vector=True),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT_PATHS))
+@pytest.mark.parametrize("root", (-1, 4))
+@pytest.mark.parametrize("kind", ("bcast", "reduce", "gather", "scatter"))
+def test_out_of_range_root_raises_on_every_path(kind, root, path):
+    with pytest.raises(ConfigError, match=f"peer rank {root} out of range"):
+        ROOT_PATHS[path](partial(_bad_root, kind, root))
 
 
 @settings(max_examples=120, deadline=None)

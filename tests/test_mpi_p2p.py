@@ -14,6 +14,7 @@ from repro.mpi import (
     pcie_fabric,
     phi_fabric,
 )
+from repro.obs.tracer import Tracer
 from repro.units import KiB, MiB, US
 
 
@@ -176,6 +177,31 @@ class TestPointToPoint:
 
         with pytest.raises(ConfigError):
             mpiexec(2, simple_fabric(), main)
+
+    @pytest.mark.parametrize("traced", (False, True))
+    def test_bad_nonblocking_peer_raises_at_the_call(self, traced):
+        """A bad ``isend``/``irecv`` peer raises where the rank can catch
+        it, whether or not a tracer is attached."""
+
+        def main(comm):
+            caught = []
+            for post in (lambda: comm.isend(comm.size, nbytes=8),
+                         lambda: comm.isend(0, nbytes=-1),
+                         lambda: comm.irecv(source=-1)):
+                try:
+                    post()
+                except ConfigError as exc:
+                    caught.append(str(exc))
+            return caught
+            yield  # pragma: no cover - makes main() a generator
+
+        res = mpiexec(2, simple_fabric(), main,
+                      tracer=Tracer() if traced else None)
+        assert res.returns == [[
+            "peer rank 2 out of range (size 2)",
+            "nbytes must be non-negative",
+            "peer rank -1 out of range (size 2)",
+        ]] * 2
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=1 << 20))
     @settings(max_examples=25, deadline=None)
