@@ -14,10 +14,11 @@ interpreter runs — both requirements of
   numpy (the dataset layer).
 
 * ``halo`` — a pure-python ring-exchange campaign over (ranks, nbytes):
-  each point simulates an I-rank halo ring through the DES engine.
-  Works without numpy; under the demo plan a scheduled rank crash kills
-  the longer exchanges mid-ring and the retry policy's relaxation (the
-  one-shot crash is dropped) recovers them.
+  each point simulates an I-rank halo ring through
+  :func:`~repro.mpi.compile.compiled_mpiexec`.  Works without numpy;
+  under the demo plan a scheduled rank crash kills the longer exchanges
+  mid-ring and the retry policy's relaxation (the one-shot crash is
+  dropped) recovers them.
 """
 
 from __future__ import annotations
@@ -210,14 +211,20 @@ def halo_point(
     point: Tuple[int, int],
     fault_plan: Optional[FaultPlan],
 ) -> Any:
-    """Simulate one halo ring through the DES engine (fault plan armed)."""
+    """Simulate one halo ring under ``fault_plan`` with the stepped
+    collective algorithms (``fast_collectives=False``).
+
+    A plan with a rank crash steps on the event engine; a static plan
+    (the relaxed, crash-free retry) prices on the max-plus replay, which
+    runs the same collective algorithms.
+    """
     from repro.core.results import Measurement
+    from repro.mpi.compile import compiled_mpiexec
     from repro.mpi.fabrics import host_fabric, phi_fabric
-    from repro.mpi.runtime import mpiexec
 
     ranks, nbytes = point
     fabric = host_fabric() if fabric_name == "host" else phi_fabric(tpc)
-    res = mpiexec(
+    res = compiled_mpiexec(
         ranks,
         fabric,
         partial(_halo_main, nbytes),

@@ -9,7 +9,7 @@ function of ``(rank, size)``.  For such jobs the engine is pure
 interpretation overhead, re-deriving the same max-plus fixpoint on every
 run.
 
-This module compiles them instead, in three stages:
+This module compiles them instead, in four stages:
 
 1. **Recognition.**  :func:`repro.analyze.staticcheck.rank_program_profile`
    pre-screens the rank program's AST for constructs the replayer cannot
@@ -48,9 +48,23 @@ This module compiles them instead, in three stages:
    without replaying, let alone stepping, anything.  Vector-priced jobs
    memoize their elapsed time only (returns stay lazy).
 
-Jobs that carry a verifier or fault plan, run on a resolver or
-time-varying fabric, or were built with ``fast_collectives=False`` never
-enter the replay: they go straight to the stepped engine.
+A job whose plan is *static* — no rank crash, every link and straggler
+fault active over ``[0, inf)``, memory pressure allowed — or that was
+built with ``fast_collectives=False`` replays on
+:class:`_AlgorithmReplayComm`.  The stepped engine runs such a job's
+collectives as :data:`~repro.mpi.collectives.ALGORITHMS` over
+point-to-point messages, and the replay runs the same generators over
+its own clocks, on ``plan.degrade(fabric)`` with each straggler's
+constant factor, so elapsed and returns are the stepped run's.  These
+jobs take no vector path, and their memo key adds the collective mode
+and the plan's fingerprint.
+
+Jobs that carry a verifier, a windowed or crashing fault plan, or a
+fault plan with ``fast_collectives=True``, or that run on a resolver or
+time-varying fabric, never enter the replay: they go straight to the
+stepped engine.  So does a traced job with a fault plan or
+``fast_collectives=False``, whose stepped run traces the messages
+inside each collective.
 
 A job with an active tracer skips the memo and the vector path, which
 keep no per-op clocks, and always runs the scalar replay through a
@@ -62,6 +76,7 @@ a job that falls back leaves the tracer to the stepped run alone.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
@@ -69,6 +84,7 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
 from repro.mpi.api import RankComm
+from repro.mpi.collectives import ALGORITHMS
 from repro.mpi.fabrics import Fabric
 from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
@@ -355,6 +371,43 @@ class _ReplayComm(RankComm):
         return f"<_ReplayComm rank {self.rank}/{self.size}>"
 
 
+class _AlgorithmReplayComm(_ReplayComm):
+    """A replayed rank whose collectives run the stepped algorithms.
+
+    The stepped engine runs :data:`~repro.mpi.collectives.ALGORITHMS`
+    over point-to-point messages when a job carries a fault plan or was
+    built with ``fast_collectives=False``.  This communicator runs the
+    same generators over the replay's ``send``/``recv``/``isend``, so the
+    job prices on the engine's own algorithm code.  Under a static fault
+    plan the fabric is already degraded, and a straggler's slowdown is
+    one constant factor per rank.
+    """
+
+    __slots__ = ("_plan", "_factor")
+
+    def __init__(self, job: "_ReplayJob", rank: int):
+        super().__init__(job, rank)
+        plan = job.plan
+        self._plan = plan
+        self._factor = 1.0 if plan is None else plan.compute_factor(rank, 0.0)
+
+    def compute(self, seconds: float) -> Generator:
+        return super().compute(seconds * self._factor)
+
+    def _collective(self, kind: str, value: Any, nbytes: int,
+                    root: Optional[int], op: Optional[Callable],
+                    deadline: Optional[float]) -> Generator:
+        """The stepped :class:`~repro.mpi.api.Communicator`'s collective
+        entry, minus its fast path, verifier and tracer."""
+        if kind == "alltoall" and self._plan is not None:
+            self._plan.check_alltoall(self.size, nbytes)
+        if kind == "barrier" and self.size == 1:
+            return None
+        if deadline is not None:
+            raise ReplayFallback("deadline-bounded collective")
+        return (yield from ALGORITHMS[kind](self, value, nbytes, root, op))
+
+
 def _scan_queue(queue: Deque[_REnv], tag: Optional[int]) -> Optional[_REnv]:
     """Pop the first envelope matching ``tag`` (FIFO per source, exactly
     the engine's non-overtaking matching order for a concrete source)."""
@@ -532,12 +585,18 @@ class _ReplayJob:
     With ``tracer`` (an active :class:`~repro.obs.tracer.Tracer`) the
     ranks run on :class:`_TracedReplayComm` and the job's spans reach the
     tracer, on process lane ``pid``, only once every rank has finished.
+    With ``algorithms`` (untraced only) they run on
+    :class:`_AlgorithmReplayComm`, and a static fault ``plan`` degrades
+    the fabric and slows its stragglers.
     """
 
     def __init__(self, n_ranks: int, fabric: Any,
-                 tracer: Optional[Tracer] = None, pid: str = "mpijob"):
+                 tracer: Optional[Tracer] = None, pid: str = "mpijob",
+                 plan: Optional[Any] = None, algorithms: bool = False):
         self.size = n_ranks
-        self.fabric = fabric
+        self.fabric = fabric if plan is None else plan.degrade(fabric)
+        self.plan = plan
+        self.algorithms = algorithms
         self.trace = (
             None if tracer is None else _ReplayTrace(tracer, pid, n_ranks)
         )
@@ -582,7 +641,10 @@ class _ReplayJob:
     def run(self, main: RankMain) -> JobResult:
         """Drive every rank's generator to completion on scalar clocks."""
         p = self.size
-        comm = _ReplayComm if self.trace is None else _TracedReplayComm
+        if self.algorithms:
+            comm: type = _AlgorithmReplayComm
+        else:
+            comm = _ReplayComm if self.trace is None else _TracedReplayComm
         gens = [main(comm(self, r)) for r in range(p)]
         for r, gen in enumerate(gens):
             if not hasattr(gen, "send"):
@@ -633,6 +695,21 @@ def replay(n_ranks: int, fabric: Any, main: RankMain) -> JobResult:
 # ==========================================================================
 
 
+def _plan_refusal(plan: Any) -> Optional[str]:
+    """Why the replay cannot price ``plan``, or None when it is static.
+
+    A static plan has no rank crash, and each of its link and straggler
+    faults is active over ``[0, inf)``: it changes what messages and
+    computes cost, never when the cost changes.
+    """
+    if plan.crashes:
+        return "fault plan: rank crash"
+    for f in plan.link_faults + plan.stragglers:
+        if f.start != 0.0 or f.end != math.inf:
+            return f"fault plan: windowed {f.kind} fault"
+    return None
+
+
 def _refusal(
     n_ranks: int,
     fabric: Any,
@@ -640,23 +717,30 @@ def _refusal(
     fast_collectives: Optional[bool],
     fault_plan: Optional[Any],
     verifier: Optional[Any],
+    tracer: Optional[Any],
 ) -> Optional[str]:
-    """Why this job must step, or None when it is a replay candidate."""
+    """Why this job must step, or None when it is a replay candidate.
+
+    ``fabric`` is the caller's, before a fault plan degrades it.
+    """
     if engine is not None:
         return "caller-provided engine"
     if verifier is not None:
         return "dynamic verifier armed"
-    if fault_plan is not None:
-        return "fault plan armed"
-    if fast_collectives is False:
-        return "fast_collectives disabled"
     if n_ranks < 1:
         return "invalid rank count"  # the stepped path raises ConfigError
     if not (isinstance(fabric, Fabric) or not callable(fabric)):
         return "resolver fabric (per-rank-pair routing)"
     if getattr(fabric, "time_varying", False):
         return "time-varying fabric"
-    return None
+    if fault_plan is None and fast_collectives is not False:
+        return None
+    if fast_collectives:
+        return "fault plan with fast_collectives=True"  # MpiJob raises
+    if active(tracer) is not None:
+        # The stepped run traces the messages inside each collective.
+        return "tracer on a fault plan or fast_collectives=False job"
+    return None if fault_plan is None else _plan_refusal(fault_plan)
 
 
 def _lazy_returns(
@@ -705,17 +789,26 @@ def _compile_or_none(
     vector: Optional[bool],
     tracer: Optional[Tracer],
     pid: str,
+    plan: Optional[Any] = None,
+    algorithms: bool = False,
 ) -> Optional[JobResult]:
     """Memo, vector pricing or scalar replay; ``None`` (with
     ``st.reason`` set) means the caller must run the job stepped.
 
     A job with an active tracer reads no memo and takes no vector path,
     since neither keeps per-op clocks: it replays, emitting its spans.
+    A job whose collectives run the stepped ``algorithms`` (a static
+    fault ``plan``, or ``fast_collectives=False``) takes no vector path
+    either, because phase pricing uses the schedules.  Its memo key
+    adds the collective mode and the plan's fingerprint.
     """
     tr = active(tracer)
     key = None
     if cache is not None and tr is None:
-        key = cache.key("mpijob", main, fabric, n_ranks)
+        parts: Tuple[Any, ...] = ("mpijob", main, fabric, n_ranks)
+        if algorithms:
+            parts += ("algorithms", None if plan is None else plan.fingerprint())
+        key = cache.key(*parts)
         hit = cache.get(key)
         if hit is not None:
             return _memo_hit(hit, n_ranks, fabric, main, st)
@@ -724,7 +817,7 @@ def _compile_or_none(
     if vetoes and not profile.unknown:
         st.reason = f"static profile: {vetoes[0]}"
         return None
-    want_vector = tr is None and (
+    want_vector = tr is None and not algorithms and (
         vector if vector is not None
         else HAVE_NUMPY and n_ranks >= VECTOR_MIN_RANKS
     )
@@ -750,8 +843,9 @@ def _compile_or_none(
                 n_ranks=n_ranks,
                 returns_factory=_lazy_returns(n_ranks, fabric, main),
             )
-    job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid)
     try:
+        job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid, plan=plan,
+                         algorithms=algorithms)
         result = job.run(main)
     except ReplayFallback as exc:
         st.reason = str(exc)
@@ -806,6 +900,10 @@ def compiled_mpiexec(
     and the point-to-point traffic inside collectives (see
     ``docs/OBSERVABILITY.md``).
 
+    A static ``fault_plan`` or ``fast_collectives=False`` replays the
+    stepped collective algorithms, untraced; a windowed or crashing
+    plan steps.
+
     ``vector`` overrides the backend selection: ``True`` demands the
     vectorized phase backend (falling back to scalar paths only when the
     program doesn't lower), ``False`` forbids it, ``None`` (default)
@@ -816,12 +914,14 @@ def compiled_mpiexec(
     """
     st = stats if stats is not None else CompileStats()
     reason = _refusal(
-        n_ranks, fabric, engine, fast_collectives, fault_plan, verifier
+        n_ranks, fabric, engine, fast_collectives, fault_plan, verifier,
+        tracer,
     )
     if reason is None:
         result = _compile_or_none(
             n_ranks, fabric, main, cache=cache, st=st, vector=vector,
-            tracer=tracer, pid="mpijob",
+            tracer=tracer, pid="mpijob", plan=fault_plan,
+            algorithms=fault_plan is not None or fast_collectives is False,
         )
         if result is not None:
             return result
@@ -862,7 +962,9 @@ def job_fastpath(
         return None
     st.reason = (
         _refusal(job.n_ranks, None if fast is None else fast.fabric, None,
-                 None, job.fault_plan, job.verifier)
+                 None, job.fault_plan, job.verifier, job.tracer)
+        or ("fault plan: job_fastpath needs job.fast"
+            if job.fault_plan is not None else "")
         or ("no uniform fast-collectives fabric" if fast is None else "")
         or ("engine already stepped"
             if job.engine.now != 0 or job.engine.timeline() != 0 else "")

@@ -8,10 +8,12 @@ Three contracts are gated here:
   per-rank return values, across eager and rendezvous regimes, both
   fabrics, and skewed arrivals.
 * **Transparent fallback** — every construct the replay cannot express
-  (wildcard receives, ``irecv``, timeouts, verifiers, fault plans,
-  resolver fabrics, caller-provided engines) silently re-runs on the
-  stepped engine with identical results and identical errors.  A traced
-  job replays, emitting its spans from the replay's clocks.
+  (wildcard receives, ``irecv``, timeouts, verifiers, windowed or
+  crashing fault plans, resolver fabrics, caller-provided engines)
+  silently re-runs on the stepped engine with identical results and
+  identical errors.  A traced job replays, emitting its spans from the
+  replay's clocks; a static fault plan or ``fast_collectives=False``
+  replays the stepped collective algorithms.
 * **Memoization** — a warm :class:`~repro.perf.cache.EvalCache` hit
   returns the stored :class:`~repro.mpi.runtime.JobResult` without
   stepping a single engine event, and the fingerprint key separates
@@ -409,19 +411,48 @@ def test_fallback_verifier():
     assert _rel(res.elapsed, des.elapsed) <= TOL
 
 
-def test_fallback_fault_plan():
-    from repro.faults import FaultPlan, Straggler
-
-    def plan():
-        return FaultPlan([Straggler(rank=1, slowdown=3.0)])
-
+def _assert_replays_exactly(main, fault_plan=None, fast_collectives=None):
     st = CompileStats()
-    main = partial(_cg_like_main, 256)
-    res = compiled_mpiexec(8, host_fabric(), main, fault_plan=plan(), stats=st)
-    _assert_stepped(st, "fault plan")
-    ref = mpiexec(8, host_fabric(), main, fault_plan=plan())
+    res = compiled_mpiexec(8, host_fabric(), main, fault_plan=fault_plan,
+                           fast_collectives=fast_collectives, stats=st)
+    assert st.path == "replay", (st.path, st.reason)
+    assert st.engine_steps == 0
+    ref = mpiexec(8, host_fabric(), main, fault_plan=fault_plan,
+                  fast_collectives=fast_collectives)
     assert res.elapsed == ref.elapsed
     assert res.returns == ref.returns
+
+
+def test_fallback_fault_plan():
+    """A static plan replays exactly; a windowed fault, a crash and a
+    tracer send a faulted job to the stepped engine."""
+    from repro.faults import FaultPlan, LinkDegradation, RankCrash, Straggler
+    from repro.obs import Tracer
+
+    main = partial(_cg_like_main, 256)
+    _assert_replays_exactly(main, FaultPlan([
+        LinkDegradation(latency_factor=2.0, bandwidth_factor=0.5),
+        Straggler(rank=1, slowdown=3.0),
+    ]))
+    for plan, needle in (
+        (FaultPlan([Straggler(rank=1, slowdown=3.0, end=1e-6)]),
+         "windowed straggler"),
+        (FaultPlan([LinkDegradation(latency_factor=2.0, start=1e-6)]),
+         "windowed link"),
+        (FaultPlan([RankCrash(rank=1, at=1.0)]), "rank crash"),
+    ):
+        st = CompileStats()
+        res = compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
+                               stats=st)
+        _assert_stepped(st, needle)
+        ref = mpiexec(8, host_fabric(), main, fault_plan=plan)
+        assert res.elapsed == ref.elapsed
+        assert res.returns == ref.returns
+    st = CompileStats()
+    plan = FaultPlan([Straggler(rank=1, slowdown=3.0)])
+    compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
+                     tracer=Tracer(), stats=st)
+    _assert_stepped(st, "tracer")
 
 
 def test_fallback_resolver_fabric():
@@ -451,12 +482,26 @@ def test_fallback_caller_engine():
 
 
 def test_fallback_fast_collectives_disabled():
+    """``fast_collectives=False`` replays the stepped algorithms exactly;
+    traced, or demanded under a fault plan, it steps."""
+    from repro.faults import FaultPlan
+    from repro.obs import Tracer
+
+    _assert_replays_exactly(partial(_cg_like_main, 256),
+                            fast_collectives=False)
     st = CompileStats()
     compiled_mpiexec(
         4, host_fabric(), partial(_halo_main, 256),
-        fast_collectives=False, stats=st,
+        fast_collectives=False, tracer=Tracer(), stats=st,
     )
     _assert_stepped(st, "fast_collectives")
+    st = CompileStats()
+    with pytest.raises(ConfigError, match="fault plan"):
+        compiled_mpiexec(
+            4, host_fabric(), partial(_halo_main, 256),
+            fast_collectives=True, fault_plan=FaultPlan(), stats=st,
+        )
+    assert st.path == "stepped" and "fast_collectives" in st.reason
 
 
 def test_fallback_replay_error_is_transparent():
@@ -548,18 +593,38 @@ def test_memo_key_separates_jobs():
 
 
 def test_memo_not_consulted_for_fallback_jobs():
+    """A healthy entry never answers a faulted or ``fast_collectives=False``
+    job, nor one of theirs a healthy job: the key adds the collective
+    mode and the plan's fingerprint."""
     from repro.faults import FaultPlan, Straggler
     from repro.obs import Tracer
 
-    cache = EvalCache()
+    def plan(slowdown):
+        return FaultPlan([Straggler(rank=1, slowdown=slowdown)])
+
+    main = partial(_cg_like_main, 256)
+    for first, then in ((None, plan(2.0)), (plan(2.0), None)):
+        cache = EvalCache()
+        compiled_mpiexec(8, host_fabric(), main, cache=cache, fault_plan=first)
+        st = CompileStats()
+        res = compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
+                               fault_plan=then)
+        assert st.path == "replay" and not st.cache_hit, st
+        assert res.elapsed == mpiexec(8, host_fabric(), main,
+                                      fault_plan=then).elapsed
+    # The faulted entry answers its own plan, not another plan or mode.
+    st = CompileStats()
+    compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
+                     fault_plan=plan(2.0))
+    assert st.path == "memo" and st.cache_hit
+    for kwargs in ({"fault_plan": plan(3.0)}, {"fast_collectives": False}):
+        st = CompileStats()
+        res = compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
+                               **kwargs)
+        assert st.path == "replay" and not st.cache_hit, (kwargs, st)
+        assert res.elapsed == mpiexec(8, host_fabric(), main, **kwargs).elapsed
     main = partial(_halo_main, 256)
     compiled_mpiexec(8, host_fabric(), main, cache=cache)
-    st = CompileStats()
-    compiled_mpiexec(
-        8, host_fabric(), main, cache=cache, stats=st,
-        fault_plan=FaultPlan([Straggler(rank=1, slowdown=2.0)]),
-    )
-    assert st.path == "stepped" and not st.cache_hit
     # A traced job skips the memo, whose hit would emit no spans.
     st = CompileStats()
     compiled_mpiexec(

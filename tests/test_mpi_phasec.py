@@ -307,9 +307,20 @@ def test_selection_vetoes_route_to_stepped():
     from repro.obs import Tracer
 
     main = partial(_halo_main, 256, 1)
+    # A static plan skips the vector path, whose schedules are not the
+    # stepped algorithms a faulted job runs, and replays exactly.
+    plan = FaultPlan([Straggler(rank=1, slowdown=2.0)])
+    st = CompileStats()
+    res = compiled_mpiexec(8, host_fabric(), main, stats=st, vector=True,
+                           fault_plan=plan)
+    assert st.path == "replay", (st.path, st.reason)
+    ref = mpiexec(8, host_fabric(), main, fault_plan=plan)
+    assert res.elapsed == ref.elapsed
+    assert res.returns == ref.returns
     st = CompileStats()
     compiled_mpiexec(8, host_fabric(), main, stats=st, vector=True,
-                     fault_plan=FaultPlan([Straggler(rank=1, slowdown=2.0)]))
+                     fault_plan=FaultPlan([Straggler(rank=1, slowdown=2.0,
+                                                     start=1e-6)]))
     assert st.path == "stepped", st.path
     assert "fault plan" in st.reason
     st = CompileStats()
