@@ -17,6 +17,10 @@ Three coupled parts:
    algorithms as max-plus recurrences over a clock vector (a list, or a
    numpy array), the analytic fast path behind
    :mod:`repro.mpi.fastpath`, the compiled replay and phase pricing.
+   Unfloored, they also price a compiled job whose stepped run would
+   execute the algorithms message by message (a static fault plan, or
+   ``fast_collectives=False``); reduce and allreduce then take each
+   rank's straggler factor on their reduction arithmetic.
    Every data-parallel round is one of two steps written once:
    :func:`shift_step` (ring allgather, Bruck, the dissemination barrier,
    non-power-of-two alltoall, phase-compiled halo shifts) and
@@ -450,8 +454,13 @@ def _roll(t: Any, o: int) -> Any:
     return get_numpy().roll(t, o)
 
 
-def _add(t: Any, c: float) -> Any:
-    return [x + c for x in t] if isinstance(t, list) else t + c
+def _add(t: Any, c: Any) -> Any:
+    """``t + c`` elementwise; ``c`` is a scalar or a list as long as ``t``."""
+    if isinstance(t, list):
+        if isinstance(c, list):
+            return [x + y for x, y in zip(t, c)]
+        return [x + c for x in t]
+    return t + c
 
 
 def _floor(t: Any, lo: float) -> Any:
@@ -584,17 +593,21 @@ def _down_walk(t: Any, root: int, tree: List[Any]) -> Any:
     return _roll(s, root)
 
 
-def _up_walk(t: Any, root: int, tree: List[Any], combine: float) -> Any:
+def _up_walk(t: Any, root: int, tree: List[Any], combine: Any) -> Any:
     """Bottom-up binomial tree (reduce, gather): per-rank completion times.
 
     Levels run mask low to high, one :func:`_p2p` each: a child's clock
     is final (its own receives came at lower masks), and a parent adds
     ``combine`` after each receive, in the generator's recv order.
+    ``combine`` is one time, or a list of per-rank times.
     """
     s = _roll(t, -root)  # by vrank
+    per_rank = isinstance(combine, list)
+    if per_rank:
+        combine = _roll(combine, -root)
     for par, kid, (tp, ts, eager) in tree:
         s[kid], done = _p2p(s[kid], s[par], tp, ts, eager)
-        s[par] = _add(done, combine)
+        s[par] = _add(done, combine[par] if per_rank else combine)
     return _roll(s, root)
 
 
@@ -604,9 +617,18 @@ def _ring_times(fabric, p: int, nbytes: int, t: Any) -> Any:
     lo, hi = _extrema(t)
     if lo == hi:
         # Uniform arrivals: every round advances all ranks by the same
-        # per-round cost, so the recurrence collapses to closed form.
+        # per-round cost (rounding is monotone, so max(c + ts, c + tp) ==
+        # c + max(ts, tp)).  Add it once per round, as the shifts do: the
+        # product (p - 1) * cost rounds differently.
         per_round = max(ts, tp) if eager else tp
-        return _full(t, lo + (p - 1) * per_round)
+        if isinstance(t, list):
+            for _ in range(p - 1):
+                lo += per_round
+            return _full(t, lo)
+        np = get_numpy()
+        steps = np.full(p, per_round)
+        steps[0] = lo
+        return _full(t, np.add.accumulate(steps)[-1])
     for _ in range(p - 1):
         t = shift_step(t, 1, tp, ts, eager)
     return t
@@ -628,29 +650,41 @@ def bcast_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     return _ring_times(fabric, p, chunk, after_scatter)
 
 
+def _combine(fabric, nbytes: int, factors: Optional[List[float]]) -> Any:
+    """The reduction arithmetic after a receive: one time, or per rank
+    scaled by ``factors`` exactly as a straggler's ``compute`` scales it."""
+    tred = fabric.reduce_time(nbytes)
+    return tred if factors is None else [tred * f for f in factors]
+
+
 def allreduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                       root: int = 0) -> Any:
+                       root: int = 0,
+                       factors: Optional[List[float]] = None) -> Any:
     """Per-rank completion times of :func:`allreduce` on a uniform fabric.
 
     With ``p = 2^m + r`` the first ``2r`` ranks fold pairwise (even into
     odd), the ``2^m`` survivors run the doubling exchange, and the odd
-    ranks hand the result back to their even neighbours.
+    ranks hand the result back to their even neighbours.  ``factors``
+    (one per rank) scales each rank's reduction arithmetic.
     """
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
     tp, ts, eager = _wire(fabric, nbytes)
-    tred = fabric.reduce_time(nbytes)
     pow2 = 1 << int(math.log2(p))
     r = p - pow2
+    fold = rounds = _combine(fabric, nbytes, factors)
+    if factors is not None:  # by odd rank, then by survivor
+        fold = rounds[1:2 * r:2]
+        rounds = fold + rounds[2 * r:]
 
     even_ready, recv_done = _p2p(t[0:2 * r:2], t[1:2 * r:2], tp, ts, eager)
     surv = t[r:].copy()  # surv[r:] is already t[2r:], the unfolded ranks
-    surv[:r] = _add(recv_done, tred)
+    surv[:r] = _add(recv_done, fold)
 
     mask = 1
     while mask < pow2:
-        surv = _add(exchange_step(surv, mask, tp, ts, eager), tred)
+        surv = _add(exchange_step(surv, mask, tp, ts, eager), rounds)
         mask <<= 1
     if not r:
         return surv
@@ -698,15 +732,16 @@ def alltoall_schedule(fabric, p: int, nbytes: int, arrivals: Any,
 
 
 def reduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                    root: int = 0) -> Any:
+                    root: int = 0,
+                    factors: Optional[List[float]] = None) -> Any:
     """Per-rank completion times of :func:`reduce` on a uniform fabric:
     the bottom-up walk with ``nbytes`` hops and the reduction arithmetic
-    after each receive."""
+    after each receive, scaled per rank by ``factors`` when given."""
     t = _arrivals(p, arrivals)
     if p == 1:
         return t
     tree = _tree(fabric, p, nbytes, False)
-    return _up_walk(t, root, tree, fabric.reduce_time(nbytes))
+    return _up_walk(t, root, tree, _combine(fabric, nbytes, factors))
 
 
 def gather_schedule(fabric, p: int, nbytes: int, arrivals: Any,

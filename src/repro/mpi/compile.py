@@ -53,11 +53,13 @@ fault active over ``[0, inf)``, memory pressure allowed — or that was
 built with ``fast_collectives=False`` replays on
 :class:`_AlgorithmReplayComm`.  The stepped engine runs such a job's
 collectives as :data:`~repro.mpi.collectives.ALGORITHMS` over
-point-to-point messages, and the replay runs the same generators over
-its own clocks, on ``plan.degrade(fabric)`` with each straggler's
-constant factor, so elapsed and returns are the stepped run's.  These
-jobs take no vector path, and their memo key adds the collective mode
-and the plan's fingerprint.
+point-to-point messages.  The replay prices each occurrence with one
+call to the same algorithm's recurrence, the *unfloored*
+:data:`~repro.mpi.collectives.SCHEDULES` entry, on
+``plan.degrade(fabric)`` with each straggler's constant factor on its
+``compute`` and its reduction arithmetic, so elapsed and returns are the
+stepped run's.  These jobs take no vector path, and their memo key adds
+the collective mode and the plan's fingerprint.
 
 Jobs that carry a verifier, a windowed or crashing fault plan, or a
 fault plan with ``fast_collectives=True``, or that run on a resolver or
@@ -84,9 +86,9 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import ALGORITHMS
+from repro.mpi.collectives import SCHEDULES
 from repro.mpi.fabrics import Fabric
-from repro.mpi.fastpath import _Instance
+from repro.mpi.fastpath import _Instance, finishes
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.mpi.phasec import LowerFallback, lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
@@ -331,10 +333,11 @@ class _ReplayComm(RankComm):
                     root: Optional[int], op: Optional[Callable],
                     deadline: Optional[float]) -> Generator:
         """The rank joins its next collective occurrence and, once the last
-        rank arrives, resumes where :func:`~repro.mpi.fastpath.finishes`
-        puts it.  A size-1 occurrence resolves on arrival with the
-        stepped algorithms' answers and errors.  A deadline needs the
-        event queue, so it sends the job to the stepped engine.
+        rank arrives, resumes where the job's ``times`` puts it
+        (:func:`~repro.mpi.fastpath.finishes` on a healthy job).  A
+        size-1 occurrence resolves on arrival with the stepped
+        algorithms' answers and errors.  A deadline needs the event
+        queue, so it sends the job to the stepped engine.
         """
         if deadline is not None:
             raise ReplayFallback("deadline-bounded collective")
@@ -360,7 +363,7 @@ class _ReplayComm(RankComm):
             ends, results = inst.outcome
         else:
             del job.coll_instances[seq]
-            ends, results = inst.resolve(job.fabric)
+            ends, results = inst.resolve(job.fabric, job.times)
             job.replay_ops += 1
             for r in inst.parked:
                 job.wake(r)
@@ -372,24 +375,25 @@ class _ReplayComm(RankComm):
 
 
 class _AlgorithmReplayComm(_ReplayComm):
-    """A replayed rank whose collectives run the stepped algorithms.
+    """A replayed rank of a job whose collectives step their algorithms.
 
     The stepped engine runs :data:`~repro.mpi.collectives.ALGORITHMS`
     over point-to-point messages when a job carries a fault plan or was
-    built with ``fast_collectives=False``.  This communicator runs the
-    same generators over the replay's ``send``/``recv``/``isend``, so the
-    job prices on the engine's own algorithm code.  Under a static fault
-    plan the fabric is already degraded, and a straggler's slowdown is
-    one constant factor per rank.
+    built with ``fast_collectives=False``.  The completion times of
+    those messages are the *unfloored*
+    :data:`~repro.mpi.collectives.SCHEDULES` (no stepped rank waits for
+    a resolution), so each occurrence resolves with one schedule call,
+    as the healthy replay's do (see :meth:`_ReplayJob.algorithm_times`).
+    Under a static fault plan the fabric is already degraded, and a
+    straggler's slowdown is one constant factor per rank, on its
+    ``compute`` and on its share of the reduction arithmetic.
     """
 
-    __slots__ = ("_plan", "_factor")
+    __slots__ = ("_factor",)
 
     def __init__(self, job: "_ReplayJob", rank: int):
         super().__init__(job, rank)
-        plan = job.plan
-        self._plan = plan
-        self._factor = 1.0 if plan is None else plan.compute_factor(rank, 0.0)
+        self._factor = 1.0 if job.factors is None else job.factors[rank]
 
     def compute(self, seconds: float) -> Generator:
         return super().compute(seconds * self._factor)
@@ -397,15 +401,15 @@ class _AlgorithmReplayComm(_ReplayComm):
     def _collective(self, kind: str, value: Any, nbytes: int,
                     root: Optional[int], op: Optional[Callable],
                     deadline: Optional[float]) -> Generator:
-        """The stepped :class:`~repro.mpi.api.Communicator`'s collective
-        entry, minus its fast path, verifier and tracer."""
-        if kind == "alltoall" and self._plan is not None:
-            self._plan.check_alltoall(self.size, nbytes)
+        """The stepped :class:`~repro.mpi.api.Communicator`'s checks, in
+        its order, then the replay's collective entry."""
+        plan = self._job.plan
+        if kind == "alltoall" and plan is not None:
+            plan.check_alltoall(self.size, nbytes)
         if kind == "barrier" and self.size == 1:
             return None
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        return (yield from ALGORITHMS[kind](self, value, nbytes, root, op))
+        return (yield from super()._collective(kind, value, nbytes, root, op,
+                                               deadline))
 
 
 def _scan_queue(queue: Deque[_REnv], tag: Optional[int]) -> Optional[_REnv]:
@@ -597,6 +601,14 @@ class _ReplayJob:
         self.fabric = fabric if plan is None else plan.degrade(fabric)
         self.plan = plan
         self.algorithms = algorithms
+        #: Per-rank straggler factors of a static plan; None without any.
+        self.factors: Optional[List[float]] = None
+        if plan is not None and plan.stragglers:
+            self.factors = [plan.compute_factor(r, 0.0) for r in range(n_ranks)]
+        #: Where each rank resumes after a collective occurrence.
+        self.times: Callable[..., Any] = (
+            self.algorithm_times if algorithms else finishes
+        )
         self.trace = (
             None if tracer is None else _ReplayTrace(tracer, pid, n_ranks)
         )
@@ -612,6 +624,15 @@ class _ReplayJob:
         self.replay_ops = 0
         self._runnable: Deque[int] = deque()
         self._queued: set = set()
+
+    def algorithm_times(self, kind: str, fabric: Any, p: int, nbytes: int,
+                        arrivals: List[float], root: Optional[int]) -> Any:
+        """Completion times of the stepped ``ALGORITHMS[kind]``: the
+        unfloored schedule, whose reductions run at each rank's factor."""
+        if self.factors is not None and kind in ("reduce", "allreduce"):
+            return SCHEDULES[kind](fabric, p, nbytes, arrivals, root,
+                                   self.factors)
+        return SCHEDULES[kind](fabric, p, nbytes, arrivals, root)
 
     # ------------------------------------------------------------ transport
 
@@ -799,8 +820,9 @@ def _compile_or_none(
     since neither keeps per-op clocks: it replays, emitting its spans.
     A job whose collectives run the stepped ``algorithms`` (a static
     fault ``plan``, or ``fast_collectives=False``) takes no vector path
-    either, because phase pricing uses the schedules.  Its memo key
-    adds the collective mode and the plan's fingerprint.
+    either, because phase pricing floors the schedules to the last
+    arrival and knows no straggler factors.  Its memo key adds the
+    collective mode and the plan's fingerprint.
     """
     tr = active(tracer)
     key = None
@@ -900,9 +922,9 @@ def compiled_mpiexec(
     and the point-to-point traffic inside collectives (see
     ``docs/OBSERVABILITY.md``).
 
-    A static ``fault_plan`` or ``fast_collectives=False`` replays the
-    stepped collective algorithms, untraced; a windowed or crashing
-    plan steps.
+    A static ``fault_plan`` or ``fast_collectives=False`` replays,
+    untraced, pricing each collective with the unfloored schedule of its
+    stepped algorithm; a windowed or crashing plan steps.
 
     ``vector`` overrides the backend selection: ``True`` demands the
     vectorized phase backend (falling back to scalar paths only when the

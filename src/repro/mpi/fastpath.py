@@ -110,11 +110,13 @@ class _Instance:
         self.pending -= 1
         return self.pending == 0
 
-    def resolve(self, fabric: Any) -> Tuple[List[float], List[Any]]:
-        """Every rank's resume time (see :func:`finishes`) and result."""
+    def resolve(self, fabric: Any, times: Callable[..., Any] = finishes
+                ) -> Tuple[List[float], List[Any]]:
+        """Every rank's resume time and result.  ``times`` has the
+        signature of :func:`finishes`, the default."""
         self.outcome = (
-            finishes(self.kind, fabric, len(self.arrivals), self.nbytes,
-                     self.arrivals, self.root),
+            times(self.kind, fabric, len(self.arrivals), self.nbytes,
+                  self.arrivals, self.root),
             _RESULTS[self.kind](self),
         )
         return self.outcome

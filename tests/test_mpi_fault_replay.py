@@ -4,16 +4,23 @@ Under a fault plan, or with ``fast_collectives=False``, the stepped
 engine runs the collective algorithms of
 :data:`~repro.mpi.collectives.ALGORITHMS` over point-to-point messages.
 :func:`~repro.mpi.compile.compiled_mpiexec` prices such a job on the
-max-plus replay by running the same algorithms over the replay's
-clocks, when the plan is *static*: no rank crash, and every link and
-straggler fault active over ``[0, inf)``.  Three contracts are gated
-here:
+max-plus replay when the plan is *static*: no rank crash, and every link
+and straggler fault active over ``[0, inf)``.  Each collective
+occurrence resolves with one call to the unfloored
+:data:`~repro.mpi.collectives.SCHEDULES` on the degraded fabric, whose
+reductions run at each rank's straggler factor; no collective message is
+replayed.  Four contracts are gated here:
 
 * **Exactness** — every kind, on P in {1, 2, 3, 5, 8, 13, 16, 33}, at
   sizes on both sides of the fabric's eager limit and of
   ``LARGE_MESSAGE_SWITCH``: elapsed and returns equal the stepped run's,
   and an error (the alltoall OOM under memory pressure) has the same
-  type and message.
+  type and message.  So do stragglers placed where the reduction
+  arithmetic runs (two at once, the reduce root, a folded rank of a
+  non-power-of-two allreduce), P up to 127, and sizes across
+  ``ALLGATHER_RING_SWITCH`` with uniform arrivals at the rings.
+* **One op per occurrence** — ``CompileStats.replay_ops`` counts a
+  collective-only job's occurrences, not its messages.
 * **job_fastpath** — ``MpiJob.run(compiled=True)`` still steps a
   faulted job, naming why (the other refusals are gated in
   ``tests/test_mpi_compile.py``).
@@ -37,7 +44,11 @@ from repro.faults import (
     Straggler,
     pre_update_plan,
 )
-from repro.mpi.collectives import ALGORITHMS, LARGE_MESSAGE_SWITCH
+from repro.mpi.collectives import (
+    ALGORITHMS,
+    ALLGATHER_RING_SWITCH,
+    LARGE_MESSAGE_SWITCH,
+)
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.protocols import PciePathFabric
@@ -70,13 +81,18 @@ MODES = {
 }
 
 
-def _program(kind, nbytes, root, comm):
-    """Ring sendrecv, rank-skewed compute, one ``kind`` collective."""
+def _program(kind, nbytes, root, comm, skew=1e-7):
+    """Ring sendrecv, rank-skewed compute, one ``kind`` collective.
+
+    ``skew=0.0`` has every rank enter the collective at the same time.
+    Each rank returns its clock after the collective too, so a rank that
+    resumes anywhere but where the stepped engine resumes it shows.
+    """
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
     env = yield from comm.sendrecv(right, left, nbytes=nbytes,
                                    payload=comm.rank)
-    yield from comm.compute(1e-7 * (comm.rank % 3))
+    yield from comm.compute(skew * (comm.rank % 3))
     root %= comm.size
     if kind == "barrier":
         out = yield from comm.barrier()
@@ -97,7 +113,7 @@ def _program(kind, nbytes, root, comm):
     else:
         values = list(range(comm.size)) if comm.rank == root else None
         out = yield from comm.scatter(values, root=root, nbytes=nbytes)
-    return (env.payload, out)
+    return (env.payload, out, comm.now)
 
 
 def _outcome(run):
@@ -183,6 +199,93 @@ def test_seeded_link_straggler_jobs_are_exact():
         main = partial(_iterated, kind, nbytes, rng.randrange(1, 4),
                        rng.choice((0.0, 1e-6)))
         _assert_exact(p, rng.choice(list(FABRICS.values())), main, plan, None)
+
+
+def _stragglers(*ranks_slowdowns):
+    def plan():
+        return FaultPlan([Straggler(rank=r, slowdown=f)
+                          for r, f in ranks_slowdowns])
+    return plan
+
+
+@pytest.mark.parametrize("kind", ("reduce", "allreduce"))
+def test_stragglers_on_the_reduction_arithmetic_are_exact(kind):
+    """Stragglers where the reductions run: on the reduce root, on the
+    even rank folded into its odd neighbour and on that odd rank (P =
+    2^m + r with r > 0), and two on different ranks at once."""
+    for p in (3, 5, 6, 7, 12, 13, 33, 100, 127):
+        for root in (0, 2, p - 1):
+            plans = (
+                _stragglers((root, 3.1)),  # the reduce root
+                _stragglers((2, 2.2)),  # folded even rank when p - 2^m > 1
+                _stragglers((1, 1.7)),  # its odd partner, a fold-in reducer
+                _stragglers((root, 1.9), ((root + 1) % p, 2.6)),
+                _stragglers((p - 1, 2.4), (p // 2, 1.3)),
+            )
+            for plan in plans:
+                for nbytes in (64, 4096):
+                    _assert_exact(p, host_fabric,
+                                  partial(_program, kind, nbytes, root),
+                                  plan, None)
+
+
+#: MODES plus two stragglers on different ranks.
+LARGE_P_MODES = dict(MODES, **{"two-stragglers": (
+    _stragglers((0, 2.5), (7, 1.4)), None
+)})
+
+
+@pytest.mark.parametrize("mode", sorted(LARGE_P_MODES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_p_across_the_ring_switch_is_exact(kind, mode):
+    """P up to 127 at sizes across ``ALLGATHER_RING_SWITCH``; the ring
+    kinds (allgather, large bcast) also with uniform arrivals."""
+    make_plan, fast_collectives = LARGE_P_MODES[mode]
+    sizes = (ALLGATHER_RING_SWITCH, ALLGATHER_RING_SWITCH + 1)
+    skews = (1e-7,)
+    if kind in ("allgather", "bcast"):
+        skews += (0.0,)
+        if kind == "bcast":
+            sizes += (LARGE_MESSAGE_SWITCH + 1,)
+    for p in (64, 100, 127):
+        for nbytes in sizes:
+            for skew in skews:
+                _assert_exact(p, FABRICS["phi"],
+                              partial(_program, kind, nbytes, 5, skew=skew),
+                              make_plan, fast_collectives)
+
+
+def _collectives_only(kind, count, comm):
+    out = None
+    for i in range(count):
+        root = i % comm.size
+        if kind == "barrier":
+            out = yield from comm.barrier()
+        elif kind == "alltoall":
+            out = yield from comm.alltoall(list(range(comm.size)), nbytes=64)
+        elif kind == "scatter":
+            values = list(range(comm.size)) if comm.rank == root else None
+            out = yield from comm.scatter(values, root=root, nbytes=64)
+        elif kind in ("allreduce", "allgather"):
+            out = yield from getattr(comm, kind)(comm.rank, nbytes=64)
+        else:
+            out = yield from getattr(comm, kind)(comm.rank, root=root,
+                                                 nbytes=64)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replay_ops_count_occurrences_not_messages(kind):
+    """A collective occurrence is one replay op: no message inside it is
+    replayed, whatever the plan or collective mode."""
+    for make_plan, fast_collectives in LARGE_P_MODES.values():
+        st = CompileStats()
+        res = compiled_mpiexec(13, host_fabric(),
+                               partial(_collectives_only, kind, 3),
+                               fault_plan=make_plan(),
+                               fast_collectives=fast_collectives, stats=st)
+        assert res.completed
+        assert (st.path, st.replay_ops) == ("replay", 3), st
 
 
 # -------------------------------------------------------------- job_fastpath
