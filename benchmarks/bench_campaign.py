@@ -8,7 +8,8 @@ with actual ``SIGKILL``\\ s, not simulated ones:
    canonical results payload;
 2. **kill** — the same campaign started fresh in a subprocess with a
    per-point throttle, ``SIGKILL``\\ ed once enough points are journaled
-   (mid-shard, so a half-written journal line is likely);
+   (mid-run; each shard is one journal commit, so a torn line can only
+   be the tail of one shard's commit);
 3. **resume** — ``repro campaign resume`` against the killed journal;
 4. **net** — the campaign served over TCP (``--serve``) to two
    ``repro campaign worker`` subprocesses, one of which is

@@ -11,8 +11,11 @@ erroring at import.  CI exercises this exact configuration in the
 
 Also resets the once-per-process scalar-fallback warning gate around
 every test so warning-capturing tests cannot order-depend on which
-module tripped the fallback first.
+module tripped the fallback first, and provides the ``fsync_calls``
+fixture the campaign journal tests count commits with.
 """
+
+import os
 
 import pytest
 
@@ -25,6 +28,20 @@ def _rearm_fallback_warning():
     reset_fallback_warning()
     yield
     reset_fallback_warning()
+
+
+@pytest.fixture
+def fsync_calls(monkeypatch):
+    """Count ``os.fsync`` calls (still performing them) into a list."""
+    calls = []
+    real = os.fsync
+
+    def fsync(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
 
 
 try:

@@ -28,10 +28,10 @@ __all__ = ["SweepCheckpoint"]
 class SweepCheckpoint:
     """A resumable point store for one sweep, backed by a campaign journal."""
 
-    def __init__(self, path: str, scope: Any = (), fsync: bool = True):
+    def __init__(self, path: str, scope: Any = ()):
         self.path = path
         self._scope_fp = fingerprint("sweep-checkpoint", scope)
-        self._journal = Journal(path, fsync=fsync)
+        self._journal = Journal(path)
         read = Journal.read(path)
         self.skipped = read.skipped
         self._seen: Dict[str, JournalEntry] = read.by_key()
@@ -60,7 +60,7 @@ class SweepCheckpoint:
     # ------------------------------------------------------------ record
 
     def record(self, point: Any, value: Any) -> None:
-        """Durably journal one freshly priced point."""
+        """Durably journal one freshly priced point as its own commit."""
         if self._needs_header:
             self._journal.write_header(self._scope_fp, "sweep-checkpoint")
             self._needs_header = False

@@ -59,14 +59,16 @@ def _overflow_model(grid_name: str):
 #: importing this module stays dependency-free.
 _JOB_CACHE: Optional[Any] = None
 
-#: Path counters for the fig22 exchange probes (``"memo"``/``"replay"``/
-#: ``"vector"``/``"stepped"`` → count) — the campaign tests' proof that a
-#: second pass steps no engine event.
+#: Path counters (``"memo"``/``"replay"``/``"vector"``/``"stepped"`` →
+#: count) for every compiled job this process's campaign points run: the
+#: fig22 exchange probes and the halo rings.  The campaign tests' proof
+#: that a second fig22 pass steps no engine event, and what makes the
+#: halo campaign's stepped attempts (the demo plan's crashes) visible.
 JOB_STATS: Dict[str, int] = {}
 
 
 def reset_job_stats() -> None:
-    """Drop the fig22 job memo and its path counters (test hook)."""
+    """Drop the fig22 job memo and the path counters (test hook)."""
     global _JOB_CACHE
     _JOB_CACHE = None
     JOB_STATS.clear()
@@ -216,21 +218,29 @@ def halo_point(
 
     A plan with a rank crash steps on the event engine; a static plan
     (the relaxed, crash-free retry) prices on the max-plus replay, which
-    runs the same collective algorithms.
+    runs the same collective algorithms.  Which path ran is counted in
+    :data:`JOB_STATS`, so the stepped attempts are never silent.
     """
     from repro.core.results import Measurement
-    from repro.mpi.compile import compiled_mpiexec
+    from repro.mpi.compile import CompileStats, compiled_mpiexec
     from repro.mpi.fabrics import host_fabric, phi_fabric
 
     ranks, nbytes = point
     fabric = host_fabric() if fabric_name == "host" else phi_fabric(tpc)
-    res = compiled_mpiexec(
-        ranks,
-        fabric,
-        partial(_halo_main, nbytes),
-        fault_plan=fault_plan,
-        fast_collectives=False,
-    )
+    st = CompileStats()
+    try:
+        res = compiled_mpiexec(
+            ranks,
+            fabric,
+            partial(_halo_main, nbytes),
+            fault_plan=fault_plan,
+            fast_collectives=False,
+            stats=st,
+        )
+    finally:
+        # Count attempts that die too: the demo crash kills them mid-step.
+        if st.path:
+            JOB_STATS[st.path] = JOB_STATS.get(st.path, 0) + 1
     return Measurement(
         name="halo-ring",
         time=res.elapsed,

@@ -19,9 +19,15 @@ first-write-wins with payload-digest verification, and the merged
 entries replay into a byte-identical ``results_payload()`` regardless
 of merge order.
 
-Durability: every append is flushed and (by default) ``fsync``\\ ed, so a
-``SIGKILL`` loses at most the points that were still in flight — never a
-point that was reported complete.
+Durability: the unit of durability is the *commit*.  The header is one
+commit; every :meth:`Journal.append_point` call — one per landed shard
+in the campaign runner — is another: all its lines go out in one
+``write``, then one ``flush`` and one ``fsync``.  A ``SIGKILL`` or power
+loss therefore loses at most the commit in flight — the in-flight
+shard, which resume re-runs — never a point that was reported
+complete.  A kill inside a multi-line commit leaves complete lines
+followed by one torn final line, which :meth:`Journal.read` replays
+and skips exactly like any other torn tail.
 
 The payload codec (:func:`encode_result` / :func:`decode_result`) round-
 trips :class:`~repro.core.results.Measurement`,
@@ -202,14 +208,14 @@ def _unseal(line: str) -> Tuple[Optional[Dict[str, Any]], str]:
 class Journal:
     """Append-only JSONL checkpoint store for one campaign.
 
-    ``fsync=True`` (the default) makes every append durable against
-    ``SIGKILL``; ``fsync=False`` trades that for throughput on grids
-    whose points are cheaper than a disk flush.
+    Every write is a commit: :meth:`write_header` commits the header,
+    and :meth:`append_point` commits any number of points together with
+    one ``write`` and one ``fsync``, so a ``SIGKILL`` loses at most the
+    commit in flight.
     """
 
-    def __init__(self, path: str, fsync: bool = True):
+    def __init__(self, path: str):
         self.path = path
-        self.fsync = fsync
         self._fh: Optional[Any] = None
 
     # ------------------------------------------------------------- writing
@@ -219,12 +225,13 @@ class Journal:
             self._fh = open(self.path, "a", encoding="utf-8")
         return self._fh
 
-    def _append(self, record: Dict[str, Any]) -> None:
+    def _append(self, *records: Dict[str, Any]) -> None:
+        """Commit ``records``: seal them all, then one write and one fsync."""
+        lines = "".join(_seal(record) + "\n" for record in records)
         fh = self._handle()
-        fh.write(_seal(record) + "\n")
+        fh.write(lines)
         fh.flush()
-        if self.fsync:
-            os.fsync(fh.fileno())
+        os.fsync(fh.fileno())
 
     def write_header(
         self,
@@ -243,20 +250,32 @@ class Journal:
             }
         )
 
-    def append_point(self, entry: JournalEntry) -> None:
-        """Durably record one completed point."""
-        if entry.status not in STATUSES:
-            raise ConfigError(f"unknown journal status {entry.status!r}")
+    def append_point(self, *entries: JournalEntry) -> None:
+        """Durably record completed points as one commit.
+
+        Every status is checked before anything is written, so a bad
+        entry raises :class:`~repro.errors.ConfigError` and leaves the
+        file untouched.  With no entries this is a no-op: no write, no
+        ``fsync``.
+        """
+        for entry in entries:
+            if entry.status not in STATUSES:
+                raise ConfigError(f"unknown journal status {entry.status!r}")
+        if not entries:
+            return
         self._append(
-            {
-                "kind": "point",
-                "key": entry.key,
-                "index": entry.index,
-                "status": entry.status,
-                "payload": entry.payload,
-                "attempts": entry.attempts,
-                "relaxation": entry.relaxation,
-            }
+            *(
+                {
+                    "kind": "point",
+                    "key": entry.key,
+                    "index": entry.index,
+                    "status": entry.status,
+                    "payload": entry.payload,
+                    "attempts": entry.attempts,
+                    "relaxation": entry.relaxation,
+                }
+                for entry in entries
+            )
         )
 
     def close(self) -> None:
@@ -283,10 +302,10 @@ class Journal:
         damage shape is *expected*: a ``SIGKILL`` mid-append tears the
         final line into an unparseable fragment.  That torn tail is
         skipped silently (``torn_tail=True``, not counted in
-        ``skipped``) because the in-flight point was never reported
-        complete and simply re-executes on resume.  The surviving
-        entries are returned in file order.  A missing file reads as
-        empty.
+        ``skipped``) because the in-flight commit was never reported
+        complete; its lost points simply re-execute on resume.  The
+        surviving entries are returned in file order.  A missing file
+        reads as empty.
         """
         out = JournalReadResult()
         if not os.path.exists(path):
@@ -378,7 +397,8 @@ class Journal:
 
         With ``out=``, the merged journal (header plus the winning
         entry per key, re-sealed) is written to that path, ready for
-        ``repro campaign resume`` / ``status``.
+        ``repro campaign resume`` / ``status``: the header as one
+        commit, every entry as a second.
         """
         merged = JournalReadResult()
         seen: Dict[str, JournalEntry] = {}
@@ -425,8 +445,7 @@ class Journal:
                 stacklevel=2,
             )
         if out is not None:
-            with cls(out, fsync=False) as journal:
+            with cls(out) as journal:
                 journal._append(dict(merged.header))
-                for entry in merged.entries:
-                    journal.append_point(entry)
+                journal.append_point(*merged.entries)
         return merged

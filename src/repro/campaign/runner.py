@@ -14,14 +14,17 @@
    :class:`~repro.campaign.queue.ShardExecutor` (serial or process
    pool; retries run worker-side under the spec's
    :class:`~repro.campaign.retry.RetryPolicy`);
-5. journals every completed point durably as its shard lands, emits one
-   :mod:`repro.obs` span per shard, and streams the shard's partial
-   :class:`~repro.core.results.ResultSet` to ``on_shard``;
+5. commits each landed shard to the journal — one write, one ``fsync``
+   — before any of its points reaches the cache, the :class:`RunStats`
+   or ``on_shard``; then emits one :mod:`repro.obs` span per shard and
+   streams the shard's partial :class:`~repro.core.results.ResultSet`
+   to ``on_shard``;
 6. returns the full result set in grid order plus a
    :class:`RunStats` accounting for every point.
 
 Kill the process at any step — the next ``run_campaign`` against the
-same journal resumes where it died.
+same journal resumes where it died, re-running at most the shard that
+was in flight.
 """
 
 from __future__ import annotations
@@ -143,7 +146,6 @@ def run_campaign(
     tracer: Optional[Tracer] = None,
     on_shard: Optional[ShardCallback] = None,
     throttle_s: float = 0.0,
-    fsync: bool = True,
     executor: Optional[ShardExecutor] = None,
 ) -> CampaignRun:
     """Execute (or resume) ``spec``, checkpointing into ``journal_path``.
@@ -170,7 +172,7 @@ def run_campaign(
     if shard_size < 1:
         raise ConfigError("shard_size must be >= 1")
     spec_fp = spec.fingerprint()
-    keys = spec.keys()
+    keys = spec.keys(spec_fp)
     stats = RunStats(total=len(spec.points), unique=len(set(keys)))
 
     # ---------------------------------------------------- journal replay
@@ -234,24 +236,25 @@ def run_campaign(
         pending.append((index, key, point))
 
     # ------------------------------------------------------------ execute
-    journal = Journal(journal_path, fsync=fsync)
+    journal = Journal(journal_path)
     tr = active(tracer)
     try:
         if read.header is None:
             journal.write_header(spec_fp, spec.name, total=len(spec.points))
         # Cache hits become journal entries too, so the *next* resume
         # replays them even without this cache.
-        for index, record in sorted(by_index.items()):
-            if record.key in journaled or record.status != "ok":
-                continue
-            journal.append_point(
-                JournalEntry(
-                    key=record.key,
-                    index=index,
-                    status="ok",
-                    payload=encode_result(record.value),
-                )
+        hits = [
+            JournalEntry(
+                key=record.key,
+                index=index,
+                status="ok",
+                payload=encode_result(record.value),
             )
+            for index, record in sorted(by_index.items())
+            if record.key not in journaled and record.status == "ok"
+        ]
+        if hits:
+            journal.append_point(*hits)
 
         shards = _shard(pending, shard_size)
         if executor is None:
@@ -263,9 +266,8 @@ def run_campaign(
                 executor.submit(shard_index, shard)
             stats.shards = len(shards)
             for result in executor.completed():
-                shard_set = ResultSet()
-                for record in result.records:
-                    journal.append_point(
+                journal.append_point(
+                    *(
                         JournalEntry(
                             key=record.key,
                             index=record.index,
@@ -274,7 +276,11 @@ def run_campaign(
                             attempts=record.attempts,
                             relaxation=record.relaxation,
                         )
+                        for record in result.records
                     )
+                )
+                shard_set = ResultSet()
+                for record in result.records:
                     by_index[record.index] = record
                     stats.executed += 1
                     if record.attempts > 1:

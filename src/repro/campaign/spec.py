@@ -79,7 +79,8 @@ class CampaignSpec:
         """EvalCache key for one grid point under this campaign."""
         return fingerprint("campaign-point", spec_fp, point)
 
-    def keys(self) -> Tuple[str, ...]:
-        """Per-point cache keys, in grid order."""
-        fp = self.fingerprint()
-        return tuple(self.point_key(fp, p) for p in self.points)
+    def keys(self, spec_fp: str) -> Tuple[str, ...]:
+        """Per-point cache keys under ``spec_fp`` (this spec's
+        :meth:`fingerprint`, which the caller has already computed), in
+        grid order."""
+        return tuple(self.point_key(spec_fp, p) for p in self.points)

@@ -131,6 +131,26 @@ class TestJournalRoundTrip:
         with pytest.raises(ConfigError, match="unknown journal status"):
             j.append_point(_entry(0, status="exploded"))
 
+    def test_bad_status_anywhere_in_a_commit_writes_nothing(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        with Journal(path) as j:
+            j.write_header("fp", "toy")
+            j.append_point(_entry(0))
+        before = open(path, "rb").read()
+        with Journal(path) as j:
+            with pytest.raises(ConfigError, match="unknown journal status"):
+                j.append_point(_entry(1), _entry(2, status="exploded"))
+        assert open(path, "rb").read() == before
+
+    def test_a_commit_is_one_write_and_one_fsync(self, tmp_path, fsync_calls):
+        path = str(tmp_path / "j.jsonl")
+        with Journal(path) as j:
+            j.write_header("fp", "toy", total=4)
+            j.append_point(*(_entry(i) for i in range(4)))
+            j.append_point()  # an empty commit touches nothing
+        assert len(fsync_calls) == 2
+        assert [e.index for e in Journal.read(path).entries] == [0, 1, 2, 3]
+
     def test_append_after_reopen_resumes_file(self, tmp_path):
         # A resumed run opens the same path in append mode: old entries
         # survive, new ones follow.
@@ -345,11 +365,13 @@ class TestJournalMerge:
         assert merged.skipped == 2
         assert sorted(e.index for e in merged.entries) == [1, 3]
 
-    def test_merged_output_journal_is_readable(self, tmp_path):
+    def test_merged_output_journal_is_readable(self, tmp_path, fsync_calls):
         a = _write_journal(tmp_path / "a.jsonl", [0, 1], total=4)
         b = _write_journal(tmp_path / "b.jsonl", [2, 3], total=4)
         out = str(tmp_path / "merged.jsonl")
+        fsync_calls.clear()
         Journal.merge(a, b, out=out)
+        assert len(fsync_calls) == 2  # the header, then every entry at once
         read = Journal.read(out)
         assert read.skipped == 0
         assert read.header["campaign"] == "fp"

@@ -12,6 +12,7 @@ Everything here is numpy-free: point functions are synthetic.
 """
 
 import json
+import math
 import warnings
 from functools import partial
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro.campaign import (
     CampaignSpec,
+    Journal,
     RetryPolicy,
     SweepCheckpoint,
     run_campaign,
@@ -200,6 +202,92 @@ class TestResume:
         resumed = run_campaign(spec, journal, resume=True, workers=None)
         assert resumed.stats.executed == 0
         assert _payload(first) == _payload(resumed)
+
+
+# --------------------------------------------------------------------------
+# shard commits: one write and one fsync per landed shard
+# --------------------------------------------------------------------------
+
+
+class TestShardCommits:
+    @pytest.mark.parametrize("shard_size", [1, 2, 3, 5, 8])
+    def test_fresh_run_fsyncs_header_plus_one_per_shard(
+        self, tmp_path, fsync_calls, shard_size
+    ):
+        n = 7
+        run = run_campaign(
+            _spec(points=tuple(range(1, n + 1))),
+            str(tmp_path / "j.jsonl"),
+            shard_size=shard_size,
+        )
+        assert run.stats.executed == n
+        assert len(fsync_calls) == 1 + math.ceil(n / shard_size)
+
+    def test_journaled_cache_hits_are_one_more_commit(
+        self, tmp_path, fsync_calls
+    ):
+        spec = _spec()  # points 1..5
+        fp = spec.fingerprint()
+        cache = EvalCache()
+        for p in (1, 2):
+            cache.put(spec.point_key(fp, p), _plain_point(p, None))
+        journal = str(tmp_path / "j.jsonl")
+        run = run_campaign(spec, journal, shard_size=2, cache=cache)
+        assert run.stats.cache_hits == 2
+        assert run.stats.executed == 3
+        assert len(fsync_calls) == 1 + math.ceil(3 / 2) + 1
+        assert len(Journal.read(journal).entries) == 5
+
+    def test_resume_fsyncs_nothing(self, tmp_path, fsync_calls):
+        spec = _spec()
+        journal = str(tmp_path / "j.jsonl")
+        run_campaign(spec, journal, shard_size=2)
+        fsync_calls.clear()
+        resumed = run_campaign(spec, journal, shard_size=2, resume=True)
+        assert resumed.stats.executed == 0
+        assert fsync_calls == []
+
+    def test_shard_is_durable_before_on_shard_sees_it(self, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        seen = []
+        run_campaign(
+            _spec(points=tuple(range(7))),
+            journal,
+            shard_size=3,
+            on_shard=lambda rs, stats: seen.append(
+                (stats.executed, len(Journal.read(journal).entries))
+            ),
+        )
+        assert seen == [(3, 3), (6, 6), (7, 7)]
+
+    def test_kill_inside_a_shard_commit_resumes_that_shard(self, tmp_path):
+        count = str(tmp_path / "count")
+        spec = _spec(
+            points=(1, 2, 3, 4, 5, 6), point_fn=partial(_counting_point, count)
+        )
+        journal = str(tmp_path / "j.jsonl")
+        reference = run_campaign(
+            spec, str(tmp_path / "ref.jsonl"), shard_size=3
+        )
+
+        # Header, then two 3-point commits.  Tear the file inside the
+        # second commit's middle line: a kill mid-write leaves its first
+        # line whole and the second torn.
+        run_campaign(spec, journal, shard_size=3)
+        lines = open(journal).read().splitlines()
+        assert len(lines) == 7
+        cut = lines[5][: len(lines[5]) // 2]
+        open(journal, "w").write("\n".join(lines[:5]) + "\n" + cut)
+
+        open(count, "w").close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resumed = run_campaign(spec, journal, shard_size=3, resume=True)
+        assert resumed.stats.journal_skipped == 0
+        assert resumed.stats.replayed == 4
+        assert resumed.stats.executed == 2
+        assert sorted(_executions(count)) == ["5", "6"]
+        assert _payload(resumed) == _payload(reference)
 
 
 # --------------------------------------------------------------------------
@@ -420,5 +508,22 @@ class TestFig22JobMemo:
             m = E.fig22_point("DLRF6-Medium", ("host", 1, 1), None)
             assert "exchange_elapsed_s" not in m.config
             assert E.JOB_STATS == {}
+        finally:
+            E.reset_job_stats()
+
+
+class TestHaloJobPaths:
+    def test_stepped_crash_attempts_are_counted(self, tmp_path):
+        # The demo plan's rank crash kills every first attempt on the
+        # event engine; the relaxed retry replays.  Both reach JOB_STATS.
+        import repro.campaign.experiments as E
+
+        spec = E.build_spec("halo", quick=True, fault_plan=E.demo_plan("halo"))
+        E.reset_job_stats()
+        try:
+            run = run_campaign(spec, str(tmp_path / "j.jsonl"))
+            n = len(spec.points)
+            assert run.stats.recovered == n
+            assert E.JOB_STATS == {"stepped": n, "replay": n}
         finally:
             E.reset_job_stats()
