@@ -213,12 +213,11 @@ def halo_point(
     point: Tuple[int, int],
     fault_plan: Optional[FaultPlan],
 ) -> Any:
-    """Simulate one halo ring under ``fault_plan`` with the stepped
-    collective algorithms (``fast_collectives=False``).
+    """Simulate one halo ring under ``fault_plan``.
 
     A plan with a rank crash steps on the event engine; a static plan
-    (the relaxed, crash-free retry) prices on the max-plus replay, which
-    runs the same collective algorithms.  Which path ran is counted in
+    (the relaxed, crash-free retry) prices on the max-plus replay, to
+    the same elapsed time.  Which path ran is counted in
     :data:`JOB_STATS`, so the stepped attempts are never silent.
     """
     from repro.core.results import Measurement
@@ -234,7 +233,6 @@ def halo_point(
             fabric,
             partial(_halo_main, nbytes),
             fault_plan=fault_plan,
-            fast_collectives=False,
             stats=st,
         )
     finally:

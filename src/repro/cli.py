@@ -619,7 +619,7 @@ def _cmd_faults(args) -> int:
 
     base_exp = "allreduce" if exp == "crash" else exp
     main = _trace_main(base_exp, args.nbytes)
-    baseline = mpiexec(args.ranks, fabric, main, fast_collectives=False)
+    baseline = mpiexec(args.ranks, fabric, main)
     if plan is None:
         if exp == "crash":
             plan = FaultPlan(

@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ConfigError, FaultError, TimeoutExpired
 from repro.mpi.collectives import ALGORITHMS
-from repro.mpi.fastpath import FAST_KINDS
+from repro.mpi.fastpath import takes_fast_path
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG, Envelope, match_filter
 from repro.obs.tracer import NULL_CONTEXT, Tracer, active
 from repro.simcore import Engine, Event, Get, Put, Timeout, WaitEvent
@@ -240,8 +240,9 @@ class Communicator(RankComm):
     fast:
         Optional :class:`~repro.mpi.fastpath.FastCollectives` shared by
         the job's ranks.  When set (uniform fabric) and no tracer is
-        active, the :data:`~repro.mpi.fastpath.FAST_KINDS` short-circuit
-        to their exact analytic schedules instead of stepping every rank.
+        active, the collectives :func:`~repro.mpi.fastpath.takes_fast_path`
+        admits short-circuit to their exact analytic schedules instead of
+        stepping every rank.
     faults:
         Optional :class:`~repro.faults.FaultPlan`.  Stragglers scale this
         rank's :meth:`compute` time; memory pressure tightens the
@@ -548,8 +549,9 @@ class Communicator(RankComm):
     # The eight public collectives are RankComm's; each lands here.  The
     # algorithms are repro.mpi.collectives.ALGORITHMS, generators over this
     # rank's point-to-point layer.  On uniform jobs without an active
-    # tracer the FAST_KINDS resolve on their exact analytic schedules
-    # (repro.mpi.fastpath) instead of stepping every message.
+    # tracer the collectives fastpath.takes_fast_path admits resolve on
+    # their exact analytic schedules instead of stepping every message;
+    # the two paths agree on every rank's finish time.
 
     def _use_fast(self) -> bool:
         return (
@@ -574,7 +576,8 @@ class Communicator(RankComm):
             self._faults.check_alltoall(self.size, nbytes)
         if kind == "barrier" and self.size == 1:
             return None
-        if kind in FAST_KINDS and deadline is None and self._use_fast():
+        if (takes_fast_path(kind, nbytes) and deadline is None
+                and self._use_fast()):
             seq = self._fast_seq
             self._fast_seq += 1
             return (yield from self._fast.run(self, seq, kind, value, nbytes,

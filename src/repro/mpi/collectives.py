@@ -15,11 +15,10 @@ Three coupled parts:
 
 2. **Schedules** — the exact per-rank completion times of the same
    algorithms as max-plus recurrences over a clock vector (a list, or a
-   numpy array), the analytic fast path behind
-   :mod:`repro.mpi.fastpath`, the compiled replay and phase pricing.
-   Unfloored, they also price a compiled job whose stepped run would
-   execute the algorithms message by message (a static fault plan, or
-   ``fast_collectives=False``); reduce and allreduce then take each
+   numpy array).  Every path that does not step a collective's
+   messages prices it with its schedule as given: the analytic fast path
+   behind :mod:`repro.mpi.fastpath`, the compiled replay and phase
+   pricing.  Under a static fault plan reduce and allreduce take each
    rank's straggler factor on their reduction arithmetic.
    Every data-parallel round is one of two steps written once:
    :func:`shift_step` (ring allgather, Bruck, the dissemination barrier,
@@ -461,13 +460,6 @@ def _add(t: Any, c: Any) -> Any:
             return [x + y for x, y in zip(t, c)]
         return [x + c for x in t]
     return t + c
-
-
-def _floor(t: Any, lo: float) -> Any:
-    """``max(x, lo)`` for every element ``x`` of ``t``."""
-    if isinstance(t, list):
-        return [max(x, lo) for x in t]
-    return get_numpy().maximum(t, lo)
 
 
 def _extrema(t: Any) -> Tuple[Any, Any]:

@@ -34,10 +34,10 @@ This module compiles them instead, in four stages:
    clock through the engine's *exact* timing recurrences (eager
    completion ``max(recv_post, send_post + tp)``, rendezvous
    ``max(recv_post, send_post) + tp``, the analytic collective
-   schedules with :func:`~repro.mpi.fastpath.finishes`' resume rule)
-   instead of stepping envelopes through the event queue.  Payloads are
-   moved for real, so results are bit-identical; times agree with the
-   stepped engine to float precision (the test suite gates 1e-9).
+   schedules) instead of stepping envelopes through the event queue.
+   Payloads are moved for real, so results are bit-identical; times
+   agree with the stepped engine to float precision (the test suite
+   gates 1e-9).
 
 4. **Memoization.**  A successful replay is stored in an
    :class:`~repro.perf.cache.EvalCache` keyed by the fingerprint of
@@ -48,25 +48,23 @@ This module compiles them instead, in four stages:
    without replaying, let alone stepping, anything.  Vector-priced jobs
    memoize their elapsed time only (returns stay lazy).
 
-A job whose plan is *static* — no rank crash, every link and straggler
-fault active over ``[0, inf)``, memory pressure allowed — or that was
-built with ``fast_collectives=False`` replays on
-:class:`_AlgorithmReplayComm`.  The stepped engine runs such a job's
-collectives as :data:`~repro.mpi.collectives.ALGORITHMS` over
-point-to-point messages.  The replay prices each occurrence with one
-call to the same algorithm's recurrence, the *unfloored*
-:data:`~repro.mpi.collectives.SCHEDULES` entry, on
-``plan.degrade(fabric)`` with each straggler's constant factor on its
-``compute`` and its reduction arithmetic, so elapsed and returns are the
-stepped run's.  These jobs take no vector path, and their memo key adds
-the collective mode and the plan's fingerprint.
+Every collective occurrence is priced with one call to its
+:data:`~repro.mpi.collectives.SCHEDULES` entry, whether the stepped
+engine would run it on its fast path or as
+:data:`~repro.mpi.collectives.ALGORITHMS` over point-to-point messages:
+the two agree on every rank's finish time.  So ``fast_collectives=False``
+changes nothing here: such a job takes the default job's paths and
+shares its memo entry.  A job whose plan is *static* — no rank crash,
+every link and straggler fault active over ``[0, inf)``, memory pressure
+allowed — replays on ``plan.degrade(fabric)`` with each straggler's
+constant factor on its ``compute`` and its reduction arithmetic, so
+elapsed and returns are the stepped run's.  Such a job takes no vector
+path, and its memo key adds the plan's fingerprint.
 
 Jobs that carry a verifier, a windowed or crashing fault plan, or a
 fault plan with ``fast_collectives=True``, or that run on a resolver or
 time-varying fabric, never enter the replay: they go straight to the
-stepped engine.  So does a traced job with a fault plan or
-``fast_collectives=False``, whose stepped run traces the messages
-inside each collective.
+stepped engine.  So does a traced job with a fault plan.
 
 A job with an active tracer skips the memo and the vector path, which
 keep no per-op clocks, and always runs the scalar replay through a
@@ -86,9 +84,8 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import SCHEDULES
 from repro.mpi.fabrics import Fabric
-from repro.mpi.fastpath import _Instance, finishes
+from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.mpi.phasec import LowerFallback, lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
@@ -216,16 +213,19 @@ class _ReplayComm(RankComm):
     under the shared :class:`~repro.mpi.api.RankComm` vocabulary;
     operations outside the replayed vocabulary (wildcard receives,
     ``irecv``, timeouts, deadlines) raise :class:`ReplayFallback`, which
-    sends the whole job back to the stepped engine.
+    sends the whole job back to the stepped engine.  Under a static
+    fault plan a straggler's slowdown is one constant factor per rank,
+    on its ``compute`` and on its share of the reduction arithmetic.
     """
 
-    __slots__ = ("_job", "rank", "size", "_coll_seq")
+    __slots__ = ("_job", "rank", "size", "_coll_seq", "_factor")
 
     def __init__(self, job: "_ReplayJob", rank: int):
         self._job = job
         self.rank = rank
         self.size = job.size
         self._coll_seq = 0
+        self._factor = 1.0 if job.factors is None else job.factors[rank]
 
     # ------------------------------------------------------------ plumbing
 
@@ -325,23 +325,27 @@ class _ReplayComm(RankComm):
     def compute(self, seconds: float) -> Generator:
         if seconds < 0:
             raise ConfigError("compute time must be non-negative")
-        yield Timeout(seconds)
+        yield Timeout(seconds * self._factor)
 
     # --------------------------------------------------------- collectives
 
     def _collective(self, kind: str, value: Any, nbytes: int,
                     root: Optional[int], op: Optional[Callable],
                     deadline: Optional[float]) -> Generator:
-        """The rank joins its next collective occurrence and, once the last
-        rank arrives, resumes where the job's ``times`` puts it
-        (:func:`~repro.mpi.fastpath.finishes` on a healthy job).  A
-        size-1 occurrence resolves on arrival with the stepped
-        algorithms' answers and errors.  A deadline needs the event
-        queue, so it sends the job to the stepped engine.
+        """The stepped :class:`~repro.mpi.api.Communicator`'s checks, in
+        its order; then the rank joins its next collective occurrence
+        and, once the last rank arrives, resumes at its finish in the
+        occurrence's schedule.  A size-1 occurrence resolves on arrival
+        with the stepped algorithms' answers and errors.  A deadline
+        needs the event queue, so it sends the job to the stepped engine.
         """
+        job = self._job
+        if kind == "alltoall" and job.plan is not None:
+            job.plan.check_alltoall(self.size, nbytes)
+        if kind == "barrier" and self.size == 1:
+            return None
         if deadline is not None:
             raise ReplayFallback("deadline-bounded collective")
-        job = self._job
         seq = self._coll_seq
         self._coll_seq += 1
         inst = job.coll_instances.get(seq)
@@ -363,7 +367,7 @@ class _ReplayComm(RankComm):
             ends, results = inst.outcome
         else:
             del job.coll_instances[seq]
-            ends, results = inst.resolve(job.fabric, job.times)
+            ends, results = inst.resolve(job.fabric, job.factors)
             job.replay_ops += 1
             for r in inst.parked:
                 job.wake(r)
@@ -372,44 +376,6 @@ class _ReplayComm(RankComm):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<_ReplayComm rank {self.rank}/{self.size}>"
-
-
-class _AlgorithmReplayComm(_ReplayComm):
-    """A replayed rank of a job whose collectives step their algorithms.
-
-    The stepped engine runs :data:`~repro.mpi.collectives.ALGORITHMS`
-    over point-to-point messages when a job carries a fault plan or was
-    built with ``fast_collectives=False``.  The completion times of
-    those messages are the *unfloored*
-    :data:`~repro.mpi.collectives.SCHEDULES` (no stepped rank waits for
-    a resolution), so each occurrence resolves with one schedule call,
-    as the healthy replay's do (see :meth:`_ReplayJob.algorithm_times`).
-    Under a static fault plan the fabric is already degraded, and a
-    straggler's slowdown is one constant factor per rank, on its
-    ``compute`` and on its share of the reduction arithmetic.
-    """
-
-    __slots__ = ("_factor",)
-
-    def __init__(self, job: "_ReplayJob", rank: int):
-        super().__init__(job, rank)
-        self._factor = 1.0 if job.factors is None else job.factors[rank]
-
-    def compute(self, seconds: float) -> Generator:
-        return super().compute(seconds * self._factor)
-
-    def _collective(self, kind: str, value: Any, nbytes: int,
-                    root: Optional[int], op: Optional[Callable],
-                    deadline: Optional[float]) -> Generator:
-        """The stepped :class:`~repro.mpi.api.Communicator`'s checks, in
-        its order, then the replay's collective entry."""
-        plan = self._job.plan
-        if kind == "alltoall" and plan is not None:
-            plan.check_alltoall(self.size, nbytes)
-        if kind == "barrier" and self.size == 1:
-            return None
-        return (yield from super()._collective(kind, value, nbytes, root, op,
-                                               deadline))
 
 
 def _scan_queue(queue: Deque[_REnv], tag: Optional[int]) -> Optional[_REnv]:
@@ -589,26 +555,19 @@ class _ReplayJob:
     With ``tracer`` (an active :class:`~repro.obs.tracer.Tracer`) the
     ranks run on :class:`_TracedReplayComm` and the job's spans reach the
     tracer, on process lane ``pid``, only once every rank has finished.
-    With ``algorithms`` (untraced only) they run on
-    :class:`_AlgorithmReplayComm`, and a static fault ``plan`` degrades
-    the fabric and slows its stragglers.
+    A static fault ``plan`` degrades the fabric and slows its stragglers.
     """
 
     def __init__(self, n_ranks: int, fabric: Any,
                  tracer: Optional[Tracer] = None, pid: str = "mpijob",
-                 plan: Optional[Any] = None, algorithms: bool = False):
+                 plan: Optional[Any] = None):
         self.size = n_ranks
         self.fabric = fabric if plan is None else plan.degrade(fabric)
         self.plan = plan
-        self.algorithms = algorithms
         #: Per-rank straggler factors of a static plan; None without any.
         self.factors: Optional[List[float]] = None
         if plan is not None and plan.stragglers:
             self.factors = [plan.compute_factor(r, 0.0) for r in range(n_ranks)]
-        #: Where each rank resumes after a collective occurrence.
-        self.times: Callable[..., Any] = (
-            self.algorithm_times if algorithms else finishes
-        )
         self.trace = (
             None if tracer is None else _ReplayTrace(tracer, pid, n_ranks)
         )
@@ -624,15 +583,6 @@ class _ReplayJob:
         self.replay_ops = 0
         self._runnable: Deque[int] = deque()
         self._queued: set = set()
-
-    def algorithm_times(self, kind: str, fabric: Any, p: int, nbytes: int,
-                        arrivals: List[float], root: Optional[int]) -> Any:
-        """Completion times of the stepped ``ALGORITHMS[kind]``: the
-        unfloored schedule, whose reductions run at each rank's factor."""
-        if self.factors is not None and kind in ("reduce", "allreduce"):
-            return SCHEDULES[kind](fabric, p, nbytes, arrivals, root,
-                                   self.factors)
-        return SCHEDULES[kind](fabric, p, nbytes, arrivals, root)
 
     # ------------------------------------------------------------ transport
 
@@ -662,10 +612,7 @@ class _ReplayJob:
     def run(self, main: RankMain) -> JobResult:
         """Drive every rank's generator to completion on scalar clocks."""
         p = self.size
-        if self.algorithms:
-            comm: type = _AlgorithmReplayComm
-        else:
-            comm = _ReplayComm if self.trace is None else _TracedReplayComm
+        comm = _ReplayComm if self.trace is None else _TracedReplayComm
         gens = [main(comm(self, r)) for r in range(p)]
         for r, gen in enumerate(gens):
             if not hasattr(gen, "send"):
@@ -754,14 +701,13 @@ def _refusal(
         return "resolver fabric (per-rank-pair routing)"
     if getattr(fabric, "time_varying", False):
         return "time-varying fabric"
-    if fault_plan is None and fast_collectives is not False:
+    if fault_plan is None:
         return None
     if fast_collectives:
         return "fault plan with fast_collectives=True"  # MpiJob raises
     if active(tracer) is not None:
-        # The stepped run traces the messages inside each collective.
-        return "tracer on a fault plan or fast_collectives=False job"
-    return None if fault_plan is None else _plan_refusal(fault_plan)
+        return "tracer on a fault plan"
+    return _plan_refusal(fault_plan)
 
 
 def _lazy_returns(
@@ -811,25 +757,22 @@ def _compile_or_none(
     tracer: Optional[Tracer],
     pid: str,
     plan: Optional[Any] = None,
-    algorithms: bool = False,
 ) -> Optional[JobResult]:
     """Memo, vector pricing or scalar replay; ``None`` (with
     ``st.reason`` set) means the caller must run the job stepped.
 
     A job with an active tracer reads no memo and takes no vector path,
     since neither keeps per-op clocks: it replays, emitting its spans.
-    A job whose collectives run the stepped ``algorithms`` (a static
-    fault ``plan``, or ``fast_collectives=False``) takes no vector path
-    either, because phase pricing floors the schedules to the last
-    arrival and knows no straggler factors.  Its memo key adds the
-    collective mode and the plan's fingerprint.
+    A job with a static fault ``plan`` takes no vector path either,
+    because phase pricing knows neither the degraded fabric nor
+    straggler factors.  Its memo key adds the plan's fingerprint.
     """
     tr = active(tracer)
     key = None
     if cache is not None and tr is None:
         parts: Tuple[Any, ...] = ("mpijob", main, fabric, n_ranks)
-        if algorithms:
-            parts += ("algorithms", None if plan is None else plan.fingerprint())
+        if plan is not None:
+            parts += (plan.fingerprint(),)
         key = cache.key(*parts)
         hit = cache.get(key)
         if hit is not None:
@@ -839,7 +782,7 @@ def _compile_or_none(
     if vetoes and not profile.unknown:
         st.reason = f"static profile: {vetoes[0]}"
         return None
-    want_vector = tr is None and not algorithms and (
+    want_vector = tr is None and plan is None and (
         vector if vector is not None
         else HAVE_NUMPY and n_ranks >= VECTOR_MIN_RANKS
     )
@@ -866,8 +809,7 @@ def _compile_or_none(
                 returns_factory=_lazy_returns(n_ranks, fabric, main),
             )
     try:
-        job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid, plan=plan,
-                         algorithms=algorithms)
+        job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid, plan=plan)
         result = job.run(main)
     except ReplayFallback as exc:
         st.reason = str(exc)
@@ -922,9 +864,9 @@ def compiled_mpiexec(
     and the point-to-point traffic inside collectives (see
     ``docs/OBSERVABILITY.md``).
 
-    A static ``fault_plan`` or ``fast_collectives=False`` replays,
-    untraced, pricing each collective with the unfloored schedule of its
-    stepped algorithm; a windowed or crashing plan steps.
+    A static ``fault_plan`` replays, untraced, on the degraded fabric;
+    a windowed or crashing plan steps.  ``fast_collectives=False`` only
+    slows the stepped engine, so it changes no compiled path.
 
     ``vector`` overrides the backend selection: ``True`` demands the
     vectorized phase backend (falling back to scalar paths only when the
@@ -943,7 +885,6 @@ def compiled_mpiexec(
         result = _compile_or_none(
             n_ranks, fabric, main, cache=cache, st=st, vector=vector,
             tracer=tracer, pid="mpijob", plan=fault_plan,
-            algorithms=fault_plan is not None or fast_collectives is False,
         )
         if result is not None:
             return result

@@ -9,32 +9,34 @@ timing is a deterministic function of the per-rank entry times, and
 :mod:`repro.mpi.collectives` knows the closed recurrence for it
 (``*_schedule``).
 
-This module short-circuits the six :data:`FAST_KINDS` (bcast, reduce,
-allreduce, allgather, alltoall, barrier) on such *uniform* jobs; gather
-and scatter always step.  Each rank deposits its value and arrival time
-into a shared per-job instance; the last rank to arrive evaluates the
-exact schedule, computes every rank's result (replaying the algorithm's
-combination order, so payloads are bit-identical to the stepped run),
-and wakes the others.  Each rank then sleeps until its own analytic
-finish time.  Fast-path and full-DES times agree to float precision —
-the test suite gates 1e-9 — because the schedules mirror the executable
-algorithms hop for hop.
+This module short-circuits the collectives :func:`takes_fast_path`
+admits on such *uniform* jobs: allreduce, allgather, alltoall and
+barrier (:data:`FAST_KINDS`), plus bcast above
+:data:`~repro.mpi.collectives.LARGE_MESSAGE_SWITCH`.  Each rank deposits
+its value and arrival time into a shared per-job instance; the last rank
+to arrive evaluates the exact schedule, computes every rank's result
+(replaying the algorithm's combination order, so payloads are
+bit-identical to the stepped run), and wakes the others.  Each rank then
+sleeps until its own analytic finish time.  Fast-path and full-DES times
+agree to float precision — the test suite gates 1e-9 — because the
+schedules mirror the executable algorithms hop for hop.
+
+Only a collective whose schedule releases no rank before the last
+arrival can take this path, since no rank resumes before the last one
+arrives.  Every rank of those collectives depends on every arrival (the
+large bcast through its ring).  Binomial bcast and reduce do not: their
+early subtrees and leaf senders finish first, so they step through
+:data:`~repro.mpi.collectives.ALGORITHMS`, as gather and scatter do.
+The compiled replay and phase pricing therefore price every collective
+with the plain :data:`~repro.mpi.collectives.SCHEDULES` entry, and a
+job's timing does not depend on which path ran it.
 
 The fast path is *off* when
 
 * the job's fabric is a resolver (per-rank divergence possible),
-* a tracer is active (per-rank send/recv spans must be recorded), or
+* a tracer is active (per-rank send/recv spans must be recorded),
+* a verifier is armed or the collective has a ``deadline``, or
 * the job was built with ``fast_collectives=False``.
-
-One caveat: with skewed arrivals, a rank whose analytic finish precedes
-the last arrival (possible for bcast's early subtrees and reduce's leaf
-senders, which are causally independent of late ranks) resumes at the
-resolution instant instead; with simultaneous arrivals every finish is
-exact.  :func:`finishes` is that rule, written once: it floors a
-:data:`FAST_KINDS` schedule to the last arrival and leaves gather and
-scatter, whose stepped ranks never wait for the resolution, as their
-schedules give them.  The compiled replay and phase pricing call it too,
-so every path resumes a rank where the stepped engine does.
 """
 
 from __future__ import annotations
@@ -43,28 +45,24 @@ import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import SCHEDULES, _extrema, _floor
+from repro.mpi.collectives import LARGE_MESSAGE_SWITCH, SCHEDULES
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
 
-__all__ = ["FAST_KINDS", "FastCollectives", "finishes"]
+__all__ = ["FAST_KINDS", "FastCollectives", "takes_fast_path"]
 
-#: The collectives the stepped Communicator hands to :class:`FastCollectives`.
-FAST_KINDS = frozenset(
-    ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier")
-)
+#: The collectives whose schedule releases no rank before the last arrival.
+FAST_KINDS = frozenset(("allreduce", "allgather", "alltoall", "barrier"))
 
 
-def finishes(kind: str, fabric: Any, p: int, nbytes: int, arrivals: Any,
-             root: int = 0) -> Any:
-    """Where each rank resumes after collective ``kind``: its schedule,
-    floored to the last arrival for :data:`FAST_KINDS`, whose ranks the
-    stepped fast path parks until the last rank resolves the occurrence.
-    ``arrivals`` is a list or an array, and so is the result."""
-    t = SCHEDULES[kind](fabric, p, nbytes, arrivals, root)
-    if kind in FAST_KINDS:
-        t = _floor(t, _extrema(arrivals)[1])
-    return t
+def takes_fast_path(kind: str, nbytes: int) -> bool:
+    """Whether the stepped Communicator hands collective ``kind`` of
+    ``nbytes`` to :class:`FastCollectives`: the :data:`FAST_KINDS`, and
+    bcast above ``LARGE_MESSAGE_SWITCH``, whose ring makes every rank
+    depend on every arrival."""
+    return kind in FAST_KINDS or (
+        kind == "bcast" and nbytes > LARGE_MESSAGE_SWITCH
+    )
 
 
 class _Instance:
@@ -90,7 +88,7 @@ class _Instance:
         self.pending = size
         self.events: List[Optional[Event]] = [None] * size
         self.parked: List[int] = []
-        #: ``(finishes, results)`` once the last rank has arrived.
+        #: ``(finish times, results)`` once the last rank has arrived.
         self.outcome: Optional[Tuple[List[float], List[Any]]] = None
 
     def check(self, kind: str, nbytes: int, root: Optional[int]) -> None:
@@ -110,15 +108,15 @@ class _Instance:
         self.pending -= 1
         return self.pending == 0
 
-    def resolve(self, fabric: Any, times: Callable[..., Any] = finishes
+    def resolve(self, fabric: Any, factors: Optional[List[float]] = None
                 ) -> Tuple[List[float], List[Any]]:
-        """Every rank's resume time and result.  ``times`` has the
-        signature of :func:`finishes`, the default."""
-        self.outcome = (
-            times(self.kind, fabric, len(self.arrivals), self.nbytes,
-                  self.arrivals, self.root),
-            _RESULTS[self.kind](self),
-        )
+        """Every rank's finish time and result.  ``factors`` (one per
+        rank) scales the reduction arithmetic of reduce and allreduce."""
+        args: Tuple[Any, ...] = (fabric, len(self.arrivals), self.nbytes,
+                                 self.arrivals, self.root)
+        if factors is not None and self.kind in ("reduce", "allreduce"):
+            args += (factors,)
+        self.outcome = SCHEDULES[self.kind](*args), _RESULTS[self.kind](self)
         return self.outcome
 
 
@@ -173,6 +171,13 @@ class FastCollectives:
         delay = finish - engine.now
         if delay > 0:
             yield Timeout(delay)
+        elif delay < 0:
+            # Only collectives whose schedule covers the last arrival
+            # come here, so a finish in the past is a pricing bug.
+            raise RuntimeError(
+                f"{kind} rank {rank} ends at {finish!r}, before the"
+                f" last arrival at {engine.now!r}"
+            )
         return result
 
     def _abort(self, seq: int, inst: _Instance, exc: ConfigError) -> None:

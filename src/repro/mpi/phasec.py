@@ -24,14 +24,13 @@ recognized rank program into that form:
    * shift       ``t' = shift_step(t, offset)``: eager
      ``max(t + ts, roll(t, o) + tp)``, rendezvous
      ``max(t, roll(t, o), roll(t, -o)) + tp``
-   * collective  ``t' = finishes(kind, fabric, P, nbytes, t, root)``: the
-     schedule, floored to ``max(t)`` for the fast-path kinds
+   * collective  ``t' = SCHEDULES[kind](fabric, P, nbytes, t, root)``
    * compute     ``t' = t + seconds``
 
    The shift is :func:`repro.mpi.collectives.shift_step`, the same step
-   the collective schedules are built from, and the collectives go
-   through :func:`repro.mpi.fastpath.finishes`, the rule the fast path
-   and the replay resume ranks by.  The recurrences are the
+   the collective schedules are built from, and each collective is its
+   :data:`~repro.mpi.collectives.SCHEDULES` entry, the one the fast path
+   and the replay price it with.  The recurrences are the
    scalar replay's own timing equations (which are the stepped
    engine's), so pricing agrees with the replay bit for bit — the
    equivalence suite gates 1e-9 but observes 0.
@@ -55,8 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import _add, _wire, shift_step
-from repro.mpi.fastpath import finishes
+from repro.mpi.collectives import SCHEDULES, _add, _wire, shift_step
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.obs.tracer import NULL_CONTEXT
 from repro.perf.batch import HAVE_NUMPY, get_numpy, warn_scalar_fallback
@@ -571,7 +569,7 @@ def _clocks_raw(program: PhaseProgram, fabric: Any,
                 t = _add(t, ph.seconds)
         else:
             for _ in range(ph.count):
-                t = finishes(ph.coll, fabric, p, ph.nbytes, t, ph.root)
+                t = SCHEDULES[ph.coll](fabric, p, ph.nbytes, t, ph.root)
     return t
 
 

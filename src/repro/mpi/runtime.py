@@ -153,6 +153,10 @@ class MpiJob:
     :class:`~repro.errors.ConfigError` on a non-uniform resolver fabric,
     whose per-rank divergence the analytic schedules cannot express);
     ``False`` forces every collective through the stepped algorithms.
+    It changes speed only: the fast path takes just the collectives whose
+    schedule releases no rank before the last one arrives, and gives
+    every rank the finish time its stepped algorithm would, so elapsed
+    times and returns do not depend on it.
 
     ``fault_plan`` injects a :class:`~repro.faults.FaultPlan`: link
     faults wrap the fabric in a degraded variant gated by the engine

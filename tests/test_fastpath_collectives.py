@@ -1,22 +1,31 @@
-"""Analytic collective fast path vs the stepped DES algorithms.
+"""Analytic collective schedules vs the stepped DES algorithms.
 
 The fast path (:mod:`repro.mpi.fastpath`) resolves a collective's
 per-rank finish times from the closed max-plus schedules in
 :mod:`repro.mpi.collectives` instead of stepping every message through
-the engine.  These tests gate the contract: on a uniform fabric the
-fast-path job time matches the full discrete-event run to 1e-9 relative
+the engine.  It takes only the collectives
+:func:`~repro.mpi.fastpath.takes_fast_path` admits; binomial bcast and
+reduce step, and the compiled replay prices them with the same
+schedules.  These tests gate the contract: on a uniform fabric the
+analytic job time matches the full discrete-event run to 1e-9 relative
 error (it is float-exact in practice) with bit-identical payloads, and
-non-uniform (resolver) fabrics refuse the fast path.
+non-uniform (resolver) fabrics refuse the fast path.  A spy on
+:meth:`~repro.mpi.fastpath.FastCollectives.run` proves that every side
+labelled "fast" really took the fast path, so no test compares stepped
+with stepped.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
+from repro.mpi.fastpath import FastCollectives, takes_fast_path
 from repro.mpi.runtime import MpiJob, mpiexec
 
 KINDS = ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier")
@@ -52,6 +61,20 @@ def _collective_main(kind: str, nbytes: int, skew: float, comm):
     raise AssertionError(kind)
 
 
+@pytest.fixture
+def fast_runs(monkeypatch):
+    """Counts, by kind, the rank entries into the fast path."""
+    seen: Counter = Counter()
+    run = FastCollectives.run
+
+    def spy(self, comm, seq, kind, *args, **kwargs):
+        seen[kind] += 1
+        return run(self, comm, seq, kind, *args, **kwargs)
+
+    monkeypatch.setattr(FastCollectives, "run", spy)
+    return seen
+
+
 def _run(kind, fabric, p, nbytes, fast, skew=0.0):
     return mpiexec(
         p, fabric, partial(_collective_main, kind, nbytes, skew),
@@ -59,33 +82,49 @@ def _run(kind, fabric, p, nbytes, fast, skew=0.0):
     )
 
 
+def _analytic(kind, fabric, p, nbytes, fast_runs, skew=0.0):
+    """The job priced by the schedules: on the fast path where the
+    collective takes it, else on the compiled replay."""
+    main = partial(_collective_main, kind, nbytes, skew)
+    if takes_fast_path(kind, nbytes):
+        fast_runs.clear()
+        res = mpiexec(p, fabric, main, fast_collectives=True)
+        assert fast_runs == {kind: p}, (kind, nbytes, fast_runs)
+        return res
+    st = CompileStats()
+    res = compiled_mpiexec(p, fabric, main, vector=False, stats=st)
+    assert st.path == "replay", (kind, nbytes, st.reason)
+    return res
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("fabric_name", ("host", "phi"))
 @pytest.mark.parametrize("p", SIZES)
-def test_fast_path_matches_des(kind, fabric_name, p):
-    """Fast-path elapsed time within 1e-9 of DES, payloads identical."""
+def test_fast_path_matches_des(kind, fabric_name, p, fast_runs):
+    """Analytic elapsed time within 1e-9 of DES, payloads identical."""
     for nbytes in (256, 512 * 1024):  # eager and rendezvous regimes
-        fast = _run(kind, _fabric(fabric_name), p, nbytes, fast=True)
+        fast = _analytic(kind, _fabric(fabric_name), p, nbytes, fast_runs)
         des = _run(kind, _fabric(fabric_name), p, nbytes, fast=False)
         assert fast.returns == des.returns
         rel = abs(fast.elapsed - des.elapsed) / des.elapsed
         assert rel <= TOL, (
             f"{kind} P={p} {fabric_name} nbytes={nbytes}: "
-            f"fast {fast.elapsed!r} vs DES {des.elapsed!r} (rel {rel:.2e})"
+            f"analytic {fast.elapsed!r} vs DES {des.elapsed!r} "
+            f"(rel {rel:.2e})"
         )
 
 
 @pytest.mark.parametrize("kind", ("allreduce", "allgather", "alltoall", "barrier"))
-def test_fast_path_matches_des_with_skewed_arrivals(kind):
+def test_fast_path_matches_des_with_skewed_arrivals(kind, fast_runs):
     """Ranks entering at staggered times still agree with the DES run."""
     for p in (16, 13):
-        fast = _run(kind, _fabric("host"), p, 4096, fast=True, skew=1e-6)
+        fast = _analytic(kind, _fabric("host"), p, 4096, fast_runs, skew=1e-6)
         des = _run(kind, _fabric("host"), p, 4096, fast=False, skew=1e-6)
         assert fast.returns == des.returns
         assert abs(fast.elapsed - des.elapsed) / des.elapsed <= TOL, p
 
 
-def test_allreduce_float_payloads_bit_identical():
+def test_allreduce_float_payloads_bit_identical(fast_runs):
     """Reduction order is replayed, so float sums match bit for bit."""
 
     def main(comm):
@@ -94,15 +133,17 @@ def test_allreduce_float_payloads_bit_identical():
         return total
 
     for p in (5, 12, 16):
+        fast_runs.clear()
         fast = mpiexec(p, host_fabric(), main, fast_collectives=True)
+        assert fast_runs == {"allreduce": p}
         des = mpiexec(p, host_fabric(), main, fast_collectives=False)
         assert fast.returns == des.returns  # exact equality, not approx
 
 
 def test_reduce_root_result_bit_identical():
-    """Reduce replays the binomial combine order, so the root's float
-    accumulation matches the DES result bit for bit — and only the root
-    holds a value."""
+    """Reduce steps; the compiled replay's result replays the binomial
+    combine order, so the root's float accumulation matches the DES
+    result bit for bit — and only the root holds a value."""
 
     def main(comm):
         value = 0.1 * (comm.rank + 1)
@@ -110,7 +151,10 @@ def test_reduce_root_result_bit_identical():
         return total
 
     for p in (5, 12, 16):
-        fast = mpiexec(p, host_fabric(), main, fast_collectives=True)
+        st = CompileStats()
+        fast = compiled_mpiexec(p, host_fabric(), main, vector=False,
+                                stats=st)
+        assert st.path == "replay", st.reason
         des = mpiexec(p, host_fabric(), main, fast_collectives=False)
         assert fast.returns == des.returns  # exact equality, not approx
         assert fast.returns[1] is not None
@@ -171,6 +215,21 @@ def test_mismatch_fails_blocked_ranks_no_secondary_hang():
     job.run()
 
 
+def test_finish_before_last_arrival_raises(monkeypatch):
+    """The fast path takes only collectives whose schedule finishes no
+    rank before the last arrival, so an earlier finish is a pricing bug:
+    it raises instead of resuming the rank late."""
+    from repro.mpi.collectives import SCHEDULES
+
+    def early(fabric, p, nbytes, arrivals, root=0):
+        return [t - 1e-9 for t in arrivals]
+
+    monkeypatch.setitem(SCHEDULES, "allreduce", early)
+    main = partial(_collective_main, "allreduce", 8, 1e-6)
+    with pytest.raises(RuntimeError, match="before the last arrival"):
+        mpiexec(4, host_fabric(), main, fast_collectives=True)
+
+
 def test_fast_path_disabled_under_tracer():
     """An active tracer steps every message so spans stay complete."""
     from repro.obs.tracer import Tracer
@@ -182,7 +241,7 @@ def test_fast_path_disabled_under_tracer():
     assert not comm._use_fast()  # ...but traced communicators bypass it
 
 
-def test_scale_p4096_allreduce_fast_path():
+def test_scale_p4096_allreduce_fast_path(fast_runs):
     """The headline scaling point: P=4096 allreduce resolves sub-second."""
     import time
 
@@ -196,5 +255,6 @@ def test_scale_p4096_allreduce_fast_path():
     wall = time.perf_counter() - t0
     expected = p * (p - 1) // 2
     assert all(r == expected for r in result.returns)
+    assert fast_runs == {"allreduce": p}
     assert result.elapsed > 0
     assert wall < 30.0, f"P=4096 fast-path allreduce took {wall:.1f}s"

@@ -2,23 +2,26 @@
 
 A job with collectives prices on four paths: the stepped engine (the
 reference), the max-plus replay, vector phase pricing and a warm memo
-hit.  :func:`repro.mpi.fastpath.finishes` is the one rule for where a
-rank resumes after a collective.  Three contracts are gated here:
+hit.  Every path prices a collective with its
+:data:`~repro.mpi.collectives.SCHEDULES` entry.  Three contracts are
+gated here:
 
-* **The clamped kinds** — :data:`~repro.mpi.fastpath.FAST_KINDS`, the
-  kinds ``finishes`` floors to the last arrival, are exactly the kinds
-  the stepped Communicator hands to
-  :class:`~repro.mpi.fastpath.FastCollectives`.  gather and scatter
-  always step, so their ranks leave without waiting for the last one.
+* **The fast kinds** — :func:`~repro.mpi.fastpath.takes_fast_path`
+  admits exactly the collectives the stepped Communicator hands to
+  :class:`~repro.mpi.fastpath.FastCollectives`: the
+  :data:`~repro.mpi.fastpath.FAST_KINDS` and bcast above
+  ``LARGE_MESSAGE_SWITCH``, whose schedules finish no rank before the
+  last arrival.  Binomial bcast, reduce, gather and scatter step.
 * **Path agreement** — a Hypothesis property over small rank programs
   (a ring ``sendrecv``, a rank-skewed ``compute``, then one collective
   with a random root, repeated) on P in {1, 2, 3, 5, 8, 13, 16}, with
   sizes on both sides of each fabric's eager limit and of
   ``LARGE_MESSAGE_SWITCH``.  Returns are equal on every path.  The
   compiled paths agree with each other bit for bit.  Against the
-  stepped engine, gather and scatter agree bit for bit and the fast
-  kinds to 1e-12: a stepped fast-path rank resumes after a delay of
-  ``finish - now``, which can round the finish by an ulp.
+  stepped engine, collectives that step agree bit for bit and those
+  that take the fast path to 1e-12: a stepped fast-path rank resumes
+  after a delay of ``finish - now``, which can round the finish by an
+  ulp.
 * **One root check** — an out-of-range root raises the same
   :class:`~repro.errors.ConfigError` on every path a job can take.
 """
@@ -35,7 +38,7 @@ from repro.errors import ConfigError
 from repro.mpi.collectives import LARGE_MESSAGE_SWITCH, SCHEDULES
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
-from repro.mpi.fastpath import FAST_KINDS, FastCollectives
+from repro.mpi.fastpath import FAST_KINDS, FastCollectives, takes_fast_path
 from repro.mpi.runtime import mpiexec
 from repro.obs.tracer import Tracer
 from repro.perf.cache import EvalCache
@@ -107,18 +110,28 @@ def _all_eight(comm):
     return (yield from comm.scatter(values, root=1))
 
 
+def _large_bcast(comm):
+    return (yield from comm.bcast(comm.rank, root=2,
+                                  nbytes=LARGE_MESSAGE_SWITCH + 1))
+
+
 def test_fast_kinds_are_the_stepped_fast_path(monkeypatch):
     seen = set()
     run = FastCollectives.run
 
-    def spy(self, comm, seq, kind, *args, **kwargs):
+    def spy(self, comm, seq, kind, value, nbytes, *args, **kwargs):
+        assert takes_fast_path(kind, nbytes), (kind, nbytes)
         seen.add(kind)
-        return run(self, comm, seq, kind, *args, **kwargs)
+        return run(self, comm, seq, kind, value, nbytes, *args, **kwargs)
 
     monkeypatch.setattr(FastCollectives, "run", spy)
     res = mpiexec(4, host_fabric(), _all_eight)
     assert res.returns == [0, 1, 2, 3]
     assert seen == FAST_KINDS
+    seen.clear()
+    res = mpiexec(4, host_fabric(), _large_bcast)
+    assert res.returns == [2] * 4
+    assert seen == {"bcast"}
 
 
 def _bad_root(kind, root, comm):
@@ -189,7 +202,7 @@ def test_every_path_agrees_with_stepped(fabric_name, p, kind, nbytes, skew,
     for res in (rep, vec, memo):
         assert res.returns == ref.returns, case
     assert vec.elapsed == memo.elapsed == rep.elapsed, case
-    if kind in FAST_KINDS:
+    if p > 1 and takes_fast_path(kind, nbytes):
         assert abs(rep.elapsed - ref.elapsed) <= 1e-12 * ref.elapsed, case
     else:
         assert rep.elapsed == ref.elapsed, case

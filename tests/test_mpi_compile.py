@@ -12,8 +12,8 @@ Three contracts are gated here:
   crashing fault plans, resolver fabrics, caller-provided engines)
   silently re-runs on the stepped engine with identical results and
   identical errors.  A traced job replays, emitting its spans from the
-  replay's clocks; a static fault plan or ``fast_collectives=False``
-  replays the stepped collective algorithms.
+  replay's clocks; a static fault plan replays on the degraded fabric,
+  and ``fast_collectives=False`` changes no compiled path.
 * **Memoization** — a warm :class:`~repro.perf.cache.EvalCache` hit
   returns the stored :class:`~repro.mpi.runtime.JobResult` without
   stepping a single engine event, and the fingerprint key separates
@@ -482,19 +482,22 @@ def test_fallback_caller_engine():
 
 
 def test_fallback_fast_collectives_disabled():
-    """``fast_collectives=False`` replays the stepped algorithms exactly;
-    traced, or demanded under a fault plan, it steps."""
+    """``fast_collectives=False`` replays exactly, traced or not;
+    ``fast_collectives=True`` demanded under a fault plan steps."""
     from repro.faults import FaultPlan
     from repro.obs import Tracer
 
     _assert_replays_exactly(partial(_cg_like_main, 256),
                             fast_collectives=False)
     st = CompileStats()
-    compiled_mpiexec(
-        4, host_fabric(), partial(_halo_main, 256),
-        fast_collectives=False, tracer=Tracer(), stats=st,
-    )
-    _assert_stepped(st, "fast_collectives")
+    main = partial(_cg_like_main, 256)
+    res = compiled_mpiexec(4, host_fabric(), main, fast_collectives=False,
+                           tracer=Tracer(), stats=st)
+    assert st.path == "replay", (st.path, st.reason)
+    ref = mpiexec(4, host_fabric(), main, fast_collectives=False,
+                  tracer=Tracer())
+    assert res.elapsed == ref.elapsed
+    assert res.returns == ref.returns
     st = CompileStats()
     with pytest.raises(ConfigError, match="fault plan"):
         compiled_mpiexec(
@@ -502,6 +505,28 @@ def test_fallback_fast_collectives_disabled():
             fast_collectives=True, fault_plan=FaultPlan(), stats=st,
         )
     assert st.path == "stepped" and "fast_collectives" in st.reason
+
+
+def _rooted_halo_main(nbytes, comm):
+    """A halo, then a reduce and a binomial bcast rooted off rank 0."""
+    yield from _halo_main(nbytes, comm)
+    total = yield from comm.reduce(comm.rank, root=3, nbytes=nbytes)
+    return (yield from comm.bcast(total, root=3, nbytes=nbytes))
+
+
+def test_fast_collectives_disabled_takes_the_vector_path():
+    """A large ``fast_collectives=False`` job prices on the vector path,
+    as the default job does, and equals its stepped run."""
+    from repro.perf.batch import HAVE_NUMPY
+
+    main = partial(_rooted_halo_main, 256)
+    st = CompileStats()
+    res = compiled_mpiexec(128, host_fabric(), main, fast_collectives=False,
+                           stats=st)
+    assert st.path == ("vector" if HAVE_NUMPY else "replay"), st
+    ref = mpiexec(128, host_fabric(), main, fast_collectives=False)
+    assert res.elapsed == ref.elapsed
+    assert res.returns == ref.returns == [127 * 128 // 2] * 128
 
 
 def test_fallback_replay_error_is_transparent():
@@ -593,9 +618,10 @@ def test_memo_key_separates_jobs():
 
 
 def test_memo_not_consulted_for_fallback_jobs():
-    """A healthy entry never answers a faulted or ``fast_collectives=False``
-    job, nor one of theirs a healthy job: the key adds the collective
-    mode and the plan's fingerprint."""
+    """A healthy entry never answers a faulted job, nor a faulted entry a
+    healthy job or another plan: the key adds the plan's fingerprint.
+    ``fast_collectives=False`` only changes the stepped engine's speed,
+    so such a job hits the healthy entry."""
     from repro.faults import FaultPlan, Straggler
     from repro.obs import Tracer
 
@@ -612,17 +638,26 @@ def test_memo_not_consulted_for_fallback_jobs():
         assert st.path == "replay" and not st.cache_hit, st
         assert res.elapsed == mpiexec(8, host_fabric(), main,
                                       fault_plan=then).elapsed
-    # The faulted entry answers its own plan, not another plan or mode.
+    # The faulted entry answers its own plan, not another plan.
     st = CompileStats()
     compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
                      fault_plan=plan(2.0))
     assert st.path == "memo" and st.cache_hit
-    for kwargs in ({"fault_plan": plan(3.0)}, {"fast_collectives": False}):
-        st = CompileStats()
-        res = compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
-                               **kwargs)
-        assert st.path == "replay" and not st.cache_hit, (kwargs, st)
-        assert res.elapsed == mpiexec(8, host_fabric(), main, **kwargs).elapsed
+    st = CompileStats()
+    res = compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
+                           fault_plan=plan(3.0))
+    assert st.path == "replay" and not st.cache_hit, st
+    assert res.elapsed == mpiexec(8, host_fabric(), main,
+                                  fault_plan=plan(3.0)).elapsed
+    # The healthy entry (written by the loop's last round) answers a
+    # fast_collectives=False job, with the stepped algorithms' answer.
+    st = CompileStats()
+    res = compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
+                           fast_collectives=False)
+    assert st.path == "memo" and st.cache_hit, st
+    ref = mpiexec(8, host_fabric(), main, fast_collectives=False)
+    assert res.elapsed == ref.elapsed
+    assert res.returns == ref.returns
     main = partial(_halo_main, 256)
     compiled_mpiexec(8, host_fabric(), main, cache=cache)
     # A traced job skips the memo, whose hit would emit no spans.

@@ -6,8 +6,8 @@ engine runs the collective algorithms of
 :func:`~repro.mpi.compile.compiled_mpiexec` prices such a job on the
 max-plus replay when the plan is *static*: no rank crash, and every link
 and straggler fault active over ``[0, inf)``.  Each collective
-occurrence resolves with one call to the unfloored
-:data:`~repro.mpi.collectives.SCHEDULES` on the degraded fabric, whose
+occurrence resolves with one call to its
+:data:`~repro.mpi.collectives.SCHEDULES` entry on the degraded fabric, whose
 reductions run at each rank's straggler factor; no collective message is
 replayed.  Four contracts are gated here:
 

@@ -9,12 +9,9 @@ the spans itself.  Three contracts are gated here:
   point-to-point traffic inside a collective is priced by its schedule
   and leaves no span), with equal names, lanes, depths and args.
 * **Timing** — span timestamps and durations agree with the stepped
-  trace to 1e-9 relative, except for bcast and reduce.  A traced stepped
-  job never takes the fast path, so its bcast and reduce algorithms end
-  some ranks earlier than the last-arrival floor the replay (and
-  untraced pricing) applies to the fast-path kinds; there each rank's
-  lifetime span ends on the untraced replay's clock.  gather and scatter
-  always step, are never floored, and agree.  Traced elapsed is
+  trace to 1e-9 relative for every collective kind.  A traced stepped
+  job never takes the fast path, and the replay prices each collective
+  with the schedule of the algorithm that job steps.  Traced elapsed is
   bit-equal to untraced compiled elapsed everywhere.
 * **Fallback hygiene** — a replay abandoned mid-job leaves no span or
   message-matrix entry behind: the stepped rerun's trace is the whole
@@ -28,7 +25,7 @@ from functools import partial
 
 import pytest
 
-from repro.mpi.compile import CompileStats, _ReplayJob, compiled_mpiexec
+from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import MpiJob, mpiexec
 from repro.obs import NULL_TRACER, Tracer, trace_digest
@@ -42,10 +39,6 @@ RANKS = (1, 2, 3, 8, 13, 64)
 SIZES = (64, 1 << 20)
 
 FABRICS = {"host": host_fabric, "phi": lambda: phi_fabric(2)}
-
-#: Fast-path kinds whose traced stepped algorithm can end a rank before
-#: the last-arrival floor the compiled paths apply.
-CLAMPED = ("bcast", "reduce")
 
 
 # --------------------------------------------------------------- rank mains
@@ -187,12 +180,12 @@ def _run_pair(kind, p, nbytes, fabric_name):
 # -------------------------------------------------------------- equivalence
 
 
-EXACT = ("allreduce", "allgather", "alltoall", "gather", "scatter", "barrier",
-         "halo", "phase-ring", "isend-burst")
+KINDS = ("allreduce", "allgather", "alltoall", "gather", "scatter", "barrier",
+         "halo", "phase-ring", "isend-burst", "bcast", "reduce")
 
 
 @pytest.mark.parametrize("fabric_name", sorted(FABRICS))
-@pytest.mark.parametrize("kind", EXACT + CLAMPED)
+@pytest.mark.parametrize("kind", KINDS)
 def test_compiled_trace_matches_stepped(kind, fabric_name):
     for p in RANKS:
         for nbytes in SIZES:
@@ -202,12 +195,6 @@ def test_compiled_trace_matches_stepped(kind, fabric_name):
             # Nothing outside the canonical subset is emitted.
             assert len(ours) == len(compiled.events), case
             assert _structure(ours) == _structure(theirs), case
-            if kind in CLAMPED:
-                job = _ReplayJob(p, FABRICS[fabric_name]())
-                job.run(main)
-                ends = {e.tid: e.end for _, e in ours if e.cat == "mpi.rank"}
-                assert ends == {f"rank{r}": t for r, t in enumerate(job.clocks)}
-                continue
             for (key, a), (_, b) in zip(_by_key(ours), _by_key(theirs)):
                 assert _close(a.ts, b.ts), (case, key, a.ts, b.ts)
                 assert _close(a.dur, b.dur), (case, key, a.dur, b.dur)
