@@ -18,7 +18,10 @@ Campaigns:
   P ∈ {64, 1024, 16384} (quick: {64, 256}), gating the headline claim:
   at P=16384 the replay agrees with the stepped engine to 1e-9 while
   running ≥ 20x faster — and at *every* P the replay beats the stepped
-  wall (the small-P crossover gate);
+  wall (the small-P crossover gate).  Each point also replays the job
+  under a :class:`~repro.obs.Tracer` and records its wall and
+  ``trace_overhead`` (traced ÷ untraced replay wall, both uncached);
+  its elapsed must equal the untraced replay's;
 * the vector path at P ∈ {4096, 65536, 100000} (quick: {4096}), gating
   ≤ 1e-9 agreement with the stepped engine at P=4096, ≥ 100x over the
   scalar replay at P=65536, and a < 10 s wall at P=100,000 — the
@@ -94,6 +97,7 @@ def _halo_point(p: int) -> Dict[str, Any]:
     from repro.mpi.compile import CompileStats, compiled_mpiexec
     from repro.mpi.fabrics import phi_fabric
     from repro.mpi.runtime import MpiJob
+    from repro.obs import Tracer
     from repro.perf.cache import EvalCache
     from repro.simcore import Engine
 
@@ -134,6 +138,24 @@ def _halo_point(p: int) -> Dict[str, Any]:
             "identical_returns": _same(res.returns, stepped.returns),
             "speedup": stepped_wall / max(wall, 1e-12),
         }
+    # The overhead's base is an uncached untraced replay run just before,
+    # so neither side pays the first call's static profile or memo key.
+    t0 = time.perf_counter()
+    compiled_mpiexec(p, fabric, main, vector=False)
+    untraced_wall = time.perf_counter() - t0
+    tracer = Tracer()
+    st = CompileStats()
+    t0 = time.perf_counter()
+    res = compiled_mpiexec(p, fabric, main, tracer=tracer, stats=st)
+    wall = time.perf_counter() - t0
+    point["traced"] = {
+        "wall": wall,
+        "untraced_wall": untraced_wall,
+        "elapsed": res.elapsed,
+        "path": st.path,
+        "events": len(tracer),
+        "trace_overhead": wall / max(untraced_wall, 1e-12),
+    }
     return point
 
 
@@ -282,6 +304,12 @@ def check_report(report: Dict[str, Any]) -> List[str]:
                 bad.append(f"{tag}: {label} returns differ")
             if r["engine_steps"] != 0:
                 bad.append(f"{tag}: {label} stepped {r['engine_steps']} events")
+        traced = pt["traced"]
+        if traced["path"] != "replay":
+            bad.append(f"{tag}: traced job ran via {traced['path']!r}")
+        if traced["elapsed"] != pt["replay"]["elapsed"]:
+            bad.append(f"{tag}: traced elapsed {traced['elapsed']!r} != "
+                       f"replay {pt['replay']['elapsed']!r}")
         if pt["ranks"] >= 16384 and pt["replay"]["speedup"] < 20.0:
             bad.append(
                 f"{tag}: replay speedup {pt['replay']['speedup']:.1f}x < 20x"
@@ -350,8 +378,12 @@ def render_report(report: Dict[str, Any]) -> str:
                 f"{r['elapsed']:>12.4e} {r['engine_steps']:>7} "
                 f"{r['rel_err']:>8.1e}"
             )
+        t = pt["traced"]
+        lines.append(f"{'':>16} {'traced':>7} {t['wall']:>9.3f} "
+                     f"{t['elapsed']:>12.4e} {0:>7} {'-':>8}")
         lines.append(f"{'':>16} replay speedup: "
-                     f"{pt['replay']['speedup']:.1f}x")
+                     f"{pt['replay']['speedup']:.1f}x, trace overhead "
+                     f"{t['trace_overhead']:.2f}x ({t['events']} events)")
     for pt in report.get("vector", {}).get("points", ()):
         tag = f"vector P={pt['ranks']}"
         if "stepped" in pt:

@@ -12,7 +12,8 @@ What is compared per report family:
   blowups are not), plus exact equality of the deterministic outputs
   (engine steps, point counts, ``identical``/``correct`` booleans).
 * **jobcompile** — every gate of ``bench_jobcompile.check_report`` on
-  the fresh report, plus per-point replay/memo wall budgets.
+  the fresh report, plus per-point replay/memo wall budgets (and the
+  halo points' traced-replay wall).
 * **campaign** — every kill-and-resume and worker-kill gate boolean,
   plus reference and resume wall budgets (the killed legs retry with
   doubled throttles, so their walls are not budgeted).
@@ -122,7 +123,10 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
                     bp["stepped"].get("engine_steps"),
                     fp["stepped"].get("engine_steps"),
                 )
-            labels = ("vector",) if family == "vector" else ("replay", "memo")
+            labels = {
+                "halo": ("replay", "memo", "traced"),
+                "vector": ("vector",),
+            }.get(family, ("replay", "memo"))
             for label in labels:
                 d.wall(f"{tag}.{label}.wall", bp[label]["wall"], fp[label]["wall"])
 
@@ -208,6 +212,25 @@ def test_benchdiff_selfperf_detects_output_change():
     broken = {"campaigns": {"x": {"wall_s": 0.1, "identical": False}}}
     rows = diff_reports(base, broken, "selfperf").rows
     assert len(rows) == 1 and rows[0][3] == "value changed"
+
+
+def test_benchdiff_jobcompile_budgets_the_traced_leg():
+    def report(traced_wall):
+        leg = {"wall": 0.5, "elapsed": 1e-3, "path": "replay",
+               "engine_steps": 0, "rel_err": 0.0, "identical_returns": True,
+               "speedup": 50.0}
+        point = {
+            "ranks": 16384,
+            "stepped": {"wall": 25.0, "elapsed": 1e-3, "engine_steps": 9},
+            "replay": leg, "memo": dict(leg, path="memo"),
+            "traced": {"wall": traced_wall, "elapsed": 1e-3,
+                       "path": "replay", "events": 1, "trace_overhead": 2.0},
+        }
+        return {"name": "jobcompile", "halo": {"points": [point]}}
+
+    assert diff_reports(report(1.0), report(2.5), "jobcompile").rows == []
+    rows = diff_reports(report(1.0), report(3.5), "jobcompile").rows
+    assert [r[0] for r in rows] == ["jobcompile.halo[P=16384].traced.wall"]
 
 
 def test_benchdiff_floor_tolerates_noise():

@@ -64,14 +64,17 @@ path, and its memo key adds the plan's fingerprint.
 Jobs that carry a verifier, a windowed or crashing fault plan, or a
 fault plan with ``fast_collectives=True``, or that run on a resolver or
 time-varying fabric, never enter the replay: they go straight to the
-stepped engine.  So does a traced job with a fault plan.
+stepped engine.
 
 A job with an active tracer skips the memo and the vector path, which
-keep no per-op clocks, and always runs the scalar replay through a
-traced communicator that records the stepped engine's ``mpi.rank``,
-``mpi.p2p``, ``mpi.coll`` and ``app.phase`` spans from the replay's
-per-rank clocks.  The spans are held back until the replay succeeds, so
-a job that falls back leaves the tracer to the stepped run alone.
+keep no per-op clocks, and always runs the scalar replay.  There is one
+replay communicator: traced, it also records the stepped engine's
+``mpi.rank``, ``mpi.p2p``, ``mpi.coll`` and ``app.phase`` spans from
+the replay's per-rank clocks, and under a static fault plan the
+``fault.<kind>`` start instants the stepped injectors emit at t=0.  The
+events are held back until the replay succeeds, so a job that falls
+back leaves the tracer to the stepped run alone.  Untraced, it builds
+no span at all.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.mpi.phasec import LowerFallback, lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
-from repro.obs.tracer import NULL_CONTEXT, Tracer, active
+from repro.obs.tracer import NULL_CONTEXT, TraceEvent, Tracer, active
 from repro.perf.batch import HAVE_NUMPY
 from repro.simcore import Engine, Timeout
 
@@ -216,9 +219,15 @@ class _ReplayComm(RankComm):
     sends the whole job back to the stepped engine.  Under a static
     fault plan a straggler's slowdown is one constant factor per rank,
     on its ``compute`` and on its share of the reduction arithmetic.
+
+    In a traced job (``_trace`` set) each operation also records the
+    stepped :class:`~repro.mpi.api.Communicator`'s span for it, timed on
+    the replay's per-rank clock; a collective's inner messages are priced
+    by its schedule and leave no spans.  Untraced, no span is built.
     """
 
-    __slots__ = ("_job", "rank", "size", "_coll_seq", "_factor")
+    __slots__ = ("_job", "rank", "size", "_coll_seq", "_factor", "_trace",
+                 "_tid", "_depth")
 
     def __init__(self, job: "_ReplayJob", rank: int):
         self._job = job
@@ -226,6 +235,9 @@ class _ReplayComm(RankComm):
         self.size = job.size
         self._coll_seq = 0
         self._factor = 1.0 if job.factors is None else job.factors[rank]
+        self._trace = job.trace
+        self._tid = "" if job.trace is None else f"rank{rank}"
+        self._depth = 1  # the rank's lifetime span sits at depth 0
 
     # ------------------------------------------------------------ plumbing
 
@@ -237,7 +249,18 @@ class _ReplayComm(RankComm):
         return self._job.clocks[self.rank]
 
     def phase(self, name: str, cat: str = "app.phase") -> Any:
-        return NULL_CONTEXT
+        if self._trace is None:
+            return NULL_CONTEXT
+        return _ReplayPhase(self, name, cat)
+
+    def _span(self, name: str, cat: str, ts: float,
+              args: Optional[Dict[str, Any]]) -> None:
+        """Record a span from ``ts`` to this rank's clock."""
+        trace, end = self._trace, self._job.clocks[self.rank]
+        trace.events.append(TraceEvent(
+            "X", name, cat, trace.pid, self._tid, ts, max(0.0, end - ts),
+            args, self._depth,
+        ))
 
     # ------------------------------------------------------- point-to-point
 
@@ -248,20 +271,25 @@ class _ReplayComm(RankComm):
             raise ReplayFallback("timeout-bounded send")
         self._check_send(dest, nbytes)
         job = self._job
-        fabric = job.fabric
-        clock = job.clocks[self.rank]
-        env = _REnv(self.rank, dest, tag, nbytes, clock, payload, pattern)
+        rank = self.rank
+        clock = job.clocks[rank]
+        env = _REnv(rank, dest, tag, nbytes, clock, payload, pattern)
         job.deliver(env)
-        if nbytes <= fabric.eager_max:
+        if nbytes <= job.eager_max:
             # Eager: the sender detaches after its local copy.
-            job.clocks[self.rank] = clock + fabric.sender_time(nbytes)
-            return None
-        # Rendezvous: block until the receiver completes the transfer.
-        env.waiter = self.rank
-        while env.done_time is None:
-            yield _PARK
-        env.waiter = None
-        job.clocks[self.rank] = env.done_time
+            end = clock + job.fabric.sender_time(nbytes)
+        else:
+            # Rendezvous: block until the receiver completes the transfer.
+            env.waiter = rank
+            while env.done_time is None:
+                yield _PARK
+            env.waiter = None
+            end = env.done_time
+        job.clocks[rank] = end
+        if self._trace is not None:
+            self._trace.messages.append((rank, dest, nbytes))
+            self._span(f"send->{dest}", "mpi.p2p", clock,
+                       {"nbytes": nbytes, "tag": tag})
         return None
 
     def recv(self, source: Optional[int] = ANY_SOURCE,
@@ -282,12 +310,15 @@ class _ReplayComm(RankComm):
                 break
             job.park_recv(self.rank, source)
             yield _PARK
-        fabric = job.fabric
-        transfer = fabric.p2p_time(
-            env.nbytes, pattern=env.pattern, n_senders=self.size
-        )
+        nbytes = env.nbytes
+        key = (nbytes, env.pattern)
+        transfer = job.p2p.get(key)
+        if transfer is None:
+            transfer = job.p2p[key] = job.fabric.p2p_time(
+                nbytes, pattern=env.pattern, n_senders=self.size
+            )
         clock = job.clocks[self.rank]
-        if env.nbytes <= fabric.eager_max:
+        if nbytes <= job.eager_max:
             completion = max(clock, env.post_time + transfer)
         else:
             completion = max(clock, env.post_time) + transfer
@@ -295,24 +326,34 @@ class _ReplayComm(RankComm):
         env.done_time = completion
         if env.waiter is not None:
             job.wake(env.waiter)
+        if self._trace is not None:
+            self._span("recv", "mpi.p2p", clock,
+                       {"source": env.source, "nbytes": nbytes, "tag": env.tag})
         return env
 
     def isend(self, dest: int, nbytes: int, tag: int = 0,
               payload: Any = None) -> _ReplayRequest:
         self._check_send(dest, nbytes)
         job = self._job
-        fabric = job.fabric
         clock = job.clocks[self.rank]
         env = _REnv(self.rank, dest, tag, nbytes, clock, payload, "neighbor")
         job.deliver(env)
-        if nbytes <= fabric.eager_max:
-            ready = clock + fabric.sender_time(nbytes)
+        if nbytes <= job.eager_max:
+            ready = clock + job.fabric.sender_time(nbytes)
             # The engine's sender-side timer fires whether or not the
             # request is waited; it can end the job's clock.
             if ready > job.horizon:
                 job.horizon = ready
-            return _ReplayRequest(job, self.rank, env, ready)
-        return _ReplayRequest(job, self.rank, env, None)
+            req = _ReplayRequest(job, self.rank, env, ready)
+        else:
+            req = _ReplayRequest(job, self.rank, env, None)
+        trace = self._trace
+        if trace is not None:
+            trace.messages.append((self.rank, dest, nbytes))
+            trace.nb_sends[self.rank].append(
+                (f"send->{dest}", clock, req, {"nbytes": nbytes, "tag": tag})
+            )
+        return req
 
     def irecv(self, source: Optional[int] = ANY_SOURCE,
               tag: Optional[int] = ANY_TAG):
@@ -343,11 +384,12 @@ class _ReplayComm(RankComm):
         if kind == "alltoall" and job.plan is not None:
             job.plan.check_alltoall(self.size, nbytes)
         if kind == "barrier" and self.size == 1:
-            return None
+            return None  # resolves on arrival and records no span
         if deadline is not None:
             raise ReplayFallback("deadline-bounded collective")
         seq = self._coll_seq
         self._coll_seq += 1
+        ts = job.clocks[self.rank]
         inst = job.coll_instances.get(seq)
         if inst is None:
             inst = job.coll_instances[seq] = _Instance(
@@ -360,7 +402,7 @@ class _ReplayComm(RankComm):
                 # The stepped fallback (whose fast path raises ConfigError
                 # on exactly this mismatch) reports the real error.
                 raise ReplayFallback(str(exc)) from None
-        if not inst.arrive(self.rank, job.clocks[self.rank], value):
+        if not inst.arrive(self.rank, ts, value):
             inst.parked.append(self.rank)
             while inst.outcome is None:
                 yield _PARK
@@ -372,6 +414,8 @@ class _ReplayComm(RankComm):
             for r in inst.parked:
                 job.wake(r)
         job.clocks[self.rank] = ends[self.rank]
+        if self._trace is not None:
+            self._span(kind, "mpi.coll", ts, {"nbytes": nbytes})
         return results[self.rank]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -390,31 +434,38 @@ def _scan_queue(queue: Deque[_REnv], tag: Optional[int]) -> Optional[_REnv]:
     return None
 
 
-#: A buffered span: (name, cat, tid, ts, end, args, depth).
-_SpanRec = Tuple[str, str, str, float, float, Optional[Dict[str, Any]], int]
-
-
 class _ReplayTrace:
     """The spans and messages of one traced replay, held until it succeeds.
 
     A replay that falls back mid-job must leave the caller's tracer
     untouched, because the stepped rerun records the whole trace; so
-    nothing reaches the tracer before :meth:`flush`.
+    nothing reaches the tracer before :meth:`flush`.  A static fault
+    plan's link and straggler faults open at t=0 and never close, so
+    their ``start`` instants are known before the job runs.
     """
 
-    __slots__ = ("tracer", "pid", "spans", "messages", "nb_sends")
+    __slots__ = ("tracer", "pid", "instants", "events", "messages",
+                 "nb_sends")
 
-    def __init__(self, tracer: Tracer, pid: str, size: int):
+    def __init__(self, tracer: Tracer, pid: str, size: int,
+                 plan: Optional[Any] = None):
         self.tracer = tracer
         self.pid = pid
-        self.spans: List[_SpanRec] = []
+        #: The ``faults/plan`` lane the stepped injectors would fill.
+        self.instants: List[TraceEvent] = [] if plan is None else [
+            TraceEvent("i", f"{f.kind}-start", f"fault.{f.kind}", "faults",
+                       "plan", 0.0, args={"fault": f.label, "edge": "start"})
+            for f in plan.link_faults + plan.stragglers
+        ]
+        #: The spans the ranks recorded, in recording order.
+        self.events: List[TraceEvent] = []
         self.messages: List[Tuple[int, int, int]] = []
         #: Per rank, in post order: (name, post time, request, args).
         self.nb_sends: List[List[Tuple[str, float, _ReplayRequest, Any]]] = [
             [] for _ in range(size)
         ]
 
-    def _nb_spans(self) -> List[_SpanRec]:
+    def _nb_spans(self) -> List[TraceEvent]:
         """The isend spans of the ``rank<r>.nb`` lanes.
 
         A rendezvous isend ends when its receiver completes, which the
@@ -423,8 +474,11 @@ class _ReplayTrace:
         lane's earlier sends still open when it starts, as the stepped
         tracer's open-span stack does.
         """
-        out: List[_SpanRec] = []
+        out: List[TraceEvent] = []
+        pid = self.pid
         for rank, sends in enumerate(self.nb_sends):
+            if not sends:
+                continue
             tid = f"rank{rank}.nb"
             open_ends: List[float] = []
             for name, ts, req, args in sends:
@@ -435,127 +489,58 @@ class _ReplayTrace:
                     # the engine reports the deadlock.
                     raise ReplayFallback("isend never matched")
                 open_ends = [e for e in open_ends if e > ts]
-                out.append((name, "mpi.p2p", tid, ts, end, args,
-                            len(open_ends)))
+                out.append(TraceEvent("X", name, "mpi.p2p", pid, tid, ts,
+                                      max(0.0, end - ts), args,
+                                      len(open_ends)))
                 open_ends.append(end)
         return out
 
     def flush(self, clocks: List[float]) -> None:
         """Hand every recorded span and message to the tracer."""
         nb = self._nb_spans()
-        tr, pid = self.tracer, self.pid
-        for rank, finish in enumerate(clocks):
-            tid = f"rank{rank}"
-            tr.complete(tid, cat="mpi.rank", pid=pid, tid=tid, ts=0.0,
-                        dur=finish)
-        for name, cat, tid, ts, end, args, depth in self.spans + nb:
-            tr.complete(name, cat=cat, pid=pid, tid=tid, ts=ts,
-                        dur=max(0.0, end - ts), args=args, depth=depth)
+        pid = self.pid
+        ranks = [
+            TraceEvent("X", f"rank{r}", "mpi.rank", pid, f"rank{r}", 0.0,
+                       finish)
+            for r, finish in enumerate(clocks)
+        ]
+        tr = self.tracer
+        tr.extend(self.instants + ranks + self.events + nb)
         for src, dst, nbytes in self.messages:
             tr.message(src, dst, nbytes)
 
 
 class _ReplayPhase:
-    """``comm.phase(...)`` inside a traced replay: an ``app.phase`` span."""
+    """``comm.phase(...)`` inside a traced replay: an ``app.phase`` span,
+    one level above the spans it encloses."""
 
-    __slots__ = ("_comm", "_name", "_cat", "_ts", "_depth")
+    __slots__ = ("_comm", "_name", "_cat", "_ts")
 
-    def __init__(self, comm: "_TracedReplayComm", name: str, cat: str):
+    def __init__(self, comm: _ReplayComm, name: str, cat: str):
         self._comm = comm
         self._name = name
         self._cat = cat
         self._ts = 0.0
-        self._depth = 0
 
     def __enter__(self) -> None:
-        comm = self._comm
-        self._ts = comm.now
-        self._depth = comm._depth
-        comm._depth += 1
+        self._ts = self._comm.now
+        self._comm._depth += 1
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        comm = self._comm
-        comm._depth -= 1
-        comm._trace.spans.append((self._name, self._cat, comm._tid, self._ts,
-                                  comm.now, None, self._depth))
+        self._comm._depth -= 1
+        self._comm._span(self._name, self._cat, self._ts, None)
         return False
-
-
-class _TracedReplayComm(_ReplayComm):
-    """A replayed rank that records the stepped Communicator's spans.
-
-    Every span carries the name, category, lane, depth and args the
-    stepped :class:`~repro.mpi.api.Communicator` gives it, timed on the
-    replay's per-rank clock.  Collective spans run from arrival to the
-    replay's finish; the messages inside a collective are priced by its
-    schedule and leave no spans.
-    """
-
-    __slots__ = ("_trace", "_tid", "_depth")
-
-    def __init__(self, job: "_ReplayJob", rank: int):
-        super().__init__(job, rank)
-        assert job.trace is not None
-        self._trace = job.trace
-        self._tid = f"rank{rank}"
-        self._depth = 1  # the rank's lifetime span sits at depth 0
-
-    def _span(self, name: str, cat: str, ts: float,
-              args: Dict[str, Any]) -> None:
-        self._trace.spans.append(
-            (name, cat, self._tid, ts, self.now, args, self._depth)
-        )
-
-    def phase(self, name: str, cat: str = "app.phase") -> Any:
-        return _ReplayPhase(self, name, cat)
-
-    def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None,
-             pattern: str = "neighbor", _lane: Optional[str] = None,
-             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
-        ts = self.now
-        yield from super().send(dest, nbytes, tag, payload, pattern, _lane,
-                                timeout, max_retries)
-        self._trace.messages.append((self.rank, dest, nbytes))
-        self._span(f"send->{dest}", "mpi.p2p", ts,
-                   {"nbytes": nbytes, "tag": tag})
-
-    def recv(self, source: Optional[int] = ANY_SOURCE,
-             tag: Optional[int] = ANY_TAG, _lane: Optional[str] = None,
-             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
-        ts = self.now
-        env = yield from super().recv(source, tag, _lane, timeout, max_retries)
-        self._span("recv", "mpi.p2p", ts,
-                   {"source": env.source, "nbytes": env.nbytes, "tag": env.tag})
-        return env
-
-    def isend(self, dest: int, nbytes: int, tag: int = 0,
-              payload: Any = None) -> _ReplayRequest:
-        ts = self.now
-        req = super().isend(dest, nbytes, tag, payload)
-        self._trace.messages.append((self.rank, dest, nbytes))
-        self._trace.nb_sends[self.rank].append(
-            (f"send->{dest}", ts, req, {"nbytes": nbytes, "tag": tag})
-        )
-        return req
-
-    def _collective(self, kind: str, value: Any, nbytes: int,
-                    root: Optional[int], op: Optional[Callable],
-                    deadline: Optional[float]) -> Generator:
-        ts = self.now
-        result = yield from super()._collective(kind, value, nbytes, root, op,
-                                                deadline)
-        if kind != "barrier" or self.size > 1:  # a lone barrier records nothing
-            self._span(kind, "mpi.coll", ts, {"nbytes": nbytes})
-        return result
 
 
 class _ReplayJob:
     """The replay driver: per-rank clocks, queues and the trampoline.
 
     With ``tracer`` (an active :class:`~repro.obs.tracer.Tracer`) the
-    ranks run on :class:`_TracedReplayComm` and the job's spans reach the
-    tracer, on process lane ``pid``, only once every rank has finished.
-    A static fault ``plan`` degrades the fabric and slows its stragglers.
+    ranks record their spans, which reach the tracer on process lane
+    ``pid`` only once every rank has finished.  A static fault ``plan``
+    degrades the fabric and slows its stragglers.  The fabric is fixed
+    for the whole replay, so each message size's transfer time is priced
+    once, in ``p2p``.
     """
 
     def __init__(self, n_ranks: int, fabric: Any,
@@ -569,8 +554,12 @@ class _ReplayJob:
         if plan is not None and plan.stragglers:
             self.factors = [plan.compute_factor(r, 0.0) for r in range(n_ranks)]
         self.trace = (
-            None if tracer is None else _ReplayTrace(tracer, pid, n_ranks)
+            None if tracer is None
+            else _ReplayTrace(tracer, pid, n_ranks, plan)
         )
+        self.eager_max = self.fabric.eager_max
+        #: (nbytes, pattern) -> the fabric's p2p_time at this job's size.
+        self.p2p: Dict[Tuple[int, str], float] = {}
         self.clocks = [0.0] * n_ranks
         #: (dest, source) -> FIFO of undelivered envelopes.
         self.queues: Dict[Tuple[int, int], Deque[_REnv]] = {}
@@ -612,8 +601,7 @@ class _ReplayJob:
     def run(self, main: RankMain) -> JobResult:
         """Drive every rank's generator to completion on scalar clocks."""
         p = self.size
-        comm = _ReplayComm if self.trace is None else _TracedReplayComm
-        gens = [main(comm(self, r)) for r in range(p)]
+        gens = [main(_ReplayComm(self, r)) for r in range(p)]
         for r, gen in enumerate(gens):
             if not hasattr(gen, "send"):
                 raise ReplayFallback("rank main is not a generator")
@@ -685,7 +673,6 @@ def _refusal(
     fast_collectives: Optional[bool],
     fault_plan: Optional[Any],
     verifier: Optional[Any],
-    tracer: Optional[Any],
 ) -> Optional[str]:
     """Why this job must step, or None when it is a replay candidate.
 
@@ -705,8 +692,6 @@ def _refusal(
         return None
     if fast_collectives:
         return "fault plan with fast_collectives=True"  # MpiJob raises
-    if active(tracer) is not None:
-        return "tracer on a fault plan"
     return _plan_refusal(fault_plan)
 
 
@@ -864,8 +849,8 @@ def compiled_mpiexec(
     and the point-to-point traffic inside collectives (see
     ``docs/OBSERVABILITY.md``).
 
-    A static ``fault_plan`` replays, untraced, on the degraded fabric;
-    a windowed or crashing plan steps.  ``fast_collectives=False`` only
+    A static ``fault_plan`` replays on the degraded fabric, traced or
+    not; a windowed or crashing plan steps.  ``fast_collectives=False`` only
     slows the stepped engine, so it changes no compiled path.
 
     ``vector`` overrides the backend selection: ``True`` demands the
@@ -878,8 +863,7 @@ def compiled_mpiexec(
     """
     st = stats if stats is not None else CompileStats()
     reason = _refusal(
-        n_ranks, fabric, engine, fast_collectives, fault_plan, verifier,
-        tracer,
+        n_ranks, fabric, engine, fast_collectives, fault_plan, verifier
     )
     if reason is None:
         result = _compile_or_none(
@@ -925,7 +909,7 @@ def job_fastpath(
         return None
     st.reason = (
         _refusal(job.n_ranks, None if fast is None else fast.fabric, None,
-                 None, job.fault_plan, job.verifier, job.tracer)
+                 None, job.fault_plan, job.verifier)
         or ("fault plan: job_fastpath needs job.fast"
             if job.fault_plan is not None else "")
         or ("no uniform fast-collectives fabric" if fast is None else "")

@@ -20,7 +20,7 @@ Exporters (Chrome trace-event JSON, SHA-256 digests) live in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 Clock = Callable[[], float]
 Args = Optional[Dict[str, Any]]
@@ -254,6 +254,10 @@ class Tracer:
             TraceEvent("X", name, cat, pid, tid, ts, dur=dur, args=args, depth=depth)
         )
 
+    def extend(self, events: Iterable[TraceEvent]) -> None:
+        """Append pre-built events in order (a replayed job's whole trace)."""
+        self.events.extend(events)
+
     # ------------------------------------------------ instants & counters
 
     def instant(
@@ -364,6 +368,9 @@ class NullTracer(Tracer):
         args: Args = None,
         depth: int = 0,
     ) -> None:
+        return None
+
+    def extend(self, events: Iterable[TraceEvent]) -> None:
         return None
 
     def instant(

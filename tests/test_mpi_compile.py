@@ -424,8 +424,8 @@ def _assert_replays_exactly(main, fault_plan=None, fast_collectives=None):
 
 
 def test_fallback_fault_plan():
-    """A static plan replays exactly; a windowed fault, a crash and a
-    tracer send a faulted job to the stepped engine."""
+    """A static plan replays exactly, traced or not; a windowed fault or
+    a crash sends a faulted job to the stepped engine, traced or not."""
     from repro.faults import FaultPlan, LinkDegradation, RankCrash, Straggler
     from repro.obs import Tracer
 
@@ -448,11 +448,17 @@ def test_fallback_fault_plan():
         ref = mpiexec(8, host_fabric(), main, fault_plan=plan)
         assert res.elapsed == ref.elapsed
         assert res.returns == ref.returns
+        st = CompileStats()
+        compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
+                         tracer=Tracer(), stats=st)
+        _assert_stepped(st, needle)
     st = CompileStats()
     plan = FaultPlan([Straggler(rank=1, slowdown=3.0)])
-    compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
-                     tracer=Tracer(), stats=st)
-    _assert_stepped(st, "tracer")
+    res = compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
+                           tracer=Tracer(), stats=st)
+    assert st.path == "replay", st.reason
+    assert res.elapsed == compiled_mpiexec(8, host_fabric(), main,
+                                           fault_plan=plan).elapsed
 
 
 def test_fallback_resolver_fabric():

@@ -1,7 +1,7 @@
 """Traces recorded on the compiled path (:mod:`repro.mpi.compile`).
 
 A job with an active tracer prices on the max-plus replay, which emits
-the spans itself.  Three contracts are gated here:
+the spans itself.  Five contracts are gated here:
 
 * **Structure** — the compiled trace holds exactly the stepped trace's
   canonical subset: every ``mpi.rank``, ``mpi.coll`` and ``app.phase``
@@ -16,15 +16,29 @@ the spans itself.  Three contracts are gated here:
 * **Fallback hygiene** — a replay abandoned mid-job leaves no span or
   message-matrix entry behind: the stepped rerun's trace is the whole
   trace.
+* **Static fault plans** — a traced job under a static plan replays:
+  its trace is the stepped traced run's canonical subset plus the
+  plan's ``fault.<kind>`` start instants at t=0.  Windowed and crashing
+  plans still step.
+* **Cost** — an untraced replay builds no span object, and the traced
+  replay's bytes over a fixed grid of jobs are pinned by one digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from functools import partial
 
 import pytest
 
+from repro.faults import (
+    FaultPlan,
+    LinkDegradation,
+    MemoryPressure,
+    RankCrash,
+    Straggler,
+)
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import MpiJob, mpiexec
@@ -112,6 +126,16 @@ def _isend_burst(nbytes, comm):
         yield from req.wait()
 
 
+def _unwaited_isend(nbytes, comm):
+    """A ring of isends that are received but never waited, in a phase."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    with comm.phase("post"):
+        comm.isend(right, nbytes, tag=5)
+        yield from comm.compute(1e-7 * (comm.rank % 2))
+    yield from comm.recv(source=left, tag=5)
+
+
 def _main(kind, nbytes):
     if kind == "halo":
         return partial(_halo_loop, nbytes)
@@ -119,6 +143,8 @@ def _main(kind, nbytes):
         return partial(_phase_ring, nbytes)
     if kind == "isend-burst":
         return partial(_isend_burst, nbytes)
+    if kind == "unwaited-isend":
+        return partial(_unwaited_isend, nbytes)
     return partial(_coll_main, kind, nbytes)
 
 
@@ -182,6 +208,9 @@ def _run_pair(kind, p, nbytes, fabric_name):
 
 KINDS = ("allreduce", "allgather", "alltoall", "gather", "scatter", "barrier",
          "halo", "phase-ring", "isend-burst", "bcast", "reduce")
+
+#: Every rank main above, the unwaited isends included.
+ALL_KINDS = KINDS + ("unwaited-isend",)
 
 
 @pytest.mark.parametrize("fabric_name", sorted(FABRICS))
@@ -288,3 +317,151 @@ def test_unmatched_traced_isend_raises_like_stepped():
     assert st.path == "stepped" and st.reason == "isend never matched"
     with pytest.raises(DeadlockError):
         mpiexec(2, host_fabric(), _unmatched_isend, tracer=Tracer())
+
+
+# -------------------------------------------------------- static fault plans
+
+
+#: name -> plan factory; every fault active over [0, inf).
+STATIC_PLANS = {
+    "link+straggler": lambda: FaultPlan([
+        LinkDegradation(latency_factor=2.3, bandwidth_factor=0.45),
+        Straggler(rank=1, slowdown=2.7),
+        Straggler(rank=1, slowdown=1.5, label="second-straggler"),
+    ]),
+    "memory-pressure": lambda: FaultPlan([
+        MemoryPressure(capacity_factor=0.5),
+    ]),
+}
+
+
+def _with_fault_instants(tracer):
+    """The canonical subset plus the ``faults/plan`` lane's instants."""
+    spans = _canonical(tracer)
+    for e in tracer.events:
+        if e.cat.startswith("fault."):
+            args = tuple(sorted((e.args or {}).items()))
+            spans.append(((e.ph, e.cat, e.name, e.pid, e.tid, e.depth, args),
+                          e))
+    return spans
+
+
+@pytest.mark.parametrize("plan_name", sorted(STATIC_PLANS))
+@pytest.mark.parametrize("fabric_name", sorted(FABRICS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_traced_static_plan_matches_stepped(kind, fabric_name, plan_name):
+    """A traced job under a static plan replays.  Its trace is the
+    stepped traced run's canonical subset plus the plan's ``start``
+    instants at t=0, and its elapsed is the untraced replay's, bit for
+    bit."""
+    make, make_plan = FABRICS[fabric_name], STATIC_PLANS[plan_name]
+    for p in (1, 2, 3, 8, 13):
+        for nbytes in SIZES:
+            case = (kind, p, nbytes, fabric_name, plan_name)
+            main = _main(kind, nbytes)
+            compiled, stepped = Tracer(), Tracer()
+            st = CompileStats()
+            res = compiled_mpiexec(p, make(), main, tracer=compiled,
+                                   fault_plan=make_plan(), stats=st)
+            assert st.path == "replay", (case, st.reason)
+            untraced = compiled_mpiexec(p, make(), main,
+                                        fault_plan=make_plan())
+            assert res.elapsed == untraced.elapsed, case
+            ref = mpiexec(p, make(), main, tracer=stepped,
+                          fault_plan=make_plan())
+            assert res.returns == ref.returns, case
+            ours = _with_fault_instants(compiled)
+            theirs = _with_fault_instants(stepped)
+            assert len(ours) == len(compiled.events), case
+            assert _structure(ours) == _structure(theirs), case
+            instants = [e for _, e in ours if e.ph == "i"]
+            assert len(instants) == len(make_plan().link_faults
+                                        + make_plan().stragglers), case
+            assert all(e.ts == 0.0 for e in instants), case
+            for (key, a), (_, b) in zip(_by_key(ours), _by_key(theirs)):
+                assert _close(a.ts, b.ts), (case, key, a.ts, b.ts)
+                assert _close(a.dur, b.dur), (case, key, a.dur, b.dur)
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan([Straggler(rank=1, slowdown=2.0, end=1e-6)]),
+    FaultPlan([LinkDegradation(latency_factor=2.0, start=1e-6)]),
+    FaultPlan([RankCrash(rank=1, at=1.0)]),
+], ids=["windowed-straggler", "windowed-link", "crash"])
+def test_traced_dynamic_plans_still_step(plan):
+    """Windowed and crashing plans change cost mid-job: traced or not,
+    they step, and the trace is the stepped run's own."""
+    main = _main("halo", 64)
+    tracer, ref_tracer = Tracer(), Tracer()
+    st = CompileStats()
+    res = compiled_mpiexec(8, host_fabric(), main, tracer=tracer,
+                           fault_plan=plan, stats=st)
+    assert st.path == "stepped" and "fault plan" in st.reason, st.reason
+    ref = mpiexec(8, host_fabric(), main, tracer=ref_tracer, fault_plan=plan)
+    assert res.elapsed == ref.elapsed
+    assert trace_digest(tracer) == trace_digest(ref_tracer)
+
+
+# ---------------------------------------------------------- untraced guard
+
+
+def test_untraced_replay_builds_no_span(monkeypatch):
+    """Without a tracer the replay builds no span object at all: every
+    kind, a static fault plan included, runs with ``TraceEvent`` made to
+    raise."""
+    import repro.mpi.compile as compile_mod
+
+    def _no_spans(*args, **kwargs):
+        raise AssertionError("untraced replay built a TraceEvent")
+
+    monkeypatch.setattr(compile_mod, "TraceEvent", _no_spans)
+    for kind in ALL_KINDS:
+        for nbytes in SIZES:
+            main = _main(kind, nbytes)
+            for p in (1, 3, 8):
+                compile_mod.replay(p, phi_fabric(2), main)
+                for plan in (None, STATIC_PLANS["link+straggler"]()):
+                    st = CompileStats()
+                    compiled_mpiexec(p, host_fabric(), main, fault_plan=plan,
+                                     stats=st, vector=False)
+                    assert st.path == "replay", (kind, p, st.reason)
+
+
+# ------------------------------------------------------------ golden bytes
+
+
+GOLDEN_RANKS = RANKS + (127,)
+
+#: sha256 over every golden job's trace digest, message matrix and
+#: elapsed time, in grid order.  Any change to what a traced replay
+#: emits, or in what order, changes it.
+GOLDEN_TRACE_SHA256 = (
+    "12503c5dcb409dab8d38e129e1d4406785e847267a537a8351e9a547ce143a33"
+)
+
+
+def _golden_digest() -> str:
+    h = hashlib.sha256()
+    for fabric_name in sorted(FABRICS):
+        for kind in ALL_KINDS:
+            for p in GOLDEN_RANKS:
+                for nbytes in SIZES:
+                    main = _main(kind, nbytes)
+                    tr = Tracer()
+                    st = CompileStats()
+                    res = compiled_mpiexec(p, FABRICS[fabric_name](), main,
+                                           tracer=tr, stats=st)
+                    assert st.path == "replay", (kind, p, nbytes, st.reason)
+                    h.update(repr((fabric_name, kind, p, nbytes,
+                                   trace_digest(tr),
+                                   sorted(tr.comm_matrix().items()),
+                                   res.elapsed)).encode())
+    return h.hexdigest()
+
+
+def test_golden_trace_bytes():
+    """The traced replay's output over a fixed grid is pinned byte for
+    byte: every collective kind and the halo loop, phases, waited and
+    unwaited isends, P in {1, 2, 3, 8, 13, 64, 127}, eager and
+    rendezvous sizes, on the host and a Phi fabric."""
+    assert _golden_digest() == GOLDEN_TRACE_SHA256
