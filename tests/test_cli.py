@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -51,6 +53,45 @@ class TestCli:
     def test_no_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# sha256 of the stdout of each figure command. Any change to a figure's
+# data, table layout or number formatting moves its pin.
+GOLDEN_FIGURES = {
+    "table1": "2397deb84a38b3e33144453ce6824ab95794d8043e0e7c6a5d733dc49570f7b3",
+    "figures": "3dfdecbc571dc7b1b9de41567425521e345f0130dbaed1b3760df76d05324c49",
+    "figure 4": "bd1e8a458341430f92fe56fdc7047a12c93bfdef0260bef3f905345603ff9c6d",
+    "figure 5": "8b54a615fbe3080b6e2479bd4a0e9d14b9399d55856ac4aa70cc30bcc67d65a1",
+    "figure 6": "89f93ba3f87f3f4400bdd02a1244d945e3f63dfff75cf14cf51e6cc26694d9ab",
+    "figure 7": "5e6e6f93fdc36e501d7bf5af14d53c7fca1dfa513cbd59e84ec277d823af7e2d",
+    "figure 8": "d6cfcdf06811f9805a7e1ee1b5c99a4e028202702370fe2b7a904f12f504c340",
+    "figure 9": "95803aa6c5f7bc4a67ca8dc740c63e5079f971b326dd66a20dd5a312145381a6",
+    "figure 10": "f6c0092801cd7039685a261f37b989f04c24fb356bd9c618ada7cb068a56eec4",
+    "figure 11": "6ef1e75d1092117f191c6533209cc004846b9f60fff9a825dfa0e6757899ff4a",
+    "figure 12": "b8809e7db0649fc137fd1f794d7c3293302eb62d018f080976f554a53f049ef5",
+    "figure 13": "d41e1f1995efaebbf0df3ad7e9913afe7586535de6bf7010bed7db753f4250d8",
+    "figure 14": "92f2542e4c79e96ee2d43c50e7eff5ca78a4e443554fd0404d73798930d0d77c",
+    "figure 15": "a0b0c9db297f9ffbf7db0ceabd614fceb4a0b0b11ddefaac1b50706c7f97c576",
+    "figure 16": "0d913e16e8d8a41f0a9a30500b8aebd9ea83e8e4c60897d6a4f99dbd8a789191",
+    "figure 17": "b3811173d3b2f723085c265e9fabd22c3bd5f359882a8093f2ab0cc5d9fc503b",
+    "figure 18": "f0cba15f184db1e9177434f7dbfac6503fbf3b2eae787c57021183c55a06f0bf",
+    "figure 19": "e070e937fd9dfa4a577ed025ca6dace807d887c2b34b4f5623d57b8d1d34e57e",
+    "figure 20": "16cf0ae2c9b7d9cae901414eaaea7729ccecdd1645f612cf66244f4bd874c81e",
+    "figure 21": "fdc6d52285637d2e009f3149a9a6e0302632e7dedbc58494539178e808700e27",
+    "figure 22": "be4688934cfafae37acc3d7765cf89b1c97a0a3ed628cce0da9ebffee8ad17d7",
+    "figure 23": "2b33801c8e7b6c6a905397121e10a6cc76c5501a77d674626d422f4a4814083c",
+    "figure 24": "c970c808df44fafeeba0e3d1eee355fad8708a1fdbce2db197c8d50abab940f0",
+    "figure 25": "81cb3340f92af11f0361b480f773cf193ceef12263d5b449a12b15cd10e2efa9",
+    "figure 26": "6dbdf41d23e725a7d41fd585d9cda5462b352745d574577bc5e6faf23fd4e1ab",
+    "figure 27": "6dbdf41d23e725a7d41fd585d9cda5462b352745d574577bc5e6faf23fd4e1ab",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_FIGURES))
+def test_figure_output_pinned(capsys, command):
+    rc, out = run_cli(capsys, *command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURES[command], command
 
 
 class TestTrace:
