@@ -4,7 +4,7 @@ The paper's Figs 7–9 compare two *software environments*; ``repro.faults``
 expresses the worse one as a :class:`~repro.faults.FaultPlan` of link
 degradations applied to the post-update baseline.  This gate requires the
 degraded model to reproduce the paper's **pre-update** numbers at the
-same tolerances ``bench_fig07``–``bench_fig09`` hold the calibrated
+same tolerances the Figs 7–9 gates of ``repro.figures`` hold the calibrated
 pre-update fabric to — i.e. injecting the fault is indistinguishable
 from modelling the old stack directly.
 """

@@ -1,9 +1,11 @@
 """Shared fixtures for the figure-reproduction benchmarks.
 
-Each ``bench_*.py`` regenerates one table or figure of the paper: it
-computes the figure's data from the models (timed under
-pytest-benchmark), prints a fixed-width paper-vs-model table, and asserts
-the figure's headline claim so a calibration regression fails loudly.
+``bench_figures.py`` regenerates every table and figure of the paper from
+:data:`repro.figures.FIGURES`: it computes each figure's data from the
+models (timed under pytest-benchmark), prints the figure's table and its
+paper-vs-model claim rows, and asserts every claim so a calibration
+regression fails loudly.  The other ``bench_*.py`` files gate extensions,
+ablations and the simulator's own performance.
 
 Run them with::
 

@@ -24,8 +24,10 @@ Commands
                       fan shards over remote hosts, and ``merge``
                       reconciles the journals they wrote).
 
-The heavy per-figure assertions live in ``benchmarks/``; the CLI renders
-the same data for interactive exploration.
+``table1``, ``figure N``, ``figures``, ``stream`` and ``modes`` render the
+entries of :data:`repro.figures.FIGURES`, the one definition of every
+figure's data, table and claims; ``validate`` checks those claims, and
+``benchmarks/bench_figures.py`` asserts them plus the bench-only gates.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import sys
 from functools import partial
 from typing import List, Optional
 
-from repro.core.report import figure_header, fmt_rate, fmt_size, render_table
-from repro.units import KiB, NS, US
+from repro.core.report import fmt_rate, fmt_size, render_table
+from repro.figures import FIGURES, NUMBERS
+from repro.units import KiB
 
 
 def _print(text: str) -> None:
@@ -47,368 +50,7 @@ def _print(text: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# figure renderers
-# --------------------------------------------------------------------------
-
-
-def _fig_table1() -> None:
-    from repro.machine import maia_system
-    from repro.paperdata import TABLE1
-
-    s = maia_system().summary()
-    p = TABLE1["system"]
-    rows = [
-        ("nodes", p["n_nodes"], s["n_nodes"]),
-        ("host cores", p["host_cores_total"], s["total_host_cores"]),
-        ("phi cores", p["phi_cores_total"], s["total_phi_cores"]),
-        ("host peak (Tflop/s)", p["host_peak_tflops"], s["host_peak_tflops"]),
-        ("phi peak (Tflop/s)", p["phi_peak_tflops"], s["phi_peak_tflops"]),
-        ("total peak (Tflop/s)", p["total_peak_tflops"], s["total_peak_tflops"]),
-    ]
-    _print(figure_header("Table 1", "Maia system characteristics"))
-    _print(render_table(("quantity", "paper", "model"), rows))
-
-
-def _fig4() -> None:
-    from repro.microbench.stream import fig4_data
-
-    data = fig4_data()
-    rows = [("host", t, fmt_rate(bw)) for t, bw in data["host"]]
-    rows += [("phi", t, fmt_rate(bw)) for t, bw in data["phi"]]
-    _print(figure_header("Figure 4", "STREAM triad bandwidth vs threads"))
-    _print(render_table(("device", "threads", "bandwidth"), rows))
-
-
-def _fig5() -> None:
-    from repro.microbench.memlatency import fig5_data
-
-    data = fig5_data()
-    host, phi = dict(data["host"]), dict(data["phi"])
-    rows = [
-        (fmt_size(ws), f"{host[ws] / NS:.1f}", f"{phi[ws] / NS:.1f}")
-        for ws in sorted(host)
-    ]
-    _print(figure_header("Figure 5", "memory load latency (ns)"))
-    _print(render_table(("working set", "host", "phi"), rows))
-
-
-def _fig6() -> None:
-    from repro.microbench.membandwidth import fig6_data
-
-    data = fig6_data()
-    keys = sorted(dict(data["host"]["read"]))
-    rows = []
-    for ws in keys:
-        rows.append(
-            (
-                fmt_size(ws),
-                fmt_rate(dict(data["host"]["read"])[ws]),
-                fmt_rate(dict(data["host"]["write"])[ws]),
-                fmt_rate(dict(data["phi"]["read"])[ws]),
-                fmt_rate(dict(data["phi"]["write"])[ws]),
-            )
-        )
-    _print(figure_header("Figure 6", "per-core load bandwidth"))
-    _print(render_table(("working set", "host r", "host w", "phi r", "phi w"), rows))
-
-
-def _fig7() -> None:
-    from repro.microbench.pingpong import fig7_data
-
-    data = fig7_data()
-    rows = [
-        (sw, path, f"{lat / US:.2f}")
-        for sw, paths in data.items()
-        for path, lat in paths.items()
-    ]
-    _print(figure_header("Figure 7", "MPI latency over PCIe (µs)"))
-    _print(render_table(("software", "path", "latency"), rows))
-
-
-def _fig8() -> None:
-    from repro.microbench.pingpong import fig8_data
-
-    data = fig8_data()
-    sizes = [n for n, _ in data["post"]["host-phi0"]]
-    rows = []
-    for n in sizes:
-        rows.append(
-            [fmt_size(n)]
-            + [
-                fmt_rate(dict(data[sw][p])[n])
-                for sw in ("pre", "post")
-                for p in ("host-phi0", "host-phi1", "phi0-phi1")
-            ]
-        )
-    _print(figure_header("Figure 8", "MPI bandwidth over PCIe"))
-    _print(
-        render_table(
-            (
-                "size",
-                "pre h-p0",
-                "pre h-p1",
-                "pre p-p",
-                "post h-p0",
-                "post h-p1",
-                "post p-p",
-            ),
-            rows,
-        )
-    )
-
-
-def _fig9() -> None:
-    from repro.microbench.pingpong import fig9_data
-
-    data = fig9_data()
-    sizes = [n for n, _ in data["host-phi0"]]
-    rows = [
-        [fmt_size(n)] + [f"{dict(data[p])[n]:.2f}" for p in data]
-        for n in sizes
-    ]
-    _print(figure_header("Figure 9", "post/pre bandwidth gain"))
-    _print(render_table(["size"] + list(data), rows))
-
-
-def _mpi_func_fig(fig: int, bench: str) -> None:
-    from repro.microbench.mpifuncs import mpi_function_sweep
-
-    data = mpi_function_sweep(bench)
-    sizes = [n for n, _ in data["host"]]
-    rows = []
-    for n in sizes:
-        row = [fmt_size(n)]
-        for series in ("host", "phi-1tpc", "phi-2tpc", "phi-3tpc", "phi-4tpc"):
-            t = dict(data[series])[n]
-            row.append(f"{t * 1e6:.1f}" if t is not None else "OOM")
-        rows.append(row)
-    _print(figure_header(f"Figure {fig}", f"MPI_{bench.capitalize()} time (µs)"))
-    _print(
-        render_table(
-            ("size", "host", "phi 1t/c", "phi 2t/c", "phi 3t/c", "phi 4t/c"),
-            rows,
-        )
-    )
-
-
-def _fig15() -> None:
-    from repro.microbench.ompbench import fig15_data
-    from repro.openmp import CONSTRUCTS
-
-    data = fig15_data()
-    rows = [
-        (c, f"{data['host'][c] / US:.2f}", f"{data['phi'][c] / US:.2f}")
-        for c in CONSTRUCTS
-    ]
-    _print(figure_header("Figure 15", "OpenMP synchronization overhead (µs)"))
-    _print(render_table(("construct", "host 16 thr", "phi 236 thr"), rows))
-
-
-def _fig16() -> None:
-    from repro.microbench.ompbench import fig16_data
-    from repro.openmp import SCHEDULES
-
-    data = fig16_data()
-    rows = [
-        (s, f"{data['host'][s] / US:.2f}", f"{data['phi'][s] / US:.2f}")
-        for s in SCHEDULES
-    ]
-    _print(figure_header("Figure 16", "OpenMP scheduling overhead (µs)"))
-    _print(render_table(("policy", "host", "phi"), rows))
-
-
-def _fig17() -> None:
-    from repro.microbench.iobench import fig17_data
-
-    data = fig17_data()
-    rows = [
-        (
-            dev,
-            fmt_rate(v["write"]),
-            fmt_rate(v["read"]) if v["read"] == v["read"] else "-",
-        )
-        for dev, v in data.items()
-    ]
-    _print(figure_header("Figure 17", "sequential I/O bandwidth"))
-    _print(render_table(("device", "write", "read"), rows))
-
-
-def _fig18() -> None:
-    from repro.microbench.offloadbw import fig18_data
-
-    data = fig18_data()
-    sizes = [n for n, _ in data["host-phi0"]]
-    rows = [
-        (
-            fmt_size(n),
-            fmt_rate(dict(data["host-phi0"])[n]),
-            fmt_rate(dict(data["host-phi1"])[n]),
-        )
-        for n in sizes
-    ]
-    _print(figure_header("Figure 18", "offload PCIe bandwidth"))
-    _print(render_table(("size", "host-phi0", "host-phi1"), rows))
-
-
-def _fig19() -> None:
-    from repro.core import Evaluator
-    from repro.errors import OutOfMemoryError
-    from repro.machine import Device
-    from repro.npb.characterization import OPENMP_BENCHMARKS, class_c_kernel
-
-    ev = Evaluator()
-    rows = []
-    for b in OPENMP_BENCHMARKS:
-        k = class_c_kernel(b)
-        row = [b, f"{ev.native(Device.HOST, k, 16).gflops:.1f}"]
-        for tpc in (1, 2, 3, 4):
-            try:
-                row.append(f"{ev.native(Device.PHI0, k, 59 * tpc).gflops:.1f}")
-            except OutOfMemoryError:
-                row.append("OOM")
-        rows.append(row)
-    _print(figure_header("Figure 19", "NPB OpenMP Class C (Gop/s)"))
-    _print(render_table(("bench", "host16", "1 t/c", "2 t/c", "3 t/c", "4 t/c"), rows))
-
-
-def _fig20() -> None:
-    from repro.npb.suite import mpi_figure
-    from repro.npb.characterization import MPI_BENCHMARKS
-
-    results = mpi_figure()
-    rows = []
-    for b in MPI_BENCHMARKS:
-        runs = {m.config["ranks"]: m.gflops for m in results.where(benchmark=b)}
-        rows.append(
-            (b, "  ".join(f"{r}:{g:.1f}" for r, g in sorted(runs.items())) or "OOM")
-        )
-    _print(figure_header("Figure 20", "NPB MPI Class C on Phi0 (ranks:Gop/s)"))
-    _print(render_table(("bench", "runs"), rows))
-
-
-def _fig21() -> None:
-    from repro.apps import Cart3dModel
-
-    fig = Cart3dModel().figure21()
-    rows = [(k, f"{v.time:.3f}", f"{v.gflops:.1f}") for k, v in fig.items()]
-    _print(figure_header("Figure 21", "Cart3D OneraM6"))
-    _print(render_table(("config", "time/iter (s)", "Gflop/s"), rows))
-
-
-def _fig22() -> None:
-    from repro.apps import OverflowModel, dataset
-
-    fig = OverflowModel(dataset("DLRF6-Medium")).figure22()
-    rows = [
-        ("phi" if dev == "phi0" else dev, f"{i}x{j}", f"{m.time:.3f}")
-        for (dev, i, j), m in fig.items()
-    ]
-    _print(figure_header("Figure 22", "OVERFLOW DLRF6-Medium (s/step)"))
-    _print(render_table(("device", "IxJ", "time"), rows))
-
-
-def _fig23() -> None:
-    from repro.apps import OverflowModel, dataset
-    from repro.core.software import POST_UPDATE, PRE_UPDATE
-    from repro.machine import Device
-
-    m = OverflowModel(dataset("DLRF6-Large"))
-    rows = [
-        ("host native 16x1", f"{m.native_step(Device.HOST, 16, 1).time:.3f}"),
-        ("symmetric pre-update", f"{m.symmetric_step(PRE_UPDATE)['total']:.3f}"),
-        ("symmetric post-update", f"{m.symmetric_step(POST_UPDATE)['total']:.3f}"),
-        ("two hosts (IB)", f"{m.two_host_step()['total']:.3f}"),
-    ]
-    _print(figure_header("Figure 23", "OVERFLOW DLRF6-Large symmetric (s/step)"))
-    _print(render_table(("configuration", "time"), rows))
-
-
-def _fig24() -> None:
-    from repro.npb.mg_offload import collapse_gain
-
-    rows = [
-        (f"{t} threads", f"{collapse_gain('C', t) * 100:+.1f}%")
-        for t in (16, 59, 118, 177, 236)
-    ]
-    _print(figure_header("Figure 24", "MG loop-collapse gain"))
-    _print(render_table(("threads", "gain"), rows))
-
-
-def _fig25() -> None:
-    from repro.core import Evaluator
-    from repro.machine import Device
-    from repro.npb.characterization import class_c_kernel
-    from repro.npb.mg_offload import offload_regions
-
-    ev = Evaluator()
-    k = class_c_kernel("MG")
-    rows = [
-        ("native host 16", f"{ev.native(Device.HOST, k, 16).gflops:.1f}"),
-        ("native host 32 (HT)", f"{ev.native(Device.HOST, k, 32).gflops:.1f}"),
-        ("native phi 177", f"{ev.native(Device.PHI0, k, 177).gflops:.1f}"),
-    ]
-    for name, region in offload_regions("C").items():
-        rows.append(
-            (f"offload {name}", f"{ev.offload(region, n_threads=177).gflops:.2f}")
-        )
-    _print(figure_header("Figure 25", "MG Class C modes (Gflop/s)"))
-    _print(render_table(("mode", "Gflop/s"), rows))
-
-
-def _fig26_27() -> None:
-    from repro.core import Evaluator
-    from repro.npb.mg_offload import offload_regions
-
-    model = Evaluator().offload_model(n_threads=177)
-    reports = model.compare(*offload_regions("C").values())
-    rows = [
-        (
-            name,
-            r.invocations,
-            fmt_size(r.total_data),
-            f"{r.overhead:.2f}",
-            f"{r.total:.2f}",
-        )
-        for name, r in reports.items()
-    ]
-    _print(figure_header("Figures 26-27", "MG offload anatomy"))
-    _print(
-        render_table(
-            ("version", "invocations", "data", "overhead (s)", "total (s)"), rows
-        )
-    )
-
-
-_FIGURES = {
-    4: _fig4,
-    5: _fig5,
-    6: _fig6,
-    7: _fig7,
-    8: _fig8,
-    9: _fig9,
-    10: lambda: _mpi_func_fig(10, "sendrecv"),
-    11: lambda: _mpi_func_fig(11, "bcast"),
-    12: lambda: _mpi_func_fig(12, "allreduce"),
-    13: lambda: _mpi_func_fig(13, "allgather"),
-    14: lambda: _mpi_func_fig(14, "alltoall"),
-    15: _fig15,
-    16: _fig16,
-    17: _fig17,
-    18: _fig18,
-    19: _fig19,
-    20: _fig20,
-    21: _fig21,
-    22: _fig22,
-    23: _fig23,
-    24: _fig24,
-    25: _fig25,
-    26: _fig26_27,
-    27: _fig26_27,
-}
-
-
-# --------------------------------------------------------------------------
-# other commands
+# commands
 # --------------------------------------------------------------------------
 
 
@@ -431,16 +73,16 @@ def _cmd_npb(problem: str, benchmarks: Optional[List[str]]) -> int:
 
 
 def _cmd_stream() -> int:
-    from repro.microbench.stream import fig4_data, numpy_stream_triad
+    from repro.microbench.stream import numpy_stream_triad
 
-    _fig4()
+    _print(FIGURES["4"].render())
     _print(f"\nThis machine's NumPy triad: {fmt_rate(numpy_stream_triad())}")
     return 0
 
 
 def _cmd_modes() -> int:
-    _fig25()
-    _fig26_27()
+    _print(FIGURES["25"].render())
+    _print(FIGURES["26-27"].render())
     return 0
 
 
@@ -1016,7 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sub.add_parser("table1", help="Table 1: system characteristics")
     p_fig = sub.add_parser("figure", help="print one figure's data table")
-    p_fig.add_argument("number", type=int, choices=sorted(_FIGURES))
+    p_fig.add_argument("number", type=int, choices=sorted(NUMBERS))
     sub.add_parser("figures", help="print every figure")
     p_npb = sub.add_parser("npb", help="run the real NPB suite")
     p_npb.add_argument("--problem", default="S", choices=list("SWABC"))
@@ -1261,20 +903,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "table1":
-        _fig_table1()
+        _print(FIGURES["table1"].render())
         return 0
     if args.command == "figure":
-        _FIGURES[args.number]()
+        _print(FIGURES[NUMBERS[args.number]].render())
         return 0
     if args.command == "figures":
-        _fig_table1()
-        done = set()
-        for n in sorted(_FIGURES):
-            fn = _FIGURES[n]
-            if fn in done:
-                continue
-            done.add(fn)
-            fn()
+        for fig in FIGURES.values():
+            _print(fig.render())
         return 0
     if args.command == "npb":
         benchmarks = args.benchmarks.split(",") if args.benchmarks else None

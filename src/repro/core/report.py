@@ -1,7 +1,8 @@
 """Fixed-width text rendering for benchmark harnesses.
 
-Every ``benchmarks/bench_figXX_*.py`` prints its figure as a table with a
-"paper" column next to the "model" column, via these helpers.  Plain
+``repro figure N`` and ``benchmarks/bench_figures.py`` print every
+figure of :mod:`repro.figures`, and the claim rows with their "paper"
+column next to the "model" column, via these helpers.  Plain
 ASCII so output survives any terminal or CI log.
 """
 
@@ -44,10 +45,6 @@ def figure_header(fig: str, caption: str) -> str:
     return f"\n{bar}\n{fig}: {caption}\n{bar}"
 
 
-def check_mark(ok: bool) -> str:
-    return "ok" if ok else "MISMATCH"
-
-
 def band_str(lo: float, hi: float) -> str:
     return f"{lo:.3g}..{hi:.3g}"
 
@@ -63,7 +60,6 @@ def in_band(value: float, lo: float, hi: float, slack: float = 0.15) -> bool:
 
 __all__ = [
     "band_str",
-    "check_mark",
     "figure_header",
     "fmt_rate",
     "fmt_size",
