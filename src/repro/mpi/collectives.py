@@ -24,7 +24,10 @@ Three coupled parts:
    :func:`shift_step` (ring allgather, Bruck, the dissemination barrier,
    non-power-of-two alltoall, phase-compiled halo shifts) and
    :func:`exchange_step` (recursive doubling, power-of-two alltoall, the
-   allreduce rounds).
+   allreduce rounds).  The schedules whose rounds all move one size
+   (alltoall, the ring, the barrier) take one uniform-arrival rule,
+   :func:`_uniform`: equal arrivals stay equal, so one scalar carries
+   every rank.
 
 3. **Cost models** — closed-form times for the same algorithms on a
    fabric's α–β parameters.  The figure sweeps (Figs 10–14) use these
@@ -425,6 +428,8 @@ ALGORITHMS: Dict[str, Callable[..., Generator]] = {
 # :func:`_tree` table: each of the ⌈log2 P⌉ levels is one :func:`_p2p`
 # between strided slices of parent and child vranks, in the same
 # per-rank float order as the generators' sequential sends and recvs.
+# When every rank arrives at once, :func:`_uniform` prices the
+# round-synchronous schedules on one scalar, bit for bit.
 
 
 def _wire(fabric, nbytes: int):
@@ -603,24 +608,37 @@ def _up_walk(t: Any, root: int, tree: List[Any], combine: Any) -> Any:
     return _roll(s, root)
 
 
+def _uniform(t: Any, rounds: int, tp: float, ts: float, eager: bool) -> Any:
+    """``rounds`` identical shift or exchange rounds on uniform arrivals,
+    or ``None`` when the arrivals differ.
+
+    Rounding is monotone, so a round maps a uniform vector ``c`` to the
+    uniform ``max(c + ts, c + tp) == c + max(ts, tp)`` (eager) or
+    ``c + tp`` (rendezvous) whatever its offset or mask: one scalar
+    carries the whole schedule.  It is advanced once per round, as the
+    steps do (the product ``rounds * cost`` rounds differently); on an
+    array by ``np.add.accumulate``, so a P=65536 ring stays a vector op.
+    """
+    lo, hi = _extrema(t)
+    if lo != hi:
+        return None
+    per_round = max(ts, tp) if eager else tp
+    if isinstance(t, list):
+        for _ in range(rounds):
+            lo += per_round
+        return _full(t, lo)
+    np = get_numpy()
+    steps = np.full(rounds + 1, per_round)
+    steps[0] = lo
+    return _full(t, np.add.accumulate(steps)[-1])
+
+
 def _ring_times(fabric, p: int, nbytes: int, t: Any) -> Any:
     """Ring allgather: p−1 shifts by one at block size."""
     tp, ts, eager = _wire(fabric, nbytes)
-    lo, hi = _extrema(t)
-    if lo == hi:
-        # Uniform arrivals: every round advances all ranks by the same
-        # per-round cost (rounding is monotone, so max(c + ts, c + tp) ==
-        # c + max(ts, tp)).  Add it once per round, as the shifts do: the
-        # product (p - 1) * cost rounds differently.
-        per_round = max(ts, tp) if eager else tp
-        if isinstance(t, list):
-            for _ in range(p - 1):
-                lo += per_round
-            return _full(t, lo)
-        np = get_numpy()
-        steps = np.full(p, per_round)
-        steps[0] = lo
-        return _full(t, np.add.accumulate(steps)[-1])
+    uniform = _uniform(t, p - 1, tp, ts, eager)
+    if uniform is not None:
+        return uniform
     for _ in range(p - 1):
         t = shift_step(t, 1, tp, ts, eager)
     return t
@@ -717,6 +735,9 @@ def alltoall_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     """Per-rank completion times of :func:`alltoall` on a uniform fabric."""
     t = _arrivals(p, arrivals)
     wire = _wire(fabric, nbytes)
+    uniform = _uniform(t, p - 1, *wire)
+    if uniform is not None:
+        return uniform
     step = exchange_step if p & (p - 1) == 0 else shift_step
     for rnd in range(1, p):
         t = step(t, rnd, *wire)
@@ -771,16 +792,9 @@ def barrier_schedule(fabric, p: int, nbytes: int, arrivals: Any,
     if p == 1:
         return t
     tp, ts, _ = _wire(fabric, 0)
-    lo, hi = _extrema(t)
-    if lo == hi:
-        # Uniform arrivals: every rank advances identically per round.
-        # Iterate (not closed-form) to keep float rounding bit-identical.
-        cur = lo
-        k = 1
-        while k < p:
-            cur = max(cur + ts, cur + tp)
-            k <<= 1
-        return _full(t, cur)
+    uniform = _uniform(t, (p - 1).bit_length(), tp, ts, True)  # ⌈log2 p⌉
+    if uniform is not None:
+        return uniform
     k = 1
     while k < p:
         t = shift_step(t, k, tp, ts, True)

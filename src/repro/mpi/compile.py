@@ -37,7 +37,12 @@ This module compiles them instead, in four stages:
    schedules) instead of stepping envelopes through the event queue.
    Payloads are moved for real, so results are bit-identical; times
    agree with the stepped engine to float precision (the test suite
-   gates 1e-9).
+   gates 1e-9).  The hot operations cost one generator each: ``sendrecv``
+   is one step (isend, recv and wait inline, with no request object),
+   and ``compute`` advances the rank's clock in place without a
+   trampoline round trip.  A collective whose ranks all arrive at once
+   is priced in O(rounds) scalar adds by the schedules' uniform-arrival
+   rule (:mod:`repro.mpi.collectives`), not O(P) per round.
 
 4. **Memoization.**  A successful replay is stored in an
    :class:`~repro.perf.cache.EvalCache` keyed by the fingerprint of
@@ -277,7 +282,7 @@ class _ReplayComm(RankComm):
         job.deliver(env)
         if nbytes <= job.eager_max:
             # Eager: the sender detaches after its local copy.
-            end = clock + job.fabric.sender_time(nbytes)
+            end = clock + job.sender_time(nbytes)
         else:
             # Rendezvous: block until the receiver completes the transfer.
             env.waiter = rank
@@ -310,6 +315,14 @@ class _ReplayComm(RankComm):
                 break
             job.park_recv(self.rank, source)
             yield _PARK
+        self._complete(env)
+        return env
+
+    def _complete(self, env: _REnv) -> None:
+        """Complete the matched receive of ``env`` on this rank's clock:
+        eager ``max(clock, post + tp)``, rendezvous ``max(clock, post) +
+        tp``; then wake a sender parked on it."""
+        job = self._job
         nbytes = env.nbytes
         key = (nbytes, env.pattern)
         transfer = job.p2p.get(key)
@@ -329,7 +342,6 @@ class _ReplayComm(RankComm):
         if self._trace is not None:
             self._span("recv", "mpi.p2p", clock,
                        {"source": env.source, "nbytes": nbytes, "tag": env.tag})
-        return env
 
     def isend(self, dest: int, nbytes: int, tag: int = 0,
               payload: Any = None) -> _ReplayRequest:
@@ -338,22 +350,68 @@ class _ReplayComm(RankComm):
         clock = job.clocks[self.rank]
         env = _REnv(self.rank, dest, tag, nbytes, clock, payload, "neighbor")
         job.deliver(env)
+        ready = None
         if nbytes <= job.eager_max:
-            ready = clock + job.fabric.sender_time(nbytes)
+            ready = clock + job.sender_time(nbytes)
             # The engine's sender-side timer fires whether or not the
             # request is waited; it can end the job's clock.
             if ready > job.horizon:
                 job.horizon = ready
-            req = _ReplayRequest(job, self.rank, env, ready)
-        else:
-            req = _ReplayRequest(job, self.rank, env, None)
+        if self._trace is not None:
+            self._trace_isend(clock, ready, env)
+        return _ReplayRequest(job, self.rank, env, ready)
+
+    def _trace_isend(self, ts: float, ready: Optional[float],
+                     env: _REnv) -> None:
+        """Note an isend for its ``.nb`` lane span, built at flush."""
         trace = self._trace
-        if trace is not None:
-            trace.messages.append((self.rank, dest, nbytes))
-            trace.nb_sends[self.rank].append(
-                (f"send->{dest}", clock, req, {"nbytes": nbytes, "tag": tag})
-            )
-        return req
+        trace.messages.append((self.rank, env.dest, env.nbytes))
+        trace.nb_sends[self.rank].append(
+            (f"send->{env.dest}", ts, ready, env,
+             {"nbytes": env.nbytes, "tag": env.tag})
+        )
+
+    def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
+                 payload: Any = None) -> Generator:
+        """``isend`` + ``recv`` + ``wait`` in one generator, with the
+        shared ``sendrecv``'s checks, clocks, deliveries and spans.
+
+        The rank's clock ends at or past its eager send's ``ready``, so
+        unlike a bare ``isend`` that timer never needs the horizon.
+        """
+        self._check_send(dest, nbytes)
+        if source is None:
+            raise ReplayFallback("wildcard-source recv")
+        self._check_peer(source)
+        job = self._job
+        rank = self.rank
+        clock = job.clocks[rank]
+        out = _REnv(rank, dest, tag, nbytes, clock, payload, "neighbor")
+        job.deliver(out)
+        ready = None
+        if nbytes <= job.eager_max:
+            ready = clock + job.sender_time(nbytes)
+        if self._trace is not None:
+            self._trace_isend(clock, ready, out)
+        queue = job.queue(rank, source)
+        while True:
+            env = _scan_queue(queue, tag)
+            if env is not None:
+                break
+            job.park_recv(rank, source)
+            yield _PARK
+        self._complete(env)
+        if ready is None:
+            # Rendezvous: the send completes when its receiver does.
+            if out.done_time is None:
+                out.waiter = rank
+                while out.done_time is None:
+                    yield _PARK
+                out.waiter = None
+            ready = out.done_time
+        if job.clocks[rank] < ready:
+            job.clocks[rank] = ready
+        return env
 
     def irecv(self, source: Optional[int] = ANY_SOURCE,
               tag: Optional[int] = ANY_TAG):
@@ -364,9 +422,13 @@ class _ReplayComm(RankComm):
     # ----------------------------------------------------------- utilities
 
     def compute(self, seconds: float) -> Generator:
+        """Advance this rank's clock in place: no command reaches the
+        trampoline, whose ``Timeout`` branch serves mains that yield one."""
         if seconds < 0:
             raise ConfigError("compute time must be non-negative")
-        yield Timeout(seconds * self._factor)
+        self._job.clocks[self.rank] += float(seconds * self._factor)
+        return
+        yield  # a generator, for ``yield from comm.compute(...)``
 
     # --------------------------------------------------------- collectives
 
@@ -460,10 +522,10 @@ class _ReplayTrace:
         #: The spans the ranks recorded, in recording order.
         self.events: List[TraceEvent] = []
         self.messages: List[Tuple[int, int, int]] = []
-        #: Per rank, in post order: (name, post time, request, args).
-        self.nb_sends: List[List[Tuple[str, float, _ReplayRequest, Any]]] = [
-            [] for _ in range(size)
-        ]
+        #: Per rank, in post order: (name, post time, eager ready time or
+        #: None, envelope, args).
+        self.nb_sends: List[List[Tuple[str, float, Optional[float], _REnv,
+                                       Any]]] = [[] for _ in range(size)]
 
     def _nb_spans(self) -> List[TraceEvent]:
         """The isend spans of the ``rank<r>.nb`` lanes.
@@ -481,9 +543,8 @@ class _ReplayTrace:
                 continue
             tid = f"rank{rank}.nb"
             open_ends: List[float] = []
-            for name, ts, req, args in sends:
-                end = req._ready_at if req._ready_at is not None \
-                    else req._env.done_time
+            for name, ts, ready, env, args in sends:
+                end = ready if ready is not None else env.done_time
                 if end is None:
                     # The stepped isend worker would block forever and
                     # the engine reports the deadlock.
@@ -560,6 +621,8 @@ class _ReplayJob:
         self.eager_max = self.fabric.eager_max
         #: (nbytes, pattern) -> the fabric's p2p_time at this job's size.
         self.p2p: Dict[Tuple[int, str], float] = {}
+        #: nbytes -> the fabric's eager sender occupancy.
+        self.sender: Dict[int, float] = {}
         self.clocks = [0.0] * n_ranks
         #: (dest, source) -> FIFO of undelivered envelopes.
         self.queues: Dict[Tuple[int, int], Deque[_REnv]] = {}
@@ -574,6 +637,12 @@ class _ReplayJob:
         self._queued: set = set()
 
     # ------------------------------------------------------------ transport
+
+    def sender_time(self, nbytes: int) -> float:
+        t = self.sender.get(nbytes)
+        if t is None:
+            t = self.sender[nbytes] = self.fabric.sender_time(nbytes)
+        return t
 
     def queue(self, dest: int, source: int) -> Deque[_REnv]:
         q = self.queues.get((dest, source))

@@ -38,11 +38,6 @@ from repro.paperdata import (
 from repro.units import GB, KiB, MB, MiB
 
 
-def in_band(value, band, slack=0.15):
-    lo, hi = band
-    return lo * (1 - slack) <= value <= hi * (1 + slack)
-
-
 class TestFig4Stream:
     def test_paper_points(self):
         data = dict(fig4_data()["phi"])

@@ -27,7 +27,7 @@ from functools import partial
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlockError
 from repro.mpi.compile import (
     CompileStats,
     ReplayFallback,
@@ -672,3 +672,106 @@ def test_memo_not_consulted_for_fallback_jobs():
         8, host_fabric(), main, tracer=Tracer(), cache=cache, stats=st
     )
     assert st.path == "replay" and not st.cache_hit
+
+
+# ------------------------------------------------ one-step sendrecv parity
+#
+# The replay communicator runs ``sendrecv`` as one generator (isend +
+# recv + wait inline).  Every outcome the shared three-step sendrecv has
+# on the stepped engine must follow: equal clocks, a stall where the
+# stepped run deadlocks, a fallback on a wildcard source, ConfigError on
+# a bad peer, and straggler-scaled compute between exchanges.
+
+
+def _ring_both_ways(nbytes, comm):
+    """Right then left around the ring, with a skew between the two."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    a = yield from comm.sendrecv(right, left, nbytes=nbytes,
+                                 payload=comm.rank)
+    yield from comm.compute(1e-7 * (comm.rank % 3))
+    b = yield from comm.sendrecv(left, right, nbytes=nbytes, tag=7,
+                                 payload=-comm.rank)
+    return a.payload, b.payload, a.source, b.tag, comm.now
+
+
+def _tag_mismatch(nbytes, comm):
+    """Each rank receives its own rank as tag, but its left neighbour
+    sends the neighbour's: no receive ever matches."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    yield from comm.sendrecv(right, left, nbytes=nbytes, tag=comm.rank)
+
+
+def _wildcard_sendrecv(comm):
+    right = (comm.rank + 1) % comm.size
+    env = yield from comm.sendrecv(right, None, nbytes=64, payload=comm.rank)
+    return env.payload
+
+
+def _bad_sendrecv(which, comm):
+    right = (comm.rank + 1) % comm.size
+    if which == "dest":
+        yield from comm.sendrecv(comm.size + 2, right, nbytes=64)
+    else:
+        yield from comm.sendrecv(right, -1, nbytes=64)
+
+
+def _sendrecv_sizes(fabric):
+    """Eager, just past the fabric's eager limit, and 1 MiB."""
+    return (64, fabric.eager_max + 1, 1 << 20)
+
+
+@pytest.mark.parametrize("fabric_name", ("host", "phi"))
+def test_sendrecv_replay_equals_stepped(fabric_name):
+    for p in (1, 2, 3, 8, 13):
+        for nbytes in _sendrecv_sizes(_fabric(fabric_name)):
+            main = partial(_ring_both_ways, nbytes)
+            rep = replay(p, _fabric(fabric_name), main)
+            des = mpiexec(p, _fabric(fabric_name), main)
+            case = (fabric_name, p, nbytes)
+            assert rep.elapsed == des.elapsed, case
+            assert rep.returns == des.returns, case
+
+
+@pytest.mark.parametrize("nbytes", (64, 1 << 20))
+def test_sendrecv_tag_mismatch_stalls_like_stepped(nbytes):
+    main = partial(_tag_mismatch, nbytes)
+    with pytest.raises(ReplayFallback, match="stalled"):
+        replay(4, host_fabric(), main)
+    with pytest.raises(DeadlockError) as stepped:
+        mpiexec(4, host_fabric(), main)
+    st = CompileStats()
+    with pytest.raises(DeadlockError) as compiled:
+        compiled_mpiexec(4, host_fabric(), main, stats=st)
+    assert st.path == "stepped" and "stalled" in st.reason
+    assert str(compiled.value) == str(stepped.value)
+
+
+def test_sendrecv_wildcard_source_falls_back():
+    with pytest.raises(ReplayFallback, match="wildcard"):
+        replay(4, host_fabric(), _wildcard_sendrecv)
+    st = CompileStats()
+    res = compiled_mpiexec(4, host_fabric(), _wildcard_sendrecv, stats=st)
+    _assert_stepped(st, "wildcard")
+    ref = mpiexec(4, host_fabric(), _wildcard_sendrecv)
+    assert (res.elapsed, res.returns) == (ref.elapsed, ref.returns)
+
+
+@pytest.mark.parametrize("which", ("dest", "source"))
+def test_sendrecv_bad_peer_raises_configerror(which):
+    main = partial(_bad_sendrecv, which)
+    with pytest.raises(ConfigError, match="out of range"):
+        replay(4, host_fabric(), main)
+    with pytest.raises(ConfigError, match="out of range"):
+        mpiexec(4, host_fabric(), main)
+    with pytest.raises(ConfigError, match="out of range"):
+        compiled_mpiexec(4, host_fabric(), main)
+
+
+def test_sendrecv_static_straggler_replays_exactly():
+    from repro.faults import FaultPlan, Straggler
+
+    plan = FaultPlan([Straggler(rank=1, slowdown=3.0)])
+    for nbytes in _sendrecv_sizes(host_fabric()):
+        _assert_replays_exactly(partial(_ring_both_ways, nbytes), plan)

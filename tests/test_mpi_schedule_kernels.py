@@ -16,6 +16,11 @@ Python list or a numpy array.  Two contracts are gated here:
 * **Walk oracle** — the level-synchronous binomial walks equal the
   sequential rank-at-a-time walks they replaced, bit for bit, on lists
   and arrays up to P=65537.
+* **Uniform-arrival oracle** — on equal arrivals the round-synchronous
+  schedules (alltoall, ring allgather, the large bcast's ring, the
+  barrier) advance one scalar per round; each equals its rounds stepped
+  one :func:`shift_step` or :func:`exchange_step` at a time, bit for
+  bit, on lists and arrays up to P=4097.
 """
 
 from __future__ import annotations
@@ -33,8 +38,11 @@ from repro.mpi.collectives import (
     SCHEDULES,
     _down_walk,
     _tree,
+    _uniform,
     _up_walk,
     _wire,
+    exchange_step,
+    shift_step,
 )
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.perf.batch import HAVE_NUMPY, get_numpy
@@ -218,3 +226,99 @@ def test_level_walks_equal_sequential_walks(direction):
         assert walk(list(t)) == want, case
         if np is not None:
             assert walk(np.asarray(t, dtype=float)).tolist() == want, case
+
+
+# --------------------------------------------- uniform-arrival oracle
+#
+# The rounds of each round-synchronous schedule, stepped one at a time
+# with no uniform shortcut: the reference the shortcut must equal.
+
+UNIFORM_P = (2, 3, 5, 8, 13, 16, 127, 128, 4097)
+
+UNIFORM_KINDS = ("alltoall", "allgather", "bcast", "barrier")
+
+
+def _stepped_rounds(kind, fabric, p, nbytes, t):
+    if kind == "alltoall":
+        step = exchange_step if p & (p - 1) == 0 else shift_step
+        for rnd in range(1, p):
+            t = step(t, rnd, *_wire(fabric, nbytes))
+        return t
+    if kind == "barrier":
+        tp, ts, _ = _wire(fabric, 0)
+        k = 1
+        while k < p:
+            t = shift_step(t, k, tp, ts, True)
+            k <<= 1
+        return t
+    t, chunk = _ring_input(kind, fabric, p, nbytes, t)
+    for _ in range(p - 1):
+        t = shift_step(t, 1, *_wire(fabric, chunk))
+    return t
+
+
+def _ring_input(kind, fabric, p, nbytes, t):
+    """A ring kind's arrivals and block size at its first shift: a large
+    bcast first scatters ``nbytes // p`` chunks down a binomial tree."""
+    if kind != "bcast":
+        return t, nbytes
+    chunk = max(1, nbytes // p)
+    return _down_walk(t, p // 2, _tree(fabric, p, chunk, True)), chunk
+
+
+def _uniform_sizes(kind, fabric, p):
+    """One eager and one rendezvous message (a bcast's ring chunk)."""
+    if kind == "bcast":
+        return (LARGE_MESSAGE_SWITCH + 1, (fabric.eager_max + 1) * p)
+    if kind == "allgather":
+        return (ALLGATHER_RING_SWITCH + 1, fabric.eager_max + 1)
+    return (64, fabric.eager_max + 1)
+
+
+def _uniform_ring(kind, fabric, p, nbytes):
+    """Whether the schedule's rounds start on uniform arrivals.  Only a
+    large bcast's scatter can skew them; stepping a skewed P=4097 ring on
+    a list takes seconds and never reaches the uniform rule."""
+    t, _ = _ring_input(kind, fabric, p, nbytes, [1e-6] * p)
+    return min(t) == max(t)
+
+
+@pytest.mark.parametrize("kind", UNIFORM_KINDS)
+def test_uniform_arrivals_equal_stepped_rounds(kind):
+    np = get_numpy()
+    for fabric in (host_fabric(), phi_fabric(2)):
+        for p in UNIFORM_P:
+            if p > 128 and np is None:
+                continue
+            arrivals = [1e-6] * p
+            for nbytes in _uniform_sizes(kind, fabric, p):
+                case = (kind, fabric.name, p, nbytes)
+                # A P^2 reference is slow on lists; the two containers'
+                # steps agree bit for bit, so large P steps an array.
+                if p <= 128:
+                    want = _stepped_rounds(kind, fabric, p, nbytes,
+                                           list(arrivals))
+                else:
+                    want = _stepped_rounds(kind, fabric, p, nbytes,
+                                           np.asarray(arrivals)).tolist()
+                root = p // 2
+                if p <= 128 or _uniform_ring(kind, fabric, p, nbytes):
+                    got = SCHEDULES[kind](fabric, p, nbytes, list(arrivals),
+                                          root)
+                    assert got == want, case
+                if np is not None:
+                    got = SCHEDULES[kind](fabric, p, nbytes,
+                                          np.asarray(arrivals), root)
+                    assert got.tolist() == want, case
+
+
+@pytest.mark.parametrize("tp, ts", ((3e-7, 1e-7), (1e-7, 3e-7)))
+def test_uniform_rule_on_either_eager_cost(tp, ts):
+    """The shipped fabrics' eager transfer outlasts the sender's copy
+    (``tp > ts``); the rule must hold the other way round too, and
+    decline arrivals that differ."""
+    want = t = [1e-6] * 5
+    for rnd in range(1, 5):
+        want = shift_step(want, rnd, tp, ts, True)
+    assert _uniform(t, 4, tp, ts, True) == want
+    assert _uniform([1e-6, 2e-6, 1e-6], 2, tp, ts, True) is None
