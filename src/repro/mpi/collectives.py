@@ -27,7 +27,17 @@ Three coupled parts:
    allreduce rounds).  The schedules whose rounds all move one size
    (alltoall, the ring, the barrier) take one uniform-arrival rule,
    :func:`_uniform`: equal arrivals stay equal, so one scalar carries
-   every rank.
+   every rank.  On an array each step is an allocation-free kernel: it
+   writes into one fresh output buffer with the list step's float
+   operations in the same order.  A shift's rotation is two slice
+   writes (no ``np.roll``), a power-of-two exchange reads its partner
+   through the flipped ``(…, 2, mask)`` view, and the maxima and sums
+   are in-place ufuncs, so an eager step allocates one ``t + ts``
+   temporary beside its output and a rendezvous step none.  No kernel
+   writes its input, and each returns a buffer its caller owns: the
+   binomial walks write into :func:`_roll`'s result, and the allreduce
+   rounds and the reduce walk add their arithmetic in place
+   (:func:`_add_to`).
 
 3. **Cost models** — closed-form times for the same algorithms on a
    fabric's α–β parameters.  The figure sweeps (Figs 10–14) use these
@@ -451,11 +461,19 @@ def _arrivals(p: int, arrivals: Any) -> Any:
 
 
 def _roll(t: Any, o: int) -> Any:
-    """``t`` rotated by ``o``: ``out[i] == t[(i - o) % len(t)]``."""
+    """A new vector, ``t`` rotated by ``o``: ``out[i] == t[(i - o) % len(t)]``.
+
+    On an array, two slice copies into a fresh buffer; even ``o ≡ 0``
+    returns a copy, so callers may write into the result.
+    """
+    p = len(t)
+    o %= p
     if isinstance(t, list):
-        o %= len(t)
         return t[-o:] + t[:-o]
-    return get_numpy().roll(t, o)
+    out = get_numpy().empty_like(t)
+    out[:o] = t[p - o:]
+    out[o:] = t[:p - o]
+    return out
 
 
 def _add(t: Any, c: Any) -> Any:
@@ -465,6 +483,14 @@ def _add(t: Any, c: Any) -> Any:
             return [x + y for x, y in zip(t, c)]
         return [x + c for x in t]
     return t + c
+
+
+def _add_to(t: Any, c: Any) -> Any:
+    """:func:`_add`, written into ``t`` when it is an array (a buffer the
+    caller owns); a list gets a new list."""
+    if isinstance(t, list):
+        return _add(t, c)
+    return get_numpy().add(t, c, out=t)
 
 
 def _extrema(t: Any) -> Tuple[Any, Any]:
@@ -487,19 +513,30 @@ def shift_step(t: Any, o: int, tp: float, ts: float, eager: bool) -> Any:
 
     Eager: ``t' = max(t + ts, roll(t, o) + tp)``.  Rendezvous: the rank
     also waits for its receiver, ``t' = max(t, roll(t, o), roll(t, -o))
-    + tp``.
+    + tp``.  On an array each roll is two slice operations writing
+    straight into the fresh output; eager needs one ``t + ts``
+    temporary, rendezvous none.  ``t`` is never written.
     """
-    left = _roll(t, o)
     if isinstance(t, list):
+        left = _roll(t, o)
         if eager:
             return [max(a + ts, b + tp) for a, b in zip(t, left)]
         return [
             max(a, b, c) + tp for a, b, c in zip(t, left, _roll(t, -o))
         ]
     np = get_numpy()
+    p = len(t)
+    o %= p
+    out = np.empty(p)
     if eager:
-        return np.maximum(t + ts, left + tp)
-    return np.maximum(np.maximum(t, left), np.roll(t, -o)) + tp
+        np.add(t[p - o:], tp, out=out[:o])
+        np.add(t[:p - o], tp, out=out[o:])
+        return np.maximum(t + ts, out, out=out)
+    np.maximum(t[:o], t[p - o:], out=out[:o])
+    np.maximum(t[o:], t[:p - o], out=out[o:])
+    np.maximum(out[:p - o], t[o:], out=out[:p - o])
+    np.maximum(out[p - o:], t[:o], out=out[p - o:])
+    return np.add(out, tp, out=out)
 
 
 def exchange_step(t: Any, mask: int, tp: float, ts: float,
@@ -508,8 +545,12 @@ def exchange_step(t: Any, mask: int, tp: float, ts: float,
 
     Eager: ``t' = max(t + ts, t[i ^ mask] + tp)``; rendezvous:
     ``t' = max(t, t[i ^ mask]) + tp``.  On an array a power-of-two mask
-    is a contiguous block swap (reshape to ``(…, 2, mask)`` and flip the
-    pair axis), which beats fancy indexing on 100k-rank vectors.
+    is a contiguous block swap: the partner view ``v[:, ::-1, :]`` of
+    ``v = t.reshape(-1, 2, mask)`` is written straight into a fresh
+    ``(…, 2, mask)`` buffer, which beats fancy indexing on 100k-rank
+    vectors; any other mask gathers ``t[i ^ mask]`` into the fresh
+    buffer.  Eager needs one ``t + ts`` temporary, rendezvous none.
+    ``t`` is never written.
     """
     if isinstance(t, list):
         if eager:
@@ -517,12 +558,18 @@ def exchange_step(t: Any, mask: int, tp: float, ts: float,
         return [max(t[i], t[i ^ mask]) + tp for i in range(len(t))]
     np = get_numpy()
     if mask & (mask - 1) == 0:
-        other = t.reshape(-1, 2, mask)[:, ::-1, :].reshape(-1)
+        v = t.reshape(-1, 2, mask)
+        other, out = v[:, ::-1, :], None  # a view; the ufunc allocates
     else:
-        other = t[np.arange(len(t)) ^ mask]
+        v = t
+        other = out = t[np.arange(len(t)) ^ mask]  # a fresh gather
     if eager:
-        return np.maximum(t + ts, other + tp)
-    return np.maximum(t, other) + tp
+        out = np.add(other, tp, out=out)
+        np.maximum(v + ts, out, out=out)
+    else:
+        out = np.maximum(v, other, out=out)
+        np.add(out, tp, out=out)
+    return out.reshape(-1)
 
 
 def _p2p(send: Any, recv: Any, tp: float, ts: float,
@@ -537,8 +584,10 @@ def _p2p(send: Any, recv: Any, tp: float, ts: float,
         return done, done
     np = get_numpy()
     if eager:
-        return send + ts, np.maximum(recv, send + tp)
-    done = np.maximum(send, recv) + tp
+        recv_done = send + tp
+        return send + ts, np.maximum(recv, recv_done, out=recv_done)
+    done = np.maximum(send, recv)
+    np.add(done, tp, out=done)
     return done, done
 
 
@@ -604,7 +653,7 @@ def _up_walk(t: Any, root: int, tree: List[Any], combine: Any) -> Any:
         combine = _roll(combine, -root)
     for par, kid, (tp, ts, eager) in tree:
         s[kid], done = _p2p(s[kid], s[par], tp, ts, eager)
-        s[par] = _add(done, combine[par] if per_rank else combine)
+        s[par] = _add_to(done, combine[par] if per_rank else combine)
     return _roll(s, root)
 
 
@@ -694,7 +743,7 @@ def allreduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
 
     mask = 1
     while mask < pow2:
-        surv = _add(exchange_step(surv, mask, tp, ts, eager), rounds)
+        surv = _add_to(exchange_step(surv, mask, tp, ts, eager), rounds)
         mask <<= 1
     if not r:
         return surv

@@ -45,7 +45,12 @@ import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import LARGE_MESSAGE_SWITCH, SCHEDULES
+from repro.mpi.collectives import (
+    ALLGATHER_RING_SWITCH,
+    LARGE_MESSAGE_SWITCH,
+    SCHEDULES,
+)
+from repro.perf.batch import get_numpy
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
 
@@ -53,6 +58,13 @@ __all__ = ["FAST_KINDS", "FastCollectives", "takes_fast_path"]
 
 #: The collectives whose schedule releases no rank before the last arrival.
 FAST_KINDS = frozenset(("allreduce", "allgather", "alltoall", "barrier"))
+
+
+#: Smallest P whose O(P)-round schedules :meth:`_Instance.resolve` runs
+#: on an array: below it numpy's per-call overhead outweighs the rounds
+#: it vectorizes (at P=16 a skewed alltoall takes about as long either
+#: way, at P=8 the array is twice as slow, at P=64 three times faster).
+ARRAY_ROUNDS_MIN_P = 32
 
 
 def takes_fast_path(kind: str, nbytes: int) -> bool:
@@ -111,13 +123,41 @@ class _Instance:
     def resolve(self, fabric: Any, factors: Optional[List[float]] = None
                 ) -> Tuple[List[float], List[Any]]:
         """Every rank's finish time and result.  ``factors`` (one per
-        rank) scales the reduction arithmetic of reduce and allreduce."""
-        args: Tuple[Any, ...] = (fabric, len(self.arrivals), self.nbytes,
-                                 self.arrivals, self.root)
+        rank) scales the reduction arithmetic of reduce and allreduce.
+
+        A schedule that runs O(P) rounds (:func:`_many_rounds`) on
+        ``ARRAY_ROUNDS_MIN_P`` ranks or more runs on an array when numpy
+        is importable, and its finish times come back as a list of
+        Python floats; the two backends agree bit for bit.
+        """
+        p = len(self.arrivals)
+        arrivals: Any = self.arrivals
+        np = get_numpy()
+        on_array = (np is not None and p >= ARRAY_ROUNDS_MIN_P
+                    and _many_rounds(self.kind, self.nbytes, arrivals))
+        if on_array:
+            arrivals = np.array(arrivals, dtype=float)
+        args: Tuple[Any, ...] = (fabric, p, self.nbytes, arrivals, self.root)
         if factors is not None and self.kind in ("reduce", "allreduce"):
             args += (factors,)
-        self.outcome = SCHEDULES[self.kind](*args), _RESULTS[self.kind](self)
+        ends = SCHEDULES[self.kind](*args)
+        if on_array:
+            ends = ends.tolist()
+        self.outcome = ends, _RESULTS[self.kind](self)
         return self.outcome
+
+
+def _many_rounds(kind: str, nbytes: int, arrivals: List[float]) -> bool:
+    """Whether collective ``kind`` of ``nbytes`` prices O(P) rounds from
+    ``arrivals``: the large bcast's ring always; alltoall and ring
+    allgather unless every rank arrives at once, when the uniform-arrival
+    rule prices them on one scalar."""
+    if kind == "bcast":
+        return nbytes > LARGE_MESSAGE_SWITCH
+    if kind == "alltoall" or (kind == "allgather"
+                              and nbytes > ALLGATHER_RING_SWITCH):
+        return min(arrivals) != max(arrivals)
+    return False
 
 
 class FastCollectives:
@@ -244,9 +284,12 @@ def _allgather_results(inst: _Instance) -> List[Any]:
 
 
 def _alltoall_results(inst: _Instance) -> List[Any]:
-    p = len(inst.values)
+    values = inst.values
+    if all(type(row) in (list, tuple) for row in values):
+        return [list(col) for col in zip(*values)]  # the transpose
+    p = len(values)
     return [
-        [inst.values[src][dst] if inst.values[src] is not None else None
+        [values[src][dst] if values[src] is not None else None
          for src in range(p)]
         for dst in range(p)
     ]

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import SCHEDULES, _add, _wire, shift_step
+from repro.mpi.collectives import SCHEDULES, _add_to, _wire, shift_step
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.obs.tracer import NULL_CONTEXT
 from repro.perf.batch import HAVE_NUMPY, get_numpy, warn_scalar_fallback
@@ -566,7 +566,7 @@ def _clocks_raw(program: PhaseProgram, fabric: Any,
                 t = shift_step(t, ph.offset, tp, ts, eager)
         elif ph.kind == "compute":
             for _ in range(ph.count):
-                t = _add(t, ph.seconds)
+                t = _add_to(t, ph.seconds)
         else:
             for _ in range(ph.count):
                 t = SCHEDULES[ph.coll](fabric, p, ph.nbytes, t, ph.root)

@@ -25,8 +25,15 @@ import pytest
 from repro.errors import ConfigError
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
-from repro.mpi.fastpath import FastCollectives, takes_fast_path
+from repro.mpi.fastpath import (
+    ARRAY_ROUNDS_MIN_P,
+    FastCollectives,
+    _alltoall_results,
+    _Instance,
+    takes_fast_path,
+)
 from repro.mpi.runtime import MpiJob, mpiexec
+from repro.perf.batch import get_numpy
 
 KINDS = ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier")
 SIZES = (3, 4, 7, 13, 16, 64)  # odd P covers the fold, Bruck and shift paths
@@ -258,3 +265,75 @@ def test_scale_p4096_allreduce_fast_path(fast_runs):
     assert fast_runs == {"allreduce": p}
     assert result.elapsed > 0
     assert wall < 30.0, f"P=4096 fast-path allreduce took {wall:.1f}s"
+
+
+# ------------------------------------------------- resolve's two backends
+
+
+def _instance(kind, nbytes, values, arrivals=None, root=None):
+    inst = _Instance(len(values), kind, nbytes, root, None)
+    for rank, row in enumerate(values):
+        inst.arrive(rank, 0.0 if arrivals is None else arrivals[rank], row)
+    return inst
+
+
+def _indexed_alltoall(values):
+    """The per-element form, which takes any row that can be indexed."""
+    p = len(values)
+    return [[values[src][dst] if values[src] is not None else None
+             for src in range(p)] for dst in range(p)]
+
+
+def test_alltoall_results_transpose_equals_indexed_form():
+    """All-list/tuple rows take the ``zip`` transpose; ``None``, dict
+    and array rows keep the indexed form.  Both give the same values of
+    the same types."""
+    p = 5
+    lists = [[(src, dst) for dst in range(p)] for src in range(p)]
+    cases = {
+        "list": lists,
+        "tuple": [tuple(row) for row in lists],
+        "mixed": [tuple(row) if src % 2 else row
+                  for src, row in enumerate(lists)],
+        "none": [None] * p,
+        "some none": [None if src == 2 else row
+                      for src, row in enumerate(lists)],
+        "dict": [dict(enumerate(row)) for row in lists],
+    }
+    np = get_numpy()
+    if np is not None:
+        cases["ndarray"] = [np.arange(p) * 0.1 + src for src in range(p)]
+        cases["ndarray and list"] = [np.arange(p) * 0.1] + lists[1:]
+    for name, values in cases.items():
+        got = _alltoall_results(_instance("alltoall", 8, values))
+        want = _indexed_alltoall(values)
+        assert got == want, name
+        assert [[type(x) for x in row] for row in got] == \
+            [[type(x) for x in row] for row in want], name
+        assert all(type(row) is list for row in got), name
+
+
+@pytest.mark.parametrize("kind, nbytes, root", (
+    ("alltoall", 64, None), ("allgather", 4096, None), ("bcast", 1 << 20, 3),
+))
+def test_resolve_array_rounds_give_python_floats(kind, nbytes, root,
+                                                 monkeypatch):
+    """The O(P)-round schedules resolve on an array from
+    ``ARRAY_ROUNDS_MIN_P`` ranks; their finish times come back as Python
+    floats equal, bit for bit, to the list backend's."""
+    import random
+
+    from repro.mpi import fastpath
+
+    rnd = random.Random(7)
+    for p in (ARRAY_ROUNDS_MIN_P - 1, ARRAY_ROUNDS_MIN_P, 64, 127):
+        arrivals = [rnd.random() * 1e-5 for _ in range(p)]
+        values = [[r] * p for r in range(p)]
+        ends, _ = _instance(kind, nbytes, values, arrivals, root).resolve(
+            host_fabric())
+        assert all(type(e) is float for e in ends), (kind, p)
+        with monkeypatch.context() as m:
+            m.setattr(fastpath, "get_numpy", lambda: None)
+            listed, _ = _instance(kind, nbytes, values, arrivals,
+                                  root).resolve(host_fabric())
+        assert ends == listed, (kind, p)

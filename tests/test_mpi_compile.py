@@ -31,6 +31,7 @@ from repro.errors import ConfigError, DeadlockError
 from repro.mpi.compile import (
     CompileStats,
     ReplayFallback,
+    _ReplayJob,
     compiled_mpiexec,
     replay,
 )
@@ -775,3 +776,70 @@ def test_sendrecv_static_straggler_replays_exactly():
     plan = FaultPlan([Straggler(rank=1, slowdown=3.0)])
     for nbytes in _sendrecv_sizes(host_fabric()):
         _assert_replays_exactly(partial(_ring_both_ways, nbytes), plan)
+
+
+# ------------------------------------------- O(P)-round schedules on arrays
+#
+# From ``fastpath.ARRAY_ROUNDS_MIN_P`` ranks the replay and the fast path
+# price the large bcast's ring, ring allgather and alltoall on arrays.
+# Skewed arrivals keep the uniform-arrival rule out of the way, so every
+# round runs; the clocks must still equal the stepped run's bit for bit
+# and stay Python floats, in the job and in the trace.
+
+
+def _skewed_bcast(nbytes, comm):
+    yield from comm.compute(1e-7 * (comm.rank % 5))
+    value = yield from comm.bcast(
+        ("payload", comm.rank) if comm.rank == 3 else None, root=3,
+        nbytes=nbytes)
+    return value, comm.now
+
+
+def _skewed_alltoall(nbytes, comm):
+    yield from comm.compute(1e-7 * (comm.rank % 7))
+    got = yield from comm.alltoall(
+        [(comm.rank, dst) for dst in range(comm.size)], nbytes=nbytes)
+    return got, comm.now
+
+
+def _round_jobs(fabric):
+    yield partial(_skewed_bcast, 1 << 20)
+    for nbytes in (64, fabric.eager_max + 1):
+        yield partial(_skewed_alltoall, nbytes)
+
+
+def _all_floats(values):
+    return all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("p", (8, 64, 127))
+def test_array_rounds_replay_equals_stepped(p):
+    fabric = host_fabric()
+    for main in _round_jobs(fabric):
+        case = (p, main.func.__name__, main.args)
+        job = _ReplayJob(p, fabric)
+        rep = job.run(main)
+        des = mpiexec(p, fabric, main, fast_collectives=False)
+        fast = mpiexec(p, fabric, main)
+        assert rep.elapsed == des.elapsed == fast.elapsed, case
+        assert rep.returns == des.returns == fast.returns, case
+        assert _all_floats(job.clocks), case
+        assert type(rep.elapsed) is float and type(fast.elapsed) is float
+        assert _all_floats(now for _, now in rep.returns), case
+
+
+def test_array_rounds_trace_python_floats():
+    from repro.obs import Tracer
+
+    fabric = host_fabric()
+    for main in _round_jobs(fabric):
+        tracer = Tracer()
+        st = CompileStats()
+        res = compiled_mpiexec(64, fabric, main, tracer=tracer, stats=st)
+        assert st.path == "replay", st.reason
+        assert type(res.elapsed) is float
+        assert res.elapsed == mpiexec(64, fabric, main).elapsed
+        spans = [e for e in tracer.events if e.cat == "mpi.coll"]
+        assert len(spans) == 64
+        assert _all_floats(e.ts for e in tracer.events)
+        assert _all_floats(e.dur for e in tracer.events)

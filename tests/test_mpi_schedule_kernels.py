@@ -21,6 +21,9 @@ Python list or a numpy array.  Two contracts are gated here:
   barrier) advance one scalar per round; each equals its rounds stepped
   one :func:`shift_step` or :func:`exchange_step` at a time, bit for
   bit, on lists and arrays up to P=4097.
+* **Array kernels** — the array steps and :func:`_roll` write only into
+  fresh buffers, never into their input, and equal the list kernels bit
+  for bit on every offset class and mask class.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from repro.mpi.collectives import (
     LARGE_MESSAGE_SWITCH,
     SCHEDULES,
     _down_walk,
+    _p2p,
+    _roll,
     _tree,
     _uniform,
     _up_walk,
@@ -322,3 +327,112 @@ def test_uniform_rule_on_either_eager_cost(tp, ts):
         want = shift_step(want, rnd, tp, ts, True)
     assert _uniform(t, 4, tp, ts, True) == want
     assert _uniform([1e-6, 2e-6, 1e-6], 2, tp, ts, True) is None
+
+
+# ------------------------------------------------------ array kernels
+#
+# The array steps build their output in a fresh buffer with slice writes
+# and in-place ufuncs.  The input must come back untouched (callers
+# reuse their clock vectors), and each kernel must still evaluate the
+# list kernel's float operations, bit for bit.
+
+KERNEL_P = (1, 2, 3, 8, 13, 64)
+
+#: (tp, ts) pairs with either eager cost the larger.
+KERNEL_WIRES = ((3e-7, 1e-7), (1e-7, 3e-7))
+
+
+def _offsets(p):
+    """Positive, negative, ``o >= p`` and ``o ≡ 0 (mod p)`` offsets."""
+    return sorted({0, 1, 2, p - 1, p, p + 1, 2 * p, 3 * p + 2,
+                   -1, -2, -p, -p - 3})
+
+
+def _frozen(np, values):
+    """A read-only array of ``values``: a write into it raises."""
+    t = np.array(values, dtype=float)
+    t.flags.writeable = False
+    return t
+
+
+def _fresh(np, out, t):
+    assert isinstance(out, np.ndarray) and out.flags.writeable
+    assert not np.shares_memory(out, t)
+    return out.tolist()
+
+
+@needs_numpy
+def test_roll_returns_a_fresh_rotation():
+    np = get_numpy()
+    for p in KERNEL_P:
+        listed = _arrivals(p, True)
+        t = _frozen(np, listed)
+        for o in _offsets(p):
+            want = _roll(listed, o)
+            assert want is not listed
+            assert _fresh(np, _roll(t, o), t) == want, (p, o)
+        copy = _roll(t, 0)
+        copy[0] = -1.0  # a copy: the caller may write into it
+        assert t.tolist() == listed
+
+
+@needs_numpy
+@pytest.mark.parametrize("eager", (True, False))
+def test_array_shift_step_is_fresh_and_equals_list(eager):
+    np = get_numpy()
+    for p in KERNEL_P:
+        listed = _arrivals(p, True)
+        t = _frozen(np, listed)
+        for o in _offsets(p):
+            for tp, ts in KERNEL_WIRES:
+                want = shift_step(listed, o, tp, ts, eager)
+                got = _fresh(np, shift_step(t, o, tp, ts, eager), t)
+                assert got == want, (p, o, tp, ts, eager)
+        assert t.tolist() == listed
+
+
+@needs_numpy
+@pytest.mark.parametrize("eager", (True, False))
+def test_array_exchange_step_is_fresh_and_equals_list(eager):
+    """Every mask of a power-of-two P: the block swap for power-of-two
+    masks, the gather for the others (pairwise alltoall's rounds)."""
+    np = get_numpy()
+    for p in (2, 8, 64):
+        listed = _arrivals(p, True)
+        t = _frozen(np, listed)
+        for mask in range(1, p):
+            for tp, ts in KERNEL_WIRES:
+                want = exchange_step(listed, mask, tp, ts, eager)
+                got = _fresh(np, exchange_step(t, mask, tp, ts, eager), t)
+                assert got == want, (p, mask, tp, ts, eager)
+        assert t.tolist() == listed
+
+
+@needs_numpy
+@pytest.mark.parametrize("eager", (True, False))
+def test_array_p2p_is_fresh_and_equals_list(eager):
+    np = get_numpy()
+    send_l, recv_l = _arrivals(13, True), _arrivals(14, True)[1:]
+    send, recv = _frozen(np, send_l), _frozen(np, recv_l)
+    for tp, ts in KERNEL_WIRES:
+        want = _p2p(send_l, recv_l, tp, ts, eager)
+        got = _p2p(send, recv, tp, ts, eager)
+        for out in got:
+            assert not np.shares_memory(out, send)
+            assert not np.shares_memory(out, recv)
+        assert [out.tolist() for out in got] == list(want)
+    assert (send.tolist(), recv.tolist()) == (send_l, recv_l)
+
+
+@needs_numpy
+def test_array_schedules_leave_their_arrivals():
+    """Every schedule copies its arrivals before the kernels write."""
+    np = get_numpy()
+    fabric = host_fabric()
+    for p in (2, 13, 64):
+        listed = _arrivals(p, True)
+        t = _frozen(np, listed)
+        for kind in sorted(SCHEDULES):
+            for nbytes in _sizes(fabric):
+                got = _fresh(np, SCHEDULES[kind](fabric, p, nbytes, t, 1), t)
+                assert got == SCHEDULES[kind](fabric, p, nbytes, listed, 1)
