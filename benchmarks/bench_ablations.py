@@ -18,7 +18,7 @@ from repro.core.report import figure_header, fmt_rate, render_table
 from repro.core.software import POST_UPDATE
 from repro.machine import Device, Processor, xeon_phi_5110p
 from repro.machine.presets import maia_host_processor
-from repro.mpi.collectives import sendrecv_ring_time
+from repro.microbench.mpifuncs import function_time
 from repro.mpi.fabrics import phi_fabric
 from repro.mpi.protocols import PciePathFabric
 from repro.execmodel.roofline import kernel_gflops
@@ -141,10 +141,10 @@ def test_ablate_mpi_oversubscription(benchmark):
 
     def run():
         return {
-            "full 1 r/c": sendrecv_ring_time(phi_fabric(1), 59, nbytes),
-            "full 4 r/c": sendrecv_ring_time(phi_fabric(4), 236, nbytes),
-            "uncontended 4 r/c": sendrecv_ring_time(
-                phi_fabric_uncontended(4), 236, nbytes
+            "full 1 r/c": function_time("sendrecv", phi_fabric(1), 59, nbytes),
+            "full 4 r/c": function_time("sendrecv", phi_fabric(4), 236, nbytes),
+            "uncontended 4 r/c": function_time(
+                "sendrecv", phi_fabric_uncontended(4), 236, nbytes
             ),
         }
 

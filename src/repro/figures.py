@@ -415,12 +415,14 @@ class _Fig11(_MpiFunction):
 
 class _Fig13(_MpiFunction):
     def data(self) -> Any:
-        from repro.mpi.collectives import ALLGATHER_RING_SWITCH, allgather_time
+        from repro.microbench.mpifuncs import function_time
+        from repro.mpi.collectives import ALLGATHER_RING_SWITCH
         from repro.mpi.fabrics import phi_fabric
 
         data = super().data()
         f, n = phi_fabric(1), ALLGATHER_RING_SWITCH
-        data["switch"] = n, allgather_time(f, 64, n), allgather_time(f, 64, n + 1)
+        data["switch"] = (n, function_time("allgather", f, 64, n),
+                          function_time("allgather", f, 64, n + 1))
         return data
 
     def claims(self, data: Any, cs: ClaimSet, gates: ClaimSet) -> None:

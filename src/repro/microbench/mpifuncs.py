@@ -5,36 +5,27 @@ Sweeps each MPI function over message sizes on:
 * the host — 16 ranks over shared memory;
 * Phi0 — 59·k ranks at k = 1..4 ranks per core.
 
-Times come from the closed-form collective cost models (validated against
-the discrete-event algorithms by the test suite); the Alltoall sweep
-honours the 8 GB card memory, returning ``None`` beyond the failure point
-(the paper could only run it to 4 KiB at 236 ranks).
+Each point is the simulated MPI's own price: the slowest rank's finish
+time from the collective's schedule
+(:func:`repro.mpi.fastpath.finish_times`) with every rank entering at
+once, which is what a one-collective ``mpiexec`` job reports as its
+``elapsed``.  Sendrecv is one ring shift.  The Alltoall sweep honours
+the 8 GB card memory, returning ``None`` beyond the failure point (the
+paper could only run it to 4 KiB at 236 ranks).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import (
-    allgather_time,
-    allreduce_time,
-    alltoall_fits,
-    alltoall_time,
-    bcast_time,
-    sendrecv_ring_time,
-)
+from repro.mpi.collectives import _wire, alltoall_fits, shift_step
 from repro.mpi.fabrics import Fabric, host_fabric, phi_fabric
+from repro.mpi.fastpath import finish_times
 from repro.units import GiB, MiB
 
-#: benchmark name → cost function(fabric, p, nbytes)
-MPI_BENCHMARKS: Dict[str, Callable[[Fabric, int, int], float]] = {
-    "sendrecv": sendrecv_ring_time,
-    "bcast": bcast_time,
-    "allreduce": allreduce_time,
-    "allgather": allgather_time,
-    "alltoall": alltoall_time,
-}
+#: The swept MPI functions, in figure order (Figs 10–14).
+MPI_BENCHMARKS = ("sendrecv", "bcast", "allreduce", "allgather", "alltoall")
 
 HOST_RANKS = 16
 PHI_CORES = 59
@@ -47,6 +38,15 @@ def default_message_sizes(start: int = 1, stop: int = 4 * MiB) -> List[int]:
         sizes.append(s)
         s *= 2
     return sizes
+
+
+def function_time(benchmark: str, fabric: Fabric, p: int, nbytes: int) -> float:
+    """One MPI function's time on ``p`` ranks that all enter at once:
+    its slowest rank's finish."""
+    zeros = [0.0] * p
+    if benchmark == "sendrecv":
+        return max(shift_step(zeros, 1, *_wire(fabric, nbytes)))
+    return max(finish_times(benchmark, fabric, nbytes, zeros))
 
 
 def mpi_function_sweep(
@@ -65,7 +65,6 @@ def mpi_function_sweep(
         raise ConfigError(
             f"unknown benchmark {benchmark!r} (have {sorted(MPI_BENCHMARKS)})"
         )
-    cost = MPI_BENCHMARKS[benchmark]
     sizes = list(sizes) if sizes else default_message_sizes()
     out: Dict[str, List[Tuple[int, Optional[float]]]] = {}
 
@@ -77,7 +76,7 @@ def mpi_function_sweep(
             if benchmark == "alltoall" and not alltoall_fits(p, n, memory):
                 pts.append((n, None))
             else:
-                pts.append((n, cost(fabric, p, n)))
+                pts.append((n, function_time(benchmark, fabric, p, n)))
         return pts
 
     out["host"] = series(host_fabric(), HOST_RANKS, host_memory)

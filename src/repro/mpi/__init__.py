@@ -12,22 +12,14 @@ Layers, bottom up:
   implementation with ``send``/``recv``/``isend``/``irecv``;
 * :mod:`repro.mpi.collectives` — collective *algorithms* (binomial bcast,
   recursive doubling, ring, pairwise exchange, dissemination barrier) as
-  simulated programs, as exact schedules and as closed-form cost models
-  (used for the Figs 10–14 sweeps, and cross-checked against the
-  simulation in the test suite);
+  simulated programs and as their exact schedules (which also price the
+  Figs 10–14 sweeps);
 * :mod:`repro.mpi.runtime` — the ``mpiexec`` equivalent: builds a job of
   N rank processes on a fabric and runs it to completion.
 """
 
 from repro.mpi.api import ANY_SOURCE, ANY_TAG, Communicator, Request
-from repro.mpi.collectives import (
-    allgather_time,
-    allreduce_time,
-    alltoall_memory_required,
-    alltoall_time,
-    bcast_time,
-    sendrecv_ring_time,
-)
+from repro.mpi.collectives import alltoall_memory_required
 from repro.mpi.fabrics import (
     Fabric,
     FabricParams,
@@ -49,14 +41,9 @@ __all__ = [
     "PciePathFabric",
     "Request",
     "compiled_mpiexec",
-    "allgather_time",
-    "allreduce_time",
     "alltoall_memory_required",
-    "alltoall_time",
-    "bcast_time",
     "host_fabric",
     "mpiexec",
     "pcie_fabric",
     "phi_fabric",
-    "sendrecv_ring_time",
 ]

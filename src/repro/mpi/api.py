@@ -442,9 +442,16 @@ class Communicator(RankComm):
                 tr.end(sp)
 
     def isend(
-        self, dest: int, nbytes: int, tag: int = 0, payload: Any = None
+        self,
+        dest: int,
+        nbytes: int,
+        tag: int = 0,
+        payload: Any = None,
+        pattern: str = "neighbor",
     ) -> Request:
-        """Non-blocking send; returns a :class:`Request`.
+        """Non-blocking send; returns a :class:`Request`.  ``pattern`` is
+        the traffic pattern the receiver prices the transfer with, as
+        for :meth:`send`.
 
         Without an active tracer the worker generator is elided: the
         envelope is deposited synchronously (same instant, same mailbox
@@ -465,6 +472,7 @@ class Communicator(RankComm):
                 nbytes=nbytes,
                 post_time=engine.now,
                 payload=payload,
+                pattern=pattern,
             )
             if self._verifier is not None:
                 self._verifier.note_send(self.rank, env)
@@ -480,7 +488,7 @@ class Communicator(RankComm):
                 req = Request(env.done, keep_value=False)
             return self._register(req, "isend", dest, tag)
         proc = self.engine.spawn(
-            self.send(dest, nbytes, tag, payload, _lane=self._nb_lane),
+            self.send(dest, nbytes, tag, payload, pattern, _lane=self._nb_lane),
             name=f"isend[{self.rank}->{dest}]",
         )
         return self._register(Request(proc.done), "isend", dest, tag)

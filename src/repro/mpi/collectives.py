@@ -1,6 +1,6 @@
-"""MPI collective operations: algorithms, exact schedules, closed-form costs.
+"""MPI collective operations: algorithms and their exact schedules.
 
-Three coupled parts:
+Two coupled parts:
 
 1. **Algorithms** — :data:`ALGORITHMS`, one generator per collective
    kind over the stepped :class:`~repro.mpi.api.Communicator`'s
@@ -37,13 +37,10 @@ Three coupled parts:
    writes its input, and each returns a buffer its caller owns: the
    binomial walks write into :func:`_roll`'s result, and the allreduce
    rounds and the reduce walk add their arithmetic in place
-   (:func:`_add_to`).
-
-3. **Cost models** — closed-form times for the same algorithms on a
-   fabric's α–β parameters.  The figure sweeps (Figs 10–14) use these
-   (running 236 simulated ranks per sample would be wasteful), and the
-   test suite checks them against the simulated algorithms at small rank
-   counts so the two halves cannot drift apart.
+   (:func:`_add_to`).  The Figs 10–14 sweeps
+   (:mod:`repro.microbench.mpifuncs`) are these schedules on zero
+   arrivals, so a figure point and a stepped job of the same collective
+   report the same time.
 
 The allgather algorithm switch (recursive doubling → ring) at a 2 KiB
 block is the paper's "sudden jump in time at 2 KB and 4 KB message size
@@ -84,10 +81,6 @@ _TAG_COLL = -2000  # tag space reserved for collective traffic
 
 def _default_op(op: Optional[Callable]) -> Callable:
     return operator.add if op is None else op
-
-
-def _log2_rounds(p: int) -> int:
-    return max(1, math.ceil(math.log2(p))) if p > 1 else 0
 
 
 # ==========================================================================
@@ -289,10 +282,13 @@ def alltoall(comm: Communicator, values: Optional[List[Any]], nbytes: int,
              root: Optional[int], op: Optional[Callable]) -> Generator:
     """Pairwise-exchange alltoall; ``values[i]`` goes to rank ``i``.
 
-    Returns the list of received values in source-rank order.  Raises
-    :class:`~repro.errors.OutOfMemoryError` when the library's internal
-    per-pair buffers would exceed the device memory (checked by the
-    caller/runtime via :func:`alltoall_memory_required`).
+    Returns the list of received values in source-rank order.  Every
+    message travels on the fabric's all-to-all wire (incast ``alpha``
+    and ``alltoall_bw_factor``).  A healthy job never checks memory:
+    only a memory-pressure fault plan raises
+    :class:`~repro.errors.OutOfMemoryError` here, through
+    :func:`check_alltoall_memory`; the Fig 14 sweep marks its
+    out-of-memory points with :func:`alltoall_fits`.
     """
     p = comm.size
     if values is not None and len(values) != p:
@@ -311,6 +307,7 @@ def alltoall(comm: Communicator, values: Optional[List[Any]], nbytes: int,
             nbytes,
             tag=_TAG_COLL - 7 - round_no,
             payload=values[send_to] if values is not None else None,
+            pattern="alltoall",
         )
         env = yield from comm.recv(source=recv_from, tag=_TAG_COLL - 7 - round_no)
         yield from req.wait()
@@ -422,8 +419,8 @@ ALGORITHMS: Dict[str, Callable[..., Generator]] = {
 #
 # Because they mirror the executable algorithms above *hop for hop*
 # (same tree shapes, same per-round message sizes, same algorithm
-# switches), the schedules agree with full DES runs to float precision —
-# a property the test suite gates at 1e-9 relative error.
+# switches), the schedules agree with full DES runs bit for bit — a
+# property the test suite gates with ``==``.
 #
 # Every schedule has the signature ``(fabric, p, nbytes, arrivals,
 # root=0)``: ``arrivals`` holds the ranks' entry times, unrooted kinds
@@ -442,10 +439,11 @@ ALGORITHMS: Dict[str, Callable[..., Generator]] = {
 # round-synchronous schedules on one scalar, bit for bit.
 
 
-def _wire(fabric, nbytes: int):
-    """(p2p transfer, sender occupancy, is-eager) for one message size."""
+def _wire(fabric, nbytes: int, pattern: str = "neighbor", p: int = 1):
+    """(p2p transfer, sender occupancy, is-eager) for one message size,
+    on the wire a receiver of a ``p``-rank job prices ``pattern`` with."""
     return (
-        fabric.p2p_time(nbytes),
+        fabric.p2p_time(nbytes, pattern, p),
         fabric.sender_time(nbytes),
         nbytes <= fabric.eager_max,
     )
@@ -781,9 +779,10 @@ def allgather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
 
 def alltoall_schedule(fabric, p: int, nbytes: int, arrivals: Any,
                       root: int = 0) -> Any:
-    """Per-rank completion times of :func:`alltoall` on a uniform fabric."""
+    """Per-rank completion times of :func:`alltoall` on a uniform fabric,
+    every round on the all-to-all wire."""
     t = _arrivals(p, arrivals)
-    wire = _wire(fabric, nbytes)
+    wire = _wire(fabric, nbytes, "alltoall", p)
     uniform = _uniform(t, p - 1, *wire)
     if uniform is not None:
         return uniform
@@ -862,81 +861,6 @@ SCHEDULES = {
     "gather": gather_schedule,
     "scatter": scatter_schedule,
 }
-
-
-# ==========================================================================
-# Closed-form cost models (per-operation wall time)
-# ==========================================================================
-
-
-def sendrecv_ring_time(fabric, p: int, nbytes: int) -> float:
-    """Fig 10's primitive: every rank sends right / receives left, all
-    concurrent — one matched transfer on the clock."""
-    if p < 2:
-        return 0.0
-    return fabric.p2p_time(nbytes)
-
-
-def bcast_time(fabric, p: int, nbytes: int) -> float:
-    """Binomial tree (small) or scatter+allgather à la van de Geijn (large)."""
-    if p < 2:
-        return 0.0
-    rounds = _log2_rounds(p)
-    if nbytes <= LARGE_MESSAGE_SWITCH:
-        return rounds * fabric.p2p_time(nbytes)
-    alpha_part = (rounds + (p - 1) / p) * fabric.p2p_time(0)
-    bw = (
-        fabric.bandwidth()
-        if hasattr(fabric, "params")
-        else fabric.data_bandwidth(nbytes)
-    )
-    return alpha_part + 2.0 * (p - 1) / p * nbytes / bw
-
-
-def allreduce_time(fabric, p: int, nbytes: int) -> float:
-    """Recursive doubling: ⌈log2 p⌉ rounds, each a full-size exchange plus
-    the local reduction arithmetic (matches the simulated algorithm)."""
-    if p < 2:
-        return 0.0
-    rounds = _log2_rounds(p)
-    return rounds * (fabric.p2p_time(nbytes) + fabric.reduce_time(nbytes))
-
-
-def allgather_time(fabric, p: int, nbytes: int) -> float:
-    """Recursive doubling below the switch, ring above (Fig 13's jump).
-
-    ``nbytes`` is the per-rank block size.
-    """
-    if p < 2:
-        return 0.0
-    bw = (
-        fabric.bandwidth()
-        if hasattr(fabric, "params")
-        else fabric.data_bandwidth(nbytes)
-    )
-    if nbytes <= ALLGATHER_RING_SWITCH:
-        # Recursive doubling (power-of-two) / Bruck (otherwise): same cost.
-        rounds = _log2_rounds(p)
-        return rounds * fabric.p2p_time(0) + (p - 1) * nbytes / bw
-    return (p - 1) * fabric.p2p_time(nbytes)
-
-
-def alltoall_time(fabric, p: int, nbytes: int) -> float:
-    """Pairwise exchange: p−1 rounds under all-to-all congestion."""
-    if p < 2:
-        return 0.0
-    alpha = (
-        fabric.alpha("alltoall", p)
-        if hasattr(fabric, "alpha")
-        else fabric.p2p_time(0)
-    )
-    if hasattr(fabric, "params"):
-        bw = fabric.bandwidth("alltoall")
-        handshake = fabric.handshake(nbytes)
-    else:
-        bw = fabric.data_bandwidth(nbytes)
-        handshake = fabric.handshake(nbytes)
-    return (p - 1) * (alpha + handshake + nbytes / bw)
 
 
 def alltoall_memory_required(p: int, nbytes: int) -> float:

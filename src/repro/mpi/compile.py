@@ -344,11 +344,12 @@ class _ReplayComm(RankComm):
                        {"source": env.source, "nbytes": nbytes, "tag": env.tag})
 
     def isend(self, dest: int, nbytes: int, tag: int = 0,
-              payload: Any = None) -> _ReplayRequest:
+              payload: Any = None,
+              pattern: str = "neighbor") -> _ReplayRequest:
         self._check_send(dest, nbytes)
         job = self._job
         clock = job.clocks[self.rank]
-        env = _REnv(self.rank, dest, tag, nbytes, clock, payload, "neighbor")
+        env = _REnv(self.rank, dest, tag, nbytes, clock, payload, pattern)
         job.deliver(env)
         ready = None
         if nbytes <= job.eager_max:

@@ -18,7 +18,7 @@ to arrive evaluates the exact schedule, computes every rank's result
 (replaying the algorithm's combination order, so payloads are
 bit-identical to the stepped run), and wakes the others.  Each rank then
 sleeps until its own analytic finish time.  Fast-path and full-DES times
-agree to float precision — the test suite gates 1e-9 — because the
+agree bit for bit — the test suite gates ``==`` — because the
 schedules mirror the executable algorithms hop for hop.
 
 Only a collective whose schedule releases no rank before the last
@@ -54,13 +54,13 @@ from repro.perf.batch import get_numpy
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
 
-__all__ = ["FAST_KINDS", "FastCollectives", "takes_fast_path"]
+__all__ = ["FAST_KINDS", "FastCollectives", "finish_times", "takes_fast_path"]
 
 #: The collectives whose schedule releases no rank before the last arrival.
 FAST_KINDS = frozenset(("allreduce", "allgather", "alltoall", "barrier"))
 
 
-#: Smallest P whose O(P)-round schedules :meth:`_Instance.resolve` runs
+#: Smallest P whose O(P)-round schedules :func:`finish_times` runs
 #: on an array: below it numpy's per-call overhead outweighs the rounds
 #: it vectorizes (at P=16 a skewed alltoall takes about as long either
 #: way, at P=8 the array is twice as slow, at P=64 three times faster).
@@ -122,29 +122,38 @@ class _Instance:
 
     def resolve(self, fabric: Any, factors: Optional[List[float]] = None
                 ) -> Tuple[List[float], List[Any]]:
-        """Every rank's finish time and result.  ``factors`` (one per
-        rank) scales the reduction arithmetic of reduce and allreduce.
-
-        A schedule that runs O(P) rounds (:func:`_many_rounds`) on
-        ``ARRAY_ROUNDS_MIN_P`` ranks or more runs on an array when numpy
-        is importable, and its finish times come back as a list of
-        Python floats; the two backends agree bit for bit.
-        """
-        p = len(self.arrivals)
-        arrivals: Any = self.arrivals
-        np = get_numpy()
-        on_array = (np is not None and p >= ARRAY_ROUNDS_MIN_P
-                    and _many_rounds(self.kind, self.nbytes, arrivals))
-        if on_array:
-            arrivals = np.array(arrivals, dtype=float)
-        args: Tuple[Any, ...] = (fabric, p, self.nbytes, arrivals, self.root)
-        if factors is not None and self.kind in ("reduce", "allreduce"):
-            args += (factors,)
-        ends = SCHEDULES[self.kind](*args)
-        if on_array:
-            ends = ends.tolist()
+        """Every rank's finish time (:func:`finish_times`) and result."""
+        ends = finish_times(self.kind, fabric, self.nbytes, self.arrivals,
+                            self.root, factors)
         self.outcome = ends, _RESULTS[self.kind](self)
         return self.outcome
+
+
+def finish_times(kind: str, fabric: Any, nbytes: int, arrivals: List[float],
+                 root: Any = 0, factors: Optional[List[float]] = None
+                 ) -> List[float]:
+    """Every rank's finish time of collective ``kind`` from its entry
+    times ``arrivals``: the :data:`~repro.mpi.collectives.SCHEDULES`
+    entry.  ``factors`` (one per rank) scales the reduction arithmetic
+    of reduce and allreduce.
+
+    A schedule that runs O(P) rounds (:func:`_many_rounds`) on
+    ``ARRAY_ROUNDS_MIN_P`` ranks or more runs on an array when numpy is
+    importable, and its finish times come back as a list of Python
+    floats; the two backends agree bit for bit.
+    """
+    p = len(arrivals)
+    t: Any = arrivals
+    np = get_numpy()
+    on_array = (np is not None and p >= ARRAY_ROUNDS_MIN_P
+                and _many_rounds(kind, nbytes, arrivals))
+    if on_array:
+        t = np.array(arrivals, dtype=float)
+    args: Tuple[Any, ...] = (fabric, p, nbytes, t, root)
+    if factors is not None and kind in ("reduce", "allreduce"):
+        args += (factors,)
+    ends = SCHEDULES[kind](*args)
+    return ends.tolist() if on_array else ends
 
 
 def _many_rounds(kind: str, nbytes: int, arrivals: List[float]) -> bool:

@@ -306,7 +306,11 @@ class _TraceComm(RankComm):
         yield  # pragma: no cover - makes recv() a generator
 
     def isend(self, dest: int, nbytes: int, tag: int = 0,
-              payload: Any = None) -> _TraceRequest:
+              payload: Any = None,
+              pattern: str = "neighbor") -> _TraceRequest:
+        if pattern != "neighbor":
+            # A shift phase is priced on the neighbour wire.
+            raise LowerFallback(f"{pattern}-pattern isend")
         off = self._offset(dest, "isend dest")
         nbytes = _as_int(nbytes, "message size")
         if nbytes < 0:

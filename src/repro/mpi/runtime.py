@@ -161,7 +161,7 @@ class MpiJob:
     ``fault_plan`` injects a :class:`~repro.faults.FaultPlan`: link
     faults wrap the fabric in a degraded variant gated by the engine
     clock, crashes/window markers are armed at :meth:`launch`, and the
-    analytic fast path is disabled (its closed forms assume a healthy,
+    analytic fast path is disabled (its schedules assume a healthy,
     time-invariant network).
 
     ``verifier`` arms a :class:`~repro.analyze.verifier.Verifier` on

@@ -59,7 +59,7 @@ class TestCli:
 # data, table layout or number formatting moves its pin.
 GOLDEN_FIGURES = {
     "table1": "2397deb84a38b3e33144453ce6824ab95794d8043e0e7c6a5d733dc49570f7b3",
-    "figures": "3dfdecbc571dc7b1b9de41567425521e345f0130dbaed1b3760df76d05324c49",
+    "figures": "8592aa229c032ca7e6d580e7364b85eefea1fb2b57a102048340f83856ec33ba",
     "figure 4": "bd1e8a458341430f92fe56fdc7047a12c93bfdef0260bef3f905345603ff9c6d",
     "figure 5": "8b54a615fbe3080b6e2479bd4a0e9d14b9399d55856ac4aa70cc30bcc67d65a1",
     "figure 6": "89f93ba3f87f3f4400bdd02a1244d945e3f63dfff75cf14cf51e6cc26694d9ab",
@@ -67,9 +67,9 @@ GOLDEN_FIGURES = {
     "figure 8": "d6cfcdf06811f9805a7e1ee1b5c99a4e028202702370fe2b7a904f12f504c340",
     "figure 9": "95803aa6c5f7bc4a67ca8dc740c63e5079f971b326dd66a20dd5a312145381a6",
     "figure 10": "f6c0092801cd7039685a261f37b989f04c24fb356bd9c618ada7cb068a56eec4",
-    "figure 11": "6ef1e75d1092117f191c6533209cc004846b9f60fff9a825dfa0e6757899ff4a",
-    "figure 12": "b8809e7db0649fc137fd1f794d7c3293302eb62d018f080976f554a53f049ef5",
-    "figure 13": "d41e1f1995efaebbf0df3ad7e9913afe7586535de6bf7010bed7db753f4250d8",
+    "figure 11": "6923df2bdcc7fd8e5ab30cb0b6590089b20467e9111e03861519f4f81d798a1e",
+    "figure 12": "b61527ff8257506796f9dd46ad78fdff87f17c1a6941f5ee854af2ce5b06e5cc",
+    "figure 13": "245e0455919646943fdbcb238c0a79c068e01b1171397cf7b45684cca7c02422",
     "figure 14": "92f2542e4c79e96ee2d43c50e7eff5ca78a4e443554fd0404d73798930d0d77c",
     "figure 15": "a0b0c9db297f9ffbf7db0ceabd614fceb4a0b0b11ddefaac1b50706c7f97c576",
     "figure 16": "0d913e16e8d8a41f0a9a30500b8aebd9ea83e8e4c60897d6a4f99dbd8a789191",

@@ -7,8 +7,8 @@ the engine.  It takes only the collectives
 :func:`~repro.mpi.fastpath.takes_fast_path` admits; binomial bcast and
 reduce step, and the compiled replay prices them with the same
 schedules.  These tests gate the contract: on a uniform fabric the
-analytic job time matches the full discrete-event run to 1e-9 relative
-error (it is float-exact in practice) with bit-identical payloads, and
+analytic job time equals the full discrete-event run's bit for bit
+(``==``) with bit-identical payloads, and
 non-uniform (resolver) fabrics refuse the fast path.  A spy on
 :meth:`~repro.mpi.fastpath.FastCollectives.run` proves that every side
 labelled "fast" really took the fast path, so no test compares stepped
@@ -37,7 +37,6 @@ from repro.perf.batch import get_numpy
 
 KINDS = ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier")
 SIZES = (3, 4, 7, 13, 16, 64)  # odd P covers the fold, Bruck and shift paths
-TOL = 1e-9
 
 
 def _fabric(name: str):
@@ -108,16 +107,14 @@ def _analytic(kind, fabric, p, nbytes, fast_runs, skew=0.0):
 @pytest.mark.parametrize("fabric_name", ("host", "phi"))
 @pytest.mark.parametrize("p", SIZES)
 def test_fast_path_matches_des(kind, fabric_name, p, fast_runs):
-    """Analytic elapsed time within 1e-9 of DES, payloads identical."""
+    """Analytic elapsed time equal to DES, payloads identical."""
     for nbytes in (256, 512 * 1024):  # eager and rendezvous regimes
         fast = _analytic(kind, _fabric(fabric_name), p, nbytes, fast_runs)
         des = _run(kind, _fabric(fabric_name), p, nbytes, fast=False)
         assert fast.returns == des.returns
-        rel = abs(fast.elapsed - des.elapsed) / des.elapsed
-        assert rel <= TOL, (
+        assert fast.elapsed == des.elapsed, (
             f"{kind} P={p} {fabric_name} nbytes={nbytes}: "
-            f"analytic {fast.elapsed!r} vs DES {des.elapsed!r} "
-            f"(rel {rel:.2e})"
+            f"analytic {fast.elapsed!r} vs DES {des.elapsed!r}"
         )
 
 
@@ -128,7 +125,7 @@ def test_fast_path_matches_des_with_skewed_arrivals(kind, fast_runs):
         fast = _analytic(kind, _fabric("host"), p, 4096, fast_runs, skew=1e-6)
         des = _run(kind, _fabric("host"), p, 4096, fast=False, skew=1e-6)
         assert fast.returns == des.returns
-        assert abs(fast.elapsed - des.elapsed) / des.elapsed <= TOL, p
+        assert fast.elapsed == des.elapsed, p
 
 
 def test_allreduce_float_payloads_bit_identical(fast_runs):

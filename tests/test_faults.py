@@ -225,6 +225,7 @@ class TestStragglerAndPressure:
             mpiexec(16, host_fabric(), a2a, fault_plan=plan)
 
     def test_evaluator_memory_pressure_and_fingerprint(self):
+        pytest.importorskip("numpy")  # repro.npb needs it
         from repro.core import Evaluator
         from repro.machine.node import Device
         from repro.npb.characterization import class_c_kernel

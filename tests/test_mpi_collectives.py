@@ -1,29 +1,27 @@
-"""Tests for MPI collectives: semantics (real payloads), timing consistency
-between the simulated algorithms and the closed-form cost models, and the
-alltoall memory model (Fig 14's out-of-memory failure)."""
+"""Tests for MPI collectives: semantics (real payloads), the Figs 10–14
+sweep's price against stepped jobs, and the alltoall memory model
+(Fig 14's out-of-memory failure)."""
 
 import operator
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OutOfMemoryError
+from repro.microbench.mpifuncs import MPI_BENCHMARKS, function_time
 from repro.mpi import (
     Fabric,
     FabricParams,
-    allgather_time,
-    allreduce_time,
     alltoall_memory_required,
-    alltoall_time,
-    bcast_time,
     host_fabric,
     mpiexec,
     phi_fabric,
-    sendrecv_ring_time,
 )
 from repro.mpi.collectives import (
     ALLGATHER_RING_SWITCH,
+    LARGE_MESSAGE_SWITCH,
     alltoall_fits,
     check_alltoall_memory,
 )
@@ -157,79 +155,89 @@ class TestCollectiveSemantics:
         assert res.returns == [("secret", root)] * p
 
 
-# ------------------------------------------------- DES vs closed-form timing
+# ------------------------------------------------- stepped jobs vs the sweep
+
+
+def _function_main(kind: str, nbytes: int, comm):
+    """One call of MPI function ``kind``, as the Figs 10–14 sweeps time it."""
+    p = comm.size
+    if kind == "sendrecv":
+        right, left = (comm.rank + 1) % p, (comm.rank - 1) % p
+        yield from comm.sendrecv(right, left, nbytes=nbytes)
+    elif kind == "bcast":
+        yield from comm.bcast("x" if comm.rank == 0 else None, nbytes=nbytes)
+    elif kind == "allreduce":
+        yield from comm.allreduce(1.0, nbytes=nbytes)
+    elif kind == "allgather":
+        yield from comm.allgather(comm.rank, nbytes=nbytes)
+    else:
+        yield from comm.alltoall(list(range(p)), nbytes=nbytes)
+
+
+def _timing_sizes(kind: str, eager_max: int):
+    """Sizes on both sides of the switches that shape ``kind``'s price:
+    ``eager_max``, the large-message and the ring switch.  Alltoall stops
+    at 4 KiB, the largest size that fits at 236 ranks."""
+    if kind == "alltoall":
+        return (8, ALLGATHER_RING_SWITCH + 1, 4 * KiB)
+    if kind == "bcast":
+        return (LARGE_MESSAGE_SWITCH, LARGE_MESSAGE_SWITCH + 1, eager_max + 1)
+    if kind == "allgather":
+        return (ALLGATHER_RING_SWITCH, ALLGATHER_RING_SWITCH + 1,
+                eager_max + 1)
+    return (8, eager_max, eager_max + 1)
+
+
+def _assert_stepped_equals_sweep(kind: str, f, p: int, nbytes: int) -> None:
+    """A one-call stepped job's ``elapsed`` is the sweep's point, bit for
+    bit, with the fast path and with every collective's generator."""
+    want = function_time(kind, f, p, nbytes)
+    for fast in (True, False):
+        main = partial(_function_main, kind, nbytes)
+        sim = mpiexec(p, f, main, fast_collectives=fast).elapsed
+        assert sim == want, (kind, f.name, p, nbytes, fast, sim, want)
 
 
 class TestTimingConsistency:
-    """The closed-form models and the simulated algorithms must agree.
-
-    Eager pipelining lets the simulation beat the formula slightly, and
-    non-power-of-two folding adds rounds the formula amortizes, so we
-    require agreement within a factor band rather than equality.
-    """
+    """The Figs 10–14 sweep prices each point with the schedule of the
+    algorithm the stepped engine runs, so the two agree exactly.  With
+    ``fast_collectives=False`` every collective steps its generator, so
+    at 236 ranks (above the Phi's ``incast_capacity``) alltoall's
+    messages go over the incast wire."""
 
     @pytest.mark.parametrize("nbytes", [8, 1 * KiB, 64 * KiB, 1 * MiB])
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_bcast(self, p, nbytes):
-        f = fabric()
-
-        def main(comm):
-            yield from comm.bcast("x" if comm.rank == 0 else None, nbytes=nbytes)
-
-        sim = mpiexec(p, f, main).elapsed
-        model = bcast_time(f, p, nbytes)
-        assert 0.3 * model <= sim <= 2.0 * model
+        _assert_stepped_equals_sweep("bcast", fabric(), p, nbytes)
 
     @pytest.mark.parametrize("nbytes", [8, 1 * KiB, 64 * KiB])
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_allreduce(self, p, nbytes):
-        f = fabric()
-
-        def main(comm):
-            yield from comm.allreduce(1.0, nbytes=nbytes)
-
-        sim = mpiexec(p, f, main).elapsed
-        model = allreduce_time(f, p, nbytes)
-        assert 0.3 * model <= sim <= 2.5 * model
+        _assert_stepped_equals_sweep("allreduce", fabric(), p, nbytes)
 
     @pytest.mark.parametrize("nbytes", [8, 1 * KiB, 16 * KiB, 256 * KiB])
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_allgather(self, p, nbytes):
-        f = fabric()
-
-        def main(comm):
-            yield from comm.allgather(comm.rank, nbytes=nbytes)
-
-        sim = mpiexec(p, f, main).elapsed
-        model = allgather_time(f, p, nbytes)
-        assert 0.3 * model <= sim <= 2.5 * model
+        _assert_stepped_equals_sweep("allgather", fabric(), p, nbytes)
 
     @pytest.mark.parametrize("nbytes", [8, 1 * KiB, 64 * KiB])
     @pytest.mark.parametrize("p", [4, 8])
     def test_alltoall(self, p, nbytes):
-        f = fabric()
-
-        def main(comm):
-            yield from comm.alltoall(list(range(p)), nbytes=nbytes)
-
-        sim = mpiexec(p, f, main).elapsed
-        model = alltoall_time(f, p, nbytes)
-        assert 0.3 * model <= sim <= 2.5 * model
+        _assert_stepped_equals_sweep("alltoall", fabric(), p, nbytes)
 
     def test_sendrecv_ring_model_is_exact(self):
-        f = fabric()
-        nbytes = 4 * KiB
+        _assert_stepped_equals_sweep("sendrecv", fabric(), 8, 4 * KiB)
 
-        def main(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            yield from comm.sendrecv(right, left, nbytes=nbytes)
+    @pytest.mark.parametrize("kind", MPI_BENCHMARKS)
+    @pytest.mark.parametrize("tpc, p", [(0, 16), (1, 59), (4, 236)])
+    def test_figure_points(self, tpc, p, kind):
+        """The figures' own rank counts and fabrics."""
+        f = phi_fabric(tpc) if tpc else host_fabric()
+        for nbytes in _timing_sizes(kind, f.eager_max):
+            _assert_stepped_equals_sweep(kind, f, p, nbytes)
 
-        sim = mpiexec(8, f, main).elapsed
-        assert sim == pytest.approx(sendrecv_ring_time(f, 8, nbytes), rel=0.25)
 
-
-# ------------------------------------------------------- cost-model structure
+# ----------------------------------------------------- sweep price structure
 
 
 class TestCostModels:
@@ -237,19 +245,21 @@ class TestCostModels:
         # Fig 13: the time jumps when recursive doubling gives way to ring.
         f = phi_fabric(1)
         p = 64
-        below = allgather_time(f, p, ALLGATHER_RING_SWITCH)
-        above = allgather_time(f, p, ALLGATHER_RING_SWITCH + 1)
+        below = function_time("allgather", f, p, ALLGATHER_RING_SWITCH)
+        above = function_time("allgather", f, p, ALLGATHER_RING_SWITCH + 1)
         assert above > 1.5 * below  # discontinuous jump upward
 
     def test_collective_times_increase_with_ranks(self):
         f = host_fabric()
-        for fn in (bcast_time, allreduce_time, allgather_time, alltoall_time):
-            assert fn(f, 16, 1024) >= fn(f, 4, 1024), fn.__name__
+        for kind in MPI_BENCHMARKS:
+            assert function_time(kind, f, 16, 1024) >= \
+                function_time(kind, f, 4, 1024), kind
 
     def test_collective_times_increase_with_size(self):
         f = phi_fabric(2)
-        for fn in (bcast_time, allreduce_time, allgather_time, alltoall_time):
-            assert fn(f, 59, 1 * MiB) > fn(f, 59, 1 * KiB), fn.__name__
+        for kind in MPI_BENCHMARKS:
+            assert function_time(kind, f, 59, 1 * MiB) > \
+                function_time(kind, f, 59, 1 * KiB), kind
 
     @given(
         st.integers(min_value=2, max_value=240),
@@ -258,8 +268,8 @@ class TestCostModels:
     @settings(max_examples=50, deadline=None)
     def test_costs_positive_finite(self, p, nbytes):
         f = phi_fabric(3)
-        for fn in (bcast_time, allreduce_time, allgather_time, alltoall_time):
-            t = fn(f, p, nbytes)
+        for kind in MPI_BENCHMARKS:
+            t = function_time(kind, f, p, nbytes)
             assert 0 < t < float("inf")
 
 

@@ -843,3 +843,46 @@ def test_array_rounds_trace_python_floats():
         assert len(spans) == 64
         assert _all_floats(e.ts for e in tracer.events)
         assert _all_floats(e.dur for e in tracer.events)
+
+
+# ------------------------------------------- isend on the all-to-all wire
+#
+# A user ``isend`` can name the all-to-all wire, as ``send`` can.  Above
+# the Phi's ``incast_capacity`` (60 ranks) its incast ``alpha`` differs
+# from the neighbour wire's, so a path that dropped the pattern would
+# show.  Phase pricing knows only the neighbour wire: lowering refuses
+# the job, and it replays.
+
+
+def _alltoall_wire_ring(pattern, nbytes, comm):
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    for _ in range(2):
+        req = comm.isend(right, nbytes, payload=comm.rank, pattern=pattern)
+        env = yield from comm.recv(left)
+        yield from req.wait()
+        yield from comm.compute(1e-7 * (comm.rank % 3))
+    return env.payload
+
+
+@pytest.mark.parametrize("p", (64, 128))
+def test_isend_alltoall_pattern_agrees_on_every_path(p):
+    from repro.mpi.phasec import LowerFallback, lower
+    from repro.obs import Tracer
+
+    fabric = phi_fabric(2)
+    for nbytes in (4096, fabric.eager_max + 1):
+        main = partial(_alltoall_wire_ring, "alltoall", nbytes)
+        case = (p, nbytes)
+        untraced = mpiexec(p, fabric, main)
+        traced = mpiexec(p, fabric, main, tracer=Tracer())
+        st = CompileStats()
+        compiled = compiled_mpiexec(p, fabric, main, stats=st)
+        assert st.path == "replay", (case, st.reason)
+        assert untraced.elapsed == traced.elapsed == compiled.elapsed, case
+        assert untraced.returns == traced.returns == compiled.returns, case
+        neighbour = mpiexec(p, fabric,
+                            partial(_alltoall_wire_ring, "neighbor", nbytes))
+        assert compiled.elapsed > neighbour.elapsed, case
+        with pytest.raises(LowerFallback, match="alltoall-pattern isend"):
+            lower(main, p, fabric=fabric)

@@ -436,7 +436,7 @@ GOLDEN_RANKS = RANKS + (127,)
 #: elapsed time, in grid order.  Any change to what a traced replay
 #: emits, or in what order, changes it.
 GOLDEN_TRACE_SHA256 = (
-    "12503c5dcb409dab8d38e129e1d4406785e847267a537a8351e9a547ce143a33"
+    "403a87fb9ac167a4fdb0f72d2f1e10055c7e36a5a4e6cee4822e8715877e444a"
 )
 
 

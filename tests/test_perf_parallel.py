@@ -194,7 +194,7 @@ class TestDecompositionSweep:
 
 class TestGridSweep:
     def test_message_size_axis(self, evaluator):
-        from repro.mpi.collectives import allreduce_time
+        from repro.microbench.mpifuncs import function_time
         from repro.mpi.fabrics import phi_fabric
 
         fabric = phi_fabric(2)
@@ -204,7 +204,7 @@ class TestGridSweep:
             from repro.core.results import Measurement
 
             return Measurement(
-                name="allreduce", time=allreduce_time(fabric, 16, n),
+                name="allreduce", time=function_time("allreduce", fabric, 16, n),
                 unit="call", config={"nbytes": n},
             )
 

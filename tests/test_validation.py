@@ -71,8 +71,8 @@ class TestFullBattery:
 PINNED_ROWS = [
     'Fig 10-14  allgather factor band at 1 rank/core           2.6..17.1          3.14..13.5          ok     ',
     'Fig 10-14  allgather factor band at 4 rank/core           68..1.15e+03       67.6..819           ok     ',
-    'Fig 10-14  allreduce factor band at 1 rank/core           2.2..13.4          3.13..11.9          ok     ',
-    'Fig 10-14  allreduce factor band at 4 rank/core           28..104            66.7..99            ok     ',
+    'Fig 10-14  allreduce factor band at 1 rank/core           2.2..13.4          3.65..12.4          ok     ',
+    'Fig 10-14  allreduce factor band at 4 rank/core           28..104            75..107             ok     ',
     'Fig 10-14  alltoall factor band at 1 rank/core            8..20              8.06..13.5          ok     ',
     'Fig 10-14  alltoall factor band at 4 rank/core            1e+03..2.6e+03     1.14e+03..2.05e+03  ok     ',
     'Fig 10-14  sendrecv factor band at 1 rank/core            1.3..3.5           2.08..3.5           ok     ',
