@@ -28,7 +28,10 @@ Campaigns:
   scalar replay at P=65536, and a < 10 s wall at P=100,000 — the
   "price a 100k-rank decomposition in seconds" claim (needs numpy);
 * the NPB EP and CG solvers at P ∈ {4, 8} with official verification,
-  gating bit-identical returns and warm memo hits.
+  gating bit-identical returns and warm memo hits;
+* the lowering layer alone: :func:`repro.mpi.phasec.lower` of a
+  3-iteration ring-shift + allgather job at P=65536 (quick too), best
+  of five.  Its cost depends on the probe ranks and ops, not on P.
 
 Writes ``BENCH_jobcompile.json`` so CI can gate regressions::
 
@@ -63,6 +66,10 @@ TRACE_REPEATS = 3
 HALO_NBYTES = 4096
 HALO_ITERS = 2
 NPB_RANKS = (4, 8)
+#: The lowering leg: ranks, iterations and lowerings (best kept).
+LOWER_RANKS = 65536
+LOWER_ITERS = 3
+LOWER_REPEATS = 5
 TOL = 1e-9
 
 
@@ -79,6 +86,19 @@ def _halo_main(nbytes, iters, comm):
         acc = yield from comm.allreduce(acc + comm.rank, nbytes=8)
     yield from comm.barrier()
     return acc
+
+
+def _allgather_main(nbytes, iters, comm):
+    """Ring shift, compute, allgather: a job whose collective hands
+    every rank a P-element list."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    out = None
+    for _ in range(iters):
+        yield from comm.sendrecv(right, left, nbytes=nbytes)
+        yield from comm.compute(1e-7)
+        out = yield from comm.allgather(comm.rank, nbytes=nbytes)
+    return out
 
 
 def _same(a: Any, b: Any) -> bool:
@@ -242,6 +262,27 @@ def _vector_point(p: int, with_stepped: bool) -> Dict[str, Any]:
     return point
 
 
+def _lower_point(p: int) -> Dict[str, Any]:
+    """The best of LOWER_REPEATS ``lower`` calls of the allgather job
+    (only the first pays the static veto's source scan)."""
+    from repro.mpi.fabrics import phi_fabric
+    from repro.mpi.phasec import lower
+
+    fabric = phi_fabric(2)
+    main = partial(_allgather_main, HALO_NBYTES, LOWER_ITERS)
+    best = float("inf")
+    for _ in range(LOWER_REPEATS):
+        t0 = time.perf_counter()
+        program = lower(main, p, fabric=fabric)
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "ranks": p,
+        "coll": "allgather",
+        "iters": LOWER_ITERS,
+        "lower": {"wall": best, "phases": len(program.phases)},
+    }
+
+
 def _npb_point(bench: str, p: int) -> Dict[str, Any]:
     from repro.mpi.compile import CompileStats
     from repro.mpi.fabrics import host_fabric
@@ -289,6 +330,7 @@ def run_jobcompile(
                 for p in (HALO_RANKS_QUICK if quick else HALO_RANKS)
             ]
         },
+        "lower": {"points": [_lower_point(LOWER_RANKS)]},
     }
     try:
         import numpy  # noqa: F401
@@ -437,6 +479,11 @@ def render_report(report: Dict[str, Any]) -> str:
         lines.append(f"{'':>16} vector speedup vs replay: "
                      f"{v['speedup_vs_replay']:.1f}x "
                      f"({v['phases']} phases)")
+    for pt in report.get("lower", {}).get("points", ()):
+        tag = f"lower P={pt['ranks']}"
+        low = pt["lower"]
+        lines.append(f"{tag:>16} {'lower':>7} {low['wall']:>9.4f} "
+                     f"({pt['coll']}, {low['phases']} phases)")
     for pt in report.get("npb", {}).get("points", ()):
         tag = f"npb-{pt['bench']} P={pt['ranks']}"
         for label in ("replay", "memo"):

@@ -13,7 +13,8 @@ What is compared per report family:
   (engine steps, point counts, ``identical``/``correct`` booleans).
 * **jobcompile** — every gate of ``bench_jobcompile.check_report`` on
   the fresh report, plus per-point replay/memo wall budgets (and the
-  halo points' traced-replay wall).
+  halo points' traced-replay wall, the vector points' wall and the
+  lowering leg's wall).
 * **campaign** — every kill-and-resume and worker-kill gate boolean,
   plus reference and resume wall budgets (the killed legs retry with
   doubled throttles, so their walls are not budgeted).
@@ -104,7 +105,7 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
 
     for violation in check_report(fresh):
         d.gate("jobcompile", violation)
-    for family in ("halo", "vector", "npb"):
+    for family in ("halo", "vector", "lower", "npb"):
         b_points = base.get(family, {}).get("points", [])
         f_points = fresh.get(family, {}).get("points", [])
         if len(b_points) != len(f_points):
@@ -126,6 +127,7 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
             labels = {
                 "halo": ("replay", "memo", "traced"),
                 "vector": ("vector",),
+                "lower": ("lower",),
             }.get(family, ("replay", "memo"))
             for label in labels:
                 d.wall(f"{tag}.{label}.wall", bp[label]["wall"], fp[label]["wall"])

@@ -368,10 +368,17 @@ class _MpiFunction(Figure):
         self.bench, self.paper = bench, paper
 
     def data(self) -> Any:
-        from repro.microbench.mpifuncs import factor_range, mpi_function_sweep
+        from repro.microbench.mpifuncs import (
+            mpi_function_sweep,
+            sweep_factor_range,
+        )
 
-        factors = {tpc: factor_range(self.bench, tpc) for tpc in (1, 2, 3, 4)}
-        return {"sweep": mpi_function_sweep(self.bench), "factors": factors}
+        sweep = mpi_function_sweep(self.bench)
+        factors = {
+            tpc: sweep_factor_range(self.bench, tpc, sweep)
+            for tpc in (1, 2, 3, 4)
+        }
+        return {"sweep": sweep, "factors": factors}
 
     def table(self, data: Any) -> Table:
         series = ("host", "phi-1tpc", "phi-2tpc", "phi-3tpc", "phi-4tpc")

@@ -85,6 +85,22 @@ def mpi_function_sweep(
     return out
 
 
+def sweep_factors(
+    sweep: Dict[str, List[Tuple[int, Optional[float]]]], tpc: int
+) -> List[Tuple[int, float]]:
+    """Phi time / host time at each message size of one
+    :func:`mpi_function_sweep` that holds the ``tpc`` series (skipping
+    Phi OOM points)."""
+    host = dict(sweep["host"])
+    factors = []
+    for n, t_phi in sweep[f"phi-{tpc}tpc"]:
+        t_host = host[n]
+        if t_phi is None or t_host is None or t_host == 0:
+            continue
+        factors.append((n, t_phi / t_host))
+    return factors
+
+
 def host_over_phi_factors(
     benchmark: str,
     tpc: int,
@@ -96,25 +112,27 @@ def host_over_phi_factors(
     points).
     """
     sweep = mpi_function_sweep(benchmark, sizes, phi_tpc=(tpc,))
-    host = dict(sweep["host"])
-    phi = dict(sweep[f"phi-{tpc}tpc"])
-    factors = []
-    for n, t_phi in phi.items():
-        t_host = host[n]
-        if t_phi is None or t_host is None or t_host == 0:
-            continue
-        factors.append((n, t_phi / t_host))
-    return factors
+    return sweep_factors(sweep, tpc)
+
+
+def sweep_factor_range(
+    benchmark: str,
+    tpc: int,
+    sweep: Dict[str, List[Tuple[int, Optional[float]]]],
+) -> Tuple[float, float]:
+    """(min, max) of :func:`sweep_factors` for ``benchmark``'s sweep."""
+    factors = [f for _, f in sweep_factors(sweep, tpc)]
+    if not factors:
+        raise ConfigError(f"{benchmark}: no feasible points at {tpc} tpc")
+    return min(factors), max(factors)
 
 
 def factor_range(
     benchmark: str, tpc: int, sizes: Optional[Sequence[int]] = None
 ) -> Tuple[float, float]:
     """(min, max) host-over-Phi factor across the size sweep."""
-    factors = [f for _, f in host_over_phi_factors(benchmark, tpc, sizes)]
-    if not factors:
-        raise ConfigError(f"{benchmark}: no feasible points at {tpc} tpc")
-    return min(factors), max(factors)
+    sweep = mpi_function_sweep(benchmark, sizes, phi_tpc=(tpc,))
+    return sweep_factor_range(benchmark, tpc, sweep)
 
 
 def alltoall_max_feasible_size(

@@ -95,7 +95,7 @@ from repro.mpi.api import RankComm
 from repro.mpi.fabrics import Fabric
 from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
-from repro.mpi.phasec import LowerFallback, lower, price
+from repro.mpi.phasec import lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
 from repro.obs.tracer import NULL_CONTEXT, TraceEvent, Tracer, active
 from repro.perf.batch import HAVE_NUMPY
@@ -136,7 +136,9 @@ class CompileStats:
     ``path`` is ``"memo"`` (warm cache hit), ``"vector"`` (array-form
     phase recurrences), ``"replay"`` (max-plus replay) or ``"stepped"``
     (fallback to the event engine); ``reason`` names the veto when the
-    replay was refused or abandoned.  ``engine_steps`` counts
+    replay was refused or abandoned, and on a replayed job that asked
+    for the vector path it reads ``"lower: <why>"``, the reason the
+    phase compiler refused it.  ``engine_steps`` counts
     :meth:`~repro.simcore.engine.Engine.timeline` steps — zero for memo,
     vector and replay paths, the bench's proof that a warm hit steps no
     event at all.  On the vector path ``phases`` is the lowered
@@ -845,13 +847,12 @@ def _compile_or_none(
         try:
             program = lower(main, n_ranks, fabric=fabric)
             elapsed = price(program, fabric)
-        except LowerFallback:
-            pass  # not phase-uniform: the scalar paths decide below
-        except Exception:
-            # A trace-surfaced error (bad peer, mis-sized scatter, a bug
-            # in the rank program): fall through — replay or the stepped
-            # engine reproduces the genuine error.
-            pass
+        except Exception as exc:
+            # Not phase-uniform (LowerFallback), or a trace-surfaced
+            # error (bad peer, mis-sized scatter, a bug in the rank
+            # program): the scalar paths decide below, and replay or the
+            # stepped engine reproduces any genuine error.
+            st.reason = f"lower: {exc}"
         else:
             st.path = "vector"
             st.phases = len(program.phases)

@@ -49,6 +49,7 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
+import itertools
 import textwrap
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
@@ -191,6 +192,65 @@ class _Opaque:
 
 
 _OPAQUE = _Opaque()
+
+
+class _OpaqueList:
+    """What lowering knows of a list-valued collective result: its length.
+
+    allgather, alltoall and gather-at-root hand each rank a P-element
+    list of payloads.  Lowering knows none of them, so instead of a
+    P-element list of :data:`_OPAQUE` it returns this read-only stand-in
+    holding only ``n``, and tracing a probe rank costs the same at any P.
+    A program may take its length, index or slice it, or iterate over
+    it; every item is :data:`_OPAQUE`.  Anything else — mutation,
+    comparison, truthiness, ``+``/``*``, hashing, a named list method —
+    raises :class:`LowerFallback`, and the job prices on the exact
+    scalar replay.  Dunder lookups a list does not define raise
+    ``AttributeError``, as :meth:`_Opaque.__getattr__` does, so Python's
+    protocols fall through normally.
+
+    The stand-in is not a ``list`` (``type(out) is list`` is False), just
+    as an opaque reduction result is not a ``float``: a program that
+    branches on the result's type can lower down the wrong branch either
+    way, so this adds no new kind of hazard.
+    """
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return _OpaqueList(len(range(self._n)[index]))
+        try:
+            range(self._n)[index]
+        except IndexError:
+            raise IndexError("list index out of range") from None
+        return _OPAQUE
+
+    def __iter__(self) -> Any:
+        return itertools.repeat(_OPAQUE, self._n)
+
+    __reversed__ = __iter__
+
+    def _refuse(self, *args: Any, **kw: Any) -> Any:
+        raise LowerFallback("payload-dependent use of a collective's list")
+
+    __bool__ = __contains__ = __hash__ = __setitem__ = __delitem__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __add__ = __radd__ = __iadd__ = __mul__ = __rmul__ = __imul__ = _refuse
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise LowerFallback(f"list method {name!r} on a collective's list")
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<opaque list of {self._n}>"
 
 
 class _TraceEnv:
@@ -341,9 +401,10 @@ class _TraceComm(RankComm):
 
         The result keeps the stepped algorithm's per-rank shape: the
         value at the root where one is handed back, ``None`` where the
-        algorithm returns nothing, opaque data elsewhere.  So an ``is
-        None`` branch diverges across probes and fails the uniformity
-        check instead of lowering wrongly.
+        algorithm returns nothing, opaque data elsewhere (an
+        :class:`_OpaqueList` where the result is a P-element list).  So
+        an ``is None`` branch diverges across probes and fails the
+        uniformity check instead of lowering wrongly.
         """
         if deadline is not None:
             raise LowerFallback("deadline-bounded collective")
@@ -362,7 +423,7 @@ class _TraceComm(RankComm):
         if kind == "barrier" or (kind in ("reduce", "gather") and not at_root):
             return None
         if kind in ("allgather", "alltoall", "gather"):
-            return [_OPAQUE] * self.size
+            return _OpaqueList(self.size)
         if at_root and kind in ("bcast", "scatter"):
             return value if kind == "bcast" else value[self.rank]
         return _OPAQUE

@@ -40,6 +40,7 @@ __all__ = ["CacheStats", "EvalCache", "fingerprint"]
 # ==========================================================================
 
 
+@functools.lru_cache(maxsize=256)
 def _code_digest(code: Any) -> str:
     """A SHA-256 digest of a code object, stable across interpreter runs.
 
@@ -47,7 +48,9 @@ def _code_digest(code: Any) -> str:
     bytecode, referenced names and constants (recursing into nested code
     objects) — and nothing address- or hash-seed-dependent, so a rank
     program fingerprints identically in every process running the same
-    Python version.
+    Python version.  Code objects compare equal on a superset of those
+    pieces, so the digest is memoized on the code object: equal code
+    objects share one entry, and a job key rehashes no bytecode.
     """
     h = hashlib.sha256()
     h.update(code.co_name.encode())

@@ -1,6 +1,6 @@
 """Phase compilation (:mod:`repro.mpi.phasec`) and its job integration.
 
-Four contracts are gated here:
+Five contracts are gated here:
 
 * **IR integrity** — :class:`~repro.mpi.phasec.PhaseProgram` round-trips
   through ``to_dict``/``from_dict``, run-length-compresses repeated
@@ -12,6 +12,10 @@ Four contracts are gated here:
   raises :class:`~repro.mpi.phasec.LowerFallback`; selection-level
   vetoes (fault plans, time-varying fabrics) route the whole job to the
   stepped engine, and a tracer routes it to the scalar replay.
+* **List-valued results** — allgather, alltoall and gather-at-root hand
+  the trace a length-only stand-in: reading it like a list lowers and
+  prices exactly, observing it refuses, the lowered programs match a
+  pinned digest, and lowering allocates nothing per rank.
 * **Backend equivalence** — the numpy and scalar pricing backends agree
   to 1e-9 relative (bit-exact in practice) with each other, with the
   scalar replay, and with the stepped engine, over seeded-random
@@ -25,7 +29,10 @@ Four contracts are gated here:
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -120,6 +127,62 @@ def _hub_main(comm):
     return env.payload
 
 
+#: The collectives a perfsuite-shaped program may end an iteration with.
+_SHAPE_COLLS = ("allreduce", "bcast", "allgather", "reduce", "gather",
+                "scatter", "alltoall", "barrier")
+
+
+def _shift_coll_main(coll, nbytes, iters, comm):
+    """The perfsuite job shape: ring shift, compute, one collective."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    got, out = 0, None
+    for _ in range(iters):
+        env = yield from comm.sendrecv(right, left, nbytes=nbytes,
+                                       payload=comm.rank)
+        got = got + env.payload
+        yield from comm.compute(2e-6)
+        if coll == "barrier":
+            out = yield from comm.barrier()
+        elif coll in ("scatter", "alltoall"):
+            out = yield from getattr(comm, coll)(list(range(comm.size)),
+                                                 nbytes=nbytes)
+        else:
+            out = yield from getattr(comm, coll)(comm.rank, nbytes=nbytes)
+    return got, out
+
+
+def _allgather_list_main(comm):
+    """Reads an allgather result the ways a list allows: length,
+    indexing, slicing and iteration (through ``sum``)."""
+    out = yield from comm.allgather(comm.rank, nbytes=64)
+    head, tail, mid = out[0], out[-1], out[1:3]
+    yield from comm.compute(1e-9 * len(out))
+    total = yield from comm.allreduce(sum(out), nbytes=8 * len(mid))
+    return head, tail, list(mid), total
+
+
+def _allgather_append_main(comm):
+    out = yield from comm.allgather(comm.rank, nbytes=64)
+    out.append(-1)
+    yield from comm.barrier()
+    return out
+
+
+def _allgather_compare_main(comm):
+    out = yield from comm.allgather(comm.rank, nbytes=64)
+    if out == list(range(comm.size)):
+        yield from comm.barrier()
+    return out
+
+
+def _allgather_truth_main(comm):
+    out = yield from comm.allgather(comm.rank, nbytes=64)
+    if out:
+        yield from comm.barrier()
+    return len(out)
+
+
 def _star_main(comm):
     """Rank 0 exchanges with every other rank: replayable (static peers,
     no wildcards) but nowhere near phase-uniform."""
@@ -206,6 +269,89 @@ def test_lower_refuses(main, needle):
 def test_lower_refuses_trivial_jobs():
     with pytest.raises(LowerFallback, match="P < 2"):
         lower(partial(_halo_main, 64, 1), 1, fabric=host_fabric())
+
+
+# ------------------------------------------------- list-valued collectives
+
+#: sha256 of the JSON ``to_dict()`` of every :func:`_shape_programs`
+#: program, taken when lowering still built a P-element list of opaque
+#: values for each allgather, alltoall and gather result.
+SHAPE_DIGEST = "1c83ffaa78fd0a7dc446c43530c3849c3bc8d1c6fb4332ef0dcbc1b145992913"
+
+
+def _shape_programs():
+    """Ring shift + compute + each collective, and halo, at three P."""
+    for p in (128, 1000, 65536):
+        for kind in _SHAPE_COLLS + ("halo",):
+            for nbytes in (64, 1 << 20):
+                main = (partial(_halo_main, nbytes, 3) if kind == "halo"
+                        else partial(_shift_coll_main, kind, nbytes, 3))
+                yield lower(main, p, fabric=host_fabric()).to_dict()
+
+
+def test_perfsuite_shaped_programs_lower_unchanged():
+    blob = json.dumps(list(_shape_programs()), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SHAPE_DIGEST
+
+
+@pytest.mark.parametrize("p", (128, 200))
+def test_list_results_read_like_lists_lower_exactly(p):
+    for fabric in (host_fabric(), phi_fabric(2)):
+        program = lower(_allgather_list_main, p, fabric=fabric)
+        assert [ph.kind for ph in program.phases] == ["coll", "compute", "coll"]
+        assert program.phases[1].seconds == 1e-9 * p
+        assert program.phases[2].nbytes == 16  # 8 * len(out[1:3])
+        assert price(program, fabric) == replay(p, fabric, _allgather_list_main).elapsed
+
+
+@pytest.mark.parametrize(
+    "main",
+    (_allgather_append_main, _allgather_compare_main, _allgather_truth_main),
+)
+def test_list_result_observation_refuses_and_replays(main):
+    with pytest.raises(LowerFallback):
+        lower(main, 16, fabric=host_fabric())
+    st = CompileStats()
+    res = compiled_mpiexec(16, host_fabric(), main, stats=st, vector=True)
+    assert st.path == "replay" and st.reason.startswith("lower:"), st.reason
+    des = mpiexec(16, host_fabric(), main, fast_collectives=False)
+    assert res.elapsed == des.elapsed
+    assert res.returns == des.returns
+
+
+def test_opaque_list_contract():
+    out = phasec_mod._OpaqueList(5)
+    assert len(out) == 5 and len(out[1:3]) == 2 and len(out[::-1]) == 5
+    assert out[0] is out[-1] is phasec_mod._OPAQUE
+    assert list(out) == [phasec_mod._OPAQUE] * 5 == list(reversed(out))
+    with pytest.raises(IndexError):
+        out[5]
+    for use in (
+        lambda: out.append(1), lambda: out.sort(), lambda: out.copy(),
+        lambda: out.__setitem__(0, 1), lambda: out.__delitem__(0),
+        lambda: out == [], lambda: out < [], lambda: bool(out),
+        lambda: 1 in out, lambda: hash(out), lambda: out + [],
+        lambda: [] + out, lambda: out * 2, lambda: 2 * out,
+    ):
+        with pytest.raises(LowerFallback):
+            use()
+    # Dunders a list lacks stay absent, so protocols fall through.
+    assert not hasattr(out, "__array__")
+    with pytest.raises(TypeError):
+        float(out)
+
+
+def test_lowering_allocates_nothing_per_rank():
+    """A P-element list per collective result is 8 MiB at P=2**20."""
+    main = partial(_shift_coll_main, "allgather", 64, 3)
+    lower(main, 8)  # warm the static-veto memo
+    tracemalloc.start()
+    try:
+        lower(main, 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_lower_refuses_sourceless_mains():
@@ -447,6 +593,14 @@ def test_vector_selected_automatically_at_scale():
     )
     assert st.path == "replay"
     assert res.completed
+
+
+def test_lowering_refusal_is_named():
+    st = CompileStats()
+    compiled_mpiexec(128, host_fabric(), _payload_branch_main, stats=st,
+                     vector=True)
+    assert st.path == "replay"
+    assert st.reason.startswith("lower:"), st.reason
 
 
 def test_vector_forbidden_falls_back_to_replay():

@@ -254,6 +254,31 @@ class TestCallableFingerprint:
         assert fingerprint(a) != fingerprint(b)
         assert fingerprint(a) != fingerprint(a.astype(np.float32))
 
+    def test_memoized_code_digest_equals_a_fresh_one(self):
+        """Equal code objects from two modules share one memo entry, and
+        that entry is the digest a fresh computation gives."""
+        import types
+
+        from repro.perf.cache import _code_digest
+
+        src = (
+            "def main(nbytes, comm):\n"
+            "    step = lambda r: (r + 1) % comm.size\n"
+            "    yield from comm.sendrecv(step(comm.rank), comm.rank,"
+            " nbytes=nbytes)\n"
+        )
+        codes = []
+        for name in ("mod_a", "mod_b"):
+            mod = types.ModuleType(name)
+            exec(compile(src, f"{name}.py", "exec"), mod.__dict__)
+            codes.append(mod.main.__code__)
+        a, b = codes
+        assert a == b and a is not b
+        memo = _code_digest(a)
+        assert _code_digest(b) == memo
+        assert _code_digest.__wrapped__(b) == memo
+        assert _code_digest.__wrapped__(a) == memo
+
     def test_stable_across_interpreters_and_hash_seeds(self, tmp_path):
         """The digest must survive hash randomization and process
         boundaries, or MpiJob memo keys would rot between runs."""
