@@ -64,7 +64,7 @@ if not _HAVE_NUMPY:
         "tests/test_npb_kernels.py",
         "tests/test_npb_mpi_versions.py",
         "tests/test_perf_cache.py",
-        "tests/test_perf_parallel.py",
+        "tests/test_sweep.py",
         # Import cleanly but drive numpy-backed campaigns at runtime.
         "tests/test_cli.py",
         "tests/test_perf_selfbench.py",

@@ -380,7 +380,6 @@ class OverflowModel:
         self,
         device: Device,
         configs: List[Tuple[int, int]],
-        workers: Optional[int] = None,
         trace: Optional[Tracer] = None,
         batch: Optional[bool] = None,
     ) -> List[Measurement]:
@@ -388,22 +387,16 @@ class OverflowModel:
 
         ``batch=None`` (the default) prices the whole lattice in one
         vectorized :meth:`native_step_batch` pass whenever NumPy is
-        available and the sweep is serial — identical results in
-        identical order.  ``batch=False`` forces per-point pricing;
-        ``workers > 1`` prices the grid on a process pool (see
-        :mod:`repro.core.sweep`); ``trace`` lays the feasible points out
-        as sweep spans either way.
+        available — identical results in identical order.
+        ``batch=False`` forces per-point pricing; ``trace`` lays the
+        feasible points out as sweep spans either way.
         """
         from repro.core.sweep import _emit_sweep_trace
         from repro.core.sweep import decomposition_sweep as _sweep
         from repro.perf.batch import HAVE_NUMPY
 
         configs = list(configs)
-        use_batch = (
-            batch
-            if batch is not None
-            else HAVE_NUMPY and (workers is None or workers <= 1)
-        )
+        use_batch = HAVE_NUMPY if batch is None else batch
         if use_batch:
             for i, j in configs:
                 if i < 1 or j < 1:
@@ -416,10 +409,7 @@ class OverflowModel:
             if tr is not None:
                 _emit_sweep_trace(tr, "decomposition", results)
             return list(results)
-        results = _sweep(
-            partial(self.native_step, device), configs, workers=workers, trace=trace
-        )
-        return list(results)
+        return list(_sweep(partial(self.native_step, device), configs, trace=trace))
 
     # ----------------------------------------------------- symmetric mode
 

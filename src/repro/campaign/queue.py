@@ -10,7 +10,8 @@ order** as workers finish them.  Two implementations exist today:
   are pulled; the ``workers <= 1`` path and the fallback when the host
   cannot spawn processes.
 * :class:`PoolShardExecutor` — a ``concurrent.futures`` process pool
-  fanning shards over N local workers.
+  fanning shards over N local workers; the one process pool in the
+  library (sweeps price their grids serially).
 
 Because the unit of work (a pickled ``(spec, shard)`` pair) and the unit
 of result (a :class:`ShardResult` of plain records) are both
@@ -35,7 +36,6 @@ from repro.campaign.spec import CampaignSpec
 from repro.core.results import Failure
 from repro.core.sweep import INFEASIBLE_ERRORS
 from repro.errors import ConfigError, ReproError
-from repro.perf.parallel import make_pool
 
 __all__ = [
     "PointRecord",
@@ -217,16 +217,22 @@ class SerialShardExecutor(ShardExecutor):
 class PoolShardExecutor(ShardExecutor):
     """Process-pool execution: shards land in completion order.
 
-    Construction can fail on hosts that forbid subprocess creation —
-    use :func:`make_executor`, which degrades to the serial executor
-    with a warning instead.
+    Workers start with ``fork`` where the platform has it (near-free
+    start-up, no re-import race), else the platform default.
+    ``concurrent.futures`` and ``multiprocessing`` are imported only
+    here, so importing the library never loads them.  Construction
+    raises whatever the host raises when it forbids processes or
+    semaphores — use :func:`make_executor`, which degrades to the serial
+    executor with a warning naming that error instead.
     """
 
     def __init__(self, spec: CampaignSpec, workers: int, throttle_s: float = 0.0):
-        pool = make_pool(workers)
-        if pool is None:
-            raise OSError("process pool unavailable")
-        self._pool = pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         self._spec = spec
         self._throttle_s = throttle_s
         self._futures: List[Any] = []

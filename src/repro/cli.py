@@ -8,7 +8,6 @@ Commands
 ``npb [--problem S]`` Run the real NPB suite with official verification.
 ``stream``            Model STREAM curves + a real NumPy STREAM on this host.
 ``modes``             NPB MG under the four programming modes.
-``bench``             Self-benchmark the simulator (``--parallel N``, ``--quick``).
 ``faults``            Run an experiment under a fault plan (``--plan file.json``).
 ``check``             MPI correctness: static lint of rank programs
                       (``repro check examples``) or dynamic verification
@@ -28,6 +27,8 @@ Commands
 entries of :data:`repro.figures.FIGURES`, the one definition of every
 figure's data, table and claims; ``validate`` checks those claims, and
 ``benchmarks/bench_figures.py`` asserts them plus the bench-only gates.
+The simulator's self-benchmark is a script, not a command:
+``benchmarks/bench_selfperf.py``.
 """
 
 from __future__ import annotations
@@ -84,21 +85,6 @@ def _cmd_modes() -> int:
     _print(FIGURES["25"].render())
     _print(FIGURES["26-27"].render())
     return 0
-
-
-def _cmd_bench(
-    parallel: int, quick: bool, output: Optional[str], scale: bool = False
-) -> int:
-    from repro.perf.selfbench import render_report, report_failures, run_selfperf
-
-    report = run_selfperf(workers=parallel, quick=quick, output=output, scale=scale)
-    _print(render_report(report))
-    if output:
-        _print(f"\nreport written to {output}")
-    failures = report_failures(report)
-    for failure in failures:
-        _print(f"FAIL: {failure}")
-    return 1 if failures else 0
 
 
 #: Experiments the ``trace`` command can record.
@@ -669,26 +655,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("stream", help="STREAM model + a real NumPy measurement")
     sub.add_parser("modes", help="MG under the four programming modes")
     sub.add_parser("validate", help="run the full paper-claim battery")
-    p_bench = sub.add_parser(
-        "bench", help="self-benchmark the simulator (repro.perf campaigns)"
-    )
-    p_bench.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="fan sweep campaigns over N pool workers (default: serial)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="small grids (CI smoke mode)"
-    )
-    p_bench.add_argument(
-        "--output", "--out", dest="output",
-        default="BENCH_selfperf.json", metavar="PATH",
-        help="JSON report path ('-' to skip writing)",
-    )
-    p_bench.add_argument(
-        "--scale", action="store_true",
-        help="add the large-P scaling campaign (P=4096 allreduce via the "
-        "analytic collective fast path)",
-    )
     p_trace = sub.add_parser(
         "trace", help="record a Chrome trace of one simulated experiment"
     )
@@ -925,9 +891,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cs = validate_all()
         _print(render_report(cs))
         return 0 if cs.all_passed else 1
-    if args.command == "bench":
-        output = None if args.output == "-" else args.output
-        return _cmd_bench(args.parallel, args.quick, output, args.scale)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "faults":

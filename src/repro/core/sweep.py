@@ -4,12 +4,11 @@ Helpers that run an evaluator or cost model over a grid and return a
 :class:`~repro.core.results.ResultSet` — thread counts (Figs 19, 21),
 message sizes (Figs 8–14), (I × J) MPI×OpenMP decompositions (Fig 22).
 
-Every sweep accepts ``workers``: ``None`` (or 1) prices the grid
-serially in-process; ``workers > 1`` fans the grid over a process pool
-via :mod:`repro.perf.parallel` with identical results in identical
-order.  Infeasible points are recognised *only* by the simulator's own
-error types (:data:`INFEASIBLE_ERRORS`) — anything else is a genuine
-bug and propagates, even from pool workers.
+Sweeps price their grid serially, in grid order; fanning points over
+processes is the campaign runner's job (:mod:`repro.campaign`).
+Infeasible points are recognised *only* by the simulator's own error
+types (:data:`INFEASIBLE_ERRORS`) — anything else is a genuine bug and
+propagates.
 
 Every sweep also accepts ``checkpoint=``, a
 :class:`~repro.campaign.checkpoint.SweepCheckpoint`: each priced point
@@ -20,7 +19,6 @@ the same checkpoint replays journaled points instead of re-pricing them
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -36,7 +34,6 @@ from repro.execmodel.kernel import KernelSpec
 from repro.machine.node import Device
 from repro.obs.tracer import Tracer, active
 from repro.perf.batch import HAVE_NUMPY as _HAVE_NUMPY
-from repro.perf.parallel import parallel_map
 from repro.units import KiB
 
 #: Error types that mark a sweep point as infeasible (skipped, not fatal):
@@ -51,9 +48,7 @@ INFEASIBLE_ERRORS = (
 )
 
 
-def message_size_sweep(
-    start: int = 1, stop: int = 4 * 1024 * KiB, per_decade: bool = False
-) -> List[int]:
+def message_size_sweep(start: int = 1, stop: int = 4 * 1024 * KiB) -> List[int]:
     """The classic 1 B → 4 MiB power-of-two message-size axis."""
     sizes = []
     s = start
@@ -66,9 +61,6 @@ def message_size_sweep(
 # --------------------------------------------------------------------------
 # Grid pricing
 # --------------------------------------------------------------------------
-#
-# Point functions live at module level (with ``partial`` for the fixed
-# arguments) so they pickle cleanly into pool workers.
 
 
 def _price_point(
@@ -98,10 +90,9 @@ def _price_point(
 def _emit_sweep_trace(tracer: Tracer, sweep_name: str, results: ResultSet) -> None:
     """Lay a sweep's measurements out as spans, one lane per device.
 
-    Sweeps may price points in pool workers, so spans are reconstructed
-    from the measurements afterwards — deterministic, because results
-    arrive in grid order — with each lane packing its points end to end
-    on a local time cursor.
+    Spans are reconstructed from the measurements afterwards —
+    deterministic, because results arrive in grid order — with each lane
+    packing its points end to end on a local time cursor.
     """
     cursors: dict = {}
     for idx, m in enumerate(results):
@@ -123,7 +114,6 @@ def grid_sweep(
     run_fn: Callable[..., Measurement],
     points: Iterable[Any],
     skip_infeasible: bool = True,
-    workers: Optional[int] = None,
     trace: Optional[Tracer] = None,
     trace_name: str = "grid",
     capture_failures: bool = False,
@@ -146,31 +136,14 @@ def grid_sweep(
     durably records every freshly priced point, so a killed sweep can be
     re-run without re-pricing what already landed.
     """
-    points = list(points)
-    if checkpoint is not None:
-        replayed: dict = {}
-        pending: List[Tuple[int, Any]] = []
-        for idx, point in enumerate(points):
-            hit, value = checkpoint.lookup(point)
-            if hit:
-                replayed[idx] = value
-            else:
-                pending.append((idx, point))
-        fresh = parallel_map(
-            partial(_price_point, run_fn, skip_infeasible, capture_failures),
-            [p for _, p in pending],
-            workers=workers,
-        )
-        for (idx, point), value in zip(pending, fresh):
-            checkpoint.record(point, value)
-            replayed[idx] = value
-        priced = [replayed[idx] for idx in range(len(points))]
-    else:
-        priced = parallel_map(
-            partial(_price_point, run_fn, skip_infeasible, capture_failures),
-            points,
-            workers=workers,
-        )
+    priced: List[Any] = []
+    for point in points:
+        hit, value = (False, None) if checkpoint is None else checkpoint.lookup(point)
+        if not hit:
+            value = _price_point(run_fn, skip_infeasible, capture_failures, point)
+            if checkpoint is not None:
+                checkpoint.record(point, value)
+        priced.append(value)
     results = ResultSet(
         (m for m in priced if isinstance(m, Measurement)),
         failures=(f for f in priced if isinstance(f, Failure)),
@@ -181,19 +154,12 @@ def grid_sweep(
     return results
 
 
-def _native_point(
-    evaluator: Evaluator, kernel: KernelSpec, dev: Device, t: int
-) -> Measurement:
-    return evaluator.native(dev, kernel, t)
-
-
 def thread_sweep(
     evaluator: Evaluator,
     kernel: KernelSpec,
     dev: Device,
     thread_counts: Sequence[int],
     skip_infeasible: bool = True,
-    workers: Optional[int] = None,
     trace: Optional[Tracer] = None,
     batch: Optional[bool] = None,
     capture_failures: bool = False,
@@ -203,20 +169,18 @@ def thread_sweep(
 
     ``batch=None`` (the default) evaluates the whole axis in one
     vectorized :meth:`Evaluator.native_batch` call whenever NumPy is
-    available and the sweep is serial — identical results in identical
-    order, including cache interaction.  ``batch=False`` forces the
-    per-point path; ``batch=True`` demands batching even under
-    ``workers`` (the batch is already one array pass, so pooling it
-    adds nothing).  ``capture_failures`` needs the per-point exception
-    objects and therefore routes through the scalar path, as does
-    ``checkpoint`` (points must journal individually to resume).
+    available — identical results in identical order, including cache
+    interaction.  ``batch=False`` forces the per-point path.
+    ``capture_failures`` needs the per-point exception objects and
+    therefore routes through the scalar path, as does ``checkpoint``
+    (points must journal individually to resume).
     """
     counts = list(thread_counts)
     use_batch = (
-        batch
-        if batch is not None
-        else _HAVE_NUMPY and (workers is None or workers <= 1)
-    ) and not capture_failures and checkpoint is None
+        (_HAVE_NUMPY if batch is None else batch)
+        and not capture_failures
+        and checkpoint is None
+    )
     if use_batch:
         priced = evaluator.native_batch(dev, kernel, counts)
         if not skip_infeasible:
@@ -240,10 +204,9 @@ def thread_sweep(
             _emit_sweep_trace(tr, f"threads.{kernel.name}", results)
         return results
     return grid_sweep(
-        partial(_native_point, evaluator, kernel, dev),
+        lambda t: evaluator.native(dev, kernel, t),
         counts,
         skip_infeasible=skip_infeasible,
-        workers=workers,
         trace=trace,
         trace_name=f"threads.{kernel.name}",
         capture_failures=capture_failures,
@@ -251,17 +214,10 @@ def thread_sweep(
     )
 
 
-def _decomp_point(
-    run_fn: Callable[[int, int], Measurement], i: int, j: int
-) -> Measurement:
-    return run_fn(i, j).with_config(ranks=i, omp_threads=j)
-
-
 def decomposition_sweep(
     run_fn: Callable[[int, int], Measurement],
     decompositions: Iterable[Tuple[int, int]],
     skip_infeasible: bool = True,
-    workers: Optional[int] = None,
     trace: Optional[Tracer] = None,
     capture_failures: bool = False,
     checkpoint: Optional[Any] = None,
@@ -276,10 +232,9 @@ def decomposition_sweep(
         if i < 1 or j < 1:
             raise ConfigError(f"invalid decomposition {i}x{j}")
     return grid_sweep(
-        partial(_decomp_point, run_fn),
+        lambda i, j: run_fn(i, j).with_config(ranks=i, omp_threads=j),
         points,
         skip_infeasible=skip_infeasible,
-        workers=workers,
         trace=trace,
         trace_name="decomposition",
         capture_failures=capture_failures,

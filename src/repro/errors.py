@@ -46,7 +46,7 @@ class OutOfMemoryError(ReproError):
 
     def __reduce__(self):
         # Rebuild from the constructor arguments, not the formatted message,
-        # so the error survives the trip back from sweep pool workers.
+        # so the error survives the trip back from campaign pool workers.
         return (type(self), (self.required, self.available, self.what))
 
 
@@ -70,7 +70,7 @@ class FaultError(ReproError):
 
     def __reduce__(self):
         # Rebuild from constructor arguments so the error survives the
-        # trip back from sweep pool workers.
+        # trip back from campaign pool workers.
         return (type(self), (self.fault, self.rank, self.when))
 
 

@@ -1,32 +1,28 @@
-"""Measurement-campaign performance layer: parallel sweeps + memo cache.
+"""Measurement-campaign performance layer: memo cache + optional NumPy.
 
 Every figure in the paper is a parameter sweep, and a full reproduction
 re-prices the same (machine, kernel, mode, params) points many times
-across figures.  This package makes the campaign itself fast:
+across figures.  This package makes those re-pricings cheap:
 
-* :mod:`repro.perf.parallel` — a deterministic ``concurrent.futures``
-  fan-out for sweep grids and multi-figure campaigns.
 * :mod:`repro.perf.cache` — a memoized evaluation cache keyed by a
   stable fingerprint of the full specification, with hit/miss counters.
 * :mod:`repro.perf.batch` — the optional-NumPy gate for the vectorized
   batch-evaluation paths (``pip install repro[fast]``), with a graceful
   single-warning scalar fallback.
-* :mod:`repro.perf.selfbench` — the self-benchmark campaigns behind
-  ``repro bench`` and ``benchmarks/bench_selfperf.py``, which track the
-  simulator's own performance trajectory across PRs.
+
+Sweeps run serially; fanning points over processes is the campaign
+runner's job (:mod:`repro.campaign`).  The simulator's own
+self-benchmark lives outside the library, in
+``benchmarks/bench_selfperf.py``.
 """
 
 from repro.perf.batch import HAVE_NUMPY, get_numpy
 from repro.perf.cache import CacheStats, EvalCache, fingerprint
-from repro.perf.parallel import default_workers, parallel_map, parallel_tasks
 
 __all__ = [
     "CacheStats",
     "EvalCache",
     "HAVE_NUMPY",
-    "default_workers",
     "fingerprint",
     "get_numpy",
-    "parallel_map",
-    "parallel_tasks",
 ]

@@ -201,7 +201,7 @@ def test_decomposition_sweep_batch_identical():
     grid = [(i, j) for i in range(1, 25) for j in range(1, 25)]
     for dev in (Device.HOST, Device.PHI0):
         batched = model.decomposition_sweep(dev, grid, batch=True)
-        pointwise = model.decomposition_sweep(dev, grid, batch=False, workers=1)
+        pointwise = model.decomposition_sweep(dev, grid, batch=False)
         assert batched == pointwise
         assert len(batched) > 0
 

@@ -130,6 +130,47 @@ class TestExecutionModes:
         )
         assert len(tracer) == 3  # one span per shard
 
+    def test_unavailable_pool_warns_once_naming_the_cause(self, monkeypatch):
+        import concurrent.futures
+
+        from repro.campaign.queue import SerialShardExecutor, make_executor
+
+        def no_pool(*args, **kwargs):
+            raise OSError(38, "no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            executor = make_executor(_spec(), workers=2)
+        assert isinstance(executor, SerialShardExecutor)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "no semaphores" in str(runtime[0].message)
+
+    def test_importing_the_library_loads_no_process_pool(self):
+        # The campaign pool imports concurrent.futures and multiprocessing
+        # only when it is built; importing the library must not pay for them.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys\n"
+            "import repro.mpi.compile, repro.figures, repro.core.sweep, "
+            "repro.campaign\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "[]"
+
 
 # --------------------------------------------------------------------------
 # resume: the kill-and-resume contract

@@ -8,8 +8,6 @@ closing, uniform-fabric classification, MPI send/recv timeouts).
 
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
 from repro.core.results import Measurement
@@ -277,14 +275,6 @@ class TestGracefulSweeps:
 
         with pytest.raises(FaultError):
             grid_sweep(point, [1, 2], skip_infeasible=True)
-
-    def test_capture_failures_survives_pool_workers(self):
-        plan = FaultPlan([MemoryPressure(capacity_factor=0.001)])
-        results = grid_sweep(
-            partial(_sweep_point, plan), [1 * KiB, 2 * KiB],
-            capture_failures=True, workers=2,
-        )
-        assert len(results) == 2 and results.ok
 
 
 # ------------------------------------------------------------ determinism

@@ -372,7 +372,7 @@ def test_spawn_join_storm_completes_linearly():
     """
     import time
 
-    from repro.perf.selfbench import spawn_join_storm
+    from benchmarks.bench_selfperf import spawn_join_storm
 
     n = 5000
     t0 = time.perf_counter()
