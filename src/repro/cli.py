@@ -189,7 +189,7 @@ FAULT_EXPERIMENTS = (
 
 
 def _faulted_alltoall_point(ranks: int, fabric_name: str, tpc: int, plan, nbytes: int):
-    """One degraded-sweep point (module-level so it pickles into pools)."""
+    """One degraded-sweep point: the alltoall stepped under ``plan``."""
     from repro.core.results import Measurement
     from repro.mpi.fabrics import host_fabric, phi_fabric
     from repro.mpi.runtime import mpiexec

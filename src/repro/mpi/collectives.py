@@ -1,46 +1,62 @@
-"""MPI collective operations: algorithms and their exact schedules.
+"""MPI collective operations: one round plan per collective, walked three ways.
 
-Two coupled parts:
+Each collective kind is written once, as a :class:`Plan` that
+:func:`plan` builds from ``(kind, p, nbytes)``.  The plans are the
+textbook algorithms Intel MPI uses at these scales: binomial
+broadcast/reduce/gather/scatter, recursive-doubling allreduce/allgather,
+Bruck and ring allgather, pairwise-exchange alltoall and the
+dissemination barrier.  A plan has three parts:
 
-1. **Algorithms** — :data:`ALGORITHMS`, one generator per collective
-   kind over the stepped :class:`~repro.mpi.api.Communicator`'s
-   point-to-point layer, all with the signature ``(comm, value, nbytes,
-   root, op)``.  They are the textbook algorithms Intel MPI uses at
-   these scales: binomial broadcast/reduce/gather/scatter,
-   recursive-doubling allreduce/allgather, ring allgather for large
-   blocks, pairwise-exchange alltoall and the dissemination barrier.
-   Only the stepped communicator's one collective entry runs them.
-   They move real payloads, so the test suite verifies collective
-   *semantics* against NumPy references.
+* a ``head`` of :class:`Level` s, each one point-to-point hop per pair of
+  strided vrank slices (a binomial tree's levels, allreduce's fold);
+* a body of data-parallel :class:`Rounds`, each a shift by an offset or
+  an exchange across an xor mask, on every rank or on allreduce's
+  survivors;
+* a ``tail`` of levels (allreduce's hand-back).
 
-2. **Schedules** — the exact per-rank completion times of the same
-   algorithms as max-plus recurrences over a clock vector (a list, or a
-   numpy array).  Every path that does not step a collective's
-   messages prices it with its schedule as given: the analytic fast path
-   behind :mod:`repro.mpi.fastpath`, the compiled replay and phase
-   pricing.  Under a static fault plan reduce and allreduce take each
-   rank's straggler factor on their reduction arithmetic.
-   Every data-parallel round is one of two steps written once:
-   :func:`shift_step` (ring allgather, Bruck, the dissemination barrier,
-   non-power-of-two alltoall, phase-compiled halo shifts) and
-   :func:`exchange_step` (recursive doubling, power-of-two alltoall, the
-   allreduce rounds).  The schedules whose rounds all move one size
-   (alltoall, the ring, the barrier) take one uniform-arrival rule,
-   :func:`_uniform`: equal arrivals stay equal, so one scalar carries
-   every rank.  On an array each step is an allocation-free kernel: it
-   writes into one fresh output buffer with the list step's float
-   operations in the same order.  A shift's rotation is two slice
-   writes (no ``np.roll``), a power-of-two exchange reads its partner
-   through the flipped ``(…, 2, mask)`` view, and the maxima and sums
-   are in-place ufuncs, so an eager step allocates one ``t + ts``
-   temporary beside its output and a rendezvous step none.  No kernel
-   writes its input, and each returns a buffer its caller owns: the
-   binomial walks write into :func:`_roll`'s result, and the allreduce
-   rounds and the reduce walk add their arithmetic in place
+Every entry carries its bytes per hop, its wire pattern, its tag and its
+payload rule (``move``).  A run of rounds that follow one rule (the
+ring's P−1 shifts by one, alltoall's P−1 rounds) is one entry, so a plan
+has O(log P) entries at any P.  The algorithm switches, the power-of-two
+tests, the MPICH fold and the alltoall and Bruck peer rules live in
+:func:`plan` alone.  Three walks read a plan:
+
+1. **Algorithms** — :data:`ALGORITHMS`, all with the signature ``(comm,
+   value, nbytes, root, op)``, step one rank through the plan's rounds
+   over the stepped :class:`~repro.mpi.api.Communicator`'s
+   point-to-point layer.  Only the stepped communicator's one collective
+   entry runs them.  They move real payloads, so the test suite verifies
+   collective *semantics* against NumPy references.
+
+2. **Schedules** — :data:`SCHEDULES` fold the same rounds as max-plus
+   recurrences over a clock vector (a list, or a numpy array) into the
+   exact per-rank completion times.  Every path that does not step a
+   collective's messages prices it with its schedule as given: the
+   analytic fast path behind :mod:`repro.mpi.fastpath`, the compiled
+   replay and phase pricing.  Under a static fault plan reduce and
+   allreduce take each rank's straggler factor on their reduction
+   arithmetic.  A level is one :func:`_p2p` between the two slices, and
+   a round is one of two steps written once: :func:`shift_step` (which
+   also prices phase-compiled halo shifts) and :func:`exchange_step`.
+   When every member enters the rounds at once, one scalar carries them
+   (:func:`_rounds`): equal arrivals stay equal.  On an array each step
+   is an allocation-free kernel: it writes into one fresh output buffer
+   with the list step's float operations in the same order.  A shift's
+   rotation is two slice writes (no ``np.roll``), a power-of-two
+   exchange reads its partner through the flipped ``(…, 2, mask)`` view,
+   and the maxima and sums are in-place ufuncs, so an eager step
+   allocates one ``t + ts`` temporary beside its output and a rendezvous
+   step none.  No kernel writes its input, and each returns a buffer its
+   caller owns; the walk adds the reduction arithmetic in place
    (:func:`_add_to`).  The Figs 10–14 sweeps
    (:mod:`repro.microbench.mpifuncs`) are these schedules on zero
    arrivals, so a figure point and a stepped job of the same collective
    report the same time.
+
+3. **Payload folds** — :func:`fold_values` folds a reduction's ``op``
+   over the same rounds in the stepped algorithm's operand order; the
+   fast path and the compiled replay take reduce and allreduce results
+   from it, so payloads (float rounding included) match the stepped run.
 
 The allgather algorithm switch (recursive doubling → ring) at a 2 KiB
 block is the paper's "sudden jump in time at 2 KB and 4 KB message size
@@ -51,9 +67,10 @@ The alltoall memory model reproduces its out-of-memory failure beyond
 
 from __future__ import annotations
 
-import math
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    NamedTuple, Optional, Tuple)
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.perf.batch import get_numpy
@@ -84,332 +101,345 @@ def _default_op(op: Optional[Callable]) -> Callable:
 
 
 # ==========================================================================
-# Executable algorithms
+# Round plans
+# ==========================================================================
+#
+# A payload rule (``move``) says what a hop carries and what its receiver
+# does with it:
+#
+# * ``copy``  — the sender's value; the receiver takes it.
+# * ``fold``  — the sender's value; the receiver runs the reduction
+#               arithmetic, then holds ``op(own, received)``.
+# * ``merge`` — a copy of the sender's blocks; the receiver merges them.
+# * ``split`` — the blocks of the receiver's subtree (vranks from the
+#               receiver's on), which the sender gives up; the receiver
+#               takes them.
+# * ``ring``  — the one block the sender received last (its own in the
+#               first round); the receiver merges it.
+# * ``route`` — the sender's value for the receiver; the receiver files
+#               it by source rank.
+
+
+class Level(NamedTuple):
+    """One point-to-point hop per pair of vrank slices: vrank
+    ``senders[k]`` sends ``nbytes`` to vrank ``receivers[k]`` under
+    ``tag``.  The two slices have one length and one stride."""
+
+    senders: slice
+    receivers: slice
+    nbytes: int
+    tag: int
+    move: str
+
+
+class Rounds(NamedTuple):
+    """``count`` data-parallel rounds of one rule over the plan's ``n``
+    members.  Round ``i`` has ``arg = first + i·stride`` and tag ``tag −
+    i·stride``: with ``exchange`` member ``m`` swaps with ``m ^ arg``,
+    else it sends to ``m + arg`` and receives from ``m − arg`` (mod
+    ``n``).  Every hop carries ``nbytes`` on the ``pattern`` wire."""
+
+    exchange: bool
+    first: int
+    nbytes: int
+    tag: int
+    move: str
+    count: int = 1
+    stride: int = 0
+    pattern: str = "neighbor"
+
+
+class Plan(NamedTuple):
+    """A collective's rounds: ``head`` levels, then the data-parallel
+    ``rounds``, then ``tail`` levels.  Levels address vranks, ``(rank −
+    root) mod p``.  The rounds' members are every vrank, or with ``fold
+    = r`` allreduce's ``p − r`` survivors: member ``m`` is vrank ``2m +
+    1`` for ``m < r`` and ``m + r`` after."""
+
+    head: Tuple[Level, ...] = ()
+    rounds: Tuple[Rounds, ...] = ()
+    tail: Tuple[Level, ...] = ()
+    fold: int = 0
+
+
+@lru_cache(maxsize=256)
+def _tree_hops(p: int, blocks: bool) -> Tuple[Tuple[slice, slice, int], ...]:
+    """A binomial tree's hops over vranks, by level, mask ascending: each
+    ``(parents, children, blocks per hop)``.
+
+    Level ``mask`` links every parent vrank ``v ≡ 0 (mod 2·mask)`` to its
+    child ``v + mask < p``: parents ``[0:p-mask:2·mask]``, children
+    ``[mask:p:2·mask]``.  A hop carries one block, or with ``blocks``
+    (scatter, gather) the ``min(mask, p - c)`` blocks of child ``c``'s
+    subtree: ``mask`` for all but possibly the level's last child, whose
+    short hop is split off as a level of its own.
+    """
+    hops = []
+    mask = 1
+    while mask < p:
+        step = 2 * mask
+        last = p - 1 - (p - 1 - mask) % step  # the level's last child
+        cut = last if blocks and p - last < mask else p
+        if cut > mask:
+            hops.append((slice(0, cut - mask, step), slice(mask, cut, step),
+                         mask if blocks else 1))
+        if cut < p:
+            hops.append((slice(last - mask, last - mask + 1),
+                         slice(last, last + 1), p - last))
+        mask <<= 1
+    return tuple(hops)
+
+
+def _tree(p: int, nbytes: int, blocks: bool, tag: int, move: str,
+          up: bool) -> Tuple[Level, ...]:
+    """A binomial tree's levels of ``nbytes`` blocks in walk order: mask
+    ascending going ``up`` (children send to parents), descending going
+    down (:func:`_tree_hops`)."""
+    if up:
+        return tuple(Level(kid, par, nbytes * k, tag, move)
+                     for par, kid, k in _tree_hops(p, blocks))
+    return tuple(Level(par, kid, nbytes * k, tag, move)
+                 for par, kid, k in reversed(_tree_hops(p, blocks)))
+
+
+def _powers(n: int) -> List[int]:
+    """``1, 2, 4, …``: the first ``n`` powers of two."""
+    return [1 << i for i in range(n)]
+
+
+@lru_cache(maxsize=256)
+def plan(kind: str, p: int, nbytes: int) -> Plan:
+    """The round plan of collective ``kind`` on ``p`` ranks moving
+    ``nbytes`` per rank (per block for allgather and alltoall)."""
+    if p == 1:
+        return Plan()
+    pow2 = 1 << (p.bit_length() - 1)
+    if kind == "bcast" and nbytes <= LARGE_MESSAGE_SWITCH:
+        return Plan(_tree(p, nbytes, False, _TAG_COLL, "copy", up=False))
+    if kind == "bcast":
+        # van de Geijn: scatter 1/p-size chunks down the binomial tree,
+        # then ring-allgather them; every chunk is the root's value.
+        chunk = max(1, nbytes // p)
+        return Plan(_tree(p, chunk, True, _TAG_COLL - 9, "copy", up=False),
+                    (Rounds(False, 1, chunk, _TAG_COLL - 6, "copy", p - 1),))
+    if kind == "reduce":
+        return Plan(_tree(p, nbytes, False, _TAG_COLL - 1, "fold", up=True))
+    if kind == "gather":
+        return Plan(_tree(p, nbytes, True, _TAG_COLL - 8, "merge", up=True))
+    if kind == "scatter":
+        return Plan(_tree(p, nbytes, True, _TAG_COLL - 9, "split", up=False))
+    if kind == "allreduce":
+        # MPICH: with p = 2^m + r the first 2r ranks fold pairwise (even
+        # into odd), the 2^m survivors run the doubling exchange, and the
+        # odd ranks hand the result back to their even neighbours.
+        r = p - pow2
+        evens, odds = slice(0, 2 * r, 2), slice(1, 2 * r, 2)
+        return Plan(
+            (Level(evens, odds, nbytes, _TAG_COLL - 2, "fold"),) if r else (),
+            tuple(Rounds(True, m, nbytes, _TAG_COLL - 4, "fold")
+                  for m in _powers(p.bit_length() - 1)),
+            (Level(odds, evens, nbytes, _TAG_COLL - 3, "copy"),) if r else (),
+            r,
+        )
+    if kind == "allgather" and nbytes > ALLGATHER_RING_SWITCH:
+        return Plan(rounds=(Rounds(False, 1, nbytes, _TAG_COLL - 6, "ring",
+                                   p - 1),))
+    if kind == "allgather" and pow2 == p:
+        # Recursive doubling; each round exchanges every block held.
+        return Plan(rounds=tuple(
+            Rounds(True, m, nbytes * m, _TAG_COLL - 5, "merge")
+            for m in _powers(p.bit_length() - 1)
+        ))
+    if kind == "allgather":
+        # Bruck: doubling shifted transfers of min(k, p−k) blocks.
+        return Plan(rounds=tuple(
+            Rounds(False, -k, nbytes * min(k, p - k), _TAG_COLL - 10 - i,
+                   "merge")
+            for i, k in enumerate(_powers((p - 1).bit_length()))  # ⌈log2 p⌉
+        ))
+    if kind == "alltoall":
+        # Round rnd = 1 … p−1 pairs i with i ^ rnd on a power of two,
+        # else sends to i + rnd and receives from i − rnd.
+        return Plan(rounds=(Rounds(pow2 == p, 1, nbytes, _TAG_COLL - 8,
+                                   "route", p - 1, 1, "alltoall"),))
+    if kind == "barrier":
+        # Dissemination: zero-byte shifts by 1, 2, 4, … off the user tags.
+        return Plan(rounds=tuple(
+            Rounds(False, k, 0, -1000 - i, "copy")
+            for i, k in enumerate(_powers((p - 1).bit_length()))
+        ))
+    raise ConfigError(f"unknown collective {kind!r}")
+
+
+def _root(kind: str, root: Optional[int]) -> int:
+    """The root the walks roll vranks by: 0 for the unrooted kinds."""
+    return (root or 0) if kind in ROOTED else 0
+
+
+def _member(v: int, r: int) -> Optional[int]:
+    """Vrank ``v``'s member index in the rounds (``None``: folded away)."""
+    if v >= 2 * r:
+        return v - r
+    return v // 2 if v % 2 else None
+
+
+def _vrank(m: int, r: int) -> int:
+    return 2 * m + 1 if m < r else m + r
+
+
+def _peers(rnd: Rounds, i: int, m: int, n: int) -> Tuple[int, int]:
+    """Member ``m``'s (destination, source) in round ``i`` of ``rnd``."""
+    arg = rnd.first + i * rnd.stride
+    if rnd.exchange:
+        return m ^ arg, m ^ arg
+    return (m + arg) % n, (m - arg) % n
+
+
+def _group(t: Any, r: int) -> Any:
+    """The members' entries of a per-vrank vector: all of it, or with
+    ``r`` folded pairs the odd vranks below ``2r`` then the rest."""
+    if not r:
+        return t
+    if isinstance(t, list):
+        return t[1:2 * r:2] + t[2 * r:]
+    g = t[r:].copy()  # g[r:] is already t[2r:]
+    g[:r] = t[1:2 * r:2]
+    return g
+
+
+def _ungroup(t: Any, g: Any, r: int) -> Any:
+    """Write the members' entries ``g`` back into ``t`` (:func:`_group`'s
+    inverse)."""
+    if not r:
+        return g
+    t[1:2 * r:2] = g[:r]
+    t[2 * r:] = g[r:]
+    return t
+
+
+# ==========================================================================
+# Walk 1: the stepped algorithms
 # ==========================================================================
 
 
-def bcast(comm: Communicator, value: Any, nbytes: int, root: int,
-          op: Optional[Callable]) -> Generator:
-    """Broadcast; every rank returns the root's value.
-
-    Binomial tree for small messages; scatter + ring-allgather (van de
-    Geijn) for large ones, which halves the bandwidth term.
-    """
-    p = comm.size
-    if p == 1:
-        return value
-    if nbytes > LARGE_MESSAGE_SWITCH:
-        return (yield from _bcast_scatter_allgather(comm, value, root, nbytes))
-    vrank = (comm.rank - root) % p
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            src = (vrank - mask + root) % p
-            env = yield from comm.recv(source=src, tag=_TAG_COLL)
-            value = env.payload
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < p:
-            dest = (vrank + mask + root) % p
-            yield from comm.send(dest, nbytes, tag=_TAG_COLL, payload=value)
-        mask >>= 1
+def _start(kind: str, value: Any, rank: int, v: int, p: int,
+           root: int) -> Any:
+    """A rank's payload state before the first round."""
+    if kind in ("gather", "allgather"):
+        return {rank: value}
+    if kind == "alltoall":
+        if value is not None and len(value) != p:
+            raise ConfigError(f"alltoall needs {p} values, got {len(value)}")
+        state = [None] * p
+        state[rank] = None if value is None else value[rank]
+        return state
+    if kind == "scatter" and v == 0:
+        if value is None or len(value) != p:
+            raise ConfigError(f"scatter root needs {p} values")
+        return {i: value[(i + root) % p] for i in range(p)}  # by vrank
     return value
 
 
-def _bcast_scatter_allgather(
-    comm: Communicator, value: Any, root: int, nbytes: int
-) -> Generator:
-    """Large-message broadcast: scatter 1/p-size chunks down a binomial
-    tree, then ring-allgather them back together."""
-    p = comm.size
-    chunk = max(1, nbytes // p)
-    chunks = [value] * p if comm.rank == root else None
-    part = yield from scatter(comm, chunks, chunk, root, None)
-    parts = yield from _allgather_ring(comm, part, chunk)
-    return parts[root]
+def _finish(kind: str, state: Any, v: int, p: int) -> Any:
+    """A rank's result from its payload state after the last round."""
+    if v and kind in ("reduce", "gather"):
+        return None
+    if kind in ("gather", "allgather"):
+        return [state[i] for i in range(p)]
+    if kind == "scatter":
+        return state[v]
+    return state
 
 
-def reduce(comm: Communicator, value: Any, nbytes: int, root: int,
-           op: Optional[Callable]) -> Generator:
-    """Binomial-tree reduction; ``root`` returns the combined value,
-    everyone else ``None``."""
-    op = _default_op(op)
-    p = comm.size
-    vrank = (comm.rank - root) % p
-    result = value
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            dest = (vrank - mask + root) % p
-            yield from comm.send(dest, nbytes, tag=_TAG_COLL - 1, payload=result)
-            return None
-        partner = vrank + mask
-        if partner < p:
-            env = yield from comm.recv(
-                source=(partner + root) % p, tag=_TAG_COLL - 1
-            )
-            yield from comm.compute(comm.fabric(env.source).reduce_time(nbytes))
-            result = op(result, env.payload)
-        mask <<= 1
-    return result
+def _outgoing(move: str, state: Any, value: Any, dest: int,
+              block: int) -> Tuple[Any, Any]:
+    """(payload, the sender's state after) of one hop to rank ``dest``;
+    ``block`` is the receiver's vrank (``split``) or the block a ``ring``
+    round forwards."""
+    if move == "merge":
+        return dict(state), state
+    if move == "split":
+        return ({k: x for k, x in state.items() if k >= block},
+                {k: x for k, x in state.items() if k < block})
+    if move == "ring":
+        return {block: state[block]}, state
+    if move == "route":
+        return (None if value is None else value[dest]), state
+    return state, state
 
 
-def allreduce(comm: Communicator, value: Any, nbytes: int,
-              root: Optional[int], op: Optional[Callable]) -> Generator:
-    """Recursive-doubling allreduce (MPICH-style non-power-of-two folding).
-
-    With ``p = 2^m + r``: the first ``2r`` ranks fold pairwise so ``2^m``
-    ranks run the doubling exchange, then results fan back out.
-    """
-    op = _default_op(op)
-    p = comm.size
-    if p == 1:
-        return value
-    m = int(math.log2(p))
-    pow2 = 1 << m
-    r = p - pow2
-    rank = comm.rank
-    result = value
-    new_rank = -1  # surviving-rank id within the power-of-two group
-
-    if rank < 2 * r:
-        if rank % 2 == 0:  # folds into its odd neighbour, waits for answer
-            yield from comm.send(rank + 1, nbytes, tag=_TAG_COLL - 2, payload=result)
-            env = yield from comm.recv(source=rank + 1, tag=_TAG_COLL - 3)
-            return env.payload
-        env = yield from comm.recv(source=rank - 1, tag=_TAG_COLL - 2)
-        yield from comm.compute(comm.fabric(rank - 1).reduce_time(nbytes))
-        result = op(result, env.payload)
-        new_rank = rank // 2
-    else:
-        new_rank = rank - r
-
-    mask = 1
-    while mask < pow2:
-        new_partner = new_rank ^ mask
-        partner = new_partner * 2 + 1 if new_partner < r else new_partner + r
-        req = comm.isend(partner, nbytes, tag=_TAG_COLL - 4, payload=result)
-        env = yield from comm.recv(source=partner, tag=_TAG_COLL - 4)
-        yield from req.wait()
-        yield from comm.compute(comm.fabric(partner).reduce_time(nbytes))
-        result = op(result, env.payload)
-        mask <<= 1
-
-    if rank < 2 * r:  # odd survivors hand the result back to the folded even
-        yield from comm.send(rank - 1, nbytes, tag=_TAG_COLL - 3, payload=result)
-    return result
+def _absorb(move: str, state: Any, env: Any, op: Callable) -> Any:
+    """The receiver's state once ``env`` has arrived (after a ``fold``'s
+    reduction arithmetic)."""
+    if move == "fold":
+        return op(state, env.payload)
+    if move in ("merge", "ring"):
+        state.update(env.payload)
+        return state
+    if move == "route":
+        state[env.source] = env.payload
+        return state
+    return env.payload
 
 
-def allgather(comm: Communicator, value: Any, nbytes: int,
-              root: Optional[int], op: Optional[Callable]) -> Generator:
-    """Allgather; returns the list of every rank's value in rank order.
-
-    Recursive doubling for small blocks on power-of-two rank counts; ring
-    otherwise (the algorithm switch behind Fig 13's jump).
-    """
-    p = comm.size
-    if p == 1:
-        return [value]
-    if nbytes <= ALLGATHER_RING_SWITCH:
-        if p & (p - 1) == 0:
-            return (yield from _allgather_recursive_doubling(comm, value, nbytes))
-        return (yield from _allgather_bruck(comm, value, nbytes))
-    return (yield from _allgather_ring(comm, value, nbytes))
-
-
-def _allgather_recursive_doubling(
-    comm: Communicator, value: Any, nbytes: int
-) -> Generator:
-    p = comm.size
-    blocks = {comm.rank: value}
-    mask = 1
-    while mask < p:
-        partner = comm.rank ^ mask
-        env_blocks = dict(blocks)
-        req = comm.isend(
-            partner, nbytes * len(env_blocks), tag=_TAG_COLL - 5, payload=env_blocks
-        )
-        env = yield from comm.recv(source=partner, tag=_TAG_COLL - 5)
-        yield from req.wait()
-        blocks.update(env.payload)
-        mask <<= 1
-    return [blocks[i] for i in range(p)]
-
-
-def _allgather_bruck(comm: Communicator, value: Any, nbytes: int) -> Generator:
-    """Bruck's allgather for non-power-of-two rank counts (small blocks):
-    ⌈log2 p⌉ rounds of doubling block transfers."""
-    p = comm.size
-    blocks = {comm.rank: value}
-    k = 1
-    step = 0
-    while k < p:
-        dest = (comm.rank - k) % p
-        src = (comm.rank + k) % p
-        count = min(k, p - k)
-        req = comm.isend(
-            dest, nbytes * count, tag=_TAG_COLL - 10 - step, payload=dict(blocks)
-        )
-        env = yield from comm.recv(source=src, tag=_TAG_COLL - 10 - step)
-        yield from req.wait()
-        blocks.update(env.payload)
-        k <<= 1
-        step += 1
-    return [blocks[i] for i in range(p)]
-
-
-def _allgather_ring(comm: Communicator, value: Any, nbytes: int) -> Generator:
-    p = comm.size
-    blocks = {comm.rank: value}
-    right = (comm.rank + 1) % p
-    left = (comm.rank - 1) % p
-    send_block = comm.rank
-    for _ in range(p - 1):
-        req = comm.isend(
-            right, nbytes, tag=_TAG_COLL - 6, payload=(send_block, blocks[send_block])
-        )
-        env = yield from comm.recv(source=left, tag=_TAG_COLL - 6)
-        yield from req.wait()
-        idx, val = env.payload
-        blocks[idx] = val
-        send_block = idx
-    return [blocks[i] for i in range(p)]
-
-
-def alltoall(comm: Communicator, values: Optional[List[Any]], nbytes: int,
+def _stepped(kind: str, comm: Communicator, value: Any, nbytes: int,
              root: Optional[int], op: Optional[Callable]) -> Generator:
-    """Pairwise-exchange alltoall; ``values[i]`` goes to rank ``i``.
+    """Collective ``kind`` on one rank of the stepped communicator: its
+    plan's levels as blocking sends and receives, its rounds as
+    ``isend``/``recv``/``wait``, each ``fold`` receive followed by the
+    reduction arithmetic and ``op(own, received)``."""
+    p, rank = comm.size, comm.rank
+    root = _root(kind, root)
+    op = _default_op(op)
+    v = (rank - root) % p
+    pl = plan(kind, p, nbytes)
 
-    Returns the list of received values in source-rank order.  Every
-    message travels on the fabric's all-to-all wire (incast ``alpha``
-    and ``alltoall_bw_factor``).  A healthy job never checks memory:
-    only a memory-pressure fault plan raises
-    :class:`~repro.errors.OutOfMemoryError` here, through
-    :func:`check_alltoall_memory`; the Fig 14 sweep marks its
-    out-of-memory points with :func:`alltoall_fits`.
-    """
-    p = comm.size
-    if values is not None and len(values) != p:
-        raise ConfigError(f"alltoall needs {p} values, got {len(values)}")
-    result: List[Any] = [None] * p
-    result[comm.rank] = values[comm.rank] if values is not None else None
-    for round_no in range(1, p):
-        if p & (p - 1) == 0:
-            partner = comm.rank ^ round_no
-        else:
-            partner = (comm.rank + round_no) % p
-        send_to = partner
-        recv_from = partner if p & (p - 1) == 0 else (comm.rank - round_no) % p
-        req = comm.isend(
-            send_to,
-            nbytes,
-            tag=_TAG_COLL - 7 - round_no,
-            payload=values[send_to] if values is not None else None,
-            pattern="alltoall",
-        )
-        env = yield from comm.recv(source=recv_from, tag=_TAG_COLL - 7 - round_no)
-        yield from req.wait()
-        result[env.source] = env.payload
-    return result
+    def levels(state: Any, lvls: Tuple[Level, ...]) -> Generator:
+        for lvl in lvls:
+            d = lvl.receivers.start - lvl.senders.start
+            if v in range(p)[lvl.senders]:
+                payload, state = _outgoing(lvl.move, state, value, 0, v + d)
+                yield from comm.send((v + d + root) % p, lvl.nbytes,
+                                     tag=lvl.tag, payload=payload)
+            elif v in range(p)[lvl.receivers]:
+                src = (v - d + root) % p
+                env = yield from comm.recv(source=src, tag=lvl.tag)
+                if lvl.move == "fold":
+                    yield from comm.compute(
+                        comm.fabric(src).reduce_time(lvl.nbytes))
+                state = _absorb(lvl.move, state, env, op)
+        return state
 
-
-def gather(comm: Communicator, value: Any, nbytes: int, root: int,
-           op: Optional[Callable]) -> Generator:
-    """Binomial-tree gather; ``root`` returns the rank-ordered list."""
-    p = comm.size
-    vrank = (comm.rank - root) % p
-    blocks = {comm.rank: value}
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            dest = (vrank - mask + root) % p
-            yield from comm.send(
-                dest, nbytes * len(blocks), tag=_TAG_COLL - 8, payload=blocks
-            )
-            return None
-        partner = vrank + mask
-        if partner < p:
-            env = yield from comm.recv(
-                source=(partner + root) % p, tag=_TAG_COLL - 8
-            )
-            blocks.update(env.payload)
-        mask <<= 1
-    return [blocks[i] for i in range(p)]
-
-
-def scatter(comm: Communicator, values: Optional[List[Any]], nbytes: int,
-            root: int, op: Optional[Callable]) -> Generator:
-    """Binomial-tree scatter; every rank returns its own block."""
-    p = comm.size
-    vrank = (comm.rank - root) % p
-    if comm.rank == root:
-        if values is None or len(values) != p:
-            raise ConfigError(f"scatter root needs {p} values")
-        blocks = {i: values[(i + root) % p] for i in range(p)}  # keyed by vrank
-    else:
-        blocks = {}
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            env = yield from comm.recv(
-                source=((vrank - mask) + root) % p, tag=_TAG_COLL - 9
-            )
-            blocks = env.payload
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < p:
-            subtree = {k: v for k, v in blocks.items() if k >= vrank + mask}
-            blocks = {k: v for k, v in blocks.items() if k < vrank + mask}
-            yield from comm.send(
-                (vrank + mask + root) % p,
-                nbytes * max(1, len(subtree)),
-                tag=_TAG_COLL - 9,
-                payload=subtree,
-            )
-        mask >>= 1
-    return blocks[vrank]
-
-
-def barrier(comm: Communicator, value: Any, nbytes: int,
-            root: Optional[int], op: Optional[Callable]) -> Generator:
-    """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte exchanges."""
-    p = comm.size
-    k = 1
-    round_no = 0
-    while k < p:
-        tag = -1000 - round_no  # keep barrier traffic off user tags
-        yield from comm.sendrecv((comm.rank + k) % p, (comm.rank - k) % p,
-                                 nbytes=0, tag=tag)
-        k *= 2
-        round_no += 1
-
-
-#: The stepped algorithm of each collective kind, all with the signature
-#: ``(comm, value, nbytes, root, op)``; unrooted kinds get ``root=None``.
-ALGORITHMS: Dict[str, Callable[..., Generator]] = {
-    "bcast": bcast,
-    "reduce": reduce,
-    "allreduce": allreduce,
-    "allgather": allgather,
-    "alltoall": alltoall,
-    "barrier": barrier,
-    "gather": gather,
-    "scatter": scatter,
-}
+    state = yield from levels(_start(kind, value, rank, v, p, root), pl.head)
+    r, n = pl.fold, p - pl.fold
+    m = _member(v, r)
+    for rnd in pl.rounds if m is not None else ():
+        for i in range(rnd.count):
+            to, frm = _peers(rnd, i, m, n)
+            dest, src = (_vrank(to, r) + root) % p, (_vrank(frm, r) + root) % p
+            tag = rnd.tag - i * rnd.stride
+            payload, state = _outgoing(rnd.move, state, value, dest,
+                                       (m - i) % n)
+            req = comm.isend(dest, rnd.nbytes, tag=tag, payload=payload,
+                             pattern=rnd.pattern)
+            env = yield from comm.recv(source=src, tag=tag)
+            yield from req.wait()
+            if rnd.move == "fold":
+                yield from comm.compute(
+                    comm.fabric(src).reduce_time(rnd.nbytes))
+            state = _absorb(rnd.move, state, env, op)
+    state = yield from levels(state, pl.tail)
+    return _finish(kind, state, v, p)
 
 
 # ==========================================================================
-# Exact per-rank schedules (the analytic fast path)
+# Walk 2: the exact per-rank schedules
 # ==========================================================================
 #
-# Each ``*_schedule`` function replays one collective's communication
-# pattern as a max-plus recurrence over a per-rank clock vector instead
-# of stepping every rank through the event engine.  The recurrences
-# encode the engine's exact eager/rendezvous timing semantics:
+# A schedule replays one collective's plan as a max-plus recurrence over
+# a per-rank clock vector instead of stepping every rank through the
+# event engine.  The recurrences encode the engine's exact
+# eager/rendezvous timing semantics:
 #
 # * eager send:    sender detaches after ``sender_time``; the receiver
 #                  completes at ``max(recv_post, send_post + p2p_time)``.
@@ -417,26 +447,21 @@ ALGORITHMS: Dict[str, Callable[..., Generator]] = {
 #                  ``max(recv_post, send_post) + p2p_time`` — and the
 #                  sender's request completes at the same instant.
 #
-# Because they mirror the executable algorithms above *hop for hop*
-# (same tree shapes, same per-round message sizes, same algorithm
-# switches), the schedules agree with full DES runs bit for bit — a
-# property the test suite gates with ``==``.
+# Because the stepped algorithms walk the same plan *hop for hop*, the
+# schedules agree with full DES runs bit for bit — a property the test
+# suite gates with ``==``.
 #
 # Every schedule has the signature ``(fabric, p, nbytes, arrivals,
-# root=0)``: ``arrivals`` holds the ranks' entry times, unrooted kinds
-# ignore ``root`` and the barrier ignores ``nbytes``.  The clock vector
-# is a Python list or a float numpy array, and the output is the same
-# container.  The data-parallel recurrences are compositions of two
-# steps, :func:`shift_step` and :func:`exchange_step`, each written once
-# for both containers with the same float operations in the same order,
-# so the two backends agree bit for bit.  The binomial trees are one
-# walk per direction, :func:`_down_walk` (bcast, scatter) and
-# :func:`_up_walk` (reduce, gather), level-synchronous over the
-# :func:`_tree` table: each of the ⌈log2 P⌉ levels is one :func:`_p2p`
-# between strided slices of parent and child vranks, in the same
-# per-rank float order as the generators' sequential sends and recvs.
-# When every rank arrives at once, :func:`_uniform` prices the
-# round-synchronous schedules on one scalar, bit for bit.
+# root=0, factors=None)``: ``arrivals`` holds the ranks' entry times, and
+# ``factors`` (one per rank) scales each rank's reduction arithmetic.
+# The clock vector is a Python list or a float numpy array, and the
+# output is the same container.  The steps are written once for both
+# containers with the same float operations in the same order, so the
+# two backends agree bit for bit.  A level is one :func:`_p2p` between
+# its strided slices, in the same per-rank float order as the
+# generators' sequential sends and receives: going down a tree a
+# parent's clock already holds its earlier sends, going up a child's
+# clock is final (its own receives came at lower masks).
 
 
 def _wire(fabric, nbytes: int, pattern: str = "neighbor", p: int = 1):
@@ -447,6 +472,18 @@ def _wire(fabric, nbytes: int, pattern: str = "neighbor", p: int = 1):
         fabric.sender_time(nbytes),
         nbytes <= fabric.eager_max,
     )
+
+
+class _Wires(dict):
+    """:func:`_wire` by ``(nbytes, pattern)`` for one ``p``-rank job on
+    one fabric, each priced on first use."""
+
+    def __init__(self, fabric, p: int):
+        self.fabric, self.p = fabric, p
+
+    def __missing__(self, key: Tuple[int, str]) -> Tuple[float, float, bool]:
+        wire = self[key] = _wire(self.fabric, key[0], key[1], self.p)
+        return wire
 
 
 def _arrivals(p: int, arrivals: Any) -> Any:
@@ -474,20 +511,14 @@ def _roll(t: Any, o: int) -> Any:
     return out
 
 
-def _add(t: Any, c: Any) -> Any:
-    """``t + c`` elementwise; ``c`` is a scalar or a list as long as ``t``."""
+def _add_to(t: Any, c: Any) -> Any:
+    """``t + c`` elementwise (``c`` a scalar or a list as long as ``t``),
+    written into ``t`` when it is an array (a buffer the caller owns); a
+    list gets a new list."""
     if isinstance(t, list):
         if isinstance(c, list):
             return [x + y for x, y in zip(t, c)]
         return [x + c for x in t]
-    return t + c
-
-
-def _add_to(t: Any, c: Any) -> Any:
-    """:func:`_add`, written into ``t`` when it is an array (a buffer the
-    caller owns); a list gets a new list."""
-    if isinstance(t, list):
-        return _add(t, c)
     return get_numpy().add(t, c, out=t)
 
 
@@ -589,277 +620,163 @@ def _p2p(send: Any, recv: Any, tp: float, ts: float,
     return done, done
 
 
-# ----------------------------------------------------- binomial-tree walks
+def _levels(t: Any, levels: Tuple[Level, ...], wires: _Wires,
+            combine: Any) -> Any:
+    """``levels`` on the per-vrank clock vector ``t``, written in place: a
+    ``fold`` receiver adds ``combine`` (one time, or one per vrank) after
+    its receive."""
+    for lvl in levels:
+        snd, rcv = lvl.senders, lvl.receivers
+        t[snd], done = _p2p(t[snd], t[rcv], *wires[lvl.nbytes, "neighbor"])
+        if lvl.move == "fold":
+            done = _add_to(done, combine[rcv] if isinstance(combine, list)
+                           else combine)
+        t[rcv] = done
+    return t
 
 
-def _tree(fabric, p: int, nbytes: int, blocks: bool) -> List[Any]:
-    """The hops of a binomial tree over vranks, by level, mask ascending.
+def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
+            combine: Any) -> Any:
+    """The data-parallel ``rounds`` on the members' clock vector ``t``:
+    each round one :func:`exchange_step` or :func:`shift_step`, and a
+    ``fold`` round adds ``combine`` (one time, or one per member).
 
-    Level ``mask`` links every parent vrank ``v ≡ 0 (mod 2·mask)`` to its
-    child ``v + mask < p``: parents ``[0:p-mask:2·mask]``, children
-    ``[mask:p:2·mask]``.  A hop carries ``nbytes``, or with ``blocks``
-    (scatter, gather) the ``min(mask, p - c)`` blocks of child ``c``'s
-    subtree: ``mask`` for all but possibly the level's last child, whose
-    short hop is split off with its own wire.  Each entry is ``(parents,
-    children, wire)``; both directions move the same counts.
-    """
-    hops: List[Any] = []
-    wire = _wire(fabric, nbytes)
-    mask = 1
-    while mask < p:
-        step = 2 * mask
-        last = p - 1 - (p - 1 - mask) % step  # the level's last child
-        cut = p
-        if blocks:
-            wire = _wire(fabric, nbytes * mask)
-            if p - last < mask:
-                cut = last
-        if cut > mask:
-            hops.append((slice(0, cut - mask, step), slice(mask, cut, step),
-                         wire))
-        if cut < p:
-            hops.append((slice(last - mask, last - mask + 1),
-                         slice(last, last + 1),
-                         _wire(fabric, nbytes * (p - last))))
-        mask <<= 1
-    return hops
-
-
-def _down_walk(t: Any, root: int, tree: List[Any]) -> Any:
-    """Top-down binomial tree (bcast, scatter): per-rank completion times.
-
-    Levels run mask high to low, one :func:`_p2p` each: a parent's clock
-    already holds its earlier sends, and a child's is its arrival.
-    """
-    s = _roll(t, -root)  # by vrank
-    for par, kid, (tp, ts, eager) in reversed(tree):
-        s[par], s[kid] = _p2p(s[par], s[kid], tp, ts, eager)
-    return _roll(s, root)
-
-
-def _up_walk(t: Any, root: int, tree: List[Any], combine: Any) -> Any:
-    """Bottom-up binomial tree (reduce, gather): per-rank completion times.
-
-    Levels run mask low to high, one :func:`_p2p` each: a child's clock
-    is final (its own receives came at lower masks), and a parent adds
-    ``combine`` after each receive, in the generator's recv order.
-    ``combine`` is one time, or a list of per-rank times.
-    """
-    s = _roll(t, -root)  # by vrank
-    per_rank = isinstance(combine, list)
-    if per_rank:
-        combine = _roll(combine, -root)
-    for par, kid, (tp, ts, eager) in tree:
-        s[kid], done = _p2p(s[kid], s[par], tp, ts, eager)
-        s[par] = _add_to(done, combine[par] if per_rank else combine)
-    return _roll(s, root)
-
-
-def _uniform(t: Any, rounds: int, tp: float, ts: float, eager: bool) -> Any:
-    """``rounds`` identical shift or exchange rounds on uniform arrivals,
-    or ``None`` when the arrivals differ.
-
+    When every member enters at once, one scalar carries every round.
     Rounding is monotone, so a round maps a uniform vector ``c`` to the
-    uniform ``max(c + ts, c + tp) == c + max(ts, tp)`` (eager) or
-    ``c + tp`` (rendezvous) whatever its offset or mask: one scalar
-    carries the whole schedule.  It is advanced once per round, as the
-    steps do (the product ``rounds * cost`` rounds differently); on an
-    array by ``np.add.accumulate``, so a P=65536 ring stays a vector op.
+    uniform ``max(c + ts, c + tp) == c + max(ts, tp)`` (eager) or ``c +
+    tp`` (rendezvous), whatever its offset or mask; a fold's one
+    ``combine`` keeps it uniform, per-rank factors do not.  The scalar
+    takes one add at a time, as the steps do (the product ``count *
+    cost`` rounds differently); on an array a run's adds are one
+    ``np.add.accumulate``, so a P=65536 ring stays a vector op.
     """
     lo, hi = _extrema(t)
-    if lo != hi:
-        return None
-    per_round = max(ts, tp) if eager else tp
-    if isinstance(t, list):
-        for _ in range(rounds):
-            lo += per_round
-        return _full(t, lo)
-    np = get_numpy()
-    steps = np.full(rounds + 1, per_round)
-    steps[0] = lo
-    return _full(t, np.add.accumulate(steps)[-1])
+    uniform = lo == hi and not (
+        isinstance(combine, list)
+        and any(rnd.move == "fold" for rnd in rounds)
+    )
+    for rnd in rounds:
+        tp, ts, eager = wires[rnd.nbytes, rnd.pattern]
+        fold = rnd.move == "fold"
+        if uniform:
+            adds = [max(ts, tp) if eager else tp] + ([combine] if fold else [])
+            if isinstance(t, list) or rnd.count == 1:
+                for _ in range(rnd.count):
+                    for a in adds:
+                        lo += a
+            else:
+                np = get_numpy()
+                steps = np.concatenate(([lo], np.tile(adds, rnd.count)))
+                lo = np.add.accumulate(steps)[-1]
+            continue
+        step = exchange_step if rnd.exchange else shift_step
+        arg = rnd.first
+        for _ in range(rnd.count):
+            t = step(t, arg, tp, ts, eager)
+            if fold:
+                t = _add_to(t, combine)
+            arg += rnd.stride
+    return _full(t, lo) if uniform else t
 
 
-def _ring_times(fabric, p: int, nbytes: int, t: Any) -> Any:
-    """Ring allgather: p−1 shifts by one at block size."""
-    tp, ts, eager = _wire(fabric, nbytes)
-    uniform = _uniform(t, p - 1, tp, ts, eager)
-    if uniform is not None:
-        return uniform
-    for _ in range(p - 1):
-        t = shift_step(t, 1, tp, ts, eager)
-    return t
-
-
-# ------------------------------------------------------------ the schedules
-
-
-def bcast_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                   root: int = 0) -> Any:
-    """Per-rank completion times of :func:`bcast` on a uniform fabric."""
+def _schedule(kind: str, fabric, p: int, nbytes: int, arrivals: Any,
+              root: Optional[int] = 0,
+              factors: Optional[List[float]] = None) -> Any:
+    """Per-rank completion times of collective ``kind`` on a uniform
+    fabric from the ranks' entry times ``arrivals``: its plan's head
+    levels, rounds and tail levels on one clock vector, by vrank.
+    ``factors`` (one per rank) scales each rank's reduction arithmetic
+    exactly as a straggler's ``compute`` scales it."""
     t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    if nbytes <= LARGE_MESSAGE_SWITCH:
-        return _down_walk(t, root, _tree(fabric, p, nbytes, False))
-    chunk = max(1, nbytes // p)
-    after_scatter = _down_walk(t, root, _tree(fabric, p, chunk, True))
-    return _ring_times(fabric, p, chunk, after_scatter)
+    pl = plan(kind, p, nbytes)
+    root = _root(kind, root)
+    combine: Any = fabric.reduce_time(nbytes)
+    if factors is not None and any(x.move == "fold"
+                                   for x in pl.head + pl.rounds):
+        combine = _roll([combine * f for f in factors], -root)
+    if root:
+        t = _roll(t, -root)
+    wires = _Wires(fabric, p)
+    if pl.head:
+        t = _levels(t, pl.head, wires, combine)
+    if pl.rounds:
+        members = (_group(combine, pl.fold) if isinstance(combine, list)
+                   else combine)
+        g = _rounds(_group(t, pl.fold), pl.rounds, wires, members)
+        t = _ungroup(t, g, pl.fold)
+    if pl.tail:
+        t = _levels(t, pl.tail, wires, combine)
+    return _roll(t, root) if root else t
 
 
-def _combine(fabric, nbytes: int, factors: Optional[List[float]]) -> Any:
-    """The reduction arithmetic after a receive: one time, or per rank
-    scaled by ``factors`` exactly as a straggler's ``compute`` scales it."""
-    tred = fabric.reduce_time(nbytes)
-    return tred if factors is None else [tred * f for f in factors]
+# ==========================================================================
+# Walk 3: the payload folds of the reductions
+# ==========================================================================
 
 
-def allreduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                       root: int = 0,
-                       factors: Optional[List[float]] = None) -> Any:
-    """Per-rank completion times of :func:`allreduce` on a uniform fabric.
-
-    With ``p = 2^m + r`` the first ``2r`` ranks fold pairwise (even into
-    odd), the ``2^m`` survivors run the doubling exchange, and the odd
-    ranks hand the result back to their even neighbours.  ``factors``
-    (one per rank) scales each rank's reduction arithmetic.
-    """
-    t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    tp, ts, eager = _wire(fabric, nbytes)
-    pow2 = 1 << int(math.log2(p))
-    r = p - pow2
-    fold = rounds = _combine(fabric, nbytes, factors)
-    if factors is not None:  # by odd rank, then by survivor
-        fold = rounds[1:2 * r:2]
-        rounds = fold + rounds[2 * r:]
-
-    even_ready, recv_done = _p2p(t[0:2 * r:2], t[1:2 * r:2], tp, ts, eager)
-    surv = t[r:].copy()  # surv[r:] is already t[2r:], the unfolded ranks
-    surv[:r] = _add(recv_done, fold)
-
-    mask = 1
-    while mask < pow2:
-        surv = _add_to(exchange_step(surv, mask, tp, ts, eager), rounds)
-        mask <<= 1
-    if not r:
-        return surv
-
-    odd_done, even_done = _p2p(surv[:r], even_ready, tp, ts, eager)
-    finish = t.copy()
-    finish[0:2 * r:2] = even_done
-    finish[1:2 * r:2] = odd_done
-    finish[2 * r:] = surv[r:]
-    return finish
+def _fold_levels(s: List[Any], levels: Tuple[Level, ...],
+                 op: Callable) -> List[Any]:
+    """``levels`` on the per-vrank values ``s``, written in place: a
+    ``fold`` receiver holds ``op(own, received)``, a ``copy`` receiver
+    the sender's value."""
+    for lvl in levels:
+        rcv = lvl.receivers
+        s[rcv] = ([op(x, y) for x, y in zip(s[rcv], s[lvl.senders])]
+                  if lvl.move == "fold" else s[lvl.senders])
+    return s
 
 
-def allgather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                       root: int = 0) -> Any:
-    """Per-rank completion times of :func:`allgather` on a uniform fabric."""
-    t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    if nbytes > ALLGATHER_RING_SWITCH:
-        return _ring_times(fabric, p, nbytes, t)
-    if p & (p - 1) == 0:
-        # Recursive doubling; each round exchanges every block held.
-        mask = 1
-        while mask < p:
-            t = exchange_step(t, mask, *_wire(fabric, nbytes * mask))
-            mask <<= 1
-        return t
-    # Bruck: doubling shifted transfers of min(k, p−k) blocks.
-    k = 1
-    while k < p:
-        t = shift_step(t, -k, *_wire(fabric, nbytes * min(k, p - k)))
-        k <<= 1
-    return t
+def fold_values(kind: str, values: List[Any], nbytes: int,
+                root: Optional[int], op: Optional[Callable]) -> List[Any]:
+    """Every rank's result of reduction ``kind`` (reduce, allreduce) from
+    the ranks' ``values``: ``op`` folded over the plan's levels and rounds
+    as the stepped algorithm folds it, ``op(own, received)``, and a
+    ``copy`` level hands the sender's value on (a reduction's rounds all
+    fold).  A level or a round is one list operation over its receivers,
+    as in the schedules."""
+    op = _default_op(op)
+    p = len(values)
+    root = _root(kind, root)
+    pl = plan(kind, p, nbytes)
+    s = list(values)
+    s = _fold_levels(_roll(s, -root) if root else s, pl.head, op)  # by vrank
+    if pl.rounds:
+        g = _group(s, pl.fold)
+        for rnd in pl.rounds:
+            arg = rnd.first
+            for _ in range(rnd.count):
+                if rnd.exchange:
+                    g = [op(x, g[m ^ arg]) for m, x in enumerate(g)]
+                else:  # from m - arg
+                    g = [op(x, y) for x, y in zip(g, _roll(g, arg))]
+                arg += rnd.stride
+        s = _ungroup(s, g, pl.fold)
+    s = _fold_levels(s, pl.tail, op)
+    if kind in ROOTED:  # the root alone returns the result: vrank 0's
+        out: List[Any] = [None] * p
+        out[root] = s[0]
+        return out
+    return s  # the unrooted kinds' vranks are their ranks
 
 
-def alltoall_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                      root: int = 0) -> Any:
-    """Per-rank completion times of :func:`alltoall` on a uniform fabric,
-    every round on the all-to-all wire."""
-    t = _arrivals(p, arrivals)
-    wire = _wire(fabric, nbytes, "alltoall", p)
-    uniform = _uniform(t, p - 1, *wire)
-    if uniform is not None:
-        return uniform
-    step = exchange_step if p & (p - 1) == 0 else shift_step
-    for rnd in range(1, p):
-        t = step(t, rnd, *wire)
-    return t
+#: The collective kinds; each is one :func:`plan`.
+KINDS = ("bcast", "reduce", "allreduce", "allgather", "alltoall", "barrier",
+         "gather", "scatter")
 
+#: The kinds with a root; the others ignore ``root`` and run on ranks.
+ROOTED = frozenset(("bcast", "reduce", "gather", "scatter"))
 
-def reduce_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                    root: int = 0,
-                    factors: Optional[List[float]] = None) -> Any:
-    """Per-rank completion times of :func:`reduce` on a uniform fabric:
-    the bottom-up walk with ``nbytes`` hops and the reduction arithmetic
-    after each receive, scaled per rank by ``factors`` when given."""
-    t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    tree = _tree(fabric, p, nbytes, False)
-    return _up_walk(t, root, tree, _combine(fabric, nbytes, factors))
+#: The stepped algorithm of each collective kind, all with the signature
+#: ``(comm, value, nbytes, root, op)``; unrooted kinds get ``root=None``.
+ALGORITHMS: Dict[str, Callable[..., Generator]] = {
+    kind: partial(_stepped, kind) for kind in KINDS
+}
 
-
-def gather_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                    root: int = 0) -> Any:
-    """Per-rank completion times of :func:`gather` on a uniform fabric:
-    the bottom-up walk with hops of the blocks gathered so far and no
-    arithmetic on the way up."""
-    t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    return _up_walk(t, root, _tree(fabric, p, nbytes, True), 0.0)
-
-
-def scatter_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                     root: int = 0) -> Any:
-    """Per-rank completion times of :func:`scatter` on a uniform fabric:
-    the top-down walk of :func:`bcast_schedule`, with hops of the blocks
-    handed down."""
-    t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    return _down_walk(t, root, _tree(fabric, p, nbytes, True))
-
-
-def barrier_schedule(fabric, p: int, nbytes: int, arrivals: Any,
-                     root: int = 0) -> Any:
-    """Per-rank completion times of the dissemination barrier.
-
-    ⌈log2 p⌉ rounds of zero-byte sendrecv (always eager), each a
-    :func:`shift_step` by ``k = 1, 2, 4, …``.  ``nbytes`` is accepted
-    for dispatch uniformity and ignored — barrier traffic is zero-byte
-    by construction.
-    """
-    t = _arrivals(p, arrivals)
-    if p == 1:
-        return t
-    tp, ts, _ = _wire(fabric, 0)
-    uniform = _uniform(t, (p - 1).bit_length(), tp, ts, True)  # ⌈log2 p⌉
-    if uniform is not None:
-        return uniform
-    k = 1
-    while k < p:
-        t = shift_step(t, k, tp, ts, True)
-        k <<= 1
-    return t
-
-
-#: Schedule functions by collective kind (the fast path's dispatch table).
-SCHEDULES = {
-    "bcast": bcast_schedule,
-    "reduce": reduce_schedule,
-    "allreduce": allreduce_schedule,
-    "allgather": allgather_schedule,
-    "alltoall": alltoall_schedule,
-    "barrier": barrier_schedule,
-    "gather": gather_schedule,
-    "scatter": scatter_schedule,
+#: Schedule functions by collective kind (the fast path's dispatch table),
+#: all with the signature ``(fabric, p, nbytes, arrivals, root=0,
+#: factors=None)``.
+SCHEDULES: Dict[str, Callable[..., Any]] = {
+    kind: partial(_schedule, kind) for kind in KINDS
 }
 
 

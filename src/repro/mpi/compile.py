@@ -57,9 +57,11 @@ Every collective occurrence is priced with one call to its
 :data:`~repro.mpi.collectives.SCHEDULES` entry, whether the stepped
 engine would run it on its fast path or as
 :data:`~repro.mpi.collectives.ALGORITHMS` over point-to-point messages:
-the two agree on every rank's finish time.  So ``fast_collectives=False``
-changes nothing here: such a job takes the default job's paths and
-shares its memo entry.  A job whose plan is *static* — no rank crash,
+both walk the collective's one round plan, so they agree on every
+rank's finish time, and a reduction's results fold ``op`` over the same
+plan (:func:`~repro.mpi.collectives.fold_values`).  So
+``fast_collectives=False`` changes nothing here: such a job takes the
+default job's paths and shares its memo entry.  A job whose fault plan is *static* — no rank crash,
 every link and straggler fault active over ``[0, inf)``, memory pressure
 allowed — replays on ``plan.degrade(fabric)`` with each straggler's
 constant factor on its ``compute`` and its reduction arithmetic, so

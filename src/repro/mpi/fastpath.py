@@ -6,27 +6,31 @@ the wall-clock wall that keeps full-system reproductions (the paper's
 128-node Maia, 61 440 Phi threads) out of reach.  But when every rank
 pair sees the *same* fabric (no per-rank divergence), a collective's
 timing is a deterministic function of the per-rank entry times, and
-:mod:`repro.mpi.collectives` knows the closed recurrence for it
-(``*_schedule``).
+:mod:`repro.mpi.collectives` knows the exact recurrence for it: its
+round plan walked as a max-plus schedule
+(:data:`~repro.mpi.collectives.SCHEDULES`).
 
 This module short-circuits the collectives :func:`takes_fast_path`
-admits on such *uniform* jobs: allreduce, allgather, alltoall and
-barrier (:data:`FAST_KINDS`), plus bcast above
-:data:`~repro.mpi.collectives.LARGE_MESSAGE_SWITCH`.  Each rank deposits
-its value and arrival time into a shared per-job instance; the last rank
-to arrive evaluates the exact schedule, computes every rank's result
-(replaying the algorithm's combination order, so payloads are
-bit-identical to the stepped run), and wakes the others.  Each rank then
-sleeps until its own analytic finish time.  Fast-path and full-DES times
-agree bit for bit — the test suite gates ``==`` — because the
-schedules mirror the executable algorithms hop for hop.
+admits on such *uniform* jobs: those whose plan has data-parallel
+rounds, namely allreduce, allgather, alltoall and barrier
+(:data:`FAST_KINDS`), plus the large bcast, whose scatter ends in a
+ring.  Each rank deposits its value and arrival time into a shared
+per-job instance; the last rank to arrive evaluates the exact schedule,
+computes every rank's result (reductions fold ``op`` over the same
+plan in the algorithm's operand order,
+:func:`~repro.mpi.collectives.fold_values`, so payloads are
+bit-identical to the stepped run), and wakes the others.  Each rank
+then sleeps until its own analytic finish time.  Fast-path and full-DES
+times agree bit for bit — the test suite gates ``==`` — because the
+stepped algorithm and the schedule walk the same plan hop for hop.
 
 Only a collective whose schedule releases no rank before the last
 arrival can take this path, since no rank resumes before the last one
 arrives.  Every rank of those collectives depends on every arrival (the
-large bcast through its ring).  Binomial bcast and reduce do not: their
-early subtrees and leaf senders finish first, so they step through
-:data:`~repro.mpi.collectives.ALGORITHMS`, as gather and scatter do.
+large bcast through its ring).  A plan of levels alone does not
+(binomial bcast, reduce, gather, scatter): its early subtrees and leaf
+senders finish first, so it steps through
+:data:`~repro.mpi.collectives.ALGORITHMS`.
 The compiled replay and phase pricing therefore price every collective
 with the plain :data:`~repro.mpi.collectives.SCHEDULES` entry, and a
 job's timing does not depend on which path ran it.
@@ -41,15 +45,10 @@ The fast path is *off* when
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import (
-    ALLGATHER_RING_SWITCH,
-    LARGE_MESSAGE_SWITCH,
-    SCHEDULES,
-)
+from repro.mpi.collectives import SCHEDULES, Plan, fold_values, plan
 from repro.perf.batch import get_numpy
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
@@ -69,12 +68,11 @@ ARRAY_ROUNDS_MIN_P = 32
 
 def takes_fast_path(kind: str, nbytes: int) -> bool:
     """Whether the stepped Communicator hands collective ``kind`` of
-    ``nbytes`` to :class:`FastCollectives`: the :data:`FAST_KINDS`, and
-    bcast above ``LARGE_MESSAGE_SWITCH``, whose ring makes every rank
-    depend on every arrival."""
-    return kind in FAST_KINDS or (
-        kind == "bcast" and nbytes > LARGE_MESSAGE_SWITCH
-    )
+    ``nbytes`` to :class:`FastCollectives`: whether its plan has
+    data-parallel rounds, which make every rank depend on every arrival
+    (the :data:`FAST_KINDS`, and the large bcast through its ring).  A
+    plan has them at every P > 1 or at none, so two ranks decide."""
+    return bool(plan(kind, 2, nbytes).rounds)
 
 
 class _Instance:
@@ -137,7 +135,7 @@ def finish_times(kind: str, fabric: Any, nbytes: int, arrivals: List[float],
     entry.  ``factors`` (one per rank) scales the reduction arithmetic
     of reduce and allreduce.
 
-    A schedule that runs O(P) rounds (:func:`_many_rounds`) on
+    A schedule that steps O(P) rounds (:func:`_many_rounds`) on
     ``ARRAY_ROUNDS_MIN_P`` ranks or more runs on an array when numpy is
     importable, and its finish times come back as a list of Python
     floats; the two backends agree bit for bit.
@@ -146,27 +144,24 @@ def finish_times(kind: str, fabric: Any, nbytes: int, arrivals: List[float],
     t: Any = arrivals
     np = get_numpy()
     on_array = (np is not None and p >= ARRAY_ROUNDS_MIN_P
-                and _many_rounds(kind, nbytes, arrivals))
+                and _many_rounds(plan(kind, p, nbytes), arrivals))
     if on_array:
         t = np.array(arrivals, dtype=float)
     args: Tuple[Any, ...] = (fabric, p, nbytes, t, root)
-    if factors is not None and kind in ("reduce", "allreduce"):
+    if factors is not None:
         args += (factors,)
     ends = SCHEDULES[kind](*args)
     return ends.tolist() if on_array else ends
 
 
-def _many_rounds(kind: str, nbytes: int, arrivals: List[float]) -> bool:
-    """Whether collective ``kind`` of ``nbytes`` prices O(P) rounds from
-    ``arrivals``: the large bcast's ring always; alltoall and ring
-    allgather unless every rank arrives at once, when the uniform-arrival
-    rule prices them on one scalar."""
-    if kind == "bcast":
-        return nbytes > LARGE_MESSAGE_SWITCH
-    if kind == "alltoall" or (kind == "allgather"
-                              and nbytes > ALLGATHER_RING_SWITCH):
-        return min(arrivals) != max(arrivals)
-    return False
+def _many_rounds(pl: Plan, arrivals: List[float]) -> bool:
+    """Whether plan ``pl`` steps O(P) rounds from ``arrivals``: a run of
+    rounds (the ring, alltoall) after head levels always (the large
+    bcast's scatter skews its ring), and with no head unless every rank
+    arrives at once, when one scalar carries the rounds."""
+    if not any(rnd.count > 1 for rnd in pl.rounds):
+        return False
+    return bool(pl.head) or min(arrivals) != max(arrivals)
 
 
 class FastCollectives:
@@ -252,8 +247,9 @@ class FastCollectives:
 
 
 # --------------------------------------------------------------------------
-# Per-rank results, replaying each algorithm's combination order so the
-# payloads (including float rounding for reductions) match the stepped run.
+# Per-rank results.  Reductions fold ``op`` over their plan in the stepped
+# algorithm's operand order, so the payloads (float rounding included)
+# match the stepped run.
 # --------------------------------------------------------------------------
 
 
@@ -261,31 +257,9 @@ def _bcast_results(inst: _Instance) -> List[Any]:
     return [inst.values[inst.root]] * len(inst.values)
 
 
-def _allreduce_results(inst: _Instance) -> List[Any]:
-    op = operator.add if inst.op is None else inst.op
-    values = inst.values
-    p = len(values)
-    pow2 = 1 << (p.bit_length() - 1)
-    r = p - pow2
-    # Fold-in: odd ranks below 2r absorb their even neighbour's value.
-    vals: List[Any] = [None] * pow2
-    for rank in range(p):
-        if rank < 2 * r:
-            if rank % 2:
-                vals[rank // 2] = op(values[rank], values[rank - 1])
-        else:
-            vals[rank - r] = values[rank]
-    mask = 1
-    while mask < pow2:
-        vals = [op(vals[i], vals[i ^ mask]) for i in range(pow2)]
-        mask <<= 1
-    out: List[Any] = [None] * p
-    for nr in range(pow2):
-        rank = nr * 2 + 1 if nr < r else nr + r
-        out[rank] = vals[nr]
-        if rank < 2 * r:
-            out[rank - 1] = vals[nr]  # hand-back to the folded even rank
-    return out
+def _fold_results(inst: _Instance) -> List[Any]:
+    return fold_values(inst.kind, inst.values, inst.nbytes, inst.root,
+                       inst.op)
 
 
 def _allgather_results(inst: _Instance) -> List[Any]:
@@ -302,28 +276,6 @@ def _alltoall_results(inst: _Instance) -> List[Any]:
          for src in range(p)]
         for dst in range(p)
     ]
-
-
-def _reduce_results(inst: _Instance) -> List[Any]:
-    op = operator.add if inst.op is None else inst.op
-    values = inst.values
-    p = len(values)
-    root = inst.root
-    # Replay the binomial tree's combination order: each vrank folds in
-    # its children ascending-mask, children having folded theirs first.
-    acc: List[Any] = [None] * p  # by vrank
-    for v in range(p - 1, -1, -1):
-        result = values[(v + root) % p]
-        mask = 1
-        while mask < p and not (v & mask):
-            c = v + mask
-            if c < p:
-                result = op(result, acc[c])
-            mask <<= 1
-        acc[v] = result
-    out: List[Any] = [None] * p
-    out[root] = acc[0]
-    return out
 
 
 def _barrier_results(inst: _Instance) -> List[Any]:
@@ -347,8 +299,8 @@ def _scatter_results(inst: _Instance) -> List[Any]:
 
 _RESULTS: Dict[str, Callable[[_Instance], List[Any]]] = {
     "bcast": _bcast_results,
-    "reduce": _reduce_results,
-    "allreduce": _allreduce_results,
+    "reduce": _fold_results,
+    "allreduce": _fold_results,
     "allgather": _allgather_results,
     "alltoall": _alltoall_results,
     "barrier": _barrier_results,

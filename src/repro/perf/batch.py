@@ -10,24 +10,23 @@ are explainable without being noisy.
 
 This module is the one place that knows whether NumPy is importable;
 everything else asks :data:`HAVE_NUMPY` / :func:`get_numpy` instead of
-importing ``numpy`` directly.
+importing ``numpy`` directly.  Importing it does not import NumPy: the
+first :func:`get_numpy` call does, so a job that never builds an array
+never pays for the import.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import warnings
 from typing import Any, Optional
 
 __all__ = ["HAVE_NUMPY", "get_numpy", "reset_fallback_warning",
            "warn_scalar_fallback"]
 
-try:  # pragma: no cover - exercised in the no-numpy CI job
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
-    _np = None
-    HAVE_NUMPY = False
+#: Whether ``numpy`` is installed (found, not yet imported).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+_np: Optional[Any] = None
 
 # Contexts that already warned this process.  Per-context (not one
 # global bool) so the first campaign to fall back cannot swallow the
@@ -37,7 +36,13 @@ _warned: set = set()
 
 
 def get_numpy() -> Optional[Any]:
-    """The ``numpy`` module, or ``None`` when it is not installed."""
+    """The ``numpy`` module, imported on the first call, or ``None`` when
+    it is not installed."""
+    global _np
+    if _np is None and HAVE_NUMPY:
+        import numpy
+
+        _np = numpy
     return _np
 
 

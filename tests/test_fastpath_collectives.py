@@ -128,6 +128,23 @@ def test_fast_path_matches_des_with_skewed_arrivals(kind, fast_runs):
         assert fast.elapsed == des.elapsed, p
 
 
+def _bracket(a, b):
+    """A non-commutative reduction: a swapped operand shows in the text."""
+    return "(" + a + b + ")"
+
+
+def _three_paths(main, p):
+    """``main`` stepped, on the stepped job's fast path where the
+    collective takes it, and on the compiled max-plus replay."""
+    stepped = mpiexec(p, host_fabric(), main, fast_collectives=False)
+    fast = mpiexec(p, host_fabric(), main, fast_collectives=True)
+    st = CompileStats()
+    replay = compiled_mpiexec(p, host_fabric(), main, vector=False, stats=st)
+    if p > 1:
+        assert st.path == "replay", st.reason
+    return stepped, fast, replay
+
+
 def test_allreduce_float_payloads_bit_identical(fast_runs):
     """Reduction order is replayed, so float sums match bit for bit."""
 
@@ -142,6 +159,26 @@ def test_allreduce_float_payloads_bit_identical(fast_runs):
         assert fast_runs == {"allreduce": p}
         des = mpiexec(p, host_fabric(), main, fast_collectives=False)
         assert fast.returns == des.returns  # exact equality, not approx
+
+
+@pytest.mark.parametrize("p", range(1, 18))
+def test_allreduce_operand_order_on_every_path(p, fast_runs):
+    """Float ``+`` is commutative bit for bit, so only a non-commutative
+    op pins which operand each combine puts first: every rank's bracketed
+    string agrees across the stepped run, the fast path and the replay."""
+
+    def main(comm):
+        return (yield from comm.allreduce(str(comm.rank), op=_bracket,
+                                          nbytes=8))
+
+    stepped, fast, replay = _three_paths(main, p)
+    if p > 1:
+        assert fast_runs == {"allreduce": p}
+    assert fast.returns == stepped.returns
+    assert replay.returns == stepped.returns
+    assert sorted(stepped.returns[0].replace("(", "").replace(")", "")) == (
+        sorted("".join(str(r) for r in range(p)))
+    )
 
 
 def test_reduce_root_result_bit_identical():
@@ -163,6 +200,24 @@ def test_reduce_root_result_bit_identical():
         assert fast.returns == des.returns  # exact equality, not approx
         assert fast.returns[1] is not None
         assert all(r is None for i, r in enumerate(fast.returns) if i != 1)
+
+
+@pytest.mark.parametrize("p", range(1, 18))
+def test_reduce_operand_order_on_every_path_and_root(p):
+    """The binomial combine order under a non-commutative op, at every
+    root: the three paths return the same bracketing, at the root only."""
+    for root in range(p):
+
+        def main(comm, root=root):
+            return (yield from comm.reduce(str(comm.rank), op=_bracket,
+                                           root=root, nbytes=8))
+
+        stepped, fast, replay = _three_paths(main, p)
+        assert fast.returns == stepped.returns, root
+        assert replay.returns == stepped.returns, root
+        assert [r is None for r in stepped.returns] == (
+            [r != root for r in range(p)]
+        )
 
 
 def _slow_rank_resolver():

@@ -1,9 +1,10 @@
 """Collective schedules: a golden digest and list/array bit equality.
 
-Every ``SCHEDULES[kind]`` in :mod:`repro.mpi.collectives` is composed of
-two max-plus steps (a ring shift and an xor-partner exchange) plus the
-binomial-tree walks, and runs on whichever container ``arrivals`` is: a
-Python list or a numpy array.  Two contracts are gated here:
+Every ``SCHEDULES[kind]`` in :mod:`repro.mpi.collectives` walks its
+kind's round plan: point-to-point levels between strided vrank slices
+(the binomial trees) and two max-plus steps (a ring shift and an
+xor-partner exchange), on whichever container ``arrivals`` is: a Python
+list or a numpy array.  These contracts are gated here:
 
 * **Golden pin** — one sha256 over the ``repr`` of every list-backed
   schedule output on a fixed grid (rank counts around the power-of-two
@@ -13,14 +14,15 @@ Python list or a numpy array.  Two contracts are gated here:
   digest.  This half runs without numpy.
 * **List vs array** — the ndarray backend returns an ndarray whose
   ``tolist()`` equals the list backend's output bit for bit.
-* **Walk oracle** — the level-synchronous binomial walks equal the
-  sequential rank-at-a-time walks they replaced, bit for bit, on lists
-  and arrays up to P=65537.
-* **Uniform-arrival oracle** — on equal arrivals the round-synchronous
-  schedules (alltoall, ring allgather, the large bcast's ring, the
-  barrier) advance one scalar per round; each equals its rounds stepped
-  one :func:`shift_step` or :func:`exchange_step` at a time, bit for
-  bit, on lists and arrays up to P=4097.
+* **Walk oracle** — a binomial tree's levels walked by :func:`_levels`
+  equal the sequential rank-at-a-time walks they replaced, bit for bit,
+  on lists and arrays up to P=65537.
+* **Uniform-arrival oracle** — on equal arrivals the data-parallel
+  rounds (alltoall, every allgather, the large bcast's ring, the
+  barrier, power-of-two allreduce) advance one scalar per round; each
+  equals its rounds stepped one :func:`shift_step` or
+  :func:`exchange_step` at a time, bit for bit, on lists and arrays up
+  to P=4097.
 * **Array kernels** — the array steps and :func:`_roll` write only into
   fresh buffers, never into their input, and equal the list kernels bit
   for bit on every offset class and mask class.
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import partial
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -39,14 +40,17 @@ from repro.mpi.collectives import (
     ALLGATHER_RING_SWITCH,
     LARGE_MESSAGE_SWITCH,
     SCHEDULES,
-    _down_walk,
+    Rounds,
+    _add_to,
+    _Wires,
+    _levels,
     _p2p,
     _roll,
+    _rounds,
     _tree,
-    _uniform,
-    _up_walk,
     _wire,
     exchange_step,
+    plan,
     shift_step,
 )
 from repro.mpi.fabrics import host_fabric, phi_fabric
@@ -204,12 +208,21 @@ def _walk_cases() -> Iterator[Tuple[object, int, int, bool, int]]:
 def test_short_last_child_crosses_the_eager_limit():
     fabric = host_fabric()
     eager_by_mask = {}
-    for par, kid, (_tp, _ts, eager) in _tree(
-        fabric, 8191, fabric.eager_max // 3, True
-    ):
-        eager_by_mask.setdefault(kid.start - par.start, []).append(eager)
+    for lvl in plan("gather", 8191, fabric.eager_max // 3).head:
+        mask = lvl.senders.start - lvl.receivers.start
+        eager_by_mask.setdefault(mask, []).append(_wire(fabric, lvl.nbytes)[2])
     # The mask-4 level: 4-block hops rendezvous, the 3-block tail eager.
     assert eager_by_mask[4] == [False, True]
+
+
+def _tree_walk(t, fabric, p, nbytes, blocks, up, root):
+    """A binomial tree's levels on ``t`` by rank: going up without blocks
+    (reduce) each receive adds the reduction arithmetic."""
+    move = "fold" if up and not blocks else "copy"
+    levels = _tree(p, nbytes, blocks, 0, move, up)
+    s = _levels(_roll(t, -root), levels, _Wires(fabric, p),
+                fabric.reduce_time(nbytes))
+    return _roll(s, root)
 
 
 @pytest.mark.parametrize("direction", ("down", "up"))
@@ -219,18 +232,19 @@ def test_level_walks_equal_sequential_walks(direction):
         rnd = random.Random(p + root)
         t = [rnd.random() * 1e-5 for _ in range(p)]
         hops = _ref_hops(fabric, p, nbytes, blocks)
-        tree = _tree(fabric, p, nbytes, blocks)
         if direction == "down":
             want = _ref_down_walk(p, root, t, hops)
-            walk = partial(_down_walk, root=root, tree=tree)
         else:
             combine = 0.0 if blocks else fabric.reduce_time(nbytes)
             want = _ref_up_walk(p, root, t, hops, combine)
-            walk = partial(_up_walk, root=root, tree=tree, combine=combine)
+        up = direction == "up"
         case = (fabric.name, p, nbytes, blocks, root)
-        assert walk(list(t)) == want, case
+        got = _tree_walk(list(t), fabric, p, nbytes, blocks, up, root)
+        assert got == want, case
         if np is not None:
-            assert walk(np.asarray(t, dtype=float)).tolist() == want, case
+            got = _tree_walk(np.asarray(t, dtype=float), fabric, p, nbytes,
+                             blocks, up, root)
+            assert got.tolist() == want, case
 
 
 # --------------------------------------------- uniform-arrival oracle
@@ -240,10 +254,27 @@ def test_level_walks_equal_sequential_walks(direction):
 
 UNIFORM_P = (2, 3, 5, 8, 13, 16, 127, 128, 4097)
 
-UNIFORM_KINDS = ("alltoall", "allgather", "bcast", "barrier")
+UNIFORM_KINDS = ("alltoall", "allgather", "bcast", "barrier", "allreduce")
 
 
 def _stepped_rounds(kind, fabric, p, nbytes, t):
+    if kind == "allreduce":  # power-of-two P: no fold
+        wire = _wire(fabric, nbytes)
+        mask = 1
+        while mask < p:
+            t = _add_to(exchange_step(t, mask, *wire),
+                        fabric.reduce_time(nbytes))
+            mask <<= 1
+        return t
+    if kind == "allgather" and nbytes <= ALLGATHER_RING_SWITCH:
+        k = 1
+        while k < p:
+            if p & (p - 1) == 0:
+                t = exchange_step(t, k, *_wire(fabric, nbytes * k))
+            else:
+                t = shift_step(t, -k, *_wire(fabric, nbytes * min(k, p - k)))
+            k <<= 1
+        return t
     if kind == "alltoall":
         step = exchange_step if p & (p - 1) == 0 else shift_step
         for rnd in range(1, p):
@@ -268,15 +299,16 @@ def _ring_input(kind, fabric, p, nbytes, t):
     if kind != "bcast":
         return t, nbytes
     chunk = max(1, nbytes // p)
-    return _down_walk(t, p // 2, _tree(fabric, p, chunk, True)), chunk
+    return SCHEDULES["scatter"](fabric, p, chunk, t, p // 2), chunk
 
 
 def _uniform_sizes(kind, fabric, p):
-    """One eager and one rendezvous message (a bcast's ring chunk)."""
+    """One eager and one rendezvous message (a bcast's ring chunk), and
+    for allgather one block below the ring switch."""
     if kind == "bcast":
         return (LARGE_MESSAGE_SWITCH + 1, (fabric.eager_max + 1) * p)
     if kind == "allgather":
-        return (ALLGATHER_RING_SWITCH + 1, fabric.eager_max + 1)
+        return (64, ALLGATHER_RING_SWITCH + 1, fabric.eager_max + 1)
     return (64, fabric.eager_max + 1)
 
 
@@ -295,6 +327,8 @@ def test_uniform_arrivals_equal_stepped_rounds(kind):
         for p in UNIFORM_P:
             if p > 128 and np is None:
                 continue
+            if kind == "allreduce" and p & (p - 1):
+                continue  # the fold's survivors enter the rounds unequal
             arrivals = [1e-6] * p
             for nbytes in _uniform_sizes(kind, fabric, p):
                 case = (kind, fabric.name, p, nbytes)
@@ -317,16 +351,33 @@ def test_uniform_arrivals_equal_stepped_rounds(kind):
                     assert got.tolist() == want, case
 
 
+class _FixedWire:
+    """A fabric whose every eager message costs ``tp`` on the wire and
+    ``ts`` at the sender."""
+
+    eager_max = 1 << 30
+
+    def __init__(self, tp, ts):
+        self.tp, self.ts = tp, ts
+
+    def p2p_time(self, nbytes, pattern="neighbor", n_senders=1):
+        return self.tp
+
+    def sender_time(self, nbytes):
+        return self.ts
+
+
 @pytest.mark.parametrize("tp, ts", ((3e-7, 1e-7), (1e-7, 3e-7)))
 def test_uniform_rule_on_either_eager_cost(tp, ts):
     """The shipped fabrics' eager transfer outlasts the sender's copy
     (``tp > ts``); the rule must hold the other way round too, and
-    decline arrivals that differ."""
-    want = t = [1e-6] * 5
-    for rnd in range(1, 5):
-        want = shift_step(want, rnd, tp, ts, True)
-    assert _uniform(t, 4, tp, ts, True) == want
-    assert _uniform([1e-6, 2e-6, 1e-6], 2, tp, ts, True) is None
+    arrivals that differ must be stepped."""
+    shifts = (Rounds(False, 1, 8, 0, "copy", count=4, stride=1),)
+    for t in ([1e-6] * 5, [1e-6, 2e-6, 1e-6, 3e-6, 1e-6]):
+        want = t
+        for rnd in range(1, 5):
+            want = shift_step(want, rnd, tp, ts, True)
+        assert _rounds(t, shifts, _Wires(_FixedWire(tp, ts), 5), 0.0) == want
 
 
 # ------------------------------------------------------ array kernels
