@@ -146,14 +146,9 @@ def _cmd_trace(args) -> int:
 
         fabric = host_fabric() if args.fabric == "host" else phi_fabric(args.tpc)
         if args.experiment == "cg":
-            from repro.errors import ConfigError
-            from repro.npb import cg as cg_serial
-            from repro.npb.mpi_versions import cg_mpi
+            from repro.npb.mpi_versions import cg_main
 
-            if args.ranks & (args.ranks - 1):
-                raise ConfigError("CG requires a power-of-two rank count")
-            a = cg_serial.make_matrix("S")
-            main = lambda comm: cg_mpi(comm, "S", matrix=a)  # noqa: E731
+            main = cg_main(args.ranks)
         else:
             main = _trace_main(args.experiment, args.nbytes)
         res = compiled_mpiexec(args.ranks, fabric, main, tracer=tracer)
@@ -425,13 +420,9 @@ def _cmd_compile(args) -> int:
 
     fabric = host_fabric() if args.fabric == "host" else phi_fabric(args.tpc)
     if args.experiment == "cg":
-        from repro.errors import ConfigError
-        from repro.npb import cg as cg_serial
-        from repro.npb.mpi_versions import cg_mpi
+        from repro.npb.mpi_versions import cg_main
 
-        if args.ranks & (args.ranks - 1):
-            raise ConfigError("CG requires a power-of-two rank count")
-        main = partial(cg_mpi, problem="S", matrix=cg_serial.make_matrix("S"))
+        main = cg_main(args.ranks)
     else:
         main = _trace_main(args.experiment, args.nbytes)
 

@@ -86,10 +86,12 @@ def make_matrix(problem: str = "S") -> sp.csr_matrix:
 
     The matrix is deterministic, so it is built once per process and the
     same object is returned to every later caller.  Its ``data``,
-    ``indices`` and ``indptr`` are read-only: writing to them raises
-    ``ValueError`` rather than corrupting every later CG run.  Only the
-    most recent class is kept, so a large class never stays pinned
-    beside another.
+    ``indices`` and ``indptr`` live in immutable ``bytes``: writing to
+    them raises ``ValueError`` rather than corrupting every later CG
+    run, and so does making them writeable again.  That is also what
+    lets :func:`repro.perf.cache.fingerprint` hash their contents once
+    per process rather than on every job key.  Only the most recent
+    class is kept, so a large class never stays pinned beside another.
     """
     return _cached_matrix(problem_class(problem))
 
@@ -97,8 +99,10 @@ def make_matrix(problem: str = "S") -> sp.csr_matrix:
 @lru_cache(maxsize=1)
 def _cached_matrix(problem: str) -> sp.csr_matrix:
     a = _build_matrix(problem)
-    for arr in (a.data, a.indices, a.indptr):
-        arr.flags.writeable = False
+    a.data, a.indices, a.indptr = (
+        np.frombuffer(arr.tobytes(), dtype=arr.dtype)
+        for arr in (a.data, a.indices, a.indptr)
+    )
     return a
 
 

@@ -330,6 +330,18 @@ def is_mpi(comm: Communicator, problem: str = "S") -> Generator:
     }
 
 
+def cg_main(n_ranks: int, problem: str = "S") -> partial:
+    """The CG rank main for ``n_ranks`` ranks, bound to the shared matrix.
+
+    A :func:`functools.partial`, not a lambda, so a job fingerprint
+    covers the problem class and the matrix contents.  Raises
+    :class:`ConfigError` unless ``n_ranks`` is a power of two.
+    """
+    if n_ranks & (n_ranks - 1):
+        raise ConfigError("CG requires a power-of-two rank count")
+    return partial(cg_mpi, problem=problem, matrix=cg_serial.make_matrix(problem))
+
+
 def run_cg_mpi(
     n_ranks: int,
     fabric,
@@ -345,13 +357,9 @@ def run_cg_mpi(
     analytic max-plus schedules (falling back to the stepped engine
     transparently) and, given an :class:`~repro.perf.cache.EvalCache` as
     ``cache``, memoizes whole runs keyed by (program, matrix, fabric,
-    size).  The rank main is a :func:`functools.partial` — not a lambda —
-    so its fingerprint covers the problem class and matrix contents.
+    size); the rank main is :func:`cg_main`'s.
     """
-    if n_ranks & (n_ranks - 1):
-        raise ConfigError("CG requires a power-of-two rank count")
-    a = cg_serial.make_matrix(problem)
-    main = partial(cg_mpi, problem=problem, matrix=a)
+    main = cg_main(n_ranks, problem)
     if compiled:
         from repro.mpi.compile import compiled_mpiexec
 

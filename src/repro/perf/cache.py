@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -101,6 +102,63 @@ def _module_token(obj: Any) -> str:
     return f"__entry__[{os.path.basename(src)}]"
 
 
+#: Tokens of frozen arrays (see :func:`_array_token`) by ``id``: a weak
+#: reference to the array, the dtype object, shape and strides the token
+#: was built from, and the token.  The weakref's callback drops the entry
+#: when the array dies, before its ``id`` can be reused.
+_FROZEN_TOKENS: Dict[int, Tuple[Any, Any, Any, Any, str]] = {}
+
+
+def _frozen(arr: Any) -> bool:
+    """True when ``arr``'s memory is an immutable ``bytes`` object.
+
+    numpy refuses ``flags.writeable = True`` on an array whose ``.base``
+    chain ends in ``bytes``, and on every view of it, so no owner can
+    change its contents.  A read-only array that owns its memory is not
+    frozen: its owner can flip the flag back and write.  A structured
+    dtype is not frozen either, since its field names can be renamed in
+    place.
+    """
+    base = arr
+    while base is not None and not isinstance(base, bytes):
+        base = getattr(base, "base", None)
+    return base is not None and getattr(arr.dtype, "names", None) is None
+
+
+def _array_token(arr: Any) -> str:
+    """``nd:dtype:shape:digest;`` for an array duck type (numpy without
+    importing numpy): problem matrices key NPB job memos by content.
+
+    A frozen array's token is computed once and memoized on the object,
+    checked against a weak reference (so a reused ``id`` never answers)
+    and against the dtype object, shape and strides, which numpy lets an
+    owner reassign in place.  Every other array is hashed on every call.
+    """
+    frozen = _frozen(arr)
+    oid = id(arr)
+    if frozen:
+        entry = _FROZEN_TOKENS.get(oid)
+        if (
+            entry is not None
+            and entry[0]() is arr
+            and entry[1] is arr.dtype
+            and entry[2:4] == (arr.shape, arr.strides)
+        ):
+            return entry[4]
+    digest = hashlib.sha256(arr.tobytes()).hexdigest()
+    token = f"nd:{arr.dtype}:{getattr(arr, 'shape', ())}:{digest};"
+    if frozen:
+        ref = weakref.ref(arr, functools.partial(_forget, oid))
+        _FROZEN_TOKENS[oid] = (ref, arr.dtype, arr.shape, arr.strides, token)
+    return token
+
+
+def _forget(oid: int, ref: Any) -> None:
+    """Weakref callback: drop a dead array's entry, unless it was replaced."""
+    if _FROZEN_TOKENS.get(oid, (None,))[0] is ref:
+        del _FROZEN_TOKENS[oid]
+
+
 def _canonical(obj: Any, out: list, _seen: Optional[Set[int]] = None) -> None:
     """Append a canonical token stream for ``obj`` to ``out``.
 
@@ -166,10 +224,7 @@ def _canonical_composite(obj: Any, out: list, _seen: Set[int]) -> None:
             _canonical(item, out, _seen)
         out.append("};")
     elif hasattr(obj, "dtype") and hasattr(obj, "tobytes"):
-        # Array duck type (numpy without importing numpy): dtype, shape
-        # and a content digest — problem matrices key NPB job memos.
-        digest = hashlib.sha256(obj.tobytes()).hexdigest()
-        out.append(f"nd:{obj.dtype}:{getattr(obj, 'shape', ())}:{digest};")
+        out.append(_array_token(obj))
     elif isinstance(obj, functools.partial):
         out.append("partial(")
         _canonical(obj.func, out, _seen)

@@ -104,6 +104,25 @@ class TestTrace:
         assert len(digest) == 1 and len(digest[0].split()[1]) == 64
         assert "events: 28672" in out  # 7 spans a rank, no engine instants
 
+    def test_cg_traces_the_job_run_cg_mpi_runs(self, capsys, tmp_path):
+        from repro.mpi.fabrics import host_fabric
+        from repro.npb.mpi_versions import run_cg_mpi
+
+        out_path = tmp_path / "cg.json"
+        rc, out = run_cli(capsys, "trace", "cg", "--ranks", "4",
+                          "--out", str(out_path))
+        assert rc == 0 and out_path.stat().st_size > 0
+        elapsed = run_cg_mpi(4, host_fabric()).elapsed
+        assert f"elapsed={elapsed:.6e}s" in out
+
+
+class TestCompile:
+    def test_cg_rejects_a_rank_count_not_a_power_of_two(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="power-of-two"):
+            main(["compile", "cg", "--ranks", "6"])
+
 
 class TestCheck:
     def test_static_on_shipped_programs_clean(self, capsys):

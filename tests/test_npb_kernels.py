@@ -156,6 +156,8 @@ class TestOfficialVerification:
         arr = getattr(cg.make_matrix("S"), field)
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True  # its memory is immutable bytes
         assert cg.run("S").verified  # the shared matrix is untouched
 
     def test_mg_class_s(self):

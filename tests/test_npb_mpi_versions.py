@@ -137,6 +137,21 @@ class TestCgMpi:
         assert key(same) == key(a.copy())
         assert key(perturbed) != key(same)
 
+        # Bytes-backed arrays, as in the shared matrix, have their digest
+        # memoized; a copy one ulp away must still key apart.
+        def bytes_backed(matrix):
+            m = matrix.copy()
+            m.data, m.indices, m.indptr = (
+                np.frombuffer(arr.tobytes(), dtype=arr.dtype)
+                for arr in (m.data, m.indices, m.indptr)
+            )
+            return m
+
+        frozen_same = bytes_backed(same)
+        assert key(frozen_same) == key(frozen_same) == key(same)
+        assert key(bytes_backed(perturbed)) == key(perturbed)
+        assert key(bytes_backed(perturbed)) != key(frozen_same)
+
 
 class TestFtMpi:
     @pytest.mark.parametrize("ranks", [2, 4, 8])

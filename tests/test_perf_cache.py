@@ -1,5 +1,8 @@
 """Tests for the memoized evaluation cache (repro.perf.cache)."""
 
+import gc
+import hashlib
+
 import pytest
 
 from repro.core import Evaluator
@@ -7,6 +10,7 @@ from repro.core.software import PRE_UPDATE
 from repro.errors import OutOfMemoryError
 from repro.machine.node import Device
 from repro.npb.characterization import class_c_kernel
+from repro.perf import cache as cache_module
 from repro.perf.cache import EvalCache, fingerprint
 
 
@@ -314,6 +318,108 @@ class TestCallableFingerprint:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert outs[0].strip()
+
+
+# --------------------------------------------------------------------------
+# frozen arrays: contents hashed once while their memory cannot change
+# --------------------------------------------------------------------------
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` in repro.perf.cache and records the
+    bytes each ``sha256`` call was given."""
+
+    def __init__(self):
+        self.hashed = []
+
+    def sha256(self, data=b""):
+        self.hashed.append(bytes(data))
+        return hashlib.sha256(data)
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    counter = _CountingHashlib()
+    monkeypatch.setattr(cache_module, "hashlib", counter)
+    return counter
+
+
+def _bytes_backed(np, arr):
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype)
+
+
+class TestFrozenArrays:
+    def test_bytes_backed_array_is_hashed_once(self, hashes):
+        np = pytest.importorskip("numpy")
+        arr = _bytes_backed(np, np.arange(12.0))
+        keys = {fingerprint(arr) for _ in range(5)}
+        assert hashes.hashed.count(arr.tobytes()) == 1
+        # The memoized key is the key of an equal array hashed afresh.
+        assert keys == {fingerprint(np.arange(12.0))}
+
+    def test_views_are_hashed_once_under_their_own_shape(self, hashes):
+        np = pytest.importorskip("numpy")
+        arr = _bytes_backed(np, np.arange(12.0))
+        tail, grid = arr[2:], arr[2:].reshape(2, 5)
+        assert grid.base is not arr.base  # a chain of views down to bytes
+        for view in (tail, grid):
+            hashes.hashed.clear()
+            keys = {fingerprint(view) for _ in range(3)}
+            assert hashes.hashed.count(view.tobytes()) == 1
+            assert keys == {fingerprint(view.copy())}
+        assert f":{grid.shape}:" in cache_module._array_token(grid)
+        assert fingerprint(grid) != fingerprint(tail)
+
+    def test_reshaped_in_place_is_keyed_by_the_new_shape(self):
+        np = pytest.importorskip("numpy")
+        arr = _bytes_backed(np, np.arange(12.0))
+        flat = fingerprint(arr)
+        arr.shape = (3, 4)
+        assert fingerprint(arr) != flat
+        assert fingerprint(arr) == fingerprint(np.arange(12.0).reshape(3, 4))
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_array_owning_its_memory_is_hashed_every_call(
+        self, hashes, read_only
+    ):
+        np = pytest.importorskip("numpy")
+        arr = np.arange(12.0)
+        arr.flags.writeable = not read_only
+        before = fingerprint(arr)
+        assert fingerprint(arr) == before
+        assert hashes.hashed.count(arr.tobytes()) == 2
+        arr.flags.writeable = True  # its owner may always flip the flag back
+        arr[3] = -1.0
+        arr.flags.writeable = not read_only
+        assert fingerprint(arr) != before
+
+    def test_structured_dtype_is_hashed_every_call(self, hashes):
+        np = pytest.importorskip("numpy")
+        arr = _bytes_backed(np, np.zeros(4, dtype=[("a", "f8")]))
+        before = fingerprint(arr)
+        assert fingerprint(arr) == before
+        assert hashes.hashed.count(arr.tobytes()) == 2
+        arr.dtype.names = ("b",)  # renames the fields in place
+        assert fingerprint(arr) != before
+
+    def test_dead_array_leaves_the_memo(self):
+        np = pytest.importorskip("numpy")
+        memo = cache_module._FROZEN_TOKENS
+        gc.collect()
+        size = len(memo)
+        keys = set()
+        for i in range(50):
+            arr = _bytes_backed(np, np.full(8, float(i)))
+            oid = id(arr)
+            keys.add(fingerprint(arr))
+            assert oid in memo
+            # A later array may reuse this id; it must be hashed afresh.
+            assert fingerprint(arr) == fingerprint(np.full(8, float(i)))
+            del arr
+            gc.collect()
+            assert oid not in memo
+        assert len(keys) == 50
+        assert len(memo) == size
 
 
 class TestSpawnFingerprint:
