@@ -30,8 +30,11 @@ Campaigns:
 * the NPB EP and CG solvers at P ∈ {4, 8} with official verification,
   gating bit-identical returns and warm memo hits;
 * the lowering layer alone: :func:`repro.mpi.phasec.lower` of a
-  3-iteration ring-shift + allgather job at P=65536 (quick too), best
-  of five.  Its cost depends on the probe ranks and ops, not on P.
+  3-iteration ring-shift + allgather job and of the 3-iteration halo
+  job at P=65536 (quick too), best of five each.  Its cost depends on
+  the probe ranks and ops, not on P.  Each point records its phase
+  count and the sha256 of the lowered program's ``to_dict()`` JSON,
+  which ``benchdiff`` requires to equal the baseline's.
 
 Writes ``BENCH_jobcompile.json`` so CI can gate regressions::
 
@@ -44,6 +47,7 @@ Under pytest it runs the quick campaign as a smoke test.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -99,6 +103,11 @@ def _allgather_main(nbytes, iters, comm):
         yield from comm.compute(1e-7)
         out = yield from comm.allgather(comm.rank, nbytes=nbytes)
     return out
+
+
+#: The lowering leg's jobs: a list-valued collective, and two
+#: ``sendrecv`` shifts per iteration.
+LOWER_JOBS = {"allgather": _allgather_main, "halo": _halo_main}
 
 
 def _same(a: Any, b: Any) -> bool:
@@ -262,24 +271,27 @@ def _vector_point(p: int, with_stepped: bool) -> Dict[str, Any]:
     return point
 
 
-def _lower_point(p: int) -> Dict[str, Any]:
-    """The best of LOWER_REPEATS ``lower`` calls of the allgather job
-    (only the first pays the static veto's source scan)."""
+def _lower_point(p: int, job: str) -> Dict[str, Any]:
+    """The best of LOWER_REPEATS ``lower`` calls of one LOWER_JOBS job
+    (only the first pays the static veto's source scan), with the sha256
+    of the lowered program."""
     from repro.mpi.fabrics import phi_fabric
     from repro.mpi.phasec import lower
 
     fabric = phi_fabric(2)
-    main = partial(_allgather_main, HALO_NBYTES, LOWER_ITERS)
+    main = partial(LOWER_JOBS[job], HALO_NBYTES, LOWER_ITERS)
     best = float("inf")
     for _ in range(LOWER_REPEATS):
         t0 = time.perf_counter()
         program = lower(main, p, fabric=fabric)
         best = min(best, time.perf_counter() - t0)
+    blob = json.dumps(program.to_dict(), sort_keys=True).encode()
     return {
         "ranks": p,
-        "coll": "allgather",
+        "job": job,
         "iters": LOWER_ITERS,
-        "lower": {"wall": best, "phases": len(program.phases)},
+        "lower": {"wall": best, "phases": len(program.phases),
+                  "digest": hashlib.sha256(blob).hexdigest()},
     }
 
 
@@ -330,7 +342,8 @@ def run_jobcompile(
                 for p in (HALO_RANKS_QUICK if quick else HALO_RANKS)
             ]
         },
-        "lower": {"points": [_lower_point(LOWER_RANKS)]},
+        "lower": {"points": [_lower_point(LOWER_RANKS, job)
+                             for job in LOWER_JOBS]},
     }
     try:
         import numpy  # noqa: F401
@@ -483,7 +496,7 @@ def render_report(report: Dict[str, Any]) -> str:
         tag = f"lower P={pt['ranks']}"
         low = pt["lower"]
         lines.append(f"{tag:>16} {'lower':>7} {low['wall']:>9.4f} "
-                     f"({pt['coll']}, {low['phases']} phases)")
+                     f"({pt['job']}, {low['phases']} phases)")
     for pt in report.get("npb", {}).get("points", ()):
         tag = f"npb-{pt['bench']} P={pt['ranks']}"
         for label in ("replay", "memo"):

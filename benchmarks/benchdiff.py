@@ -14,7 +14,8 @@ What is compared per report family:
 * **jobcompile** — every gate of ``bench_jobcompile.check_report`` on
   the fresh report, plus per-point replay/memo wall budgets (and the
   halo points' traced-replay wall, the vector points' wall and the
-  lowering leg's wall).
+  lowering leg's wall), plus exact equality of each lowered program's
+  phase count and sha256 digest.
 * **campaign** — every kill-and-resume and worker-kill gate boolean,
   plus reference and resume wall budgets (the killed legs retry with
   doubled throttles, so their walls are not budgeted).
@@ -115,8 +116,9 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
             )
             continue
         for bp, fp in zip(b_points, f_points):
+            name = bp.get("bench", bp.get("job"))
             tag = f"jobcompile.{family}[P={bp.get('ranks')}" + (
-                f",{bp['bench']}]" if "bench" in bp else "]"
+                f",{name}]" if name else "]"
             )
             if "stepped" in bp and "stepped" in fp:
                 d.exact(
@@ -131,6 +133,10 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
             }.get(family, ("replay", "memo"))
             for label in labels:
                 d.wall(f"{tag}.{label}.wall", bp[label]["wall"], fp[label]["wall"])
+            if family == "lower":
+                for key in ("phases", "digest"):
+                    d.exact(f"{tag}.lower.{key}", bp["lower"].get(key),
+                            fp["lower"].get(key))
 
 
 def diff_campaign(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> None:
@@ -233,6 +239,22 @@ def test_benchdiff_jobcompile_budgets_the_traced_leg():
     assert diff_reports(report(1.0), report(2.5), "jobcompile").rows == []
     rows = diff_reports(report(1.0), report(3.5), "jobcompile").rows
     assert [r[0] for r in rows] == ["jobcompile.halo[P=16384].traced.wall"]
+
+
+def test_benchdiff_jobcompile_gates_lowered_output_exactly():
+    def report(digest, phases=9):
+        point = {"ranks": 65536, "job": "halo", "iters": 3,
+                 "lower": {"wall": 1e-3, "phases": phases, "digest": digest}}
+        return {"name": "jobcompile", "halo": {"points": []},
+                "lower": {"points": [point]}}
+
+    assert diff_reports(report("ab"), report("ab"), "jobcompile").rows == []
+    rows = diff_reports(report("ab"), report("cd", 8), "jobcompile").rows
+    assert [r[0] for r in rows] == [
+        "jobcompile.lower[P=65536,halo].lower.phases",
+        "jobcompile.lower[P=65536,halo].lower.digest",
+    ]
+    assert {r[3] for r in rows} == {"value changed"}
 
 
 def test_benchdiff_floor_tolerates_noise():

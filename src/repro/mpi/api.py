@@ -114,6 +114,9 @@ class RankComm:
     A subclass sets ``rank`` and ``size`` and supplies the
     point-to-point primitives (``send``, ``recv``, ``isend``, ``irecv``)
     and :meth:`_collective`, the one entry every collective forwards to.
+    The replay and trace communicators override ``sendrecv`` with one
+    call each that keeps this version's checks, order and errors; only
+    the stepped :class:`Communicator` runs the base ``sendrecv``.
     """
 
     __slots__ = ()

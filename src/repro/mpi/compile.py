@@ -91,7 +91,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
 from repro.mpi.api import RankComm
 from repro.mpi.fabrics import Fabric
@@ -115,6 +114,24 @@ __all__ = [
 #: automatically: numpy dispatch overhead beats the scalar replay's
 #: trampoline on tiny clock vectors (pass ``vector=True`` to force it).
 VECTOR_MIN_RANKS = 128
+
+
+#: :func:`repro.analyze.staticcheck.rank_program_profile` once imported.
+#: An import statement run on every job cost price-replay ~3% of p50.
+_profile: Optional[Callable[[RankMain], Any]] = None
+
+
+def rank_program_profile(main: RankMain) -> Any:
+    """:func:`repro.analyze.staticcheck.rank_program_profile`, imported at
+    the first call, so importing the MPI stack leaves
+    :mod:`repro.analyze` unloaded."""
+    global _profile
+    if _profile is None:
+        from repro.analyze.staticcheck import rank_program_profile as profile
+
+        _profile = profile
+    return _profile(main)
+
 
 class ReplayFallback(Exception):
     """The job uses a construct the max-plus replay cannot express.

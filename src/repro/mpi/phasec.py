@@ -51,7 +51,7 @@ import functools
 import inspect
 import itertools
 import textwrap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.api import RankComm
@@ -281,7 +281,7 @@ class _TraceRequest:
         self._idx = idx
 
     def wait(self) -> Generator:
-        self._comm._record(("wait", self._idx))
+        self._comm.stream.append(("wait", self._idx))
         return
         yield  # pragma: no cover - makes wait() a generator
 
@@ -323,9 +323,6 @@ class _TraceComm(RankComm):
 
     # ------------------------------------------------------------ plumbing
 
-    def _record(self, op: Tuple[Any, ...]) -> None:
-        self.stream.append(op)
-
     def _offset(self, peer: Any, what: str) -> int:
         peer = _as_int(peer, what)
         self._check_peer(peer)
@@ -361,7 +358,7 @@ class _TraceComm(RankComm):
         off = self._offset(source, "recv source")
         if tag is not None:
             tag = _as_int(tag, "recv tag")
-        self._record(("recv", off, tag))
+        self.stream.append(("recv", off, tag))
         return _TraceEnv(source, self.rank, tag)
         yield  # pragma: no cover - makes recv() a generator
 
@@ -378,18 +375,56 @@ class _TraceComm(RankComm):
         tag = _as_int(tag, "isend tag")
         idx = self._n_isend
         self._n_isend += 1
-        self._record(("isend", off, nbytes, tag, idx))
+        self.stream.append(("isend", off, nbytes, tag, idx))
         return _TraceRequest(self, idx)
+
+    def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
+                 payload: Any = None) -> Generator:
+        """:meth:`RankComm.sendrecv`'s ``isend`` + ``recv`` + ``wait`` in
+        one call: the same checks in the same order, with the same
+        errors, then the same three ops recorded at once.
+
+        An in-range plain ``int`` peer takes the fast branch; anything
+        else goes through :meth:`_offset`, which refuses it or, for an
+        ``int`` subclass, normalizes it as ``isend``/``recv`` would.
+        """
+        size = self.size
+        if type(dest) is int and 0 <= dest < size:
+            d_off = (dest - self.rank) % size
+        else:
+            d_off = self._offset(dest, "isend dest")
+        if type(nbytes) is not int:
+            nbytes = _as_int(nbytes, "message size")
+        if nbytes < 0:
+            raise LowerFallback("negative message size")
+        if type(tag) is not int:
+            tag = _as_int(tag, "isend tag")
+        if source is None:
+            raise LowerFallback("wildcard-source recv")
+        if type(source) is int and 0 <= source < size:
+            s_off = (source - self.rank) % size
+        else:
+            s_off = self._offset(source, "recv source")
+        idx = self._n_isend
+        self._n_isend = idx + 1
+        self.stream.extend(
+            (("isend", d_off, nbytes, tag, idx), ("recv", s_off, tag),
+             ("wait", idx))
+        )
+        return _TraceEnv(source, self.rank, tag)
+        yield  # pragma: no cover - makes sendrecv() a generator
 
     # ----------------------------------------------------------- utilities
 
     def compute(self, seconds: float) -> Generator:
-        if isinstance(seconds, _Opaque) or isinstance(seconds, bool) or \
-                not isinstance(seconds, (int, float)):
+        t = type(seconds)
+        if t is not float and t is not int and (
+                isinstance(seconds, (_Opaque, bool))
+                or not isinstance(seconds, (int, float))):
             raise LowerFallback("non-constant compute time")
         if seconds < 0:
             raise LowerFallback("negative compute time")
-        self._record(("compute", float(seconds)))
+        self.stream.append(("compute", float(seconds)))
         return None
         yield  # pragma: no cover - makes compute() a generator
 
@@ -415,11 +450,15 @@ class _TraceComm(RankComm):
             if (value is None and kind == "scatter") or \
                     (value is not None and len(value) != self.size):
                 raise LowerFallback(f"mis-sized {kind} values")
-        nbytes = _as_int(nbytes, "collective size")
+        if type(nbytes) is not int:
+            nbytes = _as_int(nbytes, "collective size")
         if nbytes < 0:
             raise LowerFallback("negative collective size")
-        root = 0 if root is None else _as_int(root, "collective root")
-        self._record(("coll", kind, nbytes, root))
+        if root is None:
+            root = 0
+        elif type(root) is not int:
+            root = _as_int(root, "collective root")
+        self.stream.append(("coll", kind, nbytes, root))
         if kind == "barrier" or (kind in ("reduce", "gather") and not at_root):
             return None
         if kind in ("allgather", "alltoall", "gather"):
@@ -541,8 +580,12 @@ def _trace_rank(main: Any, rank: int, size: int,
 
 def _assemble(stream: List[Tuple[Any, ...]], p: int) -> Tuple[Phase, ...]:
     """Fold the canonical op stream into phases (shift triples, colls,
-    computes) with run-length compression."""
-    phases: List[Phase] = []
+    computes) with run-length compression.
+
+    Each phase is first a tuple of :class:`Phase`'s fields but ``count``,
+    in declaration order, so a run extends by comparing two tuples.
+    """
+    runs: List[List[Any]] = []  # [fields, count]
     i, n = 0, len(stream)
     while i < n:
         op = stream[i]
@@ -558,28 +601,22 @@ def _assemble(stream: List[Tuple[Any, ...]], p: int) -> Tuple[Phase, ...]:
                 raise LowerFallback("shift peers are not one ring offset")
             if rtag is not None and rtag != stag:
                 raise LowerFallback("shift tags do not match")
-            phases.append(
-                Phase(kind="shift", offset=d_off, nbytes=nbytes, tag=stag)
-            )
+            fields = ("shift", d_off, nbytes, stag, "", 0, 0.0)
             i += 3
         elif kind == "compute":
-            phases.append(Phase(kind="compute", seconds=op[1]))
+            fields = ("compute", 0, 0, 0, "", 0, op[1])
             i += 1
         elif kind == "coll":
             _, ckind, nbytes, root = op
-            phases.append(
-                Phase(kind="coll", coll=ckind, nbytes=nbytes, root=root)
-            )
+            fields = ("coll", 0, nbytes, 0, ckind, root, 0.0)
             i += 1
         else:  # a recv or wait that no isend claimed
             raise LowerFallback(f"{kind} outside a shift triple")
-    out: List[Phase] = []
-    for ph in phases:
-        if out and replace(out[-1], count=1) == ph:
-            out[-1] = replace(out[-1], count=out[-1].count + 1)
+        if runs and runs[-1][0] == fields:
+            runs[-1][1] += 1
         else:
-            out.append(ph)
-    return tuple(out)
+            runs.append([fields, 1])
+    return tuple(Phase(f[0], count, *f[1:]) for f, count in runs)
 
 
 def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:

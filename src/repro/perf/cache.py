@@ -258,6 +258,15 @@ def _canonical_composite(obj: Any, out: list, _seen: Set[int]) -> None:
         module = _module_token(obj)
         qualname = getattr(obj, "__qualname__", repr(obj))
         out.append(f"fn:{module}.{qualname};")
+    elif type(obj).__module__.startswith("scipy.sparse.") and \
+            hasattr(obj, "indptr"):
+        # A compressed scipy sparse matrix (CSR, CSC, BSR) keys by its
+        # contents.  Its __dict__ also holds index-order flags scipy
+        # caches lazily, which would key equal matrices differently.
+        out.append(f"sparse:{type(obj).__name__}:{obj.format}:{obj.shape}(")
+        for arr in (obj.data, obj.indices, obj.indptr):
+            out.append(_array_token(arr))
+        out.append(");")
     else:
         # Plain objects (e.g. MaiaNode, Processor facades): class name plus
         # their attribute dict, covering both __dict__ and __slots__.

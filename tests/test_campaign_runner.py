@@ -149,7 +149,8 @@ class TestExecutionModes:
 
     def test_importing_the_library_loads_no_process_pool(self):
         # The campaign pool imports concurrent.futures and multiprocessing
-        # only when it is built, and numpy loads on the first array built;
+        # only when it is built, numpy loads on the first array built, and
+        # repro.analyze on the first compiled job's static profile;
         # importing the library must not pay for them.
         import os
         import subprocess
@@ -163,7 +164,7 @@ class TestExecutionModes:
             "import repro.mpi.compile, repro.figures, repro.core.sweep, "
             "repro.campaign\n"
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
-            " 'numpy') if m in sys.modules))\n"
+            " 'numpy', 'repro.analyze') if m in sys.modules))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -9,7 +9,10 @@ Five contracts are gated here:
 * **Lowering refusals** — every construct outside the phase vocabulary
   (wildcard receives, rank-dependent branches, payload-dependent
   control flow, blocking sends, ``irecv``, rank-divergent streams)
-  raises :class:`~repro.mpi.phasec.LowerFallback`; selection-level
+  raises :class:`~repro.mpi.phasec.LowerFallback`, and the trace
+  communicator's one-call ``sendrecv``, ``compute`` and collectives
+  record what the shared ops record and refuse what they refuse, with
+  the same messages; selection-level
   vetoes (fault plans, time-varying fabrics) route the whole job to the
   stepped engine, and a tracer routes it to the scalar replay.
 * **List-valued results** — allgather, alltoall and gather-at-root hand
@@ -28,6 +31,7 @@ Five contracts are gated here:
 
 from __future__ import annotations
 
+import enum
 import functools
 import hashlib
 import json
@@ -40,6 +44,7 @@ import pytest
 import repro.mpi.compile as compile_mod
 import repro.mpi.phasec as phasec_mod
 from repro.errors import ConfigError
+from repro.mpi.api import RankComm
 from repro.mpi.compile import CompileStats, compiled_mpiexec, replay
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.phasec import (
@@ -269,6 +274,157 @@ def test_lower_refuses(main, needle):
 def test_lower_refuses_trivial_jobs():
     with pytest.raises(LowerFallback, match="P < 2"):
         lower(partial(_halo_main, 64, 1), 1, fabric=host_fabric())
+
+
+# ------------------------------------------- the trace communicator's ops
+
+
+class _Peer(enum.IntEnum):
+    ONE = 1
+    THREE = 3
+
+
+def _drive(gen):
+    """Run one traced op to its return value; it must yield nothing."""
+    try:
+        cmd = next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError(f"a traced op yielded {cmd!r}")
+
+
+def _traced(call):
+    """What ``call`` does on a fresh rank-2-of-8 trace communicator: its
+    stream, isend count and result, or its refusal's type and message."""
+    comm = phasec_mod._TraceComm(2, 8, host_fabric())
+    try:
+        out = _drive(call(comm))
+    except (LowerFallback, ConfigError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, phasec_mod._TraceEnv):
+        out = (out.source, out.dest, out.tag)
+    return comm.stream, comm._n_isend, out
+
+
+#: (dest, source, nbytes, tag) of every ``sendrecv`` parity case.
+_SENDRECV_CASES = {
+    "good": (3, 1, 64, 0),
+    "good-tag-7": (0, 4, 0, 7),
+    "int-subclass-peers": (_Peer.THREE, _Peer.ONE, 64, 0),
+    "dest-out-of-range": (8, 1, 64, 0),
+    "dest-negative": (-1, 1, 64, 0),
+    "source-out-of-range": (3, 8, 64, 0),
+    "both-out-of-range": (8, -1, 64, 0),
+    "bool-dest": (True, 1, 64, 0),
+    "bool-source": (3, True, 64, 0),
+    "bool-nbytes": (3, 1, True, 0),
+    "bool-tag": (3, 1, 64, False),
+    "float-dest": (3.0, 1, 64, 0),
+    "str-source": (3, "1", 64, 0),
+    "opaque-dest": (phasec_mod._OPAQUE, 1, 64, 0),
+    "float-nbytes": (3, 1, 64.0, 0),
+    "none-tag": (3, 1, 64, None),
+    "negative-nbytes": (3, 1, -1, 0),
+    "negative-nbytes-bad-source": (3, 9, -1, 0),
+    "wildcard-source": (3, None, 64, 0),
+}
+
+
+@pytest.mark.parametrize("args", _SENDRECV_CASES.values(),
+                         ids=_SENDRECV_CASES.keys())
+def test_trace_sendrecv_matches_the_shared_sendrecv(args):
+    fast = _traced(lambda comm: comm.sendrecv(*args))
+    shared = _traced(lambda comm: RankComm.sendrecv(comm, *args))
+    assert fast == shared
+
+
+def test_trace_sendrecv_checks_dest_before_source():
+    assert _traced(lambda comm: comm.sendrecv(8, -1, 64)) == (
+        ConfigError, "peer rank 8 out of range (size 8)")
+    assert _traced(lambda comm: comm.sendrecv(3, -1, 64)) == (
+        ConfigError, "peer rank -1 out of range (size 8)")
+
+
+@pytest.mark.parametrize(
+    "seconds, expected",
+    (
+        (1, [("compute", 1.0)]),
+        (2.5e-6, [("compute", 2.5e-6)]),
+        (True, "non-constant compute time"),
+        (phasec_mod._OPAQUE, "non-constant compute time"),
+        ("1e-6", "non-constant compute time"),
+        (-1e-6, "negative compute time"),
+        (-1, "negative compute time"),
+    ),
+)
+def test_trace_compute_records_or_refuses(seconds, expected):
+    out = _traced(lambda comm: comm.compute(seconds))
+    if isinstance(expected, str):
+        assert out == (LowerFallback, expected)
+    else:
+        assert out == (expected, 0, None)
+        assert type(out[0][0][1]) is float
+
+
+def test_trace_compute_takes_numpy_floats_as_floats():
+    np = pytest.importorskip("numpy")
+    stream, _, _ = _traced(lambda comm: comm.compute(np.float64(2e-6)))
+    assert stream == [("compute", 2e-6)] and type(stream[0][1]) is float
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    (
+        (lambda c: c.allreduce(1.0, nbytes=8), [("coll", "allreduce", 8, 0)]),
+        (lambda c: c.bcast(1.0, root=5, nbytes=0), [("coll", "bcast", 0, 5)]),
+        (lambda c: c.reduce(1.0, root=_Peer.THREE),
+         [("coll", "reduce", 8, 3)]),
+        (lambda c: c.allreduce(1.0, nbytes=8.0), "non-constant collective size"),
+        (lambda c: c.allreduce(1.0, nbytes=True), "non-constant collective size"),
+        (lambda c: c.barrier(deadline=1.0), "deadline-bounded collective"),
+        (lambda c: c.gather(1.0, nbytes=-8), "negative collective size"),
+        (lambda c: c.bcast(1.0, root=True), "non-constant collective root"),
+    ),
+)
+def test_trace_collective_records_or_refuses(call, expected):
+    out = _traced(call)
+    if isinstance(expected, str):
+        assert out == (LowerFallback, expected)
+    else:
+        assert out[:2] == (expected, 0)
+
+
+def test_trace_collective_refuses_numpy_int_sizes_and_roots():
+    np = pytest.importorskip("numpy")
+    assert _traced(lambda c: c.allreduce(1.0, nbytes=np.int64(8))) == (
+        LowerFallback, "non-constant collective size")
+    assert _traced(lambda c: c.bcast(1.0, root=np.int64(2))) == (
+        LowerFallback, "non-constant collective root")
+
+
+def _explicit_halo_main(nbytes, iters, comm):
+    """:func:`_halo_main` with each ``sendrecv`` spelled out as the
+    shared ``isend`` + ``recv`` + ``wait``."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    for _ in range(iters):
+        req = comm.isend(right, nbytes, 0)
+        yield from comm.recv(left, 0)
+        yield from req.wait()
+        req = comm.isend(left, nbytes, 0)
+        yield from comm.recv(right, 0)
+        yield from req.wait()
+        yield from comm.compute(1e-7)
+        yield from comm.allreduce(0.0, nbytes=8)
+    return comm.rank
+
+
+@pytest.mark.parametrize("p", (8, 128, 65536))
+def test_explicit_isend_recv_wait_lowers_like_sendrecv(p):
+    fabric = host_fabric()
+    explicit = lower(partial(_explicit_halo_main, 4096, 3), p, fabric=fabric)
+    assert explicit == lower(partial(_halo_main, 4096, 3), p, fabric=fabric)
+    assert explicit.phases[0] == Phase(kind="shift", offset=1, nbytes=4096)
 
 
 # ------------------------------------------------- list-valued collectives

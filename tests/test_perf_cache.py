@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -420,6 +421,44 @@ class TestFrozenArrays:
             assert oid not in memo
         assert len(keys) == 50
         assert len(memo) == size
+
+
+class TestSparseMatrices:
+    def test_equal_matrices_key_equally(self):
+        pytest.importorskip("scipy")
+        from repro.npb.cg import make_matrix
+
+        key = EvalCache().key
+        m = make_matrix("S")
+        # copy() drops the index-order flags tocsr() cached on m.
+        assert key(m) == key(m.copy()) == key(m.copy().tocsr())
+        assert key(partial(_job, m)) == key(partial(_job, m.copy()))
+
+    def test_changed_value_or_format_keys_differently(self):
+        pytest.importorskip("scipy")
+        from repro.npb.cg import make_matrix
+
+        key = EvalCache().key
+        m = make_matrix("S")
+        changed = m.copy()
+        changed.data[0] += 1.0
+        assert key(changed) != key(m)
+        assert key(m.tocsc()) != key(m)
+
+    def test_frozen_arrays_are_hashed_once(self, hashes):
+        pytest.importorskip("scipy")
+        from repro.npb.cg import make_matrix
+
+        m = make_matrix("S")
+        fingerprint(m)
+        hashes.hashed.clear()
+        fingerprint(m)
+        assert m.data.tobytes() not in hashes.hashed
+
+
+def _job(matrix, comm):
+    yield from comm.barrier()
+    return matrix.shape
 
 
 class TestSpawnFingerprint:
