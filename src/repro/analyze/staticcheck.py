@@ -161,6 +161,16 @@ def _peer_or_tag(call: ast.Call, name: str, pos: Optional[int], default):
     return lit  # None -> dynamic expression, unknown
 
 
+def _mentions_rank(node: ast.AST) -> bool:
+    """Does this expression depend on the rank identity?"""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "rank":
+            return True
+        if isinstance(sub, ast.Name) and sub.id == "rank":
+            return True
+    return False
+
+
 class _Parents(ast.NodeVisitor):
     """Parent map for yield-from context checks."""
 
@@ -330,15 +340,6 @@ class _FunctionCheck:
 
     # ------------------------------------------- RPA002 collective order
 
-    def _rank_test(self, test: ast.expr) -> bool:
-        """Does this if-test depend on the rank identity?"""
-        for node in ast.walk(test):
-            if isinstance(node, ast.Attribute) and node.attr == "rank":
-                return True
-            if isinstance(node, ast.Name) and node.id == "rank":
-                return True
-        return False
-
     def _collective_signature(self, body: Sequence[ast.stmt]) -> List[str]:
         sig: List[str] = []
         for stmt in body:
@@ -357,7 +358,7 @@ class _FunctionCheck:
 
     def _check_collective_divergence(self) -> None:
         for node in ast.walk(self.func):
-            if not isinstance(node, ast.If) or not self._rank_test(node.test):
+            if not isinstance(node, ast.If) or not _mentions_rank(node.test):
                 continue
             # Skip elif arms: the outermost If of a chain covers them.
             parent = self._parent(node)
@@ -400,7 +401,7 @@ class _FunctionCheck:
         child = node
         parent = self._parent(child)
         while parent is not None and parent is not self.func:
-            if isinstance(parent, ast.If) and self._rank_test(parent.test):
+            if isinstance(parent, ast.If) and _mentions_rank(parent.test):
                 in_body = any(
                     child is stmt or _contains(stmt, child)
                     for stmt in parent.body
@@ -737,13 +738,17 @@ class RankProgramProfile:
     not retrievable — a lambda, a C callable) are simply attempted.  The
     replayer's dynamic guards stay authoritative either way, because MPI
     traffic hidden in helper functions is invisible to this purely
-    structural view.
+    structural view.  :func:`repro.mpi.phasec.lower` refuses ``unknown``
+    and ``rank_dependent_flow``, since its probe ranks could miss a
+    branch such as ``if comm.rank == 17``.
     """
 
     methods: frozenset = field(default_factory=frozenset)
     wildcard_recv: bool = False
     uses_irecv: bool = False
     uses_timeouts: bool = False
+    #: A branch test, loop source or match subject mentions ``rank``.
+    rank_dependent_flow: bool = False
     unknown: bool = False
 
     def veto_reasons(self) -> List[str]:
@@ -766,38 +771,60 @@ def _timeout_kwarg(call: ast.Call, name: str) -> bool:
     )
 
 
-def rank_program_profile(main) -> RankProgramProfile:
-    """Statically profile the MPI calls of rank program ``main``.
+def _steering(node: ast.AST) -> Tuple[ast.AST, ...]:
+    """The expressions that steer control flow at ``node``: branch and
+    assert tests, loop sources, comprehension filters, match subjects."""
+    if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+        return (node.test,)
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return (node.iter,)
+    if isinstance(node, ast.comprehension):
+        return (node.iter, *node.ifs)
+    if isinstance(node, ast.Match):
+        return (node.subject,)
+    return ()
 
-    ``functools.partial`` wrappers and bound methods are unwrapped to the
-    underlying function before its source is parsed.  Profiles are
-    memoized per function object (the unwrapped callable), so sweeps
-    repricing one rank program thousands of times parse its source once.
+
+def rank_program_profile(main) -> RankProgramProfile:
+    """Statically profile rank program ``main``: one parse of its source.
+
+    Partials, bound methods and ``__wrapped__`` decorators are unwrapped
+    to the function whose source ``inspect.getsource`` reads.  Profiles
+    are memoized on that function's code object and file (code objects
+    compare equal across files), so sweeps repricing one rank program
+    thousands of times parse its source once; a callable without a code
+    object is profiled on every call.
     """
     fn = main
     while isinstance(fn, functools.partial):
         fn = fn.func
     fn = getattr(fn, "__func__", fn)
-    try:
-        return _profile_function(fn)
-    except TypeError:  # unhashable callable: profile uncached
-        return _profile_uncached(fn)
+    if hasattr(fn, "__wrapped__"):  # unwrap() costs ~1 us even when idle
+        try:
+            fn = inspect.unwrap(fn)
+        except ValueError:  # a __wrapped__ cycle
+            return RankProgramProfile(unknown=True)
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return _profile_source(fn)
+    return _profile_code(code, code.co_filename)
 
 
 @functools.lru_cache(maxsize=256)
-def _profile_function(fn) -> RankProgramProfile:
-    return _profile_uncached(fn)
+def _profile_code(code, filename: str) -> RankProgramProfile:
+    return _profile_source(code)
 
 
-def _profile_uncached(fn) -> RankProgramProfile:
+def _profile_source(obj) -> RankProgramProfile:
     try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(source)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
     except (OSError, TypeError, ValueError, SyntaxError, IndentationError):
         return RankProgramProfile(unknown=True)
     methods = set()
-    wildcard = irecv = timeouts = False
+    wildcard = irecv = timeouts = rank_flow = False
     for node in ast.walk(tree):
+        if not rank_flow and any(map(_mentions_rank, _steering(node))):
+            rank_flow = True
         method = _mpi_call(node)
         if method is None:
             continue
@@ -819,4 +846,5 @@ def _profile_uncached(fn) -> RankProgramProfile:
         wildcard_recv=wildcard,
         uses_irecv=irecv,
         uses_timeouts=timeouts,
+        rank_dependent_flow=rank_flow,
     )

@@ -183,15 +183,39 @@ FAULT_EXPERIMENTS = (
 )
 
 
-def _faulted_alltoall_point(ranks: int, fabric_name: str, tpc: int, plan, nbytes: int):
-    """One degraded-sweep point: the alltoall stepped under ``plan``."""
+def _faulted_alltoall_point(ranks: int, fabric_name: str, tpc: int, plan,
+                            stats: list, nbytes: int):
+    """One degraded-sweep point: the alltoall under ``plan``, compiled.
+
+    A static plan replays; a windowed or crashing one steps.  The
+    point's :class:`~repro.mpi.compile.CompileStats` is appended to
+    ``stats`` before it runs, so a point that fails is counted too.
+    """
     from repro.core.results import Measurement
+    from repro.mpi.compile import CompileStats, compiled_mpiexec
     from repro.mpi.fabrics import host_fabric, phi_fabric
-    from repro.mpi.runtime import mpiexec
 
     fabric = host_fabric() if fabric_name == "host" else phi_fabric(tpc)
-    res = mpiexec(ranks, fabric, _trace_main("alltoall", nbytes), fault_plan=plan)
+    st = CompileStats()
+    stats.append(st)
+    res = compiled_mpiexec(ranks, fabric, _trace_main("alltoall", nbytes),
+                           fault_plan=plan, stats=st)
     return Measurement(name="alltoall", time=res.elapsed, config={"nbytes": nbytes})
+
+
+def _path_summary(stats) -> str:
+    """One line: the points per compiled path, then each stepped reason
+    with its count, in order of first appearance."""
+    from collections import Counter
+
+    paths = Counter(st.path for st in stats)
+    reasons = Counter(st.reason for st in stats if st.path == "stepped")
+    line = "paths: " + ", ".join(f"{p} {n}" for p, n in paths.items())
+    if reasons:
+        line += "; stepped because: " + ", ".join(
+            f"{r} ({n})" for r, n in reasons.items()
+        )
+    return line
 
 
 def _cmd_faults(args) -> int:
@@ -223,8 +247,10 @@ def _cmd_faults(args) -> int:
         _print("fault plan:")
         _print(plan.describe())
         sizes = message_size_sweep(1024, 4 * 1024 * KiB)[::2]
+        stats: list = []
         results = grid_sweep(
-            partial(_faulted_alltoall_point, args.ranks, args.fabric, args.tpc, plan),
+            partial(_faulted_alltoall_point, args.ranks, args.fabric, args.tpc,
+                    plan, stats),
             sizes,
             capture_failures=True,
         )
@@ -233,6 +259,7 @@ def _cmd_faults(args) -> int:
         ]
         _print(render_table(("size", "elapsed (s)"), rows,
                             title=f"alltoall sweep, {args.ranks} ranks, under faults"))
+        _print(_path_summary(stats))
         if results.failures:
             _print(f"\n{len(results.failures)} point(s) failed "
                    "(campaign continued):")

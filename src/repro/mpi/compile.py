@@ -12,11 +12,14 @@ run.
 This module compiles them instead, in four stages:
 
 1. **Recognition.**  :func:`repro.analyze.staticcheck.rank_program_profile`
-   pre-screens the rank program's AST for constructs the replayer cannot
-   express (wildcard receives, ``irecv``, timeouts).  The pre-filter is
-   advisory; the replay's dynamic guards are authoritative — any
-   unsupported operation encountered mid-replay raises
-   :class:`ReplayFallback` and the job transparently re-runs stepped.
+   reads the rank program's source once per code object: it
+   pre-screens for constructs the replayer cannot express (wildcard
+   receives, ``irecv``, timeouts), and :func:`lower` refuses its
+   rank-dependent control flow.  The pre-filter is advisory; the
+   replay's dynamic guards are authoritative — any unsupported
+   operation encountered mid-replay raises :class:`ReplayFallback` and
+   the job transparently re-runs stepped.  :func:`compiled_mpiexec` is
+   the one compiled entry; ``MpiJob(...).run()`` always steps.
 
 2. **Vectorized phase pricing.**  When numpy is available and the job is
    large enough (``n_ranks >= VECTOR_MIN_RANKS``, or ``vector=True``),
@@ -96,7 +99,7 @@ from repro.mpi.api import RankComm
 from repro.mpi.fabrics import Fabric
 from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
-from repro.mpi.phasec import lower, price
+from repro.mpi.phasec import lower, price, rank_program_profile
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
 from repro.obs.tracer import NULL_CONTEXT, TraceEvent, Tracer, active
 from repro.perf.batch import HAVE_NUMPY
@@ -106,7 +109,6 @@ __all__ = [
     "CompileStats",
     "ReplayFallback",
     "compiled_mpiexec",
-    "job_fastpath",
     "replay",
 ]
 
@@ -114,23 +116,6 @@ __all__ = [
 #: automatically: numpy dispatch overhead beats the scalar replay's
 #: trampoline on tiny clock vectors (pass ``vector=True`` to force it).
 VECTOR_MIN_RANKS = 128
-
-
-#: :func:`repro.analyze.staticcheck.rank_program_profile` once imported.
-#: An import statement run on every job cost price-replay ~3% of p50.
-_profile: Optional[Callable[[RankMain], Any]] = None
-
-
-def rank_program_profile(main: RankMain) -> Any:
-    """:func:`repro.analyze.staticcheck.rank_program_profile`, imported at
-    the first call, so importing the MPI stack leaves
-    :mod:`repro.analyze` unloaded."""
-    global _profile
-    if _profile is None:
-        from repro.analyze.staticcheck import rank_program_profile as profile
-
-        _profile = profile
-    return _profile(main)
 
 
 class ReplayFallback(Exception):
@@ -620,14 +605,14 @@ class _ReplayJob:
 
     With ``tracer`` (an active :class:`~repro.obs.tracer.Tracer`) the
     ranks record their spans, which reach the tracer on process lane
-    ``pid`` only once every rank has finished.  A static fault ``plan``
-    degrades the fabric and slows its stragglers.  The fabric is fixed
-    for the whole replay, so each message size's transfer time is priced
-    once, in ``p2p``.
+    ``"mpijob"`` only once every rank has finished.  A static fault
+    ``plan`` degrades the fabric and slows its stragglers.  The fabric is
+    fixed for the whole replay, so each message size's transfer time is
+    priced once, in ``p2p``.
     """
 
     def __init__(self, n_ranks: int, fabric: Any,
-                 tracer: Optional[Tracer] = None, pid: str = "mpijob",
+                 tracer: Optional[Tracer] = None,
                  plan: Optional[Any] = None):
         self.size = n_ranks
         self.fabric = fabric if plan is None else plan.degrade(fabric)
@@ -638,7 +623,7 @@ class _ReplayJob:
             self.factors = [plan.compute_factor(r, 0.0) for r in range(n_ranks)]
         self.trace = (
             None if tracer is None
-            else _ReplayTrace(tracer, pid, n_ranks, plan)
+            else _ReplayTrace(tracer, "mpijob", n_ranks, plan)
         )
         self.eager_max = self.fabric.eager_max
         #: (nbytes, pattern) -> the fabric's p2p_time at this job's size.
@@ -831,7 +816,6 @@ def _compile_or_none(
     st: CompileStats,
     vector: Optional[bool],
     tracer: Optional[Tracer],
-    pid: str,
     plan: Optional[Any] = None,
 ) -> Optional[JobResult]:
     """Memo, vector pricing or scalar replay; ``None`` (with
@@ -884,7 +868,7 @@ def _compile_or_none(
                 returns_factory=_lazy_returns(n_ranks, fabric, main),
             )
     try:
-        job = _ReplayJob(n_ranks, fabric, tracer=tr, pid=pid, plan=plan)
+        job = _ReplayJob(n_ranks, fabric, tracer=tr, plan=plan)
         result = job.run(main)
     except ReplayFallback as exc:
         st.reason = str(exc)
@@ -958,7 +942,7 @@ def compiled_mpiexec(
     if reason is None:
         result = _compile_or_none(
             n_ranks, fabric, main, cache=cache, st=st, vector=vector,
-            tracer=tracer, pid="mpijob", plan=fault_plan,
+            tracer=tracer, plan=fault_plan,
         )
         if result is not None:
             return result
@@ -975,40 +959,3 @@ def compiled_mpiexec(
     st.engine_steps = eng.timeline()
     return result
 
-
-def job_fastpath(
-    job: MpiJob,
-    *,
-    cache: Optional[Any] = None,
-    stats: Optional[CompileStats] = None,
-    vector: Optional[bool] = None,
-) -> Optional[JobResult]:
-    """Price an already-launched :class:`~repro.mpi.runtime.MpiJob`
-    without stepping it, or return ``None`` when it must step.
-
-    This is the engine behind ``MpiJob.run(compiled=True)``.  The job
-    meets the same vetoes as :func:`compiled_mpiexec`; beyond them it
-    needs a uniform fast-collectives fabric (``job.fast``) and an engine
-    that has not stepped yet.  A traced job's spans land on the job's
-    own process lane (``job.name``).
-    """
-    st = stats if stats is not None else CompileStats()
-    main, fast = job._main, job.fast
-    if main is None:
-        st.reason = "job not launched"
-        return None
-    st.reason = (
-        _refusal(job.n_ranks, None if fast is None else fast.fabric, None,
-                 None, job.fault_plan, job.verifier)
-        or ("fault plan: job_fastpath needs job.fast"
-            if job.fault_plan is not None else "")
-        or ("no uniform fast-collectives fabric" if fast is None else "")
-        or ("engine already stepped"
-            if job.engine.now != 0 or job.engine.timeline() != 0 else "")
-    )
-    if st.reason or fast is None:
-        return None
-    return _compile_or_none(
-        job.n_ranks, fast.fabric, main, cache=cache, st=st, vector=vector,
-        tracer=job.tracer, pid=job.name,
-    )

@@ -12,9 +12,10 @@ recognized rank program into that form:
    :class:`_TraceComm` on a handful of probe ranks.  Received payloads
    and collective results are opaque sentinels that propagate through
    arithmetic but refuse observation, so any payload-dependent control
-   flow aborts the lowering; a static AST veto rejects rank-dependent
-   branches outright, and the probe streams must agree op for op once
-   peers are normalized to ring offsets.  The result is a
+   flow aborts the lowering; the program's static profile
+   (:func:`repro.analyze.staticcheck.rank_program_profile`) rejects
+   rank-dependent branches outright, and the probe streams must agree
+   op for op once peers are normalized to ring offsets.  The result is a
    :class:`PhaseProgram` — a tuple of :class:`Phase` records (halo
    shift, collective, compute) with run-length ``count`` compression.
 
@@ -46,13 +47,9 @@ bit-identical to the stepped engine whenever they are actually read.
 
 from __future__ import annotations
 
-import ast
-import functools
-import inspect
 import itertools
-import textwrap
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.api import RankComm
 from repro.mpi.collectives import SCHEDULES, _add_to, _wire, shift_step
@@ -472,78 +469,23 @@ class _TraceComm(RankComm):
         return f"<_TraceComm rank {self.rank}/{self.size}>"
 
 
-# ------------------------------------------------------- static rank veto
+# ---------------------------------------------------- the static profile
+
+#: :func:`repro.analyze.staticcheck.rank_program_profile` once imported.
+#: An import statement run on every job cost price-replay ~3% of p50.
+_profile: Optional[Callable[[Any], Any]] = None
 
 
-def _unwrap(main: Any) -> Any:
-    """The function whose source ``main`` runs: through partials, bound
-    methods and ``__wrapped__`` decorators, as ``inspect.getsource``
-    reads it."""
-    fn = main
-    while isinstance(fn, functools.partial):
-        fn = fn.func
-    return inspect.unwrap(getattr(fn, "__func__", fn))
+def rank_program_profile(main: Any) -> Any:
+    """:func:`repro.analyze.staticcheck.rank_program_profile`, imported at
+    the first call, so importing the MPI stack leaves
+    :mod:`repro.analyze` unloaded."""
+    global _profile
+    if _profile is None:
+        from repro.analyze.staticcheck import rank_program_profile as profile
 
-
-def _mentions_rank(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "rank":
-            return True
-        if isinstance(sub, ast.Name) and sub.id == "rank":
-            return True
-    return False
-
-
-def _static_veto(main: Any) -> Optional[str]:
-    """Reject rank-dependent control flow the probe set could miss.
-
-    Probe tracing only samples a few ranks; a branch like
-    ``if comm.rank == 17`` diverges on exactly one.  Any ``rank``
-    mention inside a branch test or loop source is therefore a veto.
-    The scan covers the main's own source; divergence hidden in helper
-    calls is still caught whenever a probe rank exercises it, and the
-    scalar replay remains the authority for everything refused here.
-    The verdict depends only on the source, so it is memoized on the
-    unwrapped function's code object; a callable without one is
-    scanned every time.
-    """
-    try:
-        fn = _unwrap(main)
-    except ValueError:  # a __wrapped__ cycle
-        return "source unavailable"
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return _scan_source(fn)
-    return _code_veto(code, code.co_filename)
-
-
-@functools.lru_cache(maxsize=256)
-def _code_veto(code: Any, filename: str) -> Optional[str]:
-    """:func:`_scan_source` of ``code``; ``filename`` keys the memo too,
-    since code objects compare equal across files."""
-    return _scan_source(code)
-
-
-def _scan_source(obj: Any) -> Optional[str]:
-    try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
-    except (OSError, TypeError, ValueError, SyntaxError, IndentationError):
-        return "source unavailable"
-    for node in ast.walk(tree):
-        tests: List[ast.AST] = []
-        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
-            tests.append(node.test)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            tests.append(node.iter)
-        elif isinstance(node, ast.comprehension):
-            tests.append(node.iter)
-            tests.extend(node.ifs)
-        elif isinstance(node, ast.Match):
-            tests.append(node.subject)
-        for t in tests:
-            if _mentions_rank(t):
-                return "rank-dependent control flow"
-    return None
+        _profile = profile
+    return _profile(main)
 
 
 # ------------------------------------------------------------ the lowering
@@ -631,9 +573,13 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
     """
     if n_ranks < 2:
         raise LowerFallback("trivial job (P < 2)")
-    veto = _static_veto(main)
-    if veto is not None:
-        raise LowerFallback(veto)
+    profile = rank_program_profile(main)
+    if profile.unknown:
+        raise LowerFallback("source unavailable")
+    if profile.rank_dependent_flow:
+        # Probe tracing only samples a few ranks; a branch like
+        # ``if comm.rank == 17`` diverges on exactly one.
+        raise LowerFallback("rank-dependent control flow")
     probes = _probe_ranks(n_ranks)
     base = _trace_rank(main, probes[0], n_ranks, fabric)
     roots = {op[3] for op in base if op[0] == "coll"}

@@ -226,7 +226,6 @@ class MpiJob:
             self.fast = FastCollectives(fabric, n_ranks)
         self.mailboxes = [Store(name=f"{name}.mbox[{r}]") for r in range(n_ranks)]
         self._procs = []
-        self._main: Optional[RankMain] = None
         if verifier is not None:
             verifier.attach(self)
 
@@ -260,7 +259,6 @@ class MpiJob:
         """Spawn ``main(comm)`` once per rank (with lifetime spans when
         the job carries a tracer) and arm any fault injectors."""
         tr = active(self.tracer)
-        self._main = main  # the compiled fast path reprices from the original
         for rank in range(self.n_ranks):
             comm = self.communicator(rank)
             gen = main(comm)
@@ -276,42 +274,17 @@ class MpiJob:
 
             arm(self.engine, self.fault_plan, self._procs, tracer=tr)
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        *,
-        compiled: bool = False,
-        cache: Optional[Any] = None,
-        stats: Optional[Any] = None,
-        vector: Optional[bool] = None,
-    ) -> JobResult:
+    def run(self, until: Optional[float] = None) -> JobResult:
         """Run the engine (to time ``until`` if given).
 
         Returns a :class:`JobResult`; when ``until`` stops the clock
         before every rank finishes, the result's ``completed`` flag is
-        False and its ``returns`` guard against misreads.
-
-        ``compiled=True`` asks :mod:`repro.mpi.compile` to price the job
-        without stepping it (memo → vectorized phase recurrences →
-        scalar max-plus replay, per its selection heuristics); any
-        refusal falls back to the stepped engine transparently.
-        ``cache``/``stats``/``vector`` are forwarded to the compiled
-        selection; with ``stats`` given the stepped fallback journals
-        ``path="stepped"`` and its step count.
+        False and its ``returns`` guard against misreads.  This always
+        steps; :func:`repro.mpi.compile.compiled_mpiexec` is the
+        compiled entry.
         """
-        if compiled and until is None:
-            from repro.mpi.compile import job_fastpath
-
-            result = job_fastpath(
-                self, cache=cache, stats=stats, vector=vector
-            )
-            if result is not None:
-                return result
         start = self.engine.now
         self.engine.run(until=until)
-        if stats is not None:
-            stats.path = "stepped"
-            stats.engine_steps = self.engine.timeline()
         finished = [p.finished for p in self._procs]
         return JobResult(
             elapsed=self.engine.now - start,

@@ -468,6 +468,41 @@ class TestFaultsCli:
         assert cli_main(["faults", "sweep", "--ranks", "16"]) == 0
         out = capsys.readouterr().out
         assert "OutOfMemoryError" in out and "campaign continued" in out
+        assert ("paths: replay 3, stepped 4; stepped because: "
+                "replay error: OutOfMemoryError (4)\n") in out
+
+    @pytest.mark.parametrize("plan_name", ["demo", "windowed"])
+    def test_sweep_points_equal_stepped_runs(self, plan_name):
+        """Each sweep point prices through ``compiled_mpiexec``: the
+        static demo plan's points replay and a windowed plan's step, at
+        the stepped elapsed, and the OOM points fail with the stepped
+        run's error."""
+        from repro.cli import _faulted_alltoall_point, _trace_main
+        from repro.core.sweep import message_size_sweep
+
+        plan = FaultPlan([
+            MemoryPressure(capacity_factor=0.02, label="demo-pressure")
+            if plan_name == "demo" else
+            LinkDegradation(latency_factor=2.0, start=1e-6, end=1e-3)
+        ])
+        stats = []
+        for nbytes in message_size_sweep(1024, 4 * MiB)[::2]:
+            job = MpiJob(16, host_fabric(), fault_plan=plan)
+            job.launch(_trace_main("alltoall", nbytes))
+            try:
+                ref = job.run()
+            except OutOfMemoryError as exc:
+                with pytest.raises(OutOfMemoryError) as err:
+                    _faulted_alltoall_point(16, "host", 1, plan, stats, nbytes)
+                assert str(err.value) == str(exc)
+                continue
+            finally:
+                assert job.engine.timeline() > 0
+            m = _faulted_alltoall_point(16, "host", 1, plan, stats, nbytes)
+            assert m.time == ref.elapsed
+            want = "replay" if plan_name == "demo" else "stepped"
+            assert stats[-1].path == want, stats[-1].reason
+        assert len(stats) == 7
 
     def test_plan_file_drives_run(self, tmp_path, capsys):
         from repro.cli import main as cli_main

@@ -9,7 +9,7 @@ and straggler fault active over ``[0, inf)``.  Each collective
 occurrence resolves with one call to its
 :data:`~repro.mpi.collectives.SCHEDULES` entry on the degraded fabric, whose
 reductions run at each rank's straggler factor; no collective message is
-replayed.  Four contracts are gated here:
+replayed.  Three contracts are gated here:
 
 * **Exactness** — every kind, on P in {1, 2, 3, 5, 8, 13, 16, 33}, at
   sizes on both sides of the fabric's eager limit and of
@@ -21,9 +21,6 @@ replayed.  Four contracts are gated here:
   ``ALLGATHER_RING_SWITCH`` with uniform arrivals at the rings.
 * **One op per occurrence** — ``CompileStats.replay_ops`` counts a
   collective-only job's occurrences, not its messages.
-* **job_fastpath** — ``MpiJob.run(compiled=True)`` still steps a
-  faulted job, naming why (the other refusals are gated in
-  ``tests/test_mpi_compile.py``).
 * **The halo campaign** — its points price compiled and equal the
   stepped run under the demo crash plan, its relaxed retry and no plan.
 """
@@ -52,7 +49,7 @@ from repro.mpi.collectives import (
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.protocols import PciePathFabric
-from repro.mpi.runtime import MpiJob, mpiexec
+from repro.mpi.runtime import mpiexec
 
 FABRICS = {"host": host_fabric, "phi": lambda: phi_fabric(2)}
 
@@ -286,20 +283,6 @@ def test_replay_ops_count_occurrences_not_messages(kind):
                                fast_collectives=fast_collectives, stats=st)
         assert res.completed
         assert (st.path, st.replay_ops) == ("replay", 3), st
-
-
-# -------------------------------------------------------------- job_fastpath
-
-
-def test_job_fastpath_needs_job_fast():
-    st = CompileStats()
-    job = MpiJob(8, host_fabric(),
-                 fault_plan=FaultPlan([Straggler(rank=1, slowdown=2.0)]))
-    job.launch(partial(_program, "allreduce", 4096, 0))
-    res = job.run(compiled=True, stats=st)
-    assert st.path == "stepped"
-    assert "job.fast" in st.reason
-    assert res.completed
 
 
 # ------------------------------------------------------------ halo campaign

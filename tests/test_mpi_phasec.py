@@ -24,9 +24,10 @@ Five contracts are gated here:
   scalar replay, and with the stepped engine, over seeded-random
   ``(P, nbytes, iters)`` draws; without numpy the scalar backend warns
   once and produces identical numbers.
-* **Job routing** — ``compiled_mpiexec``/``MpiJob.run(compiled=True)``
-  pick the vector path when asked, materialize per-rank returns lazily
-  through the replay, and memoize elapsed-only entries.
+* **Job routing** — ``compiled_mpiexec`` picks the vector path when
+  asked, materializes per-rank returns lazily through the replay, and
+  memoizes elapsed-only entries; it reads each rank program's source
+  once, in :func:`~repro.analyze.staticcheck.rank_program_profile`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from functools import partial
 
 import pytest
 
+import repro.analyze.staticcheck as staticcheck
 import repro.mpi.compile as compile_mod
 import repro.mpi.phasec as phasec_mod
 from repro.errors import ConfigError
@@ -522,13 +524,13 @@ def test_lower_refuses_sourceless_mains():
 
 
 def test_static_veto_is_memoized_per_code_object():
-    phasec_mod._code_veto.cache_clear()
+    staticcheck._profile_code.cache_clear()
     for _ in range(2):  # the memoized verdict still refuses
         with pytest.raises(LowerFallback, match="rank-dependent"):
             lower(_rank_branch_main, 8, fabric=host_fabric())
     lower(partial(_halo_main, 64, 1), 8, fabric=host_fabric())
     lower(partial(_halo_main, 4096, 2), 8, fabric=host_fabric())
-    info = phasec_mod._code_veto.cache_info()
+    info = staticcheck._profile_code.cache_info()
     assert (info.currsize, info.hits, info.misses) == (2, 2, 2)
 
 
@@ -584,6 +586,70 @@ def test_static_veto_memo_sees_through_decorators():
         lower(_wrapped_rank_branch_main, 8, fabric=host_fabric())
 
 
+@_passthrough
+def _wrapped_wildcard_main(comm):
+    yield from comm.recv()
+
+
+def test_profile_sees_through_decorators():
+    """Mains sharing a decorator's code are each profiled from their own
+    source, for the compile veto as for the lowering."""
+    plain = staticcheck.rank_program_profile(_wrapped_barrier_main)
+    branchy = staticcheck.rank_program_profile(_wrapped_rank_branch_main)
+    wild = staticcheck.rank_program_profile(_wrapped_wildcard_main)
+    assert (plain.rank_dependent_flow, branchy.rank_dependent_flow) == (
+        False, True)
+    assert plain.veto_reasons() == branchy.veto_reasons() == []
+    assert wild.veto_reasons() == ["wildcard-source recv"]
+
+
+_FRESH_SRC = """\
+def _fresh_main(nbytes, comm):
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    yield from comm.sendrecv(right, left, nbytes=nbytes)
+    yield from comm.allreduce(0.0, nbytes=8)
+"""
+
+
+def test_one_parse_per_rank_program(monkeypatch):
+    """The compile veto and the lowering share one reading of the
+    source: one parse for a fresh code object, none for a second
+    partial of the same function."""
+    import ast
+    import linecache
+    import uuid
+
+    name = f"<fresh-{uuid.uuid4().hex}>"
+    ns = {}
+    exec(compile(_FRESH_SRC, name, "exec"), ns)
+    linecache.cache[name] = (
+        len(_FRESH_SRC), None, _FRESH_SRC.splitlines(True), name
+    )
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(args)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    try:
+        st = CompileStats()
+        compiled_mpiexec(128, host_fabric(), partial(ns["_fresh_main"], 64),
+                         stats=st, vector=True)
+        assert st.path == "vector", st.reason
+        assert len(parses) == 1
+        st = CompileStats()
+        compiled_mpiexec(128, host_fabric(),
+                         partial(ns["_fresh_main"], 4096), stats=st,
+                         vector=True)
+        assert st.path == "vector", st.reason
+        assert len(parses) == 1
+    finally:
+        del linecache.cache[name]
+
+
 class _CallableMain:
     """A rank main with no ``__code__`` of its own: never memoized."""
 
@@ -592,11 +658,11 @@ class _CallableMain:
 
 
 def test_static_veto_scans_callables_without_code_every_time():
-    phasec_mod._code_veto.cache_clear()
+    staticcheck._profile_code.cache_clear()
     for _ in range(2):
         with pytest.raises(LowerFallback, match="source unavailable"):
             lower(_CallableMain(), 8, fabric=host_fabric())
-    assert phasec_mod._code_veto.cache_info().currsize == 0
+    assert staticcheck._profile_code.cache_info().currsize == 0
     stepped = mpiexec(8, host_fabric(), _CallableMain())
     compiled = compiled_mpiexec(8, host_fabric(), _CallableMain(),
                                 vector=True)
@@ -814,35 +880,30 @@ def test_lazy_jobresult_contract():
     assert calls == [1]  # a single materialization serves both reads
 
 
-def test_mpijob_run_compiled_routes_and_falls_back():
-    main = partial(_halo_main, 4096, 1)
-    st = CompileStats()
-    job = MpiJob(8, host_fabric())
+def _stepped(n_ranks, fabric, main, **kw):
+    """The oracle: ``MpiJob(...).run()``, asserting that its engine stepped."""
+    job = MpiJob(n_ranks, fabric, **kw)
     job.launch(main)
-    res = job.run(compiled=True, stats=st, vector=True)
+    res = job.run()
+    assert job.engine.timeline() > 0
+    return res
+
+
+def test_compiled_mpiexec_routes_vector_and_replays():
+    main = partial(_halo_main, 4096, 1)
+    ref = _stepped(8, host_fabric(), main)
+    st = CompileStats()
+    res = compiled_mpiexec(8, host_fabric(), main, stats=st, vector=True)
     assert st.path == "vector"
-    assert job.engine.timeline() == 0  # priced without stepping
-    ref = mpiexec(8, host_fabric(), main)
+    assert res.mode == "vector" and st.engine_steps == 0
     assert _rel(res.elapsed, ref.elapsed) <= TOL
-    assert res.returns == ref.returns
-    # fast_collectives=False leaves job.fast unset: the compiled entry
-    # refuses and the stepped engine runs transparently.
+    assert res.returns == ref.returns  # materialized lazily
+    # fast_collectives=False only slows the stepped engine: the job
+    # replays, with the stepped run's returns.
     st = CompileStats()
-    job = MpiJob(8, host_fabric(), fast_collectives=False)
-    job.launch(main)
-    res = job.run(compiled=True, stats=st)
-    assert st.path == "stepped"
-    assert st.engine_steps > 0
+    res = compiled_mpiexec(8, host_fabric(), main, stats=st,
+                           fast_collectives=False)
+    assert st.path == "replay", st.reason
+    assert res.elapsed == _stepped(8, host_fabric(), main,
+                                   fast_collectives=False).elapsed
     assert res.returns == ref.returns
-
-
-def test_mpijob_run_compiled_refuses_stepped_engine():
-    main = partial(_halo_main, 4096, 1)
-    job = MpiJob(8, host_fabric())
-    job.launch(main)
-    job.run(until=1e-9)  # the engine has stepped: pricing would be wrong
-    st = CompileStats()
-    res = job.run(compiled=True, stats=st)
-    assert st.path == "stepped"
-    assert st.reason == "engine already stepped"
-    assert res.completed

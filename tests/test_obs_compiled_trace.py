@@ -251,18 +251,21 @@ def test_inactive_tracer_counts_as_none():
     assert len(disabled) == 0
 
 
-def test_job_run_compiled_traces_on_its_lane():
-    """``MpiJob(tracer=...).run(compiled=True)`` gets the traced replay."""
+def test_traced_replay_records_on_the_mpijob_lane():
+    """A traced ``compiled_mpiexec`` replays, at the stepped elapsed, and
+    records every span on the ``mpijob`` process lane."""
     tracer = Tracer()
-    job = MpiJob(8, host_fabric(), name="cgjob", tracer=tracer)
     main = _main("phase-ring", 64)
-    job.launch(main)
     st = CompileStats()
-    res = job.run(compiled=True, stats=st)
+    res = compiled_mpiexec(8, host_fabric(), main, tracer=tracer, stats=st)
     assert st.path == "replay", st.reason
-    assert res.elapsed == compiled_mpiexec(8, host_fabric(), main).elapsed
+    job = MpiJob(8, host_fabric())
+    job.launch(main)
+    ref = job.run()
+    assert job.engine.timeline() > 0
+    assert res.elapsed == ref.elapsed
     spans = [e for e in tracer.events if e.ph == "X"]
-    assert spans and {e.pid for e in spans} == {"cgjob"}
+    assert spans and {e.pid for e in spans} == {"mpijob"}
 
 
 # ---------------------------------------------------------- fallback hygiene
