@@ -34,7 +34,14 @@ Campaigns:
   job at P=65536 (quick too), best of five each.  Its cost depends on
   the probe ranks and ops, not on P.  Each point records its phase
   count and the sha256 of the lowered program's ``to_dict()`` JSON,
-  which ``benchdiff`` requires to equal the baseline's.
+  which ``benchdiff`` requires to equal the baseline's;
+* the small-collective leg: every collective kind at P ∈ {3, 5, 7}
+  (quick too), the µs to resolve one occurrence (finish times and
+  results, as the compiled replay and the stepped engine's fast path
+  do), best of five runs of 100 occurrences.  Each occurrence has its
+  own message size, as a fresh job's has, and arrivals alternate
+  between equal and skewed.  Each point records the sha256 of its
+  outcomes, which ``benchdiff`` requires to equal the baseline's.
 
 Writes ``BENCH_jobcompile.json`` so CI can gate regressions::
 
@@ -74,6 +81,12 @@ NPB_RANKS = (4, 8)
 LOWER_RANKS = 65536
 LOWER_ITERS = 3
 LOWER_REPEATS = 5
+#: The small-collective leg: rank counts, occurrences per timed run,
+#: runs per point (best kept) and the first run's first message size.
+SMALL_RANKS = (3, 5, 7)
+SMALL_OCCURRENCES = 100
+SMALL_REPEATS = 5
+SMALL_FIRST_NBYTES = 512
 TOL = 1e-9
 
 
@@ -295,6 +308,53 @@ def _lower_point(p: int, job: str) -> Dict[str, Any]:
     }
 
 
+def _small_occurrences(kind: str, p: int, first: int) -> List[Any]:
+    """SMALL_OCCURRENCES occurrences of collective ``kind`` on ``p``
+    ranks, every rank arrived, of sizes ``first``, ``first + 1``, …;
+    odd occurrences arrive skewed."""
+    from repro.mpi.collectives import ROOTED
+    from repro.mpi.fastpath import _Instance
+
+    root = p // 2 if kind in ROOTED else None
+    out = []
+    for i in range(SMALL_OCCURRENCES):
+        inst = _Instance(p, kind, first + i, root, None)
+        for r in range(p):
+            value = (list(range(p)) if kind in ("alltoall", "scatter")
+                     else float(r))
+            inst.arrive(r, 1e-6 * (r % 3) * (i % 2), value)
+        out.append(inst)
+    return out
+
+
+def _small_point(kind: str, p: int) -> Dict[str, Any]:
+    """The least wall of SMALL_REPEATS runs resolving SMALL_OCCURRENCES
+    fresh occurrences (each run its own sizes), and the sha256 of the
+    first run's outcomes."""
+    from repro.mpi.fabrics import phi_fabric
+
+    fabric = phi_fabric(2)
+    best = float("inf")
+    digest = ""
+    for k in range(SMALL_REPEATS):
+        insts = _small_occurrences(
+            kind, p, SMALL_FIRST_NBYTES + k * SMALL_OCCURRENCES)
+        t0 = time.perf_counter()
+        for inst in insts:
+            inst.resolve(fabric)
+        best = min(best, time.perf_counter() - t0)
+        if k == 0:
+            blob = repr([inst.outcome for inst in insts]).encode()
+            digest = hashlib.sha256(blob).hexdigest()
+    return {
+        "kind": kind,
+        "ranks": p,
+        "occurrences": SMALL_OCCURRENCES,
+        "resolve": {"wall": best, "us": best / SMALL_OCCURRENCES * 1e6,
+                    "digest": digest},
+    }
+
+
 def _npb_point(bench: str, p: int) -> Dict[str, Any]:
     from repro.mpi.compile import CompileStats
     from repro.mpi.fabrics import host_fabric
@@ -332,6 +392,8 @@ def run_jobcompile(
     quick: bool = False, output: Optional[str] = "BENCH_jobcompile.json"
 ) -> Dict[str, Any]:
     """Run both campaigns and (optionally) write the JSON report."""
+    from repro.mpi.collectives import KINDS
+
     _warm_replay()
     report: Dict[str, Any] = {
         "name": "jobcompile",
@@ -344,6 +406,8 @@ def run_jobcompile(
         },
         "lower": {"points": [_lower_point(LOWER_RANKS, job)
                              for job in LOWER_JOBS]},
+        "small": {"points": [_small_point(kind, p) for kind in KINDS
+                             for p in SMALL_RANKS]},
     }
     try:
         import numpy  # noqa: F401
@@ -497,6 +561,10 @@ def render_report(report: Dict[str, Any]) -> str:
         low = pt["lower"]
         lines.append(f"{tag:>16} {'lower':>7} {low['wall']:>9.4f} "
                      f"({pt['job']}, {low['phases']} phases)")
+    for pt in report.get("small", {}).get("points", ()):
+        tag = f"{pt['kind']} P={pt['ranks']}"
+        lines.append(f"{tag:>16} {'resolve':>7} "
+                     f"{pt['resolve']['us']:>9.2f} µs per occurrence")
     for pt in report.get("npb", {}).get("points", ()):
         tag = f"npb-{pt['bench']} P={pt['ranks']}"
         for label in ("replay", "memo"):

@@ -15,7 +15,10 @@ What is compared per report family:
   the fresh report, plus per-point replay/memo wall budgets (and the
   halo points' traced-replay wall, the vector points' wall and the
   lowering leg's wall), plus exact equality of each lowered program's
-  phase count and sha256 digest.
+  phase count and sha256 digest.  The small-collective leg's summed
+  per-occurrence µs has its own budget, ``FACTOR`` times the baseline's
+  with no floor (its best-of-five sums are milliseconds), and each of
+  its points' outcome digests must equal the baseline's.
 * **campaign** — every kill-and-resume and worker-kill gate boolean,
   plus reference and resume wall budgets (the killed legs retry with
   doubled throttles, so their walls are not budgeted).
@@ -43,12 +46,13 @@ class Diff:
     def __init__(self) -> None:
         self.rows: List[Any] = []
 
-    def wall(self, point: str, base: float, fresh: float) -> None:
-        budget = max(FLOOR_S, FACTOR * base)
+    def wall(self, point: str, base: float, fresh: float,
+             floor: float = FLOOR_S, unit: str = "s") -> None:
+        budget = max(floor, FACTOR * base)
         if fresh > budget:
             self.rows.append(
-                (point, f"{base:.3f}s", f"{fresh:.3f}s",
-                 f"wall > budget {budget:.3f}s")
+                (point, f"{base:.3f}{unit}", f"{fresh:.3f}{unit}",
+                 f"wall > budget {budget:.3f}{unit}")
             )
 
     def exact(self, point: str, base: Any, fresh: Any) -> None:
@@ -106,6 +110,20 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
 
     for violation in check_report(fresh):
         d.gate("jobcompile", violation)
+    small = {
+        side: {(pt["kind"], pt["ranks"]): pt["resolve"]
+               for pt in report.get("small", {}).get("points", ())}
+        for side, report in (("base", base), ("fresh", fresh))
+    }
+    if small["base"].keys() != small["fresh"].keys():
+        d.gate("jobcompile.small", "small-collective points changed")
+    elif small["base"]:
+        d.wall("jobcompile.small.us", sum(r["us"] for r in small["base"].values()),
+               sum(r["us"] for r in small["fresh"].values()), floor=0.0,
+               unit="us")
+        for (kind, p), b in small["base"].items():
+            d.exact(f"jobcompile.small[P={p},{kind}].resolve.digest",
+                    b["digest"], small["fresh"][(kind, p)]["digest"])
     for family in ("halo", "vector", "lower", "npb"):
         b_points = base.get(family, {}).get("points", [])
         f_points = fresh.get(family, {}).get("points", [])
@@ -255,6 +273,19 @@ def test_benchdiff_jobcompile_gates_lowered_output_exactly():
         "jobcompile.lower[P=65536,halo].lower.digest",
     ]
     assert {r[3] for r in rows} == {"value changed"}
+
+
+def test_benchdiff_jobcompile_budgets_the_small_leg():
+    def report(us, digest="ab"):
+        point = {"kind": "allreduce", "ranks": 5, "occurrences": 100,
+                 "resolve": {"wall": us * 1e-4, "us": us, "digest": digest}}
+        return {"name": "jobcompile", "halo": {"points": []},
+                "small": {"points": [point]}}
+
+    assert diff_reports(report(10.0), report(29.0), "jobcompile").rows == []
+    rows = diff_reports(report(10.0), report(31.0, "cd"), "jobcompile").rows
+    assert [r[0] for r in rows] == [
+        "jobcompile.small.us", "jobcompile.small[P=5,allreduce].resolve.digest"]
 
 
 def test_benchdiff_floor_tolerates_noise():

@@ -122,12 +122,13 @@ def _default_op(op: Optional[Callable]) -> Callable:
 
 class Level(NamedTuple):
     """One point-to-point hop per pair of vrank slices: vrank
-    ``senders[k]`` sends ``nbytes`` to vrank ``receivers[k]`` under
-    ``tag``.  The two slices have one length and one stride."""
+    ``senders[k]`` sends ``blocks`` blocks (of :meth:`Plan.unit` bytes)
+    to vrank ``receivers[k]`` under ``tag``.  The two slices have one
+    length and one stride."""
 
     senders: slice
     receivers: slice
-    nbytes: int
+    blocks: int
     tag: int
     move: str
 
@@ -137,11 +138,12 @@ class Rounds(NamedTuple):
     members.  Round ``i`` has ``arg = first + i·stride`` and tag ``tag −
     i·stride``: with ``exchange`` member ``m`` swaps with ``m ^ arg``,
     else it sends to ``m + arg`` and receives from ``m − arg`` (mod
-    ``n``).  Every hop carries ``nbytes`` on the ``pattern`` wire."""
+    ``n``).  Every hop carries ``blocks`` blocks on the ``pattern``
+    wire."""
 
     exchange: bool
     first: int
-    nbytes: int
+    blocks: int
     tag: int
     move: str
     count: int = 1
@@ -154,12 +156,18 @@ class Plan(NamedTuple):
     ``rounds``, then ``tail`` levels.  Levels address vranks, ``(rank −
     root) mod p``.  The rounds' members are every vrank, or with ``fold
     = r`` allreduce's ``p − r`` survivors: member ``m`` is vrank ``2m +
-    1`` for ``m < r`` and ``m + r`` after."""
+    1`` for ``m < r`` and ``m + r`` after.  A ``chunked`` plan moves
+    ``1/p``-size chunks of the message (:meth:`unit`)."""
 
     head: Tuple[Level, ...] = ()
     rounds: Tuple[Rounds, ...] = ()
     tail: Tuple[Level, ...] = ()
     fold: int = 0
+    chunked: bool = False
+
+    def unit(self, p: int, nbytes: int) -> int:
+        """The bytes of one block when each rank moves ``nbytes``."""
+        return max(1, nbytes // p) if self.chunked else nbytes
 
 
 @lru_cache(maxsize=256)
@@ -190,15 +198,15 @@ def _tree_hops(p: int, blocks: bool) -> Tuple[Tuple[slice, slice, int], ...]:
     return tuple(hops)
 
 
-def _tree(p: int, nbytes: int, blocks: bool, tag: int, move: str,
+def _tree(p: int, blocks: bool, tag: int, move: str,
           up: bool) -> Tuple[Level, ...]:
-    """A binomial tree's levels of ``nbytes`` blocks in walk order: mask
-    ascending going ``up`` (children send to parents), descending going
-    down (:func:`_tree_hops`)."""
+    """A binomial tree's levels in walk order: mask ascending going
+    ``up`` (children send to parents), descending going down
+    (:func:`_tree_hops`)."""
     if up:
-        return tuple(Level(kid, par, nbytes * k, tag, move)
+        return tuple(Level(kid, par, k, tag, move)
                      for par, kid, k in _tree_hops(p, blocks))
-    return tuple(Level(par, kid, nbytes * k, tag, move)
+    return tuple(Level(par, kid, k, tag, move)
                  for par, kid, k in reversed(_tree_hops(p, blocks)))
 
 
@@ -207,27 +215,42 @@ def _powers(n: int) -> List[int]:
     return [1 << i for i in range(n)]
 
 
-@lru_cache(maxsize=256)
 def plan(kind: str, p: int, nbytes: int) -> Plan:
     """The round plan of collective ``kind`` on ``p`` ranks moving
-    ``nbytes`` per rank (per block for allgather and alltoall)."""
+    ``nbytes`` per rank (per block for allgather and alltoall).
+
+    Its entries count blocks of :meth:`Plan.unit` bytes, so the plan
+    depends on ``nbytes`` only through the algorithm switches, and one
+    cached plan serves every message size an algorithm covers.
+    """
+    if kind == "bcast":
+        return _plan(kind, p, nbytes > LARGE_MESSAGE_SWITCH)
+    if kind == "allgather":
+        return _plan(kind, p, nbytes > ALLGATHER_RING_SWITCH)
+    return _plan(kind, p, False)
+
+
+@lru_cache(maxsize=256)
+def _plan(kind: str, p: int, large: bool) -> Plan:
+    """:func:`plan` for one algorithm: ``large`` picks the large-message
+    bcast and the ring allgather."""
     if p == 1:
         return Plan()
     pow2 = 1 << (p.bit_length() - 1)
-    if kind == "bcast" and nbytes <= LARGE_MESSAGE_SWITCH:
-        return Plan(_tree(p, nbytes, False, _TAG_COLL, "copy", up=False))
+    if kind == "bcast" and not large:
+        return Plan(_tree(p, False, _TAG_COLL, "copy", up=False))
     if kind == "bcast":
         # van de Geijn: scatter 1/p-size chunks down the binomial tree,
         # then ring-allgather them; every chunk is the root's value.
-        chunk = max(1, nbytes // p)
-        return Plan(_tree(p, chunk, True, _TAG_COLL - 9, "copy", up=False),
-                    (Rounds(False, 1, chunk, _TAG_COLL - 6, "copy", p - 1),))
+        return Plan(_tree(p, True, _TAG_COLL - 9, "copy", up=False),
+                    (Rounds(False, 1, 1, _TAG_COLL - 6, "copy", p - 1),),
+                    chunked=True)
     if kind == "reduce":
-        return Plan(_tree(p, nbytes, False, _TAG_COLL - 1, "fold", up=True))
+        return Plan(_tree(p, False, _TAG_COLL - 1, "fold", up=True))
     if kind == "gather":
-        return Plan(_tree(p, nbytes, True, _TAG_COLL - 8, "merge", up=True))
+        return Plan(_tree(p, True, _TAG_COLL - 8, "merge", up=True))
     if kind == "scatter":
-        return Plan(_tree(p, nbytes, True, _TAG_COLL - 9, "split", up=False))
+        return Plan(_tree(p, True, _TAG_COLL - 9, "split", up=False))
     if kind == "allreduce":
         # MPICH: with p = 2^m + r the first 2r ranks fold pairwise (even
         # into odd), the 2^m survivors run the doubling exchange, and the
@@ -235,32 +258,31 @@ def plan(kind: str, p: int, nbytes: int) -> Plan:
         r = p - pow2
         evens, odds = slice(0, 2 * r, 2), slice(1, 2 * r, 2)
         return Plan(
-            (Level(evens, odds, nbytes, _TAG_COLL - 2, "fold"),) if r else (),
-            tuple(Rounds(True, m, nbytes, _TAG_COLL - 4, "fold")
+            (Level(evens, odds, 1, _TAG_COLL - 2, "fold"),) if r else (),
+            tuple(Rounds(True, m, 1, _TAG_COLL - 4, "fold")
                   for m in _powers(p.bit_length() - 1)),
-            (Level(odds, evens, nbytes, _TAG_COLL - 3, "copy"),) if r else (),
+            (Level(odds, evens, 1, _TAG_COLL - 3, "copy"),) if r else (),
             r,
         )
-    if kind == "allgather" and nbytes > ALLGATHER_RING_SWITCH:
-        return Plan(rounds=(Rounds(False, 1, nbytes, _TAG_COLL - 6, "ring",
+    if kind == "allgather" and large:
+        return Plan(rounds=(Rounds(False, 1, 1, _TAG_COLL - 6, "ring",
                                    p - 1),))
     if kind == "allgather" and pow2 == p:
         # Recursive doubling; each round exchanges every block held.
         return Plan(rounds=tuple(
-            Rounds(True, m, nbytes * m, _TAG_COLL - 5, "merge")
+            Rounds(True, m, m, _TAG_COLL - 5, "merge")
             for m in _powers(p.bit_length() - 1)
         ))
     if kind == "allgather":
         # Bruck: doubling shifted transfers of min(k, p−k) blocks.
         return Plan(rounds=tuple(
-            Rounds(False, -k, nbytes * min(k, p - k), _TAG_COLL - 10 - i,
-                   "merge")
+            Rounds(False, -k, min(k, p - k), _TAG_COLL - 10 - i, "merge")
             for i, k in enumerate(_powers((p - 1).bit_length()))  # ⌈log2 p⌉
         ))
     if kind == "alltoall":
         # Round rnd = 1 … p−1 pairs i with i ^ rnd on a power of two,
         # else sends to i + rnd and receives from i − rnd.
-        return Plan(rounds=(Rounds(pow2 == p, 1, nbytes, _TAG_COLL - 8,
+        return Plan(rounds=(Rounds(pow2 == p, 1, 1, _TAG_COLL - 8,
                                    "route", p - 1, 1, "alltoall"),))
     if kind == "barrier":
         # Dissemination: zero-byte shifts by 1, 2, 4, … off the user tags.
@@ -393,20 +415,21 @@ def _stepped(kind: str, comm: Communicator, value: Any, nbytes: int,
     op = _default_op(op)
     v = (rank - root) % p
     pl = plan(kind, p, nbytes)
+    unit = pl.unit(p, nbytes)
 
     def levels(state: Any, lvls: Tuple[Level, ...]) -> Generator:
         for lvl in lvls:
             d = lvl.receivers.start - lvl.senders.start
+            size = lvl.blocks * unit
             if v in range(p)[lvl.senders]:
                 payload, state = _outgoing(lvl.move, state, value, 0, v + d)
-                yield from comm.send((v + d + root) % p, lvl.nbytes,
+                yield from comm.send((v + d + root) % p, size,
                                      tag=lvl.tag, payload=payload)
             elif v in range(p)[lvl.receivers]:
                 src = (v - d + root) % p
                 env = yield from comm.recv(source=src, tag=lvl.tag)
                 if lvl.move == "fold":
-                    yield from comm.compute(
-                        comm.fabric(src).reduce_time(lvl.nbytes))
+                    yield from comm.compute(comm.fabric(src).reduce_time(size))
                 state = _absorb(lvl.move, state, env, op)
         return state
 
@@ -420,13 +443,13 @@ def _stepped(kind: str, comm: Communicator, value: Any, nbytes: int,
             tag = rnd.tag - i * rnd.stride
             payload, state = _outgoing(rnd.move, state, value, dest,
                                        (m - i) % n)
-            req = comm.isend(dest, rnd.nbytes, tag=tag, payload=payload,
-                             pattern=rnd.pattern)
+            req = comm.isend(dest, rnd.blocks * unit, tag=tag,
+                             payload=payload, pattern=rnd.pattern)
             env = yield from comm.recv(source=src, tag=tag)
             yield from req.wait()
             if rnd.move == "fold":
                 yield from comm.compute(
-                    comm.fabric(src).reduce_time(rnd.nbytes))
+                    comm.fabric(src).reduce_time(rnd.blocks * unit))
             state = _absorb(rnd.move, state, env, op)
     state = yield from levels(state, pl.tail)
     return _finish(kind, state, v, p)
@@ -452,8 +475,10 @@ def _stepped(kind: str, comm: Communicator, value: Any, nbytes: int,
 # suite gates with ``==``.
 #
 # Every schedule has the signature ``(fabric, p, nbytes, arrivals,
-# root=0, factors=None)``: ``arrivals`` holds the ranks' entry times, and
-# ``factors`` (one per rank) scales each rank's reduction arithmetic.
+# root=0, factors=None, wires=None)``: ``arrivals`` holds the ranks'
+# entry times, ``factors`` (one per rank) scales each rank's reduction
+# arithmetic, and ``wires`` is a job's :class:`_Wires` table, which the
+# compiled replay shares between its messages and every occurrence.
 # The clock vector is a Python list or a float numpy array, and the
 # output is the same container.  The steps are written once for both
 # containers with the same float operations in the same order, so the
@@ -620,14 +645,16 @@ def _p2p(send: Any, recv: Any, tp: float, ts: float,
     return done, done
 
 
+
 def _levels(t: Any, levels: Tuple[Level, ...], wires: _Wires,
-            combine: Any) -> Any:
-    """``levels`` on the per-vrank clock vector ``t``, written in place: a
-    ``fold`` receiver adds ``combine`` (one time, or one per vrank) after
-    its receive."""
+            combine: Any, unit: int = 1) -> Any:
+    """``levels`` on the per-vrank clock vector ``t``, written in place,
+    each hop ``unit`` bytes a block: a ``fold`` receiver adds ``combine``
+    (one time, or one per vrank) after its receive."""
     for lvl in levels:
         snd, rcv = lvl.senders, lvl.receivers
-        t[snd], done = _p2p(t[snd], t[rcv], *wires[lvl.nbytes, "neighbor"])
+        t[snd], done = _p2p(t[snd], t[rcv],
+                            *wires[unit * lvl.blocks, "neighbor"])
         if lvl.move == "fold":
             done = _add_to(done, combine[rcv] if isinstance(combine, list)
                            else combine)
@@ -636,10 +663,11 @@ def _levels(t: Any, levels: Tuple[Level, ...], wires: _Wires,
 
 
 def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
-            combine: Any) -> Any:
-    """The data-parallel ``rounds`` on the members' clock vector ``t``:
-    each round one :func:`exchange_step` or :func:`shift_step`, and a
-    ``fold`` round adds ``combine`` (one time, or one per member).
+            combine: Any, unit: int = 1) -> Any:
+    """The data-parallel ``rounds`` on the members' clock vector ``t``,
+    each hop ``unit`` bytes a block: each round one exchange or shift
+    step, and a ``fold`` round adds ``combine`` (one time, or one per
+    member).
 
     When every member enters at once, one scalar carries every round.
     Rounding is monotone, so a round maps a uniform vector ``c`` to the
@@ -656,7 +684,7 @@ def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
         and any(rnd.move == "fold" for rnd in rounds)
     )
     for rnd in rounds:
-        tp, ts, eager = wires[rnd.nbytes, rnd.pattern]
+        tp, ts, eager = wires[unit * rnd.blocks, rnd.pattern]
         fold = rnd.move == "fold"
         if uniform:
             adds = [max(ts, tp) if eager else tp] + ([combine] if fold else [])
@@ -681,14 +709,18 @@ def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
 
 def _schedule(kind: str, fabric, p: int, nbytes: int, arrivals: Any,
               root: Optional[int] = 0,
-              factors: Optional[List[float]] = None) -> Any:
+              factors: Optional[List[float]] = None,
+              wires: Optional[_Wires] = None) -> Any:
     """Per-rank completion times of collective ``kind`` on a uniform
     fabric from the ranks' entry times ``arrivals``: its plan's head
     levels, rounds and tail levels on one clock vector, by vrank.
     ``factors`` (one per rank) scales each rank's reduction arithmetic
-    exactly as a straggler's ``compute`` scales it."""
+    exactly as a straggler's ``compute`` scales it.  ``wires`` is the
+    job's wire table for ``fabric`` at ``p`` ranks, shared by its
+    occurrences; without one the call prices its own."""
     t = _arrivals(p, arrivals)
     pl = plan(kind, p, nbytes)
+    unit = pl.unit(p, nbytes)
     root = _root(kind, root)
     combine: Any = fabric.reduce_time(nbytes)
     if factors is not None and any(x.move == "fold"
@@ -696,16 +728,17 @@ def _schedule(kind: str, fabric, p: int, nbytes: int, arrivals: Any,
         combine = _roll([combine * f for f in factors], -root)
     if root:
         t = _roll(t, -root)
-    wires = _Wires(fabric, p)
+    if wires is None:
+        wires = _Wires(fabric, p)
     if pl.head:
-        t = _levels(t, pl.head, wires, combine)
+        t = _levels(t, pl.head, wires, combine, unit)
     if pl.rounds:
         members = (_group(combine, pl.fold) if isinstance(combine, list)
                    else combine)
-        g = _rounds(_group(t, pl.fold), pl.rounds, wires, members)
+        g = _rounds(_group(t, pl.fold), pl.rounds, wires, members, unit)
         t = _ungroup(t, g, pl.fold)
     if pl.tail:
-        t = _levels(t, pl.tail, wires, combine)
+        t = _levels(t, pl.tail, wires, combine, unit)
     return _roll(t, root) if root else t
 
 
@@ -774,7 +807,7 @@ ALGORITHMS: Dict[str, Callable[..., Generator]] = {
 
 #: Schedule functions by collective kind (the fast path's dispatch table),
 #: all with the signature ``(fabric, p, nbytes, arrivals, root=0,
-#: factors=None)``.
+#: factors=None, wires=None)``.
 SCHEDULES: Dict[str, Callable[..., Any]] = {
     kind: partial(_schedule, kind) for kind in KINDS
 }

@@ -90,12 +90,14 @@ no span at all.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, DefaultDict, Deque, Dict, Generator, List,
+                    Optional, Tuple)
 
 from repro.errors import ConfigError
 from repro.mpi.api import RankComm
+from repro.mpi.collectives import _Wires
 from repro.mpi.fabrics import Fabric
 from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
@@ -286,9 +288,10 @@ class _ReplayComm(RankComm):
         clock = job.clocks[rank]
         env = _REnv(rank, dest, tag, nbytes, clock, payload, pattern)
         job.deliver(env)
-        if nbytes <= job.eager_max:
+        _tp, ts, eager = job.wires[nbytes, pattern]
+        if eager:
             # Eager: the sender detaches after its local copy.
-            end = clock + job.sender_time(nbytes)
+            end = clock + ts
         else:
             # Rendezvous: block until the receiver completes the transfer.
             env.waiter = rank
@@ -314,12 +317,14 @@ class _ReplayComm(RankComm):
             raise ReplayFallback("wildcard-source recv")
         self._check_peer(source)
         job = self._job
-        queue = job.queue(self.rank, source)
+        rank = self.rank
+        edge = rank * self.size + source
+        queue = job.queues[edge]
         while True:
             env = _scan_queue(queue, tag)
             if env is not None:
                 break
-            job.park_recv(self.rank, source)
+            job.recv_wait[edge] = rank
             yield _PARK
         self._complete(env)
         return env
@@ -330,17 +335,12 @@ class _ReplayComm(RankComm):
         tp``; then wake a sender parked on it."""
         job = self._job
         nbytes = env.nbytes
-        key = (nbytes, env.pattern)
-        transfer = job.p2p.get(key)
-        if transfer is None:
-            transfer = job.p2p[key] = job.fabric.p2p_time(
-                nbytes, pattern=env.pattern, n_senders=self.size
-            )
+        tp, _ts, eager = job.wires[nbytes, env.pattern]
         clock = job.clocks[self.rank]
-        if nbytes <= job.eager_max:
-            completion = max(clock, env.post_time + transfer)
+        if eager:
+            completion = max(clock, env.post_time + tp)
         else:
-            completion = max(clock, env.post_time) + transfer
+            completion = max(clock, env.post_time) + tp
         job.clocks[self.rank] = completion
         env.done_time = completion
         if env.waiter is not None:
@@ -358,8 +358,9 @@ class _ReplayComm(RankComm):
         env = _REnv(self.rank, dest, tag, nbytes, clock, payload, pattern)
         job.deliver(env)
         ready = None
-        if nbytes <= job.eager_max:
-            ready = clock + job.sender_time(nbytes)
+        _tp, ts, eager = job.wires[nbytes, pattern]
+        if eager:
+            ready = clock + ts
             # The engine's sender-side timer fires whether or not the
             # request is waited; it can end the job's clock.
             if ready > job.horizon:
@@ -383,8 +384,10 @@ class _ReplayComm(RankComm):
         """``isend`` + ``recv`` + ``wait`` in one generator, with the
         shared ``sendrecv``'s checks, clocks, deliveries and spans.
 
-        The rank's clock ends at or past its eager send's ``ready``, so
-        unlike a bare ``isend`` that timer never needs the horizon.
+        The send's delivery, the receive's match and its completion
+        (:meth:`_complete`) run in this frame.  The rank's clock ends at
+        or past its eager send's ``ready``, so unlike a bare ``isend``
+        that timer never needs the horizon.
         """
         self._check_send(dest, nbytes)
         if source is None:
@@ -392,22 +395,47 @@ class _ReplayComm(RankComm):
         self._check_peer(source)
         job = self._job
         rank = self.rank
-        clock = job.clocks[rank]
+        size = self.size
+        clocks = job.clocks
+        wires = job.wires
+        clock = clocks[rank]
         out = _REnv(rank, dest, tag, nbytes, clock, payload, "neighbor")
-        job.deliver(out)
-        ready = None
-        if nbytes <= job.eager_max:
-            ready = clock + job.sender_time(nbytes)
+        edge = dest * size + rank
+        job.queues[edge].append(out)
+        job.replay_ops += 1
+        waiter = job.recv_wait.pop(edge, None)
+        if waiter is not None:
+            job.wake(waiter)
+        _tp, ts, eager = wires[nbytes, "neighbor"]
+        ready = clock + ts if eager else None
         if self._trace is not None:
             self._trace_isend(clock, ready, out)
-        queue = job.queue(rank, source)
+        edge = rank * size + source
+        queue = job.queues[edge]
         while True:
-            env = _scan_queue(queue, tag)
-            if env is not None:
-                break
-            job.park_recv(rank, source)
+            if queue:
+                env = queue[0]  # usually the match
+                if tag is None or env.tag == tag:
+                    queue.popleft()
+                    break
+                env = _scan_queue(queue, tag)
+                if env is not None:
+                    break
+            job.recv_wait[edge] = rank
             yield _PARK
-        self._complete(env)
+        tp, _ts, eager = wires[env.nbytes, env.pattern]
+        clock = clocks[rank]
+        if eager:
+            completion = max(clock, env.post_time + tp)
+        else:
+            completion = max(clock, env.post_time) + tp
+        clocks[rank] = env.done_time = completion
+        if env.waiter is not None:
+            job.wake(env.waiter)
+        if self._trace is not None:
+            self._span("recv", "mpi.p2p", clock, {"source": env.source,
+                                                  "nbytes": env.nbytes,
+                                                  "tag": env.tag})
         if ready is None:
             # Rendezvous: the send completes when its receiver does.
             if out.done_time is None:
@@ -478,7 +506,7 @@ class _ReplayComm(RankComm):
             ends, results = inst.outcome
         else:
             del job.coll_instances[seq]
-            ends, results = inst.resolve(job.fabric, job.factors)
+            ends, results = inst.resolve(job.fabric, job.factors, job.wires)
             job.replay_ops += 1
             for r in inst.parked:
                 job.wake(r)
@@ -607,8 +635,8 @@ class _ReplayJob:
     ranks record their spans, which reach the tracer on process lane
     ``"mpijob"`` only once every rank has finished.  A static fault
     ``plan`` degrades the fabric and slows its stragglers.  The fabric is
-    fixed for the whole replay, so each message size's transfer time is
-    priced once, in ``p2p``.
+    fixed for the whole replay, so each message size's wire is priced
+    once, in ``wires``, which every collective occurrence shares.
     """
 
     def __init__(self, n_ranks: int, fabric: Any,
@@ -625,16 +653,14 @@ class _ReplayJob:
             None if tracer is None
             else _ReplayTrace(tracer, "mpijob", n_ranks, plan)
         )
-        self.eager_max = self.fabric.eager_max
-        #: (nbytes, pattern) -> the fabric's p2p_time at this job's size.
-        self.p2p: Dict[Tuple[int, str], float] = {}
-        #: nbytes -> the fabric's eager sender occupancy.
-        self.sender: Dict[int, float] = {}
+        #: (nbytes, pattern) -> (p2p time, sender occupancy, is-eager) at
+        #: this job's size.
+        self.wires = _Wires(self.fabric, n_ranks)
         self.clocks = [0.0] * n_ranks
-        #: (dest, source) -> FIFO of undelivered envelopes.
-        self.queues: Dict[Tuple[int, int], Deque[_REnv]] = {}
-        #: (dest, source) -> rank parked waiting for a message on that edge.
-        self.recv_wait: Dict[Tuple[int, int], int] = {}
+        #: Edge ``dest * size + source`` -> FIFO of undelivered envelopes.
+        self.queues: DefaultDict[int, Deque[_REnv]] = defaultdict(deque)
+        #: Edge -> the rank parked waiting for a message on it.
+        self.recv_wait: Dict[int, int] = {}
         self.coll_instances: Dict[int, _Instance] = {}
         #: Latest sender-side isend timer — the engine drains these even
         #: when unwaited, so they bound the job's elapsed time.
@@ -645,27 +671,13 @@ class _ReplayJob:
 
     # ------------------------------------------------------------ transport
 
-    def sender_time(self, nbytes: int) -> float:
-        t = self.sender.get(nbytes)
-        if t is None:
-            t = self.sender[nbytes] = self.fabric.sender_time(nbytes)
-        return t
-
-    def queue(self, dest: int, source: int) -> Deque[_REnv]:
-        q = self.queues.get((dest, source))
-        if q is None:
-            q = self.queues[(dest, source)] = deque()
-        return q
-
     def deliver(self, env: _REnv) -> None:
-        self.queue(env.dest, env.source).append(env)
+        edge = env.dest * self.size + env.source
+        self.queues[edge].append(env)
         self.replay_ops += 1
-        waiter = self.recv_wait.pop((env.dest, env.source), None)
+        waiter = self.recv_wait.pop(edge, None)
         if waiter is not None:
             self.wake(waiter)
-
-    def park_recv(self, dest: int, source: int) -> None:
-        self.recv_wait[(dest, source)] = dest
 
     def wake(self, rank: int) -> None:
         if rank not in self._queued:
@@ -685,9 +697,10 @@ class _ReplayJob:
         finished = [False] * p
         returns: List[Any] = [None] * p
         resume: List[Any] = [None] * p
-        while self._runnable:
-            r = self._runnable.popleft()
-            self._queued.discard(r)
+        runnable, queued = self._runnable, self._queued
+        while runnable:
+            r = runnable.popleft()
+            queued.discard(r)
             while True:
                 try:
                     cmd = gens[r].send(resume[r])

@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import SCHEDULES, Plan, fold_values, plan
+from repro.mpi.collectives import SCHEDULES, Plan, _Wires, fold_values, plan
 from repro.perf.batch import get_numpy
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
@@ -78,13 +78,15 @@ def takes_fast_path(kind: str, nbytes: int) -> bool:
 class _Instance:
     """One collective occurrence: the rendezvous of all ranks' arrivals.
 
-    Shared by the fast path, whose parked ranks wait on ``events``, and
-    the max-plus replay (:mod:`repro.mpi.compile`), whose parked ranks
-    are listed in ``parked``.
+    Shared by the fast path, whose parked ranks wait on ``events`` (which
+    it allocates), and the max-plus replay (:mod:`repro.mpi.compile`),
+    whose parked ranks are listed in ``parked``.
     """
 
     __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
                  "pending", "events", "parked", "outcome")
+
+    events: List[Optional[Event]]
 
     def __init__(self, size: int, kind: str, nbytes: int,
                  root: Optional[int], op):
@@ -96,7 +98,6 @@ class _Instance:
         self.arrivals: List[float] = [0.0] * size
         self.values: List[Any] = [None] * size
         self.pending = size
-        self.events: List[Optional[Event]] = [None] * size
         self.parked: List[int] = []
         #: ``(finish times, results)`` once the last rank has arrived.
         self.outcome: Optional[Tuple[List[float], List[Any]]] = None
@@ -118,22 +119,25 @@ class _Instance:
         self.pending -= 1
         return self.pending == 0
 
-    def resolve(self, fabric: Any, factors: Optional[List[float]] = None
+    def resolve(self, fabric: Any, factors: Optional[List[float]] = None,
+                wires: Optional[_Wires] = None
                 ) -> Tuple[List[float], List[Any]]:
-        """Every rank's finish time (:func:`finish_times`) and result."""
+        """Every rank's finish time (:func:`finish_times`) and result;
+        ``wires`` is the job's wire table, shared by its occurrences."""
         ends = finish_times(self.kind, fabric, self.nbytes, self.arrivals,
-                            self.root, factors)
+                            self.root, factors, wires)
         self.outcome = ends, _RESULTS[self.kind](self)
         return self.outcome
 
 
 def finish_times(kind: str, fabric: Any, nbytes: int, arrivals: List[float],
-                 root: Any = 0, factors: Optional[List[float]] = None
-                 ) -> List[float]:
+                 root: Any = 0, factors: Optional[List[float]] = None,
+                 wires: Optional[_Wires] = None) -> List[float]:
     """Every rank's finish time of collective ``kind`` from its entry
     times ``arrivals``: the :data:`~repro.mpi.collectives.SCHEDULES`
     entry.  ``factors`` (one per rank) scales the reduction arithmetic
-    of reduce and allreduce.
+    of reduce and allreduce; ``wires``, when given, is the caller's wire
+    table for ``fabric`` at this rank count.
 
     A schedule that steps O(P) rounds (:func:`_many_rounds`) on
     ``ARRAY_ROUNDS_MIN_P`` ranks or more runs on an array when numpy is
@@ -147,10 +151,7 @@ def finish_times(kind: str, fabric: Any, nbytes: int, arrivals: List[float],
                 and _many_rounds(plan(kind, p, nbytes), arrivals))
     if on_array:
         t = np.array(arrivals, dtype=float)
-    args: Tuple[Any, ...] = (fabric, p, nbytes, t, root)
-    if factors is not None:
-        args += (factors,)
-    ends = SCHEDULES[kind](*args)
+    ends = SCHEDULES[kind](fabric, p, nbytes, t, root, factors, wires)
     return ends.tolist() if on_array else ends
 
 
@@ -190,6 +191,7 @@ class FastCollectives:
             inst = self._instances[seq] = _Instance(
                 self.size, kind, nbytes, root, op
             )
+            inst.events = [None] * self.size
         else:
             try:
                 inst.check(kind, nbytes, root)

@@ -252,20 +252,19 @@ class _OpaqueList:
 
 class _TraceEnv:
     """The envelope a traced ``recv`` returns: peers are knowable, the
-    payload and every timing attribute are not."""
+    payload and every timing attribute are not.  Those are the same on
+    every envelope, so they are class attributes and a ``recv`` writes
+    three slots."""
 
-    __slots__ = ("source", "dest", "tag", "nbytes", "payload", "post_time",
-                 "done_time", "pattern")
+    __slots__ = ("source", "dest", "tag")
+
+    nbytes = payload = post_time = done_time = _OPAQUE
+    pattern = "neighbor"
 
     def __init__(self, source: int, dest: int, tag: Optional[int]):
         self.source = source
         self.dest = dest
         self.tag = tag if tag is not None else _OPAQUE
-        self.nbytes = _OPAQUE
-        self.payload = _OPAQUE
-        self.post_time = _OPAQUE
-        self.done_time = _OPAQUE
-        self.pattern = "neighbor"
 
 
 class _TraceRequest:

@@ -29,7 +29,7 @@ import hashlib
 import os
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
 
@@ -41,17 +41,14 @@ __all__ = ["CacheStats", "EvalCache", "fingerprint"]
 # ==========================================================================
 
 
-@functools.lru_cache(maxsize=256)
-def _code_digest(code: Any) -> str:
+def _hash_code(code: Any) -> str:
     """A SHA-256 digest of a code object, stable across interpreter runs.
 
     Covers the pieces that define behaviour — name, argument counts,
     bytecode, referenced names and constants (recursing into nested code
     objects) — and nothing address- or hash-seed-dependent, so a rank
     program fingerprints identically in every process running the same
-    Python version.  Code objects compare equal on a superset of those
-    pieces, so the digest is memoized on the code object: equal code
-    objects share one entry, and a job key rehashes no bytecode.
+    Python version.
     """
     h = hashlib.sha256()
     h.update(code.co_name.encode())
@@ -70,6 +67,30 @@ def _code_digest(code: Any) -> str:
         else:
             h.update(repr(const).encode())
     return h.hexdigest()
+
+
+#: Digests of live code objects (see :func:`_code_digest`) by ``id``: a
+#: weak reference to the code object and its digest.
+_CODE_DIGESTS: Dict[int, Tuple[Any, str]] = {}
+
+
+def _code_digest(code: Any) -> str:
+    """:func:`_hash_code`, memoized on the code object's identity.
+
+    Code objects are immutable, so a live one's digest never changes.
+    The entry holds a weak reference, checked on every hit so that a
+    reused ``id`` never answers, and dropped when the code object dies.
+    An identity lookup costs a dict probe, where a memo keyed on the
+    code object itself would hash its bytecode and constants per call.
+    """
+    oid = id(code)
+    entry = _CODE_DIGESTS.get(oid)
+    if entry is not None and entry[0]() is code:
+        return entry[1]
+    digest = _hash_code(code)
+    ref = weakref.ref(code, functools.partial(_forget, _CODE_DIGESTS, oid))
+    _CODE_DIGESTS[oid] = (ref, digest)
+    return digest
 
 
 def _module_token(obj: Any) -> str:
@@ -148,15 +169,29 @@ def _array_token(arr: Any) -> str:
     digest = hashlib.sha256(arr.tobytes()).hexdigest()
     token = f"nd:{arr.dtype}:{getattr(arr, 'shape', ())}:{digest};"
     if frozen:
-        ref = weakref.ref(arr, functools.partial(_forget, oid))
+        ref = weakref.ref(arr, functools.partial(_forget, _FROZEN_TOKENS, oid))
         _FROZEN_TOKENS[oid] = (ref, arr.dtype, arr.shape, arr.strides, token)
     return token
 
 
-def _forget(oid: int, ref: Any) -> None:
-    """Weakref callback: drop a dead array's entry, unless it was replaced."""
-    if _FROZEN_TOKENS.get(oid, (None,))[0] is ref:
-        del _FROZEN_TOKENS[oid]
+def _forget(memo: Dict[int, Any], oid: int, ref: Any) -> None:
+    """Weakref callback: drop a dead object's entry from an identity
+    memo, unless the entry was replaced."""
+    if memo.get(oid, (None,))[0] is ref:
+        del memo[oid]
+
+
+#: Per leaf type, the prefix of its token ``<prefix><repr>;``: ``None``
+#: and the bool, int, str and bytes types under their own names, float
+#: and complex types under ``float``/``complex`` (see :func:`_rule_of`).
+_LEAVES: Dict[type, str] = {}
+
+#: Per non-leaf type, the walk of its instances (see :func:`_rule_of`).
+_RULES: Dict[type, Callable[[Any, list, Set[int]], None]] = {}
+
+#: Types classified before both tables start over, so that classes made
+#: at run time cannot pile up in them.
+_MAX_TYPES = 4096
 
 
 def _canonical(obj: Any, out: list, _seen: Optional[Set[int]] = None) -> None:
@@ -174,67 +209,153 @@ def _canonical(obj: Any, out: list, _seen: Optional[Set[int]] = None) -> None:
     that shares one sub-object fingerprints identically to an equal tree
     built from copies.
     """
-    if obj is None or isinstance(obj, (bool, int, str, bytes)):
-        out.append(f"{type(obj).__name__}:{obj!r};")
+    cls = type(obj)
+    prefix = _LEAVES.get(cls)
+    if prefix is not None:
+        out.append(f"{prefix}{obj!r};")
         return
-    if isinstance(obj, float):
-        out.append(f"float:{obj!r};")
-        return
-    if isinstance(obj, complex):
-        out.append(f"complex:{obj!r};")
-        return
-    if isinstance(obj, Enum):
-        out.append(f"enum:{type(obj).__name__}.{obj.name};")
-        return
-    if _seen is None:
-        _seen = set()
+    rule = _RULES.get(cls)
+    if rule is None:
+        rule = _rule_of(cls)
+        if rule is None:  # a leaf type, met for the first time
+            out.append(f"{_LEAVES[cls]}{obj!r};")
+            return
+    seen = set() if _seen is None else _seen
     oid = id(obj)
-    if oid in _seen:
+    if oid in seen:
         out.append("cycle;")
         return
-    _seen.add(oid)
-    try:
-        _canonical_composite(obj, out, _seen)
-    finally:
-        _seen.discard(oid)
+    seen.add(oid)
+    rule(obj, out, seen)
+    seen.discard(oid)
 
 
-def _canonical_composite(obj: Any, out: list, _seen: Set[int]) -> None:
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out.append(f"dc:{type(obj).__name__}(")
-        for f in fields(obj):
-            out.append(f"{f.name}=")
-            _canonical(getattr(obj, f.name), out, _seen)
+def _rule_of(cls: type) -> Optional[Callable[[Any, list, Set[int]], None]]:
+    """Classify ``cls`` once, in the walk's rule order: file a leaf type's
+    prefix in :data:`_LEAVES` (and return None), or file and return the
+    walk of its instances in :data:`_RULES`.
+
+    Leaves, floats, complex numbers, enums, dataclasses, mappings,
+    sequences and sets come first in that order, and each is decided by
+    the type alone.  Every other type (classes among them) walks with
+    :func:`_walk_object`, whose rules ask each object: an object can
+    carry an array's ``dtype``/``tobytes`` or a callable's
+    ``__func__``/``__code__`` whatever its type.
+    """
+    if len(_LEAVES) + len(_RULES) >= _MAX_TYPES:
+        _LEAVES.clear()
+        _RULES.clear()
+    if cls is type(None) or issubclass(cls, (bool, int, str, bytes)):
+        _LEAVES[cls] = f"{cls.__name__}:"
+        return None
+    if issubclass(cls, (float, complex)):
+        _LEAVES[cls] = "float:" if issubclass(cls, float) else "complex:"
+        return None
+    rule: Callable[[Any, list, Set[int]], None]
+    if issubclass(cls, Enum):
+        rule = _walk_enum
+    elif issubclass(cls, type):
+        rule = _walk_object
+    elif hasattr(cls, "__dataclass_fields__"):
+        rule = _dataclass_walk(cls)
+    elif issubclass(cls, dict):
+        rule = _walk_mapping
+    elif issubclass(cls, (tuple, list)):
+        rule = _sequence_walk(cls)
+    elif issubclass(cls, (set, frozenset)):
+        rule = _walk_set
+    else:
+        rule = _walk_object
+    _RULES[cls] = rule
+    return rule
+
+
+def _walk_items(items: Iterable[Any], out: list, seen: Set[int]) -> None:
+    """Each of ``items`` in turn, leaves appended inline."""
+    leaves = _LEAVES
+    for item in items:
+        prefix = leaves.get(type(item))
+        if prefix is None:
+            _canonical(item, out, seen)
+        else:
+            out.append(f"{prefix}{item!r};")
+
+
+def _walk_enum(obj: Any, out: list, seen: Set[int]) -> None:
+    out.append(f"enum:{type(obj).__name__}.{obj.name};")
+
+
+def _dataclass_walk(cls: type) -> Callable[[Any, list, Set[int]], None]:
+    head = f"dc:{cls.__name__}("
+    labels = tuple((f"{f.name}=", f.name) for f in fields(cls))
+    leaves = _LEAVES
+
+    def walk(obj: Any, out: list, seen: Set[int]) -> None:
+        out.append(head)
+        for label, name in labels:
+            out.append(label)
+            value = getattr(obj, name)
+            prefix = leaves.get(type(value))
+            if prefix is None:
+                _canonical(value, out, seen)
+            else:
+                out.append(f"{prefix}{value!r};")
         out.append(");")
-    elif isinstance(obj, dict):
-        out.append("map{")
-        for k in sorted(obj, key=repr):
-            _canonical(k, out, _seen)
-            out.append("->")
-            _canonical(obj[k], out, _seen)
-        out.append("};")
-    elif isinstance(obj, (tuple, list)):
-        out.append(f"{type(obj).__name__}[")
-        for item in obj:
-            _canonical(item, out, _seen)
+
+    return walk
+
+
+def _walk_mapping(obj: Any, out: list, seen: Set[int]) -> None:
+    out.append("map{")
+    leaves = _LEAVES
+    for k in sorted(obj, key=repr):
+        prefix = leaves.get(type(k))
+        if prefix is None:
+            _canonical(k, out, seen)
+        else:
+            out.append(f"{prefix}{k!r};")
+        out.append("->")
+        value = obj[k]
+        prefix = leaves.get(type(value))
+        if prefix is None:
+            _canonical(value, out, seen)
+        else:
+            out.append(f"{prefix}{value!r};")
+    out.append("};")
+
+
+def _sequence_walk(cls: type) -> Callable[[Any, list, Set[int]], None]:
+    head = f"{cls.__name__}["
+
+    def walk(obj: Any, out: list, seen: Set[int]) -> None:
+        out.append(head)
+        _walk_items(obj, out, seen)
         out.append("];")
-    elif isinstance(obj, (set, frozenset)):
-        out.append("set{")
-        for item in sorted(obj, key=repr):
-            _canonical(item, out, _seen)
-        out.append("};")
-    elif hasattr(obj, "dtype") and hasattr(obj, "tobytes"):
+
+    return walk
+
+
+def _walk_set(obj: Any, out: list, seen: Set[int]) -> None:
+    out.append("set{")
+    _walk_items(sorted(obj, key=repr), out, seen)
+    out.append("};")
+
+
+def _walk_object(obj: Any, out: list, seen: Set[int]) -> None:
+    """The rules an object decides: arrays, callables, sparse matrices,
+    then plain objects."""
+    if hasattr(obj, "dtype") and hasattr(obj, "tobytes"):
         out.append(_array_token(obj))
     elif isinstance(obj, functools.partial):
         out.append("partial(")
-        _canonical(obj.func, out, _seen)
-        _canonical(obj.args, out, _seen)
-        _canonical(obj.keywords, out, _seen)
+        _canonical(obj.func, out, seen)
+        _canonical(obj.args, out, seen)
+        _canonical(obj.keywords, out, seen)
         out.append(");")
     elif callable(obj) and getattr(obj, "__func__", None) is not None:
         out.append("bound(")
-        _canonical(obj.__func__, out, _seen)
-        _canonical(obj.__self__, out, _seen)
+        _canonical(obj.__func__, out, seen)
+        _canonical(obj.__self__, out, seen)
         out.append(");")
     elif callable(obj) and getattr(obj, "__code__", None) is not None:
         # Python functions key by *behaviour*: bytecode digest, defaults
@@ -244,13 +365,15 @@ def _canonical_composite(obj: Any, out: list, _seen: Set[int]) -> None:
         module = _module_token(obj)
         qualname = getattr(obj, "__qualname__", repr(obj))
         out.append(f"fn:{module}.{qualname}(code:{_code_digest(obj.__code__)};")
-        _canonical(getattr(obj, "__defaults__", None), out, _seen)
-        _canonical(getattr(obj, "__kwdefaults__", None), out, _seen)
+        _canonical(getattr(obj, "__defaults__", None), out, seen)
+        _canonical(getattr(obj, "__kwdefaults__", None), out, seen)
         for cell in getattr(obj, "__closure__", None) or ():
             try:
-                _canonical(cell.cell_contents, out, _seen)
+                contents = cell.cell_contents
             except ValueError:
                 out.append("cell:empty;")
+            else:
+                _canonical(contents, out, seen)
         out.append(");")
     elif callable(obj):
         # C-level callables have no inspectable code: identity of their
@@ -258,8 +381,7 @@ def _canonical_composite(obj: Any, out: list, _seen: Set[int]) -> None:
         module = _module_token(obj)
         qualname = getattr(obj, "__qualname__", repr(obj))
         out.append(f"fn:{module}.{qualname};")
-    elif type(obj).__module__.startswith("scipy.sparse.") and \
-            hasattr(obj, "indptr"):
+    elif type(obj).__module__.startswith("scipy.sparse.") and hasattr(obj, "indptr"):
         # A compressed scipy sparse matrix (CSR, CSC, BSR) keys by its
         # contents.  Its __dict__ also holds index-order flags scipy
         # caches lazily, which would key equal matrices differently.
@@ -277,15 +399,16 @@ def _canonical_composite(obj: Any, out: list, _seen: Set[int]) -> None:
             state = {s: getattr(obj, s) for s in slots if hasattr(obj, s)}
         for k in sorted(state):
             out.append(f"{k}=")
-            _canonical(state[k], out, _seen)
+            _canonical(state[k], out, seen)
         out.append(");")
 
 
 def fingerprint(*objects: Any) -> str:
     """A stable SHA-256 hex digest of the canonical form of ``objects``."""
     out: list = []
+    seen: Set[int] = set()
     for obj in objects:
-        _canonical(obj, out)
+        _canonical(obj, out, seen)
     return hashlib.sha256("".join(out).encode()).hexdigest()
 
 

@@ -13,8 +13,10 @@ Everything here is numpy-free: point functions are synthetic.
 
 import json
 import math
+import shutil
 import warnings
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -570,3 +572,57 @@ class TestHaloJobPaths:
             assert E.JOB_STATS == {"stepped": n, "replay": n}
         finally:
             E.reset_job_stats()
+
+
+# --------------------------------------------------------------------------
+# keys across library versions: a journal written by an older library
+# --------------------------------------------------------------------------
+
+#: ``repro campaign run halo --quick --faults demo``, journaled by the
+#: library as it stood before its key walk kept per-type rules, under
+#: :func:`_stub_code_digest` (see :func:`write_halo_journal`).
+HALO_JOURNAL = Path(__file__).with_name("halo_quick_journal.jsonl")
+
+
+def _stub_code_digest(code):
+    """A stand-in for the bytecode digest in every key: bytecode differs
+    between Python versions, and this gate is about the walk around it."""
+    return f"code:{code.co_name}"
+
+
+def _halo_spec():
+    from repro.campaign.experiments import build_spec, demo_plan
+
+    return build_spec("halo", quick=True, fault_plan=demo_plan("halo"))
+
+
+def write_halo_journal(path):
+    """How :data:`HALO_JOURNAL` was written (run it against the library
+    whose keys the journal should hold)."""
+    from repro.perf import cache
+
+    real, cache._code_digest = cache._code_digest, _stub_code_digest
+    try:
+        return run_campaign(_halo_spec(), str(path))
+    finally:
+        cache._code_digest = real
+
+
+class TestOlderJournal:
+    def test_halo_journal_resumes_with_nothing_reexecuted(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.perf import cache
+
+        monkeypatch.setattr(cache, "_code_digest", _stub_code_digest)
+        journal = tmp_path / "halo.jsonl"
+        shutil.copyfile(HALO_JOURNAL, journal)
+        spec = _halo_spec()
+        resumed = run_campaign(spec, str(journal), resume=True)
+        assert resumed.stats.executed == 0
+        assert resumed.stats.replayed == len(spec.points)
+        assert journal.read_bytes() == HALO_JOURNAL.read_bytes()
+        # The journaled payload is the one this library prices afresh.
+        fresh = run_campaign(spec, str(tmp_path / "fresh.jsonl"))
+        assert fresh.stats.executed == len(spec.points)
+        assert _payload(resumed) == _payload(fresh)

@@ -280,7 +280,8 @@ def test_finish_before_last_arrival_raises(monkeypatch):
     it raises instead of resuming the rank late."""
     from repro.mpi.collectives import SCHEDULES
 
-    def early(fabric, p, nbytes, arrivals, root=0):
+    def early(fabric, p, nbytes, arrivals, root=0, factors=None,
+              wires=None):
         return [t - 1e-9 for t in arrivals]
 
     monkeypatch.setitem(SCHEDULES, "allreduce", early)

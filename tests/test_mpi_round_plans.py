@@ -75,7 +75,7 @@ def test_tree_levels_link_every_vrank_once(kind, blocks):
                 assert c not in parent, (kind, p, c)
                 parent[c] = q
                 assert c - q == c & -c  # the child's lowest set bit
-                carried += lvl.nbytes
+                carried += lvl.blocks * plan(kind, p, nbytes).unit(p, nbytes)
         assert sorted(parent) == list(range(1, p)), (kind, p)
         # A blocks hop carries the child's whole subtree.
         want = sum(min(c & -c, p - c) for c in range(1, p)) if blocks else p - 1

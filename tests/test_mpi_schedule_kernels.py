@@ -208,9 +208,11 @@ def _walk_cases() -> Iterator[Tuple[object, int, int, bool, int]]:
 def test_short_last_child_crosses_the_eager_limit():
     fabric = host_fabric()
     eager_by_mask = {}
-    for lvl in plan("gather", 8191, fabric.eager_max // 3).head:
+    nbytes = fabric.eager_max // 3
+    for lvl in plan("gather", 8191, nbytes).head:
         mask = lvl.senders.start - lvl.receivers.start
-        eager_by_mask.setdefault(mask, []).append(_wire(fabric, lvl.nbytes)[2])
+        eager_by_mask.setdefault(mask, []).append(
+            _wire(fabric, lvl.blocks * nbytes)[2])
     # The mask-4 level: 4-block hops rendezvous, the 3-block tail eager.
     assert eager_by_mask[4] == [False, True]
 
@@ -219,9 +221,9 @@ def _tree_walk(t, fabric, p, nbytes, blocks, up, root):
     """A binomial tree's levels on ``t`` by rank: going up without blocks
     (reduce) each receive adds the reduction arithmetic."""
     move = "fold" if up and not blocks else "copy"
-    levels = _tree(p, nbytes, blocks, 0, move, up)
+    levels = _tree(p, blocks, 0, move, up)
     s = _levels(_roll(t, -root), levels, _Wires(fabric, p),
-                fabric.reduce_time(nbytes))
+                fabric.reduce_time(nbytes), nbytes)
     return _roll(s, root)
 
 

@@ -1,8 +1,13 @@
 """Tests for the memoized evaluation cache (repro.perf.cache)."""
 
+import dataclasses
+import enum
 import gc
 import hashlib
+import math
+from collections import OrderedDict
 from functools import partial
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -50,6 +55,163 @@ class TestFingerprint:
             Evaluator().machine_fingerprint
             != Evaluator(software=PRE_UPDATE).machine_fingerprint
         )
+
+
+# --------------------------------------------------------------------------
+# the key pin: every branch of the canonical walk, byte for byte
+# --------------------------------------------------------------------------
+
+
+class _Colour(enum.Enum):
+    RED = "r"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Count(int):
+    pass
+
+
+class _Pair(NamedTuple):
+    a: int
+    b: Any
+
+
+class _Row(tuple):
+    pass
+
+
+class _Stack(list):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Frozen:
+    x: int
+    y: float = 0.5
+
+
+@dataclasses.dataclass
+class _Plain:
+    name: str
+    inner: _Frozen
+    items: list = dataclasses.field(default_factory=list)
+
+
+class _WithDict:
+    def __init__(self):
+        self.b = 2
+        self.a = (1, "x")
+
+    def scaled(self, k):
+        return k * self.b
+
+
+class _WithSlots:
+    __slots__ = ("p", "q", "unset")
+
+    def __init__(self):
+        self.p = 1.5
+        self.q = None
+
+
+def _adder(a, b=2, *, c=3):
+    return a + b + c
+
+
+def _empty_cell_closure():
+    late = 0
+
+    def inner():
+        return late
+
+    del late  # the closure's cell is now empty
+    return inner
+
+
+def _key_corpus():
+    """Objects reaching every rule of the canonical walk but arrays."""
+    shared = [1, 2]
+    cycle: list = [0]
+    cycle.append(cycle)
+    loop: dict = {}
+    loop["self"] = loop
+    return [
+        # leaves
+        None, True, 0, -7, "text", b"\x00raw", 1.5, -0.0, math.nan,
+        math.inf, -math.inf, complex(1, -2), _Level.LOW, _Count(5),
+        _Colour.RED,
+        # containers
+        {1: "a", "b": 2.0, (3, 4): None, None: [5], 2.5: _Level.LOW},
+        OrderedDict([("z", 1), ("a", 2)]), {3, "x", (1, 2)},
+        frozenset({2.5, "y"}), set(), _Pair(1, [2]), _Row((1, 2)),
+        _Stack([3, 4]), (), [],
+        # dataclasses
+        _Frozen(1), _Plain("p", _Frozen(2, 0.25), [_Frozen(3)]),
+        # callables
+        partial(_adder, 1, c=4), _WithDict().scaled, _empty_cell_closure(),
+        _adder, len, math.sqrt, _Frozen,
+        # plain objects
+        _WithDict(), _WithSlots(),
+        # structure
+        cycle, loop, [shared, (shared, {"again": shared})],
+    ]
+
+
+def _stub_code_digest(code):
+    """A stand-in for :func:`repro.perf.cache._code_digest` that every
+    Python version computes alike: bytecode differs between versions,
+    and the pins below are about the walk around it."""
+    return f"code:{code.co_name}"
+
+
+def _pin(objects):
+    blob = "\n".join(fingerprint(obj) for obj in objects)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestKeyPin:
+    """Keys are persisted (campaign journals, shared caches), so a
+    rewrite of the walk must reproduce them byte for byte."""
+
+    def test_corpus_keys_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_code_digest", _stub_code_digest)
+        assert _pin(_key_corpus()) == CORPUS_PIN
+        # A second pass meets every type again, now through any per-type
+        # memo the walk keeps.
+        assert _pin(_key_corpus()) == CORPUS_PIN
+
+    def test_array_keys_are_pinned(self):
+        np = pytest.importorskip("numpy")
+        sparse = pytest.importorskip("scipy.sparse")
+        owned = np.arange(4.0)
+        frozen = _bytes_backed(np, np.arange(3, dtype=np.int64))
+        csr = sparse.csr_matrix(np.eye(3))
+        corpus = [owned, frozen, csr, {"grid": owned, "m": csr}]
+        assert _pin(corpus) == ARRAY_PIN
+        assert _pin(corpus) == ARRAY_PIN
+
+
+    def test_type_tables_stay_bounded(self, monkeypatch):
+        """Classes made at run time are classified afresh once the
+        per-type tables fill, and key as before."""
+        monkeypatch.setattr(cache_module, "_MAX_TYPES", 8)
+        monkeypatch.setattr(cache_module, "_LEAVES", {})
+        monkeypatch.setattr(cache_module, "_RULES", {})
+        for i in range(50):
+            row = type(f"Row{i}", (tuple,), {})((i,))
+            want = hashlib.sha256(f"Row{i}[int:{i};];".encode()).hexdigest()
+            assert fingerprint(row) == want
+            tables = len(cache_module._LEAVES) + len(cache_module._RULES)
+            assert tables <= 8
+
+
+#: sha256 of the corpus keys, one per line, as the walk produced them
+#: before it kept per-type rules (array keys need numpy and scipy).
+CORPUS_PIN = "a64d8b3f126a86236aebf7f707db4b15da53208f81d4170174adf25ddc8316ef"
+ARRAY_PIN = "024f4a8231621aa2fe1a664491937d600ac3688029c89dc6184e598addb7e5ca"
 
 
 # --------------------------------------------------------------------------
@@ -260,11 +422,11 @@ class TestCallableFingerprint:
         assert fingerprint(a) != fingerprint(a.astype(np.float32))
 
     def test_memoized_code_digest_equals_a_fresh_one(self):
-        """Equal code objects from two modules share one memo entry, and
-        that entry is the digest a fresh computation gives."""
+        """Equal code objects from two modules get one digest, and the
+        memoized digest is the one a fresh computation gives."""
         import types
 
-        from repro.perf.cache import _code_digest
+        from repro.perf.cache import _code_digest, _hash_code
 
         src = (
             "def main(nbytes, comm):\n"
@@ -281,8 +443,33 @@ class TestCallableFingerprint:
         assert a == b and a is not b
         memo = _code_digest(a)
         assert _code_digest(b) == memo
-        assert _code_digest.__wrapped__(b) == memo
-        assert _code_digest.__wrapped__(a) == memo
+        assert _hash_code(b) == memo
+        assert _hash_code(a) == memo
+
+    def test_code_digest_memo_never_answers_for_a_dead_code_object(self):
+        """Code objects made and dropped in a loop reuse ids: each gets
+        its own digest, and each leaves the memo when it dies."""
+        memo = cache_module._CODE_DIGESTS
+        gc.collect()
+        size = len(memo)
+        ids, digests = set(), set()
+        for i in range(200):
+            namespace: dict = {}
+            exec(f"def f(x):\n    return x + {i}\n", namespace)
+            code = namespace.pop("f").__code__
+            oid = id(code)
+            ids.add(oid)
+            digest = cache_module._code_digest(code)
+            assert digest == cache_module._hash_code(code)
+            assert cache_module._code_digest(code) == digest
+            assert oid in memo
+            digests.add(digest)
+            del code
+            gc.collect()
+            assert oid not in memo
+        assert len(digests) == 200
+        assert len(ids) < 200  # ids were reused while the memo was live
+        assert len(memo) == size
 
     def test_stable_across_interpreters_and_hash_seeds(self, tmp_path):
         """The digest must survive hash randomization and process
