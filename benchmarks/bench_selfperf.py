@@ -21,6 +21,9 @@ performance trajectory is tracked across changes and diffed by
   and reporting the speedup.
 * ``engine_storm`` — a spawn/join storm on the raw engine (the O(1)
   process-retirement regression guard).
+* ``cold_start`` — a fresh interpreter imports
+  :mod:`repro.mpi.compile` and prices one P=16 allreduce (best of 5),
+  recording the wall and every ``repro`` module it loaded.
 * ``scale`` — (opt-in via ``--scale``) MPI_Allreduce at 4096 ranks on
   the Phi fabric through the analytic collective fast path, the large-P
   scalability headline.
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -306,6 +310,59 @@ def engine_storm(quick: bool = False) -> Dict[str, Any]:
 
 
 # ==========================================================================
+# Campaign 5: cold start (what a fresh process loads to price one job)
+# ==========================================================================
+
+#: Run by a fresh interpreter: import the compiled entry, price one
+#: P=16 allreduce, print the wall, the path and the modules loaded.
+COLD_START = """
+import json, sys, time
+t0 = time.perf_counter()
+from repro.mpi.compile import CompileStats, compiled_mpiexec
+from repro.mpi.fabrics import host_fabric
+
+def main(comm):
+    total = yield from comm.allreduce(comm.rank, nbytes=8)
+    return total
+
+stats = CompileStats()
+job = compiled_mpiexec(16, host_fabric(), main, stats=stats)
+wall = time.perf_counter() - t0
+print(json.dumps({
+    "wall_s": wall, "path": stats.path,
+    "correct": all(r == 16 * 15 // 2 for r in job.returns),
+    "modules": sorted(m for m in sys.modules
+                      if m == "repro" or m.startswith("repro.")),
+}))
+"""
+
+
+def cold_start() -> Dict[str, Any]:
+    """Import :mod:`repro.mpi.compile` and price one P=16 allreduce in a
+    fresh interpreter, best wall of five.
+
+    Every fresh process that prices MPI jobs, such as a perfsuite round,
+    pays this set-up.  The wall covers the imports and the job, not the
+    interpreter's own start; ``modules`` is every ``repro`` module the
+    process loaded, which benchdiff compares exactly.
+    """
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    repeats = 5
+    runs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", COLD_START], capture_output=True,
+            text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+        ).stdout)
+        for _ in range(repeats)
+    ]
+    best = min(runs, key=lambda r: r["wall_s"])
+    return {"ranks": 16, "repeats": repeats, **best}
+
+
+# ==========================================================================
 # The harness
 # ==========================================================================
 
@@ -363,6 +420,7 @@ def run_selfperf(
     report["campaigns"]["fig22_batch"]["wall_s"] = time.perf_counter() - t0
 
     report["campaigns"]["engine_storm"] = engine_storm(quick)
+    report["campaigns"]["cold_start"] = cold_start()
 
     if scale:
         report["campaigns"]["scale"] = scale_campaign(quick)
@@ -389,6 +447,7 @@ def report_failures(report: Dict[str, Any]) -> List[str]:
         (batch["feasible"] > 0, "batched Fig-22 priced no feasible point"),
         (c.get("scale", {}).get("correct", True),
          "scaled allreduce returned wrong sums"),
+        (c["cold_start"]["correct"], "cold-start allreduce returned wrong sums"),
     ]
     return [message for ok, message in checks if not ok]
 
@@ -416,6 +475,12 @@ def render_report(report: Dict[str, Any]) -> str:
         ("engine storm", f"{c['engine_storm']['wall_s']:.3f}",
          f"{c['engine_storm']['processes']} procs, "
          f"{c['engine_storm']['engine_steps']} steps")
+    )
+    cs = c["cold_start"]
+    rows.append(
+        (f"cold start: allreduce P={cs['ranks']}", f"{cs['wall_s']:.3f}",
+         f"best of {cs['repeats']}, {cs['path']}, "
+         f"{len(cs['modules'])} repro modules")
     )
     sc = c.get("scale")
     if sc is not None:
@@ -469,13 +534,17 @@ def test_selfperf_quick(tmp_path):
     assert report_failures(report) == []
     c = report["campaigns"]
     assert set(c) == {
-        "allreduce", "mg_sweep", "fig22", "fig22_batch", "engine_storm", "scale",
+        "allreduce", "mg_sweep", "fig22", "fig22_batch", "engine_storm",
+        "cold_start", "scale",
     }
     assert c["mg_sweep"]["identical"]
     assert c["fig22"]["points"] == 9
     assert c["fig22_batch"]["identical"]
     assert c["engine_storm"]["engine_steps"] > 0
     assert c["scale"]["correct"] and c["scale"]["ranks"] == 512
+    assert c["cold_start"]["path"] == "replay"
+    assert "repro.mpi.compile" in c["cold_start"]["modules"]
+    assert "repro.core.evaluator" not in c["cold_start"]["modules"]
 
 
 def test_scale_campaign_is_opt_in_and_failures_are_named():
@@ -485,7 +554,8 @@ def test_scale_campaign_is_opt_in_and_failures_are_named():
     fig22 = report["campaigns"]["fig22"]
     fig22["feasible"] -= 1
     report["campaigns"]["scale"] = {"correct": False}
-    assert len(report_failures(report)) == 2
+    report["campaigns"]["cold_start"]["correct"] = False
+    assert len(report_failures(report)) == 3
 
 
 def test_allreduce_sums_are_correct():

@@ -11,6 +11,8 @@ What is compared per report family:
   baseline with a 1 s floor: CI machines are noisy, order-of-magnitude
   blowups are not), plus exact equality of the deterministic outputs
   (engine steps, point counts, ``identical``/``correct`` booleans).
+  The cold-start leg's wall has no floor, and the ``repro`` modules it
+  loaded must equal the baseline's list.
 * **jobcompile** — every gate of ``bench_jobcompile.check_report`` on
   the fresh report, plus per-point replay/memo wall budgets (and the
   halo points' traced-replay wall, the vector points' wall and the
@@ -87,12 +89,16 @@ def diff_selfperf(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> None:
         if f is None:
             d.gate(f"selfperf.{name}", "campaign missing from fresh report")
             continue
+        # The cold start is a fraction of a second by design: the floor
+        # would leave a tenfold regression inside its budget.
+        floor = 0.0 if name == "cold_start" else FLOOR_S
         for wall_key in ("wall_s", "serial_wall_s"):
             if wall_key in b and wall_key in f:
-                d.wall(f"selfperf.{name}.{wall_key}", b[wall_key], f[wall_key])
+                d.wall(f"selfperf.{name}.{wall_key}", b[wall_key], f[wall_key],
+                       floor=floor)
         for exact_key in (
             "points", "feasible", "identical", "correct", "engine_steps",
-            "processes", "ranks",
+            "processes", "ranks", "modules",
         ):
             if exact_key in b:
                 d.exact(
@@ -286,6 +292,21 @@ def test_benchdiff_jobcompile_budgets_the_small_leg():
     rows = diff_reports(report(10.0), report(31.0, "cd"), "jobcompile").rows
     assert [r[0] for r in rows] == [
         "jobcompile.small.us", "jobcompile.small[P=5,allreduce].resolve.digest"]
+
+
+def test_benchdiff_selfperf_budgets_the_cold_start():
+    modules = ["repro", "repro.mpi", "repro.mpi.compile"]
+    base = {"campaigns": {"cold_start": {"wall_s": 0.15, "modules": modules}}}
+    slow = {"campaigns": {"cold_start": {"wall_s": 1.5, "modules": modules}}}
+    heavier = {"campaigns": {"cold_start": {
+        "wall_s": 0.15, "modules": modules + ["repro.core.evaluator"]}}}
+    assert diff_reports(base, base, "selfperf").rows == []
+    rows = diff_reports(base, slow, "selfperf").rows
+    assert [(r[0], r[3]) for r in rows] == [
+        ("selfperf.cold_start.wall_s", "wall > budget 0.450s")]
+    rows = diff_reports(base, heavier, "selfperf").rows
+    assert [(r[0], r[3]) for r in rows] == [
+        ("selfperf.cold_start.modules", "value changed")]
 
 
 def test_benchdiff_floor_tolerates_noise():

@@ -22,19 +22,27 @@ Quickstart
 >>> node = maia_node()
 >>> node.peak_flops(Device.PHI0) / 1e9
 1008.0
+
+The names in ``__all__`` are the objects a session almost always starts
+with.  Each loads its submodule on first use (PEP 562), so ``import
+repro`` runs no model code, and a job priced through :mod:`repro.mpi`
+loads the MPI stack without the evaluator chain (:mod:`repro.core`'s
+evaluator, :mod:`repro.execmodel`, :mod:`repro.machine`).
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.version import __version__
 
-# Top-level convenience API: the objects a session almost always starts
-# with.  Subsystem internals stay behind their subpackages.
-from repro.core.evaluator import Evaluator
-from repro.core.software import POST_UPDATE, PRE_UPDATE, SoftwareStack
-from repro.execmodel.kernel import KernelSpec
-from repro.machine.node import Device
-from repro.machine.presets import maia_node, maia_system
-from repro.mpi.fabrics import host_fabric, phi_fabric
-from repro.mpi.runtime import mpiexec
+if TYPE_CHECKING:
+    from repro.core.evaluator import Evaluator
+    from repro.core.software import POST_UPDATE, PRE_UPDATE, SoftwareStack
+    from repro.execmodel.kernel import KernelSpec
+    from repro.machine.node import Device
+    from repro.machine.presets import maia_node, maia_system
+    from repro.mpi.fabrics import host_fabric, phi_fabric
+    from repro.mpi.runtime import mpiexec
 
 __all__ = [
     "Device",
@@ -50,3 +58,17 @@ __all__ = [
     "mpiexec",
     "phi_fabric",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Evaluator": "repro.core.evaluator",
+    "POST_UPDATE": "repro.core.software",
+    "PRE_UPDATE": "repro.core.software",
+    "SoftwareStack": "repro.core.software",
+    "KernelSpec": "repro.execmodel.kernel",
+    "Device": "repro.machine.node",
+    "maia_node": "repro.machine.presets",
+    "maia_system": "repro.machine.presets",
+    "host_fabric": "repro.mpi.fabrics",
+    "phi_fabric": "repro.mpi.fabrics",
+    "mpiexec": "repro.mpi.runtime",
+})

@@ -32,25 +32,34 @@ MPI stack:
 Command line: ``python -m repro check <file|dir>`` (static),
 ``python -m repro check <experiment> --dynamic`` (verifier), and
 ``python -m repro check <dir> --units``.
+
+Each name in ``__all__`` loads its submodule on first use: a compiled
+MPI job reads rank-program profiles from :mod:`repro.analyze.staticcheck`
+and loads neither the verifier nor the units lint.
 """
 
-from repro.analyze.staticcheck import (
-    CODES,
-    Diagnostic,
-    RankProgramProfile,
-    check_file,
-    check_paths,
-    check_source,
-    rank_program_profile,
-    render_diagnostics,
-)
-from repro.analyze.unitscheck import check_units_paths, check_units_source
-from repro.analyze.verifier import (
-    Issue,
-    Verifier,
-    VerifyReport,
-    verify_mpiexec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analyze.staticcheck import (
+        CODES,
+        Diagnostic,
+        RankProgramProfile,
+        check_file,
+        check_paths,
+        check_source,
+        rank_program_profile,
+        render_diagnostics,
+    )
+    from repro.analyze.unitscheck import check_units_paths, check_units_source
+    from repro.analyze.verifier import (
+        Issue,
+        Verifier,
+        VerifyReport,
+        verify_mpiexec,
+    )
 
 __all__ = [
     "CODES",
@@ -68,3 +77,20 @@ __all__ = [
     "render_diagnostics",
     "verify_mpiexec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CODES": "repro.analyze.staticcheck",
+    "Diagnostic": "repro.analyze.staticcheck",
+    "RankProgramProfile": "repro.analyze.staticcheck",
+    "check_file": "repro.analyze.staticcheck",
+    "check_paths": "repro.analyze.staticcheck",
+    "check_source": "repro.analyze.staticcheck",
+    "rank_program_profile": "repro.analyze.staticcheck",
+    "render_diagnostics": "repro.analyze.staticcheck",
+    "check_units_paths": "repro.analyze.unitscheck",
+    "check_units_source": "repro.analyze.unitscheck",
+    "Issue": "repro.analyze.verifier",
+    "Verifier": "repro.analyze.verifier",
+    "VerifyReport": "repro.analyze.verifier",
+    "verify_mpiexec": "repro.analyze.verifier",
+})

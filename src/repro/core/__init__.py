@@ -7,19 +7,28 @@ combines the machine models (:mod:`repro.machine`), the execution model
 :mod:`repro.openmp`) into the four programming modes of the paper's
 Section 4 — native host, native Phi, offload and symmetric — and runs
 workloads under them.
+
+Each name in ``__all__`` loads its submodule on first use, so importing
+one submodule (:mod:`repro.mpi` reads :mod:`repro.core.software`) does
+not load the evaluator chain.
 """
 
-from repro.core.evaluator import Evaluator
-from repro.core.modes import ProgrammingMode
-from repro.core.offload import OffloadCostModel, OffloadRegion, OffloadReport
-from repro.core.results import Measurement, ResultSet
-from repro.core.software import PRE_UPDATE, POST_UPDATE, SoftwareStack
-from repro.core.symmetric import (
-    SymmetricRun,
-    SymmetricStep,
-    WorkPartition,
-    partition_zones,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.evaluator import Evaluator
+    from repro.core.modes import ProgrammingMode
+    from repro.core.offload import OffloadCostModel, OffloadRegion, OffloadReport
+    from repro.core.results import Measurement, ResultSet
+    from repro.core.software import PRE_UPDATE, POST_UPDATE, SoftwareStack
+    from repro.core.symmetric import (
+        SymmetricRun,
+        SymmetricStep,
+        WorkPartition,
+        partition_zones,
+    )
 
 __all__ = [
     "Evaluator",
@@ -37,3 +46,20 @@ __all__ = [
     "WorkPartition",
     "partition_zones",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Evaluator": "repro.core.evaluator",
+    "ProgrammingMode": "repro.core.modes",
+    "OffloadCostModel": "repro.core.offload",
+    "OffloadRegion": "repro.core.offload",
+    "OffloadReport": "repro.core.offload",
+    "Measurement": "repro.core.results",
+    "ResultSet": "repro.core.results",
+    "POST_UPDATE": "repro.core.software",
+    "PRE_UPDATE": "repro.core.software",
+    "SoftwareStack": "repro.core.software",
+    "SymmetricRun": "repro.core.symmetric",
+    "SymmetricStep": "repro.core.symmetric",
+    "WorkPartition": "repro.core.symmetric",
+    "partition_zones": "repro.core.symmetric",
+})

@@ -127,9 +127,3 @@ def run(problem: str = "S") -> NpbResult:
         details[f"chk{i + 1}_im"] = c.imag
     return NpbResult("FT", problem, verified, flops / wall / 1e6, wall, details)
 
-
-def memory_footprint(problem: str) -> float:
-    """Resident bytes of the Class's three complex arrays (the quantity
-    that makes Class C infeasible on an 8 GB Phi card)."""
-    (nx, ny, nz), _ = FT_SIZES[problem_class(problem)]
-    return 3.0 * nx * ny * nz * 16.0

@@ -40,7 +40,7 @@ from repro.mpi.runtime import mpiexec
 from repro.perf.cache import EvalCache
 from repro.simcore import Engine
 
-TOL = 1e-9
+TOL = 0.0
 
 
 def _fabric(name: str):

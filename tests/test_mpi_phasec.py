@@ -61,7 +61,7 @@ from repro.mpi.runtime import JobResult, MpiJob, mpiexec
 from repro.perf.batch import HAVE_NUMPY, reset_fallback_warning
 from repro.perf.cache import EvalCache
 
-TOL = 1e-9
+TOL = 0.0
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
