@@ -59,16 +59,19 @@ __all__ = [
     "phi_fabric",
 ]
 
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "Evaluator": "repro.core.evaluator",
-    "POST_UPDATE": "repro.core.software",
-    "PRE_UPDATE": "repro.core.software",
-    "SoftwareStack": "repro.core.software",
-    "KernelSpec": "repro.execmodel.kernel",
-    "Device": "repro.machine.node",
-    "maia_node": "repro.machine.presets",
-    "maia_system": "repro.machine.presets",
-    "host_fabric": "repro.mpi.fabrics",
-    "phi_fabric": "repro.mpi.fabrics",
-    "mpiexec": "repro.mpi.runtime",
-})
+# Runtime only: to mypy the TYPE_CHECKING imports above are the names,
+# so a misspelt one is still reported.
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(__name__, {
+        "Evaluator": "repro.core.evaluator",
+        "POST_UPDATE": "repro.core.software",
+        "PRE_UPDATE": "repro.core.software",
+        "SoftwareStack": "repro.core.software",
+        "KernelSpec": "repro.execmodel.kernel",
+        "Device": "repro.machine.node",
+        "maia_node": "repro.machine.presets",
+        "maia_system": "repro.machine.presets",
+        "host_fabric": "repro.mpi.fabrics",
+        "phi_fabric": "repro.mpi.fabrics",
+        "mpiexec": "repro.mpi.runtime",
+    })

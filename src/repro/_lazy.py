@@ -4,7 +4,10 @@ A package ``__init__`` that re-exports names from its submodules imports
 each submodule on the first lookup of one of its names, so importing the
 package, or any subpackage below it, executes no module the caller does
 not use.  The package keeps a literal ``__all__`` and the same imports
-under ``if TYPE_CHECKING:`` for static tools.
+under ``if TYPE_CHECKING:`` for static tools, and binds the hooks under
+``if not TYPE_CHECKING:`` so that a type checker, which would read a
+module ``__getattr__`` as "any name exists", still reports a misspelt
+name.
 """
 
 from __future__ import annotations

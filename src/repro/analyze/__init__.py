@@ -78,19 +78,22 @@ __all__ = [
     "verify_mpiexec",
 ]
 
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "CODES": "repro.analyze.staticcheck",
-    "Diagnostic": "repro.analyze.staticcheck",
-    "RankProgramProfile": "repro.analyze.staticcheck",
-    "check_file": "repro.analyze.staticcheck",
-    "check_paths": "repro.analyze.staticcheck",
-    "check_source": "repro.analyze.staticcheck",
-    "rank_program_profile": "repro.analyze.staticcheck",
-    "render_diagnostics": "repro.analyze.staticcheck",
-    "check_units_paths": "repro.analyze.unitscheck",
-    "check_units_source": "repro.analyze.unitscheck",
-    "Issue": "repro.analyze.verifier",
-    "Verifier": "repro.analyze.verifier",
-    "VerifyReport": "repro.analyze.verifier",
-    "verify_mpiexec": "repro.analyze.verifier",
-})
+# Runtime only: to mypy the TYPE_CHECKING imports above are the names,
+# so a misspelt one is still reported.
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(__name__, {
+        "CODES": "repro.analyze.staticcheck",
+        "Diagnostic": "repro.analyze.staticcheck",
+        "RankProgramProfile": "repro.analyze.staticcheck",
+        "check_file": "repro.analyze.staticcheck",
+        "check_paths": "repro.analyze.staticcheck",
+        "check_source": "repro.analyze.staticcheck",
+        "rank_program_profile": "repro.analyze.staticcheck",
+        "render_diagnostics": "repro.analyze.staticcheck",
+        "check_units_paths": "repro.analyze.unitscheck",
+        "check_units_source": "repro.analyze.unitscheck",
+        "Issue": "repro.analyze.verifier",
+        "Verifier": "repro.analyze.verifier",
+        "VerifyReport": "repro.analyze.verifier",
+        "verify_mpiexec": "repro.analyze.verifier",
+    })

@@ -47,19 +47,22 @@ __all__ = [
     "partition_zones",
 ]
 
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "Evaluator": "repro.core.evaluator",
-    "ProgrammingMode": "repro.core.modes",
-    "OffloadCostModel": "repro.core.offload",
-    "OffloadRegion": "repro.core.offload",
-    "OffloadReport": "repro.core.offload",
-    "Measurement": "repro.core.results",
-    "ResultSet": "repro.core.results",
-    "POST_UPDATE": "repro.core.software",
-    "PRE_UPDATE": "repro.core.software",
-    "SoftwareStack": "repro.core.software",
-    "SymmetricRun": "repro.core.symmetric",
-    "SymmetricStep": "repro.core.symmetric",
-    "WorkPartition": "repro.core.symmetric",
-    "partition_zones": "repro.core.symmetric",
-})
+# Runtime only: to mypy the TYPE_CHECKING imports above are the names,
+# so a misspelt one is still reported.
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(__name__, {
+        "Evaluator": "repro.core.evaluator",
+        "ProgrammingMode": "repro.core.modes",
+        "OffloadCostModel": "repro.core.offload",
+        "OffloadRegion": "repro.core.offload",
+        "OffloadReport": "repro.core.offload",
+        "Measurement": "repro.core.results",
+        "ResultSet": "repro.core.results",
+        "POST_UPDATE": "repro.core.software",
+        "PRE_UPDATE": "repro.core.software",
+        "SoftwareStack": "repro.core.software",
+        "SymmetricRun": "repro.core.symmetric",
+        "SymmetricStep": "repro.core.symmetric",
+        "WorkPartition": "repro.core.symmetric",
+        "partition_zones": "repro.core.symmetric",
+    })
