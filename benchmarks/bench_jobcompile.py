@@ -3,8 +3,8 @@
 Times the same static jobs through the execution paths of
 :mod:`repro.mpi.compile`:
 
-* **stepped** — the full discrete-event run (``fast_collectives=False``)
-  on its own engine, recording how many events it stepped;
+* **stepped** — the full discrete-event run, every collective hop by
+  hop, on its own engine, recording how many events it stepped;
 * **replay** — the cold max-plus replay (no events stepped at all);
 * **vector** — :mod:`repro.mpi.phasec`'s array-form phase recurrences
   (one numpy update per communication phase over the whole clock
@@ -37,8 +37,8 @@ Campaigns:
   which ``benchdiff`` requires to equal the baseline's;
 * the small-collective leg: every collective kind at P ∈ {3, 5, 7}
   (quick too), the µs to resolve one occurrence (finish times and
-  results, as the compiled replay and the stepped engine's fast path
-  do), best of five runs of 100 occurrences.  Each occurrence has its
+  results, as the compiled replay does), best of five runs of 100
+  occurrences.  Each occurrence has its
   own message size, as a fresh job's has, and arrivals alternate
   between equal and skewed.  Each point records the sha256 of its
   outcomes, which ``benchdiff`` requires to equal the baseline's.
@@ -177,7 +177,7 @@ def _halo_point(p: int) -> Dict[str, Any]:
     main = partial(_halo_main, HALO_NBYTES, HALO_ITERS)
 
     engine = Engine()
-    job = MpiJob(p, fabric, engine=engine, fast_collectives=False)
+    job = MpiJob(p, fabric, engine=engine)
     job.launch(main)
     t0 = time.perf_counter()
     stepped = job.run()
@@ -247,7 +247,7 @@ def _vector_point(p: int, with_stepped: bool) -> Dict[str, Any]:
     }
     if with_stepped:
         engine = Engine()
-        job = MpiJob(p, fabric, engine=engine, fast_collectives=False)
+        job = MpiJob(p, fabric, engine=engine)
         job.launch(main)
         t0 = time.perf_counter()
         stepped = job.run()
@@ -313,7 +313,7 @@ def _small_occurrences(kind: str, p: int, first: int) -> List[Any]:
     ranks, every rank arrived, of sizes ``first``, ``first + 1``, …;
     odd occurrences arrive skewed."""
     from repro.mpi.collectives import ROOTED
-    from repro.mpi.fastpath import _Instance
+    from repro.mpi.compile import _Instance
 
     root = p // 2 if kind in ROOTED else None
     out = []

@@ -25,8 +25,7 @@ performance trajectory is tracked across changes and diffed by
   :mod:`repro.mpi.compile` and prices one P=16 allreduce (best of 5),
   recording the wall and every ``repro`` module it loaded.
 * ``scale`` — (opt-in via ``--scale``) MPI_Allreduce at 4096 ranks on
-  the Phi fabric through the analytic collective fast path, the large-P
-  scalability headline.
+  the Phi fabric, stepped hop by hop: the stepped engine's large-P leg.
 
 Every campaign runs serially and deterministically.
 :func:`report_failures` is the one pass/fail rule over a report; the
@@ -240,18 +239,19 @@ def fig22_batch_campaign(quick: bool = False) -> Dict[str, Any]:
 
 
 # ==========================================================================
-# Campaign 5: large-P scaling (analytic collective fast path)
+# Campaign 5: large-P scaling (the stepped engine, hop by hop)
 # ==========================================================================
 
 
 def scale_campaign(quick: bool = False) -> Dict[str, Any]:
-    """Simulate MPI_Allreduce at large P through the analytic fast path.
+    """Step one MPI_Allreduce at large P through the event engine.
 
-    The stepped discrete-event algorithms make P = 4096 a multi-minute
-    run; the analytic schedules (:mod:`repro.mpi.fastpath`) resolve the
-    whole collective from the per-rank arrival times, so the same
-    simulation is a sub-second rendezvous.  Correctness is asserted on
-    every rank's reduction payload.
+    ``mpiexec`` walks the allreduce's algorithm hop by hop: O(P log P)
+    point-to-point messages, each a handful of engine steps.  P = 4096
+    takes about a second (151,552 engine steps) on a 2-vCPU host; the
+    quick leg runs P = 512.  ``engine_steps`` is deterministic, so the
+    committed report pins it.  Correctness is asserted on every rank's
+    reduction payload.
     """
     ranks = 512 if quick else 4096
     nbytes = 65536
@@ -388,8 +388,8 @@ def run_selfperf(
 ) -> Dict[str, Any]:
     """Run all campaigns; optionally write the JSON report to ``output``.
 
-    ``scale`` adds the large-P scaling campaign (P = 4096 allreduce
-    through the analytic fast path).
+    ``scale`` adds the large-P scaling campaign (P = 4096 allreduce,
+    stepped hop by hop).
     """
     import repro.apps  # noqa: F401  (numpy-backed; see the imports above)
     import repro.npb.characterization  # noqa: F401
@@ -507,8 +507,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--scale", action="store_true",
-        help="add the large-P scaling campaign (P=4096 allreduce via the "
-        "analytic collective fast path)",
+        help="add the large-P scaling campaign (P=4096 allreduce, stepped "
+        "hop by hop)",
     )
     parser.add_argument(
         "--output", "--out", dest="output",

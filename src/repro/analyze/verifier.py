@@ -20,8 +20,8 @@ happens-before order the verifier reports, at finalize:
 
 The pass is off by default and costs nothing when disarmed: the
 ``Communicator`` hot paths only consult the verifier behind an
-``is not None`` check, and the analytic collective fast path is
-disabled while verifying so every message is observable.
+``is not None`` check.  Every collective steps its messages, so every
+message is observable.
 
 When a :class:`~repro.obs.tracer.Tracer` is active, each finding is
 also emitted as an instant with category ``verify.<kind>`` so races

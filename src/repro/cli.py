@@ -454,7 +454,7 @@ def _cmd_compile(args) -> int:
         main = _trace_main(args.experiment, args.nbytes)
 
     engine = Engine()
-    job = MpiJob(args.ranks, fabric, engine=engine, fast_collectives=False)
+    job = MpiJob(args.ranks, fabric, engine=engine)
     job.launch(main)
     t0 = time.perf_counter()
     stepped = job.run()

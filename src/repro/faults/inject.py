@@ -34,8 +34,8 @@ class _FactorMixin:
     _faults: Sequence[LinkDegradation]
     _clock: Any
 
-    #: Marks this fabric as repricing with simulated time; the runtime's
-    #: analytic collective fast path must not cache its rates.
+    #: Marks this fabric as repricing with simulated time; the compiled
+    #: paths must not price it with fixed rates.
     time_varying = True
 
     def _factors(self):

@@ -27,7 +27,7 @@ from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigError
 from repro.machine.spec import ProcessorSpec
-from repro.mpi.api import Communicator
+from repro.mpi.api import CallLedger, Communicator
 from repro.mpi.runtime import JobResult
 from repro.openmp.runtime import Team
 from repro.simcore import AllOf, Engine, Store, Timeout
@@ -128,6 +128,7 @@ class HybridJob:
 
     def run(self, main: HybridMain) -> JobResult:
         procs = []
+        calls = CallLedger(self.n_ranks)
         for rank in range(self.n_ranks):
             comm = Communicator(
                 self.engine,
@@ -135,6 +136,7 @@ class HybridJob:
                 self.n_ranks,
                 self.mailboxes,
                 lambda s, d: self.fabric,
+                calls=calls,
             )
             team = RankTeam(self.sub, self.omp_threads, engine=self.engine)
             procs.append(

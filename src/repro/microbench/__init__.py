@@ -21,7 +21,6 @@ from repro.microbench.membandwidth import bandwidth_sweep, fig6_data
 from repro.microbench.pingpong import fig7_data, fig8_data, fig9_data
 from repro.microbench.mpifuncs import (
     MPI_BENCHMARKS,
-    host_over_phi_factors,
     mpi_function_sweep,
 )
 from repro.microbench.ompbench import fig15_data, fig16_data
@@ -41,7 +40,6 @@ __all__ = [
     "fig16_data",
     "fig17_data",
     "fig18_data",
-    "host_over_phi_factors",
     "latency_sweep",
     "mpi_function_sweep",
     "numpy_stream_triad",

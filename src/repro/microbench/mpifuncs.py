@@ -7,7 +7,7 @@ Sweeps each MPI function over message sizes on:
 
 Each point is the simulated MPI's own price: the slowest rank's finish
 time from the collective's schedule
-(:func:`repro.mpi.fastpath.finish_times`) with every rank entering at
+(:func:`repro.mpi.collectives.finish_times`) with every rank entering at
 once, which is what a one-collective ``mpiexec`` job reports as its
 ``elapsed``.  Sendrecv is one ring shift.  The Alltoall sweep honours
 the 8 GB card memory, returning ``None`` beyond the failure point (the
@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.mpi.collectives import _wire, alltoall_fits, shift_step
+from repro.mpi.collectives import (_wire, alltoall_fits, finish_times,
+                                   shift_step)
 from repro.mpi.fabrics import Fabric, host_fabric, phi_fabric
-from repro.mpi.fastpath import finish_times
 from repro.units import GiB, MiB
 
 #: The swept MPI functions, in figure order (Figs 10–14).
@@ -101,20 +101,6 @@ def sweep_factors(
     return factors
 
 
-def host_over_phi_factors(
-    benchmark: str,
-    tpc: int,
-    sizes: Optional[Sequence[int]] = None,
-) -> List[Tuple[int, float]]:
-    """The paper's "host is higher by a factor of …" series.
-
-    Factor = Phi time / host time at each message size (skipping Phi OOM
-    points).
-    """
-    sweep = mpi_function_sweep(benchmark, sizes, phi_tpc=(tpc,))
-    return sweep_factors(sweep, tpc)
-
-
 def sweep_factor_range(
     benchmark: str,
     tpc: int,
@@ -125,14 +111,6 @@ def sweep_factor_range(
     if not factors:
         raise ConfigError(f"{benchmark}: no feasible points at {tpc} tpc")
     return min(factors), max(factors)
-
-
-def factor_range(
-    benchmark: str, tpc: int, sizes: Optional[Sequence[int]] = None
-) -> Tuple[float, float]:
-    """(min, max) host-over-Phi factor across the size sweep."""
-    sweep = mpi_function_sweep(benchmark, sizes, phi_tpc=(tpc,))
-    return sweep_factor_range(benchmark, tpc, sweep)
 
 
 def alltoall_max_feasible_size(

@@ -21,11 +21,10 @@ for *correctness*, not just priced for time.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError, FaultError, TimeoutExpired
-from repro.mpi.collectives import ALGORITHMS
-from repro.mpi.fastpath import takes_fast_path
+from repro.mpi.collectives import ALGORITHMS, check_call
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG, Envelope, match_filter
 from repro.obs.tracer import NULL_CONTEXT, Tracer, active
 from repro.simcore import Engine, Event, Get, Put, Timeout, WaitEvent
@@ -223,6 +222,37 @@ class RankComm:
         return self._collective("scatter", values, nbytes, root, None, deadline)
 
 
+class CallLedger:
+    """One job's collective calls, matched across ranks by call order.
+
+    Each rank's n-th collective must have the ``(kind, nbytes, root)``
+    of the first rank to issue call n
+    (:func:`~repro.mpi.collectives.check_call`), so a mismatch raises
+    :class:`~repro.errors.ConfigError` at the call instead of stepping
+    mismatched messages into a wrong answer or a deadlock.  An entry is
+    dropped once every rank has made its call.
+    """
+
+    __slots__ = ("_size", "_next", "_open")
+
+    def __init__(self, size: int):
+        self._size = size
+        self._next = [0] * size  # each rank's next call number
+        #: call number -> [first caller's call, ranks yet to make it]
+        self._open: Dict[int, List[Any]] = {}
+
+    def check(self, rank: int, call: Tuple[str, int, Any]) -> None:
+        seq = self._next[rank]
+        self._next[rank] = seq + 1
+        entry = self._open.get(seq)
+        if entry is None:
+            entry = self._open[seq] = [call, self._size]
+        check_call(entry[0], call)
+        entry[1] -= 1
+        if not entry[1]:
+            del self._open[seq]
+
+
 class Communicator(RankComm):
     """One rank's view of the simulated communicator, stepped on the
     event engine.
@@ -240,12 +270,9 @@ class Communicator(RankComm):
         Optional :class:`~repro.obs.tracer.Tracer` recording per-rank
         send/recv/collective spans (on lane ``trace_pid``/``rank<r>``)
         and the point-to-point message-size matrix.
-    fast:
-        Optional :class:`~repro.mpi.fastpath.FastCollectives` shared by
-        the job's ranks.  When set (uniform fabric) and no tracer is
-        active, the collectives :func:`~repro.mpi.fastpath.takes_fast_path`
-        admits short-circuit to their exact analytic schedules instead of
-        stepping every rank.
+    calls:
+        Optional :class:`CallLedger` shared by the job's ranks; every
+        collective is checked against it before it steps.
     faults:
         Optional :class:`~repro.faults.FaultPlan`.  Stragglers scale this
         rank's :meth:`compute` time; memory pressure tightens the
@@ -267,7 +294,7 @@ class Communicator(RankComm):
         fabric_for: FabricResolver,
         tracer: Optional[Tracer] = None,
         trace_pid: str = "mpi",
-        fast: Optional[Any] = None,
+        calls: Optional[CallLedger] = None,
         faults: Optional[Any] = None,
         verifier: Optional[Any] = None,
     ):
@@ -281,8 +308,7 @@ class Communicator(RankComm):
         self.tracer = tracer
         self._trace_pid = trace_pid
         self._trace_tid = f"rank{rank}"
-        self._fast = fast
-        self._fast_seq = 0  # this rank's fast-collective call counter
+        self._calls = calls
         self._faults = faults
         self._verifier = verifier
 
@@ -559,27 +585,17 @@ class Communicator(RankComm):
     # --------------------------------------------------------- collectives
     # The eight public collectives are RankComm's; each lands here.  The
     # algorithms are repro.mpi.collectives.ALGORITHMS, generators over this
-    # rank's point-to-point layer.  On uniform jobs without an active
-    # tracer the collectives fastpath.takes_fast_path admits resolve on
-    # their exact analytic schedules instead of stepping every message;
-    # the two paths agree on every rank's finish time.
-
-    def _use_fast(self) -> bool:
-        return (
-            self._fast is not None
-            and self.size > 1
-            and active(self.tracer) is None
-        )
+    # rank's point-to-point layer, so every collective steps hop by hop.
 
     def _collective(self, kind: str, value: Any, nbytes: int,
                     root: Optional[int], op: Optional[Callable],
                     deadline: Optional[float]) -> Generator:
-        """Run collective ``kind`` on the fast path or stepped.
+        """Step collective ``kind`` through its algorithm.
 
-        A stepped collective reports to the verifier, records a span and
-        honours ``deadline``; the span is closed in a ``finally`` so a
-        collective that dies on a fault or deadline still leaves a
-        well-formed trace.
+        The call is checked against the job's call ledger, reports to
+        the verifier, records a span and honours ``deadline``; the span
+        is closed in a ``finally`` so a collective that dies on a fault
+        or deadline still leaves a well-formed trace.
         """
         if kind == "alltoall" and self._faults is not None:
             # Memory pressure makes the Fig 14-style alltoall OOM fire at
@@ -587,12 +603,8 @@ class Communicator(RankComm):
             self._faults.check_alltoall(self.size, nbytes)
         if kind == "barrier" and self.size == 1:
             return None
-        if (takes_fast_path(kind, nbytes) and deadline is None
-                and self._use_fast()):
-            seq = self._fast_seq
-            self._fast_seq += 1
-            return (yield from self._fast.run(self, seq, kind, value, nbytes,
-                                              root, op))
+        if self._calls is not None:
+            self._calls.check(self.rank, (kind, nbytes, root))
         if self._verifier is not None:
             self._verifier.note_collective(self.rank, kind, root, nbytes)
         gen = ALGORITHMS[kind](self, value, nbytes, root, op)

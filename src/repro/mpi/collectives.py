@@ -24,16 +24,18 @@ tests, the MPICH fold and the alltoall and Bruck peer rules live in
 1. **Algorithms** — :data:`ALGORITHMS`, all with the signature ``(comm,
    value, nbytes, root, op)``, step one rank through the plan's rounds
    over the stepped :class:`~repro.mpi.api.Communicator`'s
-   point-to-point layer.  Only the stepped communicator's one collective
-   entry runs them.  They move real payloads, so the test suite verifies
-   collective *semantics* against NumPy references.
+   point-to-point layer.  The stepped communicator's one collective
+   entry runs them for every collective, hop by hop, so the stepped
+   engine is the oracle the other walks are gated against.  They move
+   real payloads, so the test suite verifies collective *semantics*
+   against NumPy references.
 
 2. **Schedules** — :data:`SCHEDULES` fold the same rounds as max-plus
    recurrences over a clock vector (a list, or a numpy array) into the
    exact per-rank completion times.  Every path that does not step a
    collective's messages prices it with its schedule as given: the
-   analytic fast path behind :mod:`repro.mpi.fastpath`, the compiled
-   replay and phase pricing.  Under a static fault plan reduce and
+   compiled replay and the Figs 10–14 sweeps through
+   :func:`finish_times`, and phase pricing on its clock vector.  Under a static fault plan reduce and
    allreduce take each rank's straggler factor on their reduction
    arithmetic.  A level is one :func:`_p2p` between the two slices, and
    a round is one of two steps written once: :func:`shift_step` (which
@@ -55,8 +57,8 @@ tests, the MPICH fold and the alltoall and Bruck peer rules live in
 
 3. **Payload folds** — :func:`fold_values` folds a reduction's ``op``
    over the same rounds in the stepped algorithm's operand order; the
-   fast path and the compiled replay take reduce and allreduce results
-   from it, so payloads (float rounding included) match the stepped run.
+   compiled replay takes reduce and allreduce results from it, so
+   payloads (float rounding included) match the stepped run.
 
 The allgather algorithm switch (recursive doubling → ring) at a 2 KiB
 block is the paper's "sudden jump in time at 2 KB and 4 KB message size
@@ -805,12 +807,65 @@ ALGORITHMS: Dict[str, Callable[..., Generator]] = {
     kind: partial(_stepped, kind) for kind in KINDS
 }
 
-#: Schedule functions by collective kind (the fast path's dispatch table),
-#: all with the signature ``(fabric, p, nbytes, arrivals, root=0,
-#: factors=None, wires=None)``.
+#: Schedule functions by collective kind, all with the signature
+#: ``(fabric, p, nbytes, arrivals, root=0, factors=None, wires=None)``.
 SCHEDULES: Dict[str, Callable[..., Any]] = {
     kind: partial(_schedule, kind) for kind in KINDS
 }
+
+#: Smallest P whose O(P)-round schedules :func:`finish_times` runs
+#: on an array: below it numpy's per-call overhead outweighs the rounds
+#: it vectorizes (at P=16 a skewed alltoall takes about as long either
+#: way, at P=8 the array is twice as slow, at P=64 three times faster).
+ARRAY_ROUNDS_MIN_P = 32
+
+
+def finish_times(kind: str, fabric: Any, nbytes: int, arrivals: List[float],
+                 root: Any = 0, factors: Optional[List[float]] = None,
+                 wires: Optional[_Wires] = None) -> List[float]:
+    """Every rank's finish time of collective ``kind`` from its entry
+    times ``arrivals``: the :data:`SCHEDULES` entry.  ``factors`` (one
+    per rank) scales the reduction arithmetic of reduce and allreduce;
+    ``wires``, when given, is the caller's wire table for ``fabric`` at
+    this rank count.
+
+    A schedule that steps O(P) rounds (:func:`_many_rounds`) on
+    ``ARRAY_ROUNDS_MIN_P`` ranks or more runs on an array when numpy is
+    importable, and its finish times come back as a list of Python
+    floats; the two backends agree bit for bit.
+    """
+    p = len(arrivals)
+    t: Any = arrivals
+    np = get_numpy()
+    on_array = (np is not None and p >= ARRAY_ROUNDS_MIN_P
+                and _many_rounds(plan(kind, p, nbytes), arrivals))
+    if on_array:
+        t = np.array(arrivals, dtype=float)
+    ends = SCHEDULES[kind](fabric, p, nbytes, t, root, factors, wires)
+    return ends.tolist() if on_array else ends
+
+
+def _many_rounds(pl: Plan, arrivals: List[float]) -> bool:
+    """Whether plan ``pl`` steps O(P) rounds from ``arrivals``: a run of
+    rounds (the ring, alltoall) after head levels always (the large
+    bcast's scatter skews its ring), and with no head unless every rank
+    arrives at once, when one scalar carries the rounds."""
+    if not any(rnd.count > 1 for rnd in pl.rounds):
+        return False
+    return bool(pl.head) or min(arrivals) != max(arrivals)
+
+
+def check_call(first: Tuple[str, int, Any], call: Tuple[str, int, Any]
+               ) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless a rank's
+    collective ``call``, its ``(kind, nbytes, root)``, matches ``first``,
+    the first caller's of the same occurrence: MPI requires every rank
+    to issue the same collectives in the same order."""
+    if call != first:
+        raise ConfigError(
+            "mismatched collective calls: {}(nbytes={}, root={}) vs"
+            " {}(nbytes={}, root={})".format(*first, *call)
+        )
 
 
 def alltoall_memory_required(p: int, nbytes: int) -> float:

@@ -57,24 +57,22 @@ This module compiles them instead, in four stages:
    memoize their elapsed time only (returns stay lazy).
 
 Every collective occurrence is priced with one call to its
-:data:`~repro.mpi.collectives.SCHEDULES` entry, whether the stepped
-engine would run it on its fast path or as
-:data:`~repro.mpi.collectives.ALGORITHMS` over point-to-point messages:
-both walk the collective's one round plan, so they agree on every
-rank's finish time, and a reduction's results fold ``op`` over the same
-plan (:func:`~repro.mpi.collectives.fold_values`).  So
-``fast_collectives=False`` changes nothing here: such a job takes the
-default job's paths and shares its memo entry.  A job whose fault plan is *static* — no rank crash,
-every link and straggler fault active over ``[0, inf)``, memory pressure
-allowed — replays on ``plan.degrade(fabric)`` with each straggler's
-constant factor on its ``compute`` and its reduction arithmetic, so
-elapsed and returns are the stepped run's.  Such a job takes no vector
+:data:`~repro.mpi.collectives.SCHEDULES` entry, where the stepped
+engine runs :data:`~repro.mpi.collectives.ALGORITHMS` over
+point-to-point messages, hop by hop: both walk the collective's one
+round plan, so they agree on every rank's finish time, and a
+reduction's results fold ``op`` over the same plan
+(:func:`~repro.mpi.collectives.fold_values`).  A job whose fault plan
+is *static* — no rank crash, every link and straggler fault active over
+``[0, inf)``, memory pressure allowed — replays on
+``plan.degrade(fabric)`` with each straggler's constant factor on its
+``compute`` and its reduction arithmetic, so elapsed and returns are the
+stepped run's.  Such a job takes no vector
 path, and its memo key adds the plan's fingerprint.
 
-Jobs that carry a verifier, a windowed or crashing fault plan, or a
-fault plan with ``fast_collectives=True``, or that run on a resolver or
-time-varying fabric, never enter the replay: they go straight to the
-stepped engine.
+Jobs that carry a verifier or a windowed or crashing fault plan, or
+that run on a resolver or time-varying fabric, never enter the replay:
+they go straight to the stepped engine.
 
 A job with an active tracer skips the memo and the vector path, which
 keep no per-op clocks, and always runs the scalar replay.  There is one
@@ -97,9 +95,8 @@ from typing import (Any, Callable, DefaultDict, Deque, Dict, Generator, List,
 
 from repro.errors import ConfigError
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import _Wires
+from repro.mpi.collectives import _Wires, check_call, finish_times, fold_values
 from repro.mpi.fabrics import Fabric
-from repro.mpi.fastpath import _Instance
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.mpi.phasec import lower, price, rank_program_profile
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
@@ -220,6 +217,111 @@ class _ReplayRequest:
         return self._env.done_time is not None
 
     completed = complete
+
+
+class _Instance:
+    """One collective occurrence of a replayed job: the rendezvous of
+    all ranks' arrivals.  Its ranks park (``parked``) until the last one
+    arrives and :meth:`resolve` prices the occurrence."""
+
+    __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
+                 "pending", "parked", "outcome")
+
+    def __init__(self, size: int, kind: str, nbytes: int,
+                 root: Optional[int], op):
+        self.kind = kind
+        self.nbytes = nbytes
+        #: ``None`` for the unrooted kinds, whose schedules ignore it.
+        self.root: Any = root
+        self.op = op
+        self.arrivals: List[float] = [0.0] * size
+        self.values: List[Any] = [None] * size
+        self.pending = size
+        self.parked: List[int] = []
+        #: ``(finish times, results)`` once the last rank has arrived.
+        self.outcome: Optional[Tuple[List[float], List[Any]]] = None
+
+    def arrive(self, rank: int, now: float, value: Any) -> bool:
+        """Deposit ``rank``'s entry; True when it was the last to arrive."""
+        p = len(self.values)
+        if self.kind == "alltoall" and value is not None and len(value) != p:
+            raise ConfigError(f"alltoall needs {p} values, got {len(value)}")
+        self.arrivals[rank] = now
+        self.values[rank] = value
+        self.pending -= 1
+        return self.pending == 0
+
+    def resolve(self, fabric: Any, factors: Optional[List[float]] = None,
+                wires: Optional[_Wires] = None
+                ) -> Tuple[List[float], List[Any]]:
+        """Every rank's finish time
+        (:func:`~repro.mpi.collectives.finish_times`) and result;
+        ``wires`` is the job's wire table, shared by its occurrences."""
+        ends = finish_times(self.kind, fabric, self.nbytes, self.arrivals,
+                            self.root, factors, wires)
+        self.outcome = ends, _RESULTS[self.kind](self)
+        return self.outcome
+
+
+# Per-rank results.  Reductions fold ``op`` over their plan in the stepped
+# algorithm's operand order, so the payloads (float rounding included)
+# match the stepped run.
+
+
+def _bcast_results(inst: _Instance) -> List[Any]:
+    return [inst.values[inst.root]] * len(inst.values)
+
+
+def _fold_results(inst: _Instance) -> List[Any]:
+    return fold_values(inst.kind, inst.values, inst.nbytes, inst.root,
+                       inst.op)
+
+
+def _allgather_results(inst: _Instance) -> List[Any]:
+    return [list(inst.values) for _ in inst.values]
+
+
+def _alltoall_results(inst: _Instance) -> List[Any]:
+    values = inst.values
+    if all(type(row) in (list, tuple) for row in values):
+        return [list(col) for col in zip(*values)]  # the transpose
+    p = len(values)
+    return [
+        [values[src][dst] if values[src] is not None else None
+         for src in range(p)]
+        for dst in range(p)
+    ]
+
+
+def _barrier_results(inst: _Instance) -> List[Any]:
+    return [None] * len(inst.values)
+
+
+def _gather_results(inst: _Instance) -> List[Any]:
+    out: List[Any] = [None] * len(inst.values)
+    out[inst.root] = list(inst.values)
+    return out
+
+
+def _scatter_results(inst: _Instance) -> List[Any]:
+    p = len(inst.values)
+    vals = inst.values[inst.root]
+    if vals is None or len(vals) != p:
+        # Same error the executable algorithm raises at the root.
+        raise ConfigError(f"scatter root needs {p} values")
+    return list(vals)
+
+
+_RESULTS: Dict[str, Callable[[_Instance], List[Any]]] = {
+    "bcast": _bcast_results,
+    "reduce": _fold_results,
+    "allreduce": _fold_results,
+    "allgather": _allgather_results,
+    "alltoall": _alltoall_results,
+    "barrier": _barrier_results,
+    "gather": _gather_results,
+    "scatter": _scatter_results,
+}
 
 
 class _ReplayComm(RankComm):
@@ -494,10 +596,11 @@ class _ReplayComm(RankComm):
             )
         else:
             try:
-                inst.check(kind, nbytes, root)
+                check_call((inst.kind, inst.nbytes, inst.root),
+                           (kind, nbytes, root))
             except ConfigError as exc:
-                # The stepped fallback (whose fast path raises ConfigError
-                # on exactly this mismatch) reports the real error.
+                # The stepped fallback's call ledger raises ConfigError
+                # on exactly this mismatch and reports the real error.
                 raise ReplayFallback(str(exc)) from None
         if not inst.arrive(self.rank, ts, value):
             inst.parked.append(self.rank)
@@ -759,7 +862,6 @@ def _refusal(
     n_ranks: int,
     fabric: Any,
     engine: Optional[Engine],
-    fast_collectives: Optional[bool],
     fault_plan: Optional[Any],
     verifier: Optional[Any],
 ) -> Optional[str]:
@@ -779,8 +881,6 @@ def _refusal(
         return "time-varying fabric"
     if fault_plan is None:
         return None
-    if fast_collectives:
-        return "fault plan with fast_collectives=True"  # MpiJob raises
     return _plan_refusal(fault_plan)
 
 
@@ -912,7 +1012,6 @@ def compiled_mpiexec(
     *,
     engine: Optional[Engine] = None,
     tracer: Optional[Any] = None,
-    fast_collectives: Optional[bool] = None,
     fault_plan: Optional[Any] = None,
     verifier: Optional[Any] = None,
     cache: Optional[Any] = None,
@@ -937,8 +1036,7 @@ def compiled_mpiexec(
     ``docs/OBSERVABILITY.md``).
 
     A static ``fault_plan`` replays on the degraded fabric, traced or
-    not; a windowed or crashing plan steps.  ``fast_collectives=False`` only
-    slows the stepped engine, so it changes no compiled path.
+    not; a windowed or crashing plan steps.
 
     ``vector`` overrides the backend selection: ``True`` demands the
     vectorized phase backend (falling back to scalar paths only when the
@@ -949,9 +1047,7 @@ def compiled_mpiexec(
     Pass a :class:`CompileStats` as ``stats`` to observe which path ran.
     """
     st = stats if stats is not None else CompileStats()
-    reason = _refusal(
-        n_ranks, fabric, engine, fast_collectives, fault_plan, verifier
-    )
+    reason = _refusal(n_ranks, fabric, engine, fault_plan, verifier)
     if reason is None:
         result = _compile_or_none(
             n_ranks, fabric, main, cache=cache, st=st, vector=vector,
@@ -963,8 +1059,7 @@ def compiled_mpiexec(
     st.path, st.reason = "stepped", reason or ""
     eng = engine if engine is not None else Engine()
     stepped = MpiJob(
-        n_ranks, fabric, engine=eng, tracer=tracer,
-        fast_collectives=fast_collectives, fault_plan=fault_plan,
+        n_ranks, fabric, engine=eng, tracer=tracer, fault_plan=fault_plan,
         verifier=verifier,
     )
     stepped.launch(main)

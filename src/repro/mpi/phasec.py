@@ -30,8 +30,8 @@ recognized rank program into that form:
 
    The shift is :func:`repro.mpi.collectives.shift_step`, the same step
    the collective schedules are built from, and each collective is its
-   :data:`~repro.mpi.collectives.SCHEDULES` entry, the one the fast path
-   and the replay price it with.  The recurrences are the
+   :data:`~repro.mpi.collectives.SCHEDULES` entry, the one the replay
+   prices it with.  The recurrences are the
    scalar replay's own timing equations (which are the stepped
    engine's), so pricing agrees with the replay bit for bit — the
    equivalence suite gates 1e-9 but observes 0.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, List, Optional, Union
 
 from repro.errors import ConfigError, IncompleteJobError
-from repro.mpi.api import Communicator, FabricResolver
+from repro.mpi.api import CallLedger, Communicator, FabricResolver
 from repro.mpi.fabrics import Fabric
 from repro.obs.tracer import Tracer, active
 from repro.simcore import Engine, Store
@@ -146,28 +146,21 @@ class JobResult:
 class MpiJob:
     """N simulated ranks wired to mailboxes over a fabric.
 
-    ``fast_collectives`` controls the analytic collective fast path
-    (:mod:`repro.mpi.fastpath`): ``None`` (default) enables it exactly
-    when the job is *uniform* — built over a single fabric object, so no
-    rank pair diverges; ``True`` demands it (raising
-    :class:`~repro.errors.ConfigError` on a non-uniform resolver fabric,
-    whose per-rank divergence the analytic schedules cannot express);
-    ``False`` forces every collective through the stepped algorithms.
-    It changes speed only: the fast path takes just the collectives whose
-    schedule releases no rank before the last one arrives, and gives
-    every rank the finish time its stepped algorithm would, so elapsed
-    times and returns do not depend on it.
+    Every collective steps hop by hop through its
+    :data:`~repro.mpi.collectives.ALGORITHMS` entry, so the job is the
+    oracle the compiled paths (:func:`repro.mpi.compile.compiled_mpiexec`)
+    are gated against.  A :class:`~repro.mpi.api.CallLedger` shared by
+    the ranks raises :class:`~repro.errors.ConfigError` on mismatched
+    collective calls.
 
     ``fault_plan`` injects a :class:`~repro.faults.FaultPlan`: link
     faults wrap the fabric in a degraded variant gated by the engine
-    clock, crashes/window markers are armed at :meth:`launch`, and the
-    analytic fast path is disabled (its schedules assume a healthy,
-    time-invariant network).
+    clock, and crashes/window markers are armed at :meth:`launch`.
 
     ``verifier`` arms a :class:`~repro.analyze.verifier.Verifier` on
     every rank's communicator (vector clocks, request/collective
-    ledgers).  Verification also disables the analytic fast path so each
-    message is individually observable.
+    ledgers).  A verified job keeps no call ledger: the verifier's own
+    collective ledger reports mismatches.
     """
 
     def __init__(
@@ -177,7 +170,6 @@ class MpiJob:
         engine: Optional[Engine] = None,
         name: str = "mpijob",
         tracer: Optional[Tracer] = None,
-        fast_collectives: Optional[bool] = None,
         fault_plan: Optional[Any] = None,
         verifier: Optional[Any] = None,
     ):
@@ -197,33 +189,11 @@ class MpiJob:
         # ``isinstance`` beats duck-typing here: a callable *resolver*
         # that happens to carry a ``p2p_time`` attribute (e.g. a wrapped/
         # partial-bound fabric function) must still route per rank pair.
-        uniform = isinstance(fabric, Fabric) or not callable(fabric)
-        if uniform:
+        if isinstance(fabric, Fabric) or not callable(fabric):
             self._fabric_for = lambda src, dst: fabric
         else:
             self._fabric_for = fabric
-        if fast_collectives and not uniform:
-            raise ConfigError(
-                "fast_collectives requires a uniform fabric (a single Fabric "
-                "object); this job routes by rank pair and must step every rank"
-            )
-        if fast_collectives and fault_plan is not None:
-            raise ConfigError(
-                "fast_collectives cannot run under a fault plan: the analytic "
-                "schedules assume a healthy, time-invariant network"
-            )
-        self.fast = None
-        if (
-            (fast_collectives or fast_collectives is None)
-            and uniform
-            and n_ranks > 1
-            and fault_plan is None
-            and verifier is None
-            and not getattr(fabric, "time_varying", False)
-        ):
-            from repro.mpi.fastpath import FastCollectives
-
-            self.fast = FastCollectives(fabric, n_ranks)
+        self.calls = CallLedger(n_ranks) if verifier is None else None
         self.mailboxes = [Store(name=f"{name}.mbox[{r}]") for r in range(n_ranks)]
         self._procs = []
         if verifier is not None:
@@ -250,7 +220,7 @@ class MpiJob:
             self._fabric_for,
             tracer=self.tracer,
             trace_pid=self.name,
-            fast=self.fast,
+            calls=self.calls,
             faults=self.fault_plan,
             verifier=self.verifier,
         )
@@ -300,14 +270,12 @@ def mpiexec(
     main: RankMain,
     engine: Optional[Engine] = None,
     tracer: Optional[Tracer] = None,
-    fast_collectives: Optional[bool] = None,
     fault_plan: Optional[Any] = None,
     verifier: Optional[Any] = None,
 ) -> JobResult:
     """Launch and run ``main`` on ``n_ranks`` simulated ranks."""
     job = MpiJob(
-        n_ranks, fabric, engine=engine, tracer=tracer,
-        fast_collectives=fast_collectives, fault_plan=fault_plan,
+        n_ranks, fabric, engine=engine, tracer=tracer, fault_plan=fault_plan,
         verifier=verifier,
     )
     job.launch(main)

@@ -9,6 +9,7 @@ from repro.analyze import Verifier, verify_mpiexec
 from repro.analyze.verifier import _concurrent, _leq
 from repro.errors import FaultError
 from repro.mpi.collectives import ALGORITHMS
+from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import MpiJob, mpiexec
 
@@ -190,19 +191,33 @@ class TestOffByDefault:
         job = MpiJob(4, host_fabric())
         assert job.verifier is None
         assert job.communicator(0)._verifier is None
-        # The analytic fast path stays available without a verifier...
-        assert job.fast is not None
+        # An unverified job checks its collective calls on the ledger...
+        assert job.calls is not None
+
+    def test_verifier_replaces_the_call_ledger(self):
+        # ...a verified job leaves mismatches to the verifier's ledger.
+        job = MpiJob(4, host_fabric(), verifier=Verifier())
+        assert job.calls is None
 
     def test_verifier_disables_fast_path(self):
-        job = MpiJob(4, host_fabric(), verifier=Verifier())
-        assert job.fast is None
+        # compiled_mpiexec steps a verified job, so the verifier sees
+        # every message.
+        def main(comm):
+            total = yield from comm.allreduce(comm.rank, nbytes=8)
+            return total
+
+        st = CompileStats()
+        result = compiled_mpiexec(4, host_fabric(), main, verifier=Verifier(),
+                                  stats=st)
+        assert (st.path, st.reason) == ("stepped", "dynamic verifier armed")
+        assert result.returns == [6] * 4
 
     def test_verified_elapsed_matches_stepped_run(self):
         def main(comm):
             total = yield from comm.allreduce(comm.rank, nbytes=4096)
             return total
 
-        plain = mpiexec(8, host_fabric(), main, fast_collectives=False)
+        plain = mpiexec(8, host_fabric(), main)
         verified, report = verify_mpiexec(8, host_fabric(), main)
         assert report.ok
         assert verified.elapsed == plain.elapsed
@@ -250,8 +265,7 @@ class TestCollectiveDeadline:
 
     @pytest.mark.parametrize("kind", sorted(ALGORITHMS))
     def test_generous_deadline_is_invisible(self, kind):
-        plain = mpiexec(8, host_fabric(), partial(_one_collective, kind, None),
-                        fast_collectives=False)
+        plain = mpiexec(8, host_fabric(), partial(_one_collective, kind, None))
         bounded = mpiexec(8, host_fabric(), partial(_one_collective, kind, 10.0))
         if kind == "allreduce":
             assert bounded.returns == [28] * 8

@@ -176,7 +176,7 @@ class TestRankCrash:
 
     def test_crash_past_job_end_neither_fires_nor_stretches_time(self):
         main = _allreduce_loop(3)
-        base = mpiexec(8, host_fabric(), main, fast_collectives=False)
+        base = mpiexec(8, host_fabric(), main)
         late = mpiexec(
             8, host_fabric(), main,
             fault_plan=FaultPlan([RankCrash(rank=0, at=1e6)]),
@@ -198,7 +198,7 @@ class TestStragglerAndPressure:
             yield from comm.barrier()
             return comm.rank
 
-        healthy = mpiexec(4, host_fabric(), main, fast_collectives=False)
+        healthy = mpiexec(4, host_fabric(), main)
         slowed = mpiexec(
             4, host_fabric(), main,
             fault_plan=FaultPlan([Straggler(rank=1, slowdown=3.0)]),
@@ -338,7 +338,7 @@ class TestJobResultCompletion:
             yield from comm.compute(10.0)
             return comm.rank
 
-        job = MpiJob(4, host_fabric(), fast_collectives=False)
+        job = MpiJob(4, host_fabric())
         job.launch(main)
         res = job.run(until=1.0)
         assert not res.completed
@@ -370,9 +370,6 @@ class TestUniformFabricHeuristic:
 
         job = MpiJob(4, resolver)
         assert job._fabric_for is resolver
-        assert job.fast is None  # non-uniform: no analytic fast path
-        with pytest.raises(ConfigError, match="uniform"):
-            MpiJob(4, resolver, fast_collectives=True)
 
     def test_partial_bound_resolver_also_routes(self):
         from functools import partial as _partial
@@ -383,11 +380,6 @@ class TestUniformFabricHeuristic:
         bound = _partial(route, phi_fabric(1))
         job = MpiJob(4, bound)
         assert job._fabric_for is bound
-
-    def test_fast_collectives_refused_under_plan(self):
-        plan = FaultPlan([Straggler(rank=0, slowdown=2.0)])
-        with pytest.raises(ConfigError, match="fault plan"):
-            MpiJob(4, host_fabric(), fast_collectives=True, fault_plan=plan)
 
 
 class TestP2pTimeouts:

@@ -17,10 +17,13 @@ from repro.microbench import (
     fig16_data,
     fig17_data,
     fig18_data,
-    host_over_phi_factors,
+    mpi_function_sweep,
     numpy_stream_triad,
 )
-from repro.microbench.mpifuncs import alltoall_max_feasible_size, factor_range
+from repro.microbench.mpifuncs import (
+    alltoall_max_feasible_size,
+    sweep_factor_range,
+)
 from repro.microbench.ompbench import simulated_barrier_overhead
 from repro.microbench.pingpong import gain_in_regime
 from repro.openmp.constructs import construct_overhead
@@ -114,6 +117,12 @@ class TestFig7To9Pcie:
         # Model band must sit inside the paper band (with 15 % slack).
         assert lo >= plo * 0.85, (path, regime, lo)
         assert hi <= phi_ * 1.15, (path, regime, hi)
+
+
+def factor_range(bench, tpc):
+    """(min, max) host-over-Phi factor across ``bench``'s size sweep."""
+    sweep = mpi_function_sweep(bench, phi_tpc=(tpc,))
+    return sweep_factor_range(bench, tpc, sweep)
 
 
 class TestFig10To14MpiFunctions:

@@ -1,27 +1,20 @@
 """Every pricing path of a collective job agrees with the stepped engine.
 
 A job with collectives prices on four paths: the stepped engine (the
-reference), the max-plus replay, vector phase pricing and a warm memo
-hit.  Every path prices a collective with its
-:data:`~repro.mpi.collectives.SCHEDULES` entry.  Three contracts are
+reference, which walks every collective's
+:data:`~repro.mpi.collectives.ALGORITHMS` entry hop by hop), the
+max-plus replay, vector phase pricing and a warm memo hit.  The three
+compiled paths price a collective with its
+:data:`~repro.mpi.collectives.SCHEDULES` entry.  Two contracts are
 gated here:
 
-* **The fast kinds** — :func:`~repro.mpi.fastpath.takes_fast_path`
-  admits exactly the collectives the stepped Communicator hands to
-  :class:`~repro.mpi.fastpath.FastCollectives`: the
-  :data:`~repro.mpi.fastpath.FAST_KINDS` and bcast above
-  ``LARGE_MESSAGE_SWITCH``, whose schedules finish no rank before the
-  last arrival.  Binomial bcast, reduce, gather and scatter step.
 * **Path agreement** — a Hypothesis property over small rank programs
   (a ring ``sendrecv``, a rank-skewed ``compute``, then one collective
   with a random root, repeated) on P in {1, 2, 3, 5, 8, 13, 16}, with
   sizes on both sides of each fabric's eager limit and of
-  ``LARGE_MESSAGE_SWITCH``.  Returns are equal on every path.  The
-  compiled paths agree with each other bit for bit.  Against the
-  stepped engine, collectives that step agree bit for bit and those
-  that take the fast path to 1e-12: a stepped fast-path rank resumes
-  after a delay of ``finish - now``, which can round the finish by an
-  ulp.
+  ``LARGE_MESSAGE_SWITCH``.  Returns are equal on every path, and
+  elapsed is equal bit for bit, against a reference that asserts it
+  stepped.
 * **One root check** — an out-of-range root raises the same
   :class:`~repro.errors.ConfigError` on every path a job can take.
 """
@@ -38,10 +31,10 @@ from repro.errors import ConfigError
 from repro.mpi.collectives import LARGE_MESSAGE_SWITCH, SCHEDULES
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
-from repro.mpi.fastpath import FAST_KINDS, FastCollectives, takes_fast_path
-from repro.mpi.runtime import mpiexec
+from repro.mpi.runtime import MpiJob, mpiexec
 from repro.obs.tracer import Tracer
 from repro.perf.cache import EvalCache
+from repro.simcore import Engine
 
 FABRICS = {"host": host_fabric, "phi": lambda: phi_fabric(2)}
 
@@ -97,43 +90,6 @@ def _program(kind, nbytes, skew, root, iters, comm):
     return got, out
 
 
-def _all_eight(comm):
-    """One call of each collective."""
-    values = list(range(comm.size))
-    yield from comm.barrier()
-    yield from comm.bcast(1, root=1)
-    yield from comm.reduce(comm.rank, root=2)
-    yield from comm.allreduce(comm.rank)
-    yield from comm.allgather(comm.rank)
-    yield from comm.alltoall(values)
-    yield from comm.gather(comm.rank, root=3)
-    return (yield from comm.scatter(values, root=1))
-
-
-def _large_bcast(comm):
-    return (yield from comm.bcast(comm.rank, root=2,
-                                  nbytes=LARGE_MESSAGE_SWITCH + 1))
-
-
-def test_fast_kinds_are_the_stepped_fast_path(monkeypatch):
-    seen = set()
-    run = FastCollectives.run
-
-    def spy(self, comm, seq, kind, value, nbytes, *args, **kwargs):
-        assert takes_fast_path(kind, nbytes), (kind, nbytes)
-        seen.add(kind)
-        return run(self, comm, seq, kind, value, nbytes, *args, **kwargs)
-
-    monkeypatch.setattr(FastCollectives, "run", spy)
-    res = mpiexec(4, host_fabric(), _all_eight)
-    assert res.returns == [0, 1, 2, 3]
-    assert seen == FAST_KINDS
-    seen.clear()
-    res = mpiexec(4, host_fabric(), _large_bcast)
-    assert res.returns == [2] * 4
-    assert seen == {"bcast"}
-
-
 def _bad_root(kind, root, comm):
     value = list(range(comm.size)) if kind == "scatter" else comm.rank
     return (yield from getattr(comm, kind)(value, root=root))
@@ -142,8 +98,6 @@ def _bad_root(kind, root, comm):
 #: Every way a P=4 job can run, each by its public entry point.
 ROOT_PATHS = {
     "stepped": lambda main: mpiexec(4, host_fabric(), main),
-    "stepped-nofast": lambda main: mpiexec(4, host_fabric(), main,
-                                           fast_collectives=False),
     "resolver": lambda main: mpiexec(4, lambda src, dst: host_fabric(), main),
     "traced": lambda main: mpiexec(4, host_fabric(), main, tracer=Tracer()),
     "compiled": lambda main: compiled_mpiexec(4, host_fabric(), main),
@@ -162,7 +116,7 @@ def test_out_of_range_root_raises_on_every_path(kind, root, path):
 
 @settings(max_examples=120, deadline=None)
 # Shrunk counterexamples from when the compiled paths held gather and
-# scatter ranks to the last arrival, as the fast kinds are held.
+# scatter ranks to the last arrival.
 @example(fabric_name="host", p=8, kind="gather", nbytes=8, skew=1e-7,
          root=1, iters=3)
 @example(fabric_name="host", p=16, kind="gather", nbytes=8, skew=0.0,
@@ -184,7 +138,11 @@ def test_every_path_agrees_with_stepped(fabric_name, p, kind, nbytes, skew,
     make = FABRICS[fabric_name]
     main = partial(_program, kind, nbytes, skew, root, iters)
     case = (fabric_name, p, kind, nbytes, skew, root, iters)
-    ref = mpiexec(p, make(), main)
+    engine = Engine()
+    job = MpiJob(p, make(), engine=engine)
+    job.launch(main)
+    ref = job.run()
+    assert p == 1 or engine.timeline() > 0, case  # the reference stepped
 
     st_replay = CompileStats()
     rep = compiled_mpiexec(p, make(), main, vector=False, stats=st_replay)
@@ -201,8 +159,4 @@ def test_every_path_agrees_with_stepped(fabric_name, p, kind, nbytes, skew,
 
     for res in (rep, vec, memo):
         assert res.returns == ref.returns, case
-    assert vec.elapsed == memo.elapsed == rep.elapsed, case
-    if p > 1 and takes_fast_path(kind, nbytes):
-        assert abs(rep.elapsed - ref.elapsed) <= 1e-12 * ref.elapsed, case
-    else:
-        assert rep.elapsed == ref.elapsed, case
+    assert vec.elapsed == memo.elapsed == rep.elapsed == ref.elapsed, case

@@ -1,6 +1,7 @@
-"""Tests for MPI collectives: semantics (real payloads), the Figs 10–14
-sweep's price against stepped jobs, and the alltoall memory model
-(Fig 14's out-of-memory failure)."""
+"""Tests for MPI collectives: semantics (real payloads), mismatched
+calls, the schedules and reduction payloads against hop-by-hop
+stepping, the Figs 10–14 sweep's price against stepped jobs, and the
+alltoall memory model (Fig 14's out-of-memory failure)."""
 
 import operator
 from functools import partial
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OutOfMemoryError
+from repro.errors import ConfigError, OutOfMemoryError
+from repro.faults import FaultPlan, LinkDegradation
 from repro.microbench.mpifuncs import MPI_BENCHMARKS, function_time
 from repro.mpi import (
     Fabric,
@@ -20,11 +22,13 @@ from repro.mpi import (
     phi_fabric,
 )
 from repro.mpi.collectives import (
+    ALGORITHMS,
     ALLGATHER_RING_SWITCH,
     LARGE_MESSAGE_SWITCH,
     alltoall_fits,
     check_alltoall_memory,
 )
+from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.units import GiB, KiB, MiB, US
 
 
@@ -155,6 +159,203 @@ class TestCollectiveSemantics:
         assert res.returns == [("secret", root)] * p
 
 
+# --------------------------------------------- mismatched collective calls
+
+
+def _call(kind: str, nbytes: int, comm):
+    """One ``kind`` collective of ``nbytes``; the rooted kinds at root 1."""
+    values = list(range(comm.size))
+    if kind == "barrier":
+        return (yield from comm.barrier())
+    if kind in ("alltoall", "scatter"):
+        args = (values,)
+    else:
+        args = (comm.rank,)
+    kw = {"root": 1} if kind in ("bcast", "reduce", "gather", "scatter") else {}
+    return (yield from getattr(comm, kind)(*args, nbytes=nbytes, **kw))
+
+
+def _mismatched(kind: str, odd: int, comm):
+    """Every rank calls ``kind`` with 8 bytes but rank ``odd``: 16 bytes,
+    or an allreduce in place of a barrier."""
+    if comm.rank != odd % comm.size:
+        return (yield from _call(kind, 8, comm))
+    if kind == "barrier":
+        return (yield from _call("allreduce", 8, comm))
+    return (yield from _call(kind, 16, comm))
+
+
+@pytest.mark.parametrize("odd", ("first", "last"))
+@pytest.mark.parametrize("kind", sorted(ALGORITHMS))
+def test_mismatched_collectives_raise_instead_of_deadlocking(kind, odd):
+    """The stepped job's call ledger raises at the mismatched call,
+    whichever rank issues it, for every kind."""
+    main = partial(_mismatched, kind, 0 if odd == "first" else -1)
+    with pytest.raises(ConfigError, match="mismatched collective"):
+        mpiexec(4, fabric(), main)
+
+
+def _link_plan():
+    return FaultPlan([LinkDegradation(latency_factor=2.0,
+                                      bandwidth_factor=0.5)])
+
+
+#: Mismatches the stepped engine used to run to completion.
+MISMATCHES = {
+    "bcast-binomial": (partial(_mismatched, "bcast", -1), lambda: None),
+    "allreduce-link-degradation": (partial(_mismatched, "allreduce", -1),
+                                   _link_plan),
+}
+
+
+@pytest.mark.parametrize("entry", ("mpiexec", "compiled_mpiexec"))
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_mismatch_raises_on_both_entries(case, entry):
+    main, make_plan = MISMATCHES[case]
+    run = mpiexec if entry == "mpiexec" else compiled_mpiexec
+    with pytest.raises(ConfigError, match="mismatched collective"):
+        run(4, host_fabric(), main, fault_plan=make_plan())
+
+
+# ----------------------------------------- schedules vs hop-by-hop stepping
+
+SCHEDULE_KINDS = ("bcast", "reduce", "allreduce", "allgather", "alltoall",
+                  "barrier")
+SCHEDULE_SIZES = (3, 4, 7, 13, 16, 64)  # odd P: the fold, Bruck and shifts
+
+
+def _schedule_main(kind: str, nbytes: int, skew: float, comm):
+    if skew:
+        yield from comm.compute(comm.rank * skew)
+    if kind == "bcast":
+        return (yield from comm.bcast(
+            "payload" if comm.rank == 0 else None, nbytes=nbytes
+        ))
+    if kind in ("allreduce", "reduce"):
+        return (yield from getattr(comm, kind)(comm.rank + 1, nbytes=nbytes))
+    if kind == "allgather":
+        return (yield from comm.allgather(comm.rank, nbytes=nbytes))
+    if kind == "alltoall":
+        values = [comm.rank * comm.size + d for d in range(comm.size)]
+        return (yield from comm.alltoall(values, nbytes=nbytes))
+    yield from comm.barrier()
+    return comm.rank
+
+
+def _assert_schedule_equals_stepped(kind, f, p, nbytes, skew=0.0):
+    """The compiled replay, which prices the collective with its
+    schedule, equals the stepped run bit for bit, payloads included."""
+    main = partial(_schedule_main, kind, nbytes, skew)
+    st = CompileStats()
+    replay = compiled_mpiexec(p, f, main, vector=False, stats=st)
+    assert st.path == "replay", (kind, nbytes, st.reason)
+    stepped = mpiexec(p, f, main)
+    assert replay.returns == stepped.returns
+    assert replay.elapsed == stepped.elapsed, (
+        f"{kind} P={p} {f.name} nbytes={nbytes}: "
+        f"schedule {replay.elapsed!r} vs stepped {stepped.elapsed!r}"
+    )
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+@pytest.mark.parametrize("fabric_name", ("host", "phi"))
+@pytest.mark.parametrize("p", SCHEDULE_SIZES)
+def test_schedule_matches_stepped(kind, fabric_name, p):
+    f = host_fabric() if fabric_name == "host" else phi_fabric(2)
+    for nbytes in (256, 512 * 1024):  # eager and rendezvous regimes
+        _assert_schedule_equals_stepped(kind, f, p, nbytes)
+
+
+@pytest.mark.parametrize("kind", ("allreduce", "allgather", "alltoall",
+                                  "barrier"))
+def test_schedule_matches_stepped_with_skewed_arrivals(kind):
+    for p in (16, 13):
+        _assert_schedule_equals_stepped(kind, host_fabric(), p, 4096,
+                                        skew=1e-6)
+
+
+# ------------------------------------ reduction payloads, stepped vs replay
+
+
+def _bracket(a, b):
+    """A non-commutative reduction: a swapped operand shows in the text."""
+    return "(" + a + b + ")"
+
+
+def _stepped_and_replay(main, p):
+    """``main`` stepped and on the compiled max-plus replay."""
+    stepped = mpiexec(p, host_fabric(), main)
+    st = CompileStats()
+    replay = compiled_mpiexec(p, host_fabric(), main, vector=False, stats=st)
+    if p > 1:
+        assert st.path == "replay", st.reason
+    return stepped, replay
+
+
+def test_allreduce_float_payloads_bit_identical():
+    """Reduction order is replayed, so float sums match bit for bit."""
+
+    def main(comm):
+        value = 0.1 * (comm.rank + 1)
+        total = yield from comm.allreduce(value, nbytes=8)
+        return total
+
+    for p in (5, 12, 16):
+        stepped, replay = _stepped_and_replay(main, p)
+        assert replay.returns == stepped.returns  # exact, not approx
+
+
+@pytest.mark.parametrize("p", range(1, 18))
+def test_allreduce_operand_order_on_every_path(p):
+    """Float ``+`` is commutative bit for bit, so only a non-commutative
+    op pins which operand each combine puts first: every rank's bracketed
+    string agrees across the stepped run and the replay."""
+
+    def main(comm):
+        return (yield from comm.allreduce(str(comm.rank), op=_bracket,
+                                          nbytes=8))
+
+    stepped, replay = _stepped_and_replay(main, p)
+    assert replay.returns == stepped.returns
+    assert sorted(stepped.returns[0].replace("(", "").replace(")", "")) == (
+        sorted("".join(str(r) for r in range(p)))
+    )
+
+
+def test_reduce_root_result_bit_identical():
+    """The replay's result replays the binomial combine order, so the
+    root's float accumulation matches the stepped result bit for bit —
+    and only the root holds a value."""
+
+    def main(comm):
+        value = 0.1 * (comm.rank + 1)
+        total = yield from comm.reduce(value, root=1, nbytes=8)
+        return total
+
+    for p in (5, 12, 16):
+        stepped, replay = _stepped_and_replay(main, p)
+        assert replay.returns == stepped.returns  # exact, not approx
+        assert replay.returns[1] is not None
+        assert all(r is None for i, r in enumerate(replay.returns) if i != 1)
+
+
+@pytest.mark.parametrize("p", range(1, 18))
+def test_reduce_operand_order_on_every_path_and_root(p):
+    """The binomial combine order under a non-commutative op, at every
+    root: both paths return the same bracketing, at the root only."""
+    for root in range(p):
+
+        def main(comm, root=root):
+            return (yield from comm.reduce(str(comm.rank), op=_bracket,
+                                           root=root, nbytes=8))
+
+        stepped, replay = _stepped_and_replay(main, p)
+        assert replay.returns == stepped.returns, root
+        assert [r is None for r in stepped.returns] == (
+            [r != root for r in range(p)]
+        )
+
+
 # ------------------------------------------------- stepped jobs vs the sweep
 
 
@@ -190,19 +391,16 @@ def _timing_sizes(kind: str, eager_max: int):
 
 def _assert_stepped_equals_sweep(kind: str, f, p: int, nbytes: int) -> None:
     """A one-call stepped job's ``elapsed`` is the sweep's point, bit for
-    bit, with the fast path and with every collective's generator."""
+    bit."""
     want = function_time(kind, f, p, nbytes)
-    for fast in (True, False):
-        main = partial(_function_main, kind, nbytes)
-        sim = mpiexec(p, f, main, fast_collectives=fast).elapsed
-        assert sim == want, (kind, f.name, p, nbytes, fast, sim, want)
+    sim = mpiexec(p, f, partial(_function_main, kind, nbytes)).elapsed
+    assert sim == want, (kind, f.name, p, nbytes, sim, want)
 
 
 class TestTimingConsistency:
     """The Figs 10–14 sweep prices each point with the schedule of the
-    algorithm the stepped engine runs, so the two agree exactly.  With
-    ``fast_collectives=False`` every collective steps its generator, so
-    at 236 ranks (above the Phi's ``incast_capacity``) alltoall's
+    algorithm the stepped engine runs, so the two agree exactly.  Every
+    stepped collective runs its generator, so at 236 ranks (above the Phi's ``incast_capacity``) alltoall's
     messages go over the incast wire."""
 
     @pytest.mark.parametrize("nbytes", [8, 1 * KiB, 64 * KiB, 1 * MiB])

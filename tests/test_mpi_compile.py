@@ -12,8 +12,7 @@ Three contracts are gated here:
   crashing fault plans, resolver fabrics, caller-provided engines)
   silently re-runs on the stepped engine with identical results and
   identical errors.  A traced job replays, emitting its spans from the
-  replay's clocks; a static fault plan replays on the degraded fabric,
-  and ``fast_collectives=False`` changes no compiled path.
+  replay's clocks; a static fault plan replays on the degraded fabric.
 * **Memoization** — a warm :class:`~repro.perf.cache.EvalCache` hit
   returns the stored :class:`~repro.mpi.runtime.JobResult` without
   stepping a single engine event, and the fingerprint key separates
@@ -28,15 +27,19 @@ from functools import partial
 import pytest
 
 from repro.errors import ConfigError, DeadlockError
+from repro.mpi.collectives import ARRAY_ROUNDS_MIN_P
 from repro.mpi.compile import (
     CompileStats,
     ReplayFallback,
+    _alltoall_results,
+    _Instance,
     _ReplayJob,
     compiled_mpiexec,
     replay,
 )
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import mpiexec
+from repro.perf.batch import get_numpy
 from repro.perf.cache import EvalCache
 from repro.simcore import Engine
 
@@ -200,7 +203,7 @@ def test_replay_matches_stepped_halo(fabric_name, p):
     for nbytes in (256, 512 * 1024):  # eager and rendezvous regimes
         main = partial(_halo_main, nbytes)
         rep = replay(p, _fabric(fabric_name), main)
-        des = mpiexec(p, _fabric(fabric_name), main, fast_collectives=False)
+        des = mpiexec(p, _fabric(fabric_name), main)
         assert rep.returns == des.returns
         rel = _rel(rep.elapsed, des.elapsed)
         assert rel <= TOL, (
@@ -216,13 +219,13 @@ def test_replay_matches_stepped_mixed_programs(main_fn):
         for nbytes in (256, 512 * 1024):
             main = partial(main_fn, nbytes)
             rep = replay(p, host_fabric(), main)
-            des = mpiexec(p, host_fabric(), main, fast_collectives=False)
+            des = mpiexec(p, host_fabric(), main)
             assert rep.returns == des.returns  # float payloads: bit-exact
             assert _rel(rep.elapsed, des.elapsed) <= TOL
 
 
 def test_replay_matches_default_mpiexec():
-    """compiled vs the production path (fast collectives enabled)."""
+    """compiled_mpiexec vs the default mpiexec."""
     for nbytes in (256, 512 * 1024):
         main = partial(_cg_like_main, nbytes)
         st = CompileStats()
@@ -239,7 +242,7 @@ def test_replay_matches_stepped_gather_scatter(fabric_name, p):
     for nbytes in (64, 512 * 1024):  # eager and rendezvous regimes
         main = partial(_gather_scatter_main, nbytes)
         rep = replay(p, _fabric(fabric_name), main)
-        des = mpiexec(p, _fabric(fabric_name), main, fast_collectives=False)
+        des = mpiexec(p, _fabric(fabric_name), main)
         assert rep.returns == des.returns
         rel = _rel(rep.elapsed, des.elapsed)
         assert rel <= TOL, (
@@ -268,7 +271,7 @@ def test_compiled_gather_scatter_equal_stepped(p, main, vector, path):
 def test_gather_scatter_single_rank():
     main = partial(_gather_scatter_main, 64)
     rep = replay(1, host_fabric(), main)
-    des = mpiexec(1, host_fabric(), main, fast_collectives=False)
+    des = mpiexec(1, host_fabric(), main)
     assert rep.returns == des.returns == [([0], 0)]
     assert _rel(rep.elapsed, des.elapsed) <= TOL
 
@@ -301,8 +304,7 @@ def test_static_profile_accepts_gather_scatter():
 
 def test_replay_honours_unwaited_isend_horizon():
     rep = replay(4, host_fabric(), _unwaited_isend_main)
-    des = mpiexec(4, host_fabric(), _unwaited_isend_main,
-                  fast_collectives=False)
+    des = mpiexec(4, host_fabric(), _unwaited_isend_main)
     assert rep.returns == des.returns
     assert _rel(rep.elapsed, des.elapsed) <= TOL
 
@@ -320,7 +322,7 @@ def test_replay_large_p_matches_stepped():
     p = 1024
     main = partial(_halo_main, 1024)
     rep = replay(p, phi_fabric(2), main)
-    des = mpiexec(p, phi_fabric(2), main, fast_collectives=False)
+    des = mpiexec(p, phi_fabric(2), main)
     assert rep.returns == des.returns
     assert _rel(rep.elapsed, des.elapsed) <= TOL
 
@@ -333,7 +335,7 @@ def test_single_rank_job_replays():
         return v
 
     rep = replay(1, host_fabric(), solo)
-    des = mpiexec(1, host_fabric(), solo, fast_collectives=False)
+    des = mpiexec(1, host_fabric(), solo)
     assert rep.returns == des.returns
     assert _rel(rep.elapsed, des.elapsed) <= TOL
 
@@ -394,7 +396,7 @@ def test_traced_job_replays():
     assert st.path == "replay" and st.engine_steps == 0, st.reason
     assert len(tracer) > 0  # spans were actually recorded
     assert res.elapsed == compiled_mpiexec(8, host_fabric(), main).elapsed
-    des = mpiexec(8, host_fabric(), main, fast_collectives=False)
+    des = mpiexec(8, host_fabric(), main)
     assert _rel(res.elapsed, des.elapsed) <= TOL
 
 
@@ -408,18 +410,17 @@ def test_fallback_verifier():
     _assert_stepped(st, "verifier")
     report = verifier.finalize()
     assert not report.issues
-    des = mpiexec(8, host_fabric(), main, fast_collectives=False)
+    des = mpiexec(8, host_fabric(), main)
     assert _rel(res.elapsed, des.elapsed) <= TOL
 
 
-def _assert_replays_exactly(main, fault_plan=None, fast_collectives=None):
+def _assert_replays_exactly(main, fault_plan=None):
     st = CompileStats()
     res = compiled_mpiexec(8, host_fabric(), main, fault_plan=fault_plan,
-                           fast_collectives=fast_collectives, stats=st)
+                           stats=st)
     assert st.path == "replay", (st.path, st.reason)
     assert st.engine_steps == 0
-    ref = mpiexec(8, host_fabric(), main, fault_plan=fault_plan,
-                  fast_collectives=fast_collectives)
+    ref = mpiexec(8, host_fabric(), main, fault_plan=fault_plan)
     assert res.elapsed == ref.elapsed
     assert res.returns == ref.returns
 
@@ -488,32 +489,6 @@ def test_fallback_caller_engine():
     assert res.completed
 
 
-def test_fallback_fast_collectives_disabled():
-    """``fast_collectives=False`` replays exactly, traced or not;
-    ``fast_collectives=True`` demanded under a fault plan steps."""
-    from repro.faults import FaultPlan
-    from repro.obs import Tracer
-
-    _assert_replays_exactly(partial(_cg_like_main, 256),
-                            fast_collectives=False)
-    st = CompileStats()
-    main = partial(_cg_like_main, 256)
-    res = compiled_mpiexec(4, host_fabric(), main, fast_collectives=False,
-                           tracer=Tracer(), stats=st)
-    assert st.path == "replay", (st.path, st.reason)
-    ref = mpiexec(4, host_fabric(), main, fast_collectives=False,
-                  tracer=Tracer())
-    assert res.elapsed == ref.elapsed
-    assert res.returns == ref.returns
-    st = CompileStats()
-    with pytest.raises(ConfigError, match="fault plan"):
-        compiled_mpiexec(
-            4, host_fabric(), partial(_halo_main, 256),
-            fast_collectives=True, fault_plan=FaultPlan(), stats=st,
-        )
-    assert st.path == "stepped" and "fast_collectives" in st.reason
-
-
 def _rooted_halo_main(nbytes, comm):
     """A halo, then a reduce and a binomial bcast rooted off rank 0."""
     yield from _halo_main(nbytes, comm)
@@ -521,17 +496,16 @@ def _rooted_halo_main(nbytes, comm):
     return (yield from comm.bcast(total, root=3, nbytes=nbytes))
 
 
-def test_fast_collectives_disabled_takes_the_vector_path():
-    """A large ``fast_collectives=False`` job prices on the vector path,
-    as the default job does, and equals its stepped run."""
+def test_rooted_collectives_take_the_vector_path():
+    """A large job with rooted collectives prices on the vector path and
+    equals its stepped run."""
     from repro.perf.batch import HAVE_NUMPY
 
     main = partial(_rooted_halo_main, 256)
     st = CompileStats()
-    res = compiled_mpiexec(128, host_fabric(), main, fast_collectives=False,
-                           stats=st)
+    res = compiled_mpiexec(128, host_fabric(), main, stats=st)
     assert st.path == ("vector" if HAVE_NUMPY else "replay"), st
-    ref = mpiexec(128, host_fabric(), main, fast_collectives=False)
+    ref = mpiexec(128, host_fabric(), main)
     assert res.elapsed == ref.elapsed
     assert res.returns == ref.returns == [127 * 128 // 2] * 128
 
@@ -626,9 +600,7 @@ def test_memo_key_separates_jobs():
 
 def test_memo_not_consulted_for_fallback_jobs():
     """A healthy entry never answers a faulted job, nor a faulted entry a
-    healthy job or another plan: the key adds the plan's fingerprint.
-    ``fast_collectives=False`` only changes the stepped engine's speed,
-    so such a job hits the healthy entry."""
+    healthy job or another plan: the key adds the plan's fingerprint."""
     from repro.faults import FaultPlan, Straggler
     from repro.obs import Tracer
 
@@ -656,15 +628,6 @@ def test_memo_not_consulted_for_fallback_jobs():
     assert st.path == "replay" and not st.cache_hit, st
     assert res.elapsed == mpiexec(8, host_fabric(), main,
                                   fault_plan=plan(3.0)).elapsed
-    # The healthy entry (written by the loop's last round) answers a
-    # fast_collectives=False job, with the stepped algorithms' answer.
-    st = CompileStats()
-    res = compiled_mpiexec(8, host_fabric(), main, cache=cache, stats=st,
-                           fast_collectives=False)
-    assert st.path == "memo" and st.cache_hit, st
-    ref = mpiexec(8, host_fabric(), main, fast_collectives=False)
-    assert res.elapsed == ref.elapsed
-    assert res.returns == ref.returns
     main = partial(_halo_main, 256)
     compiled_mpiexec(8, host_fabric(), main, cache=cache)
     # A traced job skips the memo, whose hit would emit no spans.
@@ -780,8 +743,8 @@ def test_sendrecv_static_straggler_replays_exactly():
 
 # ------------------------------------------- O(P)-round schedules on arrays
 #
-# From ``fastpath.ARRAY_ROUNDS_MIN_P`` ranks the replay and the fast path
-# price the large bcast's ring, ring allgather and alltoall on arrays.
+# From ``collectives.ARRAY_ROUNDS_MIN_P`` ranks the replay prices the
+# large bcast's ring, ring allgather and alltoall on arrays.
 # Skewed arrivals keep the uniform-arrival rule out of the way, so every
 # round runs; the clocks must still equal the stepped run's bit for bit
 # and stay Python floats, in the job and in the trace.
@@ -819,12 +782,11 @@ def test_array_rounds_replay_equals_stepped(p):
         case = (p, main.func.__name__, main.args)
         job = _ReplayJob(p, fabric)
         rep = job.run(main)
-        des = mpiexec(p, fabric, main, fast_collectives=False)
-        fast = mpiexec(p, fabric, main)
-        assert rep.elapsed == des.elapsed == fast.elapsed, case
-        assert rep.returns == des.returns == fast.returns, case
+        des = mpiexec(p, fabric, main)
+        assert rep.elapsed == des.elapsed, case
+        assert rep.returns == des.returns, case
         assert _all_floats(job.clocks), case
-        assert type(rep.elapsed) is float and type(fast.elapsed) is float
+        assert type(rep.elapsed) is float and type(des.elapsed) is float
         assert _all_floats(now for _, now in rep.returns), case
 
 
@@ -843,6 +805,78 @@ def test_array_rounds_trace_python_floats():
         assert len(spans) == 64
         assert _all_floats(e.ts for e in tracer.events)
         assert _all_floats(e.dur for e in tracer.events)
+
+
+# ------------------------------------------ one occurrence's results, resolve
+
+
+def _instance(kind, nbytes, values, arrivals=None, root=None):
+    inst = _Instance(len(values), kind, nbytes, root, None)
+    for rank, row in enumerate(values):
+        inst.arrive(rank, 0.0 if arrivals is None else arrivals[rank], row)
+    return inst
+
+
+def _indexed_alltoall(values):
+    """The per-element form, which takes any row that can be indexed."""
+    p = len(values)
+    return [[values[src][dst] if values[src] is not None else None
+             for src in range(p)] for dst in range(p)]
+
+
+def test_alltoall_results_transpose_equals_indexed_form():
+    """All-list/tuple rows take the ``zip`` transpose; ``None``, dict
+    and array rows keep the indexed form.  Both give the same values of
+    the same types."""
+    p = 5
+    lists = [[(src, dst) for dst in range(p)] for src in range(p)]
+    cases = {
+        "list": lists,
+        "tuple": [tuple(row) for row in lists],
+        "mixed": [tuple(row) if src % 2 else row
+                  for src, row in enumerate(lists)],
+        "none": [None] * p,
+        "some none": [None if src == 2 else row
+                      for src, row in enumerate(lists)],
+        "dict": [dict(enumerate(row)) for row in lists],
+    }
+    np = get_numpy()
+    if np is not None:
+        cases["ndarray"] = [np.arange(p) * 0.1 + src for src in range(p)]
+        cases["ndarray and list"] = [np.arange(p) * 0.1] + lists[1:]
+    for name, values in cases.items():
+        got = _alltoall_results(_instance("alltoall", 8, values))
+        want = _indexed_alltoall(values)
+        assert got == want, name
+        assert [[type(x) for x in row] for row in got] == \
+            [[type(x) for x in row] for row in want], name
+        assert all(type(row) is list for row in got), name
+
+
+@pytest.mark.parametrize("kind, nbytes, root", (
+    ("alltoall", 64, None), ("allgather", 4096, None), ("bcast", 1 << 20, 3),
+))
+def test_resolve_array_rounds_give_python_floats(kind, nbytes, root,
+                                                 monkeypatch):
+    """The O(P)-round schedules resolve on an array from
+    ``ARRAY_ROUNDS_MIN_P`` ranks; their finish times come back as Python
+    floats equal, bit for bit, to the list backend's."""
+    import random
+
+    from repro.mpi import collectives
+
+    rnd = random.Random(7)
+    for p in (ARRAY_ROUNDS_MIN_P - 1, ARRAY_ROUNDS_MIN_P, 64, 127):
+        arrivals = [rnd.random() * 1e-5 for _ in range(p)]
+        values = [[r] * p for r in range(p)]
+        ends, _ = _instance(kind, nbytes, values, arrivals, root).resolve(
+            host_fabric())
+        assert all(type(e) is float for e in ends), (kind, p)
+        with monkeypatch.context() as m:
+            m.setattr(collectives, "get_numpy", lambda: None)
+            listed, _ = _instance(kind, nbytes, values, arrivals,
+                                  root).resolve(host_fabric())
+        assert ends == listed, (kind, p)
 
 
 # ------------------------------------------- isend on the all-to-all wire

@@ -1,8 +1,8 @@
-"""Static fault plans and ``fast_collectives=False`` jobs on the replay.
+"""Static fault plans on the replay.
 
-Under a fault plan, or with ``fast_collectives=False``, the stepped
-engine runs the collective algorithms of
-:data:`~repro.mpi.collectives.ALGORITHMS` over point-to-point messages.
+Under a fault plan, as on every job, the stepped engine runs the
+collective algorithms of :data:`~repro.mpi.collectives.ALGORITHMS` over
+point-to-point messages.
 :func:`~repro.mpi.compile.compiled_mpiexec` prices such a job on the
 max-plus replay when the plan is *static*: no rank crash, and every link
 and straggler fault active over ``[0, inf)``.  Each collective
@@ -64,17 +64,16 @@ def _sizes(fabric) -> tuple:
             fabric.eager_max, fabric.eager_max + 1)
 
 
-#: name -> (fault plan factory, fast_collectives)
+#: name -> fault plan factory
 MODES = {
-    "link+straggler": (lambda: FaultPlan([
+    "link+straggler": lambda: FaultPlan([
         LinkDegradation(latency_factor=2.3, bandwidth_factor=0.45),
         Straggler(rank=1, slowdown=2.7),
         Straggler(rank=1, slowdown=1.5),
-    ]), None),
-    "memory-pressure": (lambda: FaultPlan([
+    ]),
+    "memory-pressure": lambda: FaultPlan([
         MemoryPressure(capacity_factor=0.01),
-    ]), None),
-    "fast-collectives-off": (lambda: None, False),
+    ]),
 }
 
 
@@ -122,14 +121,12 @@ def _outcome(run):
     return (res.elapsed, res.returns)
 
 
-def _assert_exact(p, make_fabric, main, make_plan, fast_collectives):
+def _assert_exact(p, make_fabric, main, make_plan):
     ref = _outcome(lambda: mpiexec(p, make_fabric(), main,
-                                   fault_plan=make_plan(),
-                                   fast_collectives=fast_collectives))
+                                   fault_plan=make_plan()))
     st = CompileStats()
     got = _outcome(lambda: compiled_mpiexec(p, make_fabric(), main,
                                             fault_plan=make_plan(),
-                                            fast_collectives=fast_collectives,
                                             stats=st))
     assert got == ref, (p, st)
     if not isinstance(ref[0], type):
@@ -142,13 +139,12 @@ def _assert_exact(p, make_fabric, main, make_plan, fast_collectives):
 @pytest.mark.parametrize("kind", KINDS)
 def test_static_plan_replay_is_exact(kind, mode, fabric_name):
     make_fabric = FABRICS[fabric_name]
-    make_plan, fast_collectives = MODES[mode]
     errors = 0
     for p in RANKS:
         for nbytes in _sizes(make_fabric()):
             ref = _assert_exact(p, make_fabric,
                                 partial(_program, kind, nbytes, 3),
-                                make_plan, fast_collectives)
+                                MODES[mode])
             errors += isinstance(ref[0], type)
     if mode == "memory-pressure" and kind == "alltoall":
         assert 0 < errors < len(RANKS) * 5  # both outcomes are exercised
@@ -166,7 +162,7 @@ def test_pre_update_plan_replays_exactly(kind, path):
     for p in RANKS:
         for nbytes in _sizes(make_fabric()):
             _assert_exact(p, make_fabric, partial(_program, kind, nbytes, 1),
-                          pre_update_plan, None)
+                          pre_update_plan)
 
 
 def _iterated(kind, nbytes, iters, skew, comm):
@@ -195,7 +191,7 @@ def test_seeded_link_straggler_jobs_are_exact():
 
         main = partial(_iterated, kind, nbytes, rng.randrange(1, 4),
                        rng.choice((0.0, 1e-6)))
-        _assert_exact(p, rng.choice(list(FABRICS.values())), main, plan, None)
+        _assert_exact(p, rng.choice(list(FABRICS.values())), main, plan)
 
 
 def _stragglers(*ranks_slowdowns):
@@ -223,13 +219,12 @@ def test_stragglers_on_the_reduction_arithmetic_are_exact(kind):
                 for nbytes in (64, 4096):
                     _assert_exact(p, host_fabric,
                                   partial(_program, kind, nbytes, root),
-                                  plan, None)
+                                  plan)
 
 
 #: MODES plus two stragglers on different ranks.
-LARGE_P_MODES = dict(MODES, **{"two-stragglers": (
-    _stragglers((0, 2.5), (7, 1.4)), None
-)})
+LARGE_P_MODES = dict(MODES, **{"two-stragglers": _stragglers((0, 2.5),
+                                                              (7, 1.4))})
 
 
 @pytest.mark.parametrize("mode", sorted(LARGE_P_MODES))
@@ -237,7 +232,6 @@ LARGE_P_MODES = dict(MODES, **{"two-stragglers": (
 def test_large_p_across_the_ring_switch_is_exact(kind, mode):
     """P up to 127 at sizes across ``ALLGATHER_RING_SWITCH``; the ring
     kinds (allgather, large bcast) also with uniform arrivals."""
-    make_plan, fast_collectives = LARGE_P_MODES[mode]
     sizes = (ALLGATHER_RING_SWITCH, ALLGATHER_RING_SWITCH + 1)
     skews = (1e-7,)
     if kind in ("allgather", "bcast"):
@@ -249,7 +243,7 @@ def test_large_p_across_the_ring_switch_is_exact(kind, mode):
             for skew in skews:
                 _assert_exact(p, FABRICS["phi"],
                               partial(_program, kind, nbytes, 5, skew=skew),
-                              make_plan, fast_collectives)
+                              LARGE_P_MODES[mode])
 
 
 def _collectives_only(kind, count, comm):
@@ -274,13 +268,12 @@ def _collectives_only(kind, count, comm):
 @pytest.mark.parametrize("kind", KINDS)
 def test_replay_ops_count_occurrences_not_messages(kind):
     """A collective occurrence is one replay op: no message inside it is
-    replayed, whatever the plan or collective mode."""
-    for make_plan, fast_collectives in LARGE_P_MODES.values():
+    replayed, with or without a plan."""
+    for make_plan in (lambda: None, *LARGE_P_MODES.values()):
         st = CompileStats()
         res = compiled_mpiexec(13, host_fabric(),
                                partial(_collectives_only, kind, 3),
-                               fault_plan=make_plan(),
-                               fast_collectives=fast_collectives, stats=st)
+                               fault_plan=make_plan(), stats=st)
         assert res.completed
         assert (st.path, st.replay_ops) == ("replay", 3), st
 
@@ -298,8 +291,7 @@ def test_halo_points_equal_stepped(fabric_name, tpc):
         for plan in (None, demo_plan("halo"), demo_plan("halo").relaxed(1)):
             ref = _outcome(lambda: mpiexec(ranks, fabric,
                                            partial(_halo_main, nbytes),
-                                           fault_plan=plan,
-                                           fast_collectives=False))
+                                           fault_plan=plan))
             try:
                 got = halo_point(fabric_name, tpc, point, plan).time
             except Exception as exc:  # noqa: BLE001 - compared below

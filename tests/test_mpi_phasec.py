@@ -472,7 +472,7 @@ def test_list_result_observation_refuses_and_replays(main):
     st = CompileStats()
     res = compiled_mpiexec(16, host_fabric(), main, stats=st, vector=True)
     assert st.path == "replay" and st.reason.startswith("lower:"), st.reason
-    des = mpiexec(16, host_fabric(), main, fast_collectives=False)
+    des = mpiexec(16, host_fabric(), main)
     assert res.elapsed == des.elapsed
     assert res.returns == des.returns
 
@@ -717,7 +717,7 @@ def test_scalar_price_matches_replay_and_stepped():
             program = lower(main, 13, fabric=fabric)
             elapsed = price(program, fabric, use_numpy=False)
             rep = replay(13, fabric, main)
-            des = mpiexec(13, fabric, main, fast_collectives=False)
+            des = mpiexec(13, fabric, main)
             assert _rel(elapsed, rep.elapsed) <= TOL
             assert _rel(elapsed, des.elapsed) <= TOL
 
@@ -795,7 +795,7 @@ def test_vector_path_lazy_returns_match_stepped():
     assert st.phases > 0 and st.replay_ops > 0
     assert st.engine_steps == 0
     assert res.mode == "vector"
-    des = mpiexec(8, host_fabric(), main, fast_collectives=False)
+    des = mpiexec(8, host_fabric(), main)
     assert _rel(res.elapsed, des.elapsed) <= TOL
     assert res.returns == des.returns  # materialized through the replay
 
@@ -838,7 +838,7 @@ def test_unlowerable_program_falls_back_to_replay():
     st = CompileStats()
     res = compiled_mpiexec(8, host_fabric(), _star_main, stats=st, vector=True)
     assert st.path == "replay"
-    des = mpiexec(8, host_fabric(), _star_main, fast_collectives=False)
+    des = mpiexec(8, host_fabric(), _star_main)
     assert res.returns == des.returns
     assert _rel(res.elapsed, des.elapsed) <= TOL
 
@@ -898,12 +898,10 @@ def test_compiled_mpiexec_routes_vector_and_replays():
     assert res.mode == "vector" and st.engine_steps == 0
     assert _rel(res.elapsed, ref.elapsed) <= TOL
     assert res.returns == ref.returns  # materialized lazily
-    # fast_collectives=False only slows the stepped engine: the job
-    # replays, with the stepped run's returns.
+    # Below VECTOR_MIN_RANKS the default job replays, with the stepped
+    # run's returns.
     st = CompileStats()
-    res = compiled_mpiexec(8, host_fabric(), main, stats=st,
-                           fast_collectives=False)
+    res = compiled_mpiexec(8, host_fabric(), main, stats=st)
     assert st.path == "replay", st.reason
-    assert res.elapsed == _stepped(8, host_fabric(), main,
-                                   fast_collectives=False).elapsed
+    assert res.elapsed == _stepped(8, host_fabric(), main).elapsed
     assert res.returns == ref.returns

@@ -11,8 +11,9 @@ folds all walk it, so these tests gate the plan itself:
 * **Hops** — the levels of a binomial tree link every non-root vrank to
   its parent exactly once, and the blocks they carry add up to the
   collective's.
-* **Fast path** — :func:`~repro.mpi.fastpath.takes_fast_path` reads the
-  two-rank plan; it must agree with the plan at every P.
+* **Rounds** — a plan has data-parallel rounds at every P > 1 or at
+  none, so two ranks decide whether a collective takes the schedules'
+  round path.
 * **Survivors** — allreduce's rounds run on the ``2^m`` survivors, whose
   member/vrank maps are inverse.
 """
@@ -29,7 +30,6 @@ from repro.mpi.collectives import (
     _vrank,
     plan,
 )
-from repro.mpi.fastpath import takes_fast_path
 
 SIZES = (0, 8, ALLGATHER_RING_SWITCH, ALLGATHER_RING_SWITCH + 1,
          LARGE_MESSAGE_SWITCH, LARGE_MESSAGE_SWITCH + 1, 1 << 20)
@@ -85,9 +85,10 @@ def test_tree_levels_link_every_vrank_once(kind, blocks):
 @pytest.mark.parametrize("kind", KINDS)
 def test_two_ranks_decide_the_fast_path(kind):
     for nbytes in SIZES:
-        fast = takes_fast_path(kind, nbytes)
+        rounds = bool(plan(kind, 2, nbytes).rounds)
         for p in range(2, 70):
-            assert bool(plan(kind, p, nbytes).rounds) == fast, (kind, p, nbytes)
+            assert bool(plan(kind, p, nbytes).rounds) == rounds, (
+                kind, p, nbytes)
 
 
 def test_allreduce_survivors():

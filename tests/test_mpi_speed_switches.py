@@ -1,10 +1,10 @@
 """Switches that change how a job is priced never change its answer.
 
-``fast_collectives``, an attached tracer, an armed verifier and a
-collective ``deadline`` each decide whether the stepped engine takes the
-analytic fast path; ``compiled_mpiexec`` decides between the max-plus
-replay, vector phase pricing and a memo hit.  None of them may change a
-job's elapsed time or returns.
+An attached tracer, an armed verifier and a collective ``deadline``
+each change how the stepped engine runs a collective (a span, the
+verifier's ledgers, a bounded child process); ``compiled_mpiexec``
+decides between the max-plus replay, vector phase pricing and a memo
+hit.  None of them may change a job's elapsed time or returns.
 
 The jobs here are the ones that used to tell the paths apart: 1–3
 rounds of rank-skewed ``compute``, each followed by a binomial bcast or
@@ -26,7 +26,6 @@ from repro.analyze import Verifier
 from repro.mpi.collectives import LARGE_MESSAGE_SWITCH
 from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
-from repro.mpi.fastpath import FastCollectives
 from repro.mpi.runtime import mpiexec
 from repro.obs.tracer import Tracer
 from repro.perf.cache import EvalCache
@@ -70,11 +69,7 @@ def _program(rounds, deadline, comm):
 
 @pytest.mark.parametrize("fabric_name", sorted(FABRICS))
 @pytest.mark.parametrize("seed", range(JOBS))
-def test_speed_switches_keep_the_answer(seed, fabric_name, monkeypatch):
-    def no_fast_path(*args, **kwargs):
-        raise AssertionError("binomial bcast and reduce must step")
-
-    monkeypatch.setattr(FastCollectives, "run", no_fast_path)
+def test_speed_switches_keep_the_answer(seed, fabric_name):
     make = FABRICS[fabric_name]
     p, rounds = _job(seed)
     main = partial(_program, rounds, None)
@@ -82,8 +77,6 @@ def test_speed_switches_keep_the_answer(seed, fabric_name, monkeypatch):
 
     verifier = Verifier()
     stepped = {
-        "fast_collectives=False": mpiexec(p, make(), main,
-                                          fast_collectives=False),
         "traced": mpiexec(p, make(), main, tracer=Tracer()),
         "verified": mpiexec(p, make(), main, verifier=verifier),
         "deadline": mpiexec(p, make(), partial(_program, rounds, 1.0)),

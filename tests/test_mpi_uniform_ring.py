@@ -6,13 +6,13 @@ adds the same per-round cost to every clock, and the schedule takes a
 shortcut: it iterates that one scalar instead of the whole vector.  The
 stepped algorithm adds the cost once per round, so the shortcut must too;
 the product ``(P - 1) * cost`` rounds differently and used to leave the
-fast path a few ulps off the stepped run on about a third of this grid.
+schedule a few ulps off the stepped run on about a third of this grid.
 
 Each job calls one collective at time zero, so the arrivals are uniform
 (and the large bcast's scatter ends uniform at power-of-two P on a
-rendezvous chunk).  ``fast_collectives=True`` resolves it on the
-schedule, ``False`` steps the algorithm message by message; elapsed and
-returns must be equal.
+rendezvous chunk).  The fast path, :func:`compiled_mpiexec`'s replay,
+resolves it on the schedule, ``mpiexec`` steps the algorithm message by
+message; elapsed and returns must be equal.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import partial
 import pytest
 
 from repro.mpi.collectives import ALLGATHER_RING_SWITCH, LARGE_MESSAGE_SWITCH
+from repro.mpi.compile import CompileStats, compiled_mpiexec
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.runtime import mpiexec
 
@@ -49,8 +50,11 @@ def test_uniform_ring_fast_path_equals_stepped(kind, fabric_name):
     for p in RANKS:
         for nbytes in SIZES[kind]:
             main = partial(_one_collective, kind, nbytes)
-            fast = mpiexec(p, make_fabric(), main, fast_collectives=True)
-            stepped = mpiexec(p, make_fabric(), main, fast_collectives=False)
-            assert (fast.elapsed, fast.returns) == (
+            st = CompileStats()
+            rep = compiled_mpiexec(p, make_fabric(), main, vector=False,
+                                   stats=st)
+            assert st.path == "replay", st.reason
+            stepped = mpiexec(p, make_fabric(), main)
+            assert (rep.elapsed, rep.returns) == (
                 stepped.elapsed, stepped.returns
-            ), (p, nbytes, fast.elapsed.hex(), stepped.elapsed.hex())
+            ), (p, nbytes, rep.elapsed.hex(), stepped.elapsed.hex())

@@ -9,9 +9,9 @@ the spans itself.  Five contracts are gated here:
   point-to-point traffic inside a collective is priced by its schedule
   and leaves no span), with equal names, lanes, depths and args.
 * **Timing** — span timestamps and durations agree with the stepped
-  trace to 1e-9 relative for every collective kind.  A traced stepped
-  job never takes the fast path, and the replay prices each collective
-  with the schedule of the algorithm that job steps.  Traced elapsed is
+  trace to 1e-9 relative for every collective kind.  The stepped job
+  steps every collective hop by hop, and the replay prices each
+  collective with the schedule of the algorithm that job steps.  Traced elapsed is
   bit-equal to untraced compiled elapsed everywhere.
 * **Fallback hygiene** — a replay abandoned mid-job leaves no span or
   message-matrix entry behind: the stepped rerun's trace is the whole
