@@ -25,7 +25,6 @@ See ``docs/CAMPAIGNS.md`` for the journal format, resume semantics and
 CLI examples (``repro campaign run/resume/status``).
 """
 
-from repro.campaign.checkpoint import SweepCheckpoint
 from repro.campaign.journal import (
     Journal,
     JournalEntry,
@@ -39,7 +38,6 @@ from repro.campaign.queue import (
     ShardExecutor,
     ShardResult,
     make_executor,
-    register_executor,
 )
 from repro.campaign.retry import RetryPolicy
 from repro.campaign.runner import CampaignRun, RunStats, run_campaign
@@ -57,11 +55,9 @@ __all__ = [
     "ShardExecutor",
     "ShardResult",
     "SocketShardExecutor",
-    "SweepCheckpoint",
     "decode_result",
     "encode_result",
     "make_executor",
-    "register_executor",
     "run_campaign",
     "run_worker",
 ]

@@ -142,7 +142,7 @@ class SocketShardExecutor(ShardExecutor):
     """Serve shards to remote ``repro campaign worker`` processes.
 
     Drops into :func:`~repro.campaign.runner.run_campaign` via its
-    ``executor=`` parameter (or ``make_executor(..., kind="socket")``).
+    ``executor=`` parameter.
     Binds immediately on construction — ``.address`` is the
     ``(host, port)`` workers connect to, available before any worker
     exists.  ``min_workers`` holds dispatch until that many workers

@@ -4,7 +4,8 @@ A campaign's pending points are cut into *shards* (work units of a few
 points each) and pushed through a :class:`ShardExecutor` — an interface
 deliberately shaped like a remote job queue: ``submit`` enqueues a
 shard, :meth:`~ShardExecutor.completed` yields results **in completion
-order** as workers finish them.  Two implementations exist today:
+order** as workers finish them.  :func:`make_executor` picks one of
+the two local implementations:
 
 * :class:`SerialShardExecutor` — in-process, executes lazily as results
   are pulled; the ``workers <= 1`` path and the fallback when the host
@@ -15,8 +16,10 @@ order** as workers finish them.  Two implementations exist today:
 
 Because the unit of work (a pickled ``(spec, shard)`` pair) and the unit
 of result (a :class:`ShardResult` of plain records) are both
-serializable, a socket-backed executor that ships shards to other hosts
-can drop in without touching the runner.
+serializable, :class:`~repro.campaign.net.SocketShardExecutor` ships
+shards to other hosts without touching the runner: the caller builds it
+and passes it to :func:`~repro.campaign.runner.run_campaign` as
+``executor=``.
 
 Retries happen *inside* the worker: a point that dies with a
 :class:`~repro.errors.ReproError` under the campaign's fault plan is
@@ -35,7 +38,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 from repro.campaign.spec import CampaignSpec
 from repro.core.results import Failure
 from repro.core.sweep import INFEASIBLE_ERRORS
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 
 __all__ = [
     "PointRecord",
@@ -43,8 +46,6 @@ __all__ = [
     "ShardResult",
     "SerialShardExecutor",
     "PoolShardExecutor",
-    "EXECUTOR_KINDS",
-    "register_executor",
     "make_executor",
 ]
 
@@ -262,79 +263,21 @@ class PoolShardExecutor(ShardExecutor):
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-# ==========================================================================
-# Executor registry
-# ==========================================================================
-
-#: Named executor factories; ``make_executor(kind=...)`` selects one.
-#: A factory's signature is ``(spec, workers, throttle_s, **options)``.
-EXECUTOR_KINDS: dict = {}
-
-
-def register_executor(kind: str, factory: Any) -> None:
-    """Register (or override) a named executor factory.
-
-    Built-ins: ``serial``, ``pool``, ``auto`` (the degrade-loudly
-    selection below) and ``socket``
-    (:class:`~repro.campaign.net.SocketShardExecutor`, registered
-    lazily).  Out-of-tree executors — a batch scheduler bridge, an MPI
-    launcher — drop in here and become reachable from
-    :func:`~repro.campaign.runner.run_campaign` without touching it.
-    """
-    EXECUTOR_KINDS[kind] = factory
-
-
-register_executor(
-    "serial", lambda spec, workers, throttle_s, **_: SerialShardExecutor(
-        spec, throttle_s
-    )
-)
-register_executor(
-    "pool", lambda spec, workers, throttle_s, **_: PoolShardExecutor(
-        spec, workers or 2, throttle_s
-    )
-)
-
-
-def _make_socket_executor(
-    spec: CampaignSpec, workers: Optional[int], throttle_s: float, **options: Any
-) -> ShardExecutor:
-    # Imported lazily: repro.campaign.net imports this module.
-    from repro.campaign.net import SocketShardExecutor
-
-    return SocketShardExecutor(spec, throttle_s=throttle_s, **options)
-
-
-register_executor("socket", _make_socket_executor)
-
-
 def make_executor(
     spec: CampaignSpec,
     workers: Optional[int],
     throttle_s: float = 0.0,
-    kind: Optional[str] = None,
-    **options: Any,
 ) -> ShardExecutor:
     """The right executor for ``workers``, degrading loudly, never fatally.
 
-    With ``kind=None`` (or ``"auto"``): ``workers <= 1`` (or ``None``)
-    is the serial executor by design; a host that cannot spawn processes
-    gets the serial executor with a :class:`RuntimeWarning` naming the
-    cause, so CI logs show when parallelism was disabled.  Any other
-    ``kind`` selects from :data:`EXECUTOR_KINDS` explicitly (unknown
-    kinds raise :class:`~repro.errors.ConfigError`) and never degrades —
-    asking for ``"socket"`` and silently pricing locally would defeat
-    the point.
+    ``workers <= 1`` (or ``None``) is the serial executor by design; a
+    host that cannot spawn processes gets the serial executor with a
+    :class:`RuntimeWarning` naming the cause, so CI logs show when
+    parallelism was disabled.  Other executors (a
+    :class:`~repro.campaign.net.SocketShardExecutor`) are built by the
+    caller and handed to :func:`~repro.campaign.runner.run_campaign` as
+    ``executor=``.
     """
-    if kind is not None and kind != "auto":
-        try:
-            factory = EXECUTOR_KINDS[kind]
-        except KeyError:
-            known = ", ".join(sorted(EXECUTOR_KINDS) + ["auto"])
-            raise ConfigError(
-                f"unknown executor kind {kind!r} (known: {known})"
-            ) from None
-        return factory(spec, workers, throttle_s, **options)
     if workers is None or workers <= 1:
         return SerialShardExecutor(spec, throttle_s)
     can_pickle = _shard_payload_picklable(spec)

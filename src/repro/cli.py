@@ -479,7 +479,11 @@ def _cmd_compile(args) -> int:
         wall = time.perf_counter() - t0
         last_wall = wall
         rel = abs(res.elapsed - stepped.elapsed) / stepped.elapsed
-        ok = ok and rel <= 1e-9 and st.path in ("replay", "vector", "memo")
+        ok = (
+            ok
+            and res.elapsed == stepped.elapsed
+            and st.path in ("replay", "vector", "memo")
+        )
         shown = st.path or "stepped"
         if st.path == "vector":
             shown = f"vector, {st.phases} phases"

@@ -119,100 +119,6 @@ class Evaluator:
             )
         return self._native_uncached(dev, kernel, n_threads, check_memory)
 
-    def native_batch(
-        self,
-        dev: Device,
-        kernel: KernelSpec,
-        thread_counts,
-        check_memory: bool = True,
-    ) -> "list":
-        """Price ``kernel`` at every thread count in one vectorized batch.
-
-        Returns one entry per requested count, in order: the same
-        :class:`Measurement` :meth:`native` produces, or ``None`` where
-        :meth:`native` would have raised an infeasibility error (thread
-        count outside the device, kernel footprint over memory).  With a
-        cache attached, each point is looked up (and stored) under its
-        *per-point* key — identical to the scalar keys, so batched and
-        per-point campaigns share entries, and hit/miss statistics count
-        every point individually.
-        """
-        from repro.errors import OutOfMemoryError
-        from repro.execmodel.batch import kernel_time_batch
-
-        dev = Device(dev)
-        counts = [int(t) for t in thread_counts]
-        out = [None] * len(counts)
-        todo = list(range(len(counts)))
-        keys = None
-        if self.cache is not None:
-            keys = [
-                self.cache.key(
-                    "native", self.machine_fingerprint, kernel,
-                    dev.value, t, check_memory,
-                )
-                for t in counts
-            ]
-            cached = self.cache.get_many(keys)
-            todo = [i for i, v in enumerate(cached) if v is None]
-            for i, v in enumerate(cached):
-                if v is not None:
-                    out[i] = v
-        if not todo:
-            return out
-
-        proc = self.processor(dev)
-        if check_memory and self.fault_plan is not None:
-            try:
-                self._check_pressure(kernel, proc)
-            except OutOfMemoryError:
-                return out  # pressured memory kills every uncached point
-        sync = None
-        if kernel.sync_points:
-            cost_by_n = {}
-            sync = []
-            for i in todo:
-                n = counts[i]
-                if n not in cost_by_n:
-                    cost_by_n[n] = barrier_cost(proc.spec, n) if n >= 1 else 0.0
-                sync.append(cost_by_n[n])
-        try:
-            bd = kernel_time_batch(
-                kernel, proc, [counts[i] for i in todo],
-                sync_costs=sync, check_memory=check_memory,
-            )
-        except OutOfMemoryError:
-            return out  # every uncached point is infeasible on this device
-
-        mode = (
-            ProgrammingMode.NATIVE_HOST
-            if dev is Device.HOST
-            else ProgrammingMode.NATIVE_PHI
-        )
-        computed = []
-        for j, i in enumerate(todo):
-            if not bd.feasible[j]:
-                continue
-            total = float(bd.total[j])
-            m = Measurement(
-                name=kernel.name,
-                time=total,
-                unit="run",
-                gflops=kernel.flops / total / 1e9 if kernel.flops else None,
-                config={
-                    "mode": mode,
-                    "device": dev.value,
-                    "threads": counts[i],
-                    "bound": bd.bound(j),
-                },
-            )
-            out[i] = m
-            if keys is not None:
-                computed.append((keys[i], m))
-        if self.cache is not None and computed:
-            self.cache.put_many(computed)
-        return out
-
     def _native_uncached(
         self,
         dev: Device,
@@ -304,29 +210,3 @@ class Evaluator:
                 "total_data": report.total_data,
             },
         )
-
-    # ------------------------------------------------------- comparisons
-
-    def best_native(
-        self,
-        kernel: KernelSpec,
-        thread_counts_host=(16,),
-        thread_counts_phi=(59, 118, 177, 236),
-    ) -> Dict[str, Measurement]:
-        """Best native-host and native-Phi points (the paper's headline
-        comparison: 'a single Phi card had about half the performance of
-        the two host Xeon processors')."""
-        host = min(
-            (self.native(Device.HOST, kernel, t) for t in thread_counts_host),
-            key=lambda m: m.time,
-        )
-        phi_runs = []
-        for t in thread_counts_phi:
-            try:
-                phi_runs.append(self.native(Device.PHI0, kernel, t))
-            except Exception:
-                continue
-        if not phi_runs:
-            raise ConfigError(f"{kernel.name}: no feasible Phi configuration")
-        phi = min(phi_runs, key=lambda m: m.time)
-        return {"host": host, "phi": phi}

@@ -8,18 +8,13 @@ Sweeps price their grid serially, in grid order; fanning points over
 processes is the campaign runner's job (:mod:`repro.campaign`).
 Infeasible points are recognised *only* by the simulator's own error
 types (:data:`INFEASIBLE_ERRORS`) — anything else is a genuine bug and
-propagates.
-
-Every sweep also accepts ``checkpoint=``, a
-:class:`~repro.campaign.checkpoint.SweepCheckpoint`: each priced point
-is durably journaled as it lands, and re-running the same sweep against
-the same checkpoint replays journaled points instead of re-pricing them
-— the campaign runner's resume semantics, scaled down to one sweep call.
+propagates.  Resuming a killed sweep is the campaign runner's job too:
+:func:`~repro.campaign.runner.run_campaign` journals every point.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
@@ -28,12 +23,8 @@ from repro.errors import (
     SimulationError,
     UnsupportedConfigurationError,
 )
-from repro.core.evaluator import Evaluator
 from repro.core.results import Failure, Measurement, ResultSet
-from repro.execmodel.kernel import KernelSpec
-from repro.machine.node import Device
 from repro.obs.tracer import Tracer, active
-from repro.perf.batch import HAVE_NUMPY as _HAVE_NUMPY
 from repro.units import KiB
 
 #: Error types that mark a sweep point as infeasible (skipped, not fatal):
@@ -117,7 +108,6 @@ def grid_sweep(
     trace: Optional[Tracer] = None,
     trace_name: str = "grid",
     capture_failures: bool = False,
-    checkpoint: Optional[Any] = None,
 ) -> ResultSet:
     """Price ``run_fn`` over ``points`` (tuples are splatted as arguments).
 
@@ -130,20 +120,11 @@ def grid_sweep(
     a point raises — injected faults, timeouts, OOMs — into a
     :class:`~repro.core.results.Failure` on the result set instead of
     aborting the campaign: the remaining points still run.
-
-    ``checkpoint`` (a :class:`~repro.campaign.checkpoint.SweepCheckpoint`)
-    replays points journaled by an earlier run of the same sweep and
-    durably records every freshly priced point, so a killed sweep can be
-    re-run without re-pricing what already landed.
     """
-    priced: List[Any] = []
-    for point in points:
-        hit, value = (False, None) if checkpoint is None else checkpoint.lookup(point)
-        if not hit:
-            value = _price_point(run_fn, skip_infeasible, capture_failures, point)
-            if checkpoint is not None:
-                checkpoint.record(point, value)
-        priced.append(value)
+    priced = [
+        _price_point(run_fn, skip_infeasible, capture_failures, point)
+        for point in points
+    ]
     results = ResultSet(
         (m for m in priced if isinstance(m, Measurement)),
         failures=(f for f in priced if isinstance(f, Failure)),
@@ -154,73 +135,12 @@ def grid_sweep(
     return results
 
 
-def thread_sweep(
-    evaluator: Evaluator,
-    kernel: KernelSpec,
-    dev: Device,
-    thread_counts: Sequence[int],
-    skip_infeasible: bool = True,
-    trace: Optional[Tracer] = None,
-    batch: Optional[bool] = None,
-    capture_failures: bool = False,
-    checkpoint: Optional[Any] = None,
-) -> ResultSet:
-    """Native runs over a list of thread counts (Figs 19/21/25 x-axis).
-
-    ``batch=None`` (the default) evaluates the whole axis in one
-    vectorized :meth:`Evaluator.native_batch` call whenever NumPy is
-    available — identical results in identical order, including cache
-    interaction.  ``batch=False`` forces the per-point path.
-    ``capture_failures`` needs the per-point exception objects and
-    therefore routes through the scalar path, as does ``checkpoint``
-    (points must journal individually to resume).
-    """
-    counts = list(thread_counts)
-    use_batch = (
-        (_HAVE_NUMPY if batch is None else batch)
-        and not capture_failures
-        and checkpoint is None
-    )
-    if use_batch:
-        priced = evaluator.native_batch(dev, kernel, counts)
-        if not skip_infeasible:
-            for i, m in enumerate(priced):
-                if m is None:
-                    # The batch masked this point: the scalar evaluation
-                    # must raise the same infeasibility.  If it *prices*
-                    # the point instead, the two paths disagree — that
-                    # used to drop the point silently; it is a bug and
-                    # must surface.
-                    scalar = evaluator.native(dev, kernel, counts[i])
-                    raise SimulationError(
-                        f"batch/scalar disagreement for {kernel.name} at "
-                        f"threads={counts[i]}: batch marked the point "
-                        f"infeasible but the scalar path priced it "
-                        f"({scalar.time:.9g}s)"
-                    )
-        results = ResultSet(m for m in priced if m is not None)
-        tr = active(trace)
-        if tr is not None:
-            _emit_sweep_trace(tr, f"threads.{kernel.name}", results)
-        return results
-    return grid_sweep(
-        lambda t: evaluator.native(dev, kernel, t),
-        counts,
-        skip_infeasible=skip_infeasible,
-        trace=trace,
-        trace_name=f"threads.{kernel.name}",
-        capture_failures=capture_failures,
-        checkpoint=checkpoint,
-    )
-
-
 def decomposition_sweep(
     run_fn: Callable[[int, int], Measurement],
     decompositions: Iterable[Tuple[int, int]],
     skip_infeasible: bool = True,
     trace: Optional[Tracer] = None,
     capture_failures: bool = False,
-    checkpoint: Optional[Any] = None,
 ) -> ResultSet:
     """(I MPI ranks × J OpenMP threads) sweep (Fig 22's x-axis).
 
@@ -238,10 +158,5 @@ def decomposition_sweep(
         trace=trace,
         trace_name="decomposition",
         capture_failures=capture_failures,
-        checkpoint=checkpoint,
     )
 
-
-def phi_thread_counts(threads_per_core: Sequence[int] = (1, 2, 3, 4)) -> List[int]:
-    """The paper's Phi thread counts: 59 cores × 1..4 threads."""
-    return [59 * k for k in threads_per_core]

@@ -17,21 +17,21 @@ whole batch.  A kernel footprint exceeding device memory still raises
 :class:`~repro.errors.OutOfMemoryError` — that is a property of the
 whole batch, not of one point.
 
-Without NumPy (see :mod:`repro.perf.batch`) every entry point falls
-back to the scalar loop with identical results.
+The batch path needs NumPy (see :mod:`repro.perf.batch`); callers
+without it price point by point through ``kernel_time``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.errors import ConfigError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.execmodel.kernel import KernelSpec
-from repro.execmodel.roofline import _effective_memory_bandwidth, kernel_time
+from repro.execmodel.roofline import _effective_memory_bandwidth
 from repro.execmodel.vectorize import vector_efficiency
 from repro.machine.core import ThreadScaling
 from repro.machine.processor import Processor
-from repro.perf.batch import HAVE_NUMPY, get_numpy, warn_scalar_fallback
+from repro.perf.batch import get_numpy
 
 __all__ = ["BatchBreakdown", "kernel_time_batch"]
 
@@ -39,8 +39,7 @@ __all__ = ["BatchBreakdown", "kernel_time_batch"]
 class BatchBreakdown:
     """Per-point time components for one kernel over a thread-count axis.
 
-    All fields are aligned sequences (NumPy arrays on the fast path,
-    Python lists on the scalar fallback); ``feasible[i]`` is False where
+    All fields are aligned NumPy arrays; ``feasible[i]`` is False where
     the scalar path would have raised :class:`~repro.errors.ConfigError`
     and the other fields hold garbage there.
     """
@@ -177,54 +176,21 @@ def _eff_mem_bw_vec(np, kernel: KernelSpec, proc: Processor, n):
 # --------------------------------------------------------------------------
 
 
-def _kernel_time_scalar_loop(
-    kernel: KernelSpec,
-    proc: Processor,
-    thread_counts: Sequence[int],
-    sync_costs,
-    check_memory: bool,
-) -> BatchBreakdown:
-    """Per-point fallback: the scalar model in a loop (no NumPy needed)."""
-    ct, mt, st, syt, tot, ok = [], [], [], [], [], []
-    for i, n in enumerate(thread_counts):
-        cost = sync_costs[i] if sync_costs is not None else 0.0
-        try:
-            t = kernel_time(kernel, proc, int(n), sync_cost=cost,
-                            check_memory=check_memory)
-        except ConfigError:
-            ct.append(0.0); mt.append(0.0); st.append(0.0); syt.append(0.0)
-            tot.append(0.0); ok.append(False)
-            continue
-        ct.append(t.compute_time); mt.append(t.memory_time)
-        st.append(t.serial_time); syt.append(t.sync_time)
-        tot.append(t.total); ok.append(True)
-    return BatchBreakdown(ct, mt, st, syt, tot, ok)
-
-
 def kernel_time_batch(
     kernel: KernelSpec,
     proc: Processor,
     thread_counts: Sequence[int],
-    sync_costs: Optional[Sequence[float]] = None,
     check_memory: bool = True,
 ) -> BatchBreakdown:
     """Price ``kernel`` on ``proc`` at every count in ``thread_counts``.
 
     Equivalent to calling :func:`~repro.execmodel.roofline.kernel_time`
     per point (bit-identical components), with out-of-range thread
-    counts masked infeasible instead of raising.  ``sync_costs`` aligns
-    with ``thread_counts`` (seconds per synchronization point, as from
-    the OpenMP barrier model); ``None`` means free synchronization.
+    counts masked infeasible instead of raising.  Synchronization is
+    free (``sync_cost=0``).  Requires NumPy.
     """
-    if sync_costs is not None and len(sync_costs) != len(thread_counts):
-        raise ConfigError("sync_costs must align with thread_counts")
     if check_memory and kernel.footprint > proc.memory_capacity:
         raise OutOfMemoryError(kernel.footprint, proc.memory_capacity, kernel.name)
-    if not HAVE_NUMPY:
-        warn_scalar_fallback("batch kernel pricing")
-        return _kernel_time_scalar_loop(
-            kernel, proc, thread_counts, sync_costs, check_memory
-        )
     np = get_numpy()
 
     n_raw = np.asarray(thread_counts, dtype=np.int64)
@@ -266,10 +232,7 @@ def kernel_time_batch(
         )
     serial_time = np.full(len(n), serial_point)
 
-    if sync_costs is not None:
-        sync_time = kernel.sync_points * np.asarray(sync_costs, dtype=float)
-    else:
-        sync_time = np.zeros(len(n))
+    sync_time = np.zeros(len(n))
 
     total = np.maximum(compute_time, memory_time) + serial_time + sync_time
     return BatchBreakdown(

@@ -9,7 +9,7 @@ values come from the paper's Table 1 and Section 2:
 * :mod:`repro.machine.core` — core issue/threading model,
 * :mod:`repro.machine.processor` — Sandy Bridge / Xeon Phi assemblies,
 * :mod:`repro.machine.pcie` — PCIe links with TLP framing (Fig 18),
-* :mod:`repro.machine.interconnect` — QPI, Phi ring, FDR InfiniBand,
+* :mod:`repro.machine.interconnect` — FDR InfiniBand,
 * :mod:`repro.machine.node` — the host+Phi0+Phi1 node topology,
 * :mod:`repro.machine.system` — the 128-node cluster,
 * :mod:`repro.machine.presets` — ready-made Maia factory functions.
@@ -17,7 +17,7 @@ values come from the paper's Table 1 and Section 2:
 
 from repro.machine.cache import CacheWalkModel
 from repro.machine.core import ThreadScaling
-from repro.machine.interconnect import InfiniBandSpec, QpiSpec, RingSpec
+from repro.machine.interconnect import InfiniBandSpec
 from repro.machine.memory import DramModel, Gddr5Model
 from repro.machine.node import Device, MaiaNode
 from repro.machine.pcie import PcieLink
@@ -57,8 +57,6 @@ __all__ = [
     "PcieSpec",
     "Processor",
     "ProcessorSpec",
-    "QpiSpec",
-    "RingSpec",
     "SystemSpec",
     "ThreadScaling",
     "maia_host_processor",

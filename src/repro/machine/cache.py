@@ -95,10 +95,6 @@ class CacheWalkModel:
         """The asymptotic per-level latencies — the figure's plateau values."""
         return [(name, lat) for name, _c, lat, _r, _w in self._levels]
 
-    def plateau_bandwidths(self, access: str = "read") -> List[Tuple[str, float]]:
-        idx = 3 if access == "read" else 4
-        return [(lvl[0], lvl[idx]) for lvl in self._levels]
-
     def sweep(
         self,
         working_sets: Sequence[float],

@@ -1,8 +1,11 @@
-"""Non-PCIe interconnects: QPI (socket-to-socket), the Phi's bidirectional
-ring, and the FDR InfiniBand fabric between nodes.
+"""The FDR InfiniBand fabric between nodes.
 
-These are thin α–β (latency + 1/bandwidth) descriptors consumed by the
-MPI fabric layer; constants come from the paper's Table 1 and Section 2.
+:class:`InfiniBandSpec` is a thin descriptor of one HCA's signalling
+rate, coding efficiency and small-message MPI latency (the paper's
+Table 1 and Section 2).  :func:`~repro.machine.presets.maia_system`
+reads its payload bandwidth into the cluster spec and
+:mod:`repro.apps.overflow` prices inter-node halo traffic with it; the
+MPI fabrics of :mod:`repro.mpi.fabrics` carry their own parameters.
 """
 
 from __future__ import annotations
@@ -10,70 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-
-
-@dataclass(frozen=True)
-class QpiSpec:
-    """Intel QuickPath between the two host sockets.
-
-    Each of the two links runs at 8 GT/s moving 2 bytes per transaction
-    per direction — 32 GB/s aggregate (Section 2).  ``remote_latency_factor``
-    scales memory latency for cross-socket (NUMA-remote) accesses.
-    """
-
-    n_links: int
-    transfer_rate: float  # transactions/s
-    bytes_per_transaction: float
-    remote_latency_factor: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.n_links < 1 or self.transfer_rate <= 0:
-            raise ConfigError("invalid QPI parameters")
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        """Both links, both directions, bytes/s."""
-        return self.n_links * self.transfer_rate * self.bytes_per_transaction * 2
-
-    @property
-    def link_bandwidth(self) -> float:
-        """One direction of one link, bytes/s."""
-        return self.transfer_rate * self.bytes_per_transaction
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """The Phi's on-die bidirectional ring joining cores, TDs and memory
-    controllers.
-
-    ``hop_latency`` is the per-stop forwarding time; a message between two
-    ring stops travels the shorter arc, so the mean distance on an
-    ``n_stops`` ring is ``n_stops / 4``.
-    """
-
-    n_stops: int
-    hop_latency: float  # seconds per stop
-    link_bandwidth: float  # bytes/s per direction
-
-    def __post_init__(self) -> None:
-        if self.n_stops < 2 or self.hop_latency <= 0 or self.link_bandwidth <= 0:
-            raise ConfigError("invalid ring parameters")
-
-    def distance(self, a: int, b: int) -> int:
-        """Hops along the shorter arc between stops ``a`` and ``b``."""
-        d = abs(a - b) % self.n_stops
-        return min(d, self.n_stops - d)
-
-    @property
-    def mean_distance(self) -> float:
-        return self.n_stops / 4.0
-
-    def traversal_latency(self, a: int, b: int) -> float:
-        return self.distance(a, b) * self.hop_latency
-
-    @property
-    def mean_latency(self) -> float:
-        return self.mean_distance * self.hop_latency
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,6 @@ class DramModel:
             n_threads * self.per_thread_bandwidth, self.spec.sustained_bandwidth
         )
 
-    def saturation_threads(self) -> int:
-        """Smallest thread count that reaches the bandwidth ceiling."""
-        import math
-
-        return math.ceil(self.spec.sustained_bandwidth / self.per_thread_bandwidth)
-
 
 class Gddr5Model(DramModel):
     """GDDR5 with an open-bank concurrency limit.

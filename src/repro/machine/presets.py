@@ -23,7 +23,7 @@ Sources
 
 from __future__ import annotations
 
-from repro.machine.interconnect import InfiniBandSpec, QpiSpec, RingSpec
+from repro.machine.interconnect import InfiniBandSpec
 from repro.machine.node import Device, MaiaNode
 from repro.machine.pcie import PcieLink
 from repro.machine.spec import (
@@ -165,16 +165,6 @@ def maia_host_processor() -> ProcessorSpec:
         thread_throughput=socket.thread_throughput,
         os_reserved_cores=0,
     )
-
-
-def maia_qpi() -> QpiSpec:
-    """Two QPI links at 8 GT/s × 2 B per direction → 32 GB/s aggregate."""
-    return QpiSpec(n_links=2, transfer_rate=8.0e9, bytes_per_transaction=2.0)
-
-
-def phi_ring() -> RingSpec:
-    """The Phi's bidirectional core ring (60 cores + 8 MCs + TDs ≈ 64 stops)."""
-    return RingSpec(n_stops=64, hop_latency=2.0 * NS, link_bandwidth=96 * GB)
 
 
 def maia_infiniband() -> InfiniBandSpec:

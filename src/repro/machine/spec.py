@@ -125,12 +125,6 @@ class CoreSpec:
         """Peak DP flop/s of one core."""
         return self.frequency * self.flops_per_cycle
 
-    @property
-    def scalar_flops_per_cycle(self) -> float:
-        """Flops/cycle when no SIMD is used: one lane's rate times the
-        core's scalar ILP efficiency."""
-        return self.flops_per_cycle / self.simd_lanes_dp * self.scalar_efficiency
-
 
 @dataclass(frozen=True)
 class ProcessorSpec:

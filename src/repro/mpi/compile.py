@@ -38,9 +38,9 @@ This module compiles them instead, in four stages:
    completion ``max(recv_post, send_post + tp)``, rendezvous
    ``max(recv_post, send_post) + tp``, the analytic collective
    schedules) instead of stepping envelopes through the event queue.
-   Payloads are moved for real, so results are bit-identical; times
-   agree with the stepped engine to float precision (the test suite
-   gates 1e-9).  The hot operations cost one generator each: ``sendrecv``
+   Payloads are moved for real, so results are bit-identical, and so
+   are times: the test suite and ``repro compile`` gate elapsed with
+   ``==`` against the stepped engine.  The hot operations cost one generator each: ``sendrecv``
    is one step (isend, recv and wait inline, with no request object),
    and ``compute`` advances the rank's clock in place without a
    trampoline round trip.  A collective whose ranks all arrive at once

@@ -33,8 +33,8 @@ recognized rank program into that form:
    :data:`~repro.mpi.collectives.SCHEDULES` entry, the one the replay
    prices it with.  The recurrences are the
    scalar replay's own timing equations (which are the stepped
-   engine's), so pricing agrees with the replay bit for bit — the
-   equivalence suite gates 1e-9 but observes 0.
+   engine's), so pricing agrees with the replay bit for bit, and the
+   equivalence suite gates exactly that (relative error 0).
 
 The clock vector is a numpy array when numpy is available, else a Python
 list (:mod:`repro.perf.batch` is the gate); both containers run the same

@@ -1,12 +1,13 @@
 """NumPy gate for the vectorized batch-evaluation path.
 
-The batch evaluators (:mod:`repro.execmodel.batch`, the ``batch=`` sweep
-paths) vectorize whole figure axes into array operations.  NumPy is an
+The batch evaluators (:mod:`repro.execmodel.batch`, the ``batch=`` path
+of :meth:`~repro.apps.overflow.OverflowModel.decomposition_sweep`)
+vectorize whole figure axes into array operations.  NumPy is an
 *optional* accelerator for this — ``pip install repro[fast]`` — and its
-absence must degrade gracefully: every batch entry point falls back to
-the per-point scalar loop, producing identical results, and the first
-fallback emits a single :class:`~warnings.UserWarning` so slow campaigns
-are explainable without being noisy.
+absence must degrade gracefully: a batch caller falls back to pricing
+point by point, producing identical results, and the first fallback
+emits a single :class:`~warnings.UserWarning` so slow campaigns are
+explainable without being noisy.
 
 This module is the one place that knows whether NumPy is importable;
 everything else asks :data:`HAVE_NUMPY` / :func:`get_numpy` instead of

@@ -28,7 +28,6 @@ import functools
 import hashlib
 import os
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
@@ -423,7 +422,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -437,7 +435,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
 
@@ -446,20 +443,17 @@ _MISSING = object()
 
 
 class EvalCache:
-    """An LRU memo cache for model evaluations.
+    """An unbounded memo cache for model evaluations.
 
     Values are whatever the evaluation produced (typically an immutable
     :class:`~repro.core.results.Measurement`); keys are fingerprints
-    built with :meth:`key`.  ``max_entries=None`` means unbounded — the
-    right default for figure campaigns, whose working sets are small.
+    built with :meth:`key`.  Figure and campaign working sets are small,
+    so nothing is ever evicted.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 or None")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.stats = CacheStats()
-        self._data: "OrderedDict[str, Any]" = OrderedDict()
+        self._data: Dict[str, Any] = {}
 
     # ------------------------------------------------------------- keying
 
@@ -476,60 +470,11 @@ class EvalCache:
             self.stats.misses += 1
             return default
         self.stats.hits += 1
-        self._data.move_to_end(key)
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` (evicting LRU entries if bounded)."""
+        """Store ``value`` under ``key``."""
         self._data[key] = value
-        self._data.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-                self.stats.evictions += 1
-
-    def get_many(self, keys: Iterable[str], default: Any = None) -> list:
-        """Batch lookup: one value (or ``default``) per key, in order.
-
-        Counts a hit or a miss for *every* key individually — a batch
-        that finds 60 of 64 points cached records 60 hits and 4 misses,
-        not one aggregate miss — so :attr:`stats` stays comparable
-        between per-point and batched campaigns.
-        """
-        out = []
-        for key in keys:
-            value = self._data.get(key, _MISSING)
-            if value is _MISSING:
-                self.stats.misses += 1
-                out.append(default)
-            else:
-                self.stats.hits += 1
-                self._data.move_to_end(key)
-                out.append(value)
-        return out
-
-    def put_many(self, pairs: Iterable[Tuple[str, Any]]) -> None:
-        """Store ``(key, value)`` pairs, evicting only after the batch.
-
-        Eviction prefers keys *not* written in this batch (oldest first),
-        so a partial-hit campaign that writes its misses back cannot
-        evict sibling points inserted moments earlier in the same batch.
-        Only when the batch alone exceeds ``max_entries`` do its own
-        oldest members fall out.
-        """
-        batch: Set[str] = set()
-        for key, value in pairs:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            batch.add(key)
-        if self.max_entries is None:
-            return
-        while len(self._data) > self.max_entries:
-            victim = next((k for k in self._data if k not in batch), None)
-            if victim is None:
-                victim = next(iter(self._data))
-            del self._data[victim]
-            self.stats.evictions += 1
 
     def warm(self, pairs: Iterable[Tuple[str, Any]]) -> int:
         """Preload entries without touching the hit/miss counters.
@@ -538,18 +483,12 @@ class EvalCache:
         the cache as prior state, not as this run's traffic, so
         :attr:`stats` keeps meaning "what did *this* run compute vs
         reuse".  Returns the number of keys that were actually new.
-        Bounded caches still evict LRU entries as usual.
         """
         fresh = 0
         for key, value in pairs:
             if key not in self._data:
                 fresh += 1
             self._data[key] = value
-            self._data.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-                self.stats.evictions += 1
         return fresh
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
@@ -562,7 +501,6 @@ class EvalCache:
         value = self._data.get(key, _MISSING)
         if value is not _MISSING:
             self.stats.hits += 1
-            self._data.move_to_end(key)
             return value
         self.stats.misses += 1
         value = compute()

@@ -26,11 +26,6 @@ from repro.campaign.net import (
     parse_address,
     run_worker,
 )
-from repro.campaign.queue import (
-    SerialShardExecutor,
-    make_executor,
-    register_executor,
-)
 from repro.core.results import Measurement
 from repro.errors import ConfigError
 
@@ -70,7 +65,7 @@ def _start_workers(address, n, **kw):
 
 
 # --------------------------------------------------------------------------
-# address parsing and executor registry
+# address parsing and worker start-up
 # --------------------------------------------------------------------------
 
 
@@ -81,32 +76,6 @@ class TestPlumbing:
             parse_address("9100")
         with pytest.raises(ConfigError, match="non-numeric port"):
             parse_address("host:http")
-
-    def test_unknown_executor_kind_is_refused(self):
-        with pytest.raises(ConfigError, match="unknown executor kind"):
-            make_executor(_spec(), workers=2, kind="slurm")
-
-    def test_named_kinds_resolve(self):
-        ex = make_executor(_spec(), workers=None, kind="serial")
-        assert isinstance(ex, SerialShardExecutor)
-
-    def test_registry_accepts_new_kinds(self):
-        calls = []
-        register_executor(
-            "recording",
-            lambda spec, workers, throttle_s, **opts: (
-                calls.append(opts),
-                SerialShardExecutor(spec, throttle_s),
-            )[1],
-        )
-        try:
-            ex = make_executor(_spec(), workers=None, kind="recording", tag=7)
-            assert isinstance(ex, SerialShardExecutor)
-            assert calls == [{"tag": 7}]
-        finally:
-            from repro.campaign.queue import EXECUTOR_KINDS
-
-            del EXECUTOR_KINDS["recording"]
 
     def test_worker_without_a_server_fails_loudly(self):
         with pytest.raises(ConfigError, match="no campaign server"):

@@ -24,12 +24,10 @@ from repro.campaign import (
     CampaignSpec,
     Journal,
     RetryPolicy,
-    SweepCheckpoint,
     run_campaign,
 )
 from repro.campaign.queue import execute_point
 from repro.core.results import Failure, Measurement
-from repro.core.sweep import grid_sweep
 from repro.errors import ConfigError, SimulationError
 from repro.faults.plan import FaultPlan, LinkDegradation, MemoryPressure
 from repro.perf.cache import EvalCache
@@ -438,57 +436,6 @@ class TestRetry:
         assert resumed.stats.executed == 0  # failures are checkpoints too
         assert _payload(first) == _payload(resumed)
         assert resumed.records[0].attempts == 2  # retry info survives
-
-
-# --------------------------------------------------------------------------
-# sweep checkpoint hooks
-# --------------------------------------------------------------------------
-
-
-def _sweep_point(count_path, p):
-    with open(count_path, "a") as fh:
-        fh.write(f"{p}\n")
-    return Measurement(name="pt", time=p * 1e-6, config={"p": p})
-
-
-class TestSweepCheckpoint:
-    def test_grid_sweep_resumes_from_checkpoint(self, tmp_path):
-        count = str(tmp_path / "count")
-        path = str(tmp_path / "ckpt.jsonl")
-        fn = partial(_sweep_point, count)
-        with SweepCheckpoint(path, scope="demo") as ckpt:
-            first = grid_sweep(fn, [1, 2, 3, 4], checkpoint=ckpt)
-        assert len(_executions(count)) == 4
-        with SweepCheckpoint(path, scope="demo") as ckpt:
-            second = grid_sweep(fn, [1, 2, 3, 4], checkpoint=ckpt)
-            assert ckpt.replayed == 4
-            assert ckpt.recorded == 0
-        assert len(_executions(count)) == 4  # nothing re-priced
-        assert list(first) == list(second)
-
-    def test_checkpoint_extends_to_new_points(self, tmp_path):
-        count = str(tmp_path / "count")
-        path = str(tmp_path / "ckpt.jsonl")
-        fn = partial(_sweep_point, count)
-        with SweepCheckpoint(path, scope="demo") as ckpt:
-            grid_sweep(fn, [1, 2], checkpoint=ckpt)
-        with SweepCheckpoint(path, scope="demo") as ckpt:
-            rs = grid_sweep(fn, [1, 2, 3], checkpoint=ckpt)
-            assert ckpt.replayed == 2
-            assert ckpt.recorded == 1
-        assert [m.config["p"] for m in rs] == [1, 2, 3]
-        assert len(_executions(count)) == 3
-
-    def test_scope_change_invalidates_the_checkpoint(self, tmp_path):
-        count = str(tmp_path / "count")
-        path = str(tmp_path / "ckpt.jsonl")
-        fn = partial(_sweep_point, count)
-        with SweepCheckpoint(path, scope="alpha") as ckpt:
-            grid_sweep(fn, [1, 2], checkpoint=ckpt)
-        with SweepCheckpoint(path, scope="beta") as ckpt:
-            grid_sweep(fn, [1, 2], checkpoint=ckpt)
-            assert ckpt.replayed == 0  # different scope, no collisions
-        assert len(_executions(count)) == 4
 
 
 # --------------------------------------------------------------------------

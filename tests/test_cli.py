@@ -117,6 +117,12 @@ class TestTrace:
 
 
 class TestCompile:
+    def test_halo_compiles_exactly_at_p64(self, capsys):
+        """The compiled and memo runs must equal the stepped elapsed."""
+        rc, out = run_cli(capsys, "compile", "halo", "--ranks", "64")
+        assert rc == 0
+        assert out.count("0.0e+00") == 2  # rel err of both compiled rows
+
     def test_cg_rejects_a_rank_count_not_a_power_of_two(self):
         from repro.errors import ConfigError
 

@@ -29,6 +29,17 @@ def kernel(**kw) -> KernelSpec:
     return KernelSpec(**base)
 
 
+def _fastest_native_runs(ev, k):
+    """The paper's headline comparison: the fastest native-host run
+    (16 threads) and the fastest native-Phi run (1-4 threads per core)."""
+    host = ev.native(Device.HOST, k, 16)
+    phi = min(
+        (ev.native(Device.PHI0, k, t) for t in (59, 118, 177, 236)),
+        key=lambda m: m.time,
+    )
+    return host, phi
+
+
 # ------------------------------------------------------------ software stack
 
 
@@ -99,9 +110,8 @@ class TestEvaluator:
             parallel_fraction=0.99,  # per-step serial work (zone bookkeeping)
             sync_points=50,
         )
-        best = ev.best_native(cfd_like)
-        ratio = best["phi"].time / best["host"].time
-        assert 1.3 < ratio < 3.0
+        host, phi = _fastest_native_runs(ev, cfd_like)
+        assert 1.3 < phi.time / host.time < 3.0
 
     def test_compute_bound_vectorized_wins_on_phi(self):
         # MG-like: the one case where the Phi beat the host (Fig 25).
@@ -110,8 +120,8 @@ class TestEvaluator:
             flops=1e11, memory_traffic=5e9, vector_fraction=0.98,
             parallel_fraction=0.999,
         )
-        best = ev.best_native(mg_like)
-        assert best["phi"].time < best["host"].time
+        host, phi = _fastest_native_runs(ev, mg_like)
+        assert phi.time < host.time
 
     def test_oom_kernel_infeasible_on_phi_only(self):
         ev = Evaluator()

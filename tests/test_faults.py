@@ -235,8 +235,6 @@ class TestStragglerAndPressure:
         healthy.native(Device.PHI0, kern, 118)  # fits the real 8 GB card
         with pytest.raises(OutOfMemoryError):
             faulted.native(Device.PHI0, kern, 118)
-        # Batch path masks instead of raising, consistent with its contract.
-        assert faulted.native_batch(Device.PHI0, kern, [59, 118]) == [None, None]
         # Faulted and healthy campaigns live in disjoint cache namespaces.
         assert healthy.machine_fingerprint != faulted.machine_fingerprint
 

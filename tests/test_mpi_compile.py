@@ -3,9 +3,9 @@
 Three contracts are gated here:
 
 * **Replay equivalence** — a recognized static job replayed on max-plus
-  scalar clocks agrees with the fully stepped discrete-event run to 1e-9
-  relative elapsed time (float-exact in practice) with bit-identical
-  per-rank return values, across eager and rendezvous regimes, both
+  scalar clocks agrees with the fully stepped discrete-event run in
+  elapsed time exactly (``TOL = 0.0``) with bit-identical per-rank
+  return values, across eager and rendezvous regimes, both
   fabrics, and skewed arrivals.
 * **Transparent fallback** — every construct the replay cannot express
   (wildcard receives, ``irecv``, timeouts, verifiers, windowed or

@@ -20,7 +20,7 @@ Five contracts are gated here:
   prices exactly, observing it refuses, the lowered programs match a
   pinned digest, and lowering allocates nothing per rank.
 * **Backend equivalence** — the numpy and scalar pricing backends agree
-  to 1e-9 relative (bit-exact in practice) with each other, with the
+  exactly (``TOL = 0.0``) with each other, with the
   scalar replay, and with the stepped engine, over seeded-random
   ``(P, nbytes, iters)`` draws; without numpy the scalar backend warns
   once and produces identical numbers.

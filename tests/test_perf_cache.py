@@ -256,16 +256,6 @@ class TestEvalCache:
         assert key not in c
         assert c.stats.misses == 1
 
-    def test_lru_eviction(self):
-        c = EvalCache(max_entries=2)
-        c.put("a", 1)
-        c.put("b", 2)
-        assert c.get("a") == 1  # refresh a
-        c.put("c", 3)  # evicts b
-        assert "b" not in c
-        assert "a" in c and "c" in c
-        assert c.stats.evictions == 1
-
     def test_clear_resets(self):
         c = EvalCache()
         c.put(c.key(1), 1)
@@ -273,78 +263,6 @@ class TestEvalCache:
         c.clear()
         assert len(c) == 0
         assert c.stats.lookups == 0
-
-    def test_bad_max_entries(self):
-        with pytest.raises(ValueError):
-            EvalCache(max_entries=0)
-
-
-class TestBatchAccess:
-    """get_many/put_many: per-point stats and LRU interaction."""
-
-    def test_get_many_counts_each_key(self):
-        c = EvalCache()
-        c.put("a", 1)
-        c.put("c", 3)
-        assert c.get_many(["a", "b", "c", "b"]) == [1, None, 3, None]
-        assert (c.stats.hits, c.stats.misses) == (2, 2)
-        assert c.stats.lookups == 4
-
-    def test_get_many_custom_default(self):
-        c = EvalCache()
-        c.put("a", 1)
-        missing = object()
-        assert c.get_many(["a", "b"], default=missing) == [1, missing]
-
-    def test_put_many_round_trips(self):
-        c = EvalCache()
-        c.put_many([("a", 1), ("b", 2)])
-        assert c.get_many(["a", "b"]) == [1, 2]
-
-    def test_get_many_refreshes_recency(self):
-        c = EvalCache(max_entries=2)
-        c.put("a", 1)
-        c.put("b", 2)
-        c.get_many(["a"])  # a is now most-recent
-        c.put("c", 3)  # must evict b, not a
-        assert "a" in c and "c" in c and "b" not in c
-
-    def test_put_many_eviction_order(self):
-        """Regression: overflowing via put_many evicts strictly oldest-first.
-
-        With max_entries=3, inserting a..e must leave exactly the last
-        three keys, and the eviction counter must reflect each overflow.
-        """
-        c = EvalCache(max_entries=3)
-        c.put_many([(k, i) for i, k in enumerate("abcde")])
-        assert "a" not in c and "b" not in c
-        assert c.get_many(["c", "d", "e"]) == [2, 3, 4]
-        assert c.stats.evictions == 2
-        # One more insert rolls the window forward by exactly one key.
-        c.put("f", 5)
-        assert "c" not in c and "d" in c and "f" in c
-        assert c.stats.evictions == 3
-        assert len(c) == 3
-
-    def test_put_many_protects_same_batch_keys(self):
-        """Eviction under put_many prefers pre-existing keys: a batch
-        must not cannibalize its own entries while older keys remain."""
-        c = EvalCache(max_entries=4)
-        c.put("w", 0)
-        c.put("x", 1)
-        c.put_many([("a", 2), ("b", 3), ("c", 4)])
-        assert "w" not in c  # the oldest outsider went first...
-        assert "a" in c and "b" in c and "c" in c  # ...not the batch
-        assert len(c) == 4
-        assert c.stats.evictions == 1
-
-    def test_put_many_larger_than_cache_keeps_newest(self):
-        """Only when the batch alone overflows do its own oldest go."""
-        c = EvalCache(max_entries=3)
-        c.put("w", 0)
-        c.put_many([(k, i) for i, k in enumerate("abcd")])
-        assert "w" not in c and "a" not in c
-        assert c.get_many(["b", "c", "d"]) == [1, 2, 3]
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.core.sweep import (
     decomposition_sweep,
     grid_sweep,
     message_size_sweep,
-    thread_sweep,
 )
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.machine.node import Device
@@ -37,29 +36,6 @@ def evaluator():
 @pytest.fixture(scope="module")
 def overflow():
     return OverflowModel(dataset("DLRF6-Medium"))
-
-
-class TestThreadSweep:
-    COUNTS = (16, 59, 118, 177, 236)
-
-    def test_grid_order(self, evaluator):
-        k = class_c_kernel("MG")
-        pointwise = thread_sweep(evaluator, k, Device.PHI0, self.COUNTS, batch=False)
-        default = thread_sweep(evaluator, k, Device.PHI0, self.COUNTS)
-        assert list(pointwise) == list(default)
-        assert [m.config["threads"] for m in pointwise] == list(self.COUNTS)
-
-    def test_infeasible_points_skipped(self, evaluator):
-        # A kernel too big for the Phi's 8 GB: every point is infeasible.
-        rs = thread_sweep(evaluator, _oversized_kernel(), Device.PHI0, (59, 118))
-        assert len(rs) == 0
-
-    def test_skip_infeasible_false_raises(self, evaluator):
-        with pytest.raises(OutOfMemoryError):
-            thread_sweep(
-                evaluator, _oversized_kernel(), Device.PHI0, (59,),
-                skip_infeasible=False,
-            )
 
 
 class TestDecompositionSweep:
@@ -93,6 +69,23 @@ class TestDecompositionSweep:
 
 
 class TestGridSweep:
+    COUNTS = (16, 59, 118, 177, 236)
+
+    def test_thread_axis_grid_order(self, evaluator):
+        k = class_c_kernel("MG")
+        rs = grid_sweep(partial(evaluator.native, Device.PHI0, k), self.COUNTS)
+        assert [m.config["threads"] for m in rs] == list(self.COUNTS)
+
+    def test_infeasible_points_skipped(self, evaluator):
+        # A kernel too big for the Phi's 8 GB: every point is infeasible.
+        native = partial(evaluator.native, Device.PHI0, _oversized_kernel())
+        assert len(grid_sweep(native, (59, 118))) == 0
+
+    def test_skip_infeasible_false_raises(self, evaluator):
+        native = partial(evaluator.native, Device.PHI0, _oversized_kernel())
+        with pytest.raises(OutOfMemoryError):
+            grid_sweep(native, (59,), skip_infeasible=False)
+
     def test_message_size_axis(self, evaluator):
         from repro.microbench.mpifuncs import function_time
         from repro.mpi.fabrics import phi_fabric

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.report import band_str, in_band, render_table
-from repro.core.sweep import message_size_sweep, phi_thread_counts
+from repro.core.sweep import message_size_sweep
 from repro.units import (
     GB,
     GiB,
@@ -92,7 +92,3 @@ class TestSweep:
     def test_message_size_sweep_powers_of_two(self):
         sizes = message_size_sweep(1, 1024)
         assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-
-    def test_phi_thread_counts(self):
-        assert phi_thread_counts() == [59, 118, 177, 236]
-        assert phi_thread_counts((1, 3)) == [59, 177]
