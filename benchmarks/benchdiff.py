@@ -17,7 +17,8 @@ What is compared per report family:
   the fresh report, plus per-point replay/memo wall budgets (and the
   halo points' traced-replay wall, the vector points' wall and the
   lowering leg's wall), plus exact equality of each lowered program's
-  phase count and sha256 digest.  The small-collective leg's summed
+  phase count and sha256 digest.  The vector walls, best of five runs
+  of a few milliseconds, have no floor.  The small-collective leg's summed
   per-occurrence µs has its own budget, ``FACTOR`` times the baseline's
   with no floor (its best-of-five sums are milliseconds), and each of
   its points' outcome digests must equal the baseline's.
@@ -155,8 +156,12 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
                 "vector": ("vector",),
                 "lower": ("lower",),
             }.get(family, ("replay", "memo"))
+            # The vector walls are milliseconds, best of five: the
+            # floor would pass a hundredfold regression.
+            floor = 0.0 if family == "vector" else FLOOR_S
             for label in labels:
-                d.wall(f"{tag}.{label}.wall", bp[label]["wall"], fp[label]["wall"])
+                d.wall(f"{tag}.{label}.wall", bp[label]["wall"],
+                       fp[label]["wall"], floor=floor)
             if family == "lower":
                 for key in ("phases", "digest"):
                     d.exact(f"{tag}.lower.{key}", bp["lower"].get(key),
@@ -292,6 +297,33 @@ def test_benchdiff_jobcompile_budgets_the_small_leg():
     rows = diff_reports(report(10.0), report(31.0, "cd"), "jobcompile").rows
     assert [r[0] for r in rows] == [
         "jobcompile.small.us", "jobcompile.small[P=5,allreduce].resolve.digest"]
+
+
+def test_benchdiff_jobcompile_budgets_the_vector_legs():
+    def report(wall):
+        vec = {"wall": wall, "elapsed": 1e-3, "engine_steps": 0,
+               "path": "vector", "phases": 9, "rel_err_replay": 0.0,
+               "speedup_vs_replay": 500.0, "minor_faults": 0}
+        point = {"ranks": 65537, "replay": {"wall": 4.0, "elapsed": 1e-3},
+                 "vector": vec}
+        return {"name": "jobcompile", "halo": {"points": []},
+                "vector": {"points": [point]}}
+
+    assert diff_reports(report(0.006), report(0.017), "jobcompile").rows == []
+    rows = diff_reports(report(0.006), report(0.06), "jobcompile").rows
+    assert [(r[0], r[3]) for r in rows] == [
+        ("jobcompile.vector[P=65537].vector.wall", "wall > budget 0.018s")]
+
+
+def test_benchdiff_passes_the_committed_reports():
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    for name in ("BENCH_jobcompile.json", "BENCH_selfperf.json",
+                 "BENCH_campaign.json"):
+        report = json.loads((root / name).read_text(encoding="utf-8"))
+        family = _family_of(report, name)
+        assert diff_reports(report, report, family).rows == [], name
 
 
 def test_benchdiff_selfperf_budgets_the_cold_start():

@@ -42,15 +42,16 @@ tests, the MPICH fold and the alltoall and Bruck peer rules live in
    also prices phase-compiled halo shifts) and :func:`exchange_step`.
    When every member enters the rounds at once, one scalar carries them
    (:func:`_rounds`): equal arrivals stay equal.  On an array each step
-   is an allocation-free kernel: it writes into one fresh output buffer
-   with the list step's float operations in the same order.  A shift's
-   rotation is two slice writes (no ``np.roll``), a power-of-two
-   exchange reads its partner through the flipped ``(…, 2, mask)`` view,
-   and the maxima and sums are in-place ufuncs, so an eager step
-   allocates one ``t + ts`` temporary beside its output and a rendezvous
-   step none.  No kernel writes its input, and each returns a buffer its
-   caller owns; the walk adds the reduction arithmetic in place
-   (:func:`_add_to`).  The Figs 10–14 sweeps
+   writes into one output buffer with the list step's float operations
+   in the same order.  A shift's rotation is two slice writes (no
+   ``np.roll``), an exchange first copies each rank's partner clock
+   into the output (:func:`_partners`), and the maxima and sums are
+   in-place ufuncs; an eager step also needs a ``t + ts`` scratch.  The
+   output and the scratch are ``out=`` and ``scratch=`` when given,
+   else fresh.  No step writes its input.  :func:`_rounds` ping-pongs
+   between the vector its schedule owns and one workspace per thread,
+   which never reaches a caller, and adds the reduction arithmetic in
+   place (:func:`_add_to`).  The Figs 10–14 sweeps
    (:mod:`repro.microbench.mpifuncs`) are these schedules on zero
    arrivals, so a figure point and a stepped job of the same collective
    report the same time.
@@ -70,6 +71,7 @@ The alltoall memory model reproduces its out-of-memory failure beyond
 from __future__ import annotations
 
 import operator
+import threading
 from functools import lru_cache, partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     NamedTuple, Optional, Tuple)
@@ -554,24 +556,46 @@ def _extrema(t: Any) -> Tuple[Any, Any]:
 
 
 def _full(t: Any, value: float) -> Any:
-    """A vector shaped like ``t`` holding ``value`` everywhere."""
+    """``t`` holding ``value`` everywhere: a new list, or the array (a
+    buffer the caller owns) filled in place."""
     if isinstance(t, list):
         return [value] * len(t)
-    return get_numpy().full(len(t), value)
+    t.fill(value)
+    return t
 
 
 # ----------------------------------------------------------- the two steps
 
 
-def shift_step(t: Any, o: int, tp: float, ts: float, eager: bool) -> Any:
+def _outputs(np: Any, t: Any, out: Any, scratch: Any) -> Any:
+    """A step's output buffer: ``out``, or a fresh one when it is
+    ``None``.  Raises :class:`ValueError` when ``out`` or ``scratch``
+    shares memory with ``t`` (a step never writes its input), or
+    ``scratch`` with ``out`` (eager's ``t + ts`` would land in it)."""
+    if out is None:
+        out = np.empty(len(t))
+    elif np.may_share_memory(out, t):
+        raise ValueError("a step's out= shares memory with its input")
+    if scratch is not None and (np.may_share_memory(scratch, t)
+                                or np.may_share_memory(scratch, out)):
+        raise ValueError("a step's scratch= shares memory with its input"
+                         " or its output")
+    return out
+
+
+def shift_step(t: Any, o: int, tp: float, ts: float, eager: bool,
+               out: Any = None, scratch: Any = None) -> Any:
     """One ring-shift round: rank ``i`` sends to ``i + o`` and receives
     from ``i - o`` (mod P), then waits for its send.
 
     Eager: ``t' = max(t + ts, roll(t, o) + tp)``.  Rendezvous: the rank
     also waits for its receiver, ``t' = max(t, roll(t, o), roll(t, -o))
     + tp``.  On an array each roll is two slice operations writing
-    straight into the fresh output; eager needs one ``t + ts``
-    temporary, rendezvous none.  ``t`` is never written.
+    straight into the output: ``out`` when given (and returned), else a
+    fresh buffer.  Eager computes ``t + ts`` into ``scratch`` when given,
+    else into a fresh temporary; rendezvous needs none.  ``t`` is never
+    written, and ``out`` or ``scratch`` sharing its memory raises
+    :class:`ValueError`.  A list ignores both and returns a new list.
     """
     if isinstance(t, list):
         left = _roll(t, o)
@@ -583,11 +607,11 @@ def shift_step(t: Any, o: int, tp: float, ts: float, eager: bool) -> Any:
     np = get_numpy()
     p = len(t)
     o %= p
-    out = np.empty(p)
+    out = _outputs(np, t, out, scratch)
     if eager:
         np.add(t[p - o:], tp, out=out[:o])
         np.add(t[:p - o], tp, out=out[o:])
-        return np.maximum(t + ts, out, out=out)
+        return np.maximum(np.add(t, ts, out=scratch), out, out=out)
     np.maximum(t[:o], t[p - o:], out=out[:o])
     np.maximum(t[o:], t[:p - o], out=out[o:])
     np.maximum(out[:p - o], t[o:], out=out[:p - o])
@@ -595,37 +619,53 @@ def shift_step(t: Any, o: int, tp: float, ts: float, eager: bool) -> Any:
     return np.add(out, tp, out=out)
 
 
-def exchange_step(t: Any, mask: int, tp: float, ts: float,
-                  eager: bool) -> Any:
+def exchange_step(t: Any, mask: int, tp: float, ts: float, eager: bool,
+                  out: Any = None, scratch: Any = None) -> Any:
     """One pairwise-exchange round between ranks ``i`` and ``i ^ mask``.
 
     Eager: ``t' = max(t + ts, t[i ^ mask] + tp)``; rendezvous:
-    ``t' = max(t, t[i ^ mask]) + tp``.  On an array a power-of-two mask
-    is a contiguous block swap: the partner view ``v[:, ::-1, :]`` of
-    ``v = t.reshape(-1, 2, mask)`` is written straight into a fresh
-    ``(…, 2, mask)`` buffer, which beats fancy indexing on 100k-rank
-    vectors; any other mask gathers ``t[i ^ mask]`` into the fresh
-    buffer.  Eager needs one ``t + ts`` temporary, rendezvous none.
-    ``t`` is never written.
+    ``t' = max(t, t[i ^ mask]) + tp``.  On an array the partners' clocks
+    are first copied into the output (:func:`_partners`), and the rest
+    is contiguous in-place ufuncs on it.  The output is ``out`` when
+    given (and returned), else a fresh buffer; eager computes ``t + ts``
+    into ``scratch`` when given, else into a fresh temporary, and
+    rendezvous needs none.  ``t`` is never written, and ``out`` or
+    ``scratch`` sharing its memory raises :class:`ValueError`.  A list
+    ignores both and returns a new list.
     """
     if isinstance(t, list):
         if eager:
             return [max(t[i] + ts, t[i ^ mask] + tp) for i in range(len(t))]
         return [max(t[i], t[i ^ mask]) + tp for i in range(len(t))]
     np = get_numpy()
-    if mask & (mask - 1) == 0:
-        v = t.reshape(-1, 2, mask)
-        other, out = v[:, ::-1, :], None  # a view; the ufunc allocates
-    else:
-        v = t
-        other = out = t[np.arange(len(t)) ^ mask]  # a fresh gather
+    out = _partners(np, t, mask, _outputs(np, t, out, scratch))
     if eager:
-        out = np.add(other, tp, out=out)
-        np.maximum(v + ts, out, out=out)
-    else:
-        out = np.maximum(v, other, out=out)
         np.add(out, tp, out=out)
-    return out.reshape(-1)
+        return np.maximum(np.add(t, ts, out=scratch), out, out=out)
+    np.maximum(t, out, out=out)
+    return np.add(out, tp, out=out)
+
+
+def _partners(np: Any, t: Any, mask: int, out: Any) -> Any:
+    """``out[i] = t[i ^ mask]``, written into ``out`` and returned.
+
+    A power-of-two mask swaps the two halves of each ``2 * mask`` block:
+    the ``(…, 2, mask)`` views' halves are two slice copies, which beat
+    fancy indexing on 100k-rank vectors.  Masks 1 and 2 copy one strided
+    column at a time instead, since rows of one or two elements are slow
+    to iterate.  Any other mask (pairwise alltoall's rounds) gathers.
+    """
+    if mask & (mask - 1):
+        return np.take(t, np.arange(len(t)) ^ mask, out=out)
+    if mask <= 2:
+        v, dst = t.reshape(-1, 2 * mask), out.reshape(-1, 2 * mask)
+        for j in range(2 * mask):
+            dst[:, j] = v[:, j ^ mask]
+    else:
+        v, dst = t.reshape(-1, 2, mask), out.reshape(-1, 2, mask)
+        dst[:, 0] = v[:, 1]
+        dst[:, 1] = v[:, 0]
+    return out
 
 
 def _p2p(send: Any, recv: Any, tp: float, ts: float,
@@ -647,7 +687,6 @@ def _p2p(send: Any, recv: Any, tp: float, ts: float,
     return done, done
 
 
-
 def _levels(t: Any, levels: Tuple[Level, ...], wires: _Wires,
             combine: Any, unit: int = 1) -> Any:
     """``levels`` on the per-vrank clock vector ``t``, written in place,
@@ -664,12 +703,36 @@ def _levels(t: Any, levels: Tuple[Level, ...], wires: _Wires,
     return t
 
 
+#: Per-thread workspace of :func:`_rounds` on arrays: a step output
+#: and an eager scratch, each as long as the largest member count the
+#: thread has walked.
+_WORKSPACE = threading.local()
+
+
+def _workspace(n: int) -> Tuple[Any, Any]:
+    """This thread's step buffer and scratch, ``n`` floats each.  They
+    outlive the walk (freed P-sized buffers make glibc trim and re-fault
+    the heap), and no caller ever receives one."""
+    ws = getattr(_WORKSPACE, "buffers", None)
+    if ws is None or len(ws[0]) < n:
+        np = get_numpy()
+        ws = _WORKSPACE.buffers = (np.empty(n), np.empty(n))
+    return ws[0][:n], ws[1][:n]
+
+
 def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
             combine: Any, unit: int = 1) -> Any:
     """The data-parallel ``rounds`` on the members' clock vector ``t``,
     each hop ``unit`` bytes a block: each round one exchange or shift
     step, and a ``fold`` round adds ``combine`` (one time, or one per
     member).
+
+    On an array ``t`` is a vector the schedule owns, and the result is
+    written into it and returned.  The steps ping-pong between ``t`` and
+    this thread's workspace (:func:`_workspace`), with its scratch taking
+    eager's ``t + ts``; a walk that ends in the workspace copies the
+    result back into ``t`` once, so no workspace buffer reaches the
+    caller.  A list gets a new list.
 
     When every member enters at once, one scalar carries every round.
     Rounding is monotone, so a round maps a uniform vector ``c`` to the
@@ -685,6 +748,9 @@ def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
         isinstance(combine, list)
         and any(rnd.move == "fold" for rnd in rounds)
     )
+    owned, spare, scratch = t, None, None
+    if not (uniform or isinstance(t, list)):
+        spare, scratch = _workspace(len(t))
     for rnd in rounds:
         tp, ts, eager = wires[unit * rnd.blocks, rnd.pattern]
         fold = rnd.move == "fold"
@@ -701,12 +767,18 @@ def _rounds(t: Any, rounds: Tuple[Rounds, ...], wires: _Wires,
             continue
         step = exchange_step if rnd.exchange else shift_step
         arg = rnd.first
-        for _ in range(rnd.count):
-            t = step(t, arg, tp, ts, eager)
+        for _ in range(rnd.count):  # a list step ignores out=
+            spare, t = t, step(t, arg, tp, ts, eager, out=spare,
+                               scratch=scratch)
             if fold:
                 t = _add_to(t, combine)
             arg += rnd.stride
-    return _full(t, lo) if uniform else t
+    if uniform:
+        return _full(t, lo)
+    if t is not owned and not isinstance(t, list):
+        owned[:] = t
+        t = owned
+    return t
 
 
 def _schedule(kind: str, fabric, p: int, nbytes: int, arrivals: Any,

@@ -23,15 +23,23 @@ list or a numpy array.  These contracts are gated here:
   equals its rounds stepped one :func:`shift_step` or
   :func:`exchange_step` at a time, bit for bit, on lists and arrays up
   to P=4097.
-* **Array kernels** — the array steps and :func:`_roll` write only into
-  fresh buffers, never into their input, and equal the list kernels bit
-  for bit on every offset class and mask class.
+* **Array kernels** — the array steps and :func:`_roll` never write
+  their input, and equal the list kernels bit for bit on every offset
+  class and mask class.  Without ``out=``/``scratch=`` a step returns a
+  fresh buffer; with them it writes the same bits into ``out`` and
+  returns it, and either one aliasing the input raises ``ValueError``.
+* **Workspace** — the schedules walk their rounds in a per-thread
+  workspace that no result is or shares memory with, and threads
+  pricing different rank counts get the serial results.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import sys
+import threading
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -49,7 +57,9 @@ from repro.mpi.collectives import (
     _rounds,
     _tree,
     _wire,
+    _workspace,
     exchange_step,
+    finish_times,
     plan,
     shift_step,
 )
@@ -461,6 +471,64 @@ def test_array_exchange_step_is_fresh_and_equals_list(eager):
         assert t.tolist() == listed
 
 
+def _buffers(np, p):
+    """An ``out`` and a ``scratch`` for a step on ``p`` ranks, filled
+    with NaN so that an element the step fails to write shows."""
+    return np.full(p, np.nan), np.full(p, np.nan)
+
+
+@needs_numpy
+@pytest.mark.parametrize("eager", (True, False))
+def test_array_shift_step_into_buffers_equals_fresh(eager):
+    np = get_numpy()
+    for p in KERNEL_P:
+        listed = _arrivals(p, True)
+        t = _frozen(np, listed)
+        for o in _offsets(p):
+            for tp, ts in KERNEL_WIRES:
+                want = shift_step(t, o, tp, ts, eager).tolist()
+                out, scratch = _buffers(np, p)
+                got = shift_step(t, o, tp, ts, eager, out=out, scratch=scratch)
+                assert got is out and got.tolist() == want, (p, o, eager)
+                out, _ = _buffers(np, p)
+                got = shift_step(t, o, tp, ts, eager, out=out)
+                assert got is out and got.tolist() == want, (p, o, eager)
+        assert t.tolist() == listed
+
+
+@needs_numpy
+@pytest.mark.parametrize("eager", (True, False))
+def test_array_exchange_step_into_buffers_equals_fresh(eager):
+    """Every mask class: the column copies (masks 1 and 2), the
+    half-block copies (larger powers of two) and the gather (the rest)."""
+    np = get_numpy()
+    for p in (2, 8, 64):
+        listed = _arrivals(p, True)
+        t = _frozen(np, listed)
+        for mask in range(1, p):
+            for tp, ts in KERNEL_WIRES:
+                want = exchange_step(t, mask, tp, ts, eager).tolist()
+                out, scratch = _buffers(np, p)
+                got = exchange_step(t, mask, tp, ts, eager, out=out,
+                                    scratch=scratch)
+                assert got is out and got.tolist() == want, (p, mask, eager)
+        assert t.tolist() == listed
+
+
+@needs_numpy
+@pytest.mark.parametrize("step,arg", ((shift_step, 3), (exchange_step, 4)))
+def test_array_step_buffers_aliasing_the_input_raise(step, arg):
+    np = get_numpy()
+    listed = _arrivals(16, True)
+    t = np.array(listed)
+    other = np.empty(16)
+    for out, scratch in ((t, None), (t, other), (None, t), (other, t),
+                         (t[::-1], None), (None, t[:8]), (other, other)):
+        with pytest.raises(ValueError):
+            step(t, arg, 3e-7, 1e-7, True, out=out, scratch=scratch)
+        assert t.tolist() == listed
+
+
 @needs_numpy
 @pytest.mark.parametrize("eager", (True, False))
 def test_array_p2p_is_fresh_and_equals_list(eager):
@@ -489,3 +557,88 @@ def test_array_schedules_leave_their_arrivals():
             for nbytes in _sizes(fabric):
                 got = _fresh(np, SCHEDULES[kind](fabric, p, nbytes, t, 1), t)
                 assert got == SCHEDULES[kind](fabric, p, nbytes, listed, 1)
+
+
+# ------------------------------------------------- the rounds' workspace
+#
+# On arrays ``_rounds`` steps between the schedule's own vector and one
+# workspace per thread.  No result may be, or share memory with, that
+# workspace: the thread's next schedule would overwrite it.
+
+#: (kind, nbytes) of every schedule that steps its rounds on an array
+#: from skewed arrivals: Bruck and ring allgather, alltoall, the large
+#: bcast's ring and the non-power-of-two allreduce.
+WORKSPACE_CASES = (
+    ("allgather", 8),
+    ("allgather", ALLGATHER_RING_SWITCH + 1),
+    ("alltoall", 8),
+    ("bcast", LARGE_MESSAGE_SWITCH + 1),
+    ("allreduce", 8),
+)
+#: Rank counts whose ring and alltoall walks take an even and an odd
+#: number of steps, so that each ends in either buffer.
+WORKSPACE_P = (4097, 4098)
+
+
+def _skewed(p: int, seed: int) -> List[float]:
+    rnd = random.Random(seed)
+    return [rnd.random() * 1e-5 for _ in range(p)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", WORKSPACE_P)
+@pytest.mark.parametrize("kind,nbytes", WORKSPACE_CASES)
+def test_array_schedules_return_no_workspace(kind, nbytes, p):
+    """Two calls in a row: the second leaves the first's result alone."""
+    np = get_numpy()
+    fabric = phi_fabric(2)
+    first = SCHEDULES[kind](fabric, p, nbytes, np.array(_skewed(p, 1)))
+    kept = first.tolist()
+    second = SCHEDULES[kind](fabric, p, nbytes, np.array(_skewed(p, 2)))
+    assert first.tolist() == kept
+    assert second.tolist() != kept  # both calls walked their rounds
+    assert not np.shares_memory(first, second)
+    for result in (first, second):
+        for buf in _workspace(p):
+            assert not np.shares_memory(result, buf)
+    ends = finish_times(kind, fabric, nbytes, _skewed(p, 1))
+    again = finish_times(kind, fabric, nbytes, _skewed(p, 2))
+    assert ends == kept and again == second.tolist()
+
+
+@needs_numpy
+def test_threads_pricing_different_p_match_a_serial_run():
+    """Each thread walks in its own workspace, whatever the others'
+    rank counts: more threads than cores, switching often."""
+    np = get_numpy()
+    fabric = phi_fabric(2)
+    n_threads = min(max(len(os.sched_getaffinity(0)) + 1, 3), 4)
+    ranks = [WORKSPACE_P[0] + 906 * k for k in range(n_threads)]
+    jobs = {p: [(kind, nbytes, _skewed(p, p)) for kind, nbytes
+                in WORKSPACE_CASES] for p in ranks}
+
+    def price(p):
+        return [SCHEDULES[kind](fabric, p, nbytes, np.array(arrivals)).tolist()
+                for kind, nbytes, arrivals in jobs[p]]
+
+    serial = {p: price(p) for p in jobs}
+    start = threading.Barrier(len(ranks))
+    got = [None] * len(ranks)
+
+    def run(i):
+        start.wait()
+        got[i] = [price(ranks[i]) for _ in range(2)]
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(ranks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [[serial[p]] * 2 for p in ranks]
