@@ -14,11 +14,6 @@ performance trajectory is tracked across changes and diffed by
   decomposition campaign exactly as ``repro campaign run fig22`` runs
   it: every point prices the step and its compiled halo+allreduce
   exchange at I × J ranks, journaled through the campaign runner.
-* ``fig22_batch`` — the 64×64 decomposition lattice priced per-point
-  vs through the vectorized batch path
-  (:meth:`~repro.apps.overflow.OverflowModel.decomposition_sweep` with
-  ``batch=True``) on both devices, asserting point-by-point identity
-  and reporting the speedup.
 * ``engine_storm`` — a spawn/join storm on the raw engine (the O(1)
   process-retirement regression guard).
 * ``cold_start`` — a fresh interpreter imports
@@ -63,7 +58,6 @@ from repro.core.sweep import INFEASIBLE_ERRORS
 from repro.machine.node import Device
 from repro.mpi.fabrics import phi_fabric
 from repro.mpi.runtime import mpiexec
-from repro.perf.batch import HAVE_NUMPY
 from repro.perf.cache import EvalCache
 from repro.simcore import Engine, Timeout, WaitEvent
 
@@ -171,71 +165,6 @@ def fig22_campaign(quick: bool = False):
             build_spec("fig22", quick=quick),
             os.path.join(tmp, "fig22.jsonl"),
         )
-
-
-# ==========================================================================
-# Campaign 3b: batched Fig-22 lattice (vectorized vs per-point pricing)
-# ==========================================================================
-
-
-def fig22_batch_campaign(quick: bool = False) -> Dict[str, Any]:
-    """Price a full I × J Fig-22 lattice per-point and vectorized.
-
-    The grid is the complete ``side × side`` decomposition lattice on
-    both devices (64 × 64 = 4096 points each by default); the batched
-    path prices every feasible point in a handful of array operations
-    and must return *identical* measurements in identical order.  Both
-    paths are timed best-of-``reps`` so the reported speedup is stable
-    on noisy runners.
-    """
-    from repro.apps import OverflowModel, dataset
-
-    side = 16 if quick else 64
-    reps = 1 if quick else 3
-    grid = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
-    model = OverflowModel(dataset("DLRF6-Medium"))
-    devices = (Device.HOST, Device.PHI0)
-
-    report: Dict[str, Any] = {
-        "side": side,
-        "points": len(grid) * len(devices),
-        "numpy": HAVE_NUMPY,
-        "devices": {},
-    }
-    serial_total = 0.0
-    batch_total = 0.0
-    identical = True
-    feasible = 0
-    for dev in devices:
-        serial_best = batch_best = float("inf")
-        r_serial = r_batch = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            r_serial = model.decomposition_sweep(dev, grid, batch=False)
-            serial_best = min(serial_best, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            r_batch = model.decomposition_sweep(dev, grid, batch=True)
-            batch_best = min(batch_best, time.perf_counter() - t0)
-        same = r_batch == r_serial
-        identical = identical and same
-        feasible += len(r_serial)
-        serial_total += serial_best
-        batch_total += batch_best
-        report["devices"][dev.value] = {
-            "feasible": len(r_serial),
-            "serial_wall_s": serial_best,
-            "batch_wall_s": batch_best,
-            "speedup": serial_best / batch_best if batch_best > 0 else float("inf"),
-            "identical": same,
-        }
-    report["feasible"] = feasible
-    report["serial_wall_s"] = serial_total
-    report["batch_wall_s"] = batch_total
-    report["speedup"] = (
-        serial_total / batch_total if batch_total > 0 else float("inf")
-    )
-    report["identical"] = identical
-    return report
 
 
 # ==========================================================================
@@ -421,10 +350,6 @@ def run_selfperf(
         "results": run.results_payload()["points"],
     }
 
-    t0 = time.perf_counter()
-    report["campaigns"]["fig22_batch"] = fig22_batch_campaign(quick)
-    report["campaigns"]["fig22_batch"]["wall_s"] = time.perf_counter() - t0
-
     report["campaigns"]["engine_storm"] = engine_storm(quick)
     report["campaigns"]["cold_start"] = cold_start()
 
@@ -443,14 +368,12 @@ def report_failures(report: Dict[str, Any]) -> List[str]:
     The script exits non-zero iff this list is non-empty.
     """
     c = report["campaigns"]
-    fig22, batch = c["fig22"], c["fig22_batch"]
+    fig22 = c["fig22"]
     checks = [
         (all(p["correct"] for p in c["allreduce"]["points"]),
          "simulated allreduce returned wrong sums"),
         (fig22["feasible"] == fig22["points"],
          f"Fig-22 priced {fig22['feasible']}/{fig22['points']} points"),
-        (batch["identical"], "batched Fig-22 results differ from per-point"),
-        (batch["feasible"] > 0, "batched Fig-22 priced no feasible point"),
         (c.get("scale", {}).get("correct", True),
          "scaled allreduce returned wrong sums"),
         (c["cold_start"]["correct"], "cold-start allreduce returned wrong sums"),
@@ -469,14 +392,6 @@ def render_report(report: Dict[str, Any]) -> str:
         ("Fig-22 campaign (serial)", f"{c['fig22']['serial_wall_s']:.3f}",
          f"{c['fig22']['feasible']}/{c['fig22']['points']} feasible"),
     ]
-    fb = c.get("fig22_batch")
-    if fb is not None:
-        rows.append(
-            (f"Fig-22 batched ({fb['side']}x{fb['side']})",
-             f"{fb['batch_wall_s']:.3f}",
-             f"speedup {fb['speedup']:.1f}x vs per-point "
-             f"({fb['serial_wall_s']:.3f}s), identical={fb['identical']}")
-        )
     rows.append(
         ("engine storm", f"{c['engine_storm']['wall_s']:.3f}",
          f"{c['engine_storm']['processes']} procs, "
@@ -540,12 +455,11 @@ def test_selfperf_quick(tmp_path):
     assert report_failures(report) == []
     c = report["campaigns"]
     assert set(c) == {
-        "allreduce", "mg_sweep", "fig22", "fig22_batch", "engine_storm",
+        "allreduce", "mg_sweep", "fig22", "engine_storm",
         "cold_start", "scale",
     }
     assert c["mg_sweep"]["identical"]
     assert c["fig22"]["points"] == 9
-    assert c["fig22_batch"]["identical"]
     assert c["engine_storm"]["engine_steps"] > 0
     assert c["scale"]["correct"] and c["scale"]["ranks"] == 512
     assert c["cold_start"]["path"] == "replay"

@@ -2,32 +2,20 @@
 
 ``numpy``/``scipy`` are the optional ``repro[fast]`` extra — the core
 machine/MPI/OpenMP models and the simulation engine run without them
-(``repro.perf.batch`` falls back to scalar loops with a warning).  The
+(the MPI stack's clock vectors are Python lists without it).  The
 NPB reference implementations, the application datasets, and every
 figure benchmark built on them genuinely need the array stack, so when
 numpy is absent their test modules are skipped at collection instead of
 erroring at import.  CI exercises this exact configuration in the
 ``tier1-no-numpy`` job.
 
-Also resets the once-per-process scalar-fallback warning gate around
-every test so warning-capturing tests cannot order-depend on which
-module tripped the fallback first, and provides the ``fsync_calls``
-fixture the campaign journal tests count commits with.
+Also provides the ``fsync_calls`` fixture the campaign journal tests
+count commits with.
 """
 
 import os
 
 import pytest
-
-
-@pytest.fixture(autouse=True)
-def _rearm_fallback_warning():
-    """Isolate the process-global scalar-fallback warning per test."""
-    from repro.perf.batch import reset_fallback_warning
-
-    reset_fallback_warning()
-    yield
-    reset_fallback_warning()
 
 
 @pytest.fixture
@@ -56,7 +44,6 @@ if not _HAVE_NUMPY:
         # Direct or transitive `import numpy` at module scope.
         "tests/test_ablation.py",
         "tests/test_apps.py",
-        "tests/test_batch_eval.py",
         "tests/test_cross_checks.py",
         "tests/test_extensions.py",
         "tests/test_microbench.py",

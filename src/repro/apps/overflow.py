@@ -9,8 +9,10 @@ Two layers:
   verified by manufactured solutions across the zone boundaries.
 
 * :class:`OverflowModel` — the performance model behind Figures 22–23:
-  (I MPI ranks × J OpenMP threads) decomposition sweeps on host and Phi,
-  and symmetric host+Phi0+Phi1 execution under both software stacks.
+  one time step at an (I MPI ranks × J OpenMP threads) decomposition on
+  host or Phi (:meth:`~OverflowModel.native_step`, which
+  :func:`repro.core.sweep.decomposition_sweep` sweeps), and symmetric
+  host+Phi0+Phi1 execution under both software stacks.
   OVERFLOW "depends on the bandwidth of the memory subsystem"
   (Section 6.9.1.2): the kernel is memory-bound with poor streaming
   (overset fringes interpolate irregularly), which is what caps the Phi.
@@ -20,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, OutOfMemoryError
+from repro.errors import ConfigError
 from repro.apps.datasets import GridSystem, dataset
 from repro.core.results import Measurement
 from repro.core.software import POST_UPDATE, SoftwareStack
@@ -171,10 +172,10 @@ class OverflowModel:
     ) -> Measurement:
         """Wall time of one step in native mode at (ranks × omp_threads).
 
-        Raises :class:`OutOfMemoryError` when the case does not fit the
-        device (DLRF6-Large on a single Phi card).  Symmetric mode prices
-        per-device *rates* with ``check_memory=False`` since each device
-        only holds its zone share.  An active ``tracer`` records the
+        Raises :class:`~repro.errors.OutOfMemoryError` when the case does
+        not fit the device (DLRF6-Large on a single Phi card).  Symmetric
+        mode prices per-device *rates* with ``check_memory=False`` since
+        each device only holds its zone share.  An active ``tracer`` records the
         step's compute / halo-exchange breakdown as spans on lane
         ``overflow``/``<device>``.
         """
@@ -269,147 +270,6 @@ class OverflowModel:
         msg = min(HALO_MESSAGE, int(per_rank))
         # Two neighbour exchanges per rank, concurrent across ranks.
         return 2 * n_msgs * fabric.p2p_time(msg)
-
-    def native_step_batch(
-        self,
-        device: Device,
-        configs: List[Tuple[int, int]],
-        check_memory: bool = True,
-    ) -> List[Optional[Measurement]]:
-        """Vectorized :meth:`native_step` over many (ranks, omp) points.
-
-        Returns one entry per config, in order — the measurement
-        :meth:`native_step` produces (bit-identical components), or
-        ``None`` where it would have raised an infeasibility error.
-        The whole lattice is priced in a handful of array operations:
-        one :func:`~repro.execmodel.batch.kernel_time_batch` pass over
-        the total-thread axis plus a vectorized halo-exchange pricing.
-        """
-        from repro.execmodel.batch import kernel_time_batch
-        from repro.perf.batch import get_numpy
-
-        device = Device(device)
-        proc = self._processor(device)
-        n = len(configs)
-        out: List[Optional[Measurement]] = [None] * n
-        if n == 0:
-            return out
-        kern = self.kernel()
-        np_ = get_numpy()
-        if np_ is None:
-            from repro.perf.batch import warn_scalar_fallback
-
-            warn_scalar_fallback("OVERFLOW decomposition pricing")
-            from repro.core.sweep import INFEASIBLE_ERRORS
-
-            for idx, (i, j) in enumerate(configs):
-                try:
-                    out[idx] = self.native_step(
-                        device, i, j, check_memory=check_memory
-                    )
-                except INFEASIBLE_ERRORS:
-                    pass
-            return out
-
-        ranks = np_.asarray([i for i, _ in configs], dtype=np_.int64)
-        omp = np_.asarray([j for _, j in configs], dtype=np_.int64)
-        total = ranks * omp
-        feasible = (ranks >= 1) & (omp >= 1) & (total <= proc.max_threads)
-        try:
-            bd = kernel_time_batch(
-                kern, proc, total, check_memory=check_memory
-            )
-        except OutOfMemoryError:
-            return out  # the case does not fit this device at any count
-        feasible = feasible & np_.asarray(bd.feasible)
-
-        loss = OMP_LOSS_HOST if device is Device.HOST else OMP_LOSS_PHI
-        omp_factor = 1.0 + loss * (omp - 1)
-        if device is Device.HOST:
-            omp_factor = np_.where(omp > 8, omp_factor * NUMA_PENALTY, omp_factor)
-
-        comm = self._comm_time_batch(np_, device, ranks, total)
-        step_total = bd.total * omp_factor + comm
-
-        name = f"overflow[{self.grid.name}]"
-        dev_value = device.value
-        for idx in np_.nonzero(feasible)[0]:
-            out[idx] = Measurement(
-                name=name,
-                time=float(step_total[idx]),
-                unit="step",
-                config={
-                    "device": dev_value,
-                    "ranks": int(ranks[idx]),
-                    "omp_threads": int(omp[idx]),
-                    "compute": float(bd.total[idx]),
-                    "comm": float(comm[idx]),
-                },
-            )
-        return out
-
-    def _comm_time_batch(self, np_, device: Device, ranks, total):
-        """Vectorized :meth:`_native_comm_time` over rank/thread arrays."""
-        halo = self.grid.halo_bytes_per_step()
-        safe_ranks = np_.maximum(ranks, 1)
-        per_rank = halo / safe_ranks
-        n_msgs = np_.maximum(1.0, np_.round(per_rank / HALO_MESSAGE))
-        msg = np_.minimum(HALO_MESSAGE, per_rank.astype(np_.int64))
-
-        def p2p(fabric, nbytes):
-            p = fabric.params
-            hs = np_.where(
-                nbytes <= p.eager_max, 0.0, p.rendezvous_extra * p.latency
-            )
-            return p.latency + hs + nbytes / p.pair_bandwidth
-
-        if Device(device) is Device.HOST:
-            per_msg = p2p(host_fabric(), msg)
-        else:
-            tpc = np_.clip(
-                np_.ceil(total / 59).astype(np_.int64), 1, 4
-            )
-            per_msg = np_.zeros(len(ranks))
-            for k in (1, 2, 3, 4):
-                sel = tpc == k
-                if sel.any():
-                    per_msg = np_.where(sel, p2p(phi_fabric(k), msg), per_msg)
-        return np_.where(ranks <= 1, 0.0, 2 * n_msgs * per_msg)
-
-    def decomposition_sweep(
-        self,
-        device: Device,
-        configs: List[Tuple[int, int]],
-        trace: Optional[Tracer] = None,
-        batch: Optional[bool] = None,
-    ) -> List[Measurement]:
-        """Fig 22's sweep; infeasible points are skipped.
-
-        ``batch=None`` (the default) prices the whole lattice in one
-        vectorized :meth:`native_step_batch` pass whenever NumPy is
-        available — identical results in identical order.
-        ``batch=False`` forces per-point pricing; ``trace`` lays the
-        feasible points out as sweep spans either way.
-        """
-        from repro.core.sweep import _emit_sweep_trace
-        from repro.core.sweep import decomposition_sweep as _sweep
-        from repro.perf.batch import HAVE_NUMPY
-
-        configs = list(configs)
-        use_batch = HAVE_NUMPY if batch is None else batch
-        if use_batch:
-            for i, j in configs:
-                if i < 1 or j < 1:
-                    raise ConfigError(f"invalid decomposition {i}x{j}")
-            priced = self.native_step_batch(device, configs)
-            from repro.core.results import ResultSet
-
-            results = ResultSet(m for m in priced if m is not None)
-            tr = active(trace)
-            if tr is not None:
-                _emit_sweep_trace(tr, "decomposition", results)
-            return list(results)
-        return list(_sweep(partial(self.native_step, device), configs, trace=trace))
 
     # ----------------------------------------------------- symmetric mode
 

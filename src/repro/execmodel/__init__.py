@@ -8,17 +8,14 @@ The NPB and application characterizations (Figs 19–25) are built from these
 pieces.
 """
 
-from repro.execmodel.batch import BatchBreakdown, kernel_time_batch
 from repro.execmodel.kernel import KernelSpec
 from repro.execmodel.roofline import TimeBreakdown, kernel_gflops, kernel_time
 from repro.execmodel.vectorize import vector_efficiency
 
 __all__ = [
-    "BatchBreakdown",
     "KernelSpec",
     "TimeBreakdown",
     "kernel_gflops",
     "kernel_time",
-    "kernel_time_batch",
     "vector_efficiency",
 ]

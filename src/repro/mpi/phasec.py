@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import SCHEDULES, _add_to, _wire, shift_step
+from repro.mpi.collectives import SCHEDULES, _Wires, _add_to, _wire, shift_step
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.obs.tracer import NULL_CONTEXT
-from repro.perf.batch import HAVE_NUMPY, get_numpy, warn_scalar_fallback
+from repro.perf.batch import get_numpy
 
 __all__ = ["LowerFallback", "Phase", "PhaseProgram", "clocks", "lower", "price"]
 
@@ -595,17 +595,13 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
 # ==========================================================================
 
 
-def _clocks_raw(program: PhaseProgram, fabric: Any,
-                use_numpy: Optional[bool]) -> Any:
-    """Finish clocks as a list, or as an ndarray when ``use_numpy`` asks
-    for numpy and it is importable; the loop is the same for both."""
-    if use_numpy is None:
-        use_numpy = HAVE_NUMPY
-    np = get_numpy() if use_numpy else None
-    if use_numpy and np is None:
-        warn_scalar_fallback("phase-compiled job pricing")
+def _clocks_raw(program: PhaseProgram, fabric: Any) -> Any:
+    """Finish clocks as an ndarray when numpy is importable, else as a
+    list; the loop is the same for both."""
+    np = get_numpy()
     p = program.n_ranks
     t = [0.0] * p if np is None else np.zeros(p, dtype=float)
+    wires = _Wires(fabric, p)
     for ph in program.phases:
         if ph.kind == "shift":
             tp, ts, eager = _wire(fabric, ph.nbytes)
@@ -616,26 +612,23 @@ def _clocks_raw(program: PhaseProgram, fabric: Any,
                 t = _add_to(t, ph.seconds)
         else:
             for _ in range(ph.count):
-                t = SCHEDULES[ph.coll](fabric, p, ph.nbytes, t, ph.root)
+                t = SCHEDULES[ph.coll](fabric, p, ph.nbytes, t, ph.root,
+                                       wires=wires)
     return t
 
 
-def clocks(program: PhaseProgram, fabric: Any,
-           use_numpy: Optional[bool] = None) -> List[float]:
+def clocks(program: PhaseProgram, fabric: Any) -> List[float]:
     """Per-rank finish clocks of ``program`` on ``fabric``.
 
-    ``use_numpy=None`` picks the array backend when numpy is installed;
-    ``True`` demands it (warning and degrading to the scalar backend
-    when it is absent); ``False`` forces the scalar backend.  Both
-    backends evaluate the identical float operations in the identical
-    order, so their outputs are bit-equal.
+    The clock vector is an array when numpy is installed and a list
+    otherwise; both containers evaluate the identical float operations
+    in the identical order, so their outputs are bit-equal.
     """
-    t = _clocks_raw(program, fabric, use_numpy)
+    t = _clocks_raw(program, fabric)
     return t if isinstance(t, list) else t.tolist()
 
 
-def price(program: PhaseProgram, fabric: Any,
-          use_numpy: Optional[bool] = None) -> float:
+def price(program: PhaseProgram, fabric: Any) -> float:
     """Elapsed simulated seconds of ``program`` on ``fabric``.
 
     Equals ``max`` of :func:`clocks`; the eager isend sender-side timers
@@ -643,5 +636,5 @@ def price(program: PhaseProgram, fabric: Any,
     matching wait's clamp, so the clock maximum is the job's elapsed
     time exactly.
     """
-    t = _clocks_raw(program, fabric, use_numpy)
+    t = _clocks_raw(program, fabric)
     return max(t) if isinstance(t, list) else float(t.max())

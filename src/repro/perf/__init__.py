@@ -6,9 +6,10 @@ across figures.  This package makes those re-pricings cheap:
 
 * :mod:`repro.perf.cache` — a memoized evaluation cache keyed by a
   stable fingerprint of the full specification, with hit/miss counters.
-* :mod:`repro.perf.batch` — the optional-NumPy gate for the vectorized
-  batch-evaluation paths (``pip install repro[fast]``), with a graceful
-  single-warning scalar fallback.
+* :mod:`repro.perf.batch` — the optional-NumPy gate
+  (``pip install repro[fast]``): the MPI stack's clock vectors are
+  arrays when NumPy is installed and lists otherwise, with identical
+  numbers either way.
 
 Sweeps run serially; fanning points over processes is the campaign
 runner's job (:mod:`repro.campaign`).  The simulator's own

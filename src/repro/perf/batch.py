@@ -1,39 +1,29 @@
-"""NumPy gate for the vectorized batch-evaluation path.
+"""NumPy gate: the one place that knows whether NumPy is importable.
 
-The batch evaluators (:mod:`repro.execmodel.batch`, the ``batch=`` path
-of :meth:`~repro.apps.overflow.OverflowModel.decomposition_sweep`)
-vectorize whole figure axes into array operations.  NumPy is an
-*optional* accelerator for this — ``pip install repro[fast]`` — and its
-absence must degrade gracefully: a batch caller falls back to pricing
-point by point, producing identical results, and the first fallback
-emits a single :class:`~warnings.UserWarning` so slow campaigns are
-explainable without being noisy.
+NumPy is an *optional* accelerator — ``pip install repro[fast]``.  The
+MPI stack's clock vectors (:mod:`repro.mpi.phasec`,
+:func:`repro.mpi.collectives.finish_times`) are numpy arrays when it is
+installed and Python lists otherwise; both containers run the same
+float operations in the same order, so the numbers are identical and
+there is nothing to warn about.  The container is chosen from the
+platform, never by a caller.
 
-This module is the one place that knows whether NumPy is importable;
-everything else asks :data:`HAVE_NUMPY` / :func:`get_numpy` instead of
-importing ``numpy`` directly.  Importing it does not import NumPy: the
-first :func:`get_numpy` call does, so a job that never builds an array
-never pays for the import.
+Everything else asks :data:`HAVE_NUMPY` / :func:`get_numpy` instead of
+importing ``numpy`` directly.  Importing this module does not import
+NumPy: the first :func:`get_numpy` call does, so a job that never
+builds an array never pays for the import.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import warnings
 from typing import Any, Optional
 
-__all__ = ["HAVE_NUMPY", "get_numpy", "reset_fallback_warning",
-           "warn_scalar_fallback"]
+__all__ = ["HAVE_NUMPY", "get_numpy"]
 
 #: Whether ``numpy`` is installed (found, not yet imported).
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 _np: Optional[Any] = None
-
-# Contexts that already warned this process.  Per-context (not one
-# global bool) so the first campaign to fall back cannot swallow the
-# warning a *different* subsystem owes its own users later in the same
-# process — and so warning-capturing tests cannot order-depend.
-_warned: set = set()
 
 
 def get_numpy() -> Optional[Any]:
@@ -45,28 +35,3 @@ def get_numpy() -> Optional[Any]:
 
         _np = numpy
     return _np
-
-
-def reset_fallback_warning(context: Optional[str] = None) -> None:
-    """Re-arm the fallback warning (test hook).
-
-    With no argument every context re-arms; naming one re-arms just it.
-    """
-    if context is None:
-        _warned.clear()
-    else:
-        _warned.discard(context)
-
-
-def warn_scalar_fallback(context: str) -> None:
-    """Warn — once per process *per context* — about a scalar fallback."""
-    if context in _warned:
-        return
-    _warned.add(context)
-    warnings.warn(
-        f"numpy is not installed; {context} falls back to per-point scalar "
-        "evaluation (identical results, slower). Install the 'fast' extra "
-        "(pip install repro[fast]) for vectorized batch evaluation.",
-        UserWarning,
-        stacklevel=3,
-    )

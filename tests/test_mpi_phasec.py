@@ -19,11 +19,11 @@ Five contracts are gated here:
   the trace a length-only stand-in: reading it like a list lowers and
   prices exactly, observing it refuses, the lowered programs match a
   pinned digest, and lowering allocates nothing per rank.
-* **Backend equivalence** — the numpy and scalar pricing backends agree
-  exactly (``TOL = 0.0``) with each other, with the
-  scalar replay, and with the stepped engine, over seeded-random
-  ``(P, nbytes, iters)`` draws; without numpy the scalar backend warns
-  once and produces identical numbers.
+* **Backend equivalence** — pricing on numpy arrays and on Python lists
+  (the container of a numpy-less platform, forced here by hiding
+  numpy from :mod:`repro.mpi.phasec`) agree exactly (``TOL = 0.0``)
+  with each other, with the scalar replay, and with the stepped engine,
+  over seeded-random ``(P, nbytes, iters)`` draws.
 * **Job routing** — ``compiled_mpiexec`` picks the vector path when
   asked, materializes per-rank returns lazily through the replay, and
   memoizes elapsed-only entries; it reads each rank program's source
@@ -58,7 +58,7 @@ from repro.mpi.phasec import (
     price,
 )
 from repro.mpi.runtime import JobResult, MpiJob, mpiexec
-from repro.perf.batch import HAVE_NUMPY, reset_fallback_warning
+from repro.perf.batch import HAVE_NUMPY
 from repro.perf.cache import EvalCache
 
 TOL = 0.0
@@ -68,6 +68,14 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / b if b else abs(a - b)
+
+
+def _on_lists(fn, *args):
+    """``fn(*args)`` with numpy hidden from :mod:`repro.mpi.phasec`, so
+    its clock vector is the list a numpy-less platform prices on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phasec_mod, "get_numpy", lambda: None)
+        return fn(*args)
 
 
 # --------------------------------------------------------------- rank mains
@@ -249,9 +257,9 @@ def test_compressed_pricing_matches_uncompressed():
             * phase.count
         ),
     )
-    assert clocks(rolled, fabric, use_numpy=False) == clocks(
-        unrolled, fabric, use_numpy=False
-    )
+    listed = _on_lists(clocks, rolled, fabric)
+    assert listed == _on_lists(clocks, unrolled, fabric)
+    assert clocks(rolled, fabric) == clocks(unrolled, fabric) == listed
 
 
 # --------------------------------------------------------- lowering refusals
@@ -715,7 +723,7 @@ def test_scalar_price_matches_replay_and_stepped():
         for nbytes in (256, 1 << 20):  # eager and rendezvous regimes
             main = partial(_halo_main, nbytes, 2)
             program = lower(main, 13, fabric=fabric)
-            elapsed = price(program, fabric, use_numpy=False)
+            elapsed = _on_lists(price, program, fabric)
             rep = replay(13, fabric, main)
             des = mpiexec(13, fabric, main)
             assert _rel(elapsed, rep.elapsed) <= TOL
@@ -733,55 +741,16 @@ def test_vector_matches_scalar_random_draws():
             iters = rnd.randrange(1, 4)
             main = partial(_halo_main, nbytes, iters)
             program = lower(main, p, fabric=fabric)
-            vec = clocks(program, fabric, use_numpy=True)
-            scal = clocks(program, fabric, use_numpy=False)
+            vec = clocks(program, fabric)
+            scal = _on_lists(clocks, program, fabric)
             tag = f"P={p} nbytes={nbytes} iters={iters}"
             assert len(vec) == len(scal) == p
             for v, s in zip(vec, scal):
                 assert _rel(v, s) <= TOL, tag
             assert _rel(
-                price(program, fabric, use_numpy=True),
+                price(program, fabric),
                 replay(p, fabric, main).elapsed,
             ) <= TOL, tag
-
-
-def test_scalar_fallback_warns_once_without_numpy(monkeypatch):
-    monkeypatch.setattr(phasec_mod, "get_numpy", lambda: None)
-    program = lower(partial(_halo_main, 256, 1), 8, fabric=host_fabric())
-    reset_fallback_warning()
-    try:
-        with pytest.warns(UserWarning, match="scalar"):
-            demanded = clocks(program, host_fabric(), use_numpy=True)
-        assert demanded == clocks(program, host_fabric(), use_numpy=False)
-    finally:
-        reset_fallback_warning()
-
-
-def test_fallback_warning_gate_is_per_context():
-    # One subsystem tripping the fallback must not swallow the warning
-    # a *different* subsystem owes its users later in the same process —
-    # and re-warning the same context stays silenced until reset.
-    import warnings as _warnings
-
-    from repro.perf.batch import warn_scalar_fallback
-
-    reset_fallback_warning()
-    try:
-        with pytest.warns(UserWarning, match="phase-compiled"):
-            warn_scalar_fallback("phase-compiled job pricing")
-        with pytest.warns(UserWarning, match="batch kernel"):
-            warn_scalar_fallback("batch kernel pricing")  # distinct context
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            warn_scalar_fallback("phase-compiled job pricing")  # silenced
-        reset_fallback_warning("phase-compiled job pricing")
-        with pytest.warns(UserWarning, match="phase-compiled"):
-            warn_scalar_fallback("phase-compiled job pricing")  # re-armed
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            warn_scalar_fallback("batch kernel pricing")  # still silenced
-    finally:
-        reset_fallback_warning()
 
 
 # ---------------------------------------------------------------- routing

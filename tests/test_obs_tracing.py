@@ -241,12 +241,16 @@ class TestInstrumentation:
 
         if not HAVE_NUMPY:
             pytest.skip("OverflowModel datasets need the repro[fast] extra")
+        from functools import partial
+
         from repro.apps.overflow import OverflowModel
+        from repro.core.sweep import decomposition_sweep
         from repro.machine.node import Device
 
         tr = Tracer()
-        ms = OverflowModel().decomposition_sweep(
-            Device.HOST, [(2, 1), (4, 1)], trace=tr
+        model = OverflowModel()
+        ms = decomposition_sweep(
+            partial(model.native_step, Device.HOST), [(2, 1), (4, 1)], trace=tr
         )
         assert len(ms) == 2
         spans = [e for e in tr.events if e.cat == "sweep.point"]
