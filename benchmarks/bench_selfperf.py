@@ -12,8 +12,8 @@ performance trajectory is tracked across changes and diffed by
   reporting the hit rate and the cached-pass speedup.
 * ``fig22`` — the OVERFLOW (I MPI ranks × J OpenMP threads)
   decomposition campaign exactly as ``repro campaign run fig22`` runs
-  it: every point prices the step and its compiled halo+allreduce
-  exchange at I × J ranks, journaled through the campaign runner.
+  it: every point prices the step and its halo+allreduce exchange's
+  phase program at I × J ranks, journaled through the campaign runner.
 * ``engine_storm`` — a spawn/join storm on the raw engine (the O(1)
   process-retirement regression guard).
 * ``cold_start`` — a fresh interpreter imports
@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 # this module, and the engine storm with it, imports without numpy;
 # :func:`run_selfperf` loads them before its first timer.
 from repro.campaign import run_campaign
-from repro.campaign.experiments import build_spec, reset_job_stats
+from repro.campaign.experiments import build_spec
 from repro.core import Evaluator
 from repro.core.report import render_table
 from repro.core.sweep import INFEASIBLE_ERRORS
@@ -151,15 +151,13 @@ def mg_cache_campaign(quick: bool = False) -> Dict[str, Any]:
 
 
 def fig22_campaign(quick: bool = False):
-    """Run the ``fig22`` campaign users run, from a cold job memo.
+    """Run the ``fig22`` campaign users run.
 
     This is :func:`~repro.campaign.experiments.build_spec`'s ``fig22``
     spec — the one ``repro campaign run fig22`` executes — journaled
-    into a throwaway directory.  The fig22 job memo is dropped first, so
-    every run prices from the same cold state.  Returns the
+    into a throwaway directory.  Returns the
     :class:`~repro.campaign.runner.CampaignRun`.
     """
-    reset_job_stats()
     with tempfile.TemporaryDirectory() as tmp:
         return run_campaign(
             build_spec("fig22", quick=quick),

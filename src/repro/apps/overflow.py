@@ -11,7 +11,7 @@ Two layers:
 * :class:`OverflowModel` — the performance model behind Figures 22–23:
   one time step at an (I MPI ranks × J OpenMP threads) decomposition on
   host or Phi (:meth:`~OverflowModel.native_step`, which
-  :func:`repro.core.sweep.decomposition_sweep` sweeps), and symmetric
+  :func:`repro.core.sweep.grid_sweep` sweeps), and symmetric
   host+Phi0+Phi1 execution under both software stacks.
   OVERFLOW "depends on the bandwidth of the memory subsystem"
   (Section 6.9.1.2): the kernel is memory-bound with poor streaming

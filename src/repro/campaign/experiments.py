@@ -53,75 +53,42 @@ def _overflow_model(grid_name: str):
     return OverflowModel(dataset(grid_name))
 
 
-#: Whole-job memo shared by every fig22 exchange probe in this process:
-#: a resumed (or retried) campaign re-prices repeated decompositions as
-#: O(1) cache hits instead of re-running the replay.  Built lazily so
-#: importing this module stays dependency-free.
-_JOB_CACHE: Optional[Any] = None
-
-#: Path counters (``"memo"``/``"replay"``/``"vector"``/``"stepped"`` →
-#: count) for every compiled job this process's campaign points run: the
-#: fig22 exchange probes and the halo rings.  The campaign tests' proof
-#: that a second fig22 pass steps no engine event, and what makes the
-#: halo campaign's stepped attempts (the demo plan's crashes) visible.
+#: Path counters (``"replay"``/``"vector"``/``"stepped"`` → count) for
+#: the halo campaign's rings, attempts that die included: what makes the
+#: demo plan's stepped attempts visible.  fig22 exchange probes price
+#: their phase program directly and never count here.
 JOB_STATS: Dict[str, int] = {}
 
 
 def reset_job_stats() -> None:
-    """Drop the fig22 job memo and the path counters (test hook)."""
-    global _JOB_CACHE
-    _JOB_CACHE = None
+    """Clear the halo path counters (test and benchmark hook)."""
     JOB_STATS.clear()
-
-
-def _job_cache():
-    global _JOB_CACHE
-    if _JOB_CACHE is None:
-        from repro.perf.cache import EvalCache
-
-        _JOB_CACHE = EvalCache()
-    return _JOB_CACHE
-
-
-def _decomp_halo_main(nbytes: int, comm):
-    """The decomposition's communication skeleton: one halo exchange per
-    lattice direction plus the residual allreduce."""
-    right = (comm.rank + 1) % comm.size
-    left = (comm.rank - 1) % comm.size
-    yield from comm.sendrecv(right, left, nbytes=nbytes)
-    yield from comm.sendrecv(left, right, nbytes=nbytes)
-    total = yield from comm.allreduce(comm.rank, nbytes=8)
-    return total
 
 
 def _exchange_probe(device_str: str, i: int, j: int,
                     footprint: float) -> Optional[float]:
     """Price the (i, j) decomposition's halo+allreduce exchange.
 
-    Runs through :func:`~repro.mpi.compile.compiled_mpiexec` against the
-    shared :func:`_job_cache`, so the campaign runner's repeated
-    decompositions (resume passes, retry attempts, shared rank counts)
-    hit the memo in O(1) with zero engine steps.  Which path priced the
-    probe goes to :data:`JOB_STATS`, never into the result: it depends on
-    what this process priced before.  Fault plans stay on the
-    native-step path: the probe always prices the healthy network.
+    The exchange is a fixed phase program at I×J ranks: one ring halo
+    shift per lattice direction plus the residual allreduce, priced by
+    :func:`repro.mpi.phasec.price` with no replay and no engine step.
+    Fault plans stay on the native-step path: the probe always prices
+    the healthy network.
     """
     ranks = i * j
     if ranks < 2:
         return None
-    from repro.mpi.compile import CompileStats, compiled_mpiexec
     from repro.mpi.fabrics import host_fabric, phi_fabric
+    from repro.mpi.phasec import Phase, PhaseProgram, price
 
     fabric = host_fabric() if device_str == "host" else phi_fabric()
     # Halo plane bytes per rank: the footprint sliced across the lattice.
     nbytes = max(64, int(footprint) // (ranks * 64))
-    st = CompileStats()
-    res = compiled_mpiexec(
-        ranks, fabric, partial(_decomp_halo_main, nbytes),
-        cache=_job_cache(), stats=st,
-    )
-    JOB_STATS[st.path] = JOB_STATS.get(st.path, 0) + 1
-    return res.elapsed
+    return price(PhaseProgram(ranks, (
+        Phase("shift", offset=1, nbytes=nbytes),
+        Phase("shift", offset=ranks - 1, nbytes=nbytes),
+        Phase("coll", coll="allreduce", nbytes=8),
+    )), fabric)
 
 
 def fig22_points(quick: bool = False) -> List[Tuple[str, int, int]]:

@@ -14,7 +14,7 @@ propagates.  Resuming a killed sweep is the campaign runner's job too:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import (
     ConfigError,
@@ -133,30 +133,3 @@ def grid_sweep(
     if tr is not None:
         _emit_sweep_trace(tr, trace_name, results)
     return results
-
-
-def decomposition_sweep(
-    run_fn: Callable[[int, int], Measurement],
-    decompositions: Iterable[Tuple[int, int]],
-    skip_infeasible: bool = True,
-    trace: Optional[Tracer] = None,
-    capture_failures: bool = False,
-) -> ResultSet:
-    """(I MPI ranks × J OpenMP threads) sweep (Fig 22's x-axis).
-
-    ``run_fn(i, j)`` prices one decomposition; infeasible points raise
-    one of :data:`INFEASIBLE_ERRORS` and are skipped.
-    """
-    points = list(decompositions)
-    for i, j in points:
-        if i < 1 or j < 1:
-            raise ConfigError(f"invalid decomposition {i}x{j}")
-    return grid_sweep(
-        lambda i, j: run_fn(i, j).with_config(ranks=i, omp_threads=j),
-        points,
-        skip_infeasible=skip_infeasible,
-        trace=trace,
-        trace_name="decomposition",
-        capture_failures=capture_failures,
-    )
-

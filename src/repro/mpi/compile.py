@@ -112,8 +112,13 @@ __all__ = [
 ]
 
 #: Below this rank count the vectorized phase backend is not selected
-#: automatically: numpy dispatch overhead beats the scalar replay's
-#: trampoline on tiny clock vectors (pass ``vector=True`` to force it).
+#: automatically (pass ``vector=True`` to force it).  Pricing alone
+#: would win lower: ``lower`` + ``price`` runs at 0.9–1.3× the replay's
+#: speed at P=16 and 3–5× at P=64 (docs/PERFORMANCE.md §6).  But a
+#: vector-priced result replays the job when its ``returns`` are read,
+#: so a caller that reads them pays ``lower``, ``price`` and the replay:
+#: 1.75–2.1× the replay alone at P=16 and 1.2–1.3× at P=64.  Below 128
+#: the replay, which yields both elapsed and returns, stays the default.
 VECTOR_MIN_RANKS = 128
 
 

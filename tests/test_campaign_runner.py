@@ -11,6 +11,7 @@ The contracts under test are the CI gate's assertions in miniature:
 Everything here is numpy-free: point functions are synthetic.
 """
 
+import hashlib
 import json
 import math
 import shutil
@@ -28,7 +29,7 @@ from repro.campaign import (
 )
 from repro.campaign.queue import execute_point
 from repro.core.results import Failure, Measurement
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, OutOfMemoryError, SimulationError
 from repro.faults.plan import FaultPlan, LinkDegradation, MemoryPressure
 from repro.perf.cache import EvalCache
 
@@ -439,41 +440,67 @@ class TestRetry:
 
 
 # --------------------------------------------------------------------------
-# fig22 exchange probes ride the whole-job memo
+# fig22 exchange probes: the phase program, gated against the stepped engine
 # --------------------------------------------------------------------------
 
 
-class TestFig22JobMemo:
-    def test_second_pass_prices_with_zero_engine_steps(self):
+def _decomp_halo_main(nbytes, comm):
+    """The decomposition's communication skeleton: one halo exchange per
+    lattice direction plus the residual allreduce."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    yield from comm.sendrecv(right, left, nbytes=nbytes)
+    yield from comm.sendrecv(left, right, nbytes=nbytes)
+    total = yield from comm.allreduce(comm.rank, nbytes=8)
+    return total
+
+
+class TestFig22ExchangeProbe:
+    @pytest.mark.parametrize("grid", ["DLRF6-Medium", "DLRF6-Large"])
+    def test_exchange_equals_stepped_engine(self, grid):
         pytest.importorskip("numpy")  # the fig22 dataset layer needs it
         import repro.campaign.experiments as E
+        from repro.mpi.fabrics import host_fabric, phi_fabric
+        from repro.mpi.runtime import MpiJob
+        from repro.simcore import Engine
 
-        # Distinct rank counts (16, 8, 56): same-rank decompositions on
-        # one device share a memo key and would warm-hit pass one.
-        points = [("host", 4, 4), ("host", 2, 4), ("phi0", 4, 14)]
+        footprint = E._overflow_model(grid).grid.footprint
+        checked = 0
+        for pt in E.fig22_points():
+            device, i, j = pt
+            ranks = i * j
+            if ranks < 2:
+                continue
+            got = E._exchange_probe(device, i, j, footprint)
+            try:
+                m = E.fig22_point(grid, pt, None)
+            except OutOfMemoryError:
+                assert grid == "DLRF6-Large" and device == "phi0"
+            else:
+                assert m.config["exchange_elapsed_s"] == got
+            fabric = host_fabric() if device == "host" else phi_fabric()
+            nbytes = max(64, int(footprint) // (ranks * 64))
+            eng = Engine()
+            job = MpiJob(ranks, fabric, engine=eng)
+            job.launch(partial(_decomp_halo_main, nbytes))
+            assert got == job.run().elapsed, pt
+            assert eng.timeline() > 0  # the oracle really stepped
+            checked += 1
+        assert checked == 48
+
+    def test_probes_leave_job_stats_empty(self):
+        pytest.importorskip("numpy")
+        import repro.campaign.experiments as E
+
         E.reset_job_stats()
         try:
-            first = [E.fig22_point("DLRF6-Medium", pt, None) for pt in points]
-            assert E.JOB_STATS.get("stepped", 0) == 0
-            assert E.JOB_STATS.get("memo", 0) == 0
-            assert sum(E.JOB_STATS.values()) == len(points)
-            cold = dict(E.JOB_STATS)
-            second = [E.fig22_point("DLRF6-Medium", pt, None) for pt in points]
-            # Every probe of the second pass is a warm memo hit: no
-            # engine step, no replay, O(1) per decomposition.
-            assert E.JOB_STATS.get("memo", 0) == len(points)
-            assert E.JOB_STATS.get("stepped", 0) == 0
-            for key, n in cold.items():
-                assert E.JOB_STATS.get(key, 0) == n  # cold paths untouched
-            for a, b in zip(first, second):
-                assert a.config["exchange_elapsed_s"] == (
-                    b.config["exchange_elapsed_s"]
-                )
-                assert a.time == b.time  # the probe never touches .time
+            for pt in E.fig22_points(quick=True):
+                E.fig22_point("DLRF6-Medium", pt, None)
+            assert E.JOB_STATS == {}
         finally:
             E.reset_job_stats()
 
-    def test_payload_independent_of_memo_history(self, tmp_path):
+    def test_cold_and_warm_payloads_identical(self, tmp_path):
         pytest.importorskip("numpy")
         import repro.campaign.experiments as E
 
@@ -482,14 +509,39 @@ class TestFig22JobMemo:
             run = run_campaign(spec, str(tmp_path / name))
             return json.dumps(run.results_payload(), sort_keys=True)
 
-        E.reset_job_stats()
-        try:
-            cold = payload("cold.jsonl")
-            warm = payload("warm.jsonl")  # every probe is now a memo hit
-            assert E.JOB_STATS.get("memo", 0) > 0
-            assert cold == warm
-        finally:
-            E.reset_job_stats()
+        E._overflow_model.cache_clear()
+        cold = payload("cold.jsonl")
+        warm = payload("warm.jsonl")  # the dataset model is now cached
+        assert cold == warm
+
+    #: sha256 of each fig22 ``results_payload()``; the exchange probes'
+    #: values are part of the payload, so a drift in any probe moves it.
+    @pytest.mark.parametrize("quick, grid, digest", [
+        pytest.param(
+            True, "DLRF6-Medium",
+            "fd4b1561ab468da2f12e89515c929f179fa9153e408dc68dafdb5ba69e32455e",
+            id="quick-Medium"),
+        pytest.param(
+            True, "DLRF6-Large",
+            "01480e5fefaa13b5ffaee319f486d65706878a933c259b5cf5322214d2e2540c",
+            id="quick-Large"),
+        pytest.param(
+            False, "DLRF6-Medium",
+            "04a2bcd7ab07221806be2f659224a949a46fed71a0ef3d5f32cf2beaec5d5d82",
+            id="full-Medium"),
+        pytest.param(
+            False, "DLRF6-Large",
+            "5a0f952bb72c237d83cf6ba6ebe7827e969d4cc719b750ce8313472c126c4c94",
+            id="full-Large"),
+    ])
+    def test_payload_pinned(self, tmp_path, quick, grid, digest):
+        pytest.importorskip("numpy")
+        import repro.campaign.experiments as E
+
+        spec = E.build_spec("fig22", quick=quick, grid_name=grid)
+        run = run_campaign(spec, str(tmp_path / "j.jsonl"))
+        body = json.dumps(run.results_payload(), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
     def test_trivial_decompositions_carry_no_probe(self):
         pytest.importorskip("numpy")

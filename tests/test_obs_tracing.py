@@ -244,12 +244,12 @@ class TestInstrumentation:
         from functools import partial
 
         from repro.apps.overflow import OverflowModel
-        from repro.core.sweep import decomposition_sweep
+        from repro.core.sweep import grid_sweep
         from repro.machine.node import Device
 
         tr = Tracer()
         model = OverflowModel()
-        ms = decomposition_sweep(
+        ms = grid_sweep(
             partial(model.native_step, Device.HOST), [(2, 1), (4, 1)], trace=tr
         )
         assert len(ms) == 2

@@ -3,14 +3,14 @@
 The self-benchmark itself (``benchmarks/bench_selfperf.py``) times the
 ``fig22`` campaign; these tests pin what it relies on in the library:
 the paper's decomposition grid, campaign-pool payloads identical to
-serial ones, and the compiled exchange priced at every point.
+serial ones, and the exchange priced at every point.
 """
 
 import json
 import os
 
 from repro.campaign import run_campaign
-from repro.campaign.experiments import build_spec, fig22_points, reset_job_stats
+from repro.campaign.experiments import build_spec, fig22_points
 from repro.paperdata import FIG22_OVERFLOW_NATIVE
 
 #: The nine decompositions Fig 22 of the paper plots, pinned literally.
@@ -22,8 +22,7 @@ PAPER_FIG22 = [
 
 
 def _fig22_run(tmp_path, workers=None):
-    """The quick ``fig22`` campaign from a cold job memo."""
-    reset_job_stats()
+    """The quick ``fig22`` campaign."""
     journal = os.path.join(str(tmp_path), f"fig22-{workers}.jsonl")
     return run_campaign(build_spec("fig22", quick=True), journal, workers=workers)
 

@@ -12,11 +12,10 @@ from repro.apps import OverflowModel, dataset
 from repro.core import Evaluator
 from repro.core.sweep import (
     INFEASIBLE_ERRORS,
-    decomposition_sweep,
     grid_sweep,
     message_size_sweep,
 )
-from repro.errors import ConfigError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.machine.node import Device
 from repro.npb.characterization import class_c_kernel
 
@@ -42,21 +41,15 @@ class TestDecompositionSweep:
     CONFIGS = [(16, 1), (8, 2), (4, 4), (2, 8), (1, 16)]
 
     def test_grid_order(self, overflow):
-        rs = decomposition_sweep(
-            partial(overflow.native_step, Device.HOST), self.CONFIGS
-        )
+        rs = grid_sweep(partial(overflow.native_step, Device.HOST), self.CONFIGS)
         assert [(m.config["ranks"], m.config["omp_threads"]) for m in rs] == self.CONFIGS
 
     def test_infeasible_skipped(self, overflow):
         # 32x28 exceeds the Phi's 236 hardware threads -> ConfigError point.
-        rs = decomposition_sweep(
+        rs = grid_sweep(
             partial(overflow.native_step, Device.PHI0), [(8, 28), (32, 28)]
         )
         assert [(m.config["ranks"], m.config["omp_threads"]) for m in rs] == [(8, 28)]
-
-    def test_invalid_decomposition_rejected(self, overflow):
-        with pytest.raises(ConfigError):
-            decomposition_sweep(partial(overflow.native_step, Device.HOST), [(0, 4)])
 
     def test_genuine_bugs_propagate(self):
         # The old bare `except Exception` silently ate everything; only the
@@ -65,7 +58,7 @@ class TestDecompositionSweep:
             raise ValueError("a real bug")
 
         with pytest.raises(ValueError, match="a real bug"):
-            decomposition_sweep(buggy, [(1, 1)])
+            grid_sweep(buggy, [(1, 1)])
 
 
 class TestGridSweep:
