@@ -34,8 +34,9 @@ Campaigns:
   gating bit-identical returns and warm memo hits;
 * the lowering layer alone: :func:`repro.mpi.phasec.lower` of a
   3-iteration ring-shift + allgather job and of the 3-iteration halo
-  job at P=65536 (quick too), best of five each.  Its cost depends on
-  the probe ranks and ops, not on P.  Each point records its phase
+  job at P=65536 (quick too), best of five each.  Both programs keep
+  the rank affine, so each lowers in one symbolic trace and its cost
+  depends on the ops, not on P.  Each point records its phase
   count and the sha256 of the lowered program's ``to_dict()`` JSON,
   which ``benchdiff`` requires to equal the baseline's;
 * the small-collective leg: every collective kind at P ∈ {3, 5, 7}

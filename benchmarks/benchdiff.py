@@ -18,7 +18,8 @@ What is compared per report family:
   halo points' traced-replay wall, the vector points' wall and the
   lowering leg's wall), plus exact equality of each lowered program's
   phase count and sha256 digest.  The vector walls, best of five runs
-  of a few milliseconds, have no floor.  The small-collective leg's summed
+  of a few milliseconds, and the lowering walls, best of five runs of
+  tens of microseconds, have no floor.  The small-collective leg's summed
   per-occurrence µs has its own budget, ``FACTOR`` times the baseline's
   with no floor (its best-of-five sums are milliseconds), and each of
   its points' outcome digests must equal the baseline's.
@@ -156,9 +157,10 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
                 "vector": ("vector",),
                 "lower": ("lower",),
             }.get(family, ("replay", "memo"))
-            # The vector walls are milliseconds, best of five: the
-            # floor would pass a hundredfold regression.
-            floor = 0.0 if family == "vector" else FLOOR_S
+            # The vector and lowering walls are milliseconds or less,
+            # best of five: the floor would pass a thousandfold
+            # regression.
+            floor = 0.0 if family in ("vector", "lower") else FLOOR_S
             for label in labels:
                 d.wall(f"{tag}.{label}.wall", bp[label]["wall"],
                        fp[label]["wall"], floor=floor)
@@ -284,6 +286,19 @@ def test_benchdiff_jobcompile_gates_lowered_output_exactly():
         "jobcompile.lower[P=65536,halo].lower.digest",
     ]
     assert {r[3] for r in rows} == {"value changed"}
+
+
+def test_benchdiff_jobcompile_budgets_the_lowering_leg():
+    def report(wall):
+        point = {"ranks": 65536, "job": "halo", "iters": 3,
+                 "lower": {"wall": wall, "phases": 13, "digest": "ab"}}
+        return {"name": "jobcompile", "halo": {"points": []},
+                "lower": {"points": [point]}}
+
+    assert diff_reports(report(3e-5), report(8e-5), "jobcompile").rows == []
+    rows = diff_reports(report(3e-5), report(3e-4), "jobcompile").rows
+    assert [(r[0], r[3]) for r in rows] == [
+        ("jobcompile.lower[P=65536,halo].lower.wall", "wall > budget 0.000s")]
 
 
 def test_benchdiff_jobcompile_budgets_the_small_leg():

@@ -739,8 +739,9 @@ class RankProgramProfile:
     replayer's dynamic guards stay authoritative either way, because MPI
     traffic hidden in helper functions is invisible to this purely
     structural view.  :func:`repro.mpi.phasec.lower` refuses ``unknown``
-    and ``rank_dependent_flow``, since its probe ranks could miss a
-    branch such as ``if comm.rank == 17``.
+    profiles, and ``rank_dependent_flow`` ones too: a branch such as
+    ``if comm.rank == 17`` would otherwise cost it a trace of every rank
+    only to find the one that diverges.
     """
 
     methods: frozenset = field(default_factory=frozenset)

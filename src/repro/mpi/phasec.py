@@ -8,14 +8,23 @@ straight-line sequence of communication phases, so the per-rank clock
 recurrences collapse into whole-vector updates.  This module lifts a
 recognized rank program into that form:
 
-1. **Lowering** (:func:`lower`).  The rank main is traced against a
-   :class:`_TraceComm` on a handful of probe ranks.  Received payloads
-   and collective results are opaque sentinels that propagate through
+1. **Lowering** (:func:`lower`).  The rank main is traced once against
+   a :class:`_TraceComm` whose ``rank`` is symbolic, which stands for
+   every rank that is not the root of a rooted collective.  The
+   symbolic rank stays in the affine form ``rank + k`` or
+   ``(rank + k) % size`` under ``±int`` and ``% size``, and as a peer
+   that form is one ring offset; any other arithmetic makes it opaque
+   rank-data, which is free while it is only a payload.  When the
+   trace observes the rank (truthiness, indexing, conversion, hashing,
+   formatting) or sinks rank-data into a compute time, size, tag, root
+   or peer, lowering traces every rank concretely instead and stops at
+   the first divergent stream.  Each distinct root gets one concrete
+   trace of its own, which must match.  Received payloads and
+   collective results are opaque sentinels that propagate through
    arithmetic but refuse observation, so any payload-dependent control
-   flow aborts the lowering; the program's static profile
+   flow aborts the lowering, and the program's static profile
    (:func:`repro.analyze.staticcheck.rank_program_profile`) rejects
-   rank-dependent branches outright, and the probe streams must agree
-   op for op once peers are normalized to ring offsets.  The result is a
+   rank-dependent branches outright.  The result is a
    :class:`PhaseProgram` — a tuple of :class:`Phase` records (halo
    shift, collective, compute) with run-length ``count`` compression.
 
@@ -147,7 +156,7 @@ class PhaseProgram:
 
 
 # ==========================================================================
-# Lowering: probe-rank tracing with opaque payloads
+# Lowering: one symbolic-rank trace with opaque payloads
 # ==========================================================================
 
 
@@ -197,7 +206,7 @@ class _OpaqueList:
     allgather, alltoall and gather-at-root hand each rank a P-element
     list of payloads.  Lowering knows none of them, so instead of a
     P-element list of :data:`_OPAQUE` it returns this read-only stand-in
-    holding only ``n``, and tracing a probe rank costs the same at any P.
+    holding only ``n``, and a trace costs the same at any P.
     A program may take its length, index or slice it, or iterate over
     it; every item is :data:`_OPAQUE`.  Anything else — mutation,
     comparison, truthiness, ``+``/``*``, hashing, a named list method —
@@ -250,6 +259,90 @@ class _OpaqueList:
         return f"<opaque list of {self._n}>"
 
 
+class _RankObserved(BaseException):
+    """The symbolic trace observed the rank: :func:`lower` traces every
+    rank concretely instead.
+
+    A ``BaseException`` so a rank program's ``except Exception`` cannot
+    swallow it and carry on down a path that holds for one rank only.
+    """
+
+
+class _RankData:
+    """A value computed from the symbolic rank, not kept affine.
+
+    Arithmetic and comparison give rank-data again, so the value rides
+    along as a payload at no cost.  Observing it — truthiness, indexing,
+    conversion, hashing, iteration, formatting, a named attribute —
+    raises :class:`_RankObserved`, and so does handing it to a compute
+    time, size, tag, root or peer (the trace communicator's sinks).
+    """
+
+    __slots__ = ()
+
+    def _observe(self, *args: Any, **kw: Any) -> Any:
+        raise _RankObserved
+
+    def _derive(self, *args: Any, **kw: Any) -> "_RankData":
+        return _RANK_DATA
+
+    __bool__ = __len__ = __int__ = __float__ = __index__ = _observe
+    __complex__ = __round__ = __trunc__ = __floor__ = __ceil__ = _observe
+    __iter__ = __contains__ = __call__ = __hash__ = _observe
+    __format__ = __str__ = __repr__ = __getitem__ = _observe
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _derive
+    __add__ = __radd__ = __sub__ = __rsub__ = _derive
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _derive
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _derive
+    __divmod__ = __rdivmod__ = __pow__ = __rpow__ = _derive
+    __neg__ = __pos__ = __abs__ = __invert__ = _derive
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _derive
+    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _derive
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise _RankObserved
+
+
+_RANK_DATA = _RankData()
+
+
+class _SymRank(_RankData):
+    """``comm.rank`` in the symbolic trace: ``rank + k``, or
+    ``(rank + k) % size`` once ``ring``.
+
+    ``+``/``-`` of a plain ``int`` shift ``k`` and ``% size`` wraps it
+    onto the ring; every other operation gives :data:`_RANK_DATA`.  As a
+    peer, a ring form, or ``rank`` itself, is the offset ``k`` on every
+    rank at once.
+    """
+
+    __slots__ = ("k", "ring", "size")
+
+    def __init__(self, k: int, ring: bool, size: int):
+        self.k = k
+        self.ring = ring
+        self.size = size
+
+    def __add__(self, other: Any) -> _RankData:  # type: ignore[override]
+        if type(other) is not int or self.ring:
+            return _RANK_DATA
+        return _SymRank(self.k + other, False, self.size)
+
+    __radd__ = __add__  # type: ignore[assignment]
+
+    def __sub__(self, other: Any) -> _RankData:  # type: ignore[override]
+        if type(other) is not int:
+            return _RANK_DATA
+        return self + -other
+
+    def __mod__(self, other: Any) -> _RankData:  # type: ignore[override]
+        if type(other) is not int or other != self.size:
+            return _RANK_DATA
+        return _SymRank(self.k % other, True, self.size)
+
+
 class _TraceEnv:
     """The envelope a traced ``recv`` returns: peers are knowable, the
     payload and every timing attribute are not.  Those are the same on
@@ -293,25 +386,32 @@ class _TraceRequest:
 
 def _as_int(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, _RankData):
+            raise _RankObserved
         raise LowerFallback(f"non-constant {what}")
     return value
 
 
 class _TraceComm(RankComm):
-    """One probe rank's communicator view during lowering.
+    """One traced rank's communicator view during lowering.
 
-    Records a normalized op stream (peers as ring offsets) instead of
-    moving data.  Anything the phase IR cannot express raises
-    :class:`LowerFallback` — mirroring the vocabulary checks of
-    :class:`repro.mpi.compile._ReplayComm`, minus everything that needs
-    a clock.  An out-of-range peer or root raises the
+    ``rank`` is an ``int`` for a concrete trace (a root, or a rank of
+    the every-rank trace) and ``None`` for the symbolic one, which holds
+    a :class:`_SymRank` in its place and takes the non-root side of
+    every rooted collective.  Records a normalized op stream (peers as
+    ring offsets) instead of moving data.  Anything the phase IR cannot
+    express raises :class:`LowerFallback` — mirroring the vocabulary
+    checks of :class:`repro.mpi.compile._ReplayComm`, minus everything
+    that needs a clock.  An out-of-range peer or root raises the
     :class:`~repro.errors.ConfigError` every path raises.
     """
 
     __slots__ = ("rank", "size", "stream", "_fabric", "_n_isend")
 
-    def __init__(self, rank: int, size: int, fabric: Any):
-        self.rank = rank
+    rank: Any
+
+    def __init__(self, rank: Optional[int], size: int, fabric: Any):
+        self.rank = _SymRank(0, False, size) if rank is None else rank
         self.size = size
         self.stream: List[Tuple[Any, ...]] = []
         self._fabric = fabric
@@ -320,9 +420,17 @@ class _TraceComm(RankComm):
     # ------------------------------------------------------------ plumbing
 
     def _offset(self, peer: Any, what: str) -> int:
+        rank = self.rank
+        if type(rank) is _SymRank:
+            if type(peer) is _SymRank and (peer.ring or not peer.k):
+                return peer.k
+            _as_int(peer, what)  # refuses what is not an int on any rank
+            # A constant peer, or ``rank + k`` off the ring, is a
+            # different offset on each rank.
+            raise _RankObserved
         peer = _as_int(peer, what)
         self._check_peer(peer)
-        return (peer - self.rank) % self.size
+        return (peer - rank) % self.size
 
     def fabric(self, peer: int) -> Any:
         return self._fabric
@@ -384,9 +492,9 @@ class _TraceComm(RankComm):
         else goes through :meth:`_offset`, which refuses it or, for an
         ``int`` subclass, normalizes it as ``isend``/``recv`` would.
         """
-        size = self.size
-        if type(dest) is int and 0 <= dest < size:
-            d_off = (dest - self.rank) % size
+        rank, size = self.rank, self.size
+        if type(dest) is int and type(rank) is int and 0 <= dest < size:
+            d_off = (dest - rank) % size
         else:
             d_off = self._offset(dest, "isend dest")
         if type(nbytes) is not int:
@@ -397,8 +505,8 @@ class _TraceComm(RankComm):
             tag = _as_int(tag, "isend tag")
         if source is None:
             raise LowerFallback("wildcard-source recv")
-        if type(source) is int and 0 <= source < size:
-            s_off = (source - self.rank) % size
+        if type(source) is int and type(rank) is int and 0 <= source < size:
+            s_off = (source - rank) % size
         else:
             s_off = self._offset(source, "recv source")
         idx = self._n_isend
@@ -417,6 +525,8 @@ class _TraceComm(RankComm):
         if t is not float and t is not int and (
                 isinstance(seconds, (_Opaque, bool))
                 or not isinstance(seconds, (int, float))):
+            if isinstance(seconds, _RankData):
+                raise _RankObserved
             raise LowerFallback("non-constant compute time")
         if seconds < 0:
             raise LowerFallback("negative compute time")
@@ -434,12 +544,13 @@ class _TraceComm(RankComm):
         value at the root where one is handed back, ``None`` where the
         algorithm returns nothing, opaque data elsewhere (an
         :class:`_OpaqueList` where the result is a P-element list).  So
-        an ``is None`` branch diverges across probes and fails the
-        uniformity check instead of lowering wrongly.
+        an ``is None`` branch diverges between a root's trace and the
+        symbolic one, which is never the root, and fails the uniformity
+        check instead of lowering wrongly.
         """
         if deadline is not None:
             raise LowerFallback("deadline-bounded collective")
-        at_root = self.rank == root
+        at_root = type(self.rank) is int and self.rank == root
         if kind == "alltoall" or (kind == "scatter" and at_root):
             if isinstance(value, _Opaque):
                 raise LowerFallback(f"opaque {kind} values")
@@ -465,7 +576,8 @@ class _TraceComm(RankComm):
         yield  # pragma: no cover - makes _collective() a generator
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<_TraceComm rank {self.rank}/{self.size}>"
+        rank = self.rank if type(self.rank) is int else "symbolic"
+        return f"<_TraceComm rank {rank}/{self.size}>"
 
 
 # ---------------------------------------------------- the static profile
@@ -490,22 +602,14 @@ def rank_program_profile(main: Any) -> Any:
 # ------------------------------------------------------------ the lowering
 
 
-def _probe_ranks(p: int) -> List[int]:
-    """Boundary-heavy probe sample: small ranks, the middle, the top end
-    and power-of-two edges — where tree/fold algorithms change shape."""
-    if p <= 32:
-        return list(range(p))
-    probes = {0, 1, 2, 3, p // 2 - 1, p // 2, p // 2 + 1, p - 3, p - 2, p - 1}
-    k = 4
-    while k < p:
-        probes.add(k - 1)
-        probes.add(k)
-        k <<= 1
-    return sorted(r for r in probes if 0 <= r < p)
+#: The collectives whose root gets a result of another shape.
+_ROOTED = frozenset(("bcast", "reduce", "gather", "scatter"))
 
 
-def _trace_rank(main: Any, rank: int, size: int,
+def _trace_rank(main: Any, rank: Optional[int], size: int,
                 fabric: Any) -> List[Tuple[Any, ...]]:
+    """The op stream of ``main`` on ``rank``, or with ``rank=None`` on
+    every rank that is not a root, traced symbolically."""
     comm = _TraceComm(rank, size, fabric)
     gen = main(comm)
     if not hasattr(gen, "send"):
@@ -517,6 +621,16 @@ def _trace_rank(main: Any, rank: int, size: int,
     raise LowerFallback(
         f"unsupported engine command: {type(cmd).__name__}"
     )
+
+
+def _trace_every_rank(main: Any, size: int,
+                      fabric: Any) -> List[Tuple[Any, ...]]:
+    """Rank 0's op stream, once every rank has traced to the same one."""
+    base = _trace_rank(main, 0, size, fabric)
+    for rank in range(1, size):
+        if _trace_rank(main, rank, size, fabric) != base:
+            raise LowerFallback("rank-divergent op stream")
+    return base
 
 
 def _assemble(stream: List[Tuple[Any, ...]], p: int) -> Tuple[Phase, ...]:
@@ -563,9 +677,16 @@ def _assemble(stream: List[Tuple[Any, ...]], p: int) -> Tuple[Phase, ...]:
 def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
     """Lower rank program ``main`` to a :class:`PhaseProgram`.
 
+    One symbolic trace stands for every rank that is not a root; each
+    distinct root of a rooted collective adds one concrete trace, which
+    must record the same stream.  A trace that observes the rank (or
+    sinks a value computed from it into a time, size, tag, root or
+    peer) is redone concretely on every rank, up to the first that
+    diverges, so lowering is exact at any P and costs O(P) only then.
+
     Raises :class:`LowerFallback` when the program is not expressible —
-    payload-dependent flow, rank-dependent branches, non-uniform op
-    streams across the probe ranks, or any construct outside the
+    payload-dependent flow, rank-dependent branches, op streams that
+    differ between ranks, or any construct outside the
     shift/collective/compute vocabulary.  ``fabric`` is only handed back
     to programs that call ``comm.fabric(...)`` for constants; lowering
     itself is fabric-independent.
@@ -576,18 +697,24 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
     if profile.unknown:
         raise LowerFallback("source unavailable")
     if profile.rank_dependent_flow:
-        # Probe tracing only samples a few ranks; a branch like
-        # ``if comm.rank == 17`` diverges on exactly one.
+        # A branch on the rank almost always makes the streams diverge;
+        # refusing it here spares the every-rank trace.
         raise LowerFallback("rank-dependent control flow")
-    probes = _probe_ranks(n_ranks)
-    base = _trace_rank(main, probes[0], n_ranks, fabric)
-    roots = {op[3] for op in base if op[0] == "coll"}
-    for extra in sorted(roots - set(probes)):
-        probes.append(extra)
-    for rank in probes[1:]:
-        if _trace_rank(main, rank, n_ranks, fabric) != base:
-            raise LowerFallback("rank-divergent op stream")
-    return PhaseProgram(n_ranks=n_ranks, phases=_assemble(base, n_ranks))
+    try:
+        stream = _trace_rank(main, None, n_ranks, fabric)
+    except LowerFallback:
+        raise
+    except (_RankObserved, Exception):
+        # Exception too: a symbolic rank can fail where an int does not
+        # (an operator it lacks), and the concrete traces re-raise any
+        # error the program really makes.
+        stream = _trace_every_rank(main, n_ranks, fabric)
+    else:
+        roots = {op[3] for op in stream if op[0] == "coll" and op[1] in _ROOTED}
+        for root in sorted(roots):
+            if _trace_rank(main, root, n_ranks, fabric) != stream:
+                raise LowerFallback("rank-divergent op stream")
+    return PhaseProgram(n_ranks=n_ranks, phases=_assemble(stream, n_ranks))
 
 
 # ==========================================================================

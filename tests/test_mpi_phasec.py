@@ -1,6 +1,6 @@
 """Phase compilation (:mod:`repro.mpi.phasec`) and its job integration.
 
-Five contracts are gated here:
+Six contracts are gated here:
 
 * **IR integrity** — :class:`~repro.mpi.phasec.PhaseProgram` round-trips
   through ``to_dict``/``from_dict``, run-length-compresses repeated
@@ -15,6 +15,11 @@ Five contracts are gated here:
   the same messages; selection-level
   vetoes (fault plans, time-varying fabrics) route the whole job to the
   stepped engine, and a tracer routes it to the scalar replay.
+* **One trace for every rank** — a program whose rank stays affine
+  lowers in one symbolic trace plus one per distinct root; one that
+  observes its rank is traced on every rank; a single divergent rank
+  at P=256 refuses the lowering and replays exactly; and over a table
+  of peer expressions the symbolic lowering equals the rank-by-rank one.
 * **List-valued results** — allgather, alltoall and gather-at-root hand
   the trace a length-only stand-in: reading it like a list lowers and
   prices exactly, observing it refuses, the lowered programs match a
@@ -140,6 +145,15 @@ def _hub_main(comm):
     env = yield from comm.recv(0)
     yield from req.wait()
     return env.payload
+
+
+def _root_result_main(comm):
+    """Only the reduce's root skips the compute: no branch names the
+    rank, but the root's stream differs from every other rank's."""
+    out = yield from comm.reduce(1.0, root=3)
+    if out is None:
+        yield from comm.compute(1e-6)
+    return out
 
 
 #: The collectives a perfsuite-shaped program may end an iteration with.
@@ -274,6 +288,7 @@ def test_compressed_pricing_matches_uncompressed():
         (_blocking_send_main, "blocking send"),
         (_irecv_main, "irecv"),
         (_hub_main, "rank-divergent op stream"),
+        (_root_result_main, "rank-divergent op stream"),
     ),
 )
 def test_lower_refuses(main, needle):
@@ -284,6 +299,167 @@ def test_lower_refuses(main, needle):
 def test_lower_refuses_trivial_jobs():
     with pytest.raises(LowerFallback, match="P < 2"):
         lower(partial(_halo_main, 64, 1), 1, fabric=host_fabric())
+
+
+# ------------------------------------------ one symbolic trace for all ranks
+
+
+def _rank37_compute_main(comm):
+    """A straggler no branch reveals: rank 37 computes 1 ms."""
+    yield from comm.compute(1e-3 * (comm.rank == 37))
+    yield from comm.allreduce(0.0, nbytes=8)
+
+
+def _indexed_compute_main(skews, comm):
+    yield from comm.compute(skews[comm.rank])
+    yield from comm.allreduce(0.0, nbytes=8)
+
+
+def _rank37_message_main(comm):
+    """Rank 37 sends 1 MiB more than every other rank."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    yield from comm.sendrecv(right, left,
+                             nbytes=64 + (1 << 20) * (comm.rank == 37))
+    yield from comm.allreduce(0.0, nbytes=8)
+
+
+def _swallowed_rank_main(comm):
+    """Reads the rank behind ``except Exception``: the symbolic trace's
+    observation must not be swallowed."""
+    try:
+        rank = int(comm.rank)
+    except Exception:
+        rank = 0
+    yield from comm.compute(1e-3 * (rank == 37))
+    yield from comm.allreduce(0.0, nbytes=8)
+
+
+_SLOW_37 = tuple(1e-3 if r == 37 else 0.0 for r in range(256))
+
+#: Programs whose rank-37 op differs from every other rank's, where no
+#: branch on the rank shows it to the static veto.
+_RANK37_MAINS = {
+    "compute-of-a-comparison": _rank37_compute_main,
+    "compute-indexed-by-rank": partial(_indexed_compute_main, _SLOW_37),
+    "message-size": _rank37_message_main,
+    "rank-read-behind-except": _swallowed_rank_main,
+}
+
+
+@pytest.mark.parametrize("main", _RANK37_MAINS.values(),
+                         ids=_RANK37_MAINS.keys())
+def test_one_ranks_divergence_is_priced_exactly(main):
+    """At P=256 one divergent rank, which no branch on the rank shows
+    to the static veto, must refuse the lowering and replay."""
+    st = CompileStats()
+    res = compiled_mpiexec(256, host_fabric(), main, stats=st)
+    assert st.path == "replay", (st.path, st.reason)
+    assert res.elapsed == _stepped(256, host_fabric(), main).elapsed
+
+
+def _count_traces(monkeypatch):
+    """Record the ``rank`` of every trace lowering makes (``None`` for
+    the symbolic one)."""
+    ranks = []
+    real = phasec_mod._trace_rank
+
+    def counting(main, rank, size, fabric):
+        ranks.append(rank)
+        return real(main, rank, size, fabric)
+
+    monkeypatch.setattr(phasec_mod, "_trace_rank", counting)
+    return ranks
+
+
+@pytest.mark.parametrize("p", (128, 65536, 1 << 20))
+def test_affine_program_traces_once(monkeypatch, p):
+    main = partial(_shift_coll_main, "allreduce", 64, 3)
+    lower(main, 8)  # warm the static-veto memo
+    ranks = _count_traces(monkeypatch)
+    program = lower(main, p)
+    assert ranks == [None]
+    assert program.phases[0] == Phase(kind="shift", offset=1, nbytes=64)
+
+
+def _rooted_main(kind, roots, comm):
+    for root in roots:
+        yield from comm.compute(1e-6)
+        if kind == "scatter":
+            yield from comm.scatter(list(range(comm.size)), root=root)
+        else:
+            yield from getattr(comm, kind)(comm.rank, root=root)
+
+
+@pytest.mark.parametrize("kind", ("bcast", "reduce", "gather", "scatter"))
+def test_each_distinct_root_adds_one_trace(monkeypatch, kind):
+    main = partial(_rooted_main, kind, (5, 0, 5, 127))
+    ranks = _count_traces(monkeypatch)
+    program = lower(main, 128, fabric=phi_fabric(2))
+    assert ranks == [None, 0, 5, 127]
+    assert price(program, phi_fabric(2)) == replay(128, phi_fabric(2),
+                                                   main).elapsed
+
+
+def test_rank_indexed_program_traces_every_rank(monkeypatch):
+    """Indexing by the rank observes it: every rank is traced, and a
+    flat table still lowers."""
+    main = partial(_indexed_compute_main, (2e-6,) * 40)
+    ranks = _count_traces(monkeypatch)
+    program = lower(main, 40, fabric=host_fabric())
+    assert ranks == [None] + list(range(40))
+    assert program.phases == (
+        Phase(kind="compute", seconds=2e-6),
+        Phase(kind="coll", coll="allreduce", nbytes=8),
+    )
+
+
+def _peer_main(dest_of, source_of, comm):
+    """One exchange: send to ``dest_of(rank, size)``, receive from
+    ``source_of(rank, size)``."""
+    dest = dest_of(comm.rank, comm.size)
+    source = source_of(comm.rank, comm.size)
+    yield from comm.sendrecv(dest, source, nbytes=64, payload=comm.rank * 2)
+    yield from comm.allreduce(comm.rank, nbytes=8)
+
+
+#: (dest, source) expressions: the affine forms lower from the symbolic
+#: trace, the others through every rank's own trace.
+_PEERS = {
+    "rank+3": (lambda r, p: (r + 3) % p, lambda r, p: (r - 3) % p),
+    "rank-5+size": (lambda r, p: (r - 5 + p) % p, lambda r, p: (r + 5) % p),
+    "int+rank": (lambda r, p: (3 + r) % p, lambda r, p: (r + p - 3) % p),
+    "self": (lambda r, p: r % p, lambda r, p: r),
+    "off-the-ring": (lambda r, p: r + 1, lambda r, p: r - 1),
+    "half-ring": (lambda r, p: (r + p // 2) % p, lambda r, p: (r - p // 2) % p),
+    "ring-minus-1": (lambda r, p: (r + 1) % p - 1, lambda r, p: (r + 1) % p - 1),
+    "ring-mod-2": (lambda r, p: (r + 1) % 2, lambda r, p: (r - 1) % 2),
+    "mod-2size": (lambda r, p: (r + 1) % (2 * p), lambda r, p: (r - 1) % p),
+    "double": (lambda r, p: (2 * r) % p, lambda r, p: (2 * r) % p),
+    "xor-partner": (lambda r, p: r ^ 1, lambda r, p: r ^ 1),
+    "mirror": (lambda r, p: p - 1 - r, lambda r, p: p - 1 - r),
+}
+
+
+def _lower_rank_by_rank(main, p):
+    """The lowering every rank's own concrete trace gives, or the type
+    of the error it raises."""
+    try:
+        stream = phasec_mod._trace_every_rank(main, p, None)
+        return PhaseProgram(p, phasec_mod._assemble(stream, p))
+    except (LowerFallback, ConfigError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("peers", _PEERS.values(), ids=_PEERS.keys())
+@pytest.mark.parametrize("p", (2, 12))
+def test_symbolic_rank_lowers_as_every_rank_does(peers, p):
+    main = partial(_peer_main, *peers)
+    try:
+        got = lower(main, p)
+    except (LowerFallback, ConfigError) as exc:
+        got = type(exc)
+    assert got == _lower_rank_by_rank(main, p)
 
 
 # ------------------------------------------- the trace communicator's ops
