@@ -18,10 +18,13 @@ Campaigns:
   P ∈ {64, 1024, 16384} (quick: {64, 256}), gating the headline claim:
   at P=16384 the replay agrees with the stepped engine to 1e-9 while
   running ≥ 20x faster — and at *every* P the replay beats the stepped
-  wall (the small-P crossover gate).  Each point also replays the job
-  under a :class:`~repro.obs.Tracer` and records its wall and
-  ``trace_overhead`` (traced ÷ untraced replay wall, both uncached,
-  each the best of three runs); its elapsed must equal the untraced
+  wall (the small-P crossover gate).  Each point also runs the job
+  under a :class:`~repro.obs.Tracer` and records its wall, its path,
+  its event count and ``trace_overhead`` (traced wall ÷ untraced
+  replay wall, both uncached, each the best of five runs).  The traced
+  job must take the path the selection rule names (:func:`traced_path`:
+  the vector path from ``TRACED_VECTOR_MIN_RANKS`` up where the run had
+  numpy, else the replay), and its elapsed must equal the untraced
   replay's;
 * the vector path at P ∈ {4096, 65536, 65537, 100000} (quick: {4096}),
   gating ≤ 1e-9 agreement with the stepped engine at P=4096, ≥ 100x over
@@ -80,7 +83,7 @@ VECTOR_SPEEDUP_MIN = 100.0
 VECTOR_WALL_CEILING_S = 10.0
 #: Runs on each side of a halo point's ``trace_overhead``; each side
 #: keeps its best.
-TRACE_REPEATS = 3
+TRACE_REPEATS = 5
 HALO_NBYTES = 4096
 HALO_ITERS = 2
 NPB_RANKS = (4, 8)
@@ -128,6 +131,16 @@ def _allgather_main(nbytes, iters, comm):
 #: The lowering leg's jobs: a list-valued collective, and two
 #: ``sendrecv`` shifts per iteration.
 LOWER_JOBS = {"allgather": _allgather_main, "halo": _halo_main}
+
+
+def traced_path(p: int, have_numpy: bool) -> str:
+    """The path :func:`~repro.mpi.compile.compiled_mpiexec` names for
+    the traced halo job, which lowers at any P, at ``p`` ranks on a
+    platform with or without numpy."""
+    from repro.mpi.compile import TRACED_VECTOR_MIN_RANKS
+
+    return ("vector" if have_numpy and p >= TRACED_VECTOR_MIN_RANKS
+            else "replay")
 
 
 def _same(a: Any, b: Any) -> bool:
@@ -454,6 +467,8 @@ def run_jobcompile(
 def check_report(report: Dict[str, Any]) -> List[str]:
     """The regression gates; returns a list of violations (empty = pass)."""
     bad: List[str] = []
+    # The vector campaign runs only where numpy is importable.
+    have_numpy = "vector" in report
     for pt in report["halo"]["points"]:
         tag = f"halo P={pt['ranks']}"
         if pt["stepped"]["engine_steps"] <= 0:
@@ -470,8 +485,10 @@ def check_report(report: Dict[str, Any]) -> List[str]:
             if r["engine_steps"] != 0:
                 bad.append(f"{tag}: {label} stepped {r['engine_steps']} events")
         traced = pt["traced"]
-        if traced["path"] != "replay":
-            bad.append(f"{tag}: traced job ran via {traced['path']!r}")
+        want = traced_path(pt["ranks"], have_numpy)
+        if traced["path"] != want:
+            bad.append(f"{tag}: traced job ran via {traced['path']!r}, not "
+                       f"{want!r}")
         if traced["elapsed"] != pt["replay"]["elapsed"]:
             bad.append(f"{tag}: traced elapsed {traced['elapsed']!r} != "
                        f"replay {pt['replay']['elapsed']!r}")
@@ -548,7 +565,8 @@ def render_report(report: Dict[str, Any]) -> str:
                      f"{t['elapsed']:>12.4e} {0:>7} {'-':>8}")
         lines.append(f"{'':>16} replay speedup: "
                      f"{pt['replay']['speedup']:.1f}x, trace overhead "
-                     f"{t['trace_overhead']:.2f}x ({t['events']} events)")
+                     f"{t['trace_overhead']:.2f}x ({t['events']} events, "
+                     f"traced via {t['path']})")
     for pt in report.get("vector", {}).get("points", ()):
         tag = f"vector P={pt['ranks']}"
         if "stepped" in pt:

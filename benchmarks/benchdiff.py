@@ -15,11 +15,13 @@ What is compared per report family:
   loaded must equal the baseline's list.
 * **jobcompile** — every gate of ``bench_jobcompile.check_report`` on
   the fresh report, plus per-point replay/memo wall budgets (and the
-  halo points' traced-replay wall, the vector points' wall and the
-  lowering leg's wall), plus exact equality of each lowered program's
-  phase count and sha256 digest.  The vector walls, best of five runs
-  of a few milliseconds, and the lowering walls, best of five runs of
-  tens of microseconds, have no floor.  The small-collective leg's summed
+  halo points' traced wall, the vector points' wall and the lowering
+  leg's wall), plus exact equality of each lowered program's phase
+  count and sha256 digest.  The traced walls, best of five runs from
+  a few milliseconds up, the vector walls, best of five runs of a few
+  milliseconds, and the lowering walls, best of five runs of tens of
+  microseconds, have no floor.  Walls print in s, ms or µs, whichever
+  shows their digits.  The small-collective leg's summed
   per-occurrence µs has its own budget, ``FACTOR`` times the baseline's
   with no floor (its best-of-five sums are milliseconds), and each of
   its points' outcome digests must equal the baseline's.
@@ -43,6 +45,19 @@ from typing import Any, Dict, List, Optional
 FACTOR = 3.0
 FLOOR_S = 1.0
 
+#: Seconds per unit of a wall a report records.
+_UNIT_S = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
+
+
+def _fmt_wall(seconds: float) -> str:
+    """A wall in the unit that shows its digits: s from 1 s, ms from
+    1 ms, else µs."""
+    if seconds >= 1.0:
+        return f"{seconds:.3f}s"
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:.1f}ms"
+    return f"{seconds * 1e6:.1f}µs"
+
 
 class Diff:
     """Collects point-by-point violations and renders them as a table."""
@@ -52,11 +67,14 @@ class Diff:
 
     def wall(self, point: str, base: float, fresh: float,
              floor: float = FLOOR_S, unit: str = "s") -> None:
+        """Budget ``fresh`` at ``max(floor, FACTOR * base)``, all three
+        in ``unit`` (a key of ``_UNIT_S``)."""
         budget = max(floor, FACTOR * base)
         if fresh > budget:
+            scale = _UNIT_S[unit]
             self.rows.append(
-                (point, f"{base:.3f}{unit}", f"{fresh:.3f}{unit}",
-                 f"wall > budget {budget:.3f}{unit}")
+                (point, _fmt_wall(base * scale), _fmt_wall(fresh * scale),
+                 f"wall > budget {_fmt_wall(budget * scale)}")
             )
 
     def exact(self, point: str, base: Any, fresh: Any) -> None:
@@ -157,11 +175,12 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
                 "vector": ("vector",),
                 "lower": ("lower",),
             }.get(family, ("replay", "memo"))
-            # The vector and lowering walls are milliseconds or less,
-            # best of five: the floor would pass a thousandfold
-            # regression.
-            floor = 0.0 if family in ("vector", "lower") else FLOOR_S
+            # The vector, lowering and traced walls are best of five,
+            # and milliseconds or less at small P: the floor would pass
+            # a thousandfold regression.
             for label in labels:
+                floor = (0.0 if family in ("vector", "lower")
+                         or label == "traced" else FLOOR_S)
                 d.wall(f"{tag}.{label}.wall", bp[label]["wall"],
                        fp[label]["wall"], floor=floor)
             if family == "lower":
@@ -272,6 +291,38 @@ def test_benchdiff_jobcompile_budgets_the_traced_leg():
     assert [r[0] for r in rows] == ["jobcompile.halo[P=16384].traced.wall"]
 
 
+def test_benchdiff_jobcompile_traced_leg_has_no_floor():
+    """The traced leg is best of five, milliseconds at P=64: a tenfold
+    slowdown fails although it stays under a second."""
+    def report(traced_wall):
+        leg = {"wall": 1e-3, "elapsed": 1e-3, "path": "replay",
+               "engine_steps": 0, "rel_err": 0.0, "identical_returns": True,
+               "speedup": 50.0}
+        point = {
+            "ranks": 8,
+            "stepped": {"wall": 0.05, "elapsed": 1e-3, "engine_steps": 9},
+            "replay": leg, "memo": dict(leg, path="memo"),
+            "traced": {"wall": traced_wall, "untraced_wall": 1e-3,
+                       "elapsed": 1e-3, "path": "replay", "events": 1,
+                       "trace_overhead": 2.0},
+        }
+        return {"name": "jobcompile", "halo": {"points": [point]}}
+
+    assert diff_reports(report(2e-3), report(5e-3), "jobcompile").rows == []
+    rows = diff_reports(report(2e-3), report(2e-2), "jobcompile").rows
+    assert [(r[0], r[3]) for r in rows] == [
+        ("jobcompile.halo[P=8].traced.wall", "wall > budget 6.0ms")]
+
+
+def test_benchdiff_walls_print_in_their_unit():
+    assert [_fmt_wall(w) for w in (2.5, 0.0125, 3e-5, 0.0)] == [
+        "2.500s", "12.5ms", "30.0µs", "0.0µs"]
+    d = Diff()
+    d.wall("small.us", 10.0, 40.0, floor=0.0, unit="us")
+    assert d.rows == [("small.us", "10.0µs", "40.0µs",
+                       "wall > budget 30.0µs")]
+
+
 def test_benchdiff_jobcompile_gates_lowered_output_exactly():
     def report(digest, phases=9):
         point = {"ranks": 65536, "job": "halo", "iters": 3,
@@ -298,7 +349,8 @@ def test_benchdiff_jobcompile_budgets_the_lowering_leg():
     assert diff_reports(report(3e-5), report(8e-5), "jobcompile").rows == []
     rows = diff_reports(report(3e-5), report(3e-4), "jobcompile").rows
     assert [(r[0], r[3]) for r in rows] == [
-        ("jobcompile.lower[P=65536,halo].lower.wall", "wall > budget 0.000s")]
+        ("jobcompile.lower[P=65536,halo].lower.wall", "wall > budget 90.0µs")]
+    assert rows[0][1:3] == ("30.0µs", "300.0µs")
 
 
 def test_benchdiff_jobcompile_budgets_the_small_leg():
@@ -327,7 +379,7 @@ def test_benchdiff_jobcompile_budgets_the_vector_legs():
     assert diff_reports(report(0.006), report(0.017), "jobcompile").rows == []
     rows = diff_reports(report(0.006), report(0.06), "jobcompile").rows
     assert [(r[0], r[3]) for r in rows] == [
-        ("jobcompile.vector[P=65537].vector.wall", "wall > budget 0.018s")]
+        ("jobcompile.vector[P=65537].vector.wall", "wall > budget 18.0ms")]
 
 
 def test_benchdiff_passes_the_committed_reports():
@@ -350,7 +402,7 @@ def test_benchdiff_selfperf_budgets_the_cold_start():
     assert diff_reports(base, base, "selfperf").rows == []
     rows = diff_reports(base, slow, "selfperf").rows
     assert [(r[0], r[3]) for r in rows] == [
-        ("selfperf.cold_start.wall_s", "wall > budget 0.450s")]
+        ("selfperf.cold_start.wall_s", "wall > budget 450.0ms")]
     rows = diff_reports(base, heavier, "selfperf").rows
     assert [(r[0], r[3]) for r in rows] == [
         ("selfperf.cold_start.modules", "value changed")]

@@ -22,7 +22,8 @@ This module compiles them instead, in four stages:
    the one compiled entry; ``MpiJob(...).run()`` always steps.
 
 2. **Vectorized phase pricing.**  When numpy is available and the job is
-   large enough (``n_ranks >= VECTOR_MIN_RANKS``, or ``vector=True``),
+   large enough (``n_ranks >= VECTOR_MIN_RANKS``, traced
+   ``n_ranks >= TRACED_VECTOR_MIN_RANKS``, or ``vector=True``),
    :mod:`repro.mpi.phasec` first tries to lower the rank program to a
    :class:`~repro.mpi.phasec.PhaseProgram` and price it with one
    whole-vector max-plus update per communication phase — O(phases)
@@ -74,15 +75,20 @@ Jobs that carry a verifier or a windowed or crashing fault plan, or
 that run on a resolver or time-varying fabric, never enter the replay:
 they go straight to the stepped engine.
 
-A job with an active tracer skips the memo and the vector path, which
-keep no per-op clocks, and always runs the scalar replay.  There is one
-replay communicator: traced, it also records the stepped engine's
-``mpi.rank``, ``mpi.p2p``, ``mpi.coll`` and ``app.phase`` spans from
-the replay's per-rank clocks, and under a static fault plan the
-``fault.<kind>`` start instants the stepped injectors emit at t=0.  The
-events are held back until the replay succeeds, so a job that falls
-back leaves the tracer to the stepped run alone.  Untraced, it builds
-no span at all.
+A job with an active tracer skips the memo.  With numpy, no fault plan
+and at least ``TRACED_VECTOR_MIN_RANKS`` ranks it takes the vector path
+when its program lowers (``lower(..., traced=True)``, which refuses
+``comm.phase``): :func:`~repro.mpi.phasec.record` prices it keeping
+every step's clocks, and :func:`emit_trace` writes its spans from them.
+Otherwise it runs the scalar replay.  There is one replay communicator:
+traced, it also records the stepped engine's ``mpi.rank``,
+``mpi.p2p``, ``mpi.coll`` and ``app.phase`` spans from the replay's
+per-rank clocks, and under a static fault plan the ``fault.<kind>``
+start instants the stepped injectors emit at t=0.  The events are held
+back until the replay succeeds, so a job that falls back leaves the
+tracer to the stepped run alone.  Untraced, it builds no span at all.
+Both writers order a trace rank by rank, each rank in program order,
+so the two paths give the same bytes for the same job.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (Any, Callable, DefaultDict, Deque, Dict, Generator, List,
                     Optional, Tuple)
 
@@ -98,16 +105,18 @@ from repro.mpi.api import RankComm
 from repro.mpi.collectives import _Wires, check_call, finish_times, fold_values
 from repro.mpi.fabrics import Fabric
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
-from repro.mpi.phasec import lower, price, rank_program_profile
+from repro.mpi.phasec import (ClockRecord, lower, price, rank_program_profile,
+                               record)
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
 from repro.obs.tracer import NULL_CONTEXT, TraceEvent, Tracer, active
-from repro.perf.batch import HAVE_NUMPY
+from repro.perf.batch import HAVE_NUMPY, get_numpy
 from repro.simcore import Engine, Timeout
 
 __all__ = [
     "CompileStats",
     "ReplayFallback",
     "compiled_mpiexec",
+    "emit_trace",
     "replay",
 ]
 
@@ -120,6 +129,13 @@ __all__ = [
 #: 1.75–2.1× the replay alone at P=16 and 1.2–1.3× at P=64.  Below 128
 #: the replay, which yields both elapsed and returns, stays the default.
 VECTOR_MIN_RANKS = 128
+
+#: A traced job prices on the vector path from this rank count up: the
+#: traced replay builds every span in its trampoline, while ``lower`` +
+#: ``record`` + :func:`emit_trace` builds them in one pass over the
+#: clock record, and wins from here even when ``returns`` are read
+#: (docs/PERFORMANCE.md, "Traced jobs").
+TRACED_VECTOR_MIN_RANKS = 64
 
 
 class ReplayFallback(Exception):
@@ -347,7 +363,7 @@ class _ReplayComm(RankComm):
     """
 
     __slots__ = ("_job", "rank", "size", "_coll_seq", "_factor", "_trace",
-                 "_tid", "_depth")
+                 "_events", "_tid", "_depth")
 
     def __init__(self, job: "_ReplayJob", rank: int):
         self._job = job
@@ -355,8 +371,11 @@ class _ReplayComm(RankComm):
         self.size = job.size
         self._coll_seq = 0
         self._factor = 1.0 if job.factors is None else job.factors[rank]
-        self._trace = job.trace
-        self._tid = "" if job.trace is None else f"rank{rank}"
+        self._trace = trace = job.trace
+        if trace is not None:
+            self._tid = f"rank{rank}"
+            #: This rank's spans, in program order (its block of the trace).
+            self._events = trace.events[rank]
         self._depth = 1  # the rank's lifetime span sits at depth 0
 
     # ------------------------------------------------------------ plumbing
@@ -376,10 +395,10 @@ class _ReplayComm(RankComm):
     def _span(self, name: str, cat: str, ts: float,
               args: Optional[Dict[str, Any]]) -> None:
         """Record a span from ``ts`` to this rank's clock."""
-        trace, end = self._trace, self._job.clocks[self.rank]
-        trace.events.append(TraceEvent(
-            "X", name, cat, trace.pid, self._tid, ts, max(0.0, end - ts),
-            args, self._depth,
+        end = self._job.clocks[self.rank]
+        self._events.append(TraceEvent(
+            "X", name, cat, self._trace.pid, self._tid, ts,
+            max(0.0, end - ts), args, self._depth,
         ))
 
     # ------------------------------------------------------- point-to-point
@@ -478,13 +497,15 @@ class _ReplayComm(RankComm):
 
     def _trace_isend(self, ts: float, ready: Optional[float],
                      env: _REnv) -> None:
-        """Note an isend for its ``.nb`` lane span, built at flush."""
+        """Record an isend's ``.nb`` lane span in program order; its
+        end and depth are set at flush (:meth:`_ReplayTrace.flush`)."""
         trace = self._trace
         trace.messages.append((self.rank, env.dest, env.nbytes))
-        trace.nb_sends[self.rank].append(
-            (f"send->{env.dest}", ts, ready, env,
-             {"nbytes": env.nbytes, "tag": env.tag})
-        )
+        span = TraceEvent("X", f"send->{env.dest}", "mpi.p2p", trace.pid,
+                          f"{self._tid}.nb", ts, 0.0,
+                          {"nbytes": env.nbytes, "tag": env.tag})
+        self._events.append(span)
+        trace.nb_sends[self.rank].append((span, ready, env))
 
     def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
                  payload: Any = None) -> Generator:
@@ -647,6 +668,12 @@ class _ReplayTrace:
     nothing reaches the tracer before :meth:`flush`.  A static fault
     plan's link and straggler faults open at t=0 and never close, so
     their ``start`` instants are known before the job runs.
+
+    The trace is written rank by rank: the plan's instants, then for
+    each rank its ``mpi.rank`` lifetime span and its spans in program
+    order, each where the rank recorded it.  The order
+    depends on no other rank, so :func:`emit_trace` writes the same
+    bytes from a vector-priced job's clock record.
     """
 
     __slots__ = ("tracer", "pid", "instants", "events", "messages",
@@ -662,56 +689,144 @@ class _ReplayTrace:
                        "plan", 0.0, args={"fault": f.label, "edge": "start"})
             for f in plan.link_faults + plan.stragglers
         ]
-        #: The spans the ranks recorded, in recording order.
-        self.events: List[TraceEvent] = []
+        #: Per rank, the spans it recorded, in recording order.
+        self.events: List[List[TraceEvent]] = [[] for _ in range(size)]
         self.messages: List[Tuple[int, int, int]] = []
-        #: Per rank, in post order: (name, post time, eager ready time or
-        #: None, envelope, args).
-        self.nb_sends: List[List[Tuple[str, float, Optional[float], _REnv,
-                                       Any]]] = [[] for _ in range(size)]
+        #: Per rank, in post order: (the isend's ``.nb`` span, its eager
+        #: ready time or None, its envelope).
+        self.nb_sends: List[List[Tuple[TraceEvent, Optional[float],
+                                       _REnv]]] = [[] for _ in range(size)]
 
-    def _nb_spans(self) -> List[TraceEvent]:
-        """The isend spans of the ``rank<r>.nb`` lanes.
+    def _close_nb_spans(self) -> None:
+        """End the isend spans of the ``rank<r>.nb`` lanes.
 
         A rendezvous isend ends when its receiver completes, which the
         replay may learn after the sender has moved on, so these spans
-        are built once the job is done.  A span's depth counts the
+        are closed once the job is done.  A span's depth counts the
         lane's earlier sends still open when it starts, as the stepped
         tracer's open-span stack does.
         """
-        out: List[TraceEvent] = []
-        pid = self.pid
-        for rank, sends in enumerate(self.nb_sends):
-            if not sends:
-                continue
-            tid = f"rank{rank}.nb"
+        for sends in self.nb_sends:
             open_ends: List[float] = []
-            for name, ts, ready, env, args in sends:
+            for span, ready, env in sends:
                 end = ready if ready is not None else env.done_time
                 if end is None:
                     # The stepped isend worker would block forever and
                     # the engine reports the deadlock.
                     raise ReplayFallback("isend never matched")
+                ts = span.ts
                 open_ends = [e for e in open_ends if e > ts]
-                out.append(TraceEvent("X", name, "mpi.p2p", pid, tid, ts,
-                                      max(0.0, end - ts), args,
-                                      len(open_ends)))
+                span.dur = max(0.0, end - ts)
+                span.depth = len(open_ends)
                 open_ends.append(end)
-        return out
 
     def flush(self, clocks: List[float]) -> None:
         """Hand every recorded span and message to the tracer."""
-        nb = self._nb_spans()
-        pid = self.pid
-        ranks = [
-            TraceEvent("X", f"rank{r}", "mpi.rank", pid, f"rank{r}", 0.0,
-                       finish)
-            for r, finish in enumerate(clocks)
-        ]
+        self._close_nb_spans()
+        out = list(self.instants)
+        for span, events in zip(_lifetimes(self.pid, clocks), self.events):
+            out.append(span)
+            out.extend(events)
         tr = self.tracer
-        tr.extend(self.instants + ranks + self.events + nb)
+        tr.extend(out)
         for src, dst, nbytes in self.messages:
             tr.message(src, dst, nbytes)
+
+
+#: The phase code of every span a job's trace holds.
+_X = repeat("X")
+
+
+def _lifetimes(pid: str, finish: List[float]) -> List[TraceEvent]:
+    """Each rank's ``mpi.rank`` span, from 0 to its ``finish``."""
+    tids = [f"rank{r}" for r in range(len(finish))]
+    return list(map(TraceEvent, _X, tids, repeat("mpi.rank"), repeat(pid),
+                    tids, repeat(0.0), finish))
+
+
+def _spans_between(starts: List[Any], ends: List[Any]
+                   ) -> Tuple[List[List[float]], List[List[float]]]:
+    """Per span row and rank, the start and the ``max(0.0, end -
+    start)`` duration :meth:`_ReplayComm._span` gives it; the rows'
+    vectors are arrays or lists, as the record holds them."""
+    if not starts or isinstance(starts[0], list):
+        return starts, [[max(0.0, e - s) for s, e in zip(row, end)]
+                        for row, end in zip(starts, ends)]
+    np = get_numpy()
+    starts, ends = np.array(starts), np.array(ends)
+    dur = np.subtract(ends, starts, out=ends)
+    return starts.tolist(), np.maximum(dur, 0.0, out=dur).tolist()
+
+
+def emit_trace(rec: ClockRecord, tracer: Tracer) -> None:
+    """Write the traced replay's trace of a lowered job from its clock
+    record (:func:`repro.mpi.phasec.record`), byte for byte.
+
+    Per rank, as :class:`_ReplayComm` records them: each shift step's
+    ``send->{dest}`` span on the ``.nb`` lane (depth 0: the shift waited
+    its previous send) and its ``recv`` span, each collective step's
+    ``mpi.coll`` span, and each rank's message of each shift step in the
+    message matrix; a compute leaves no span.  Spans share their ``args`` dicts where the
+    values are equal: across ranks, and across the steps of one phase.
+    Lowering for a tracer refuses ``comm.phase``, so every span sits at
+    the depth the replay gives it outside a phase.
+
+    Every rank records the same spans, so the rank-major order of
+    :meth:`_ReplayTrace.flush` is a stride: row ``j`` of ``k`` fills
+    every ``k``-th slot from ``j``.
+    """
+    p = rec.program.n_ranks
+    ranks = range(p)
+    tids = [f"rank{r}" for r in ranks]
+    nb_tids = [f"{tid}.nb" for tid in tids]
+    steps = rec.steps
+    afters = [step.before for step in steps[1:]] + [rec.finish]
+    #: Per span row: (names, cat, lanes, args, depth) iterables over ranks.
+    rows: List[Tuple[Any, ...]] = []
+    starts: List[Any] = []
+    ends: List[Any] = []
+    #: Per shift phase: its send names, send args and recv args.
+    shifts: Dict[int, Tuple[List[str], Dict[str, Any], List[Any]]] = {}
+    sent: DefaultDict[Tuple[int, int], int] = defaultdict(int)
+    for step, after in zip(steps, afters):
+        ph = step.phase
+        if ph.kind == "coll":
+            rows.append((repeat(ph.coll), repeat("mpi.coll"), tids,
+                         repeat({"nbytes": ph.nbytes}), repeat(1)))
+            starts.append(step.before)
+            ends.append(after)
+        elif ph.kind == "shift":
+            o, nbytes, tag = ph.offset, ph.nbytes, ph.tag
+            shift = shifts.get(id(ph))
+            if shift is None:
+                shift = shifts[id(ph)] = (
+                    [f"send->{(r + o) % p}" for r in ranks],
+                    {"nbytes": nbytes, "tag": tag},
+                    [{"source": (r - o) % p, "nbytes": nbytes, "tag": tag}
+                     for r in ranks],
+                )
+            names, send_args, recv_args = shift
+            rows.append((names, repeat("mpi.p2p"), nb_tids, repeat(send_args),
+                         repeat(0)))
+            rows.append((repeat("recv"), repeat("mpi.p2p"), tids, recv_args,
+                         repeat(1)))
+            starts += (step.before, step.before)
+            ends += (step.send_done, step.recv_done)
+            sent[o, nbytes] += 1
+    finish = rec.finish
+    k = len(rows) + 1
+    out: List[Any] = [None] * (p * k)
+    out[::k] = _lifetimes("mpijob", finish if isinstance(finish, list)
+                          else finish.tolist())
+    pid = repeat("mpijob")
+    for j, ((names, cat, lanes, args, depth), ts, dur) in enumerate(
+            zip(rows, *_spans_between(starts, ends)), 1):
+        out[j::k] = map(TraceEvent, _X, names, cat, pid, lanes, ts, dur,
+                        args, depth)
+    tracer.extend(out)
+    for (o, nbytes), count in sent.items():
+        for r in ranks:
+            tracer.message(r, (r + o) % p, nbytes, count)
 
 
 class _ReplayPhase:
@@ -939,11 +1054,15 @@ def _compile_or_none(
     """Memo, vector pricing or scalar replay; ``None`` (with
     ``st.reason`` set) means the caller must run the job stepped.
 
-    A job with an active tracer reads no memo and takes no vector path,
-    since neither keeps per-op clocks: it replays, emitting its spans.
-    A job with a static fault ``plan`` takes no vector path either,
-    because phase pricing knows neither the degraded fabric nor
-    straggler factors.  Its memo key adds the plan's fingerprint.
+    A job with an active tracer reads and writes no memo.  It takes the
+    vector path from ``TRACED_VECTOR_MIN_RANKS`` up (not
+    ``VECTOR_MIN_RANKS``), when its program lowers for a tracer; it is
+    priced from :func:`~repro.mpi.phasec.record`, its spans are written
+    by :func:`emit_trace`, and its ``returns`` stay lazy and untraced.
+    Otherwise it replays, emitting its spans.  A job with a static fault
+    ``plan`` takes no vector path, because phase pricing knows neither
+    the degraded fabric nor straggler factors.  Its memo key adds the
+    plan's fingerprint.
     """
     tr = active(tracer)
     key = None
@@ -960,14 +1079,20 @@ def _compile_or_none(
     if vetoes and not profile.unknown:
         st.reason = f"static profile: {vetoes[0]}"
         return None
-    want_vector = tr is None and plan is None and (
+    min_ranks = VECTOR_MIN_RANKS if tr is None else TRACED_VECTOR_MIN_RANKS
+    want_vector = plan is None and (
         vector if vector is not None
-        else HAVE_NUMPY and n_ranks >= VECTOR_MIN_RANKS
+        else HAVE_NUMPY and n_ranks >= min_ranks
     )
     if want_vector and n_ranks > 1:
         try:
-            program = lower(main, n_ranks, fabric=fabric)
-            elapsed = price(program, fabric)
+            program = lower(main, n_ranks, fabric=fabric,
+                            traced=tr is not None)
+            if tr is None:
+                elapsed = price(program, fabric)
+            else:
+                rec = record(program, fabric)
+                elapsed = rec.elapsed
         except Exception as exc:
             # Not phase-uniform (LowerFallback), or a trace-surfaced
             # error (bad peer, mis-sized scatter, a bug in the rank
@@ -975,6 +1100,8 @@ def _compile_or_none(
             # stepped engine reproduces any genuine error.
             st.reason = f"lower: {exc}"
         else:
+            if tr is not None:
+                emit_trace(rec, tr)
             st.path = "vector"
             st.phases = len(program.phases)
             st.replay_ops = program.op_estimate
@@ -1026,28 +1153,32 @@ def compiled_mpiexec(
     """Run ``main`` like :func:`~repro.mpi.runtime.mpiexec`, compiled.
 
     Resolution order: warm :class:`~repro.perf.cache.EvalCache` memo →
-    vectorized phase recurrences (numpy, large P) → max-plus replay
-    (memoizing on success) → transparent stepped fallback.  The stepped
+    vectorized phase recurrences (numpy, ``n_ranks >=
+    VECTOR_MIN_RANKS``) → max-plus replay (memoizing on success) →
+    transparent stepped fallback.  The stepped
     fallback accepts every job :func:`~repro.mpi.runtime.mpiexec`
     accepts, with identical results and identical errors, so callers can
     substitute this function unconditionally.  A memo hit returns stored
     per-rank values; treat them as read-only (runs sharing a cache share
     the objects).
 
-    An active ``tracer`` sends the job straight to the max-plus replay,
-    at any rank count, which records the job's spans on the ``"mpijob"``
-    process lane; the trace leaves out the engine's scheduler instants
-    and the point-to-point traffic inside collectives (see
-    ``docs/OBSERVABILITY.md``).
+    An active ``tracer`` skips the memo.  The job's spans land on the
+    ``"mpijob"`` process lane, from the vector path when numpy is
+    importable, ``n_ranks >= TRACED_VECTOR_MIN_RANKS`` and the program
+    lowers without opening ``comm.phase``, else from the max-plus
+    replay; both write the same bytes.  The trace leaves out the
+    engine's scheduler instants and the point-to-point traffic inside
+    collectives (see ``docs/OBSERVABILITY.md``).
 
     A static ``fault_plan`` replays on the degraded fabric, traced or
     not; a windowed or crashing plan steps.
 
-    ``vector`` overrides the backend selection: ``True`` demands the
-    vectorized phase backend (falling back to scalar paths only when the
-    program doesn't lower), ``False`` forbids it, ``None`` (default)
-    selects it when numpy is importable and
-    ``n_ranks >= VECTOR_MIN_RANKS``.
+    ``vector`` overrides the backend selection, traced or not: ``True``
+    demands the vectorized phase backend (falling back to scalar paths
+    only when the program doesn't lower), ``False`` forbids it, ``None``
+    (default) selects it when numpy is importable and ``n_ranks`` is at
+    least ``VECTOR_MIN_RANKS``, or ``TRACED_VECTOR_MIN_RANKS`` for a
+    traced job.
 
     Pass a :class:`CompileStats` as ``stats`` to observe which path ran.
     """

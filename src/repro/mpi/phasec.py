@@ -45,6 +45,16 @@ recognized rank program into that form:
    engine's), so pricing agrees with the replay bit for bit, and the
    equivalence suite gates exactly that (relative error 0).
 
+3. **The clock record** (:func:`record`).  The same walk, keeping one
+   :class:`Step` per repetition of a phase: the clock vector before it
+   and, for a shift, each rank's receive completion and send end, from
+   the float operations of :func:`shift_step`.  A traced job's spans
+   are emitted from it (:func:`repro.mpi.compile.emit_trace`), byte for
+   byte the traced replay's.  :func:`price` keeps no record and does no
+   work for one.  A job under a tracer lowers with ``traced=True``,
+   which refuses ``comm.phase``: its ``app.phase`` spans stay with the
+   replay.
+
 The clock vector is a numpy array when numpy is available, else a Python
 list (:mod:`repro.perf.batch` is the gate); both containers run the same
 float operations in the same order, so the numbers are identical, just
@@ -61,12 +71,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.mpi.api import RankComm
-from repro.mpi.collectives import SCHEDULES, _Wires, _add_to, _wire, shift_step
+from repro.mpi.collectives import (SCHEDULES, _Wires, _add_to, _roll, _wire,
+                                   shift_step)
 from repro.mpi.messages import ANY_SOURCE, ANY_TAG
 from repro.obs.tracer import NULL_CONTEXT
 from repro.perf.batch import get_numpy
 
-__all__ = ["LowerFallback", "Phase", "PhaseProgram", "clocks", "lower", "price"]
+__all__ = [
+    "ClockRecord", "LowerFallback", "Phase", "PhaseProgram", "Step", "clocks",
+    "lower", "price", "record",
+]
 
 #: Trampoline resumptions one phase costs the scalar replay, per rank —
 #: a shift is isend+recv+wait.  Used for ``PhaseProgram.op_estimate``.
@@ -406,16 +420,18 @@ class _TraceComm(RankComm):
     :class:`~repro.errors.ConfigError` every path raises.
     """
 
-    __slots__ = ("rank", "size", "stream", "_fabric", "_n_isend")
+    __slots__ = ("rank", "size", "stream", "_fabric", "_n_isend", "_traced")
 
     rank: Any
 
-    def __init__(self, rank: Optional[int], size: int, fabric: Any):
+    def __init__(self, rank: Optional[int], size: int, fabric: Any,
+                 traced: bool = False):
         self.rank = _SymRank(0, False, size) if rank is None else rank
         self.size = size
         self.stream: List[Tuple[Any, ...]] = []
         self._fabric = fabric
         self._n_isend = 0
+        self._traced = traced
 
     # ------------------------------------------------------------ plumbing
 
@@ -440,6 +456,10 @@ class _TraceComm(RankComm):
         raise LowerFallback("clock observation")
 
     def phase(self, name: str, cat: str = "app.phase") -> Any:
+        if self._traced:
+            # A marker, not an exception: a program's ``except`` cannot
+            # hide it, and :func:`lower` refuses the stream that holds it.
+            self.stream.append(("phase", name))
         return NULL_CONTEXT
 
     # ------------------------------------------------------- point-to-point
@@ -606,11 +626,12 @@ def rank_program_profile(main: Any) -> Any:
 _ROOTED = frozenset(("bcast", "reduce", "gather", "scatter"))
 
 
-def _trace_rank(main: Any, rank: Optional[int], size: int,
-                fabric: Any) -> List[Tuple[Any, ...]]:
+def _trace_rank(main: Any, rank: Optional[int], size: int, fabric: Any,
+                traced: bool = False) -> List[Tuple[Any, ...]]:
     """The op stream of ``main`` on ``rank``, or with ``rank=None`` on
-    every rank that is not a root, traced symbolically."""
-    comm = _TraceComm(rank, size, fabric)
+    every rank that is not a root, traced symbolically.  ``traced``
+    records each ``comm.phase`` as a ``("phase", name)`` marker."""
+    comm = _TraceComm(rank, size, fabric, traced)
     gen = main(comm)
     if not hasattr(gen, "send"):
         raise LowerFallback("rank main is not a generator")
@@ -623,12 +644,12 @@ def _trace_rank(main: Any, rank: Optional[int], size: int,
     )
 
 
-def _trace_every_rank(main: Any, size: int,
-                      fabric: Any) -> List[Tuple[Any, ...]]:
+def _trace_every_rank(main: Any, size: int, fabric: Any,
+                      traced: bool = False) -> List[Tuple[Any, ...]]:
     """Rank 0's op stream, once every rank has traced to the same one."""
-    base = _trace_rank(main, 0, size, fabric)
+    base = _trace_rank(main, 0, size, fabric, traced)
     for rank in range(1, size):
-        if _trace_rank(main, rank, size, fabric) != base:
+        if _trace_rank(main, rank, size, fabric, traced) != base:
             raise LowerFallback("rank-divergent op stream")
     return base
 
@@ -674,7 +695,8 @@ def _assemble(stream: List[Tuple[Any, ...]], p: int) -> Tuple[Phase, ...]:
     return tuple(Phase(f[0], count, *f[1:]) for f, count in runs)
 
 
-def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
+def lower(main: Any, n_ranks: int, fabric: Any = None,
+          traced: bool = False) -> PhaseProgram:
     """Lower rank program ``main`` to a :class:`PhaseProgram`.
 
     One symbolic trace stands for every rank that is not a root; each
@@ -690,6 +712,12 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
     shift/collective/compute vocabulary.  ``fabric`` is only handed back
     to programs that call ``comm.fabric(...)`` for constants; lowering
     itself is fabric-independent.
+
+    ``traced`` lowers for a job under a tracer, whose trace the phase
+    program must reproduce.  It refuses a program that opens
+    ``comm.phase(...)``: the program carries no record of where its
+    ``app.phase`` spans open and close, so such a job keeps the traced
+    replay.  Without ``traced`` a phase is free and lowers as before.
     """
     if n_ranks < 2:
         raise LowerFallback("trivial job (P < 2)")
@@ -701,19 +729,21 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
         # refusing it here spares the every-rank trace.
         raise LowerFallback("rank-dependent control flow")
     try:
-        stream = _trace_rank(main, None, n_ranks, fabric)
+        stream = _trace_rank(main, None, n_ranks, fabric, traced)
     except LowerFallback:
         raise
     except (_RankObserved, Exception):
         # Exception too: a symbolic rank can fail where an int does not
         # (an operator it lacks), and the concrete traces re-raise any
         # error the program really makes.
-        stream = _trace_every_rank(main, n_ranks, fabric)
+        stream = _trace_every_rank(main, n_ranks, fabric, traced)
     else:
         roots = {op[3] for op in stream if op[0] == "coll" and op[1] in _ROOTED}
         for root in sorted(roots):
-            if _trace_rank(main, root, n_ranks, fabric) != stream:
+            if _trace_rank(main, root, n_ranks, fabric, traced) != stream:
                 raise LowerFallback("rank-divergent op stream")
+    if traced and any(op[0] == "phase" for op in stream):
+        raise LowerFallback("comm.phase under a tracer")
     return PhaseProgram(n_ranks=n_ranks, phases=_assemble(stream, n_ranks))
 
 
@@ -722,9 +752,75 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
 # ==========================================================================
 
 
-def _clocks_raw(program: PhaseProgram, fabric: Any) -> Any:
+class Step:
+    """One priced repetition of a phase: the clock vector ``before`` it
+    and, for a shift, each rank's receive completion (``recv_done``)
+    and send end (``send_done``: an eager send's ``ready``, a rendezvous
+    send's receiver's completion).  A phase of ``count`` n is n steps.
+
+    Plain slotted classes, here and in :class:`ClockRecord`: a
+    dataclass costs every importer of the MPI stack a millisecond or
+    more to build."""
+
+    __slots__ = ("phase", "before", "recv_done", "send_done")
+
+    def __init__(self, phase: Phase, before: Any, recv_done: Any = None,
+                 send_done: Any = None):
+        self.phase = phase
+        self.before = before
+        self.recv_done = recv_done
+        self.send_done = send_done
+
+
+class ClockRecord:
+    """A priced job's clocks, step by step (:func:`record`).
+
+    O(P) floats per step.  The vectors are the pricing walk's own, so
+    ``finish`` is bit-equal to :func:`clocks` and ``elapsed`` to
+    :func:`price`.  Nothing recorded is written after it is recorded.
+    """
+
+    __slots__ = ("program", "steps", "finish")
+
+    def __init__(self, program: PhaseProgram, steps: Tuple[Step, ...],
+                 finish: Any):
+        self.program = program
+        self.steps = steps
+        self.finish = finish
+
+    @property
+    def elapsed(self) -> float:
+        return _elapsed(self.finish)
+
+
+def _shift_record(ph: Phase, t: Any, tp: float, ts: float,
+                  eager: bool) -> Step:
+    """The shift step from ``t`` as the replay takes it apart: the
+    receive completes at eager ``max(t, roll(t, o) + tp)`` or rendezvous
+    ``max(t, roll(t, o)) + tp``, the send ends at eager ``t + ts`` or
+    at its receiver's completion.  These are :func:`shift_step`'s own
+    float operations; its ``max`` of the two ends is the clock after."""
+    left = _roll(t, ph.offset)
+    if isinstance(t, list):
+        if eager:
+            recv = [max(a, b + tp) for a, b in zip(t, left)]
+            return Step(ph, t, recv, [a + ts for a in t])
+        recv = [max(a, b) + tp for a, b in zip(t, left)]
+    else:
+        np = get_numpy()
+        if eager:
+            recv = np.maximum(t, np.add(left, tp, out=left), out=left)
+            return Step(ph, t, recv, t + ts)
+        recv = np.add(np.maximum(t, left, out=left), tp, out=left)
+    return Step(ph, t, recv, _roll(recv, -ph.offset))
+
+
+def _clocks_raw(program: PhaseProgram, fabric: Any,
+                steps: Optional[List[Step]] = None) -> Any:
     """Finish clocks as an ndarray when numpy is importable, else as a
-    list; the loop is the same for both."""
+    list; the loop is the same for both.  With ``steps`` each
+    repetition also appends its :class:`Step`, and a compute writes a
+    copy instead of the recorded vector."""
     np = get_numpy()
     p = program.n_ranks
     t = [0.0] * p if np is None else np.zeros(p, dtype=float)
@@ -733,15 +829,26 @@ def _clocks_raw(program: PhaseProgram, fabric: Any) -> Any:
         if ph.kind == "shift":
             tp, ts, eager = _wire(fabric, ph.nbytes)
             for _ in range(ph.count):
+                if steps is not None:
+                    steps.append(_shift_record(ph, t, tp, ts, eager))
                 t = shift_step(t, ph.offset, tp, ts, eager)
         elif ph.kind == "compute":
             for _ in range(ph.count):
+                if steps is not None:
+                    steps.append(Step(ph, t))
+                    t = t.copy()
                 t = _add_to(t, ph.seconds)
         else:
             for _ in range(ph.count):
+                if steps is not None:
+                    steps.append(Step(ph, t))
                 t = SCHEDULES[ph.coll](fabric, p, ph.nbytes, t, ph.root,
                                        wires=wires)
     return t
+
+
+def _elapsed(t: Any) -> float:
+    return max(t) if isinstance(t, list) else float(t.max())
 
 
 def clocks(program: PhaseProgram, fabric: Any) -> List[float]:
@@ -763,5 +870,13 @@ def price(program: PhaseProgram, fabric: Any) -> float:
     matching wait's clamp, so the clock maximum is the job's elapsed
     time exactly.
     """
-    t = _clocks_raw(program, fabric)
-    return max(t) if isinstance(t, list) else float(t.max())
+    return _elapsed(_clocks_raw(program, fabric))
+
+
+def record(program: PhaseProgram, fabric: Any) -> ClockRecord:
+    """:func:`price`'s walk, keeping every step's clocks: the record a
+    traced job's spans are emitted from
+    (:func:`repro.mpi.compile.emit_trace`)."""
+    steps: List[Step] = []
+    finish = _clocks_raw(program, fabric, steps)
+    return ClockRecord(program, tuple(steps), finish)

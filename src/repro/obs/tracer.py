@@ -288,14 +288,15 @@ class Tracer:
 
     # ------------------------------------------------ message-size matrix
 
-    def message(self, src: int, dst: int, nbytes: int) -> None:
-        """Account one point-to-point message into the (src, dst) matrix."""
+    def message(self, src: int, dst: int, nbytes: int, count: int = 1) -> None:
+        """Account ``count`` point-to-point messages of ``nbytes`` each
+        into the (src, dst) matrix."""
         cell = self._matrix.get((src, dst))
         if cell is None:
-            self._matrix[(src, dst)] = [float(nbytes), 1.0]
+            self._matrix[(src, dst)] = [float(nbytes * count), float(count)]
         else:
-            cell[0] += nbytes
-            cell[1] += 1.0
+            cell[0] += nbytes * count
+            cell[1] += count
 
     def comm_matrix(self) -> Dict[Tuple[int, int], Dict[str, float]]:
         """The accumulated per-pair traffic: bytes and message counts."""
@@ -393,7 +394,7 @@ class NullTracer(Tracer):
     ) -> None:
         return None
 
-    def message(self, src: int, dst: int, nbytes: int) -> None:
+    def message(self, src: int, dst: int, nbytes: int, count: int = 1) -> None:
         return None
 
 

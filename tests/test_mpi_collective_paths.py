@@ -14,7 +14,9 @@ gated here:
   sizes on both sides of each fabric's eager limit and of
   ``LARGE_MESSAGE_SWITCH``.  Returns are equal on every path, and
   elapsed is equal bit for bit, against a reference that asserts it
-  stepped.
+  stepped.  Every program that lowers also emits its trace from its
+  clock record (:func:`~repro.mpi.compile.emit_trace`), at any P, and
+  those bytes are the traced replay's.
 * **One root check** — an out-of-range root raises the same
   :class:`~repro.errors.ConfigError` on every path a job can take.
 """
@@ -29,9 +31,16 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.mpi.collectives import LARGE_MESSAGE_SWITCH, SCHEDULES
-from repro.mpi.compile import CompileStats, compiled_mpiexec
+from repro.mpi.compile import (
+    CompileStats,
+    _ReplayJob,
+    compiled_mpiexec,
+    emit_trace,
+)
 from repro.mpi.fabrics import host_fabric, phi_fabric
+from repro.mpi.phasec import lower, record
 from repro.mpi.runtime import MpiJob, mpiexec
+from repro.obs import trace_digest
 from repro.obs.tracer import Tracer
 from repro.perf.cache import EvalCache
 from repro.simcore import Engine
@@ -160,3 +169,12 @@ def test_every_path_agrees_with_stepped(fabric_name, p, kind, nbytes, skew,
     for res in (rep, vec, memo):
         assert res.returns == ref.returns, case
     assert vec.elapsed == memo.elapsed == rep.elapsed == ref.elapsed, case
+
+    if lowers:
+        emitted, replayed = Tracer(), Tracer()
+        emit_trace(record(lower(main, p, make(), traced=True), make()),
+                   emitted)
+        _ReplayJob(p, make(), tracer=replayed).run(main)
+        assert trace_digest(emitted) == trace_digest(replayed), case
+        assert emitted.comm_matrix() == replayed.comm_matrix(), case
+        assert len(emitted) == len(replayed), case

@@ -14,7 +14,8 @@ Six contracts are gated here:
   record what the shared ops record and refuse what they refuse, with
   the same messages; selection-level
   vetoes (fault plans, time-varying fabrics) route the whole job to the
-  stepped engine, and a tracer routes it to the scalar replay.
+  stepped engine; a tracer takes the vector path too, emitting its
+  spans from the clock record.
 * **One trace for every rank** — a program whose rank stays affine
   lowers in one symbolic trace plus one per distinct root; one that
   observes its rank is traced on every rank; a single divergent rank
@@ -364,9 +365,9 @@ def _count_traces(monkeypatch):
     ranks = []
     real = phasec_mod._trace_rank
 
-    def counting(main, rank, size, fabric):
+    def counting(main, rank, size, fabric, traced=False):
         ranks.append(rank)
-        return real(main, rank, size, fabric)
+        return real(main, rank, size, fabric, traced)
 
     monkeypatch.setattr(phasec_mod, "_trace_rank", counting)
     return ranks
@@ -880,13 +881,13 @@ def test_selection_vetoes_route_to_stepped():
     compiled_mpiexec(8, degraded, main, stats=st, vector=True)
     assert st.path == "stepped"
     assert "time-varying" in st.reason
-    # Traced P=256 with vector=True prices via replay, not vector: the
-    # vector path keeps no per-op clocks to emit spans from.
+    # Traced P=256 with vector=True prices on the vector path, which
+    # emits the traced replay's spans from its clock record.
     tracer = Tracer()
     st = CompileStats()
     res = compiled_mpiexec(256, host_fabric(), main, stats=st, vector=True,
                            tracer=tracer)
-    assert st.path == "replay", (st.path, st.reason)
+    assert st.path == "vector", (st.path, st.reason)
     assert len(tracer) > 0
     assert res.elapsed == compiled_mpiexec(256, host_fabric(), main).elapsed
 

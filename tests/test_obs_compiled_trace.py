@@ -1,7 +1,10 @@
-"""Traces recorded on the compiled path (:mod:`repro.mpi.compile`).
+"""Traces recorded on the compiled paths (:mod:`repro.mpi.compile`).
 
 A job with an active tracer prices on the max-plus replay, which emits
-the spans itself.  Five contracts are gated here:
+the spans itself, or, from ``TRACED_VECTOR_MIN_RANKS`` ranks up with
+numpy, on the vector path, which emits the same spans from its clock
+record (:func:`~repro.mpi.compile.emit_trace`).  Seven contracts are
+gated here:
 
 * **Structure** — the compiled trace holds exactly the stepped trace's
   canonical subset: every ``mpi.rank``, ``mpi.coll`` and ``app.phase``
@@ -21,7 +24,15 @@ the spans itself.  Five contracts are gated here:
   plan's ``fault.<kind>`` start instants at t=0.  Windowed and crashing
   plans still step.
 * **Cost** — an untraced replay builds no span object, and the traced
-  replay's bytes over a fixed grid of jobs are pinned by one digest.
+  replay's bytes over a fixed grid of jobs are pinned by one digest,
+  and its events, in any order, by a second.
+* **Vector emission** — a traced vector job at P in {64, 127, 236}, for
+  every collective kind and the halo loop, holds the stepped trace's
+  canonical subset, and its trace is the traced replay's byte for byte:
+  digest, message matrix and event count.
+* **Phases** — lowering for a tracer refuses ``comm.phase``, so a job
+  that opens one takes the traced replay with a named reason; untraced,
+  the same program lowers as before.
 """
 
 from __future__ import annotations
@@ -39,11 +50,19 @@ from repro.faults import (
     RankCrash,
     Straggler,
 )
-from repro.mpi.compile import CompileStats, compiled_mpiexec
+from repro.mpi.collectives import ROOTED
+from repro.mpi.compile import (
+    TRACED_VECTOR_MIN_RANKS,
+    CompileStats,
+    _ReplayJob,
+    compiled_mpiexec,
+)
 from repro.mpi.fabrics import host_fabric, phi_fabric
+from repro.mpi.phasec import lower
 from repro.mpi.runtime import MpiJob, mpiexec
 from repro.obs import NULL_TRACER, Tracer, trace_digest
 from repro.perf.batch import HAVE_NUMPY
+from repro.simcore import Engine
 
 TOL = 1e-9
 
@@ -136,6 +155,35 @@ def _unwaited_isend(nbytes, comm):
     yield from comm.recv(source=left, tag=5)
 
 
+def _shift_coll(kind, nbytes, comm):
+    """Two like ring shifts (one phase of ``count`` 2), a compute, then
+    one ``kind`` collective: a program that lowers at any P."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    for _ in range(2):
+        yield from comm.sendrecv(right, left, nbytes=nbytes, tag=9)
+    yield from comm.compute(1e-7)
+    if kind == "barrier":
+        return (yield from comm.barrier())
+    value = (list(range(comm.size)) if kind in ("alltoall", "scatter")
+             else comm.rank)
+    kw = {"root": comm.size // 2} if kind in ROOTED else {}
+    return (yield from getattr(comm, kind)(value, nbytes=nbytes, **kw))
+
+
+def _phase_shift(nbytes, comm):
+    """``_shift_coll``'s allreduce job with its shifts in an
+    ``app.phase`` and its collective in an ``app.step``."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    with comm.phase("shift"):
+        for _ in range(2):
+            yield from comm.sendrecv(right, left, nbytes=nbytes, tag=9)
+    yield from comm.compute(1e-7)
+    with comm.phase("reduce", cat="app.step"):
+        return (yield from comm.allreduce(comm.rank, nbytes=nbytes))
+
+
 def _main(kind, nbytes):
     if kind == "halo":
         return partial(_halo_loop, nbytes)
@@ -158,16 +206,19 @@ def _canonical(tracer):
     of that rank's ``mpi.coll`` spans: deeper on the rank lane, or on the
     rank's ``.nb`` lane, where isends run.
     """
-    colls = [e for e in tracer.events if e.cat == "mpi.coll"]
+    colls = {}
+    for e in tracer.events:
+        if e.cat == "mpi.coll":
+            colls.setdefault(e.tid, []).append(e)
     spans = []
     for e in tracer.events:
         if e.cat == "mpi.p2p":
             lane = e.tid[:-len(".nb")] if e.tid.endswith(".nb") else e.tid
             slack = TOL * e.end  # ``ts + dur`` rounds off the true end
             if any(
-                c.tid == lane and c.ts <= e.ts and e.end <= c.end + slack
+                c.ts <= e.ts and e.end <= c.end + slack
                 and (e.tid != lane or c.depth < e.depth)
-                for c in colls
+                for c in colls.get(lane, ())
             ):
                 continue
         elif e.cat not in ("mpi.rank", "mpi.coll", "app.phase", "app.step"):
@@ -189,13 +240,27 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= TOL * max(abs(a), abs(b))
 
 
+def _rule_path(main, p, fabric):
+    """The path the selection rule names for a traced job with no fault
+    plan: the vector path from ``TRACED_VECTOR_MIN_RANKS`` up with
+    numpy, when the program lowers for a tracer; else the replay."""
+    if not HAVE_NUMPY or p < TRACED_VECTOR_MIN_RANKS:
+        return "replay"
+    try:
+        lower(main, p, fabric, traced=True)
+    except Exception:
+        return "replay"
+    return "vector"
+
+
 def _run_pair(kind, p, nbytes, fabric_name):
     make = FABRICS[fabric_name]
     main = _main(kind, nbytes)
     compiled, stepped = Tracer(), Tracer()
     st = CompileStats()
     res = compiled_mpiexec(p, make(), main, tracer=compiled, stats=st)
-    assert st.path == "replay", (kind, p, nbytes, st.reason)
+    assert st.path == _rule_path(main, p, make()), (kind, p, nbytes,
+                                                     st.reason)
     ref = mpiexec(p, make(), main, tracer=stepped)
     untraced = compiled_mpiexec(p, make(), main)
     assert res.elapsed == untraced.elapsed, (kind, p, nbytes)
@@ -436,15 +501,31 @@ def test_untraced_replay_builds_no_span(monkeypatch):
 GOLDEN_RANKS = RANKS + (127,)
 
 #: sha256 over every golden job's trace digest, message matrix and
-#: elapsed time, in grid order.  Any change to what a traced replay
-#: emits, or in what order, changes it.
+#: elapsed time, in grid order.  Any change to what a traced job emits,
+#: or in what order, changes it.  Jobs at P >= TRACED_VECTOR_MIN_RANKS
+#: that lower emit from the vector path, the rest from the replay.
 GOLDEN_TRACE_SHA256 = (
-    "403a87fb9ac167a4fdb0f72d2f1e10055c7e36a5a4e6cee4822e8715877e444a"
+    "43fd0f17a3ec529e73507f92eb9334b34db1e29814a40ad9b751569baca33dd4"
+)
+
+#: sha256 over the same jobs' events with each job's events sorted (by
+#: lane, then ts, depth, name and the rest), its message matrix and
+#: elapsed time: what the traces hold, whatever order they are written
+#: in.  Pinned from the replay that wrote the events in recording order
+#: across ranks, before both paths wrote them rank by rank.
+GOLDEN_EVENTS_SHA256 = (
+    "4da76fdb1243ca9162cb086b696a4058b71165a064a6522484264cd89c87c6f0"
 )
 
 
-def _golden_digest() -> str:
-    h = hashlib.sha256()
+def _event_key(e):
+    return (e.pid, e.tid, e.ts, e.depth, e.name, e.ph, e.cat, e.dur,
+            tuple(sorted((e.args or {}).items())))
+
+
+def _golden_digests():
+    """The grid's digest in emitted order, and its order-insensitive one."""
+    ordered, unordered = hashlib.sha256(), hashlib.sha256()
     for fabric_name in sorted(FABRICS):
         for kind in ALL_KINDS:
             for p in GOLDEN_RANKS:
@@ -452,19 +533,162 @@ def _golden_digest() -> str:
                     main = _main(kind, nbytes)
                     tr = Tracer()
                     st = CompileStats()
-                    res = compiled_mpiexec(p, FABRICS[fabric_name](), main,
-                                           tracer=tr, stats=st)
-                    assert st.path == "replay", (kind, p, nbytes, st.reason)
-                    h.update(repr((fabric_name, kind, p, nbytes,
-                                   trace_digest(tr),
-                                   sorted(tr.comm_matrix().items()),
-                                   res.elapsed)).encode())
-    return h.hexdigest()
+                    fabric = FABRICS[fabric_name]()
+                    res = compiled_mpiexec(p, fabric, main, tracer=tr,
+                                           stats=st)
+                    assert st.path == _rule_path(main, p, fabric), (
+                        kind, p, nbytes, st.reason)
+                    case = (fabric_name, kind, p, nbytes)
+                    matrix = sorted(tr.comm_matrix().items())
+                    ordered.update(repr(case + (trace_digest(tr), matrix,
+                                                res.elapsed)).encode())
+                    events = sorted(_event_key(e) for e in tr.events)
+                    unordered.update(repr(case + (events, matrix,
+                                                  res.elapsed)).encode())
+    return ordered.hexdigest(), unordered.hexdigest()
 
 
 def test_golden_trace_bytes():
-    """The traced replay's output over a fixed grid is pinned byte for
+    """The traced jobs' output over a fixed grid is pinned byte for
     byte: every collective kind and the halo loop, phases, waited and
     unwaited isends, P in {1, 2, 3, 8, 13, 64, 127}, eager and
-    rendezvous sizes, on the host and a Phi fabric."""
-    assert _golden_digest() == GOLDEN_TRACE_SHA256
+    rendezvous sizes, on the host and a Phi fabric.  The events, taken
+    in any order, are pinned separately: a change of write order alone
+    moves only the first digest."""
+    assert _golden_digests() == (GOLDEN_TRACE_SHA256, GOLDEN_EVENTS_SHA256)
+
+
+# ------------------------------------------------- the vector path's traces
+
+
+VECTOR_RANKS = (64, 127, 236)
+
+#: The collectives, each after two like shifts, and the halo loop.
+VECTOR_KINDS = tuple(sorted(ROOTED | {"allreduce", "allgather", "alltoall",
+                                      "barrier"})) + ("halo",)
+
+
+def _vector_main(kind, nbytes):
+    if kind == "halo":
+        return partial(_halo_loop, nbytes)
+    return partial(_shift_coll, kind, nbytes)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="traced jobs replay without numpy")
+@pytest.mark.parametrize("fabric_name", sorted(FABRICS))
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+def test_traced_vector_job_matches_stepped_and_replay(kind, fabric_name):
+    """A traced job from TRACED_VECTOR_MIN_RANKS up prices on the vector
+    path at the untraced elapsed.  Its canonical subset is the stepped
+    trace's, and its trace is the traced replay's, byte for byte."""
+    make = FABRICS[fabric_name]
+    for p in VECTOR_RANKS:
+        for nbytes in SIZES:
+            case = (kind, p, nbytes, fabric_name)
+            main = _vector_main(kind, nbytes)
+            ours, st = Tracer(), CompileStats()
+            res = compiled_mpiexec(p, make(), main, tracer=ours, stats=st)
+            assert st.path == "vector", (case, st.reason)
+            assert res.elapsed == compiled_mpiexec(p, make(), main).elapsed
+
+            replayed = Tracer()
+            rep = _ReplayJob(p, make(), tracer=replayed).run(main)
+            assert rep.elapsed == res.elapsed, case
+            assert trace_digest(ours) == trace_digest(replayed), case
+            assert ours.comm_matrix() == replayed.comm_matrix(), case
+            assert len(ours) == len(replayed), case
+
+            stepped, engine = Tracer(), Engine()
+            job = MpiJob(p, make(), engine=engine, tracer=stepped)
+            job.launch(main)
+            ref = job.run()
+            assert engine.timeline() > 0, case  # the oracle stepped
+            assert res.returns == ref.returns, case
+            mine, theirs = _canonical(ours), _canonical(stepped)
+            assert len(mine) == len(ours.events), case
+            assert _structure(mine) == _structure(theirs), case
+            for (key, a), (_, b) in zip(_by_key(mine), _by_key(theirs)):
+                assert _close(a.ts, b.ts), (case, key, a.ts, b.ts)
+                assert _close(a.dur, b.dur), (case, key, a.dur, b.dur)
+
+
+def test_list_record_emits_the_same_bytes(monkeypatch):
+    """A numpy-less platform records lists; their trace is the traced
+    replay's, byte for byte, as an array record's is."""
+    import repro.mpi.phasec as phasec_mod
+    from repro.mpi.compile import emit_trace
+    from repro.mpi.phasec import record
+
+    for kind in ("halo", "bcast", "alltoall"):
+        for nbytes in SIZES:
+            main = _vector_main(kind, nbytes)
+            program = lower(main, 13, phi_fabric(2), traced=True)
+            replayed = Tracer()
+            _ReplayJob(13, phi_fabric(2), tracer=replayed).run(main)
+            with monkeypatch.context() as mp:
+                mp.setattr(phasec_mod, "get_numpy", lambda: None)
+                rec = record(program, phi_fabric(2))
+            assert isinstance(rec.finish, list)
+            emitted = Tracer()
+            emit_trace(rec, emitted)
+            assert trace_digest(emitted) == trace_digest(replayed), kind
+            assert emitted.comm_matrix() == replayed.comm_matrix(), kind
+
+
+@pytest.mark.parametrize("kind", ("phase-ring", "isend-burst",
+                                  "unwaited-isend", "allreduce"))
+def test_traced_jobs_that_do_not_lower_replay(kind):
+    """Above the crossover a traced job that does not lower (rank
+    branches, isend bursts, unwaited isends, rank-skewed computes)
+    replays, names why, and writes the direct traced replay's bytes."""
+    for p in VECTOR_RANKS:
+        main = _main(kind, 64)
+        tracer, st = Tracer(), CompileStats()
+        res = compiled_mpiexec(p, phi_fabric(2), main, tracer=tracer,
+                               stats=st)
+        assert st.path == "replay", (kind, p)
+        assert st.reason.startswith("lower: ") or not HAVE_NUMPY, st.reason
+        replayed = Tracer()
+        rep = _ReplayJob(p, phi_fabric(2), tracer=replayed).run(main)
+        assert res.elapsed == rep.elapsed
+        assert trace_digest(tracer) == trace_digest(replayed)
+        assert tracer.comm_matrix() == replayed.comm_matrix()
+
+
+def test_traced_phases_take_the_replay():
+    """A program that opens ``comm.phase`` lowers untraced, to the
+    program of the same job without phases, and prices on the vector
+    path; traced, lowering refuses it by name and the job replays with
+    the ``app.phase``/``app.step`` spans of the stepped run.
+    ``_phase_ring``, whose rank branches refuse every lowering, replays
+    traced or not."""
+    p = 128
+    fabric = phi_fabric(2)
+    main = partial(_phase_shift, 64)
+    assert lower(main, p, fabric) == lower(
+        partial(_shift_coll, "allreduce", 64), p, fabric)
+    with pytest.raises(Exception, match="comm.phase under a tracer"):
+        lower(main, p, fabric, traced=True)
+    st = CompileStats()
+    untraced = compiled_mpiexec(p, fabric, main, stats=st)
+    assert st.path == ("vector" if HAVE_NUMPY else "replay"), st.reason
+
+    tracer, st = Tracer(), CompileStats()
+    res = compiled_mpiexec(p, fabric, main, tracer=tracer, stats=st)
+    assert st.path == "replay"
+    assert st.reason == ("lower: comm.phase under a tracer" if HAVE_NUMPY
+                         else ""), st.reason
+    assert res.elapsed == untraced.elapsed
+    stepped = Tracer()
+    mpiexec(p, fabric, main, tracer=stepped)
+    ours, theirs = _canonical(tracer), _canonical(stepped)
+    assert _structure(ours) == _structure(theirs)
+    assert {e.cat for _, e in ours} >= {"app.phase", "app.step"}
+
+    ring = partial(_phase_ring, 64)
+    for traced in (None, Tracer()):
+        st = CompileStats()
+        compiled_mpiexec(p, fabric, ring, tracer=traced, stats=st,
+                         vector=True)
+        assert st.path == "replay"
+        assert st.reason == "lower: rank-dependent control flow", st.reason
