@@ -17,8 +17,8 @@ interpreter runs — both requirements of
   each point simulates an I-rank halo ring through
   :func:`~repro.mpi.compile.compiled_mpiexec`.  Works without numpy;
   under the demo plan a scheduled rank crash kills the longer exchanges
-  mid-ring and the retry policy's relaxation (the one-shot crash is
-  dropped) recovers them.
+  mid-ring, inside the max-plus replay, and the retry policy's
+  relaxation (the one-shot crash is dropped) recovers them.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def _overflow_model(grid_name: str):
 
 
 #: Path counters (``"replay"``/``"vector"``/``"stepped"`` → count) for
-#: the halo campaign's rings, attempts that die included: what makes the
-#: demo plan's stepped attempts visible.  fig22 exchange probes price
-#: their phase program directly and never count here.
+#: the halo campaign's rings, attempts that die included, so an attempt
+#: that steps is never silent.  fig22 exchange probes price their phase
+#: program directly and never count here.
 JOB_STATS: Dict[str, int] = {}
 
 
@@ -182,10 +182,10 @@ def halo_point(
 ) -> Any:
     """Simulate one halo ring under ``fault_plan``.
 
-    A plan with a rank crash steps on the event engine; a static plan
-    (the relaxed, crash-free retry) prices on the max-plus replay, to
-    the same elapsed time.  Which path ran is counted in
-    :data:`JOB_STATS`, so the stepped attempts are never silent.
+    Both the demo crash plan and its relaxed, crash-free retry price on
+    the max-plus replay; a crash that lands raises the stepped run's
+    :class:`~repro.errors.FaultError`.  Which path ran is counted in
+    :data:`JOB_STATS`, so an attempt that steps is never silent.
     """
     from repro.core.results import Measurement
     from repro.mpi.compile import CompileStats, compiled_mpiexec

@@ -187,7 +187,7 @@ def _faulted_alltoall_point(ranks: int, fabric_name: str, tpc: int, plan,
                             stats: list, nbytes: int):
     """One degraded-sweep point: the alltoall under ``plan``, compiled.
 
-    A static plan replays; a windowed or crashing one steps.  The
+    A static or crashing plan replays; a windowed one steps.  The
     point's :class:`~repro.mpi.compile.CompileStats` is appended to
     ``stats`` before it runs, so a point that fails is counted too.
     """

@@ -324,12 +324,15 @@ class FaultPlan:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def __eq__(self, other: Any) -> bool:
+        # The faults are frozen dataclasses: two are equal when they are
+        # of one kind with equal fields, as their to_dict() entries are.
         if not isinstance(other, FaultPlan):
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        return (self.device_memory == other.device_memory
+                and self.faults == other.faults)
 
-    # to_dict-based equality makes plans unhashable by default; identity
-    # hashing keeps them usable as ephemeral dict keys.
+    # Field equality makes plans unhashable by default; identity hashing
+    # keeps them usable as ephemeral dict keys.
     __hash__ = object.__hash__
 
     # -------------------------------------------------------- relaxation

@@ -63,15 +63,22 @@ engine runs :data:`~repro.mpi.collectives.ALGORITHMS` over
 point-to-point messages, hop by hop: both walk the collective's one
 round plan, so they agree on every rank's finish time, and a
 reduction's results fold ``op`` over the same plan
-(:func:`~repro.mpi.collectives.fold_values`).  A job whose fault plan
-is *static* — no rank crash, every link and straggler fault active over
-``[0, inf)``, memory pressure allowed — replays on
-``plan.degrade(fabric)`` with each straggler's constant factor on its
-``compute`` and its reduction arithmetic, so elapsed and returns are the
-stepped run's.  Such a job takes no vector
-path, and its memo key adds the plan's fingerprint.
+(:func:`~repro.mpi.collectives.fold_values`).  A job whose link and
+straggler faults are each active over ``[0, inf)`` (memory pressure
+allowed) replays on ``plan.degrade(fabric)`` with each straggler's
+constant factor on its ``compute`` and its reduction arithmetic, so
+elapsed and returns are the stepped run's.  Its rank crashes replay on
+that static reading too, untraced: each victim runs on a
+:class:`_CrashComm`, which raises the stepped injector's
+:class:`~repro.errors.FaultError` inside the operation its crash time
+falls in, and :meth:`_ReplayJob._settle` raises the crash the stepped
+run dies of, or returns the static result when none lands.  A crash
+at an operation boundary, one the program catches, two crashes at one
+time and a rank left waiting in a rooted collective a dead rank never
+joins step.  Such a job takes no vector path, and its memo key adds the
+plan's fingerprint.
 
-Jobs that carry a verifier or a windowed or crashing fault plan, or
+Jobs that carry a verifier, a windowed fault or (traced) a crash, or
 that run on a resolver or time-varying fabric, never enter the replay:
 they go straight to the stepped engine.
 
@@ -100,7 +107,7 @@ from itertools import repeat
 from typing import (Any, Callable, DefaultDict, Deque, Dict, Generator, List,
                     Optional, Tuple)
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FaultError
 from repro.mpi.api import RankComm
 from repro.mpi.collectives import _Wires, check_call, finish_times, fold_values
 from repro.mpi.fabrics import Fabric
@@ -151,6 +158,16 @@ class ReplayFallback(Exception):
 #: registered wake condition (message arrival, rendezvous completion,
 #: collective resolution) fires.
 _PARK = object()
+
+#: A crash time this many ulps or fewer from one of its victim's
+#: operation boundaries steps: a stepped resume time can sit an ulp off
+#: the replay's clock, which would move the crash across the boundary.
+_CRASH_ULPS = 4
+
+
+def _near(a: float, b: float) -> bool:
+    """Whether ``a`` and ``b`` lie within ``_CRASH_ULPS`` ulps."""
+    return abs(a - b) <= _CRASH_ULPS * math.ulp(max(abs(a), abs(b)))
 
 
 @dataclass
@@ -851,6 +868,121 @@ class _ReplayPhase:
         return False
 
 
+class _CrashComm(_ReplayComm):
+    """A crash victim's communicator: the replay's, plus its crash.
+
+    Every operation that can move the rank's clock compares the clock
+    with the crash time ``at`` when it ends.  An operation that started
+    before ``at`` and ends after it raises the stepped injector's
+    :class:`~repro.errors.FaultError` from its own frame, so the error
+    climbs the rank program's frames as ``Process.fail``'s throw does;
+    the stepped library frames in between only close tracer spans.  A
+    crash within ``_CRASH_ULPS`` of an operation's end, and any
+    operation after the crash was raised (the program caught it), send
+    the job to the stepped engine.
+    """
+
+    __slots__ = ("crash", "error", "dead")
+
+    def __init__(self, job: "_ReplayJob", rank: int, crash: Any):
+        super().__init__(job, rank)
+        self.crash = crash
+        #: The FaultError once the crash has been raised on this rank.
+        self.error: Optional[FaultError] = None
+        #: True once ``error`` has left the rank program uncaught.
+        self.dead = False
+
+    def land(self) -> FaultError:
+        """The error the stepped injector throws into this rank."""
+        crash = self.crash
+        self.error = FaultError(crash.describe(), rank=crash.rank,
+                                when=crash.at)
+        return self.error
+
+    def crossed(self, start: float) -> None:
+        """Raise the crash if the operation that ran this rank's clock
+        from ``start`` to now spans it."""
+        if self.error is not None:
+            raise ReplayFallback(f"rank {self.rank} caught its crash")
+        at = self.crash.at
+        end = self._job.clocks[self.rank]
+        if _near(at, end):
+            raise ReplayFallback("crash at an operation boundary")
+        if start < at < end:
+            raise self.land()
+
+    def _op(self, gen: Generator) -> Generator:
+        start = self._job.clocks[self.rank]
+        result = yield from gen
+        self.crossed(start)
+        return result
+
+    def send(self, *args: Any, **kwargs: Any) -> Generator:
+        return self._op(_ReplayComm.send(self, *args, **kwargs))
+
+    def recv(self, *args: Any, **kwargs: Any) -> Generator:
+        return self._op(_ReplayComm.recv(self, *args, **kwargs))
+
+    def sendrecv(self, *args: Any, **kwargs: Any) -> Generator:
+        return self._op(_ReplayComm.sendrecv(self, *args, **kwargs))
+
+    def compute(self, seconds: float) -> Generator:
+        return self._op(_ReplayComm.compute(self, seconds))
+
+    def _collective(self, *args: Any) -> Generator:
+        return self._op(_ReplayComm._collective(self, *args))
+
+    def isend(self, *args: Any, **kwargs: Any) -> "_CrashRequest":
+        req = _ReplayComm.isend(self, *args, **kwargs)
+        return _CrashRequest(self, req._env, req._ready_at)
+
+
+class _CrashRequest(_ReplayRequest):
+    """A crash victim's isend handle: its ``wait`` can land the crash."""
+
+    __slots__ = ("_comm",)
+
+    def __init__(self, comm: _CrashComm, env: _REnv,
+                 ready_at: Optional[float]):
+        super().__init__(comm._job, comm.rank, env, ready_at)
+        self._comm = comm
+
+    def wait(self) -> Generator:
+        return self._comm._op(_ReplayRequest.wait(self))
+
+
+def _victim_main(comm: _CrashComm, gen: Generator) -> Generator:
+    """Drive a crash victim's rank main for the trampoline.
+
+    A raw ``Timeout`` the main yields is priced here, not in the
+    trampoline, so a crash it spans is thrown into the main at that
+    yield; an error thrown into this generator is forwarded the same
+    way.  Every other command passes through.
+    """
+    clocks, rank = comm._job.clocks, comm.rank
+    value: Any = None
+    error: Optional[BaseException] = None
+    while True:
+        try:
+            cmd = gen.send(value) if error is None else gen.throw(error)
+        except StopIteration as stop:
+            return stop.value
+        value = error = None
+        if isinstance(cmd, Timeout):
+            start = clocks[rank]
+            clocks[rank] = start + cmd.delay
+            value = cmd.value
+            try:
+                comm.crossed(start)
+            except FaultError as exc:
+                error = exc
+            continue
+        try:
+            value = yield cmd
+        except Exception as exc:
+            error = exc
+
+
 class _ReplayJob:
     """The replay driver: per-rank clocks, queues and the trampoline.
 
@@ -860,6 +992,11 @@ class _ReplayJob:
     ``plan`` degrades the fabric and slows its stragglers.  The fabric is
     fixed for the whole replay, so each message size's wire is priced
     once, in ``wires``, which every collective occurrence shares.
+
+    A plan's rank crashes run on the same static reading: each victim
+    replays on a :class:`_CrashComm`, which raises its crash inside the
+    operation that spans it, and the other ranks run on (see
+    :meth:`_settle`).
     """
 
     def __init__(self, n_ranks: int, fabric: Any,
@@ -891,6 +1028,17 @@ class _ReplayJob:
         self.replay_ops = 0
         self._runnable: Deque[int] = deque()
         self._queued: set = set()
+        #: Victim rank -> its earliest crash (plan order breaks a tie:
+        #: the stepped injector armed first fires first).
+        self.crashes: Dict[int, Any] = {}
+        for crash in () if plan is None else plan.crashes:
+            held = self.crashes.get(crash.rank)
+            if held is None or crash.at < held.at:
+                self.crashes[crash.rank] = crash
+        #: Victim rank -> its communicator, once the job runs.
+        self.victims: Dict[int, _CrashComm] = {}
+        #: The FaultError :meth:`run` raised, if a crash landed.
+        self.crash: Optional[FaultError] = None
 
     # ------------------------------------------------------------ transport
 
@@ -912,11 +1060,20 @@ class _ReplayJob:
     def run(self, main: RankMain) -> JobResult:
         """Drive every rank's generator to completion on scalar clocks."""
         p = self.size
-        gens = [main(_ReplayComm(self, r)) for r in range(p)]
+        if not self.crashes:
+            gens = [main(_ReplayComm(self, r)) for r in range(p)]
+        else:
+            comms = [_ReplayComm(self, r) if r not in self.crashes
+                     else _CrashComm(self, r, self.crashes[r])
+                     for r in range(p)]
+            gens = [main(comm) for comm in comms]
+            self.victims = {r: comms[r] for r in self.crashes}
         for r, gen in enumerate(gens):
             if not hasattr(gen, "send"):
                 raise ReplayFallback("rank main is not a generator")
             self.wake(r)
+        for r, victim in self.victims.items():
+            gens[r] = _victim_main(victim, gens[r])
         finished = [False] * p
         returns: List[Any] = [None] * p
         resume: List[Any] = [None] * p
@@ -931,6 +1088,10 @@ class _ReplayJob:
                     returns[r] = stop.value
                     finished[r] = True
                     break
+                except Exception as exc:
+                    if not self._died(r, exc):
+                        raise
+                    break
                 resume[r] = None
                 if cmd is _PARK:
                     break  # a registered wake re-queues this rank
@@ -941,7 +1102,9 @@ class _ReplayJob:
                 raise ReplayFallback(
                     f"unsupported engine command: {type(cmd).__name__}"
                 )
-        if not all(finished):
+        if self.victims:
+            self._settle(gens, finished)
+        elif not all(finished):
             # Unmatched communication: the stepped engine owns deadlock
             # detection and its error report.
             raise ReplayFallback("replay stalled before every rank finished")
@@ -949,6 +1112,71 @@ class _ReplayJob:
         if self.trace is not None:
             self.trace.flush(self.clocks)
         return JobResult(elapsed=elapsed, returns=returns, mode="replay")
+
+    def _died(self, r: int, exc: Exception) -> bool:
+        """Whether ``exc``, leaving rank ``r``'s main, is its own crash,
+        uncaught: the rank is then dead and the others run on."""
+        comm = self.victims.get(r)
+        if comm is None or comm.error is None or isinstance(
+                exc, ReplayFallback):
+            return False
+        if exc is not comm.error:
+            raise ReplayFallback(f"rank {r} caught its crash") from exc
+        comm.dead = True
+        return True
+
+    def _settle(self, gens: List[Generator], finished: List[bool]) -> None:
+        """End a job with crash victims once no rank can run: return if
+        no crash lands, else raise the crash the stepped run raises.
+
+        Every operation that completed here has its static times: it
+        read nothing a dead rank would have posted after its crash.
+        Before the first crash ``first`` the stepped run is the static
+        run, and the engine stops at the first uncaught exception, so
+        the stepped error is ``first``'s, given that no rank could still
+        act before ``first``.  A rank parked here waits on something a
+        dead rank would post after its crash, or on a rank parked the
+        same way, or forever, so it cannot; except one parked in a
+        rooted collective (bcast, reduce, gather, scatter) before
+        ``first``, which may finish without the dead rank's part, so
+        that job steps.  A victim parked below its crash time is still
+        inside that operation when its crash fires: it dies there.
+        """
+        for r, comm in self.victims.items():
+            if comm.error is not None and not comm.dead:
+                raise ReplayFallback(f"rank {r} caught its crash")
+        if all(finished):
+            return  # every victim finished before its crash
+        landed = sorted((comm.crash.at, r)
+                        for r, comm in self.victims.items() if not finished[r])
+        if not landed:
+            raise ReplayFallback("replay stalled before every rank finished")
+        first, r = landed[0]
+        if len(landed) > 1 and _near(landed[1][0], first):
+            raise ReplayFallback("two crashes land at one time")
+        clocks = self.clocks
+        for inst in self.coll_instances.values():
+            if inst.root is not None and any(
+                    clocks[q] < first or _near(clocks[q], first)
+                    for q in inst.parked):
+                raise ReplayFallback(
+                    f"a rank waits in a {inst.kind} a dead rank never joins")
+        comm = self.victims[r]
+        if not comm.dead:
+            # Parked below its crash: throw the crash where it waits.
+            if _near(first, clocks[r]):
+                raise ReplayFallback("crash at an operation boundary")
+            error = comm.land()
+            try:
+                gens[r].throw(error)
+            except Exception as exc:
+                if exc is not error:
+                    raise ReplayFallback(
+                        f"rank {r} caught its crash") from exc
+            else:
+                raise ReplayFallback(f"rank {r} caught its crash")
+        self.crash = comm.error
+        raise comm.error
 
 
 def replay(n_ranks: int, fabric: Any, main: RankMain) -> JobResult:
@@ -963,18 +1191,24 @@ def replay(n_ranks: int, fabric: Any, main: RankMain) -> JobResult:
 # ==========================================================================
 
 
-def _plan_refusal(plan: Any) -> Optional[str]:
-    """Why the replay cannot price ``plan``, or None when it is static.
+def _plan_refusal(plan: Any, n_ranks: int, traced: bool) -> Optional[str]:
+    """Why the replay cannot price ``plan``, or None when it can.
 
-    A static plan has no rank crash, and each of its link and straggler
-    faults is active over ``[0, inf)``: it changes what messages and
-    computes cost, never when the cost changes.
+    Each link and straggler fault must be active over ``[0, inf)``: it
+    changes what messages and computes cost, never when the cost
+    changes.  Rank crashes replay untraced (:class:`_CrashComm`), each
+    on a rank the job has, at a finite time after 0.
     """
-    if plan.crashes:
-        return "fault plan: rank crash"
     for f in plan.link_faults + plan.stragglers:
         if f.start != 0.0 or f.end != math.inf:
             return f"fault plan: windowed {f.kind} fault"
+    for crash in plan.crashes:
+        if traced:
+            return "fault plan: rank crash under a tracer"
+        if crash.rank >= n_ranks:
+            return "fault plan: crash on a rank the job lacks"
+        if not math.isfinite(crash.at) or _near(crash.at, 0.0):
+            return "crash at an operation boundary"
     return None
 
 
@@ -984,6 +1218,7 @@ def _refusal(
     engine: Optional[Engine],
     fault_plan: Optional[Any],
     verifier: Optional[Any],
+    tracer: Optional[Any],
 ) -> Optional[str]:
     """Why this job must step, or None when it is a replay candidate.
 
@@ -1001,7 +1236,7 @@ def _refusal(
         return "time-varying fabric"
     if fault_plan is None:
         return None
-    return _plan_refusal(fault_plan)
+    return _plan_refusal(fault_plan, n_ranks, active(tracer) is not None)
 
 
 def _lazy_returns(
@@ -1112,6 +1347,7 @@ def _compile_or_none(
                 n_ranks=n_ranks,
                 returns_factory=_lazy_returns(n_ranks, fabric, main),
             )
+    job = None
     try:
         job = _ReplayJob(n_ranks, fabric, tracer=tr, plan=plan)
         result = job.run(main)
@@ -1124,6 +1360,11 @@ def _compile_or_none(
         st.reason = "config error during replay"
         return None
     except Exception as exc:
+        if job is not None and exc is job.crash:
+            # A crash landed: the stepped run's own FaultError.
+            st.path = "replay"
+            st.replay_ops = job.replay_ops
+            raise
         # Anything else (a main poking engine internals the replay
         # comm lacks, a bug in the rank program) also falls back:
         # rank programs are deterministic, so the stepped run either
@@ -1170,8 +1411,10 @@ def compiled_mpiexec(
     engine's scheduler instants and the point-to-point traffic inside
     collectives (see ``docs/OBSERVABILITY.md``).
 
-    A static ``fault_plan`` replays on the degraded fabric, traced or
-    not; a windowed or crashing plan steps.
+    A ``fault_plan`` whose link and straggler faults span ``[0, inf)``
+    replays on the degraded fabric, traced or not.  Its rank crashes
+    replay untraced, and a crash that lands raises the stepped run's
+    :class:`~repro.errors.FaultError`; a windowed plan steps.
 
     ``vector`` overrides the backend selection, traced or not: ``True``
     demands the vectorized phase backend (falling back to scalar paths
@@ -1183,7 +1426,7 @@ def compiled_mpiexec(
     Pass a :class:`CompileStats` as ``stats`` to observe which path ran.
     """
     st = stats if stats is not None else CompileStats()
-    reason = _refusal(n_ranks, fabric, engine, fault_plan, verifier)
+    reason = _refusal(n_ranks, fabric, engine, fault_plan, verifier, tracer)
     if reason is None:
         result = _compile_or_none(
             n_ranks, fabric, main, cache=cache, st=st, vector=vector,

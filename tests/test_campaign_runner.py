@@ -557,9 +557,10 @@ class TestFig22ExchangeProbe:
 
 
 class TestHaloJobPaths:
-    def test_stepped_crash_attempts_are_counted(self, tmp_path):
-        # The demo plan's rank crash kills every first attempt on the
-        # event engine; the relaxed retry replays.  Both reach JOB_STATS.
+    def test_crash_attempts_replay_and_are_counted(self, tmp_path):
+        # The demo plan's rank crash kills every first attempt inside
+        # the replay; the relaxed retry replays too.  Both reach
+        # JOB_STATS, and neither needs numpy.
         import repro.campaign.experiments as E
 
         spec = E.build_spec("halo", quick=True, fault_plan=E.demo_plan("halo"))
@@ -568,7 +569,7 @@ class TestHaloJobPaths:
             run = run_campaign(spec, str(tmp_path / "j.jsonl"))
             n = len(spec.points)
             assert run.stats.recovered == n
-            assert E.JOB_STATS == {"stepped": n, "replay": n}
+            assert E.JOB_STATS == {"replay": 2 * n}
         finally:
             E.reset_job_stats()
 

@@ -106,6 +106,50 @@ class TestFaultPlan:
         b = FaultPlan([RankCrash(rank=0, at=2.0)])
         assert a.fingerprint() != b.fingerprint()
 
+    def test_equality_is_the_serialized_plans(self):
+        """``==`` compares the faults themselves; it says what comparing
+        the two plans' ``to_dict()`` says."""
+        def plans():
+            yield FaultPlan()
+            yield FaultPlan(device_memory=4 * GiB)
+            yield FaultPlan([LinkDegradation(latency_factor=2.0)])
+            yield FaultPlan([LinkDegradation(latency_factor=2.0, end=9.0)])
+            yield FaultPlan([LinkDegradation(latency_factor=2, link="h*")])
+            # Equal rank and label, different kinds.
+            yield FaultPlan([RankCrash(rank=1, at=2.0, label="x")])
+            yield FaultPlan([Straggler(rank=1, slowdown=2.0, label="x")])
+            yield FaultPlan([Straggler(rank=1, slowdown=2.0, label="x"),
+                             RankCrash(rank=1, at=2.0, label="x")])
+            yield FaultPlan([RankCrash(rank=1, at=2.0, label="x"),
+                             Straggler(rank=1, slowdown=2.0, label="x")])
+            yield FaultPlan([MemoryPressure(capacity_factor=0.5)])
+            yield FaultPlan([MemoryPressure(capacity_factor=0.5)],
+                            device_memory=4 * GiB)
+
+        for a in plans():
+            copy = FaultPlan.from_dict(a.to_dict())
+            assert copy == a and not copy != a
+            for b in plans():
+                assert (a == b) == (a.to_dict() == b.to_dict()), (a, b)
+        assert FaultPlan([LinkDegradation(end=float("inf"))]) == \
+            FaultPlan.from_dict({"faults": [{"kind": "link", "end": None}]})
+        assert FaultPlan() != "not a plan"
+
+    def test_relaxation_reaches_its_fixpoint(self):
+        """The retry queue stops once ``relaxed(k + 1) == relaxed(k)``."""
+        plan = FaultPlan([
+            LinkDegradation(latency_factor=2.5, bandwidth_factor=0.3),
+            Straggler(rank=1, slowdown=3.0),
+            RankCrash(rank=0, at=1e-6),
+            MemoryPressure(capacity_factor=0.4),
+        ])
+        steps = [plan.relaxed(k) for k in range(80)]
+        fixpoint = next(k for k in range(79) if steps[k] == steps[k + 1])
+        assert 1 < fixpoint < 79
+        for k in range(79):
+            same = steps[k].to_dict() == steps[k + 1].to_dict()
+            assert (steps[k] == steps[k + 1]) == same, k
+
 
 # -------------------------------------------------------- degraded fabrics
 

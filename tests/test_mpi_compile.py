@@ -426,8 +426,10 @@ def _assert_replays_exactly(main, fault_plan=None):
 
 
 def test_fallback_fault_plan():
-    """A static plan replays exactly, traced or not; a windowed fault or
-    a crash sends a faulted job to the stepped engine, traced or not."""
+    """A static plan replays exactly, traced or not; so does an untraced
+    crash that lands after the job ends.  A windowed fault sends a
+    faulted job to the stepped engine, traced or not, and a crash does
+    traced."""
     from repro.faults import FaultPlan, LinkDegradation, RankCrash, Straggler
     from repro.obs import Tracer
 
@@ -436,24 +438,27 @@ def test_fallback_fault_plan():
         LinkDegradation(latency_factor=2.0, bandwidth_factor=0.5),
         Straggler(rank=1, slowdown=3.0),
     ]))
-    for plan, needle in (
+    _assert_replays_exactly(main, FaultPlan([RankCrash(rank=1, at=1.0)]))
+    for plan, needle, traced_needle in (
         (FaultPlan([Straggler(rank=1, slowdown=3.0, end=1e-6)]),
-         "windowed straggler"),
+         "windowed straggler", "windowed straggler"),
         (FaultPlan([LinkDegradation(latency_factor=2.0, start=1e-6)]),
-         "windowed link"),
-        (FaultPlan([RankCrash(rank=1, at=1.0)]), "rank crash"),
+         "windowed link", "windowed link"),
+        (FaultPlan([RankCrash(rank=1, at=1.0)]), None,
+         "rank crash under a tracer"),
     ):
-        st = CompileStats()
-        res = compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
-                               stats=st)
-        _assert_stepped(st, needle)
-        ref = mpiexec(8, host_fabric(), main, fault_plan=plan)
-        assert res.elapsed == ref.elapsed
-        assert res.returns == ref.returns
+        if needle is not None:
+            st = CompileStats()
+            res = compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
+                                   stats=st)
+            _assert_stepped(st, needle)
+            ref = mpiexec(8, host_fabric(), main, fault_plan=plan)
+            assert res.elapsed == ref.elapsed
+            assert res.returns == ref.returns
         st = CompileStats()
         compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,
                          tracer=Tracer(), stats=st)
-        _assert_stepped(st, needle)
+        _assert_stepped(st, traced_needle)
     st = CompileStats()
     plan = FaultPlan([Straggler(rank=1, slowdown=3.0)])
     res = compiled_mpiexec(8, host_fabric(), main, fault_plan=plan,

@@ -27,6 +27,7 @@ replayed.  Three contracts are gated here:
 
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
 
@@ -34,10 +35,12 @@ import pytest
 
 from repro.campaign.experiments import _halo_main, demo_plan, halo_point, halo_points
 from repro.core.software import POST_UPDATE
+from repro.errors import ConfigError, FaultError
 from repro.faults import (
     FaultPlan,
     LinkDegradation,
     MemoryPressure,
+    RankCrash,
     Straggler,
     pre_update_plan,
 )
@@ -46,10 +49,17 @@ from repro.mpi.collectives import (
     ALLGATHER_RING_SWITCH,
     LARGE_MESSAGE_SWITCH,
 )
-from repro.mpi.compile import CompileStats, compiled_mpiexec
+from repro.mpi.compile import (
+    CompileStats,
+    _CrashComm,
+    _ReplayJob,
+    compiled_mpiexec,
+)
 from repro.mpi.fabrics import host_fabric, phi_fabric
 from repro.mpi.protocols import PciePathFabric
-from repro.mpi.runtime import mpiexec
+from repro.mpi.runtime import MpiJob, mpiexec
+from repro.obs.tracer import Tracer
+from repro.simcore import Engine, Timeout
 
 FABRICS = {"host": host_fabric, "phi": lambda: phi_fabric(2)}
 
@@ -301,3 +311,292 @@ def test_halo_points_equal_stepped(fabric_name, tpc):
                 assert got == ref[0], (point, plan)
                 outcomes.add("ok")
     assert outcomes == {"ok", "error"}  # the crash kills some points
+
+
+# ------------------------------------------------------------ crash plans
+
+
+def _phase_pairs(nbytes, comm):
+    """A ring exchange, then blocking pair traffic (a rendezvous send
+    above the eager limit) and an isend/wait, inside ``comm.phase``."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    partner = comm.rank ^ 1
+    with comm.phase("ring"):
+        env = yield from comm.sendrecv(right, left, nbytes=nbytes,
+                                       payload=comm.rank)
+        if partner < comm.size:
+            if comm.rank % 2 == 0:
+                yield from comm.send(partner, nbytes, tag=3)
+                yield from comm.recv(source=partner, tag=4)
+            else:
+                yield from comm.recv(source=partner, tag=3)
+                yield from comm.send(partner, nbytes, tag=4)
+        req = comm.isend(right, nbytes, tag=5, payload=comm.rank)
+        yield from comm.compute(2e-7 * (comm.rank % 2))
+        got = yield from comm.recv(source=left, tag=5)
+        yield from req.wait()
+    return env.payload + got.payload
+
+
+def _raw_timeouts(nbytes, comm):
+    """Raw engine ``Timeout`` yields around a ring exchange."""
+    yield Timeout(1e-7 * (1 + comm.rank % 3))
+    env = yield from comm.sendrecv((comm.rank + 1) % comm.size,
+                                   (comm.rank - 1) % comm.size,
+                                   nbytes=nbytes, payload=comm.rank)
+    yield Timeout(3e-7)
+    return env.payload
+
+
+#: name -> nbytes -> rank main: the four-path fuzz shape for every kind,
+#: the halo loop, a ``comm.phase`` program and raw Timeouts.
+CRASH_PROGRAMS = {
+    **{kind: (lambda kind: lambda nbytes: partial(_iterated, kind, nbytes,
+                                                  2, 1e-6))(kind)
+       for kind in KINDS},
+    "halo": lambda nbytes: partial(_halo_main, nbytes),
+    "phase": lambda nbytes: partial(_phase_pairs, nbytes),
+    "timeouts": lambda nbytes: partial(_raw_timeouts, nbytes),
+}
+
+#: The collectives with a root, where a rank can finish without a
+#: dead rank's part.
+ROOTED = ("bcast", "gather", "reduce", "scatter")
+
+#: Without and with a static link+straggler plan beside the crashes.
+CRASH_BASES = {
+    "crash-only": lambda: [],
+    "link+straggler": lambda: [
+        LinkDegradation(latency_factor=2.3, bandwidth_factor=0.45),
+        Straggler(rank=1, slowdown=2.7),
+    ],
+}
+
+
+def _error_or_result(run):
+    """(elapsed, returns) of ``run()``, or the (type, message, rank,
+    when) of what it raised."""
+    try:
+        res = run()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return (type(exc), str(exc), getattr(exc, "rank", None),
+                getattr(exc, "when", None))
+    return (res.elapsed, res.returns)
+
+
+def _stepped(p, fabric, main, plan, steps=True):
+    """The oracle: ``MpiJob(...).run()``, which must have stepped (a
+    crash on a rank the job lacks fails at launch, before any step)."""
+    engine = Engine()
+
+    def run():
+        job = MpiJob(p, fabric, engine=engine, fault_plan=plan)
+        job.launch(main)
+        return job.run()
+
+    ref = _error_or_result(run)
+    assert (engine.timeline() > 0) == steps
+    return ref
+
+
+def _assert_crash_exact(p, make_fabric, main, faults, steps=True):
+    """Stepped and compiled runs of ``main`` under ``faults`` agree."""
+    ref = _stepped(p, make_fabric(), main, FaultPlan(faults), steps)
+    st = CompileStats()
+    got = _error_or_result(lambda: compiled_mpiexec(
+        p, make_fabric(), main, fault_plan=FaultPlan(faults), stats=st))
+    assert got == ref, (p, faults, st)
+    return ref, st
+
+
+def _boundaries(p, make_fabric, main, base, victim):
+    """The clock at the end of each of ``victim``'s operations, from a
+    replay whose crash never lands."""
+    ends = []
+    crossed = _CrashComm.crossed
+
+    def record(comm, start):
+        ends.append(comm._job.clocks[comm.rank])
+        crossed(comm, start)
+
+    plan = FaultPlan(base + [RankCrash(rank=victim, at=1e3)])
+    _CrashComm.crossed = record
+    try:
+        _ReplayJob(p, make_fabric(), plan=plan).run(main)
+    finally:
+        _CrashComm.crossed = crossed
+    return sorted(set(ends))
+
+
+def _inside(ends):
+    """A time inside each operation that moves the clock."""
+    return [(lo + hi) / 2 for lo, hi in zip([0.0] + ends, ends) if hi > lo]
+
+
+def _edges(ends):
+    """0, each boundary and an ulp either side of it."""
+    return [0.0] + [t for end in ends for t in (
+        math.nextafter(end, 0.0), end, math.nextafter(end, math.inf))]
+
+
+@pytest.mark.parametrize("program", sorted(CRASH_PROGRAMS))
+def test_crash_plans_equal_stepped(program):
+    """A crash at every kind of time, on the replay and stepped: the same
+    FaultError (type, message, rank, when) or the same result, with or
+    without a static plan beside it.  Crashes inside an operation
+    replay; crashes at a boundary step."""
+    inside = {"replay": 0, "stepped": 0}
+    for p in RANKS:
+        victim = min(1, p - 1)
+        for fabric_name in ("host", "phi") if p <= 8 else ("host",):
+            make_fabric = FABRICS[fabric_name]
+            eager = make_fabric().eager_max
+            for nbytes in (64, eager + 1):
+                main = CRASH_PROGRAMS[program](nbytes)
+                for base_name, base in CRASH_BASES.items():
+                    ends = _boundaries(p, make_fabric, main, base(), victim)
+                    for at in _edges(ends):
+                        _, st = _assert_crash_exact(
+                            p, make_fabric, main,
+                            base() + [RankCrash(rank=victim, at=at)])
+                        assert st.path == "stepped", (p, at, st)
+                        assert "boundary" in st.reason, st.reason
+                    for at in _inside(ends):
+                        _, st = _assert_crash_exact(
+                            p, make_fabric, main,
+                            base() + [RankCrash(rank=victim, at=at)])
+                        inside[st.path] += 1
+                        if st.path == "stepped":
+                            assert "waits in a" in st.reason, st.reason
+                    # Past the end: the crash never fires.
+                    ref, st = _assert_crash_exact(
+                        p, make_fabric, main,
+                        base() + [RankCrash(rank=victim, at=1.0)])
+                    assert not isinstance(ref[0], type)
+                    assert st.path == "replay", st
+    if program in ROOTED:
+        # A rank parked in a rooted collective the dead rank never
+        # joins might finish it stepped: those jobs step.
+        assert inside["replay"] > inside["stepped"] > 0, inside
+    else:
+        assert inside["replay"] > 0 and inside["stepped"] == 0, inside
+
+
+@pytest.mark.parametrize("program", ("allreduce", "bcast", "halo", "phase"))
+def test_two_crashes_equal_stepped(program):
+    """Two victims: either may die first, or at one time, or one crash
+    may target a rank the job lacks."""
+    for p in (2, 3, 5, 8, 13):
+        main = CRASH_PROGRAMS[program](64)
+        mids = _inside(_boundaries(p, host_fabric, main, [], 0))
+        for a in mids:
+            for b in mids + [a]:
+                faults = [RankCrash(rank=0, at=a, label="a"),
+                          RankCrash(rank=p - 1, at=b, label="b")]
+                _assert_crash_exact(p, host_fabric, main, faults)
+        ref, st = _assert_crash_exact(p, host_fabric, main,
+                                      [RankCrash(rank=p, at=mids[0])],
+                                      steps=False)
+        assert ref[0] is ConfigError
+        assert st.path == "stepped" and "lacks" in st.reason, st
+
+
+def _catching(nbytes, reraise, comm):
+    """A ring exchange whose rank 1 survives its own crash, or turns it
+    into another error."""
+    try:
+        yield from _halo_main(nbytes, comm)
+    except FaultError as exc:
+        if comm.rank != 1:
+            raise
+        if reraise:
+            raise RuntimeError("rank 1 gave up") from exc
+        return "survived"
+    return "clean"
+
+
+@pytest.mark.parametrize("reraise", (False, True))
+def test_a_victim_that_catches_its_crash_steps(reraise):
+    caught = 0
+    for p in (2, 3, 8):
+        for at in (1e-7, 2e-6, 4e-6):
+            ref, st = _assert_crash_exact(p, host_fabric,
+                                          partial(_catching, 64, reraise),
+                                          [RankCrash(rank=1, at=at)])
+            if not isinstance(ref[0], type):
+                continue  # the crash fired after the job ended
+            assert st.path == "stepped", st
+            assert st.reason == "rank 1 caught its crash", st.reason
+            caught += 1
+    assert caught
+
+
+def _skewed_bcast(comm):
+    """Rank 3 computes long before a bcast it is a leaf of; rank 1 then
+    sends to a rank that does not exist."""
+    yield from comm.compute(1e-3 if comm.rank == 3 else 0.0)
+    yield from comm.bcast(comm.rank, root=0)
+    if comm.rank == 1:
+        yield from comm.send(99, 8)
+
+
+def test_a_rank_parked_in_a_rooted_collective_steps():
+    """With rank 3 dead in its compute, the stepped ranks 0-2 finish the
+    bcast without it and rank 1 raises ConfigError before the crash
+    time; the replay's bcast waits for every rank, so the job steps."""
+    ref, st = _assert_crash_exact(4, host_fabric, _skewed_bcast,
+                                  [RankCrash(rank=3, at=5e-4)])
+    assert ref[0] is ConfigError
+    assert st.path == "stepped" and "bcast" in st.reason, st
+
+
+def test_traced_crash_plans_step():
+    tracer = Tracer()
+    st = CompileStats()
+    with pytest.raises(FaultError):
+        compiled_mpiexec(8, host_fabric(), partial(_halo_main, 64),
+                         fault_plan=demo_plan("halo"), tracer=tracer,
+                         stats=st)
+    assert st.path == "stepped", st
+    assert st.reason == "fault plan: rank crash under a tracer"
+
+
+def _late_ring(comm):
+    """Rank 0 computes before the halo loop, so rank 1, its right
+    neighbour, waits on it from the start."""
+    yield from comm.compute(1e-3 if comm.rank == 0 else 0.0)
+    return (yield from _halo_main(64, comm))
+
+
+def _unmatched(comm):
+    """Rank 1 waits for a message nobody sends."""
+    if comm.rank == 1:
+        yield from comm.recv(source=0, tag=9)
+    yield from comm.compute(1e-6)
+
+
+def test_a_victim_parked_below_its_crash_dies_there():
+    """A victim the replay parks for good, below its crash time, is
+    inside that wait when its crash fires: behind a rank that died
+    first, or in a deadlock the engine would report later."""
+    for at_1, first in ((1e-4, 1), (7e-4, 0)):
+        ref, st = _assert_crash_exact(4, host_fabric, _late_ring, [
+            RankCrash(rank=0, at=5e-4), RankCrash(rank=1, at=at_1)])
+        assert (ref[0], ref[2], st.path) == (FaultError, first, "replay"), st
+    ref, st = _assert_crash_exact(3, host_fabric, _unmatched,
+                                  [RankCrash(rank=1, at=2e-6)])
+    assert (ref[0], ref[2], st.path) == (FaultError, 1, "replay"), st
+    ref, st = _assert_crash_exact(3, host_fabric, _catching_late,
+                                  [RankCrash(rank=0, at=5e-4),
+                                   RankCrash(rank=1, at=1e-4)])
+    assert st.reason == "rank 1 caught its crash", st
+
+
+def _catching_late(comm):
+    try:
+        return (yield from _late_ring(comm))
+    except FaultError:
+        if comm.rank != 1:
+            raise
+        return "survived"

@@ -457,7 +457,7 @@ def test_traced_static_plan_matches_stepped(kind, fabric_name, plan_name):
     FaultPlan([RankCrash(rank=1, at=1.0)]),
 ], ids=["windowed-straggler", "windowed-link", "crash"])
 def test_traced_dynamic_plans_still_step(plan):
-    """Windowed and crashing plans change cost mid-job: traced or not,
+    """Windowed plans change cost mid-job and a crash stops it: traced,
     they step, and the trace is the stepped run's own."""
     main = _main("halo", 64)
     tracer, ref_tracer = Tracer(), Tracer()
